@@ -1,22 +1,11 @@
-"""Kernel backend selection: compiled extension when importable.
+"""The transport kernel module and the backend name runs report.
 
-The compiled and numpy kernels implement the same contract
-(_kernels.pyx / _kernels_py.py); nothing outside this module should
-import either directly.  Set CONEREC_KERNELS=python to force the
-fallback, e.g. for the benchmark comparison.
+There is one kernel, the batched numpy shoot in _kernels_py; transport
+reaches it as kernels.shoot_endpoint.
 """
 
-import os
+from . import _kernels_py as kernels
 
-if os.environ.get("CONEREC_KERNELS", "").lower() in ("python", "py"):
-    from . import _kernels_py as kernels
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as kernels
-        BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["kernels", "BACKEND"]

@@ -85,7 +85,22 @@ def _as_point(v, what):
     arr = np.asarray(v, dtype=float)
     if arr.shape != (4,):
         raise ConfigError(f"{what} must have four components")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} must be finite")
     return arr
+
+
+def _as_finite(v, what):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{what} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _as_count(v, what):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not math.isfinite(v) or v != int(v) or v < 1:
+        raise ConfigError(f"{what} must be a positive integer, got {v!r}")
+    return int(v)
 
 
 def _c2j(z):
@@ -332,46 +347,60 @@ def cmd_curved_transport(cfg, out, seed):
     rays = _need(cfg, "rays", "curved-transport")
     if not rays:
         raise ConfigError("rays must be non-empty")
-    k_steps = int(cfg.get("k_steps", 10))
+    k_steps = _as_count(cfg.get("k_steps", 10), "k_steps")
     want_vv = bool(cfg.get("van_vleck", True))
+    vv_h = _as_finite(cfg.get("van_vleck_h", 2e-2), "van_vleck_h")
+    if not vv_h > 0.0:
+        raise ConfigError("van_vleck_h must be positive")
     frame_cfg = cfg.get("frame")
+    if frame_cfg is not None:
+        frame_steps = _as_count(frame_cfg.get("steps", 200), "frame.steps")
+        theta = _as_finite(frame_cfg.get("theta", 0.4), "frame.theta")
+        phi = _as_finite(frame_cfg.get("phi", 1.1), "frame.phi")
+        s_end = _as_finite(frame_cfg.get("s_end", 1.0), "frame.s_end")
     records = []
     worst_spread = 0.0
     for i, ray in enumerate(rays):
         p = _as_point(_need(ray, "p", f"rays[{i}]"), f"rays[{i}].p")
         d = np.asarray(_need(ray, "direction", f"rays[{i}]"), dtype=float)
-        if d.shape != (3,) or not np.any(d):
-            raise ConfigError(f"rays[{i}].direction must be a nonzero 3-vector")
-        t = float(_need(ray, "t", f"rays[{i}]"))
+        if d.shape != (3,) or not np.any(d) or not np.all(np.isfinite(d)):
+            raise ConfigError(f"rays[{i}].direction must be a finite nonzero 3-vector")
+        t = _as_finite(_need(ray, "t", f"rays[{i}]"), f"rays[{i}].t")
         lvec = np.concatenate([[1.0], d / np.linalg.norm(d)])
         q = p + t * lvec
         chart.require_inside(q, f"rays[{i}] endpoint")
-        _, affine = transport.null_connect(chart, q, p)
-        _, k_nodes = transport.transport_k(chart, q, p, steps=k_steps)
+        v, affine = transport.null_connect(chart, q, p)
+        _, k_nodes = transport.transport_k(chart, q, p, steps=k_steps, v01=v * affine)
         k_ode = float(k_nodes[-1])
         k_closed = float(transport.conformal_k(chart, q, p))
         ks = [k_ode, k_closed]
         rec = {"p": p.tolist(), "q": q.tolist(), "affine_parameter": affine,
                "k_ode": k_ode, "k_closed_form": k_closed}
         if want_vv:
-            k_vv = float(transport.van_vleck_k(chart, q, p,
-                                               h=cfg.get("van_vleck_h", 2e-2)))
+            k_vv = float(transport.van_vleck_k(chart, q, p, h=vv_h))
             rec["k_van_vleck"] = k_vv
             ks.append(k_vv)
         rec["flat_deviation"] = abs(2.0 * math.pi * k_closed - 1.0)
         rec["route_spread"] = max(ks) - min(ks)
         worst_spread = max(worst_spread, rec["route_spread"])
         if frame_cfg is not None:
-            o_up, i_up = spin_basis_field(
-                np.array([frame_cfg.get("theta", 0.4)]),
-                np.array([frame_cfg.get("phi", 1.1)]), np.array([False]))
+            o_up, i_up = spin_basis_field(np.array([theta]), np.array([phi]),
+                                          np.array([False]))
             base = frame_from_spin_basis(o_up[0], i_up[0])
             om = chart.omega(p)
             fr = NPFrame(base.l / om, base.n / om, base.m / om,
                          base.o / math.sqrt(om), base.iota / math.sqrt(om))
-            pf = transport.transport_spin_frame(
-                chart, p, fr.l, fr, s_end=frame_cfg.get("s_end", 1.0),
-                steps=int(frame_cfg.get("steps", 200)))
+            try:
+                pf = transport.transport_spin_frame(chart, p, fr.l, fr,
+                                                    s_end=s_end, steps=frame_steps)
+            except GeometryError:
+                raise
+            except ValueError as exc:
+                # the spin-basis extraction found the transported tetrad off
+                # normalization: the step is too coarse for this ray
+                raise ConfigError(
+                    f"rays[{i}]: the frame transported with frame.steps = "
+                    f"{frame_steps} drifted past 1e-10 ({exc}); use more steps")
             dots = [float(np.vdot(pf.o[j - 1], pf.o[j]).real)
                     for j in range(1, len(pf.o))]
             rec["frame"] = {"product_drift": pf.product_drift(),

@@ -240,12 +240,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_U = 0.5 * (_GL_NODES + 1.0)
 
 
-def _omega_batch(chart, pts):
-    flat_pts = pts.reshape(-1, 4)
-    out = np.array([chart.omega(x) for x in flat_pts])
-    return out.reshape(pts.shape[:-1])
-
-
 def _curved_spin_tensor(chart, p0, data: ConeData, n: int, q,
                         spec: QuadratureSpec):
     """Singular-integral tensor on a conformally flat chart.
@@ -272,24 +266,24 @@ def _curved_spin_tensor(chart, p0, data: ConeData, n: int, q,
     w_ang = section.mu_sigma / ell ** 2
     om0 = chart.omega(np.asarray(p0, dtype=float))
     omq = chart.omega(np.asarray(q, dtype=float))
-    om_p = _omega_batch(chart, section.p)
+    om_p = chart.omega(section.p)
 
     # curved affine label of the section along each generator
     rays = (p0[None, None, :]
             + (ell[:, None] * _GL_U[None, :])[:, :, None]
             * section.l[:, None, :])
-    om2_ray = _omega_batch(chart, rays) ** 2
+    om2_ray = chart.omega(rays) ** 2
     r0_star = ell * (0.5 * om2_ray @ _GL_WEIGHTS) / om0 ** 2
 
     # chord average of omega^2 from q: van Vleck square root numerator
     chords = (q[None, None, :]
               + _GL_U[None, :, None] * (section.p - q[None, :])[:, None, :])
-    om2_chord = _omega_batch(chart, chords) ** 2
+    om2_chord = chart.omega(chords) ** 2
     ibar = 0.5 * om2_chord @ _GL_WEIGHTS
     k = ibar / (2.0 * math.pi * om_p * omq)
 
     r = section.r * ibar * om0 ** 2 / om_p ** 2
-    grads = np.array([chart.grad_ln_omega(x) for x in section.p])
+    grads = chart.grad_ln_omega(section.p)
     dln_om_dl = np.einsum("ni,ni->n", grads, section.l)
     rho = -(om0 ** 2 / om_p ** 2) * (dln_om_dl + 1.0 / ell)
     mu = om_p ** 2 * ell ** 2 * w_ang

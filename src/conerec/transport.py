@@ -51,8 +51,9 @@ class CurvedChart:
     when given, maps a point to Gamma^a_{bc} (first index up) and
     otherwise central differences of the metric are used.  omega and
     grad_ln_omega are set by the registry for conformally flat charts,
-    g = omega^2 eta, and enable exact shortcuts; leave them None for a
-    general metric.
+    g = omega^2 eta; they take (..., 4) arrays, enable exact shortcuts,
+    and send endpoint shoots through the batched kernel.  Leave them
+    None for a general metric, whose shoots run row by row.
     """
 
     metric: Callable[[np.ndarray], np.ndarray]
@@ -60,15 +61,9 @@ class CurvedChart:
     hi: np.ndarray
     christoffel: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "custom"
-    omega: Optional[Callable[[np.ndarray], float]] = None
+    omega: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_ln_omega: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-5
-    # registry charts carry their profile as plain numbers so endpoint
-    # shoots can run through the kernel backend; None for custom metrics
-    kernel_kind: Optional[int] = None
-    kernel_eps: float = 0.0
-    kernel_width: float = 1.0
-    kernel_center: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float).reshape(4)
@@ -85,8 +80,11 @@ class CurvedChart:
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
     def require_inside(self, x, what: str = "point"):
-        if not self.contains(x):
-            raise GeometryError(f"{what} {np.asarray(x, dtype=float)} is outside "
+        """Raise for the first of the points (rows of x) outside the box."""
+        x = np.asarray(x, dtype=float).reshape(-1, 4)
+        outside = ~np.all((x >= self.lo) & (x <= self.hi), axis=1)
+        if np.any(outside):
+            raise GeometryError(f"{what} {x[np.argmax(outside)]} is outside "
                                 f"the chart domain [{self.lo}, {self.hi}]")
 
     def connection(self, x) -> np.ndarray:
@@ -155,32 +153,42 @@ def check_signature(chart: CurvedChart, points) -> None:
 # -- chart registry ------------------------------------------------------
 
 def _profile(profile: str, width: float, center) -> tuple:
-    """Smooth bounded bump f and its coordinate gradient."""
+    """Smooth bounded bump on (..., 4) arrays: f, and f_grad = (f, grad f).
+
+    Whoever needs the coordinate gradient also needs the value, so
+    f_grad returns both from one evaluation.
+    """
     c = np.asarray(center, dtype=float).reshape(4)
     if profile == "gaussian":
+        # (d * d) @ k is -|d|^2 / width^2 over the last axis in one call
+        k = np.full(4, -1.0 / width ** 2)
+
         def f(x):
             d = np.asarray(x, dtype=float) - c
-            return math.exp(-float(d @ d) / width ** 2)
+            return np.exp((d * d) @ k)
 
-        def grad_f(x):
+        def f_grad(x):
             d = np.asarray(x, dtype=float) - c
-            return f(x) * (-2.0 / width ** 2) * d
+            fx = np.exp((d * d) @ k)
+            return fx, (fx * (-2.0 / width ** 2))[..., None] * d
     elif profile == "sine":
         def f(x):
             d = (np.asarray(x, dtype=float) - c) / width
-            return math.sin(d[0]) * math.cos(d[1]) * math.cos(d[2]) * math.cos(d[3])
+            return (np.sin(d[..., 0]) * np.cos(d[..., 1]) * np.cos(d[..., 2])
+                    * np.cos(d[..., 3]))
 
-        def grad_f(x):
+        def f_grad(x):
             d = (np.asarray(x, dtype=float) - c) / width
             s, co = np.sin(d), np.cos(d)
-            g = np.array([co[0] * co[1] * co[2] * co[3],
-                          -s[0] * s[1] * co[2] * co[3],
-                          -s[0] * co[1] * s[2] * co[3],
-                          -s[0] * co[1] * co[2] * s[3]])
-            return g / width
+            fx = s[..., 0] * co[..., 1] * co[..., 2] * co[..., 3]
+            g = np.stack([co[..., 0] * co[..., 1] * co[..., 2] * co[..., 3],
+                          -s[..., 0] * s[..., 1] * co[..., 2] * co[..., 3],
+                          -s[..., 0] * co[..., 1] * s[..., 2] * co[..., 3],
+                          -s[..., 0] * co[..., 1] * co[..., 2] * s[..., 3]], axis=-1)
+            return fx, g / width
     else:
         raise ValueError(f"unknown conformal profile {profile!r}")
-    return f, grad_f
+    return f, f_grad
 
 
 def _conformal_christoffel(w: np.ndarray) -> np.ndarray:
@@ -207,20 +215,20 @@ def make_chart(name: str, eps: float = 0.0, profile: str = "gaussian",
     if name == "flat":
         chart = CurvedChart(metric=lambda x: ETA.copy(), lo=lo, hi=hi,
                             christoffel=lambda x: np.zeros((4, 4, 4)),
-                            name="flat", omega=lambda x: 1.0,
-                            grad_ln_omega=lambda x: np.zeros(4),
-                            kernel_kind=0,
-                            kernel_center=np.zeros(4))
+                            name="flat",
+                            omega=lambda x: np.ones(np.shape(x)[:-1])[()],
+                            grad_ln_omega=lambda x: np.zeros(np.shape(x)))
     elif name == "conformal":
         if not -1.0 < eps < 1.0:
             raise ValueError("eps must satisfy |eps| < 1 for a positive factor")
-        f, grad_f = _profile(profile, width, center)
+        f, f_grad = _profile(profile, width, center)
 
         def omega(x):
             return 1.0 + eps * f(x)
 
         def grad_ln_omega(x):
-            return eps * grad_f(x) / (1.0 + eps * f(x))
+            fx, grad = f_grad(x)
+            return (eps / (1.0 + eps * fx))[..., None] * grad
 
         def metric(x):
             return omega(x) ** 2 * ETA
@@ -231,10 +239,7 @@ def make_chart(name: str, eps: float = 0.0, profile: str = "gaussian",
         chart = CurvedChart(metric=metric, lo=lo, hi=hi,
                             christoffel=christoffel,
                             name=f"conformal(eps={eps:g}, profile={profile})",
-                            omega=omega, grad_ln_omega=grad_ln_omega,
-                            kernel_kind={"gaussian": 1, "sine": 2}[profile],
-                            kernel_eps=eps, kernel_width=width,
-                            kernel_center=np.asarray(center, dtype=float))
+                            omega=omega, grad_ln_omega=grad_ln_omega)
     else:
         raise ValueError(f"unknown chart {name!r}; registry has 'flat' and 'conformal'")
     rng = np.random.default_rng(0)
@@ -282,61 +287,75 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
 
 
 def _shoot_endpoint(chart: CurvedChart, p, v, s_end: float, steps: int):
-    """Endpoint (x, v) of a shoot; kernel fast path for registry charts."""
-    if chart.kernel_kind is None:
-        path = geodesic_shoot(chart, p, v, s_end, steps)
-        return path.x[-1], path.v[-1]
-    p = np.ascontiguousarray(p, dtype=float)
-    v = np.ascontiguousarray(v, dtype=float)
-    x, u, status = kernels.shoot_endpoint(
-        chart.kernel_kind, chart.kernel_eps, chart.kernel_width,
-        chart.kernel_center, chart.lo, chart.hi, p, v, float(s_end), steps)
-    if status:
+    """Endpoints (x, v) of the shoots from the rows of p and v, all (B, 4).
+
+    Conformal charts run the batched kernel; a general metric shoots row
+    by row with geodesic_shoot.  A row that leaves the box raises.
+    """
+    if chart.grad_ln_omega is None:
+        paths = [geodesic_shoot(chart, pi, vi, s_end, steps) for pi, vi in zip(p, v)]
+        return (np.array([path.x[-1] for path in paths]),
+                np.array([path.v[-1] for path in paths]))
+    x, u, status = kernels.shoot_endpoint(chart.grad_ln_omega, chart.lo, chart.hi,
+                                          p, v, float(s_end), steps)
+    if np.any(status):
+        i = np.flatnonzero(status)[0]
         raise GeometryError(f"geodesic left the chart domain at "
-                            f"s = {status * s_end / steps:.6g}, x = {x}")
+                            f"s = {status[i] * s_end / steps:.6g}, x = {x[i]}")
     return x, u
 
 
 def _connect(chart: CurvedChart, p, q, steps: int = 48, tol: float = 1e-13,
              max_iter: int = 60):
-    """[0, 1]-affine initial velocity of the geodesic from p to q.
+    """[0, 1]-affine initial velocities of the geodesics from p to q.
 
-    Fixed-point iteration with the flat-chart endpoint Jacobian: the map
-    v -> x(1; p, v) differs from p + v at the size of the connection, so
-    v <- v - (x(1) - q) contracts on weakly curved charts.  Residual
-    growth triggers step halving; failure to converge raises.
+    p and q are (B, 4) rows of point pairs.  Fixed-point iteration with
+    the flat-chart endpoint Jacobian: the map v -> x(1; p, v) differs
+    from p + v at the size of the connection, so v <- v - (x(1) - q)
+    contracts on weakly curved charts.  Every pair iterates on its own:
+    it stops once its residual is within tol, and growth of its residual
+    halves its step.  A pair that does not converge raises.
     """
-    p = np.asarray(p, dtype=float).reshape(4)
-    q = np.asarray(q, dtype=float).reshape(4)
     chart.require_inside(p, "connection start")
     chart.require_inside(q, "connection target")
-    scale = max(1.0, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(p), axis=1),
+                                       np.max(np.abs(q), axis=1)))
     v = q - p
-    prev = math.inf
+    prev = np.full(len(p), math.inf)
+    live = np.arange(len(p))
     for _ in range(max_iter):
-        x_end, _ = _shoot_endpoint(chart, p, v, 1.0, steps)
-        res = x_end - q
-        rn = float(np.max(np.abs(res)))
-        if rn <= tol * scale:
+        x_end, _ = _shoot_endpoint(chart, p[live], v[live], 1.0, steps)
+        res = x_end - q[live]
+        rn = np.max(np.abs(res), axis=1)
+        res[rn > 0.9 * prev[live]] *= 0.5
+        prev[live] = rn
+        going = ~(rn <= tol * scale[live])
+        live, res = live[going], res[going]
+        if not live.size:
             return v
-        if rn > 0.9 * prev:
-            res = 0.5 * res
-        prev = rn
-        v = v - res
-    raise GeometryError(f"geodesic connection {p} -> {q} did not converge "
-                        f"(residual {prev:.2e})")
+        v[live] -= res
+    i = live[0]
+    raise GeometryError(f"geodesic connection {p[i]} -> {q[i]} (pair {i}) did not "
+                        f"converge (residual {prev[i]:.2e})")
 
 
-def world_function(chart: CurvedChart, p, q, steps: int = 48) -> float:
+def world_function(chart: CurvedChart, p, q, steps: int = 48):
     """World function with the [0, 1] affine convention.
 
     Gamma(p, q) = g_p(v, v) for the initial velocity v of the geodesic
     reaching q at parameter 1; on the flat chart this is the coordinate
-    interval eta(q - p, q - p).
+    interval eta(q - p, q - p).  Two points give a float; (B, 4) rows of
+    points (either side may be a single point) give a (B,) array, all
+    pairs connected together.
     """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    single = p.ndim == 1 and q.ndim == 1
+    p, q = np.broadcast_arrays(p.reshape(-1, 4), q.reshape(-1, 4))
     v = _connect(chart, p, q, steps=steps)
-    p = np.asarray(p, dtype=float).reshape(4)
-    return float(v @ chart.metric(p) @ v)
+    g = np.array([chart.metric(x) for x in p])
+    w = np.einsum("ba,bac,bc->b", v, g, v)
+    return float(w[0]) if single else w
 
 
 def world_function_gradient_check(chart: CurvedChart, p, q, h: float,
@@ -347,15 +366,11 @@ def world_function_gradient_check(chart: CurvedChart, p, q, h: float,
     step h; the residual is O(h^2) for smooth charts.
     """
     q = np.asarray(q, dtype=float).reshape(4)
-    w0 = world_function(chart, p, q, steps=steps)
-    grad = np.empty(4)
-    for a in range(4):
-        e = np.zeros(4)
-        e[a] = h
-        grad[a] = (world_function(chart, p, q + e, steps=steps)
-                   - world_function(chart, p, q - e, steps=steps)) / (2.0 * h)
+    step = h * np.eye(4)
+    w = world_function(chart, p, np.vstack([q, q + step, q - step]), steps=steps)
+    grad = (w[1:5] - w[5:]) / (2.0 * h)
     ginv = np.linalg.inv(chart.metric(q))
-    return float(grad @ ginv @ grad - 4.0 * w0)
+    return float(grad @ ginv @ grad - 4.0 * w[0])
 
 
 def null_connect(chart: CurvedChart, p, q, steps: int = 48,
@@ -368,7 +383,7 @@ def null_connect(chart: CurvedChart, p, q, steps: int = 48,
     """
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
-    v01 = _connect(chart, p, q, steps=steps)
+    v01 = _connect(chart, p[None], q[None], steps=steps)[0]
     gam = float(v01 @ chart.metric(p) @ v01)
     scale = max(float(np.max(np.abs(q - p))), 1e-30) ** 2
     if abs(gam) > null_tol * scale:
@@ -384,47 +399,47 @@ def null_connect(chart: CurvedChart, p, q, steps: int = 48,
 
 # -- transport coefficient ------------------------------------------------
 
-def _wf_grad_box(chart: CurvedChart, q, x, h: float, steps: int):
-    """Coordinate gradient and covariant box of W_q at x, by FD.
+def _wf_box(chart: CurvedChart, q, xs, h: float, steps: int):
+    """Covariant box of W_q at each row of xs, by FD, as one world-function batch.
 
     Off-diagonal Hessian entries are evaluated only where the inverse
-    metric has support, so diagonal charts cost 9 world-function calls.
+    metric has support, so diagonal charts cost 9 world functions a point.
     """
-    x = np.asarray(x, dtype=float).reshape(4)
-    ginv = np.linalg.inv(chart.metric(x))
-    w0 = world_function(chart, q, x, steps=steps)
-    wp = np.empty(4)
-    wm = np.empty(4)
-    for a in range(4):
-        e = np.zeros(4)
-        e[a] = h
-        wp[a] = world_function(chart, q, x + e, steps=steps)
-        wm[a] = world_function(chart, q, x - e, steps=steps)
+    n = len(xs)
+    ginv = np.linalg.inv(np.array([chart.metric(x) for x in xs]))
+    step = h * np.eye(4)
+    # per point: x, x + h e_a, x - h e_a; then 4 corners per mixed entry
+    stencil = xs[:, None, :] + np.vstack([np.zeros(4), step, -step])[None]
+    mixed = []
+    corners = []
+    for i, x in enumerate(xs):
+        gscale = np.max(np.abs(ginv[i]))
+        for a in range(4):
+            for b in range(a + 1, 4):
+                if abs(ginv[i, a, b]) <= 1e-14 * gscale:
+                    continue
+                mixed.append((i, a, b))
+                corners += [x + step[a] + step[b], x + step[a] - step[b],
+                            x - step[a] + step[b], x - step[a] - step[b]]
+    pts = np.vstack([stencil.reshape(-1, 4)] + corners)
+    w = world_function(chart, q, pts, steps=steps)
+    w_stencil = w[:9 * n].reshape(n, 9)
+    w0, wp, wm = w_stencil[:, :1], w_stencil[:, 1:5], w_stencil[:, 5:]
     grad = (wp - wm) / (2.0 * h)
-    hess = np.zeros((4, 4))
-    np.fill_diagonal(hess, (wp - 2.0 * w0 + wm) / h ** 2)
-    gscale = np.max(np.abs(ginv))
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if abs(ginv[a, b]) <= 1e-14 * gscale:
-                continue
-            ea = np.zeros(4)
-            eb = np.zeros(4)
-            ea[a] = h
-            eb[b] = h
-            mixed = (world_function(chart, q, x + ea + eb, steps=steps)
-                     - world_function(chart, q, x + ea - eb, steps=steps)
-                     - world_function(chart, q, x - ea + eb, steps=steps)
-                     + world_function(chart, q, x - ea - eb, steps=steps)) / (4.0 * h ** 2)
-            hess[a, b] = hess[b, a] = mixed
-    gam = chart.connection(x)
-    box = float(np.einsum("ab,ab->", ginv, hess)
-                - np.einsum("ab,cab,c->", ginv, gam, grad))
-    return grad, box
+    hess = np.zeros((n, 4, 4))
+    hess[:, range(4), range(4)] = (wp - 2.0 * w0 + wm) / h ** 2
+    for (i, a, b), (pp, pm, mp, mm) in zip(mixed, w[9 * n:].reshape(-1, 4)):
+        hess[i, a, b] = hess[i, b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
+    box = np.empty(n)
+    for i, x in enumerate(xs):
+        box[i] = (np.einsum("ab,ab->", ginv[i], hess[i])
+                  - np.einsum("ab,cab,c->", ginv[i], chart.connection(x), grad[i]))
+    return box
 
 
 def transport_k(chart: CurvedChart, q, p, steps: int = 10, s0: float = 0.05,
-                fd_step: Optional[float] = None, shoot_steps: int = 48):
+                fd_step: Optional[float] = None, shoot_steps: int = 48,
+                v01: Optional[np.ndarray] = None):
     """Transport coefficient k_q along the null geodesic from q to p.
 
     On the connecting geodesic grad W_q reduces to 2 s gdot, so the
@@ -432,37 +447,59 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10, s0: float = 0.05,
 
         dk/ds = -(box W_q - 8) k / (4 s),      k(0+) = 1/(2 pi),
 
-    integrated jointly with the geodesic by RK4 from s = s0, where the
-    vertex value is imposed (the right side is O(s) there).  Returns
+    integrated with the geodesic by RK4 from s = s0, where the vertex
+    value is imposed (the right side is O(s) there).  The geodesic does
+    not depend on k, so it is integrated first and box W_q is evaluated
+    at all its RK4 stage points in one batch.  v01, the [0, 1]-affine
+    initial velocity of that geodesic, is connected here unless the
+    caller already has it (null_connect returns it as v * t).  Returns
     (s_nodes, k_values) covering [s0, 1]; k_values[-1] is k_q(p).
     """
     q = np.asarray(q, dtype=float).reshape(4)
-    v01 = _connect(chart, q, p, steps=shoot_steps)
+    p = np.asarray(p, dtype=float).reshape(4)
+    if v01 is None:
+        v01 = _connect(chart, q[None], p[None], steps=shoot_steps)[0]
     if fd_step is None:
         fd_step = 1e-3 * chart.scale
-    x, u = _shoot_endpoint(chart, q, v01, s0, max(4, shoot_steps // 8))
+    x, u = _shoot_endpoint(chart, q[None], np.reshape(v01, (1, 4)), s0,
+                           max(4, shoot_steps // 8))
+    x, u = x[0], u[0]
 
-    def rhs(s, x, u, k):
-        _, box = _wf_grad_box(chart, q, x, fd_step, shoot_steps)
-        du = -np.einsum("abc,b,c->a", chart.connection(x), u, u)
-        return u, du, -(box - 8.0) * k / (4.0 * s)
+    def accel(x, u):
+        return -np.einsum("abc,b,c->a", chart.connection(x), u, u)
 
     h = (1.0 - s0) / steps
+    stages = np.empty((steps, 4, 4))
+    for i in range(steps):
+        k1v = accel(x, u)
+        u2 = u + 0.5 * h * k1v
+        x2 = x + 0.5 * h * u
+        k2v = accel(x2, u2)
+        u3 = u + 0.5 * h * k2v
+        x3 = x + 0.5 * h * u2
+        k3v = accel(x3, u3)
+        u4 = u + h * k3v
+        x4 = x + h * u3
+        k4v = accel(x4, u4)
+        stages[i] = x, x2, x3, x4
+        x = x + (h / 6.0) * (u + 2.0 * u2 + 2.0 * u3 + u4)
+        u = u + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    box = _wf_box(chart, q, stages.reshape(-1, 4), fd_step, shoot_steps)
+
+    def rhs(box, s, k):
+        return -(box - 8.0) * k / (4.0 * s)
+
     s_nodes = np.empty(steps + 1)
     k_vals = np.empty(steps + 1)
     s_nodes[0], k_vals[0] = s0, 1.0 / TWO_PI
     k = 1.0 / TWO_PI
     s = s0
-    for i in range(steps):
-        k1 = rhs(s, x, u, k)
-        k2 = rhs(s + 0.5 * h, x + 0.5 * h * k1[0], u + 0.5 * h * k1[1],
-                 k + 0.5 * h * k1[2])
-        k3 = rhs(s + 0.5 * h, x + 0.5 * h * k2[0], u + 0.5 * h * k2[1],
-                 k + 0.5 * h * k2[2])
-        k4 = rhs(s + h, x + h * k3[0], u + h * k3[1], k + h * k3[2])
-        x = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        u = u + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        k = k + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    for i, (b1, b2, b3, b4) in enumerate(box.reshape(steps, 4)):
+        k1 = rhs(b1, s, k)
+        k2 = rhs(b2, s + 0.5 * h, k + 0.5 * h * k1)
+        k3 = rhs(b3, s + 0.5 * h, k + 0.5 * h * k2)
+        k4 = rhs(b4, s + h, k + h * k3)
+        k = k + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s += h
         if not (np.isfinite(k) and k > 0.0):
             raise GeometryError(f"transport coefficient lost positivity at s = {s:.4g}")
@@ -475,22 +512,22 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
     """k from the van Vleck determinant, independent of the transport ODE.
 
     Delta = -det(-[W_{,a b'}]/2) / sqrt(-det g_p) sqrt(-det g_q) with the
-    mixed Hessian by central differences in both slots; k = sqrt(Delta)
-    / (2 pi).  Flat chart: Delta = 1 exactly up to rounding.
+    mixed Hessian by central differences in both slots, its 64 world
+    functions in one batch; k = sqrt(Delta) / (2 pi).  Flat chart:
+    Delta = 1 exactly up to rounding.
     """
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
-    mixed = np.empty((4, 4))
-    for a in range(4):
-        ea = np.zeros(4)
-        ea[a] = h
-        for b in range(4):
-            eb = np.zeros(4)
-            eb[b] = h
-            mixed[a, b] = (world_function(chart, q + ea, p + eb, steps=steps)
-                           - world_function(chart, q + ea, p - eb, steps=steps)
-                           - world_function(chart, q - ea, p + eb, steps=steps)
-                           + world_function(chart, q - ea, p - eb, steps=steps)) / (4.0 * h ** 2)
+    step = h * np.eye(4)
+    # [a, sign]: q +- h e_a, and p +- h e_b likewise
+    qs = np.stack([q + step, q - step], axis=1)
+    ps = np.stack([p + step, p - step], axis=1)
+    w = world_function(
+        chart,
+        np.broadcast_to(qs[:, None, :, None], (4, 4, 2, 2, 4)).reshape(-1, 4),
+        np.broadcast_to(ps[None, :, None, :], (4, 4, 2, 2, 4)).reshape(-1, 4),
+        steps=steps).reshape(4, 4, 2, 2)
+    mixed = (w[..., 0, 0] - w[..., 0, 1] - w[..., 1, 0] + w[..., 1, 1]) / (4.0 * h ** 2)
     det_m = np.linalg.det(-0.5 * mixed)
     gp = np.linalg.det(chart.metric(p))
     gq = np.linalg.det(chart.metric(q))
@@ -518,7 +555,7 @@ def conformal_k(chart: CurvedChart, q, p, quad_n: int = 32) -> float:
     q = np.asarray(q, dtype=float).reshape(4)
     nodes, weights = np.polynomial.legendre.leggauss(quad_n)
     u = 0.5 * (nodes + 1.0)
-    om2 = np.array([chart.omega(q + ui * (p - q)) ** 2 for ui in u])
+    om2 = chart.omega(q + u[:, None] * (p - q)) ** 2
     ibar = 0.5 * float(weights @ om2)
     return ibar / (TWO_PI * chart.omega(p) * chart.omega(q))
 

@@ -234,6 +234,61 @@ def test_curved_transport_ray_leaves_chart(tmp_path):
                 tmp_path / "ct.json") == 3
 
 
+def test_reconstruct_nan_point_is_config_error(tmp_path, capsys):
+    cfg = _rec_config(q=[[1, 0, 0, 0], [2, float("nan"), 0, 1]])
+    code = _run("reconstruct", _write(tmp_path, "c.json", cfg), tmp_path / "rec.json")
+    assert code == 2
+    assert "q[1]" in capsys.readouterr().err
+
+
+def _transport_config(**extra):
+    cfg = {"chart": {"name": "conformal", "eps": 1e-2},
+           "rays": [{"p": [0.1, 0.25, -0.15, 0.2],
+                     "direction": [0.3, 0.5, 0.8], "t": 1.1}],
+           "k_steps": 1, "van_vleck": False}
+    cfg.update(extra)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (_transport_config(k_steps=0), "k_steps"),
+    (_transport_config(k_steps=-2), "k_steps"),
+    (_transport_config(frame={"steps": 0}), "frame.steps"),
+    (_transport_config(rays=[{"p": [0.1, float("nan"), 0.0, 0.2],
+                              "direction": [0.3, 0.5, 0.8], "t": 1.1}]),
+     "rays[0].p"),
+    (_transport_config(rays=[{"p": [0.1, 0.25, -0.15, 0.2],
+                              "direction": [0.3, 0.5, 0.8], "t": float("nan")}]),
+     "rays[0].t"),
+    (_transport_config(rays=[{"p": [0.1, 0.25, -0.15, 0.2],
+                              "direction": [0.3, 0.5, 0.8], "t": [1.1]}]),
+     "rays[0].t"),
+    (_transport_config(frame={"s_end": float("nan")}), "frame.s_end"),
+    (_transport_config(van_vleck=True, van_vleck_h=0), "van_vleck_h"),
+], ids=["k_steps-zero", "k_steps-negative", "frame-steps-zero", "nan-p", "nan-t",
+        "list-t", "nan-frame-s_end", "van_vleck_h-zero"])
+def test_curved_transport_bad_input_is_config_error(tmp_path, capsys, cfg, key):
+    code = _run("curved-transport", _write(tmp_path, "c.json", cfg),
+                tmp_path / "ct.json")
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+def test_curved_transport_coarse_frame_names_key(tmp_path, capsys):
+    cfg = _transport_config(frame={"theta": 0.7, "phi": 1.3, "steps": 10})
+    code = _run("curved-transport", _write(tmp_path, "c.json", cfg),
+                tmp_path / "ct.json")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "rays[0]" in err and "frame.steps" in err and "1e-10" in err
+
+
+def test_curved_transport_frame_leaving_chart_is_geometry_error(tmp_path):
+    cfg = _transport_config(frame={"s_end": 1e9})
+    assert _run("curved-transport", _write(tmp_path, "c.json", cfg),
+                tmp_path / "ct.json") == 3
+
+
 def _strip_stamp(path):
     if str(path).endswith(".csv"):
         lines = path.read_text().splitlines()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conerec import _backend
 from conerec import transport as tr
 from conerec.cone import spin_basis_field
 from conerec.errors import GeometryError
@@ -143,6 +144,115 @@ def test_domain_exit_raises_with_exit_point():
                           np.zeros(4), 1.0)
 
 
+# -- batched endpoint kernel -------------------------------------------------
+
+BOX_LO = np.full(4, -10.0)
+BOX_HI = np.full(4, 10.0)
+
+
+def _rows(n, seed=7):
+    rng = np.random.default_rng(seed)
+    return (P + rng.uniform(-0.3, 0.3, (n, 4)),
+            np.array([1.0, 0.3, 0.5, 0.2]) + rng.uniform(-0.2, 0.2, (n, 4)))
+
+
+def test_backend_reports_the_numpy_kernel():
+    assert _backend.BACKEND == "python"
+    assert tr.kernels is _backend.kernels
+    assert callable(tr.kernels.shoot_endpoint)
+
+
+def test_batched_flat_shoot_exact_on_every_row():
+    ps, vs = _rows(5)
+    grad = tr.make_chart("flat").grad_ln_omega
+    x, u, status = tr.kernels.shoot_endpoint(grad, BOX_LO, BOX_HI, ps, vs, 1.7, 96)
+    assert x.shape == u.shape == (5, 4) and status.shape == (5,)
+    assert not np.any(status)
+    assert np.max(np.abs(x - (ps + 1.7 * vs))) < 1e-14
+    assert np.array_equal(u, vs)
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+def test_batched_shoot_rows_match_geodesic_shoot(profile):
+    chart = tr.make_chart("conformal", eps=1e-2, profile=profile)
+    ps, vs = _rows(4)
+    x, u, status = tr.kernels.shoot_endpoint(chart.grad_ln_omega, chart.lo,
+                                             chart.hi, ps, vs, 1.7, 96)
+    assert not np.any(status)
+    for i in range(4):
+        path = tr.geodesic_shoot(chart, ps[i], vs[i], 1.7, steps=96)
+        assert np.max(np.abs(x[i] - path.x[-1])) < 1e-12
+        assert np.max(np.abs(u[i] - path.v[-1])) < 1e-12
+
+
+def test_batched_shoot_box_exit_status_per_row():
+    lo, hi = np.full(4, -1.0), np.full(4, 1.0)
+    ps = np.zeros((2, 4))
+    vs = np.array([[1.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]])
+    grad = tr.make_chart("flat").grad_ln_omega
+    x, _, status = tr.kernels.shoot_endpoint(grad, lo, hi, ps, vs, 3.0, 30)
+    assert status.tolist() == [11, 0]  # row 0: first step past t = 1
+    assert x[0, 0] > 1.0
+    assert abs(x[1, 0] - 0.3) < 1e-15
+
+
+def test_batched_world_function_equals_per_pair_calls():
+    chart = tr.make_chart("conformal", eps=1e-2, profile="sine", width=1.5)
+    rng = np.random.default_rng(3)
+    ps = P + rng.uniform(-0.2, 0.2, (6, 4))
+    qs = P + np.array([1.9, 0.4, 0.6, 0.2]) + rng.uniform(-0.2, 0.2, (6, 4))
+    batched = tr.world_function(chart, ps, qs)
+    assert batched.shape == (6,)
+    for i in range(6):
+        assert abs(batched[i] - tr.world_function(chart, ps[i], qs[i])) < 1e-13
+    # one point against rows broadcasts
+    one = tr.world_function(chart, P, qs)
+    assert max(abs(one[i] - tr.world_function(chart, P, qs[i]))
+               for i in range(6)) < 1e-13
+
+
+# pair 0 lies far from a strong bump and converges at once; pair 1
+# crosses it and needs many iterations
+STRONG_BUMP = {"eps": 0.3, "width": 1.0}
+FAST_SLOW_P = np.array([[8.0, 8.0, 8.0, 8.0], [-1.0, -0.3, 0.2, 0.1]])
+FAST_SLOW_Q = np.array([[8.5, 8.1, 8.0, 8.2], [1.0, 0.4, -0.2, 0.3]])
+
+
+def test_batched_connect_freezes_converged_pairs(monkeypatch):
+    chart = tr.make_chart("conformal", **STRONG_BUMP)
+    ps, qs = FAST_SLOW_P, FAST_SLOW_Q
+    alone = [tr.world_function(chart, ps[i], qs[i]) for i in range(2)]
+    rows = []
+    shoot = tr.kernels.shoot_endpoint
+
+    def counting(grad, lo, hi, p, v, s_end, steps):
+        rows.append(len(p))
+        return shoot(grad, lo, hi, p, v, s_end, steps)
+
+    monkeypatch.setattr(tr.kernels, "shoot_endpoint", counting)
+    both = tr.world_function(chart, ps, qs)
+    assert rows[0] == 2 and rows[-1] == 1 and len(rows) > 4
+    assert np.max(np.abs(both - alone)) < 1e-13
+
+
+def test_connect_failure_names_the_pair():
+    chart = tr.make_chart("conformal", **STRONG_BUMP)
+    with pytest.raises(GeometryError, match=r"\(pair 1\) did not converge "
+                                            r"\(residual [0-9.]+e-0\d\)"):
+        tr._connect(chart, FAST_SLOW_P, FAST_SLOW_Q, max_iter=3)
+
+
+def test_custom_chart_shoots_row_by_row():
+    conformal = tr.make_chart("conformal", eps=1e-2)
+    custom = tr.CurvedChart(metric=conformal.metric, lo=conformal.lo,
+                            hi=conformal.hi, christoffel=conformal.christoffel)
+    ps, vs = _rows(3)
+    qs = ps + vs
+    got = tr.world_function(custom, ps, qs, steps=24)
+    want = tr.world_function(conformal, ps, qs, steps=24)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 # -- null connection and world function -------------------------------------
 
 def test_null_connect_flat_exact():
@@ -241,6 +351,31 @@ def test_transport_k_matches_conformal_closed_form():
     kcf = tr.conformal_k(chart, q, P)
     dev = abs(kcf - INV_2PI)
     assert abs(k[-1] - kcf) < 0.05 * dev
+
+
+def test_transport_k_mixed_hessian_on_sheared_flat_chart(monkeypatch):
+    # Minkowski in sheared coordinates: a constant metric whose inverse has
+    # off-diagonal entries (0, 1) and (2, 3), so box W needs mixed FD
+    # corners; box W = 8 and k stays 1/(2 pi)
+    shear = np.eye(4)
+    shear[1, 0], shear[2, 3] = 0.3, -0.2
+    g = shear.T @ np.diag([1.0, -1.0, -1.0, -1.0]) @ shear
+    chart = tr.CurvedChart(metric=lambda x: g, lo=np.full(4, -10.0),
+                           hi=np.full(4, 10.0),
+                           christoffel=lambda x: np.zeros((4, 4, 4)))
+    q = P + 1.3 * np.linalg.solve(shear, OMEGA_DIR)
+    batches = []
+    world_function = tr.world_function
+
+    def recording(chart, p, q, steps=48):
+        batches.append(np.shape(q))
+        return world_function(chart, p, q, steps=steps)
+
+    monkeypatch.setattr(tr, "world_function", recording)
+    _, k = tr.transport_k(chart, q, P, steps=1, shoot_steps=8)
+    # 4 stage points, each 9 stencil and 2 x 4 corner pairs
+    assert batches == [(4 * (9 + 8), 4)]
+    assert np.max(np.abs(k - INV_2PI)) < 1e-8
 
 
 def test_van_vleck_cross_checks_closed_form():
