@@ -103,6 +103,18 @@ def _as_count(v, what):
     return int(v)
 
 
+def _kind_and_valence(cfg):
+    """The evaluator kind ("spin" or "dirac") and valence of a config."""
+    from .spinor import MAX_VALENCE
+    kind = cfg.get("kind", "spin")
+    if kind not in ("spin", "dirac"):
+        raise ConfigError(f"kind must be 'spin' or 'dirac', got {kind!r}")
+    valence = _as_count(cfg.get("valence", 1), "valence")
+    if valence > MAX_VALENCE:
+        raise ConfigError(f"valence must be at most {MAX_VALENCE}, got {valence}")
+    return kind, valence
+
+
 def _c2j(z):
     z = complex(z)
     return [z.real, z.imag]
@@ -224,10 +236,7 @@ def cmd_reconstruct(cfg, out, seed):
     q_list = _need(cfg, "q", "reconstruct")
     if not q_list:
         raise ConfigError("q list must be non-empty")
-    kind = cfg.get("kind", "spin")
-    valence = int(cfg.get("valence", 1))
-    if valence < 1:
-        raise ConfigError("valence must be at least 1")
+    kind, valence = _kind_and_valence(cfg)
     spec = _quadrature(cfg.get("quadrature", {}))
     chart = _chart(cfg["chart"]) if "chart" in cfg else None
     if chart is not None and kind != "spin":
@@ -274,7 +283,7 @@ def cmd_constraints(cfg, out, seed):
     from .cone import SphereGrid
     from .nulldata import constraint_residual
     p0 = _as_point(_need(cfg, "p0", "constraints"), "p0")
-    valence = int(_need(cfg, "valence", "constraints"))
+    valence = _as_count(_need(cfg, "valence", "constraints"), "valence")
     s_values = _need(cfg, "s_values", "constraints")
     if not s_values:
         raise ConfigError("s_values must be non-empty")
@@ -308,8 +317,7 @@ def cmd_converge(cfg, out, seed):
     from .reconstruct import convergence_study
     p0 = _as_point(_need(cfg, "p0", "converge"), "p0")
     q = _as_point(_need(cfg, "q", "converge"), "q")
-    kind = cfg.get("kind", "spin")
-    valence = int(cfg.get("valence", 1))
+    kind, valence = _kind_and_valence(cfg)
     data, oracle = _cone_data(_need(cfg, "data", "converge"), p0,
                               valence, "converge")
     if oracle is None:
@@ -585,7 +593,7 @@ def cmd_verify(cfg, out, seed):
     if unknown:
         raise ConfigError(f"unknown suites {unknown}; "
                           f"known: {sorted(_SUITES)}")
-    cases = int(cfg.get("cases", 1000))
+    cases = _as_count(cfg.get("cases", 1000), "cases")
     overrides = cfg.get("thresholds", {})
     rng = np.random.default_rng(seed)
     checks = []

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError
-from .frames import NPFrame
-from .spinor import from_matrix, lower_comps, minkowski, to_matrix
+from .frames import NPFrame, transversal_iota
+from .spinor import from_matrix, minkowski
 
 TWO_QUART = 2.0 ** 0.25
 ETA_DIAG = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -207,10 +207,7 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     p = p0[None, :] + r0[:, None] * l
     n = (q[None, :] - p) / r[:, None]
     o, _ = spin_basis_field(theta, phi, chart)
-    # companion adapted to this section's n: iota^A = n^{AA'} obar_{A'}
-    nmat = to_matrix(n.astype(complex))
-    obar_low = lower_comps(o).conj()
-    iota = np.einsum("nij,nj->ni", nmat, obar_low)
+    iota = transversal_iota(o, n)
     m = from_matrix(np.einsum("ni,nj->nij", o, iota.conj()))
     rho = -1.0 / r0.astype(complex)
     mu_sigma = quad_w * r0 ** 2
@@ -219,6 +216,25 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
                        quad_w=quad_w, chart=chart, omega=omega, r0=r0, r=r,
                        p=p, l=l, n=n, m=m, o=o, iota=iota, rho=rho,
                        mu_sigma=mu_sigma, mu_leray=mu_leray)
+
+
+def section_tangents(section: ConeSection, td: TangentialDerivatives):
+    """Embedding tangents and induced metric of a section.
+
+    Returns t_theta, t_phi (N, 4), the derivatives of the points p along
+    the grid angles, and g11, g12, g22 (N,), the induced metric
+    -eta(t_i, t_j) in (theta, phi).
+    """
+    t_th = np.empty((section.n_nodes, 4))
+    t_ph = np.empty((section.n_nodes, 4))
+    for comp in range(4):
+        fld = section.p[:, comp].astype(complex)
+        t_th[:, comp] = td.d_theta(fld).real
+        t_ph[:, comp] = td.d_phi(fld).real
+    g11 = -np.einsum("ni,ij,nj->n", t_th, ETA_DIAG, t_th)
+    g12 = -np.einsum("ni,ij,nj->n", t_th, ETA_DIAG, t_ph)
+    g22 = -np.einsum("ni,ij,nj->n", t_ph, ETA_DIAG, t_ph)
+    return t_th, t_ph, g11, g12, g22
 
 
 def area_element(section: ConeSection, update: bool = False) -> np.ndarray:
@@ -230,16 +246,8 @@ def area_element(section: ConeSection, update: bool = False) -> np.ndarray:
     mu_sigma = r0^2 dOmega; with update=True the section's weights are
     replaced by the numerical ones.
     """
-    td = TangentialDerivatives(section.grid)
-    t_th = np.empty((section.n_nodes, 4))
-    t_ph = np.empty((section.n_nodes, 4))
-    for comp in range(4):
-        fld = section.p[:, comp].astype(complex)
-        t_th[:, comp] = td.d_theta(fld).real
-        t_ph[:, comp] = td.d_phi(fld).real
-    g11 = -np.einsum("ni,ij,nj->n", t_th, ETA_DIAG, t_th)
-    g22 = -np.einsum("ni,ij,nj->n", t_ph, ETA_DIAG, t_ph)
-    g12 = -np.einsum("ni,ij,nj->n", t_th, ETA_DIAG, t_ph)
+    _, _, g11, g12, g22 = section_tangents(section,
+                                           TangentialDerivatives(section.grid))
     det = g11 * g22 - g12 ** 2
     if np.any(det <= 0):
         raise ValueError("degenerate embedding Jacobian")
@@ -248,11 +256,6 @@ def area_element(section: ConeSection, update: bool = False) -> np.ndarray:
         section.mu_sigma = w_num
         section.mu_leray = w_num / (4.0 * section.r0 * section.r)
     return w_num
-
-
-def grad_r0_r(section: ConeSection):
-    """(grad^q r0, grad^q r) per node: exactly (n, l) of the adapted frame."""
-    return section.n.copy(), section.l.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -160,11 +160,12 @@ def transversal_iota(o, n_vec):
 
     Closed form of the companion spinor: automatically satisfies
     o_A iota^A = 1 and iota iotabar = n when n is null and normalized
-    against l = o obar.
+    against l = o obar.  o is (..., 2) and n_vec (..., 4), one spinor
+    per row.
     """
     nmat = to_matrix(np.asarray(n_vec, dtype=complex))
     obar_low = lower_comps(np.asarray(o, dtype=complex)).conj()
-    return nmat @ obar_low
+    return np.einsum("...ij,...j->...i", nmat, obar_low)
 
 
 @dataclass

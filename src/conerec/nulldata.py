@@ -30,9 +30,9 @@ from .cone import ConeSection, SphereGrid, TangentialDerivatives, ETA_DIAG
 from .spinor import lower_comps
 
 __all__ = [
-    "ConeData", "WeightedScalarField", "radial_derivative", "eth_prime",
-    "section_alpha", "section_spin_coefficients", "constraint_residual",
-    "save_cone_data", "load_cone_data",
+    "ConeData", "WeightedScalarField", "radial_derivative", "richardson_dr0",
+    "eth_prime", "section_alpha", "section_spin_coefficients",
+    "constraint_residual", "save_cone_data", "load_cone_data",
 ]
 
 
@@ -186,15 +186,9 @@ class ConeData:
         h = 1e-2 * np.maximum(np.abs(r0), 1.0)
         if np.any(r0 - h <= self.r0_min):
             raise CoverageError("differencing stencil reaches the vertex")
-
-        def central(step):
-            up = np.asarray(self.fn(r0 + step, omega, o_up, iota_up), dtype=complex)
-            dn = np.asarray(self.fn(r0 - step, omega, o_up, iota_up), dtype=complex)
-            return (up - dn) / (2.0 * step[:, None])
-
-        d_h = central(h)
-        d_h2 = central(0.5 * h)
-        return (4.0 * d_h2 - d_h) / 3.0
+        return richardson_dr0(
+            lambda r: np.asarray(self.fn(r, omega, o_up, iota_up), dtype=complex),
+            r0, h)
 
     def evaluate_on(self, section: ConeSection):
         """All components on a section (nodes in their own charts)."""
@@ -205,6 +199,20 @@ class ConeData:
         self._check_grid(section.grid)
         return self.radial_derivative(section.r0, section.omega,
                                       section.o, section.iota)
+
+
+def richardson_dr0(values_at, r0, h):
+    """d/dr0 by a two-level Richardson central difference, (4 D(h/2) - D(h)) / 3.
+
+    values_at maps per-node radii (N,) to (N, ncomp) values; D(s) is the
+    central difference with step s.  h is a scalar or a per-node (N,) step.
+    """
+    h = np.asarray(h, dtype=float)
+
+    def central(step):
+        return (values_at(r0 + step) - values_at(r0 - step)) / (2.0 * step[..., None])
+
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
 
 
 def _frame_from_omega(omega):
@@ -244,17 +252,8 @@ def _chart_pair(values, phi, chart, weight):
 
 
 def _mbar_coefficients(section: ConeSection, td: TangentialDerivatives):
-    """(a, b) with mbar = a t_theta + b t_phi per node, plus the tangents."""
-    n_nodes = section.n_nodes
-    t_th = np.empty((n_nodes, 4))
-    t_ph = np.empty((n_nodes, 4))
-    for comp in range(4):
-        fld = section.p[:, comp].astype(complex)
-        t_th[:, comp] = td.d_theta(fld).real
-        t_ph[:, comp] = td.d_phi(fld).real
-    g11 = -np.einsum("ni,ij,nj->n", t_th, ETA_DIAG, t_th)
-    g22 = -np.einsum("ni,ij,nj->n", t_ph, ETA_DIAG, t_ph)
-    g12 = -np.einsum("ni,ij,nj->n", t_th, ETA_DIAG, t_ph)
+    """(a, b) with mbar = a t_theta + b t_phi per node."""
+    t_th, t_ph, g11, g12, g22 = cone.section_tangents(section, td)
     mbar = np.conj(section.m)
     b1 = -np.einsum("ni,ij,nj->n", t_th, ETA_DIAG, mbar)
     b2 = -np.einsum("ni,ij,nj->n", t_ph, ETA_DIAG, mbar)
@@ -470,15 +469,28 @@ def load_cone_data(path: str) -> ConeData:
         desc = json.load(fh)
     if desc.get("format") != "conedata-v1":
         raise ValueError("not a cone-data descriptor")
+    counts = ("valence", "n_components", "n_theta", "n_phi")
+    if not all(type(desc[k]) is int for k in counts) \
+            or type(desc["cap"]) not in (int, float):
+        raise ValueError(f"{', '.join(counts)} must be integers and cap a number")
+    kind, valence, ncomp = desc["kind"], desc["valence"], desc["n_components"]
+    allowed = (2,) if kind == "dirac" else (1, valence + 1)
+    if ncomp not in allowed:
+        raise ValueError(f"n_components {ncomp} does not fit kind {kind!r} "
+                         f"with valence {valence}; expected one of {allowed}")
+    blob = desc["blob"]
+    if blob in ("", ".", "..") or os.path.basename(str(blob)) != blob:
+        raise ValueError(f"blob {blob!r} must be a plain file name next to "
+                         "the descriptor")
     grid = SphereGrid(desc["n_theta"], desc["n_phi"],
                       chart_mode=desc["chart_mode"], cap=desc["cap"])
     r0_nodes = np.asarray(desc["r0_nodes"], dtype=float)
     n_nodes = grid.angles()[0].size
-    shape = (r0_nodes.size, n_nodes, desc["n_components"])
-    blob_path = os.path.join(os.path.dirname(base) or ".", desc["blob"])
+    shape = (r0_nodes.size, n_nodes, ncomp)
+    blob_path = os.path.join(os.path.dirname(base) or ".", blob)
     raw = np.fromfile(blob_path, dtype="<c16")
     if raw.size != int(np.prod(shape)):
         raise ValueError("blob size does not match the descriptor")
-    return ConeData(desc["valence"], kind=desc["kind"], grid=grid,
+    return ConeData(valence, kind=kind, grid=grid,
                     r0_nodes=r0_nodes, values=raw.reshape(shape),
                     r0_min=desc.get("r0_min", 0.0))

@@ -20,9 +20,10 @@ import numpy as np
 
 from .cone import SphereGrid, build_section
 from .errors import GeometryError
-from .nulldata import ConeData, radial_derivative as _data_radial_derivative
-from .spinor import (DiracSpinorValue, SymSpinorValue, lower_comps,
-                     sym_components, to_matrix)
+from .frames import transversal_iota
+from .nulldata import ConeData, richardson_dr0
+from .spinor import (MAX_VALENCE, DiracSpinorValue, SymSpinorValue,
+                     lower_comps, sym_components)
 
 __all__ = ["QuadratureSpec", "ReconstructionResult", "reconstruct_dirac",
            "reconstruct_spin_n", "reconstruct_maxwell",
@@ -79,55 +80,56 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _radial_derivative(data: ConeData, section, spec: QuadratureSpec):
+def _radial_derivative(data: ConeData, r0, omega, o, iota, spec: QuadratureSpec):
+    """d/dr0 of the data at the nodes (r0, omega) in the frame (o, iota)."""
     if spec.radial_fd == "analytic":
-        return data.radial_derivative_on(section)
-    h = spec.fd_step
-
-    def central(step):
-        up = data.evaluate(section.r0 + step, section.omega, section.o, section.iota)
-        dn = data.evaluate(section.r0 - step, section.omega, section.o, section.iota)
-        return (up - dn) / (2.0 * step)
-
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
-
-
-def _integrand_weights(section, spec: QuadratureSpec):
-    return section.mu_sigma / (2.0 * math.pi * section.r)
+        return data.radial_derivative(r0, omega, o, iota)
+    return richardson_dr0(lambda r: data.evaluate(r, omega, o, iota), r0,
+                          spec.fd_step)
 
 
 def _rho_coefficient(n: int, spec: QuadratureSpec) -> float:
     return float(n + 1 if spec.rho_variant == "penrose" else n)
 
 
+def _integrand_tensor(scal, iota_up, n: int):
+    """Sum over nodes x of scal[x] iota_A(x) ... iota_F(x), n lower indices."""
+    idx = "abcdef"[:n]          # one letter per index, n <= MAX_VALENCE
+    subs = "x," + ",".join("x" + c for c in idx) + "->" + idx
+    return np.einsum(subs, scal, *([lower_comps(iota_up)] * n))
+
+
+def _check_spin_args(data: ConeData, n: int):
+    if not 1 <= n <= MAX_VALENCE:
+        raise ValueError(f"valence must be between 1 and {MAX_VALENCE}, got {n}")
+    if data.kind != "spin":
+        raise ValueError("spin reconstruction expects phi_0 data")
+
+
+def _flat_scalars(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
+    """The section sigma(q) and, per data column, the flat integrand scalar
+    (d/dr0 - (n+1) rho) phi mu_sigma / (2 pi r) at its nodes."""
+    section = build_section(p0, q, spec.grid())
+    vals = data.evaluate_on(section)
+    dvals = _radial_derivative(data, section.r0, section.omega, section.o,
+                               section.iota, spec)
+    coeff = _rho_coefficient(n, spec)
+    w = section.mu_sigma / (2.0 * math.pi * section.r)
+    return section, (dvals - coeff * section.rho[:, None] * vals) * w[:, None]
+
+
 def _spin_n_tensor(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
     """Rank-n symmetric tensor (global components) and node count."""
-    section = build_section(p0, q, spec.grid())
-    vals = data.evaluate_on(section)[:, 0]
-    dvals = _radial_derivative(data, section, spec)[:, 0]
-    coeff = _rho_coefficient(n, spec)
-    scal = (dvals - coeff * section.rho * vals) * _integrand_weights(section, spec)
-    scal = scal * (-1.0) ** n
-    iota_low = lower_comps(section.iota)
-    letters = "abcdefgh"[:n]
-    subs = "x," + ",".join(f"x{c}" for c in letters) + "->" + letters
-    tensor = np.einsum(subs, scal, *([iota_low] * n))
-    return tensor, section.n_nodes
+    section, scal = _flat_scalars(p0, data, n, q, spec)
+    return (_integrand_tensor(scal[:, 0] * (-1.0) ** n, section.iota, n),
+            section.n_nodes)
 
 
 def _dirac_pair(p0, data: ConeData, q, spec: QuadratureSpec):
     """(phi_A lower, psi^{A'} upper) global components and node count."""
-    section = build_section(p0, q, spec.grid())
-    vals = data.evaluate_on(section)
-    dvals = _radial_derivative(data, section, spec)
-    coeff = _rho_coefficient(1, spec)
-    w = _integrand_weights(section, spec)
-    sc_zeta = (dvals[:, 0] - coeff * section.rho * vals[:, 0]) * w
-    sc_xi = (dvals[:, 1] - coeff * section.rho * vals[:, 1]) * w
-    iota_low = lower_comps(section.iota)
-    iotabar_up = np.conj(section.iota)
-    phi = -np.einsum("x,xa->a", sc_zeta, iota_low)
-    psi = np.einsum("x,xa->a", sc_xi, iotabar_up)
+    section, scal = _flat_scalars(p0, data, 1, q, spec)
+    phi = -np.einsum("x,xa->a", scal[:, 0], lower_comps(section.iota))
+    psi = np.einsum("x,xa->a", scal[:, 1], np.conj(section.iota))
     return phi, psi, section.n_nodes
 
 
@@ -154,12 +156,10 @@ def reconstruct_spin_n(p0, data: ConeData, n: int, q,
     Quadrature of (-1)^n (d phi_0/dr0 - (n+1) rho phi_0) iota_A..iota_F
     mu_sigma / (2 pi r) over sigma(q); the result is expressed in the
     standard spin basis at q.  The error estimate in the diagnostics is
-    the difference against a half-resolution evaluation.
+    the difference against a half-resolution evaluation.  n runs from 1
+    to MAX_VALENCE.
     """
-    if n < 1:
-        raise ValueError("valence must be at least 1")
-    if data.kind != "spin":
-        raise ValueError("spin reconstruction expects phi_0 data")
+    _check_spin_args(data, n)
     q = np.asarray(q, dtype=float)
     tensor, n_nodes = _spin_n_tensor(p0, data, n, q, spec)
 
@@ -255,7 +255,7 @@ def _curved_spin_tensor(chart, p0, data: ConeData, n: int, q,
     derivative of the phi_0 scalar.
     """
     section = build_section(p0, q, spec.grid())
-    inside = np.array([chart.contains(x) for x in section.p])
+    inside = chart.contains(section.p)
     if not np.all(inside):
         bad = np.flatnonzero(~inside)
         raise GeometryError(
@@ -291,32 +291,18 @@ def _curved_spin_tensor(chart, p0, data: ConeData, n: int, q,
     # adapted frame in orthonormal components: l = o obar along the generator
     o_s = (om0 / np.sqrt(om_p))[:, None] * section.o
     n_frame = (q[None, :] - section.p) * (ibar / (om_p * r))[:, None]
-    nmat = to_matrix(n_frame.astype(complex))
-    iota_s = np.einsum("nij,nj->ni", nmat, lower_comps(o_s).conj())
+    iota_s = transversal_iota(o_s, n_frame)
 
     vals = data.evaluate(r0_star, section.omega, o_s, iota_s)[:, 0]
-    if spec.radial_fd == "analytic":
-        dvals = _data_radial_derivative(data, r0_star, section.omega,
-                                        o_s, iota_s)[:, 0]
-    else:
-        h = spec.fd_step
-
-        def central(step):
-            up = data.evaluate(r0_star + step, section.omega, o_s, iota_s)
-            dn = data.evaluate(r0_star - step, section.omega, o_s, iota_s)
-            return (up - dn) / (2.0 * step)
-
-        dvals = ((4.0 * central(0.5 * h) - central(h)) / 3.0)[:, 0]
+    dvals = _radial_derivative(data, r0_star, section.omega, o_s, iota_s,
+                               spec)[:, 0]
     # d/dr0 of the phi_0 scalar carries the frame rescaling
     dr0_ln_om = (om0 ** 2 / om_p ** 2) * dln_om_dl
     dvals = dvals - 0.5 * n * dr0_ln_om * vals
 
     coeff = _rho_coefficient(n, spec)
     scal = (dvals - coeff * rho * vals) * (-1.0) ** n * k * mu / r
-    iota_low = lower_comps(iota_s)
-    letters = "abcdefgh"[:n]
-    subs = "x," + ",".join(f"x{c}" for c in letters) + "->" + letters
-    tensor = np.einsum(subs, scal, *([iota_low] * n))
+    tensor = _integrand_tensor(scal, iota_s, n)
     extras = {
         "k_deviation": float(np.max(np.abs(k - 1.0 / (2.0 * math.pi)))),
         "area_measure_factor": float(np.median(mu / (k * r ** 2 * w_ang))),
@@ -340,10 +326,7 @@ def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
     the section measure mu_sigma and k r^2 dOmega (pi/2 for an on-axis
     flat configuration).
     """
-    if n < 1:
-        raise ValueError("valence must be at least 1")
-    if data.kind != "spin":
-        raise ValueError("spin reconstruction expects phi_0 data")
+    _check_spin_args(data, n)
     if getattr(chart, "omega", None) is None or \
             getattr(chart, "grad_ln_omega", None) is None:
         raise ValueError("curved reconstruction needs a conformally flat "

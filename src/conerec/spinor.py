@@ -41,6 +41,9 @@ EPS = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
+# Largest valence the dense (2,)*n symmetric tensors are used for.
+MAX_VALENCE = 6
+
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -276,8 +279,8 @@ def sym_components(tensor: np.ndarray, o_up: np.ndarray, iota_up: np.ndarray,
     n = tensor.ndim
     if tensor.shape != (2,) * n:
         raise ValueError("expected a (2,)*n tensor")
-    if n > 6:
-        raise ValueError("dense symmetric tensors supported only for n <= 6")
+    if n > MAX_VALENCE:
+        raise ValueError(f"dense symmetric tensors supported only for n <= {MAX_VALENCE}")
     _sym_tensor_check(tensor, n, check_tol)
     comps = np.empty(n + 1, dtype=complex)
     for j in range(n + 1):
@@ -297,8 +300,8 @@ def sym_assemble(value: SymSpinorValue, o_up: np.ndarray, iota_up: np.ndarray) -
     with all factors index-lowered; inverse of sym_components.
     """
     n = value.valence
-    if n > 6:
-        raise ValueError("dense symmetric tensors supported only for n <= 6")
+    if n > MAX_VALENCE:
+        raise ValueError(f"dense symmetric tensors supported only for n <= {MAX_VALENCE}")
     o_low = lower_comps(o_up)
     iota_low = lower_comps(iota_up)
     out = np.zeros((2,) * n, dtype=complex) if n else np.zeros((), dtype=complex)
@@ -313,12 +316,3 @@ def sym_assemble(value: SymSpinorValue, o_up: np.ndarray, iota_up: np.ndarray) -
         sym = sum(np.transpose(prod, p) for p in perms) / len(perms)
         out = out + ((-1) ** (n - j)) * math.comb(n, j) * value.components[j] * sym
     return out
-
-
-def sym_tensor_from_upper(comps_list) -> np.ndarray:
-    """Outer product kappa_A lambda_B ... of lower-index spinors given upper comps."""
-    prod = None
-    for c in comps_list:
-        low = lower_comps(np.asarray(c, dtype=complex))
-        prod = low if prod is None else np.multiply.outer(prod, low)
-    return prod

@@ -28,14 +28,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._backend import kernels
+from . import _backend as kernels
 from .errors import GeometryError
 from .frames import NPFrame, spin_basis_from_tetrad
 
 __all__ = [
     "CurvedChart", "GeodesicPath", "TransportState", "ParallelFrames",
-    "make_chart", "check_signature", "christoffel_fd", "geodesic_shoot",
-    "null_connect", "world_function", "world_function_gradient_check",
+    "make_chart", "check_signature", "christoffel_fd", "rk4_step",
+    "geodesic_shoot", "null_connect", "world_function",
+    "world_function_gradient_check",
     "transport_k", "van_vleck_k", "conformal_k", "transport_spin_frame",
 ]
 
@@ -75,14 +76,16 @@ class CurvedChart:
     def scale(self) -> float:
         return float(np.max(self.hi - self.lo) / 2.0)
 
-    def contains(self, x) -> bool:
+    def contains(self, x):
+        """Whether each row of x (..., 4) is in the box; a bool for a single point."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+        inside = np.all((x >= self.lo) & (x <= self.hi), axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def require_inside(self, x, what: str = "point"):
         """Raise for the first of the points (rows of x) outside the box."""
         x = np.asarray(x, dtype=float).reshape(-1, 4)
-        outside = ~np.all((x >= self.lo) & (x <= self.hi), axis=1)
+        outside = ~self.contains(x)
         if np.any(outside):
             raise GeometryError(f"{what} {x[np.argmax(outside)]} is outside "
                                 f"the chart domain [{self.lo}, {self.hi}]")
@@ -251,6 +254,30 @@ def make_chart(name: str, eps: float = 0.0, profile: str = "gaussian",
 
 # -- geodesics -----------------------------------------------------------
 
+def rk4_step(f, y, h):
+    """One classical RK4 step of dy/ds = f(stage, y) for y a sequence of arrays.
+
+    f is called once per stage, in order: 0 at the start of the step, 1
+    and 2 at its midpoint, 3 at its end, so a caller can look up values
+    it sampled in advance at the same stage points.  Returns the advanced
+    state as a tuple.
+    """
+    k1 = f(0, y)
+    k2 = f(1, tuple(a + 0.5 * h * k for a, k in zip(y, k1)))
+    k3 = f(2, tuple(a + 0.5 * h * k for a, k in zip(y, k2)))
+    k4 = f(3, tuple(a + h * k for a, k in zip(y, k3)))
+    return tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+
+def _geodesic_rhs(chart: CurvedChart):
+    """f(stage, (x, u)) = (u, -Gamma(x) u u) for rk4_step."""
+    def f(stage, y):
+        x, u = y
+        return u, -np.einsum("abc,b,c->a", chart.connection(x), u, u)
+    return f
+
+
 def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
                    steps: int = 200) -> GeodesicPath:
     """Integrate the geodesic from (p, v) to affine parameter s_end.
@@ -267,18 +294,10 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
     xs = np.empty((steps + 1, 4))
     vs = np.empty((steps + 1, 4))
     xs[0], vs[0] = p, v
-
-    def acc(x, u):
-        return -np.einsum("abc,b,c->a", chart.connection(x), u, u)
-
+    rhs = _geodesic_rhs(chart)
     x, u = p.copy(), v.copy()
     for i in range(steps):
-        k1x, k1v = u, acc(x, u)
-        k2x, k2v = u + 0.5 * h * k1v, acc(x + 0.5 * h * k1x, u + 0.5 * h * k1v)
-        k3x, k3v = u + 0.5 * h * k2v, acc(x + 0.5 * h * k2x, u + 0.5 * h * k2v)
-        k4x, k4v = u + h * k3v, acc(x + h * k3x, u + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        u = u + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        x, u = rk4_step(rhs, (x, u), h)
         if not chart.contains(x):
             raise GeometryError(f"geodesic left the chart domain at "
                                 f"s = {(i + 1) * h:.6g}, x = {x}")
@@ -464,42 +483,29 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10, s0: float = 0.05,
     x, u = _shoot_endpoint(chart, q[None], np.reshape(v01, (1, 4)), s0,
                            max(4, shoot_steps // 8))
     x, u = x[0], u[0]
-
-    def accel(x, u):
-        return -np.einsum("abc,b,c->a", chart.connection(x), u, u)
-
     h = (1.0 - s0) / steps
-    stages = np.empty((steps, 4, 4))
-    for i in range(steps):
-        k1v = accel(x, u)
-        u2 = u + 0.5 * h * k1v
-        x2 = x + 0.5 * h * u
-        k2v = accel(x2, u2)
-        u3 = u + 0.5 * h * k2v
-        x3 = x + 0.5 * h * u2
-        k3v = accel(x3, u3)
-        u4 = u + h * k3v
-        x4 = x + h * u3
-        k4v = accel(x4, u4)
-        stages[i] = x, x2, x3, x4
-        x = x + (h / 6.0) * (u + 2.0 * u2 + 2.0 * u3 + u4)
-        u = u + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    box = _wf_box(chart, q, stages.reshape(-1, 4), fd_step, shoot_steps)
+    geodesic = _geodesic_rhs(chart)
+    stages = []
 
-    def rhs(box, s, k):
-        return -(box - 8.0) * k / (4.0 * s)
+    def record(stage, y):
+        stages.append(y[0])
+        return geodesic(stage, y)
+
+    for _ in range(steps):
+        x, u = rk4_step(record, (x, u), h)
+    box = _wf_box(chart, q, np.array(stages), fd_step, shoot_steps).reshape(steps, 4)
+    ds = (0.0, 0.5 * h, 0.5 * h, h)
 
     s_nodes = np.empty(steps + 1)
     k_vals = np.empty(steps + 1)
     s_nodes[0], k_vals[0] = s0, 1.0 / TWO_PI
     k = 1.0 / TWO_PI
     s = s0
-    for i, (b1, b2, b3, b4) in enumerate(box.reshape(steps, 4)):
-        k1 = rhs(b1, s, k)
-        k2 = rhs(b2, s + 0.5 * h, k + 0.5 * h * k1)
-        k3 = rhs(b3, s + 0.5 * h, k + 0.5 * h * k2)
-        k4 = rhs(b4, s + h, k + h * k3)
-        k = k + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for i in range(steps):
+        def rhs(stage, y):
+            return (-(box[i, stage] - 8.0) * y[0] / (4.0 * (s + ds[stage])),)
+
+        k, = rk4_step(rhs, (k,), h)
         s += h
         if not (np.isfinite(k) and k > 0.0):
             raise GeometryError(f"transport coefficient lost positivity at s = {s:.4g}")
@@ -629,7 +635,8 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
     xs[0], vs[0] = p, v
     ls[0], ns[0], ms[0] = frame.l, frame.n, frame.m
 
-    def rhs(x, u, V):
+    def rhs(stage, y):
+        x, u, V = y
         gam = chart.connection(x)
         du = -np.einsum("abc,b,c->a", gam, u, u)
         dV = -np.einsum("abc,b,ic->ia", gam, u, V)
@@ -637,13 +644,7 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
 
     x, u, V = p.copy(), v.copy(), legs.copy()
     for i in range(steps):
-        k1 = rhs(x, u, V)
-        k2 = rhs(x + 0.5 * h * k1[0], u + 0.5 * h * k1[1], V + 0.5 * h * k1[2])
-        k3 = rhs(x + 0.5 * h * k2[0], u + 0.5 * h * k2[1], V + 0.5 * h * k2[2])
-        k4 = rhs(x + h * k3[0], u + h * k3[1], V + h * k3[2])
-        x = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        u = u + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        V = V + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        x, u, V = rk4_step(rhs, (x, u, V), h)
         if not chart.contains(x):
             raise GeometryError(f"transport left the chart domain at "
                                 f"s = {(i + 1) * h:.6g}, x = {x}")

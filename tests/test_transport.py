@@ -40,6 +40,16 @@ def test_registry_flat_chart():
     assert not chart.contains(np.array([11.0, 0.0, 0.0, 0.0]))
 
 
+def test_contains_tests_each_row():
+    chart = tr.make_chart("flat", halfwidth=1.0)
+    pts = np.array([[0.0, 0.0, 0.0, 0.0], [1.5, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, -1.0, 0.5], [np.nan, 0.0, 0.0, 0.0]])
+    assert chart.contains(pts).tolist() == [True, False, True, False]
+    assert chart.contains(pts.reshape(2, 2, 4)).tolist() == [[True, False],
+                                                             [True, False]]
+    assert chart.contains(pts[2]) is True and chart.contains(pts[3]) is False
+
+
 def test_registry_conformal_chart():
     chart = tr.make_chart("conformal", eps=1e-2, profile="gaussian", width=2.0)
     g = chart.metric(np.zeros(4))
@@ -75,6 +85,25 @@ def test_christoffel_fd_matches_analytic_conformal():
 
 
 # -- geodesics --------------------------------------------------------------
+
+def test_rk4_step_is_the_classical_step():
+    # dy/ds = -a y over a tuple state: one step multiplies by the degree-4
+    # Taylor polynomial of e^{-a h}, and f sees stages 0..3 in order
+    seen = []
+
+    def f(stage, y):
+        seen.append(stage)
+        return tuple(-0.7 * yi for yi in y)
+
+    h = 0.1
+    y = (np.array([1.0, -2.0]), 3.0)
+    got = tr.rk4_step(f, y, h)
+    z = -0.7 * h
+    growth = 1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+    assert seen == [0, 1, 2, 3]
+    assert np.allclose(got[0], growth * y[0], rtol=1e-15, atol=0)
+    assert abs(got[1] - growth * y[1]) < 1e-15
+
 
 def test_flat_shoot_is_straight():
     chart = tr.make_chart("flat")
@@ -158,7 +187,7 @@ def _rows(n, seed=7):
 
 def test_backend_reports_the_numpy_kernel():
     assert _backend.BACKEND == "python"
-    assert tr.kernels is _backend.kernels
+    assert tr.kernels is _backend
     assert callable(tr.kernels.shoot_endpoint)
 
 
