@@ -105,14 +105,10 @@ def _as_count(v, what):
 
 def _kind_and_valence(cfg):
     """The evaluator kind ("spin" or "dirac") and valence of a config."""
-    from .spinor import MAX_VALENCE
     kind = cfg.get("kind", "spin")
     if kind not in ("spin", "dirac"):
         raise ConfigError(f"kind must be 'spin' or 'dirac', got {kind!r}")
-    valence = _as_count(cfg.get("valence", 1), "valence")
-    if valence > MAX_VALENCE:
-        raise ConfigError(f"valence must be at most {MAX_VALENCE}, got {valence}")
-    return kind, valence
+    return kind, _as_count(cfg.get("valence", 1), "valence")
 
 
 def _c2j(z):

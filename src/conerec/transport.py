@@ -29,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _backend as kernels
+from ._backend import rk4_step
 from .errors import GeometryError
 from .frames import NPFrame, spin_basis_from_tetrad
 
@@ -253,22 +254,6 @@ def make_chart(name: str, eps: float = 0.0, profile: str = "gaussian",
 
 
 # -- geodesics -----------------------------------------------------------
-
-def rk4_step(f, y, h):
-    """One classical RK4 step of dy/ds = f(stage, y) for y a sequence of arrays.
-
-    f is called once per stage, in order: 0 at the start of the step, 1
-    and 2 at its midpoint, 3 at its end, so a caller can look up values
-    it sampled in advance at the same stage points.  Returns the advanced
-    state as a tuple.
-    """
-    k1 = f(0, y)
-    k2 = f(1, tuple(a + 0.5 * h * k for a, k in zip(y, k1)))
-    k3 = f(2, tuple(a + 0.5 * h * k for a, k in zip(y, k2)))
-    k4 = f(3, tuple(a + h * k for a, k in zip(y, k3)))
-    return tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-
 
 def _geodesic_rhs(chart: CurvedChart):
     """f(stage, (x, u)) = (u, -Gamma(x) u u) for rk4_step."""
