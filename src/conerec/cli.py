@@ -59,11 +59,26 @@ def _timestamp():
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    _reject_non_finite(cfg, "config")
+    return cfg
+
+
+def _reject_non_finite(node, where):
+    """NaN, Infinity and overflowing literals such as 1e999 are not JSON numbers."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{where} is {node!r}; NaN and Infinity are not "
+                          "valid JSON numbers")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_non_finite(value, f"{where}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _reject_non_finite(value, f"{where}[{i}]")
 
 
 def _need(cfg, key, command):
@@ -73,16 +88,20 @@ def _need(cfg, key, command):
 
 
 def _as_complex(v, what):
-    if isinstance(v, (int, float)):
-        return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise ConfigError(f"{what} must be a number or an [re, im] pair")
+        return complex(_as_finite(v[0], f"{what} real part"),
+                       _as_finite(v[1], f"{what} imaginary part"))
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{what} must be a number or an [re, im] pair")
+    return complex(v)
 
 
 def _as_point(v, what):
     import numpy as np
-    arr = np.asarray(v, dtype=float)
+    try:
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be four numbers, got {v!r}")
     if arr.shape != (4,):
         raise ConfigError(f"{what} must have four components")
     if not np.all(np.isfinite(arr)):
@@ -94,6 +113,13 @@ def _as_finite(v, what):
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
         raise ConfigError(f"{what} must be a finite number, got {v!r}")
     return float(v)
+
+
+def _as_positive(v, what):
+    v = _as_finite(v, what)
+    if not v > 0.0:
+        raise ConfigError(f"{what} must be positive, got {v!r}")
+    return v
 
 
 def _as_count(v, what):
@@ -111,6 +137,23 @@ def _kind_and_valence(cfg):
     return kind, _as_count(cfg.get("valence", 1), "valence")
 
 
+def _tolerance(cfg):
+    """The optional finite `tolerance` of a command config, or None."""
+    tol = cfg.get("tolerance")
+    return None if tol is None else _as_finite(tol, "tolerance")
+
+
+def _exceeds(value, tol):
+    """Whether value fails an optional tolerance; NaN always fails."""
+    return tol is not None and not value <= tol
+
+
+def _levels(cfg, default):
+    """The [n_theta, n_phi] refinement levels of a config, as counts."""
+    return [(_as_count(nt, f"levels[{i}][0]"), _as_count(nph, f"levels[{i}][1]"))
+            for i, (nt, nph) in enumerate(cfg.get("levels", default))]
+
+
 def _c2j(z):
     z = complex(z)
     return [z.real, z.imag]
@@ -123,6 +166,10 @@ def _quadrature(cfg):
     extra = set(cfg) - keys
     if extra:
         raise ConfigError(f"unknown quadrature keys {sorted(extra)}")
+    checks = {"n_theta": _as_count, "n_phi": _as_count, "cap": _as_finite,
+              "fd_step": _as_positive}
+    cfg = {k: checks[k](v, f"quadrature.{k}") if k in checks else v
+           for k, v in cfg.items()}
     try:
         return QuadratureSpec(**{"n_theta": 24, "n_phi": 48, **cfg})
     except ValueError as exc:
@@ -135,7 +182,9 @@ def _chart(cfg):
     extra = set(cfg) - keys
     if extra:
         raise ConfigError(f"unknown chart keys {sorted(extra)}")
-    kwargs = {k: cfg[k] for k in keys - {"name"} if k in cfg}
+    checks = {"eps": _as_finite, "width": _as_positive, "halfwidth": _as_finite}
+    kwargs = {k: checks[k](cfg[k], f"chart.{k}") if k in checks else cfg[k]
+              for k in keys - {"name"} if k in cfg}
     try:
         return transport.make_chart(cfg.get("name", "flat"), **kwargs)
     except ValueError as exc:
@@ -225,9 +274,9 @@ def _order_column(errors):
 # -- commands ----------------------------------------------------------------
 
 def cmd_reconstruct(cfg, out, seed):
-    import numpy as np
-    from .reconstruct import (reconstruct_curved_singular, reconstruct_dirac,
-                              reconstruct_spin_n)
+    from .reconstruct import (components, reconstruct_curved_singular,
+                              reconstruct_dirac, reconstruct_spin_n,
+                              relative_error)
     p0 = _as_point(_need(cfg, "p0", "reconstruct"), "p0")
     q_list = _need(cfg, "q", "reconstruct")
     if not q_list:
@@ -239,7 +288,7 @@ def cmd_reconstruct(cfg, out, seed):
         raise ConfigError("the curved evaluator handles spin data only")
     data, oracle = _cone_data(_need(cfg, "data", "reconstruct"), p0,
                               valence, "reconstruct")
-    tol = cfg.get("tolerance")
+    tol = _tolerance(cfg)
     records, failures = [], 0
     for i, q_raw in enumerate(q_list):
         q = _as_point(q_raw, f"q[{i}]")
@@ -248,7 +297,6 @@ def cmd_reconstruct(cfg, out, seed):
             rec = {"q": q.tolist(),
                    "phi": [_c2j(z) for z in res.value.phi],
                    "psi": [_c2j(z) for z in res.value.psi]}
-            got = np.concatenate([res.value.phi, res.value.psi])
         else:
             if chart is not None:
                 res = reconstruct_curved_singular(chart, p0, data, valence,
@@ -258,16 +306,13 @@ def cmd_reconstruct(cfg, out, seed):
             rec = {"q": q.tolist(),
                    "components": [_c2j(z) for z in res.value.components],
                    "basis": res.value.basis_id}
-            got = res.value.components
         rec["diagnostics"] = res.diagnostics
         if oracle is not None:
-            ref = np.asarray(oracle(q))
-            scale = max(float(np.max(np.abs(ref))), 1e-300)
-            err = float(np.max(np.abs(got - ref))) / scale
+            err = relative_error(components(res.value), components(oracle(q)))
             rec["oracle_error"] = err
             if tol is not None:
-                rec["within_tolerance"] = err <= tol
-                failures += err > tol
+                rec["within_tolerance"] = not _exceeds(err, tol)
+                failures += _exceeds(err, tol)
         records.append(rec)
     _write_json(out, "reconstruct", cfg, {"records": records})
     print(f"reconstruct: {len(records)} records -> {out}"
@@ -287,9 +332,10 @@ def cmd_constraints(cfg, out, seed):
                          valence, "constraints")
     if data.kind != "spin":
         raise ConfigError("constraint residuals apply to spin data")
+    tol = _tolerance(cfg)
     if data.is_analytic:
-        levels = cfg.get("levels", [[12, 24], [24, 48], [48, 96]])
-        grids = [SphereGrid(int(nt), int(nph)) for nt, nph in levels]
+        grids = [SphereGrid(nt, nph)
+                 for nt, nph in _levels(cfg, [[12, 24], [24, 48], [48, 96]])]
     else:
         grids = [data.grid]
     tables = [constraint_residual(data, p0, s_values, g) for g in grids]
@@ -303,8 +349,7 @@ def cmd_constraints(cfg, out, seed):
     _write_csv(out, header, rows)
     worst = max(tables[-1].values())
     print(f"constraints: finest residual {worst:.3e} -> {out}")
-    tol = cfg.get("tolerance")
-    return EXIT_CHECK if tol is not None and worst > tol else EXIT_OK
+    return EXIT_CHECK if _exceeds(worst, tol) else EXIT_OK
 
 
 def cmd_converge(cfg, out, seed):
@@ -319,32 +364,36 @@ def cmd_converge(cfg, out, seed):
     if oracle is None:
         raise ConfigError("converge needs a named data family as oracle")
     base = _quadrature(cfg.get("quadrature", {}))
-    levels = cfg.get("levels", [[16, 32], [32, 64], [64, 128]])
-    specs = [dataclasses.replace(base, n_theta=int(nt), n_phi=int(nph))
-             for nt, nph in levels]
-    if kind == "dirac":
-        from . import oracles
-        from .spinor import DiracSpinorValue
-        ref_flat = oracle(q)
-        ref = DiracSpinorValue(ref_flat[:2], ref_flat[2:])
-    else:
-        ref = oracle(q)
-    rows = convergence_study(p0, data, q, ref, specs, kind=kind, n=valence)
+    specs = [dataclasses.replace(base, n_theta=nt, n_phi=nph)
+             for nt, nph in _levels(cfg, [[16, 32], [32, 64], [64, 128]])]
+    tol = _tolerance(cfg)
+    rows = convergence_study(p0, data, q, oracle(q), specs, kind=kind, n=valence)
     errors = [r["error"] for r in rows]
     orders = _order_column(errors)
     table = [[r["n_theta"], r["n_phi"], repr(r["error"]), o]
              for r, o in zip(rows, orders)]
     _write_csv(out, ["n_theta", "n_phi", "rel_error", "order"], table)
     print(f"converge: finest rel_error {errors[-1]:.3e} -> {out}")
-    tol = cfg.get("tolerance")
-    return EXIT_CHECK if tol is not None and errors[-1] > tol else EXIT_OK
+    return EXIT_CHECK if _exceeds(errors[-1], tol) else EXIT_OK
+
+
+def _chart_frame(chart, p, theta, phi):
+    """NP frame at p from the canonical spin basis at direction (theta, phi),
+    normalized in the chart metric omega^2 eta (unchanged on the flat chart)."""
+    import numpy as np
+    from .cone import spin_basis_field
+    from .frames import NPFrame, frame_from_spin_basis
+    o_up, i_up = spin_basis_field(np.array([theta]), np.array([phi]),
+                                  np.array([False]))
+    base = frame_from_spin_basis(o_up[0], i_up[0])
+    om = chart.omega(p)
+    return NPFrame(base.l / om, base.n / om, base.m / om,
+                   base.o / math.sqrt(om), base.iota / math.sqrt(om))
 
 
 def cmd_curved_transport(cfg, out, seed):
     import numpy as np
     from . import transport
-    from .cone import spin_basis_field
-    from .frames import NPFrame, frame_from_spin_basis
     chart = _chart(_need(cfg, "chart", "curved-transport"))
     if chart.omega is None:
         raise ConfigError("curved-transport needs a registry chart")
@@ -353,9 +402,8 @@ def cmd_curved_transport(cfg, out, seed):
         raise ConfigError("rays must be non-empty")
     k_steps = _as_count(cfg.get("k_steps", 10), "k_steps")
     want_vv = bool(cfg.get("van_vleck", True))
-    vv_h = _as_finite(cfg.get("van_vleck_h", 2e-2), "van_vleck_h")
-    if not vv_h > 0.0:
-        raise ConfigError("van_vleck_h must be positive")
+    vv_h = _as_positive(cfg.get("van_vleck_h", 2e-2), "van_vleck_h")
+    tol = _tolerance(cfg)
     frame_cfg = cfg.get("frame")
     if frame_cfg is not None:
         frame_steps = _as_count(frame_cfg.get("steps", 200), "frame.steps")
@@ -388,12 +436,7 @@ def cmd_curved_transport(cfg, out, seed):
         rec["route_spread"] = max(ks) - min(ks)
         worst_spread = max(worst_spread, rec["route_spread"])
         if frame_cfg is not None:
-            o_up, i_up = spin_basis_field(np.array([theta]), np.array([phi]),
-                                          np.array([False]))
-            base = frame_from_spin_basis(o_up[0], i_up[0])
-            om = chart.omega(p)
-            fr = NPFrame(base.l / om, base.n / om, base.m / om,
-                         base.o / math.sqrt(om), base.iota / math.sqrt(om))
+            fr = _chart_frame(chart, p, theta, phi)
             try:
                 pf = transport.transport_spin_frame(chart, p, fr.l, fr,
                                                     s_end=s_end, steps=frame_steps)
@@ -413,8 +456,7 @@ def cmd_curved_transport(cfg, out, seed):
     _write_json(out, "curved-transport", cfg, {"records": records})
     print(f"curved-transport: {len(records)} rays, worst route spread "
           f"{worst_spread:.3e} -> {out}")
-    tol = cfg.get("tolerance")
-    return EXIT_CHECK if tol is not None and worst_spread > tol else EXIT_OK
+    return EXIT_CHECK if _exceeds(worst_spread, tol) else EXIT_OK
 
 
 # -- verify suites -----------------------------------------------------------
@@ -541,8 +583,6 @@ def _suite_constraints(rng, cases):
 def _suite_curved(rng, cases):
     import numpy as np
     from . import transport
-    from .cone import spin_basis_field
-    from .frames import NPFrame, frame_from_spin_basis
     p = np.array([0.2, 0.1, -0.3, 0.4])
     lvec = np.array([1.0, 0.3, 0.5, math.sqrt(1.0 - 0.34)])
     q = p + 1.5 * lvec
@@ -551,9 +591,7 @@ def _suite_curved(rng, cases):
     _, ks = transport.transport_k(flat, q, p, steps=8, shoot_steps=24)
     flat_k = float(np.max(np.abs(2.0 * math.pi * ks - 1.0)))
 
-    o_up, i_up = spin_basis_field(np.array([0.4]), np.array([1.1]),
-                                  np.array([False]))
-    base = frame_from_spin_basis(o_up[0], i_up[0])
+    base = _chart_frame(flat, p, 0.4, 1.1)
     pf = transport.transport_spin_frame(flat, p, base.l, base,
                                         s_end=1.5, steps=120)
     flat_frame = max(pf.product_drift(),
@@ -567,9 +605,7 @@ def _suite_curved(rng, cases):
     linearity = abs(devs[0] / devs[1] / 10.0 - 1.0)
 
     chart = transport.make_chart("conformal", eps=1e-3)
-    om = chart.omega(p)
-    fr = NPFrame(base.l / om, base.n / om, base.m / om,
-                 base.o / math.sqrt(om), base.iota / math.sqrt(om))
+    fr = _chart_frame(chart, p, 0.4, 1.1)
     pf = transport.transport_spin_frame(chart, p, fr.l, fr,
                                         s_end=1.5, steps=200)
     return [("flat_kernel", flat_k, 1e-8),
@@ -591,6 +627,8 @@ def cmd_verify(cfg, out, seed):
                           f"known: {sorted(_SUITES)}")
     cases = _as_count(cfg.get("cases", 1000), "cases")
     overrides = cfg.get("thresholds", {})
+    for full, value in overrides.items():
+        _as_finite(value, f"thresholds[{full!r}]")
     rng = np.random.default_rng(seed)
     checks = []
     for suite in suites:

@@ -171,10 +171,6 @@ class ConeSection:
     def node_frame(self, i) -> NPFrame:
         return NPFrame(self.l[i], self.n[i], self.m[i], self.o[i], self.iota[i])
 
-    def rings(self):
-        """Number of kept theta rings."""
-        return self.r0.size // self.grid.n_phi
-
 
 def _section_scale(p0, q):
     return max(1.0, float(np.max(np.abs(q - p0))))

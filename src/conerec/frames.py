@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinor import (
-    ETA, SIG, lower_comps, minkowski, to_matrix,
-)
+from .spinor import ETA, central_partials, lower_comps, minkowski, to_matrix
 
 
 @dataclass
@@ -26,7 +24,7 @@ class NPFrame:
     """Null tetrad plus spin basis at a point.
 
     l, n are real null vectors, m complex; o, iota hold upper unprimed
-    components.  mbar and the Infeld-van der Waerden symbols are derived.
+    components; mbar is derived.
     """
 
     l: np.ndarray
@@ -38,10 +36,6 @@ class NPFrame:
     @property
     def mbar(self):
         return self.m.conj()
-
-    @property
-    def ivw(self):
-        return SIG
 
     def validate(self, tol: float = 1e-12):
         """Check the NP products, outer-product relations, and o_A iota^A = 1."""
@@ -198,15 +192,13 @@ def spin_coefficients_fd(frame_field, point, h: float) -> SpinCoefficients:
     """
     point = np.asarray(point, dtype=float)
     f0 = frame_field(point)
-    do = np.empty((4, 2), dtype=complex)   # partials of o_A (lower comps)
-    diota = np.empty((4, 2), dtype=complex)
-    for a in range(4):
-        step = np.zeros(4)
-        step[a] = h
-        fp = frame_field(point + step)
-        fm = frame_field(point - step)
-        do[a] = (lower_comps(fp.o) - lower_comps(fm.o)) / (2.0 * h)
-        diota[a] = (lower_comps(fp.iota) - lower_comps(fm.iota)) / (2.0 * h)
+
+    def lowered(x):
+        fr = frame_field(x)
+        return np.stack([lower_comps(fr.o), lower_comps(fr.iota)])
+
+    d = central_partials(lowered, point, h)
+    do, diota = d[:, 0], d[:, 1]    # partials of o_A and iota_A (lower comps)
 
     def direction(vec, table):
         return np.einsum("a,ai->i", vec, table)

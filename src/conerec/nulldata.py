@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -31,7 +31,7 @@ from .spinor import lower_comps
 
 __all__ = [
     "ConeData", "WeightedScalarField", "radial_derivative", "richardson_dr0",
-    "eth_prime", "section_alpha", "section_spin_coefficients",
+    "eth_prime", "section_spin_coefficients",
     "constraint_residual", "save_cone_data", "load_cone_data",
 ]
 
@@ -54,10 +54,6 @@ class WeightedScalarField:
         if int(p) != p or int(q) != q:
             raise ValueError("weights must be integers")
         self.weight = (int(p), int(q))
-
-    @property
-    def spin_weight(self):
-        return (self.weight[0] - self.weight[1]) / 2.0
 
 
 class ConeData:
@@ -239,16 +235,10 @@ def radial_derivative(data: ConeData, r0, omega, o_up=None, iota_up=None):
 
 
 def _chart_pair(values, phi, chart, weight):
-    """Both chart representations of per-node own-chart values."""
-    p, q = weight
-    s = p - q
-    if s == 0:
-        return values, values
-    fac = np.exp(1j * s * phi)
+    """Both chart representations (A, B) of per-node own-chart values."""
     in_b = chart == 1
-    vals_a = np.where(in_b, values * fac, values)
-    vals_b = np.where(in_b, values, values / fac)
-    return vals_a, vals_b
+    return (np.where(in_b, cone.chart_transition(values, phi, weight, 0), values),
+            np.where(in_b, values, cone.chart_transition(values, phi, weight, 1)))
 
 
 def _mbar_coefficients(section: ConeSection, td: TangentialDerivatives):
@@ -284,34 +274,17 @@ class _SectionCalculus:
         d_th, d_ph = self._d_own(values, weight)
         return self.a * d_th + self.b * d_ph
 
-    def grad_m(self, values, weight):
-        """m^a d_a; m carries the conjugate tangent coefficients."""
-        d_th, d_ph = self._d_own(values, weight)
-        return np.conj(self.a) * d_th + np.conj(self.b) * d_ph
-
-
-def section_alpha(section: ConeSection, calculus: _SectionCalculus | None = None):
-    """Spin coefficient alpha = iota^A grad_mbar o_A from the section frames.
-
-    The components of o_A are differentiated tangentially as weight (1,0)
-    scalars (the flat ambient connection vanishes in these coordinates).
-    """
-    calc = calculus or _SectionCalculus(section)
-    o_low = lower_comps(section.o)
-    iota_up = section.iota
-    acc = np.zeros(section.n_nodes, dtype=complex)
-    for comp in range(2):
-        acc += iota_up[:, comp] * calc.grad_mbar(o_low[:, comp], (1, 0))
-    return acc
-
 
 def section_spin_coefficients(section: ConeSection,
                               calculus: _SectionCalculus | None = None):
     """Spin coefficients of the section frame needed by the cone calculus.
 
     Returns a dict with per-node arrays: rho = o^A grad_mbar o_A is
-    computed tangentially, as are alpha, beta = iota^A grad_m o_A and
-    sigma' = -iota^A grad_mbar iota_A.  The canonical frame does not
+    computed tangentially, as are alpha = iota^A grad_mbar o_A,
+    beta = iota^A grad_m o_A and sigma' = -iota^A grad_mbar iota_A; the
+    components of o_A and iota_A are differentiated as weight (1,0) and
+    (-1,0) scalars (the flat ambient connection vanishes in these
+    coordinates).  The canonical frame does not
     depend on r0 along a generator, so its kappa = o^A grad_l o_A,
     epsilon = iota^A grad_l o_A and tau' = -iota^A grad_l iota_A vanish
     identically; they are returned as exact zeros rather than differenced
@@ -356,13 +329,10 @@ def eth_prime(f: WeightedScalarField, section: ConeSection,
         raise ValueError("need at least 8 nodes per ring")
     calc = calculus or _SectionCalculus(section)
     p, q = f.weight
-    if alpha is None and p != 0:
-        alpha = section_alpha(section, calc)
-    if beta is None and q != 0:
-        o_low = lower_comps(section.o)
-        beta = np.zeros(section.n_nodes, dtype=complex)
-        for comp in range(2):
-            beta += section.iota[:, comp] * calc.grad_m(o_low[:, comp], (1, 0))
+    if (alpha is None and p != 0) or (beta is None and q != 0):
+        coef = section_spin_coefficients(section, calc)
+        alpha = coef["alpha"] if alpha is None else alpha
+        beta = coef["beta"] if beta is None else beta
     vals = f.values
     out = calc.grad_mbar(vals, f.weight)
     if p != 0:

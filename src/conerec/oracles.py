@@ -10,15 +10,14 @@ symplectic pairing, differentiation of cone-section integrals in the
 apex) by finite differences against their closed forms.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cone, spinor
-from .spinor import (ETA, SIG_UP, SQRT2, DiracSpinorValue, SymSpinorValue,
-                     clifford_batch, dirac_assemble, lower_comps,
-                     lower_matrix, minkowski, raise_comps)
+from .spinor import (ETA, SIG_UP, DiracSpinorValue, SymSpinorValue,
+                     central_partials, clifford_batch, dirac_assemble,
+                     lower_comps, lower_matrix, raise_comps)
 
 __all__ = [
     "PlaneWaveSpec", "plane_wave_field", "plane_wave_tensor",
@@ -174,12 +173,7 @@ def weyl_residual_fd(field_fn, n: int, x, h: float) -> float:
 
     field_fn(x) must return the lower-index (2,)*n tensor.  O(h^2).
     """
-    x = np.asarray(x, dtype=float)
-    d1 = np.empty((4,) + (2,) * n, dtype=complex)
-    for a in range(4):
-        e = np.zeros(4)
-        e[a] = h
-        d1[a] = (field_fn(x + e) - field_fn(x - e)) / (2.0 * h)
+    d1 = central_partials(field_fn, np.asarray(x, dtype=float), h)
     res = np.einsum("aij,ai...->j...", SIG_UP, d1)
     return float(np.max(np.abs(res)))
 
@@ -201,19 +195,11 @@ def sl_identity_check(field_fn, n: int, point, h: float) -> float:
 
     def contracted_grad(y):
         # chi^{A'}_{C..} = grad^{AA'} phi_{A C..} by central differences
-        d1 = np.empty((4,) + (2,) * n, dtype=complex)
-        for a in range(4):
-            e = np.zeros(4)
-            e[a] = h
-            d1[a] = (field_fn(y + e) - field_fn(y - e)) / (2.0 * h)
+        d1 = central_partials(field_fn, y, h)
         return np.einsum(f"ajp,aj{rest}->p{rest}", SIG_UP, d1)
 
     sig_low = lower_matrix(SIG_UP)
-    dchi = np.empty((4, 2) + (2,) * (n - 1), dtype=complex)
-    for b in range(4):
-        e = np.zeros(4)
-        e[b] = h
-        dchi[b] = (contracted_grad(point + e) - contracted_grad(point - e)) / (2.0 * h)
+    dchi = central_partials(contracted_grad, point, h)
     lhs = np.einsum(f"bip,bp{rest}->i{rest}", sig_low, dchi)
 
     f0 = field_fn(point)
@@ -303,18 +289,9 @@ def dirac_symmetry_check(phi1, psi1, phi2, psi2, h: float) -> float:
 
 
 def _dirac_fd_q(f, q, h):
-    """Assemble D^q f by central differences in the first argument."""
-    probe_phi, probe_psi = f(q)
-    dphi = np.empty((4,) + np.shape(probe_phi), dtype=complex)
-    dpsi = np.empty((4,) + np.shape(probe_psi), dtype=complex)
-    for a in range(4):
-        e = np.zeros(4)
-        e[a] = h
-        pp, sp = f(q + e)
-        pm, sm = f(q - e)
-        dphi[a] = (np.asarray(pp) - np.asarray(pm)) / (2.0 * h)
-        dpsi[a] = (np.asarray(sp) - np.asarray(sm)) / (2.0 * h)
-    return dirac_assemble(dphi, dpsi)
+    """Assemble D^q f by central differences; f(q) -> (phi, psi) of one shape."""
+    d = central_partials(lambda qq: np.stack(f(qq)), q, h)
+    return dirac_assemble(d[:, 0], d[:, 1])
 
 
 def derivative_under_integral_check(f, p0, q, h: float,
@@ -355,17 +332,7 @@ def derivative_under_integral_check(f, p0, q, h: float,
 
     sec = cone.build_section(p0, q, grid)
     phi0, psi0 = f(q, sec.p)
-    # D^q f node by node
-    dphi = np.empty((4,) + phi0.shape, dtype=complex)
-    dpsi = np.empty((4,) + psi0.shape, dtype=complex)
-    for a in range(4):
-        e = np.zeros(4)
-        e[a] = h
-        pp, sp = f(q + e, sec.p)
-        pm, sm = f(q - e, sec.p)
-        dphi[a] = (pp - pm) / (2.0 * h)
-        dpsi[a] = (sp - sm) / (2.0 * h)
-    dq_phi, dq_psi = dirac_assemble(dphi, dpsi)
+    dq_phi, dq_psi = _dirac_fd_q(lambda qq: f(qq, sec.p), q, h)   # node by node
     # generator derivative of f in p
     pp, sp = f(q, sec.p + h * sec.l)
     pm, sm = f(q, sec.p - h * sec.l)
@@ -407,16 +374,7 @@ def derivative_under_integral_check(f, p0, q, h: float,
         s = 0.5 * (x + 1.0) * sec.r0
         wr = 0.5 * sec.r0 * wgl
         pts = p0 + s[:, None] * lvec
-        dphi = np.empty((4, pts.shape[0], 2), dtype=complex)
-        dpsi = np.empty((4, pts.shape[0], 2), dtype=complex)
-        for a in range(4):
-            e = np.zeros(4)
-            e[a] = h
-            pp, sp = f(q + e, pts)
-            pm, sm = f(q - e, pts)
-            dphi[a] = (pp - pm) / (2.0 * h)
-            dpsi[a] = (sp - sm) / (2.0 * h)
-        dq_phi, dq_psi = dirac_assemble(dphi, dpsi)
+        dq_phi, dq_psi = _dirac_fd_q(lambda qq: f(qq, pts), q, h)
         fac = (wang * wr * s / 2.0)[:, None]
         acc_phi += np.sum(fac * dq_phi, axis=0)
         acc_psi += np.sum(fac * dq_psi, axis=0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .spinor import (MAX_VALENCE, DiracSpinorValue, SymSpinorValue,
 
 __all__ = ["QuadratureSpec", "ReconstructionResult", "reconstruct_dirac",
            "reconstruct_spin_n", "reconstruct_maxwell",
-           "reconstruct_curved_singular", "convergence_study"]
+           "reconstruct_curved_singular", "convergence_study",
+           "components", "relative_error"]
 
 _STD_O = np.array([1.0, 0.0], dtype=complex)
 _STD_IOTA = np.array([0.0, 1.0], dtype=complex)
@@ -67,10 +68,8 @@ class QuadratureSpec:
                           chart_mode=self.chart_mode, cap=self.cap)
 
     def halved(self) -> "QuadratureSpec":
-        return QuadratureSpec(max(self.n_theta // 2, 4),
-                              max(self.n_phi // 2, 8), self.chart_mode,
-                              self.cap, self.radial_fd, self.fd_step,
-                              self.rho_variant)
+        return replace(self, n_theta=max(self.n_theta // 2, 4),
+                       n_phi=max(self.n_phi // 2, 8))
 
 
 @dataclass
@@ -119,34 +118,37 @@ def _flat_scalars(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
 
 
 def _spin_n_tensor(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
-    """Rank-n symmetric tensor (global components) and node count."""
+    """(rank-n symmetric tensor in global components,), node count, {}."""
     section, scal = _flat_scalars(p0, data, n, q, spec)
-    return (_integrand_tensor(scal[:, 0] * (-1.0) ** n, section.iota, n),
-            section.n_nodes)
+    return ((_integrand_tensor(scal[:, 0] * (-1.0) ** n, section.iota, n),),
+            section.n_nodes, {})
 
 
 def _dirac_pair(p0, data: ConeData, q, spec: QuadratureSpec):
-    """(phi_A lower, psi^{A'} upper) global components and node count."""
+    """(phi_A lower, psi^{A'} upper) global components, node count, {}."""
     section, scal = _flat_scalars(p0, data, 1, q, spec)
     phi = -np.einsum("x,xa->a", scal[:, 0], lower_comps(section.iota))
     psi = np.einsum("x,xa->a", scal[:, 1], np.conj(section.iota))
-    return phi, psi, section.n_nodes
+    return (phi, psi), section.n_nodes, {}
 
 
-def _order_doubling_estimate(data: ConeData, spec: QuadratureSpec, coarse_fn):
-    """Difference against a half-resolution run; 0.0 when no coarser
-    evaluation exists (spec at the floor, or data bound to its grid)."""
-    if spec.halved() == spec:
-        return 0.0
-    if not data.is_analytic:
-        return 0.0
-    return coarse_fn()
+def _evaluate(quadrature, data: ConeData, spec: QuadratureSpec):
+    """Run quadrature(spec) -> (arrays, n_nodes, extras) and build diagnostics.
 
-
-def _diagnostics(grid: SphereGrid, n_nodes, estimate):
-    return {"n_nodes": int(n_nodes),
-            "excluded_solid_angle": grid.excluded_solid_angle,
-            "error_estimate": float(estimate)}
+    The error estimate is the largest difference against a
+    half-resolution run over all arrays; it is 0.0 when no coarser
+    evaluation exists (spec at the floor, or data bound to its grid).
+    Returns (arrays, diagnostics).
+    """
+    arrays, n_nodes, extras = quadrature(spec)
+    estimate = 0.0
+    if spec.halved() != spec and data.is_analytic:
+        coarse, _, _ = quadrature(spec.halved())
+        estimate = max(float(np.max(np.abs(a - c))) for a, c in zip(arrays, coarse))
+    diagnostics = {"n_nodes": int(n_nodes),
+                   "excluded_solid_angle": spec.grid().excluded_solid_angle,
+                   "error_estimate": float(estimate), **extras}
+    return arrays, diagnostics
 
 
 def reconstruct_spin_n(p0, data: ConeData, n: int, q,
@@ -161,16 +163,10 @@ def reconstruct_spin_n(p0, data: ConeData, n: int, q,
     """
     _check_spin_args(data, n)
     q = np.asarray(q, dtype=float)
-    tensor, n_nodes = _spin_n_tensor(p0, data, n, q, spec)
-
-    def coarse():
-        t, _ = _spin_n_tensor(p0, data, n, q, spec.halved())
-        return float(np.max(np.abs(tensor - t)))
-
-    estimate = _order_doubling_estimate(data, spec, coarse)
+    (tensor,), diagnostics = _evaluate(
+        lambda sp: _spin_n_tensor(p0, data, n, q, sp), data, spec)
     value = sym_components(tensor, _STD_O, _STD_IOTA, basis_id="standard")
-    return ReconstructionResult(value=value, q=q,
-                                diagnostics=_diagnostics(spec.grid(), n_nodes, estimate))
+    return ReconstructionResult(value=value, q=q, diagnostics=diagnostics)
 
 
 def reconstruct_maxwell(p0, data: ConeData, q,
@@ -190,46 +186,47 @@ def reconstruct_dirac(p0, data: ConeData, q,
     if data.kind != "dirac":
         raise ValueError("dirac reconstruction expects (zeta_0, xi^{1'}) data")
     q = np.asarray(q, dtype=float)
-    phi, psi, n_nodes = _dirac_pair(p0, data, q, spec)
+    (phi, psi), diagnostics = _evaluate(
+        lambda sp: _dirac_pair(p0, data, q, sp), data, spec)
+    return ReconstructionResult(value=DiracSpinorValue(phi=phi, psi=psi), q=q,
+                                diagnostics=diagnostics)
 
-    def coarse():
-        phi_c, psi_c, _ = _dirac_pair(p0, data, q, spec.halved())
-        return float(max(np.max(np.abs(phi - phi_c)),
-                         np.max(np.abs(psi - psi_c))))
 
-    estimate = _order_doubling_estimate(data, spec, coarse)
-    value = DiracSpinorValue(phi=phi, psi=psi)
-    return ReconstructionResult(value=value, q=q,
-                                diagnostics=_diagnostics(spec.grid(), n_nodes, estimate))
+def components(value) -> np.ndarray:
+    """One flat complex vector from a DiracSpinorValue (phi then psi), a
+    SymSpinorValue (its scalars) or an array."""
+    if isinstance(value, DiracSpinorValue):
+        return np.concatenate([value.phi, value.psi])
+    if isinstance(value, SymSpinorValue):
+        return value.components
+    return np.asarray(value, dtype=complex)
+
+
+def relative_error(got, ref) -> float:
+    """Max-abs component difference relative to the reference's max-abs component."""
+    scale = max(float(np.max(np.abs(ref))), 1e-300)
+    return float(np.max(np.abs(got - ref))) / scale
 
 
 def convergence_study(p0, data: ConeData, q, oracle, specs,
                       kind: str = "spin", n: int = 1):
     """Error vs oracle and runtime for each quadrature spec.
 
-    oracle: DiracSpinorValue for kind "dirac", else component array or
-    SymSpinorValue for the valence-n field.  Returns a list of rows
-    {n_theta, n_phi, error, runtime_s}; error is the max-abs component
-    difference relative to the oracle's max-abs component.
+    oracle: a DiracSpinorValue, a SymSpinorValue or a flat component
+    array (see components).  Returns a list of rows {n_theta, n_phi,
+    error, runtime_s}; error is relative_error against the oracle.
     """
-    if kind == "dirac":
-        ref = np.concatenate([np.asarray(oracle.phi), np.asarray(oracle.psi)])
-    else:
-        comps = oracle.components if isinstance(oracle, SymSpinorValue) else oracle
-        ref = np.asarray(comps, dtype=complex)
-    scale = max(float(np.max(np.abs(ref))), 1e-300)
+    ref = components(oracle)
     rows = []
     for spec in specs:
         t0 = time.perf_counter()
         if kind == "dirac":
             res = reconstruct_dirac(p0, data, q, spec)
-            got = np.concatenate([res.value.phi, res.value.psi])
         else:
             res = reconstruct_spin_n(p0, data, n, q, spec)
-            got = res.value.components
         dt = time.perf_counter() - t0
         rows.append({"n_theta": spec.n_theta, "n_phi": spec.n_phi,
-                     "error": float(np.max(np.abs(got - ref))) / scale,
+                     "error": relative_error(components(res.value), ref),
                      "runtime_s": dt})
     return rows
 
@@ -302,12 +299,11 @@ def _curved_spin_tensor(chart, p0, data: ConeData, n: int, q,
 
     coeff = _rho_coefficient(n, spec)
     scal = (dvals - coeff * rho * vals) * (-1.0) ** n * k * mu / r
-    tensor = _integrand_tensor(scal, iota_s, n)
     extras = {
         "k_deviation": float(np.max(np.abs(k - 1.0 / (2.0 * math.pi)))),
         "area_measure_factor": float(np.median(mu / (k * r ** 2 * w_ang))),
     }
-    return tensor, section.n_nodes, extras
+    return (_integrand_tensor(scal, iota_s, n),), section.n_nodes, extras
 
 
 def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
@@ -335,14 +331,7 @@ def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
     q = np.asarray(q, dtype=float)
     chart.require_inside(p0, "cone vertex")
     chart.require_inside(q, "evaluation point")
-    tensor, n_nodes, extras = _curved_spin_tensor(chart, p0, data, n, q, spec)
-
-    def coarse():
-        t, _, _ = _curved_spin_tensor(chart, p0, data, n, q, spec.halved())
-        return float(np.max(np.abs(tensor - t)))
-
-    estimate = _order_doubling_estimate(data, spec, coarse)
+    (tensor,), diagnostics = _evaluate(
+        lambda sp: _curved_spin_tensor(chart, p0, data, n, q, sp), data, spec)
     value = sym_components(tensor, _STD_O, _STD_IOTA, basis_id="standard")
-    diag = _diagnostics(spec.grid(), n_nodes, estimate)
-    diag.update(extras)
-    return ReconstructionResult(value=value, q=q, diagnostics=diag)
+    return ReconstructionResult(value=value, q=q, diagnostics=diagnostics)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,6 +208,15 @@ def clifford_batch(vecs: np.ndarray, phi: np.ndarray, psi: np.ndarray):
     new_phi = 1j * SQRT2 * np.einsum("...ij,...j->...i", m_low, psi)
     new_psi = -1j * SQRT2 * np.einsum("...ji,...j->...i", m_up, phi)
     return new_phi, new_psi
+
+
+def central_partials(f, x, h: float) -> np.ndarray:
+    """Coordinate first derivatives of f at x by central differences.
+
+    f maps a 4-point to an array; the result stacks d f / dx^a for
+    a = 0..3 along a new leading axis, O(h^2).
+    """
+    return np.stack([(f(x + e) - f(x - e)) / (2.0 * h) for e in h * np.eye(4)])
 
 
 def dirac_assemble(dphi: np.ndarray, dpsi: np.ndarray):

@@ -32,6 +32,7 @@ from . import _backend as kernels
 from ._backend import rk4_step
 from .errors import GeometryError
 from .frames import NPFrame, spin_basis_from_tetrad
+from .spinor import central_partials
 
 __all__ = [
     "CurvedChart", "GeodesicPath", "TransportState", "ParallelFrames",
@@ -131,11 +132,7 @@ def christoffel_fd(metric, x, h: float) -> np.ndarray:
     """Gamma^a_{bc} from central differences of the metric."""
     x = np.asarray(x, dtype=float)
     ginv = np.linalg.inv(metric(x))
-    dg = np.empty((4, 4, 4))
-    for c in range(4):
-        e = np.zeros(4)
-        e[c] = h
-        dg[c] = (metric(x + e) - metric(x - e)) / (2.0 * h)
+    dg = central_partials(metric, x, h)
     # Gamma_{dbc} = (g_{db,c} + g_{dc,b} - g_{bc,d}) / 2
     low = 0.5 * (np.einsum("cdb->dbc", dg) + np.einsum("bdc->dbc", dg)
                  - np.einsum("dbc->dbc", dg))
@@ -162,6 +159,9 @@ def _profile(profile: str, width: float, center) -> tuple:
     Whoever needs the coordinate gradient also needs the value, so
     f_grad returns both from one evaluation.
     """
+    if not width ** 2 > 0.0:
+        raise ValueError(f"profile width {width!r} must be nonzero and not "
+                         "so small that its square underflows")
     c = np.asarray(center, dtype=float).reshape(4)
     if profile == "gaussian":
         # (d * d) @ k is -|d|^2 / width^2 over the last axis in one call
@@ -569,12 +569,6 @@ class ParallelFrames:
     m: np.ndarray
     o: np.ndarray
     iota: np.ndarray
-
-    def state(self, i: int) -> TransportState:
-        frame = NPFrame(self.l[i], self.n[i], self.m[i],
-                        self.o[i], self.iota[i])
-        return TransportState(self.path.x[i].copy(), self.path.v[i].copy(),
-                              frame=frame)
 
     def product_drift(self) -> float:
         """Max drift of the NP products g(l,n) - 1 and g(m, mbar) + 1."""

@@ -1,13 +1,18 @@
 """Exit codes, file outputs, and determinism of the command front end."""
 
+import copy
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conerec import cli, cone, nulldata, oracles
 
@@ -209,6 +214,9 @@ def test_constraints_table(tmp_path):
 _CONVERGE = {"p0": [0, 0, 0, 0], "q": [1.5, 0.4, 0.3, 0.2], "valence": 1,
              "data": {"family": "plane-wave", "alpha": ALPHA},
              "levels": [[8, 16]]}
+_CONSTRAINTS = {"p0": [0, 0, 0, 0], "valence": 1, "s_values": [0.8],
+                "data": {"family": "plane-wave", "alpha": ALPHA},
+                "levels": [[8, 16]]}
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -221,13 +229,66 @@ _CONVERGE = {"p0": [0, 0, 0, 0], "q": [1.5, 0.4, 0.3, 0.2], "valence": 1,
                      "data": {"family": "plane-wave", "alpha": ALPHA}},
      "valence"),
     ("verify", {"suites": ["algebra"], "cases": 0}, "cases"),
+    ("reconstruct", _rec_config(quadrature={"n_theta": "24"}), "quadrature.n_theta"),
+    ("reconstruct", _rec_config(quadrature={"n_theta": 8.5}), "quadrature.n_theta"),
+    ("reconstruct", _rec_config(quadrature={"cap": "x"}), "quadrature.cap"),
+    ("reconstruct", _rec_config(quadrature={"fd_step": 0}), "quadrature.fd_step"),
+    ("reconstruct", _rec_config(chart={"name": "conformal", "eps": "0.01"}),
+     "chart.eps"),
+    ("reconstruct", _rec_config(chart={"name": "conformal", "width": "2"}),
+     "chart.width"),
+    ("reconstruct", _rec_config(chart={"name": "conformal", "width": 0}),
+     "chart.width"),
+    ("reconstruct", _rec_config(tolerance="1e-6"), "tolerance"),
+    ("converge", {**_CONVERGE, "tolerance": "1e-6"}, "tolerance"),
+    ("constraints", {**_CONSTRAINTS, "tolerance": "1e-6"}, "tolerance"),
+    ("curved-transport", {"chart": {"name": "flat"}, "tolerance": "1e-6",
+                          "rays": [{"p": [0, 0, 0, 0], "direction": [1, 0, 0],
+                                    "t": 1.0}]}, "tolerance"),
+    ("verify", {"suites": ["algebra"], "cases": 10,
+                "thresholds": {"algebra.clifford_relation": "1e-12"}},
+     "algebra.clifford_relation"),
+    ("reconstruct", _rec_config(data={"family": "plane-wave",
+                                      "alpha": [[1.0, 0.0], [0.3, "0.4"]]}),
+     "alpha"),
+    ("converge", {**_CONVERGE, "levels": [[8.7, 16]]}, "levels[0]"),
+    ("constraints", {**_CONSTRAINTS, "levels": [[8.7, 16]]}, "levels[0]"),
+    ("reconstruct", _rec_config(p0=[0, 0, {}, 0]), "p0"),
 ], ids=["reconstruct-kind", "converge-kind", "reconstruct-valence-7",
         "reconstruct-valence-9", "converge-valence-9",
-        "constraints-valence-fraction", "verify-cases-zero"])
+        "constraints-valence-fraction", "verify-cases-zero",
+        "n_theta-string", "n_theta-fraction", "cap-string", "fd_step-zero",
+        "eps-string", "width-string", "width-zero", "reconstruct-tolerance-string",
+        "converge-tolerance-string", "constraints-tolerance-string",
+        "curved-transport-tolerance-string", "verify-threshold-string",
+        "alpha-part-string", "converge-levels-fraction",
+        "constraints-levels-fraction", "p0-object-component"])
 def test_bad_config_value_names_key(tmp_path, capsys, command, cfg, key):
     assert _run(command, _write(tmp_path, "c.json", cfg),
                 tmp_path / "out") == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_literal_is_config_error(tmp_path, capsys, literal):
+    # json.load accepts these; a NaN tolerance would never fail its gate
+    text = json.dumps(_rec_config(tolerance="X")).replace('"X"', literal)
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert _run("reconstruct", str(path), tmp_path / "rec.json") == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "rec.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_oracle_error_fails_the_tolerance_gate(tmp_path):
+    # a Richardson step that underflows makes every value NaN
+    cfg = _rec_config(quadrature={"n_theta": 8, "n_phi": 16,
+                                  "radial_fd": "richardson", "fd_step": 1e-320})
+    out = tmp_path / "rec.json"
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg), out) == 1
+    assert all(rec["within_tolerance"] is False
+               for rec in json.loads(out.read_text())["records"])
 
 
 def test_constraints_tolerance_flags(tmp_path):
@@ -413,3 +474,79 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "algebra.clifford_relation" in proc.stdout
+
+
+# -- property: a mistyped numeric leaf never ends in a traceback -------------
+
+_TINY = {
+    "reconstruct": {"p0": [0, 0, 0, 0], "q": [[1.5, 0.4, 0.3, 0.2]], "valence": 1,
+                    "data": {"family": "plane-wave", "alpha": ALPHA,
+                             "amplitude": [0.9, 0.2]},
+                    "quadrature": {"n_theta": 8, "n_phi": 16, "cap": 0.0,
+                                   "radial_fd": "richardson", "fd_step": 1e-3},
+                    "tolerance": 1e-3},
+    "reconstruct-curved": {"p0": [0, 0, 0, 0], "q": [[1.5, 0.4, 0.3, 0.2]],
+                           "valence": 2,
+                           "data": {"family": "plane-wave", "alpha": ALPHA},
+                           "chart": {"name": "conformal", "eps": 1e-3,
+                                     "width": 2.0, "halfwidth": 10.0},
+                           "quadrature": {"n_theta": 8, "n_phi": 16}},
+    "converge": {**_CONVERGE, "tolerance": 1e-2},
+    "constraints": {**_CONSTRAINTS, "tolerance": 1e-2},
+    "curved-transport": {"chart": {"name": "conformal", "eps": 1e-2,
+                                   "width": 2.0, "halfwidth": 10.0},
+                         "rays": [{"p": [0.1, 0.25, -0.15, 0.2],
+                                   "direction": [0.3, 0.5, 0.8], "t": 1.1}],
+                         "k_steps": 1, "van_vleck": False,
+                         "frame": {"steps": 50}, "tolerance": 1e-2},
+    "verify": {"suites": ["algebra"], "cases": 20,
+               "thresholds": {"algebra.clifford_relation": 1e-12}},
+}
+
+_LEAVES = [
+    ("reconstruct", ("quadrature", "n_theta")),
+    ("reconstruct", ("quadrature", "n_phi")),
+    ("reconstruct", ("quadrature", "cap")),
+    ("reconstruct", ("quadrature", "fd_step")),
+    ("reconstruct", ("tolerance",)),
+    ("reconstruct", ("data", "alpha", 1, 0)),
+    ("reconstruct", ("data", "amplitude", 1)),
+    ("reconstruct-curved", ("chart", "eps")),
+    ("reconstruct-curved", ("chart", "width")),
+    ("reconstruct-curved", ("chart", "halfwidth")),
+    ("converge", ("levels", 0, 0)),
+    ("converge", ("levels", 0, 1)),
+    ("converge", ("tolerance",)),
+    ("constraints", ("levels", 0, 0)),
+    ("constraints", ("levels", 0, 1)),
+    ("constraints", ("tolerance",)),
+    ("curved-transport", ("chart", "eps")),
+    ("curved-transport", ("chart", "width")),
+    ("curved-transport", ("chart", "halfwidth")),
+    ("curved-transport", ("tolerance",)),
+    ("verify", ("thresholds", "algebra.clifford_relation")),
+]
+
+_SMALL = st.one_of(st.integers(-3, 40), st.floats(-50.0, 50.0))
+_WRONG = st.one_of(
+    _SMALL, st.text(max_size=4), st.none(), st.booleans(),
+    st.lists(_SMALL, max_size=3),
+    st.dictionaries(st.text(max_size=2), _SMALL, max_size=2))
+
+
+@given(leaf=st.sampled_from(_LEAVES), value=_WRONG)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_mistyped_numeric_leaf_ends_in_a_documented_exit_code(leaf, value):
+    name, path = leaf
+    cfg = copy.deepcopy(_TINY[name])
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main([name.split("-curved")[0], "--config", cfg_path,
+                         "--out", os.path.join(tmp, "out")])
+    assert code in {0, 1, 2, 3, 4}

@@ -260,6 +260,24 @@ def test_convergence_study_plane_wave():
         assert b_ <= a or max(a, b_) < floor
 
 
+def test_convergence_study_accepts_every_oracle_form():
+    # a DiracSpinorValue, its flat (phi, psi) vector and the spin forms
+    # (SymSpinorValue or component array) all give the same rows
+    pw, b, data = _dirac_setup()
+    q = Q_POINTS[2]
+    exact = orc.plane_wave_dirac(pw, q, psi_amplitude=b)
+    specs = [QuadratureSpec(8, 16), QuadratureSpec(16, 32)]
+    errors = [[r["error"] for r in convergence_study(P0, data, q, oracle, specs,
+                                                     kind="dirac")]
+              for oracle in (exact, np.concatenate([exact.phi, exact.psi]))]
+    assert errors[0] == errors[1]
+    pw2, data2 = _spin_setup(2)
+    field = orc.plane_wave_field(pw2, q)
+    errors = [[r["error"] for r in convergence_study(P0, data2, q, oracle, specs, n=2)]
+              for oracle in (field, field.components)]
+    assert errors[0] == errors[1]
+
+
 def test_convergence_study_zero_data():
     zero = ConeData(1, kind="dirac",
                     fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex))

@@ -168,3 +168,19 @@ def test_clifford_null_vector_nilpotent():
     vu = sp.clifford_mul(sp.FourVector(kvec), u)
     # V^{AA'} phi_A = alpha^A alphabar^{A'} alpha_A e-contraction = 0
     assert np.allclose(vu.psi, 0.0, atol=1e-12)
+
+
+def test_central_partials_exact_on_quadratics():
+    # a central difference is exact, up to rounding, on a quadratic
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    c = rng.standard_normal((4, 4, 2, 3))
+
+    def f(x):
+        return np.einsum("a,a...->...", x, b) + np.einsum("a,b,ab...->...", x, x, c)
+
+    x = np.array([0.3, -1.2, 0.7, 2.0])
+    d = sp.central_partials(f, x, 0.25)
+    assert d.shape == (4, 2, 3)
+    exact = b + np.einsum("b,ab...->a...", x, c) + np.einsum("a,ab...->b...", x, c)
+    assert np.max(np.abs(d - exact)) < 1e-12
