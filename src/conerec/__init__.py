@@ -4,31 +4,6 @@ The package evaluates massless spin-n/2 fields (Weyl, Dirac, Maxwell,
 and higher) at points inside a future null cone from their restriction
 to the cone, using exact integral formulas in Minkowski space and a
 transported-kernel generalization on curved backgrounds.
-
-Re-exports resolve lazily so the command-line front end can pin the
-BLAS thread count in the environment before numpy loads.
 """
 
 __version__ = "0.1.0"
-
-_EXPORTS = {name: "spinor" for name in (
-    "EPS", "ETA", "SIG", "SIG_UP", "SQRT2",
-    "SpinorVal", "FourVector", "DiracSpinorValue", "SymSpinorValue",
-    "raise_lower", "raise_comps", "lower_comps", "to_matrix", "from_matrix",
-    "lower_matrix", "minkowski", "symplectic_product", "clifford_mul",
-    "dirac_apply_fd", "sym_components", "sym_assemble",
-)}
-
-
-def __getattr__(name):
-    mod = _EXPORTS.get(name)
-    if mod is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    value = getattr(importlib.import_module(f".{mod}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

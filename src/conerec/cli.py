@@ -64,21 +64,36 @@ def _load_config(path):
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    _reject_non_finite(cfg, "config")
+    found = []
+    _nulled(cfg, "config", found)
+    if found:  # NaN, Infinity, and overflowing literals such as 1e999
+        raise ConfigError(f"{found[0][0]} is {found[0][1]!r}; NaN and Infinity "
+                          "are not valid JSON numbers")
     return cfg
 
 
-def _reject_non_finite(node, where):
-    """NaN, Infinity and overflowing literals such as 1e999 are not JSON numbers."""
+def _nulled(node, where, found):
+    """node with each non-finite float replaced by None; found gets (path, value)."""
     if isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"{where} is {node!r}; NaN and Infinity are not "
-                          "valid JSON numbers")
+        found.append((where, node))
+        return None
     if isinstance(node, dict):
-        for key, value in node.items():
-            _reject_non_finite(value, f"{where}.{key}")
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            _reject_non_finite(value, f"{where}[{i}]")
+        return {k: _nulled(v, f"{where}.{k}", found) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_nulled(v, f"{where}[{i}]", found) for i, v in enumerate(node)]
+    return node
+
+
+def _as_object(v, what):
+    if not isinstance(v, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {v!r}")
+    return v
+
+
+def _as_list(v, what):
+    if not isinstance(v, list):
+        raise ConfigError(f"{what} must be a list, got {v!r}")
+    return v
 
 
 def _need(cfg, key, command):
@@ -149,9 +164,14 @@ def _exceeds(value, tol):
 
 
 def _levels(cfg, default):
-    """The [n_theta, n_phi] refinement levels of a config, as counts."""
+    """The non-empty [n_theta, n_phi] refinement levels of a config, as counts."""
+    levels = cfg.get("levels", default)
+    if not (isinstance(levels, list) and levels
+            and all(isinstance(p, list) and len(p) == 2 for p in levels)):
+        raise ConfigError(f"levels must be a non-empty list of [n_theta, n_phi] "
+                          f"pairs, got {levels!r}")
     return [(_as_count(nt, f"levels[{i}][0]"), _as_count(nph, f"levels[{i}][1]"))
-            for i, (nt, nph) in enumerate(cfg.get("levels", default))]
+            for i, (nt, nph) in enumerate(levels)]
 
 
 def _c2j(z):
@@ -163,7 +183,7 @@ def _quadrature(cfg):
     from .reconstruct import QuadratureSpec
     keys = {"n_theta", "n_phi", "chart_mode", "cap", "radial_fd",
             "fd_step", "rho_variant"}
-    extra = set(cfg) - keys
+    extra = set(_as_object(cfg, "quadrature")) - keys
     if extra:
         raise ConfigError(f"unknown quadrature keys {sorted(extra)}")
     checks = {"n_theta": _as_count, "n_phi": _as_count, "cap": _as_finite,
@@ -179,7 +199,7 @@ def _quadrature(cfg):
 def _chart(cfg):
     from . import transport
     keys = {"name", "eps", "profile", "width", "center", "halfwidth"}
-    extra = set(cfg) - keys
+    extra = set(_as_object(cfg, "chart")) - keys
     if extra:
         raise ConfigError(f"unknown chart keys {sorted(extra)}")
     checks = {"eps": _as_finite, "width": _as_positive, "halfwidth": _as_finite}
@@ -200,7 +220,9 @@ def _cone_data(cfg, p0, valence, command):
     """
     from . import oracles
     from .nulldata import ConeData, load_cone_data
-    if "file" in cfg:
+    if "file" in _as_object(cfg, "data"):
+        if not isinstance(cfg["file"], str):
+            raise ConfigError(f"data.file must be a path string, got {cfg['file']!r}")
         try:
             data = load_cone_data(cfg["file"])
         except (OSError, ValueError) as exc:
@@ -211,7 +233,7 @@ def _cone_data(cfg, p0, valence, command):
         return data, None
     family = _need(cfg, "family", command + ".data")
     alpha = [_as_complex(a, "alpha component")
-             for a in _need(cfg, "alpha", command + ".data")]
+             for a in _as_list(_need(cfg, "alpha", command + ".data"), "data.alpha")]
     amplitude = _as_complex(cfg.get("amplitude", 1.0), "amplitude")
     try:
         spec = oracles.PlaneWaveSpec(valence, alpha, amplitude)
@@ -241,12 +263,18 @@ def _cone_data(cfg, p0, valence, command):
 # -- output writers ----------------------------------------------------------
 
 def _write_json(path, command, cfg, payload):
+    """Write the report as strict JSON; True when a non-finite value became null."""
     doc = {"command": command, "config": cfg,
            "meta": {"generated_at": _timestamp()}}
     doc.update(payload)
+    found = []
+    doc = _nulled(doc, "output", found)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
+    if found:
+        print(f"non-finite result written as null at {found[0][0]}", file=sys.stderr)
+    return bool(found)
 
 
 def _write_csv(path, header, rows):
@@ -278,7 +306,7 @@ def cmd_reconstruct(cfg, out, seed):
                               reconstruct_dirac, reconstruct_spin_n,
                               relative_error)
     p0 = _as_point(_need(cfg, "p0", "reconstruct"), "p0")
-    q_list = _need(cfg, "q", "reconstruct")
+    q_list = _as_list(_need(cfg, "q", "reconstruct"), "q")
     if not q_list:
         raise ConfigError("q list must be non-empty")
     kind, valence = _kind_and_valence(cfg)
@@ -314,10 +342,10 @@ def cmd_reconstruct(cfg, out, seed):
                 rec["within_tolerance"] = not _exceeds(err, tol)
                 failures += _exceeds(err, tol)
         records.append(rec)
-    _write_json(out, "reconstruct", cfg, {"records": records})
+    non_finite = _write_json(out, "reconstruct", cfg, {"records": records})
     print(f"reconstruct: {len(records)} records -> {out}"
           + (f" ({failures} above tolerance)" if failures else ""))
-    return EXIT_CHECK if failures else EXIT_OK
+    return EXIT_CHECK if failures or non_finite else EXIT_OK
 
 
 def cmd_constraints(cfg, out, seed):
@@ -325,7 +353,8 @@ def cmd_constraints(cfg, out, seed):
     from .nulldata import constraint_residual
     p0 = _as_point(_need(cfg, "p0", "constraints"), "p0")
     valence = _as_count(_need(cfg, "valence", "constraints"), "valence")
-    s_values = _need(cfg, "s_values", "constraints")
+    s_values = [_as_finite(s, f"s_values[{i}]") for i, s in
+                enumerate(_as_list(_need(cfg, "s_values", "constraints"), "s_values"))]
     if not s_values:
         raise ConfigError("s_values must be non-empty")
     data, _ = _cone_data(_need(cfg, "data", "constraints"), p0,
@@ -397,15 +426,18 @@ def cmd_curved_transport(cfg, out, seed):
     chart = _chart(_need(cfg, "chart", "curved-transport"))
     if chart.omega is None:
         raise ConfigError("curved-transport needs a registry chart")
-    rays = _need(cfg, "rays", "curved-transport")
+    rays = _as_list(_need(cfg, "rays", "curved-transport"), "rays")
     if not rays:
         raise ConfigError("rays must be non-empty")
     k_steps = _as_count(cfg.get("k_steps", 10), "k_steps")
-    want_vv = bool(cfg.get("van_vleck", True))
+    want_vv = cfg.get("van_vleck", True)
+    if not isinstance(want_vv, bool):
+        raise ConfigError(f"van_vleck must be true or false, got {want_vv!r}")
     vv_h = _as_positive(cfg.get("van_vleck_h", 2e-2), "van_vleck_h")
     tol = _tolerance(cfg)
     frame_cfg = cfg.get("frame")
     if frame_cfg is not None:
+        _as_object(frame_cfg, "frame")
         frame_steps = _as_count(frame_cfg.get("steps", 200), "frame.steps")
         theta = _as_finite(frame_cfg.get("theta", 0.4), "frame.theta")
         phi = _as_finite(frame_cfg.get("phi", 1.1), "frame.phi")
@@ -413,9 +445,11 @@ def cmd_curved_transport(cfg, out, seed):
     records = []
     worst_spread = 0.0
     for i, ray in enumerate(rays):
+        _as_object(ray, f"rays[{i}]")
         p = _as_point(_need(ray, "p", f"rays[{i}]"), f"rays[{i}].p")
-        d = np.asarray(_need(ray, "direction", f"rays[{i}]"), dtype=float)
-        if d.shape != (3,) or not np.any(d) or not np.all(np.isfinite(d)):
+        d = np.array([_as_finite(c, f"rays[{i}].direction") for c in _as_list(
+            _need(ray, "direction", f"rays[{i}]"), f"rays[{i}].direction")])
+        if d.shape != (3,) or not np.any(d):
             raise ConfigError(f"rays[{i}].direction must be a finite nonzero 3-vector")
         t = _as_finite(_need(ray, "t", f"rays[{i}]"), f"rays[{i}].t")
         lvec = np.concatenate([[1.0], d / np.linalg.norm(d)])
@@ -453,10 +487,10 @@ def cmd_curved_transport(cfg, out, seed):
             rec["frame"] = {"product_drift": pf.product_drift(),
                             "min_continuity": min(dots)}
         records.append(rec)
-    _write_json(out, "curved-transport", cfg, {"records": records})
+    non_finite = _write_json(out, "curved-transport", cfg, {"records": records})
     print(f"curved-transport: {len(records)} rays, worst route spread "
           f"{worst_spread:.3e} -> {out}")
-    return EXIT_CHECK if _exceeds(worst_spread, tol) else EXIT_OK
+    return EXIT_CHECK if _exceeds(worst_spread, tol) or non_finite else EXIT_OK
 
 
 # -- verify suites -----------------------------------------------------------
@@ -476,11 +510,7 @@ def _suite_algebra(rng, cases):
 
     zeta = rng.standard_normal((cases, 2)) + 1j * rng.standard_normal((cases, 2))
     xi = rng.standard_normal((cases, 2)) + 1j * rng.standard_normal((cases, 2))
-
-    def pairing(a_phi, a_psi, b_phi, b_psi):
-        return (np.einsum("na,na->n", a_phi, sp.raise_comps(b_phi))
-                + np.einsum("na,na->n", a_psi, sp.lower_comps(b_psi)))
-
+    pairing = sp.symplectic_pairing
     anti = np.max(np.abs(pairing(phi, psi, zeta, xi)
                          + pairing(zeta, xi, phi, psi)))
     q1, t1 = sp.clifford_batch(vecs, zeta, xi)
@@ -620,13 +650,13 @@ _SUITES = {"algebra": _suite_algebra, "geometry": _suite_geometry,
 
 def cmd_verify(cfg, out, seed):
     import numpy as np
-    suites = cfg.get("suites", sorted(_SUITES))
-    unknown = [s for s in suites if s not in _SUITES]
+    suites = _as_list(cfg.get("suites", sorted(_SUITES)), "suites")
+    unknown = [s for s in suites if not isinstance(s, str) or s not in _SUITES]
     if unknown:
         raise ConfigError(f"unknown suites {unknown}; "
                           f"known: {sorted(_SUITES)}")
     cases = _as_count(cfg.get("cases", 1000), "cases")
-    overrides = cfg.get("thresholds", {})
+    overrides = _as_object(cfg.get("thresholds", {}), "thresholds")
     for full, value in overrides.items():
         _as_finite(value, f"thresholds[{full!r}]")
     rng = np.random.default_rng(seed)
@@ -642,11 +672,11 @@ def cmd_verify(cfg, out, seed):
             print(f"[{'PASS' if ok else 'FAIL'}] {full}: "
                   f"residual {residual:.3e}, threshold {threshold:.3e}")
     all_pass = all(c["passed"] for c in checks)
-    _write_json(out, "verify", cfg,
-                {"checks": checks, "all_pass": all_pass, "seed": seed})
+    non_finite = _write_json(out, "verify", cfg,
+                             {"checks": checks, "all_pass": all_pass, "seed": seed})
     print(f"verify: {sum(c['passed'] for c in checks)}/{len(checks)} "
           f"checks passed -> {out}")
-    return EXIT_OK if all_pass else EXIT_CHECK
+    return EXIT_OK if all_pass and not non_finite else EXIT_CHECK
 
 
 _COMMANDS = {
@@ -680,10 +710,14 @@ def main(argv=None):
         _pin_threads(args.threads)
     handler, fmt = _COMMANDS[args.command]
     try:
-        cfg = _load_config(args.config)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        cfg = _as_object(_load_config(args.config), "config")
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, (int, float)) \
+                or seed != int(seed) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        seed = int(seed)
+        if not isinstance(cfg.get("out", ""), (str, type(None))):
+            raise ConfigError(f"out must be a path string, got {cfg['out']!r}")
         out = args.out or cfg.get("out") or f"conerec-{args.command}.{fmt}"
         return handler(cfg, out, seed)
     except ConfigError as exc:

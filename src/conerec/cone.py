@@ -21,10 +21,9 @@ import numpy as np
 
 from .errors import GeometryError
 from .frames import NPFrame, transversal_iota
-from .spinor import from_matrix, minkowski
+from .spinor import ETA, from_matrix, minkowski
 
 TWO_QUART = 2.0 ** 0.25
-ETA_DIAG = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +226,9 @@ def section_tangents(section: ConeSection, td: TangentialDerivatives):
         fld = section.p[:, comp].astype(complex)
         t_th[:, comp] = td.d_theta(fld).real
         t_ph[:, comp] = td.d_phi(fld).real
-    g11 = -np.einsum("ni,ij,nj->n", t_th, ETA_DIAG, t_th)
-    g12 = -np.einsum("ni,ij,nj->n", t_th, ETA_DIAG, t_ph)
-    g22 = -np.einsum("ni,ij,nj->n", t_ph, ETA_DIAG, t_ph)
+    g11 = -np.einsum("ni,ij,nj->n", t_th, ETA, t_th)
+    g12 = -np.einsum("ni,ij,nj->n", t_th, ETA, t_ph)
+    g22 = -np.einsum("ni,ij,nj->n", t_ph, ETA, t_ph)
     return t_th, t_ph, g11, g12, g22
 
 

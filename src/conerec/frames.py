@@ -72,14 +72,14 @@ def np_products(l, n, m) -> dict:
     }
 
 
-def tetrad_from_frame(e0, e1, e2, e3, tol: float = 1e-12) -> NPFrame:
+def tetrad_from_frame(e0, e1, e2, e3) -> NPFrame:
     """NP tetrad of an orthonormal frame: l,n = (e0 +- e1)/sqrt2, m = (e2+ie3)/sqrt2."""
     es = [np.asarray(e, dtype=float) for e in (e0, e1, e2, e3)]
     worst = 0.0
     for a in range(4):
         for b in range(4):
             worst = max(worst, abs(minkowski(es[a], es[b]) - ETA[a, b]))
-    if worst > tol:
+    if worst > 1e-12:
         raise ValueError(f"input frame not orthonormal, max deviation {worst:.3e}")
     l = (es[0] + es[1]) / np.sqrt(2.0)
     n = (es[0] - es[1]) / np.sqrt(2.0)
@@ -88,10 +88,10 @@ def tetrad_from_frame(e0, e1, e2, e3, tol: float = 1e-12) -> NPFrame:
     return NPFrame(l, n, m, o, iota)
 
 
-def _rank1_factor(mat, tol):
+def _rank1_factor(mat):
     """o with o obar^T = mat for Hermitian PSD rank-1 mat."""
     scale = np.max(np.abs(mat))
-    if abs(np.linalg.det(mat)) > tol * max(scale, 1.0) ** 2:
+    if abs(np.linalg.det(mat)) > 1e-10 * max(scale, 1.0) ** 2:
         raise ValueError("matrix is not rank one: the vector is not null")
     if mat[0, 0].real >= mat[1, 1].real:
         o0 = np.sqrt(mat[0, 0].real)
@@ -102,7 +102,7 @@ def _rank1_factor(mat, tol):
     return np.array([mat[0, 1] / o1, o1], dtype=complex)
 
 
-def spin_basis_from_tetrad(l, n, m, tol: float = 1e-10):
+def spin_basis_from_tetrad(l, n, m):
     """Spin basis (o, iota) of a normalized NP tetrad.
 
     Unique up to overall sign; fixed by requiring the largest-magnitude
@@ -110,21 +110,21 @@ def spin_basis_from_tetrad(l, n, m, tol: float = 1e-10):
     zero, positive imaginary part).
     """
     lmat = to_matrix(np.asarray(l, dtype=complex))
-    o = _rank1_factor(lmat, tol)
+    o = _rank1_factor(lmat)
     # m = o iotabar fixes iotabar given o
     mmat = to_matrix(np.asarray(m, dtype=complex))
     iotabar = o.conj() @ mmat / (o @ o.conj()).real
     iota = iotabar.conj()
     # rescale by a unit phase so that o_A iota^A = 1 exactly
     s = lower_comps(o) @ iota
-    if abs(abs(s) - 1.0) > tol:
+    if abs(abs(s) - 1.0) > 1e-10:
         raise ValueError(f"tetrad not normalized: |o_A iota^A| = {abs(s)}")
     lam = 1.0 / np.sqrt(s)
     o = lam * o
     iota = lam * iota
     nmat = to_matrix(np.asarray(n, dtype=complex))
     dev = np.max(np.abs(nmat - np.outer(iota, iota.conj())))
-    if dev > tol * max(1.0, np.max(np.abs(nmat))):
+    if dev > 1e-10 * max(1.0, np.max(np.abs(nmat))):
         raise ValueError(f"n is not the outer square of iota (off by {dev:.2e}): "
                          "degenerate or inconsistent tetrad")
     idx = int(np.argmax(np.abs(o)))

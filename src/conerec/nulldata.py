@@ -26,8 +26,8 @@ from scipy.interpolate import CubicSpline
 
 from . import cone
 from .errors import CoverageError
-from .cone import ConeSection, SphereGrid, TangentialDerivatives, ETA_DIAG
-from .spinor import lower_comps
+from .cone import ConeSection, SphereGrid, TangentialDerivatives
+from .spinor import ETA, lower_comps
 
 __all__ = [
     "ConeData", "WeightedScalarField", "radial_derivative", "richardson_dr0",
@@ -245,8 +245,8 @@ def _mbar_coefficients(section: ConeSection, td: TangentialDerivatives):
     """(a, b) with mbar = a t_theta + b t_phi per node."""
     t_th, t_ph, g11, g12, g22 = cone.section_tangents(section, td)
     mbar = np.conj(section.m)
-    b1 = -np.einsum("ni,ij,nj->n", t_th, ETA_DIAG, mbar)
-    b2 = -np.einsum("ni,ij,nj->n", t_ph, ETA_DIAG, mbar)
+    b1 = -np.einsum("ni,ij,nj->n", t_th, ETA, mbar)
+    b2 = -np.einsum("ni,ij,nj->n", t_ph, ETA, mbar)
     det = g11 * g22 - g12 ** 2
     a = (g22 * b1 - g12 * b2) / det
     b = (g11 * b2 - g12 * b1) / det
@@ -313,7 +313,7 @@ def section_spin_coefficients(section: ConeSection,
 
 
 def eth_prime(f: WeightedScalarField, section: ConeSection,
-              alpha=None, beta=None, calculus: _SectionCalculus | None = None
+              alpha=None, calculus: _SectionCalculus | None = None
               ) -> WeightedScalarField:
     """Weight-lowering angular operator on a section.
 
@@ -322,17 +322,17 @@ def eth_prime(f: WeightedScalarField, section: ConeSection,
     is the primed-frame connection coefficient in the mbar direction, the
     choice fixed by requiring exact covariance under constant frame
     rescalings and the vanishing of the total section integral for weight
-    (1,-1) arguments.  Both coefficients default to values computed from
+    (1,-1) arguments.  beta, and alpha unless given, are computed from
     the section's own frame field.
     """
     if section.grid.n_phi < 8:
         raise ValueError("need at least 8 nodes per ring")
     calc = calculus or _SectionCalculus(section)
     p, q = f.weight
-    if (alpha is None and p != 0) or (beta is None and q != 0):
+    if (alpha is None and p != 0) or q != 0:
         coef = section_spin_coefficients(section, calc)
         alpha = coef["alpha"] if alpha is None else alpha
-        beta = coef["beta"] if beta is None else beta
+        beta = coef["beta"]
     vals = f.values
     out = calc.grad_mbar(vals, f.weight)
     if p != 0:

@@ -17,7 +17,7 @@ import numpy as np
 from . import cone, spinor
 from .spinor import (ETA, SIG_UP, DiracSpinorValue, SymSpinorValue,
                      central_partials, clifford_batch, dirac_assemble,
-                     lower_comps, lower_matrix, raise_comps)
+                     lower_comps, lower_matrix, raise_comps, symplectic_pairing)
 
 __all__ = [
     "PlaneWaveSpec", "plane_wave_field", "plane_wave_tensor",
@@ -234,17 +234,16 @@ def box_bump(x, center, half):
 
 
 def bump_dirac_grids(spec: PlaneWaveSpec, center, half, n_pts: int,
-                     psi_amplitude=1.0, span_factor=1.3):
+                     psi_amplitude=1.0):
     """Bump-modulated Dirac plane wave sampled on a uniform 4D grid.
 
     The box [center - half, center + half] carries the support; the grid
-    spans span_factor times that so the outer layers are exactly zero.
+    spans 1.3 times that so the outer layers are exactly zero.
     Returns (phi, psi, h) with phi, psi of shape (N, N, N, N, 2).
     """
     center = np.asarray(center, dtype=float)
     half = np.asarray(half, dtype=float) * np.ones(4)
-    axes = [np.linspace(center[a] - span_factor * half[a],
-                        center[a] + span_factor * half[a], n_pts)
+    axes = [np.linspace(center[a] - 1.3 * half[a], center[a] + 1.3 * half[a], n_pts)
             for a in range(4)]
     h = axes[0][1] - axes[0][0]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -278,13 +277,8 @@ def dirac_symmetry_check(phi1, psi1, phi2, psi2, h: float) -> float:
     dphi1, dpsi1, interior = spinor.dirac_apply_fd(phi1, psi1, h)
     dphi2, dpsi2, _ = spinor.dirac_apply_fd(phi2, psi2, h)
 
-    def pair(pa, sa, pb, sb):
-        t1 = np.einsum("...a,...a->...", pa, raise_comps(pb))
-        t2 = np.einsum("...a,...a->...", sa, lower_comps(sb))
-        return t1 + t2
-
-    lhs = np.sum(pair(dphi1, dpsi1, phi2, psi2)[interior])
-    rhs = np.sum(pair(phi1, psi1, dphi2, dpsi2)[interior])
+    lhs = np.sum(symplectic_pairing(dphi1, dpsi1, phi2, psi2)[interior])
+    rhs = np.sum(symplectic_pairing(phi1, psi1, dphi2, dpsi2)[interior])
     return float(abs(lhs - rhs)) * h ** 4
 
 
@@ -294,9 +288,7 @@ def _dirac_fd_q(f, q, h):
     return dirac_assemble(d[:, 0], d[:, 1])
 
 
-def derivative_under_integral_check(f, p0, q, h: float,
-                                    grid: cone.SphereGrid | None = None,
-                                    n_radial: int = 24):
+def derivative_under_integral_check(f, p0, q, h: float):
     """Residuals of the two cone-integral differentiation formulas.
 
     f(q, p) -> (phi (N,2), psi (N,2)) must be smooth in both slots and
@@ -311,7 +303,8 @@ def derivative_under_integral_check(f, p0, q, h: float,
         = int_{D(q)} D^q f mu_cone + int_{sigma(q)} n.f mu_sigma/(2 r0)
 
     where D(q) is the part of the cone below sigma(q) and mu_cone its
-    Leray measure (r0/2) dr0 dOmega.  The boundary density comes from
+    Leray measure (r0/2) dr0 dOmega, on a 24x48 sphere grid with 24
+    Gauss-Legendre nodes per generator.  The boundary density comes from
     differentiating the upper limit of the generator integral, so it
     divides by twice the cone-radial coordinate r0 at the section.
     Returns a dict with residuals "section" and "solid" (max
@@ -319,8 +312,7 @@ def derivative_under_integral_check(f, p0, q, h: float,
     """
     p0 = np.asarray(p0, dtype=float)
     q = np.asarray(q, dtype=float)
-    if grid is None:
-        grid = cone.SphereGrid(24, 48)
+    grid = cone.SphereGrid(24, 48)
 
     def section_integral(qq):
         sec = cone.build_section(p0, qq, grid)
@@ -348,7 +340,7 @@ def derivative_under_integral_check(f, p0, q, h: float,
                       np.max(np.abs(lhs_psi - rhs_psi)))
 
     # solid version: radial Gauss-Legendre from the apex to the section
-    xs, ws = np.polynomial.legendre.leggauss(n_radial)
+    xs, ws = np.polynomial.legendre.leggauss(24)
     th, ph_ang, wang, _ = grid.angles()
     om = cone.unit_directions(th, ph_ang)
     lvec = np.concatenate([np.ones((om.shape[0], 1)), om], axis=1)

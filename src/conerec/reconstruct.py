@@ -69,7 +69,7 @@ class QuadratureSpec:
 
     def halved(self) -> "QuadratureSpec":
         return replace(self, n_theta=max(self.n_theta // 2, 4),
-                       n_phi=max(self.n_phi // 2, 8))
+                       n_phi=max(2 * (self.n_phi // 4), 8))
 
 
 @dataclass
@@ -165,7 +165,7 @@ def reconstruct_spin_n(p0, data: ConeData, n: int, q,
     q = np.asarray(q, dtype=float)
     (tensor,), diagnostics = _evaluate(
         lambda sp: _spin_n_tensor(p0, data, n, q, sp), data, spec)
-    value = sym_components(tensor, _STD_O, _STD_IOTA, basis_id="standard")
+    value = sym_components(tensor, _STD_O, _STD_IOTA)
     return ReconstructionResult(value=value, q=q, diagnostics=diagnostics)
 
 
@@ -333,5 +333,5 @@ def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
     chart.require_inside(q, "evaluation point")
     (tensor,), diagnostics = _evaluate(
         lambda sp: _curved_spin_tensor(chart, p0, data, n, q, sp), data, spec)
-    value = sym_components(tensor, _STD_O, _STD_IOTA, basis_id="standard")
+    value = sym_components(tensor, _STD_O, _STD_IOTA)
     return ReconstructionResult(value=value, q=q, diagnostics=diagnostics)

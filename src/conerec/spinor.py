@@ -133,12 +133,8 @@ def raise_lower(s: SpinorVal) -> SpinorVal:
     """Toggle the index position with the epsilon conventions above."""
     kind, pos = s.index_kind
     if pos == "upper":
-        # kappa_B = kappa^A eps_{AB}
-        comps = s.components @ EPS
-        return SpinorVal(comps, (kind, "lower"))
-    # kappa^A = eps^{AB} kappa_B
-    comps = EPS @ s.components
-    return SpinorVal(comps, (kind, "upper"))
+        return SpinorVal(lower_comps(s.components), (kind, "lower"))
+    return SpinorVal(raise_comps(s.components), (kind, "upper"))
 
 
 def lower_comps(upper: np.ndarray) -> np.ndarray:
@@ -180,29 +176,29 @@ def minkowski(u, v) -> complex:
     return np.einsum("...a,ab,...b->...", uc, ETA, vc)
 
 
-def symplectic_product(u: DiracSpinorValue, v: DiracSpinorValue) -> complex:
+def symplectic_pairing(phi, psi, zeta, xi):
     """(u, v) = phi_A zeta^A + psi^{A'} xi_{A'} for u = (phi, psi), v = (zeta, xi).
 
-    Antisymmetric, and Clifford multiplication is symmetric with respect
-    to it: (V.u, v) = (u, V.v).
+    Components sit on the last axis, over any leading axes.  Antisymmetric,
+    and Clifford multiplication is symmetric with respect to it:
+    (V.u, v) = (u, V.v).
     """
-    term1 = np.dot(u.phi, raise_comps(v.phi))
-    term2 = np.dot(u.psi, lower_comps(v.psi))
-    return term1 + term2
+    return (np.einsum("...a,...a->...", phi, raise_comps(zeta))
+            + np.einsum("...a,...a->...", psi, lower_comps(xi)))
+
+
+def symplectic_product(u: DiracSpinorValue, v: DiracSpinorValue) -> complex:
+    """symplectic_pairing of two DiracSpinorValues."""
+    return symplectic_pairing(u.phi, u.psi, v.phi, v.psi)
 
 
 def clifford_mul(v, u: DiracSpinorValue) -> DiracSpinorValue:
     """Clifford multiplication V . u = i sqrt(2) (V_{AA'} psi^{A'}, -V^{AA'} phi_A)."""
-    comps = v.components if isinstance(v, FourVector) else np.asarray(v, dtype=complex)
-    m_up = to_matrix(comps)
-    m_low = lower_matrix(m_up)
-    new_phi = 1j * SQRT2 * (m_low @ u.psi)
-    new_psi = -1j * SQRT2 * (m_up.T @ u.phi)
-    return DiracSpinorValue(new_phi, new_psi)
+    return DiracSpinorValue(*clifford_batch(v, u.phi, u.psi))
 
 
 def clifford_batch(vecs: np.ndarray, phi: np.ndarray, psi: np.ndarray):
-    """clifford_mul vectorized over leading axes of vecs/phi/psi."""
+    """clifford_mul over leading axes; vecs is a FourVector or a (..., 4) array."""
     m_up = to_matrix(vecs)
     m_low = lower_matrix(m_up)
     new_phi = 1j * SQRT2 * np.einsum("...ij,...j->...i", m_low, psi)
@@ -265,24 +261,24 @@ def dirac_apply_fd(phi: np.ndarray, psi: np.ndarray, h: float):
     return new_phi, new_psi, interior
 
 
-def _sym_tensor_check(t: np.ndarray, n: int, tol: float):
+def _sym_tensor_check(t: np.ndarray, n: int):
     scale = np.max(np.abs(t))
     if scale == 0.0:
         return
     worst = 0.0
     for perm in itertools.permutations(range(n)):
         worst = max(worst, np.max(np.abs(t - np.transpose(t, perm))))
-        if worst > tol * scale:
+        if worst > 1e-12 * scale:
             raise ValueError(
-                f"tensor asymmetry {worst / scale:.3e} exceeds tolerance {tol:.1e}")
+                f"tensor asymmetry {worst / scale:.3e} exceeds tolerance 1e-12")
 
 
-def sym_components(tensor: np.ndarray, o_up: np.ndarray, iota_up: np.ndarray,
-                   check_tol: float = 1e-12, basis_id: str = "standard") -> SymSpinorValue:
+def sym_components(tensor: np.ndarray, o_up: np.ndarray,
+                   iota_up: np.ndarray) -> SymSpinorValue:
     """Scalars phi_j of a symmetric lower-index valence-n spinor.
 
     phi_j contracts the tensor with (n-j) copies of o^A and j copies of
-    iota^A.  The input must be symmetric to within check_tol (relative).
+    iota^A.  The input must be symmetric to within 1e-12 (relative).
     """
     tensor = np.asarray(tensor, dtype=complex)
     n = tensor.ndim
@@ -290,7 +286,7 @@ def sym_components(tensor: np.ndarray, o_up: np.ndarray, iota_up: np.ndarray,
         raise ValueError("expected a (2,)*n tensor")
     if n > MAX_VALENCE:
         raise ValueError(f"dense symmetric tensors supported only for n <= {MAX_VALENCE}")
-    _sym_tensor_check(tensor, n, check_tol)
+    _sym_tensor_check(tensor, n)
     comps = np.empty(n + 1, dtype=complex)
     for j in range(n + 1):
         t = tensor
@@ -299,7 +295,7 @@ def sym_components(tensor: np.ndarray, o_up: np.ndarray, iota_up: np.ndarray,
         for _ in range(j):
             t = np.tensordot(iota_up, t, axes=(0, 0))
         comps[j] = t
-    return SymSpinorValue(n, comps, basis_id)
+    return SymSpinorValue(n, comps)
 
 
 def sym_assemble(value: SymSpinorValue, o_up: np.ndarray, iota_up: np.ndarray) -> np.ndarray:

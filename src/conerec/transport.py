@@ -32,7 +32,7 @@ from . import _backend as kernels
 from ._backend import rk4_step
 from .errors import GeometryError
 from .frames import NPFrame, spin_basis_from_tetrad
-from .spinor import central_partials
+from .spinor import ETA, central_partials
 
 __all__ = [
     "CurvedChart", "GeodesicPath", "TransportState", "ParallelFrames",
@@ -42,8 +42,9 @@ __all__ = [
     "transport_k", "van_vleck_k", "conformal_k", "transport_spin_frame",
 ]
 
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 TWO_PI = 2.0 * math.pi
+# RK4 steps of one endpoint shoot over the [0, 1] affine range
+SHOOT_STEPS = 48
 
 
 @dataclass
@@ -66,7 +67,6 @@ class CurvedChart:
     name: str = "custom"
     omega: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_ln_omega: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float).reshape(4)
@@ -95,7 +95,7 @@ class CurvedChart:
     def connection(self, x) -> np.ndarray:
         if self.christoffel is not None:
             return self.christoffel(x)
-        return christoffel_fd(self.metric, x, self.fd_step)
+        return christoffel_fd(self.metric, x, 1e-5)
 
 
 @dataclass
@@ -263,6 +263,25 @@ def _geodesic_rhs(chart: CurvedChart):
     return f
 
 
+def _integrate(chart: CurvedChart, rhs, y, s_end: float, steps: int, what: str):
+    """Fixed-step RK4 samples of dy/ds = rhs(stage, y) over [0, s_end].
+
+    y is a list of arrays whose first entry is the chart position; the
+    position is checked against the box after every step, and the first
+    step that leaves it raises GeometryError naming `what`.  Returns one
+    (steps + 1, ...) array per entry of y, starting with y itself.
+    """
+    h = s_end / steps
+    samples = [y]
+    for i in range(steps):
+        y = rk4_step(rhs, y, h)
+        if not chart.contains(y[0]):
+            raise GeometryError(f"{what} left the chart domain at "
+                                f"s = {(i + 1) * h:.6g}, x = {y[0]}")
+        samples.append(y)
+    return [np.array(entry) for entry in zip(*samples)]
+
+
 def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
                    steps: int = 200) -> GeodesicPath:
     """Integrate the geodesic from (p, v) to affine parameter s_end.
@@ -275,18 +294,8 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
     if steps < 1:
         raise ValueError("steps must be positive")
     chart.require_inside(p, "geodesic start")
-    h = s_end / steps
-    xs = np.empty((steps + 1, 4))
-    vs = np.empty((steps + 1, 4))
-    xs[0], vs[0] = p, v
-    rhs = _geodesic_rhs(chart)
-    x, u = p.copy(), v.copy()
-    for i in range(steps):
-        x, u = rk4_step(rhs, (x, u), h)
-        if not chart.contains(x):
-            raise GeometryError(f"geodesic left the chart domain at "
-                                f"s = {(i + 1) * h:.6g}, x = {x}")
-        xs[i + 1], vs[i + 1] = x, u
+    xs, vs = _integrate(chart, _geodesic_rhs(chart), [p, v], s_end, steps,
+                        "geodesic")
     return GeodesicPath(np.linspace(0.0, s_end, steps + 1), xs, vs, chart)
 
 
@@ -309,16 +318,15 @@ def _shoot_endpoint(chart: CurvedChart, p, v, s_end: float, steps: int):
     return x, u
 
 
-def _connect(chart: CurvedChart, p, q, steps: int = 48, tol: float = 1e-13,
-             max_iter: int = 60):
+def _connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS, max_iter: int = 60):
     """[0, 1]-affine initial velocities of the geodesics from p to q.
 
     p and q are (B, 4) rows of point pairs.  Fixed-point iteration with
     the flat-chart endpoint Jacobian: the map v -> x(1; p, v) differs
     from p + v at the size of the connection, so v <- v - (x(1) - q)
     contracts on weakly curved charts.  Every pair iterates on its own:
-    it stops once its residual is within tol, and growth of its residual
-    halves its step.  A pair that does not converge raises.
+    it stops once its residual is within 1e-13 of the point scale, and
+    growth of its residual halves its step.  A stuck pair raises.
     """
     chart.require_inside(p, "connection start")
     chart.require_inside(q, "connection target")
@@ -333,7 +341,7 @@ def _connect(chart: CurvedChart, p, q, steps: int = 48, tol: float = 1e-13,
         rn = np.max(np.abs(res), axis=1)
         res[rn > 0.9 * prev[live]] *= 0.5
         prev[live] = rn
-        going = ~(rn <= tol * scale[live])
+        going = ~(rn <= 1e-13 * scale[live])
         live, res = live[going], res[going]
         if not live.size:
             return v
@@ -343,7 +351,7 @@ def _connect(chart: CurvedChart, p, q, steps: int = 48, tol: float = 1e-13,
                         f"converge (residual {prev[i]:.2e})")
 
 
-def world_function(chart: CurvedChart, p, q, steps: int = 48):
+def world_function(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS):
     """World function with the [0, 1] affine convention.
 
     Gamma(p, q) = g_p(v, v) for the initial velocity v of the geodesic
@@ -362,8 +370,7 @@ def world_function(chart: CurvedChart, p, q, steps: int = 48):
     return float(w[0]) if single else w
 
 
-def world_function_gradient_check(chart: CurvedChart, p, q, h: float,
-                                  steps: int = 48) -> float:
+def world_function_gradient_check(chart: CurvedChart, p, q, h: float) -> float:
     """Residual of the eikonal identity g^{ab} W_{,a} W_{,b} = 4 W.
 
     The gradient is taken in the second slot by central differences with
@@ -371,14 +378,13 @@ def world_function_gradient_check(chart: CurvedChart, p, q, h: float,
     """
     q = np.asarray(q, dtype=float).reshape(4)
     step = h * np.eye(4)
-    w = world_function(chart, p, np.vstack([q, q + step, q - step]), steps=steps)
+    w = world_function(chart, p, np.vstack([q, q + step, q - step]))
     grad = (w[1:5] - w[5:]) / (2.0 * h)
     ginv = np.linalg.inv(chart.metric(q))
     return float(grad @ ginv @ grad - 4.0 * w[0])
 
 
-def null_connect(chart: CurvedChart, p, q, steps: int = 48,
-                 null_tol: float = 1e-8):
+def null_connect(chart: CurvedChart, p, q):
     """Null geodesic from p to q: initial velocity v (v^0 = 1) and affine t.
 
     geodesic_shoot(chart, p, v, t) lands on q.  Raises GeometryError when
@@ -387,10 +393,10 @@ def null_connect(chart: CurvedChart, p, q, steps: int = 48,
     """
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
-    v01 = _connect(chart, p[None], q[None], steps=steps)[0]
+    v01 = _connect(chart, p[None], q[None])[0]
     gam = float(v01 @ chart.metric(p) @ v01)
     scale = max(float(np.max(np.abs(q - p))), 1e-30) ** 2
-    if abs(gam) > null_tol * scale:
+    if abs(gam) > 1e-8 * scale:
         kind = "timelike" if gam > 0 else "spacelike"
         raise GeometryError(f"p and q are {kind}-separated "
                             f"(world function {gam:.3e}); no null geodesic")
@@ -441,9 +447,8 @@ def _wf_box(chart: CurvedChart, q, xs, h: float, steps: int):
     return box
 
 
-def transport_k(chart: CurvedChart, q, p, steps: int = 10, s0: float = 0.05,
-                fd_step: Optional[float] = None, shoot_steps: int = 48,
-                v01: Optional[np.ndarray] = None):
+def transport_k(chart: CurvedChart, q, p, steps: int = 10,
+                shoot_steps: int = SHOOT_STEPS, v01: Optional[np.ndarray] = None):
     """Transport coefficient k_q along the null geodesic from q to p.
 
     On the connecting geodesic grad W_q reduces to 2 s gdot, so the
@@ -451,8 +456,9 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10, s0: float = 0.05,
 
         dk/ds = -(box W_q - 8) k / (4 s),      k(0+) = 1/(2 pi),
 
-    integrated with the geodesic by RK4 from s = s0, where the vertex
-    value is imposed (the right side is O(s) there).  The geodesic does
+    integrated with the geodesic by RK4 from s = s0 = 0.05, where the
+    vertex value is imposed (the right side is O(s) there); box W_q is
+    differenced with step 1e-3 times the chart scale.  The geodesic does
     not depend on k, so it is integrated first and box W_q is evaluated
     at all its RK4 stage points in one batch.  v01, the [0, 1]-affine
     initial velocity of that geodesic, is connected here unless the
@@ -463,8 +469,7 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10, s0: float = 0.05,
     p = np.asarray(p, dtype=float).reshape(4)
     if v01 is None:
         v01 = _connect(chart, q[None], p[None], steps=shoot_steps)[0]
-    if fd_step is None:
-        fd_step = 1e-3 * chart.scale
+    s0 = 0.05
     x, u = _shoot_endpoint(chart, q[None], np.reshape(v01, (1, 4)), s0,
                            max(4, shoot_steps // 8))
     x, u = x[0], u[0]
@@ -478,7 +483,8 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10, s0: float = 0.05,
 
     for _ in range(steps):
         x, u = rk4_step(record, (x, u), h)
-    box = _wf_box(chart, q, np.array(stages), fd_step, shoot_steps).reshape(steps, 4)
+    box = _wf_box(chart, q, np.array(stages), 1e-3 * chart.scale,
+                  shoot_steps).reshape(steps, 4)
     ds = (0.0, 0.5 * h, 0.5 * h, h)
 
     s_nodes = np.empty(steps + 1)
@@ -499,7 +505,7 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10, s0: float = 0.05,
 
 
 def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
-                steps: int = 48) -> float:
+                steps: int = SHOOT_STEPS) -> float:
     """k from the van Vleck determinant, independent of the transport ODE.
 
     Delta = -det(-[W_{,a b'}]/2) / sqrt(-det g_p) sqrt(-det g_q) with the
@@ -528,7 +534,7 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
     return math.sqrt(delta) / TWO_PI
 
 
-def conformal_k(chart: CurvedChart, q, p, quad_n: int = 32) -> float:
+def conformal_k(chart: CurvedChart, q, p) -> float:
     """Closed form of k on a conformally flat chart.
 
     For g = omega^2 eta and null-separated q, p the van Vleck square
@@ -544,7 +550,7 @@ def conformal_k(chart: CurvedChart, q, p, quad_n: int = 32) -> float:
         raise ValueError("conformal_k needs a chart with a conformal factor")
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_n)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
     u = 0.5 * (nodes + 1.0)
     om2 = chart.omega(q + u[:, None] * (p - q)) ** 2
     ibar = 0.5 * float(weights @ om2)
@@ -602,17 +608,9 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
     if chart.omega is None:
         raise ValueError("spin-basis extraction needs a conformal chart "
                          "(vierbein = omega * identity)")
-    h = s_end / steps
     # legs as a real (4, 4) block: l, n, Re m, Im m
     legs = np.vstack([frame.l.real.astype(float), frame.n.real.astype(float),
                       frame.m.real.astype(float), frame.m.imag.astype(float)])
-    xs = np.empty((steps + 1, 4))
-    vs = np.empty((steps + 1, 4))
-    ls = np.empty((steps + 1, 4))
-    ns = np.empty((steps + 1, 4))
-    ms = np.empty((steps + 1, 4), dtype=complex)
-    xs[0], vs[0] = p, v
-    ls[0], ns[0], ms[0] = frame.l, frame.n, frame.m
 
     def rhs(stage, y):
         x, u, V = y
@@ -621,15 +619,9 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
         dV = -np.einsum("abc,b,ic->ia", gam, u, V)
         return u, du, dV
 
-    x, u, V = p.copy(), v.copy(), legs.copy()
-    for i in range(steps):
-        x, u, V = rk4_step(rhs, (x, u, V), h)
-        if not chart.contains(x):
-            raise GeometryError(f"transport left the chart domain at "
-                                f"s = {(i + 1) * h:.6g}, x = {x}")
-        xs[i + 1], vs[i + 1] = x, u
-        ls[i + 1], ns[i + 1] = V[0], V[1]
-        ms[i + 1] = V[2] + 1j * V[3]
+    xs, vs, Vs = _integrate(chart, rhs, [p, v, legs], s_end, steps, "transport")
+    ls, ns = Vs[:, 0], Vs[:, 1]
+    ms = Vs[:, 2] + 1j * Vs[:, 3]
     path = GeodesicPath(np.linspace(0.0, s_end, steps + 1), xs, vs, chart)
     os = np.empty((steps + 1, 2), dtype=complex)
     iotas = np.empty((steps + 1, 2), dtype=complex)

@@ -254,6 +254,36 @@ _CONSTRAINTS = {"p0": [0, 0, 0, 0], "valence": 1, "s_values": [0.8],
     ("converge", {**_CONVERGE, "levels": [[8.7, 16]]}, "levels[0]"),
     ("constraints", {**_CONSTRAINTS, "levels": [[8.7, 16]]}, "levels[0]"),
     ("reconstruct", _rec_config(p0=[0, 0, {}, 0]), "p0"),
+    ("reconstruct", _rec_config(q=5), "q"),
+    ("reconstruct", _rec_config(data=5), "data"),
+    ("reconstruct", _rec_config(data={"family": "plane-wave", "alpha": 3}), "alpha"),
+    ("reconstruct", _rec_config(data={"file": 5}), "data.file"),
+    # the parent named these keys only inside per-character key lists
+    ("reconstruct", _rec_config(quadrature=[8, 16]), "quadrature must"),
+    ("reconstruct", _rec_config(chart="flat"), "chart must"),
+    ("reconstruct", _rec_config(seed=None), "seed"),
+    ("reconstruct", _rec_config(seed=1.5), "seed"),
+    ("reconstruct", _rec_config(seed=-1), "seed"),
+    ("reconstruct", _rec_config(out=["x"]), "out"),
+    ("curved-transport", {"chart": {"name": "flat"}, "frame": [1],
+                          "rays": [{"p": [0, 0, 0, 0], "direction": [1, 0, 0],
+                                    "t": 1.0}]}, "frame"),
+    ("curved-transport", {"chart": {"name": "flat"}, "rays": {"p": 1}}, "rays"),
+    ("curved-transport", {"chart": {"name": "flat"}, "rays": [5]}, "rays[0]"),
+    ("curved-transport", {"chart": {"name": "flat"},
+                          "rays": [{"p": [0, 0, 0, 0], "direction": "abc",
+                                    "t": 1.0}]}, "rays[0].direction"),
+    ("curved-transport", {"chart": {"name": "flat"}, "van_vleck": "no",
+                          "rays": [{"p": [0, 0, 0, 0], "direction": [1, 0, 0],
+                                    "t": 1.0}]}, "van_vleck"),
+    ("converge", {**_CONVERGE, "levels": 5}, "levels"),
+    ("converge", {**_CONVERGE, "levels": [8, 16]}, "levels"),
+    ("converge", {**_CONVERGE, "levels": [[8]]}, "levels"),
+    ("converge", {**_CONVERGE, "levels": []}, "levels"),
+    ("constraints", {**_CONSTRAINTS, "s_values": ["a"]}, "s_values"),
+    ("verify", {"suites": 5}, "suites"),
+    ("verify", {"suites": "algebra"}, "suites must"),
+    ("verify", {"suites": ["algebra"], "thresholds": [1]}, "thresholds"),
 ], ids=["reconstruct-kind", "converge-kind", "reconstruct-valence-7",
         "reconstruct-valence-9", "converge-valence-9",
         "constraints-valence-fraction", "verify-cases-zero",
@@ -262,7 +292,13 @@ _CONSTRAINTS = {"p0": [0, 0, 0, 0], "valence": 1, "s_values": [0.8],
         "converge-tolerance-string", "constraints-tolerance-string",
         "curved-transport-tolerance-string", "verify-threshold-string",
         "alpha-part-string", "converge-levels-fraction",
-        "constraints-levels-fraction", "p0-object-component"])
+        "constraints-levels-fraction", "p0-object-component",
+        "q-number", "data-number", "alpha-number", "data-file-number",
+        "quadrature-list", "chart-string", "seed-null", "seed-fraction",
+        "seed-negative", "out-list", "frame-list", "rays-object",
+        "rays-entry-number", "direction-string", "van_vleck-string",
+        "levels-number", "levels-flat-pair", "levels-short-pair", "levels-empty",
+        "s_values-string", "suites-number", "suites-string", "thresholds-list"])
 def test_bad_config_value_names_key(tmp_path, capsys, command, cfg, key):
     assert _run(command, _write(tmp_path, "c.json", cfg),
                 tmp_path / "out") == 2
@@ -289,6 +325,31 @@ def test_nan_oracle_error_fails_the_tolerance_gate(tmp_path):
     assert _run("reconstruct", _write(tmp_path, "c.json", cfg), out) == 1
     assert all(rec["within_tolerance"] is False
                for rec in json.loads(out.read_text())["records"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_result_is_written_as_null(tmp_path, capsys):
+    # strict JSON has no NaN token; without a tolerance the run still fails
+    cfg = _rec_config(quadrature={"n_theta": 8, "n_phi": 16,
+                                  "radial_fd": "richardson", "fd_step": 1e-320})
+    cfg.pop("tolerance")
+    out = tmp_path / "rec.json"
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg), out) == 1
+
+    def no_constant(token):
+        raise ValueError(f"bare {token} token in the output")
+
+    doc = json.loads(out.read_text(), parse_constant=no_constant)
+    assert all(rec["oracle_error"] is None for rec in doc["records"])
+    assert "output.records[0]" in capsys.readouterr().err
+
+
+def test_reconstruct_n_phi_not_a_multiple_of_four(tmp_path):
+    # the half-resolution estimate must keep n_phi even: 18 halves to 8, not 9
+    cfg = _rec_config(quadrature={"n_theta": 16, "n_phi": 18})
+    cfg.pop("tolerance")
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
+                tmp_path / "rec.json") == 0
 
 
 def test_constraints_tolerance_flags(tmp_path):
@@ -476,7 +537,7 @@ def test_console_entry_point(tmp_path):
     assert "algebra.clifford_relation" in proc.stdout
 
 
-# -- property: a mistyped numeric leaf never ends in a traceback -------------
+# -- property: a mistyped leaf or block never ends in a traceback -----------
 
 _TINY = {
     "reconstruct": {"p0": [0, 0, 0, 0], "q": [[1.5, 0.4, 0.3, 0.2]], "valence": 1,
@@ -525,6 +586,16 @@ _LEAVES = [
     ("curved-transport", ("chart", "halfwidth")),
     ("curved-transport", ("tolerance",)),
     ("verify", ("thresholds", "algebra.clifford_relation")),
+    ("reconstruct", ("data",)),
+    ("reconstruct", ("quadrature",)),
+    ("reconstruct-curved", ("chart",)),
+    ("curved-transport", ("chart",)),
+    ("curved-transport", ("frame",)),
+    ("curved-transport", ("rays",)),
+    ("converge", ("levels",)),
+    ("constraints", ("levels",)),
+    ("verify", ("suites",)),
+    ("verify", ("thresholds",)),
 ]
 
 _SMALL = st.one_of(st.integers(-3, 40), st.floats(-50.0, 50.0))
