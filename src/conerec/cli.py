@@ -14,7 +14,8 @@ Configs are JSON; complex numbers are [re, im] pairs.  Outputs are
 deterministic for a fixed config and seed: the only wall-clock content
 is the generated_at stamp (JSON metadata field, or a leading # comment
 line in CSV).  Exit codes: 0 success, 1 tolerance or check failure,
-2 config error, 3 geometry-domain error, 4 data-coverage error.
+2 config error, 3 geometry-domain error, 4 data-coverage error, 5
+internal error (any other exception, reported in one line).
 
 Heavy imports happen after argument parsing so --threads can pin the
 BLAS pool size in the environment before numpy loads.
@@ -36,6 +37,7 @@ EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_GEOMETRY = 3
 EXIT_COVERAGE = 4
+EXIT_INTERNAL = 5
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -378,7 +380,8 @@ def cmd_constraints(cfg, out, seed):
     _write_csv(out, header, rows)
     worst = max(tables[-1].values())
     print(f"constraints: finest residual {worst:.3e} -> {out}")
-    return EXIT_CHECK if _exceeds(worst, tol) else EXIT_OK
+    finite = all(math.isfinite(r) for t in tables for r in t.values())
+    return EXIT_CHECK if _exceeds(worst, tol) or not finite else EXIT_OK
 
 
 def cmd_converge(cfg, out, seed):
@@ -403,7 +406,8 @@ def cmd_converge(cfg, out, seed):
              for r, o in zip(rows, orders)]
     _write_csv(out, ["n_theta", "n_phi", "rel_error", "order"], table)
     print(f"converge: finest rel_error {errors[-1]:.3e} -> {out}")
-    return EXIT_CHECK if _exceeds(errors[-1], tol) else EXIT_OK
+    return EXIT_CHECK if _exceeds(errors[-1], tol) \
+        or not all(map(math.isfinite, errors)) else EXIT_OK
 
 
 def _chart_frame(chart, p, theta, phi):
@@ -455,17 +459,23 @@ def cmd_curved_transport(cfg, out, seed):
         lvec = np.concatenate([[1.0], d / np.linalg.norm(d)])
         q = p + t * lvec
         chart.require_inside(q, f"rays[{i}] endpoint")
-        v, affine = transport.null_connect(chart, q, p)
-        _, k_nodes = transport.transport_k(chart, q, p, steps=k_steps, v01=v * affine)
+        _, affine, prop = transport.null_connect(chart, q, p, return_propagator=True)
+        _, k_nodes = transport.transport_k(chart, q, p, steps=k_steps, propagator=prop)
         k_ode = float(k_nodes[-1])
         k_closed = float(transport.conformal_k(chart, q, p))
         ks = [k_ode, k_closed]
         rec = {"p": p.tolist(), "q": q.tolist(), "affine_parameter": affine,
                "k_ode": k_ode, "k_closed_form": k_closed}
+        work = {"null_connect": prop.work}
         if want_vv:
-            k_vv = float(transport.van_vleck_k(chart, q, p, h=vv_h))
+            k_vv, work["van_vleck"] = transport.van_vleck_k(
+                chart, q, p, h=vv_h, propagator=prop, return_work=True)
             rec["k_van_vleck"] = k_vv
             ks.append(k_vv)
+        stages = list(work.values())
+        rec["diagnostics"] = {
+            **work, "worst_connect_residual": max(w["worst_connect_residual"] for w in stages),
+            "world_function_calls": sum(w.get("world_function_calls", 0) for w in stages)}
         rec["flat_deviation"] = abs(2.0 * math.pi * k_closed - 1.0)
         rec["route_spread"] = max(ks) - min(ks)
         worst_spread = max(worst_spread, rec["route_spread"])
@@ -732,6 +742,10 @@ def main(argv=None):
     except (KeyError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # a fault of the program: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

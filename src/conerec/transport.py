@@ -1,16 +1,19 @@
 """Geodesic transport on weakly curved charts.
 
 A chart is a Lorentzian metric given as a callable on a boxed
-coordinate domain.  On top of an RK4 geodesic integrator this module
-builds the two-point machinery the curved reconstructor consumes:
-null connection between chart points, the world function with the
-[0, 1] affine convention (so its flat value is the coordinate
+coordinate domain.  On an RK4 geodesic integrator that can also carry
+the geodesic-deviation equations (the Jacobi propagator) this module
+builds the two-point machinery the curved reconstructor consumes: null
+connection by Newton's method on that propagator, the world function
+with the [0, 1] affine convention (its flat value is the coordinate
 interval), the transport coefficient k obtained by integrating
 
     2 <grad W, grad k> + (box W - 8) k = 0,      k -> 1/(2 pi)
 
-along null generators, and parallel transport of NP frames with a
-continuity-fixed spin basis.
+along null generators with box W in closed form on the propagator,
+and parallel transport of NP frames with a continuity-fixed spin basis.
+The van Vleck determinant of differenced world functions and, on
+conformal charts, a closed form give k by two independent routes.
 
 Charts come from a small registry: "flat" and "conformal" with
 metric (1 + eps f)^2 eta for a named smooth profile f.  Conformal
@@ -52,9 +55,10 @@ class CurvedChart:
     """Lorentzian metric on the coordinate box [lo, hi]^4.
 
     metric maps a point to the symmetric 4x4 matrix g_{ab}; christoffel,
-    when given, maps a point to Gamma^a_{bc} (first index up) and
-    otherwise central differences of the metric are used.  omega and
-    grad_ln_omega are set by the registry for conformally flat charts,
+    when given, maps a point to Gamma^a_{bc} (first index up), and
+    christoffel_grad to partial_d Gamma^a_{bc} as [d, a, b, c]; Richardson
+    differences of the metric and of the connection stand in for them.
+    omega and grad_ln_omega are set by the registry for conformally flat charts,
     g = omega^2 eta; they take (..., 4) arrays, enable exact shortcuts,
     and send endpoint shoots through the batched kernel.  Leave them
     None for a general metric, whose shoots run row by row.
@@ -67,6 +71,7 @@ class CurvedChart:
     name: str = "custom"
     omega: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_ln_omega: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    christoffel_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float).reshape(4)
@@ -95,7 +100,13 @@ class CurvedChart:
     def connection(self, x) -> np.ndarray:
         if self.christoffel is not None:
             return self.christoffel(x)
-        return christoffel_fd(self.metric, x, 1e-5)
+        return christoffel_fd(self.metric, x, 1e-3)
+
+    def connection_grad(self, x) -> np.ndarray:
+        """partial_d Gamma^a_{bc} at x, indexed [d, a, b, c]."""
+        if self.christoffel_grad is not None:
+            return self.christoffel_grad(x)
+        return central_partials(self.connection, x, 1e-3, richardson=True)
 
 
 @dataclass
@@ -110,12 +121,15 @@ class TransportState:
 
 @dataclass
 class GeodesicPath:
-    """RK4 geodesic samples: s (N+1,), x and v (N+1, 4)."""
+    """RK4 geodesic samples: s (N+1,), x and v (N+1, 4); a Jacobi propagator
+    adds jacobi (N+1, 8, 8) = d(x, v) / d(x0, v0) and its Newton connect's work."""
 
     s: np.ndarray
     x: np.ndarray
     v: np.ndarray
     chart: CurvedChart
+    jacobi: Optional[np.ndarray] = None
+    work: Optional[dict] = None
 
     @property
     def final(self) -> TransportState:
@@ -129,10 +143,10 @@ class GeodesicPath:
 
 
 def christoffel_fd(metric, x, h: float) -> np.ndarray:
-    """Gamma^a_{bc} from central differences of the metric."""
+    """Gamma^a_{bc} from Richardson central differences of the metric, O(h^4)."""
     x = np.asarray(x, dtype=float)
     ginv = np.linalg.inv(metric(x))
-    dg = central_partials(metric, x, h)
+    dg = central_partials(metric, x, h, richardson=True)
     # Gamma_{dbc} = (g_{db,c} + g_{dc,b} - g_{bc,d}) / 2
     low = 0.5 * (np.einsum("cdb->dbc", dg) + np.einsum("bdc->dbc", dg)
                  - np.einsum("dbc->dbc", dg))
@@ -153,11 +167,11 @@ def check_signature(chart: CurvedChart, points) -> None:
 
 # -- chart registry ------------------------------------------------------
 
-def _profile(profile: str, width: float, center) -> tuple:
-    """Smooth bounded bump on (..., 4) arrays: f, and f_grad = (f, grad f).
+def _profile(profile: str, width: float, center):
+    """Smooth bounded bump on (..., 4) arrays.
 
-    Whoever needs the coordinate gradient also needs the value, so
-    f_grad returns both from one evaluation.
+    jet(x, order) returns f and its first `order` (at most 2) derivatives,
+    (f, grad f, Hessian of f), from one evaluation.
     """
     if not width ** 2 > 0.0:
         raise ValueError(f"profile width {width!r} must be nonzero and not "
@@ -167,43 +181,39 @@ def _profile(profile: str, width: float, center) -> tuple:
         # (d * d) @ k is -|d|^2 / width^2 over the last axis in one call
         k = np.full(4, -1.0 / width ** 2)
 
-        def f(x):
-            d = np.asarray(x, dtype=float) - c
-            return np.exp((d * d) @ k)
-
-        def f_grad(x):
+        def jet(x, order=2):
             d = np.asarray(x, dtype=float) - c
             fx = np.exp((d * d) @ k)
-            return fx, (fx * (-2.0 / width ** 2))[..., None] * d
+            grad = (fx * (-2.0 / width ** 2))[..., None] * d
+            if order < 2:
+                return (fx, grad)[:order + 1]
+            return fx, grad, (grad[..., :, None] * (d * (-2.0 / width ** 2))[..., None, :]
+                              + (-2.0 / width ** 2) * fx[..., None, None] * _EYE)
     elif profile == "sine":
-        def f(x):
-            d = (np.asarray(x, dtype=float) - c) / width
-            return (np.sin(d[..., 0]) * np.cos(d[..., 1]) * np.cos(d[..., 2])
-                    * np.cos(d[..., 3]))
-
-        def f_grad(x):
+        def jet(x, order=2):
+            # f is a product of one factor per coordinate (sin, cos, cos, cos),
+            # and each derivative differentiates one factor once more
             d = (np.asarray(x, dtype=float) - c) / width
             s, co = np.sin(d), np.cos(d)
-            fx = s[..., 0] * co[..., 1] * co[..., 2] * co[..., 3]
-            g = np.stack([co[..., 0] * co[..., 1] * co[..., 2] * co[..., 3],
-                          -s[..., 0] * s[..., 1] * co[..., 2] * co[..., 3],
-                          -s[..., 0] * co[..., 1] * s[..., 2] * co[..., 3],
-                          -s[..., 0] * co[..., 1] * co[..., 2] * s[..., 3]], axis=-1)
-            return fx, g / width
+            fac = np.concatenate([s[..., :1], co[..., 1:]], axis=-1)
+            jets = np.stack([fac, np.concatenate([co[..., :1], -s[..., 1:]], axis=-1),
+                             -fac], axis=-2)
+            return tuple(np.prod(jets[..., n, np.arange(4)], axis=-1) / width ** m
+                         for m, n in enumerate(_DERIVATIVE_ORDERS[:order + 1]))
     else:
         raise ValueError(f"unknown conformal profile {profile!r}")
-    return f, f_grad
+    return jet
 
 
-def _conformal_christoffel(w: np.ndarray) -> np.ndarray:
-    """Gamma^a_{bc} of g = omega^2 eta from w_a = partial_a ln omega."""
-    gam = np.zeros((4, 4, 4))
-    for a in range(4):
-        gam[a, a, :] += w
-        gam[a, :, a] += w
-    w_up = np.diag(ETA) * w
-    gam -= np.einsum("bc,a->abc", ETA, w_up)
-    return gam
+_EYE = np.eye(4)
+# [..., m]: how often f, d/dx^i and d^2/dx^i dx^j differentiate factor m
+_DERIVATIVE_ORDERS = (0, np.eye(4, dtype=int),
+                      np.eye(4, dtype=int)[:, None, :] + np.eye(4, dtype=int)[None, :, :])
+# Gamma^a_{bc} = delta^a_b w_c + delta^a_c w_b - eta_{bc} eta^{ad} w_d is
+# linear in w = grad ln omega for g = omega^2 eta: [d, abc] multiplies w_d,
+# and the Hessian of ln omega in place of w gives partial_d Gamma^a_{bc}
+_CONFORMAL_GAMMA = (np.einsum("ab,cd->dabc", _EYE, _EYE) + np.einsum("ac,bd->dabc", _EYE, _EYE)
+                    - np.einsum("bc,ad->dabc", ETA, ETA)).reshape(4, 64)
 
 
 def make_chart(name: str, eps: float = 0.0, profile: str = "gaussian",
@@ -212,7 +222,8 @@ def make_chart(name: str, eps: float = 0.0, profile: str = "gaussian",
     """Build a registered chart: "flat" or "conformal".
 
     The conformal chart has metric (1 + eps f)^2 eta with f the named
-    profile; eps must keep 1 + eps f positive on the whole box.
+    profile; eps must keep 1 + eps f positive on the whole box.  Both
+    carry their connection and its gradient in closed form.
     """
     lo = np.full(4, -halfwidth)
     hi = np.full(4, halfwidth)
@@ -221,29 +232,38 @@ def make_chart(name: str, eps: float = 0.0, profile: str = "gaussian",
                             christoffel=lambda x: np.zeros((4, 4, 4)),
                             name="flat",
                             omega=lambda x: np.ones(np.shape(x)[:-1])[()],
-                            grad_ln_omega=lambda x: np.zeros(np.shape(x)))
+                            grad_ln_omega=lambda x: np.zeros(np.shape(x)),
+                            christoffel_grad=lambda x: np.zeros((4, 4, 4, 4)))
     elif name == "conformal":
         if not -1.0 < eps < 1.0:
             raise ValueError("eps must satisfy |eps| < 1 for a positive factor")
-        f, f_grad = _profile(profile, width, center)
+        jet = _profile(profile, width, center)
 
         def omega(x):
-            return 1.0 + eps * f(x)
+            return 1.0 + eps * jet(x, 0)[0]
 
         def grad_ln_omega(x):
-            fx, grad = f_grad(x)
+            fx, grad = jet(x, 1)
             return (eps / (1.0 + eps * fx))[..., None] * grad
 
         def metric(x):
             return omega(x) ** 2 * ETA
 
         def christoffel(x):
-            return _conformal_christoffel(grad_ln_omega(x))
+            return (grad_ln_omega(x) @ _CONFORMAL_GAMMA).reshape(np.shape(x)[:-1] + (4, 4, 4))
+
+        def christoffel_grad(x):
+            fx, grad, hess = jet(x)
+            w = (eps / (1.0 + eps * fx))[..., None] * grad
+            hess_ln = ((eps / (1.0 + eps * fx))[..., None, None] * hess
+                       - w[..., :, None] * w[..., None, :])
+            return (hess_ln @ _CONFORMAL_GAMMA).reshape(np.shape(x)[:-1] + (4, 4, 4, 4))
 
         chart = CurvedChart(metric=metric, lo=lo, hi=hi,
                             christoffel=christoffel,
                             name=f"conformal(eps={eps:g}, profile={profile})",
-                            omega=omega, grad_ln_omega=grad_ln_omega)
+                            omega=omega, grad_ln_omega=grad_ln_omega,
+                            christoffel_grad=christoffel_grad)
     else:
         raise ValueError(f"unknown chart {name!r}; registry has 'flat' and 'conformal'")
     rng = np.random.default_rng(0)
@@ -254,14 +274,6 @@ def make_chart(name: str, eps: float = 0.0, profile: str = "gaussian",
 
 
 # -- geodesics -----------------------------------------------------------
-
-def _geodesic_rhs(chart: CurvedChart):
-    """f(stage, (x, u)) = (u, -Gamma(x) u u) for rk4_step."""
-    def f(stage, y):
-        x, u = y
-        return u, -np.einsum("abc,b,c->a", chart.connection(x), u, u)
-    return f
-
 
 def _integrate(chart: CurvedChart, rhs, y, s_end: float, steps: int, what: str):
     """Fixed-step RK4 samples of dy/ds = rhs(stage, y) over [0, s_end].
@@ -283,20 +295,33 @@ def _integrate(chart: CurvedChart, rhs, y, s_end: float, steps: int, what: str):
 
 
 def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
-                   steps: int = 200) -> GeodesicPath:
+                   steps: int = 200, jacobi: bool = False) -> GeodesicPath:
     """Integrate the geodesic from (p, v) to affine parameter s_end.
 
     Classical RK4 with fixed step.  Raises GeometryError as soon as a
     step lands outside the chart box, reporting the exit point.
+    jacobi=True makes it the Jacobi propagator: the steps also carry the
+    geodesic-deviation equations X' = U, U' = -(partial_d Gamma)(v, v) X^d
+    - 2 Gamma(v, U) from (X, U) = 1, on connection and connection_grad.
     """
     p = np.asarray(p, dtype=float).reshape(4)
     v = np.asarray(v, dtype=float).reshape(4)
     if steps < 1:
         raise ValueError("steps must be positive")
     chart.require_inside(p, "geodesic start")
-    xs, vs = _integrate(chart, _geodesic_rhs(chart), [p, v], s_end, steps,
-                        "geodesic")
-    return GeodesicPath(np.linspace(0.0, s_end, steps + 1), xs, vs, chart)
+
+    def rhs(stage, y):
+        x, u = y[0], y[1]
+        gu = chart.connection(x) @ u              # [a, b]: Gamma^a_{bc} u^c
+        if not jacobi:
+            return u, -(gu @ u)
+        J = y[2]                                  # X stacked over U
+        duu = chart.connection_grad(x) @ u @ u    # [d, a]
+        return u, -(gu @ u), np.concatenate([J[4:], -(duu.T @ J[:4]) - 2.0 * (gu @ J[4:])])
+
+    y = [p, v, np.eye(8)] if jacobi else [p, v]
+    samples = _integrate(chart, rhs, y, s_end, steps, "geodesic")
+    return GeodesicPath(np.linspace(0.0, s_end, steps + 1), *samples[:2], chart, *samples[2:])
 
 
 def _shoot_endpoint(chart: CurvedChart, p, v, s_end: float, steps: int):
@@ -318,24 +343,34 @@ def _shoot_endpoint(chart: CurvedChart, p, v, s_end: float, steps: int):
     return x, u
 
 
-def _connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS, max_iter: int = 60):
+def _work(shoots: int, steps: int, residual: float) -> dict:
+    """Counts of a connect that makes one (batched) shoot per iteration."""
+    return {"connect_iterations": shoots, "shoots": shoots, "kernel_steps": shoots * steps,
+            "worst_connect_residual": residual}
+
+
+def _connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS, max_iter: int = 60,
+             v=None, chord=None):
     """[0, 1]-affine initial velocities of the geodesics from p to q.
 
     p and q are (B, 4) rows of point pairs.  Fixed-point iteration with
     the flat-chart endpoint Jacobian: the map v -> x(1; p, v) differs
     from p + v at the size of the connection, so v <- v - (x(1) - q)
-    contracts on weakly curved charts.  Every pair iterates on its own:
+    contracts on weakly curved charts.  v seeds the rows in place of
+    q - p, and chord, an inverse endpoint Jacobian, replaces the identity
+    in that step.  Every pair iterates on its own:
     it stops once its residual is within 1e-13 of the point scale, and
     growth of its residual halves its step.  A stuck pair raises.
+    Returns v and the batch's work counts.
     """
     chart.require_inside(p, "connection start")
     chart.require_inside(q, "connection target")
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(p), axis=1),
                                        np.max(np.abs(q), axis=1)))
-    v = q - p
+    v = q - p if v is None else v
     prev = np.full(len(p), math.inf)
     live = np.arange(len(p))
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         x_end, _ = _shoot_endpoint(chart, p[live], v[live], 1.0, steps)
         res = x_end - q[live]
         rn = np.max(np.abs(res), axis=1)
@@ -344,30 +379,38 @@ def _connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS, max_iter: int =
         going = ~(rn <= 1e-13 * scale[live])
         live, res = live[going], res[going]
         if not live.size:
-            return v
-        v[live] -= res
+            return v, _work(it, steps, float(np.max(prev)))
+        v[live] -= res if chord is None else res @ chord.T
     i = live[0]
     raise GeometryError(f"geodesic connection {p[i]} -> {q[i]} (pair {i}) did not "
                         f"converge (residual {prev[i]:.2e})")
 
 
-def world_function(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS):
+def world_function(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS,
+                   near: Optional[GeodesicPath] = None, return_work: bool = False):
     """World function with the [0, 1] affine convention.
 
     Gamma(p, q) = g_p(v, v) for the initial velocity v of the geodesic
     reaching q at parameter 1; on the flat chart this is the coordinate
     interval eta(q - p, q - p).  Two points give a float; (B, 4) rows of
     points (either side may be a single point) give a (B,) array, all
-    pairs connected together.
+    pairs connected together.  near, the Jacobi propagator of a [0, 1]
+    geodesic close to every pair, seeds each connect with v0 + X_v^{-1}
+    (dq - X_p dp) and chord step X_v^{-1}; return_work adds the work counts.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     single = p.ndim == 1 and q.ndim == 1
     p, q = np.broadcast_arrays(p.reshape(-1, 4), q.reshape(-1, 4))
-    v = _connect(chart, p, q, steps=steps)
+    v0 = chord = None
+    if near is not None:
+        x_p, chord = near.jacobi[-1, :4, :4], np.linalg.inv(near.jacobi[-1, :4, 4:])
+        v0 = near.v[0] + (q - near.x[-1] - (p - near.x[0]) @ x_p.T) @ chord.T
+    v, work = _connect(chart, p, q, steps=steps, v=v0, chord=chord)
     g = np.array([chart.metric(x) for x in p])
     w = np.einsum("ba,bac,bc->b", v, g, v)
-    return float(w[0]) if single else w
+    w = float(w[0]) if single else w
+    return (w, {**work, "world_function_calls": 1}) if return_work else w
 
 
 def world_function_gradient_check(chart: CurvedChart, p, q, h: float) -> float:
@@ -384,16 +427,35 @@ def world_function_gradient_check(chart: CurvedChart, p, q, h: float) -> float:
     return float(grad @ ginv @ grad - 4.0 * w[0])
 
 
-def null_connect(chart: CurvedChart, p, q):
+def null_connect(chart: CurvedChart, p, q, return_propagator: bool = False,
+                 steps: int = SHOOT_STEPS):
     """Null geodesic from p to q: initial velocity v (v^0 = 1) and affine t.
 
-    geodesic_shoot(chart, p, v, t) lands on q.  Raises GeometryError when
-    the connecting geodesic is not null (spacelike or timelike separation)
-    or no connection exists inside the chart.
+    geodesic_shoot(chart, p, v, t) lands on q.  Newton's method: each
+    iterate is one [0, 1] Jacobi-propagator shoot, stepping
+    v <- v - X_v^{-1} (x(1) - q), with _connect's stop and step halving;
+    return_propagator adds the last shoot, work counts included.
+    Raises GeometryError when the connecting geodesic is not null
+    (spacelike or timelike separation) or no connection exists inside
+    the chart.
     """
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
-    v01 = _connect(chart, p[None], q[None])[0]
+    scale = max(1.0, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
+    v01, prev = q - p, math.inf
+    for it in range(1, 21):
+        path = geodesic_shoot(chart, p, v01, 1.0, steps, jacobi=True)
+        res = path.x[-1] - q
+        rn = float(np.max(np.abs(res)))
+        if rn <= 1e-13 * scale:
+            break
+        res *= 0.5 if rn > 0.9 * prev else 1.0
+        prev = rn
+        v01 = v01 - np.linalg.solve(path.jacobi[-1, :4, 4:], res)
+    else:
+        raise GeometryError(f"geodesic connection {p} -> {q} did not converge "
+                            f"(residual {prev:.2e})")
+    path.work = _work(it, steps, rn)
     gam = float(v01 @ chart.metric(p) @ v01)
     scale = max(float(np.max(np.abs(q - p))), 1e-30) ** 2
     if abs(gam) > 1e-8 * scale:
@@ -404,114 +466,74 @@ def null_connect(chart: CurvedChart, p, q):
     if t == 0.0:
         raise GeometryError("degenerate null direction (vanishing chart-time "
                             "component)")
-    return v01 / t, t
+    return (v01 / t, t, path) if return_propagator else (v01 / t, t)
 
 
 # -- transport coefficient ------------------------------------------------
 
-def _wf_box(chart: CurvedChart, q, xs, h: float, steps: int):
-    """Covariant box of W_q at each row of xs, by FD, as one world-function batch.
+def _box_w(chart: CurvedChart, path: GeodesicPath) -> np.ndarray:
+    """box W_q at the samples of the Jacobi propagator from q, in closed form.
 
-    Off-diagonal Hessian entries are evaluated only where the inverse
-    metric has support, so diagonal charts cost 9 world functions a point.
+    The [0, 1] geodesic from q to x(s) starts with velocity s v0, so
+    partial_a W = 2 s g_ab v^b, and its end velocity moves with x(s) as
+    s U_v X_v^{-1}: the covariant Hessian 2 s g_ac (U_v X_v^{-1} + Gamma(v))^c_b
+    has trace box W = 2 s (tr(U_v X_v^{-1}) + Gamma^c_{bc} v^b), 8 at s = 0.
     """
-    n = len(xs)
-    ginv = np.linalg.inv(np.array([chart.metric(x) for x in xs]))
-    step = h * np.eye(4)
-    # per point: x, x + h e_a, x - h e_a; then 4 corners per mixed entry
-    stencil = xs[:, None, :] + np.vstack([np.zeros(4), step, -step])[None]
-    mixed = []
-    corners = []
-    for i, x in enumerate(xs):
-        gscale = np.max(np.abs(ginv[i]))
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if abs(ginv[i, a, b]) <= 1e-14 * gscale:
-                    continue
-                mixed.append((i, a, b))
-                corners += [x + step[a] + step[b], x + step[a] - step[b],
-                            x - step[a] + step[b], x - step[a] - step[b]]
-    pts = np.vstack([stencil.reshape(-1, 4)] + corners)
-    w = world_function(chart, q, pts, steps=steps)
-    w_stencil = w[:9 * n].reshape(n, 9)
-    w0, wp, wm = w_stencil[:, :1], w_stencil[:, 1:5], w_stencil[:, 5:]
-    grad = (wp - wm) / (2.0 * h)
-    hess = np.zeros((n, 4, 4))
-    hess[:, range(4), range(4)] = (wp - 2.0 * w0 + wm) / h ** 2
-    for (i, a, b), (pp, pm, mp, mm) in zip(mixed, w[9 * n:].reshape(-1, 4)):
-        hess[i, a, b] = hess[i, b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
-    box = np.empty(n)
-    for i, x in enumerate(xs):
-        box[i] = (np.einsum("ab,ab->", ginv[i], hess[i])
-                  - np.einsum("ab,cab,c->", ginv[i], chart.connection(x), grad[i]))
-    return box
+    J = path.jacobi[1:]
+    gam = np.array([chart.connection(x) for x in path.x[1:]])
+    trace = (np.trace(np.linalg.solve(J[:, :4, 4:], J[:, 4:, 4:]), axis1=1, axis2=2)
+             + np.einsum("ncbc,nb->n", gam, path.v[1:]))
+    return np.concatenate([[8.0], 2.0 * path.s[1:] * trace])
 
 
 def transport_k(chart: CurvedChart, q, p, steps: int = 10,
-                shoot_steps: int = SHOOT_STEPS, v01: Optional[np.ndarray] = None):
+                shoot_steps: int = SHOOT_STEPS,
+                propagator: Optional[GeodesicPath] = None):
     """Transport coefficient k_q along the null geodesic from q to p.
 
     On the connecting geodesic grad W_q reduces to 2 s gdot, so the
     transport equation becomes the scalar ODE
 
-        dk/ds = -(box W_q - 8) k / (4 s),      k(0+) = 1/(2 pi),
+        d ln k/ds = -(box W_q - 8) / (4 s),      k(0) = 1/(2 pi),
 
-    integrated with the geodesic by RK4 from s = s0 = 0.05, where the
-    vertex value is imposed (the right side is O(s) there); box W_q is
-    differenced with step 1e-3 times the chart scale.  The geodesic does
-    not depend on k, so it is integrated first and box W_q is evaluated
-    at all its RK4 stage points in one batch.  v01, the [0, 1]-affine
-    initial velocity of that geodesic, is connected here unless the
-    caller already has it (null_connect returns it as v * t).  Returns
-    (s_nodes, k_values) covering [s0, 1]; k_values[-1] is k_q(p).
+    whose right side vanishes at s = 0.  box W_q is closed-form at the
+    samples of the geodesic's Jacobi propagator (_box_w); ln k is
+    integrated on its grid (4 samples or more), each step by the cubic
+    through the four nearest samples, O(h^4).  propagator is the one
+    null_connect(chart, q, p, return_propagator=True) returns, else it is
+    connected here with shoot_steps steps.  Returns (s_nodes, k_values)
+    at s = j / steps, j = 0..steps, Hermite interpolated between samples:
+    steps sets how many nodes are reported, not the accuracy.
+    k_values[-1] is k_q(p).
     """
-    q = np.asarray(q, dtype=float).reshape(4)
-    p = np.asarray(p, dtype=float).reshape(4)
-    if v01 is None:
-        v01 = _connect(chart, q[None], p[None], steps=shoot_steps)[0]
-    s0 = 0.05
-    x, u = _shoot_endpoint(chart, q[None], np.reshape(v01, (1, 4)), s0,
-                           max(4, shoot_steps // 8))
-    x, u = x[0], u[0]
-    h = (1.0 - s0) / steps
-    geodesic = _geodesic_rhs(chart)
-    stages = []
-
-    def record(stage, y):
-        stages.append(y[0])
-        return geodesic(stage, y)
-
-    for _ in range(steps):
-        x, u = rk4_step(record, (x, u), h)
-    box = _wf_box(chart, q, np.array(stages), 1e-3 * chart.scale,
-                  shoot_steps).reshape(steps, 4)
-    ds = (0.0, 0.5 * h, 0.5 * h, h)
-
-    s_nodes = np.empty(steps + 1)
-    k_vals = np.empty(steps + 1)
-    s_nodes[0], k_vals[0] = s0, 1.0 / TWO_PI
-    k = 1.0 / TWO_PI
-    s = s0
-    for i in range(steps):
-        def rhs(stage, y):
-            return (-(box[i, stage] - 8.0) * y[0] / (4.0 * (s + ds[stage])),)
-
-        k, = rk4_step(rhs, (k,), h)
-        s += h
-        if not (np.isfinite(k) and k > 0.0):
-            raise GeometryError(f"transport coefficient lost positivity at s = {s:.4g}")
-        s_nodes[i + 1], k_vals[i + 1] = s, k
-    return s_nodes, k_vals
+    path = propagator or null_connect(chart, q, p, return_propagator=True,
+                                      steps=shoot_steps)[2]
+    n, h = len(path.s) - 1, path.s[1]
+    rate = np.zeros(n + 1)                   # -d ln k / ds
+    rate[1:] = (_box_w(chart, path)[1:] - 8.0) / (4.0 * path.s[1:])
+    # cubic ghost samples past both ends give every step the same rule
+    g = np.concatenate([[4.0 * rate[0] - 6.0 * rate[1] + 4.0 * rate[2] - rate[3]], rate,
+                        [4.0 * rate[-1] - 6.0 * rate[-2] + 4.0 * rate[-3] - rate[-4]]])
+    big = np.concatenate([[0.0], np.cumsum(h / 24.0 * (13.0 * (g[1:-2] + g[2:-1])
+                                                       - g[:-3] - g[3:]))])
+    s_nodes = np.linspace(0.0, 1.0, steps + 1)
+    i = np.minimum((s_nodes * n).astype(int), n - 1)
+    t = s_nodes * n - i
+    integral = ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * big[i] + t * (1.0 - t) ** 2 * h * rate[i]
+                + t * t * (3.0 - 2.0 * t) * big[i + 1] - t * t * (1.0 - t) * h * rate[i + 1])
+    return s_nodes, np.exp(-integral) / TWO_PI
 
 
 def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
-                steps: int = SHOOT_STEPS) -> float:
+                steps: int = SHOOT_STEPS,
+                propagator: Optional[GeodesicPath] = None, return_work: bool = False):
     """k from the van Vleck determinant, independent of the transport ODE.
 
     Delta = -det(-[W_{,a b'}]/2) / sqrt(-det g_p) sqrt(-det g_q) with the
     mixed Hessian by central differences in both slots, its 64 world
     functions in one batch; k = sqrt(Delta) / (2 pi).  Flat chart:
-    Delta = 1 exactly up to rounding.
+    Delta = 1 exactly up to rounding.  propagator, the Jacobi propagator
+    from q to p, seeds the 64 connects; return_work adds their work counts.
     """
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
@@ -519,11 +541,12 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
     # [a, sign]: q +- h e_a, and p +- h e_b likewise
     qs = np.stack([q + step, q - step], axis=1)
     ps = np.stack([p + step, p - step], axis=1)
-    w = world_function(
+    w, work = world_function(
         chart,
         np.broadcast_to(qs[:, None, :, None], (4, 4, 2, 2, 4)).reshape(-1, 4),
         np.broadcast_to(ps[None, :, None, :], (4, 4, 2, 2, 4)).reshape(-1, 4),
-        steps=steps).reshape(4, 4, 2, 2)
+        steps=steps, near=propagator, return_work=True)
+    w = w.reshape(4, 4, 2, 2)
     mixed = (w[..., 0, 0] - w[..., 0, 1] - w[..., 1, 0] + w[..., 1, 1]) / (4.0 * h ** 2)
     det_m = np.linalg.det(-0.5 * mixed)
     gp = np.linalg.det(chart.metric(p))
@@ -531,7 +554,8 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
     delta = -det_m / math.sqrt(-gp) / math.sqrt(-gq)
     if delta <= 0.0:
         raise GeometryError(f"van Vleck determinant {delta:.3e} is not positive")
-    return math.sqrt(delta) / TWO_PI
+    k = math.sqrt(delta) / TWO_PI
+    return (k, work) if return_work else k
 
 
 def conformal_k(chart: CurvedChart, q, p) -> float:

@@ -344,6 +344,42 @@ def test_nan_result_is_written_as_null(tmp_path, capsys):
     assert "output.records[0]" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_converge_nan_result_fails_without_tolerance(tmp_path):
+    cfg = {"p0": [0, 0, 0, 0], "q": [1.5, 0.4, 0.3, 0.2], "valence": 1,
+           "data": {"family": "plane-wave", "alpha": ALPHA},
+           "levels": [[8, 16]],
+           "quadrature": {"radial_fd": "richardson", "fd_step": 1e-320}}
+    out = tmp_path / "cv.csv"
+    assert _run("converge", _write(tmp_path, "c.json", cfg), out) == 1
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert rows[0]["rel_error"] == "nan"
+
+
+def test_constraints_nan_result_fails_without_tolerance(tmp_path, monkeypatch):
+    def residual(data, p0, s_values, grid):
+        return {0: float("nan"), 1: 1e-3}
+
+    monkeypatch.setattr(nulldata, "constraint_residual", residual)
+    cfg = {"p0": [0, 0, 0, 0], "valence": 1, "s_values": [0.8],
+           "data": {"family": "plane-wave", "alpha": ALPHA},
+           "levels": [[12, 24], [24, 48]]}
+    out = tmp_path / "con.csv"
+    assert _run("constraints", _write(tmp_path, "c.json", cfg), out) == 1
+    assert "nan" in out.read_text()
+
+
+def test_unmapped_exception_is_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(cfg, out, seed):
+        raise RuntimeError("invariant broken\nsecond line")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", (broken, "json"))
+    code = _run("verify", _write(tmp_path, "c.json", {}), tmp_path / "vf.json")
+    assert code == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: invariant broken second line\n"
+
+
 def test_reconstruct_n_phi_not_a_multiple_of_four(tmp_path):
     # the half-resolution estimate must keep n_phi even: 18 halves to 8, not 9
     cfg = _rec_config(quadrature={"n_theta": 16, "n_phi": 18})
@@ -417,6 +453,33 @@ def test_curved_transport_records(tmp_path):
     assert 0 < rec["flat_deviation"] < 1e-3
     assert rec["frame"]["product_drift"] < 1e-8
     assert rec["frame"]["min_continuity"] > 0.0
+
+
+def test_curved_transport_work_counters_repeat(tmp_path):
+    cfg = {"chart": {"name": "conformal", "eps": 1e-2},
+           "rays": [{"p": [0.1, 0.25, -0.15, 0.2],
+                     "direction": [0.3, 0.5, 0.8], "t": 1.1}],
+           "k_steps": 1, "van_vleck": True}
+    cfg_path = _write(tmp_path, "c.json", cfg)
+    outs = []
+    for tag in ("a", "b"):
+        out = tmp_path / f"{tag}.json"
+        code = subprocess.run(
+            [sys.executable, "-m", "conerec.cli", "curved-transport",
+             "--config", cfg_path, "--out", str(out)],
+            capture_output=True).returncode
+        assert code == 0
+        outs.append(_strip_stamp(out))
+    assert outs[0] == outs[1]
+    diag = json.loads(outs[0])["records"][0]["diagnostics"]
+    for stage in ("null_connect", "van_vleck"):
+        work = diag[stage]
+        assert work["shoots"] == work["connect_iterations"] >= 1
+        assert work["kernel_steps"] == 48 * work["shoots"]
+        assert 0.0 <= work["worst_connect_residual"] < 1e-12
+    assert diag["world_function_calls"] == 1
+    assert diag["worst_connect_residual"] == max(diag["null_connect"]["worst_connect_residual"],
+                                                 diag["van_vleck"]["worst_connect_residual"])
 
 
 def test_curved_transport_ray_leaves_chart(tmp_path):

@@ -384,8 +384,9 @@ def test_transport_k_matches_conformal_closed_form():
 
 def test_transport_k_mixed_hessian_on_sheared_flat_chart(monkeypatch):
     # Minkowski in sheared coordinates: a constant metric whose inverse has
-    # off-diagonal entries (0, 1) and (2, 3), so box W needs mixed FD
-    # corners; box W = 8 and k stays 1/(2 pi)
+    # off-diagonal entries (0, 1) and (2, 3), so box W has mixed Hessian
+    # terms; box W = 8 and k stays 1/(2 pi).  box W is closed-form on the
+    # Jacobi propagator, so no world function is evaluated
     shear = np.eye(4)
     shear[1, 0], shear[2, 3] = 0.3, -0.2
     g = shear.T @ np.diag([1.0, -1.0, -1.0, -1.0]) @ shear
@@ -393,18 +394,149 @@ def test_transport_k_mixed_hessian_on_sheared_flat_chart(monkeypatch):
                            hi=np.full(4, 10.0),
                            christoffel=lambda x: np.zeros((4, 4, 4)))
     q = P + 1.3 * np.linalg.solve(shear, OMEGA_DIR)
-    batches = []
-    world_function = tr.world_function
+    calls = []
 
-    def recording(chart, p, q, steps=48):
-        batches.append(np.shape(q))
-        return world_function(chart, p, q, steps=steps)
+    def recording(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("transport_k evaluated a world function")
 
     monkeypatch.setattr(tr, "world_function", recording)
     _, k = tr.transport_k(chart, q, P, steps=1, shoot_steps=8)
-    # 4 stage points, each 9 stencil and 2 x 4 corner pairs
-    assert batches == [(4 * (9 + 8), 4)]
+    assert calls == []
     assert np.max(np.abs(k - INV_2PI)) < 1e-8
+
+
+# -- Jacobi propagator --------------------------------------------------------
+
+WORKLOAD_P = np.array([0.1, 0.25, -0.15, 0.2])
+# the benchmark's ray: a null direction with spatial part along (0.3, 0.5, 0.8)
+WORKLOAD_DIR = np.concatenate([[1.0], np.array([0.3, 0.5, 0.8]) / math.sqrt(0.98)])
+
+
+def _ray_propagator(chart, length=1.1):
+    q = WORKLOAD_P + length * WORKLOAD_DIR
+    _, _, prop = tr.null_connect(chart, q, WORKLOAD_P, return_propagator=True)
+    return q, prop
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+def test_connection_grad_matches_differenced_connection(profile):
+    chart = tr.make_chart("conformal", eps=1e-2, profile=profile, width=1.5,
+                          center=(0.1, 0.2, -0.1, 0.3))
+    differenced = tr.CurvedChart(metric=chart.metric, lo=chart.lo, hi=chart.hi,
+                                 christoffel=chart.christoffel)
+    x = np.array([0.3, -0.6, 0.2, 0.9])
+    assert np.max(np.abs(chart.connection_grad(x)
+                         - differenced.connection_grad(x))) < 1e-12
+    rows = np.vstack([x, -x, 0.5 * x])
+    assert np.max(np.abs(chart.connection_grad(rows)[1]
+                         - chart.connection_grad(-x))) < 1e-16
+
+
+def test_jacobi_propagator_matches_differenced_shoots():
+    chart = tr.make_chart("conformal", eps=1e-2)
+    q, prop = _ray_propagator(chart)
+    assert np.max(np.abs(prop.x[-1] - WORKLOAD_P)) < 1e-13
+    v0, h = prop.v[0], 1e-6
+    step = h * np.eye(4)
+
+    def ends(starts, velocities):
+        x, _, status = _backend.shoot_endpoint(chart.grad_ln_omega, chart.lo,
+                                               chart.hi, starts, velocities,
+                                               1.0, tr.SHOOT_STEPS)
+        assert not np.any(status)
+        return x
+
+    same = np.broadcast_to(q, (4, 4))
+    vel = np.broadcast_to(v0, (4, 4))
+    x_v = (ends(same, v0 + step) - ends(same, v0 - step)).T / (2.0 * h)
+    x_p = (ends(q + step, vel) - ends(q - step, vel)).T / (2.0 * h)
+    assert np.max(np.abs(prop.jacobi[-1, :4, 4:] - x_v)) < 1e-8
+    assert np.max(np.abs(prop.jacobi[-1, :4, :4] - x_p)) < 1e-8
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+def test_closed_form_box_w_matches_world_function_stencil(profile):
+    chart = tr.make_chart("conformal", eps=1e-2, profile=profile)
+    q, prop = _ray_propagator(chart)
+    box = tr._box_w(chart, prop)
+    assert box[0] == 8.0
+    for i in (12, 24, 40):
+        x = prop.x[i]
+
+        def second(h):
+            # diagonal second differences; g^{ab} is diagonal on this chart
+            steps = h * np.eye(4)
+            w = tr.world_function(chart, q, np.vstack([x, x + steps, x - steps]))
+            return (w[1:5] - w[5:]) / (2.0 * h), (w[1:5] - 2.0 * w[0] + w[5:]) / h ** 2
+
+        (g1, h1), (g2, h2) = second(1e-2), second(2e-2)
+        grad, hess = (4.0 * g1 - g2) / 3.0, (4.0 * h1 - h2) / 3.0
+        ginv = np.linalg.inv(chart.metric(x))
+        stencil = (np.einsum("aa,a->", ginv, hess)
+                   - np.einsum("ab,cab,c->", ginv, chart.connection(x), grad))
+        assert abs(box[i] - stencil) < 1e-7
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("k_steps", [1, 10])
+def test_transport_k_matches_closed_form_at_every_node(profile, eps, k_steps):
+    chart = tr.make_chart("conformal", eps=eps, profile=profile)
+    q, prop = _ray_propagator(chart)
+    s, k = tr.transport_k(chart, q, WORKLOAD_P, steps=k_steps, propagator=prop)
+    assert np.array_equal(s, np.linspace(0.0, 1.0, k_steps + 1))
+    assert abs(k[-1] - tr.conformal_k(chart, q, WORKLOAD_P)) < 1e-10
+    for sj, kj in zip(s[1:], k[1:]):
+        x = tr.geodesic_shoot(chart, q, prop.v[0], sj, steps=400).x[-1]
+        assert abs(kj - tr.conformal_k(chart, q, x)) < 1e-10
+
+
+def test_transport_k_connects_when_given_no_propagator():
+    chart = tr.make_chart("conformal", eps=1e-2, profile="sine")
+    q, prop = _ray_propagator(chart)
+    _, own = tr.transport_k(chart, q, WORKLOAD_P, steps=4)
+    _, given = tr.transport_k(chart, q, WORKLOAD_P, steps=4, propagator=prop)
+    assert np.max(np.abs(own - given)) < 1e-14
+
+
+def test_null_connect_propagator_carries_newton_work():
+    chart = tr.make_chart("conformal", eps=1e-2)
+    q, prop = _ray_propagator(chart)
+    work = prop.work
+    assert work["connect_iterations"] == work["shoots"] == 3
+    assert work["kernel_steps"] == 3 * tr.SHOOT_STEPS
+    assert work["worst_connect_residual"] <= 1e-13 * np.max(np.abs(q))
+    v, t = tr.null_connect(chart, q, WORKLOAD_P)
+    assert np.max(np.abs(v * t - prop.v[0])) < 1e-15
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+def test_seeded_van_vleck_equals_unseeded(profile):
+    chart = tr.make_chart("conformal", eps=1e-2, profile=profile)
+    q, prop = _ray_propagator(chart)
+    plain, plain_work = tr.van_vleck_k(chart, q, WORKLOAD_P, return_work=True)
+    seeded, seeded_work = tr.van_vleck_k(chart, q, WORKLOAD_P, propagator=prop,
+                                         return_work=True)
+    assert abs(seeded - plain) < 1e-10
+    assert seeded_work["world_function_calls"] == plain_work["world_function_calls"] == 1
+    assert seeded_work["shoots"] < plain_work["shoots"]
+    assert max(seeded_work["worst_connect_residual"],
+               plain_work["worst_connect_residual"]) <= 1e-13 * 2.0
+
+
+def test_world_function_on_a_metric_only_chart_converges():
+    # Christoffels differenced from the metric callback alone must be
+    # accurate enough for the 1e-13 connect stop at unit separations
+    analytic = tr.make_chart("conformal", eps=1e-2)
+    metric_only = tr.CurvedChart(metric=analytic.metric, lo=analytic.lo,
+                                 hi=analytic.hi)
+    p = np.array([0.1, 0.2, -0.1, 0.3])
+    d = np.array([0.3, 0.5, 0.8]) / math.sqrt(0.98)
+    for length in (0.3, 1.0, 1.6):
+        q = p + length * np.concatenate([[1.2], d])
+        got = tr.world_function(metric_only, p, q)
+        assert abs(got - tr.world_function(analytic, p, q)) < 1e-12
 
 
 def test_van_vleck_cross_checks_closed_form():
