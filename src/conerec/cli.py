@@ -459,17 +459,18 @@ def cmd_curved_transport(cfg, out, seed):
         lvec = np.concatenate([[1.0], d / np.linalg.norm(d)])
         q = p + t * lvec
         chart.require_inside(q, f"rays[{i}] endpoint")
-        _, affine, prop = transport.null_connect(chart, q, p, return_propagator=True)
-        _, k_nodes = transport.transport_k(chart, q, p, steps=k_steps, propagator=prop)
+        conn = transport.null_connect(chart, q, p)
+        _, k_nodes = transport.transport_k(chart, q, p, steps=k_steps, propagator=conn.path)
         k_ode = float(k_nodes[-1])
         k_closed = float(transport.conformal_k(chart, q, p))
         ks = [k_ode, k_closed]
-        rec = {"p": p.tolist(), "q": q.tolist(), "affine_parameter": affine,
-               "k_ode": k_ode, "k_closed_form": k_closed}
-        work = {"null_connect": prop.work}
+        rec = {"p": p.tolist(), "q": q.tolist(), "affine_parameter": conn[1],
+               "k_nodes": k_nodes.tolist(), "k_ode": k_ode, "k_closed_form": k_closed}
+        work = {"null_connect": conn.path.work}
         if want_vv:
-            k_vv, work["van_vleck"] = transport.van_vleck_k(
-                chart, q, p, h=vv_h, propagator=prop, return_work=True)
+            work["van_vleck"] = {}
+            k_vv = transport.van_vleck_k(chart, q, p, h=vv_h, propagator=conn.path,
+                                         work=work["van_vleck"])
             rec["k_van_vleck"] = k_vv
             ks.append(k_vv)
         stages = list(work.values())

@@ -206,15 +206,13 @@ def clifford_batch(vecs: np.ndarray, phi: np.ndarray, psi: np.ndarray):
     return new_phi, new_psi
 
 
-def central_partials(f, x, h: float, richardson: bool = False) -> np.ndarray:
+def central_partials(f, x, h: float) -> np.ndarray:
     """Coordinate first derivatives of f at x by central differences.
 
     f maps a 4-point to an array; the result stacks d f / dx^a for
-    a = 0..3 along a new leading axis, O(h^2), or with richardson the
-    extrapolation (4 D(h) - D(2h)) / 3, O(h^4).
+    a = 0..3 along a new leading axis, O(h^2).
     """
-    d = np.stack([(f(x + e) - f(x - e)) / (2.0 * h) for e in h * np.eye(4)])
-    return (4.0 * d - central_partials(f, x, 2.0 * h)) / 3.0 if richardson else d
+    return np.stack([(f(x + e) - f(x - e)) / (2.0 * h) for e in h * np.eye(4)])
 
 
 def dirac_assemble(dphi: np.ndarray, dpsi: np.ndarray):

@@ -40,7 +40,7 @@ from .spinor import ETA, central_partials
 __all__ = [
     "CurvedChart", "GeodesicPath", "TransportState", "ParallelFrames",
     "make_chart", "check_signature", "christoffel_fd", "rk4_step",
-    "geodesic_shoot", "null_connect", "world_function",
+    "geodesic_shoot", "NullConnection", "null_connect", "world_function",
     "world_function_gradient_check",
     "transport_k", "van_vleck_k", "conformal_k", "transport_spin_frame",
 ]
@@ -79,10 +79,6 @@ class CurvedChart:
         if not np.all(self.hi > self.lo):
             raise ValueError("domain box must have hi > lo in every coordinate")
 
-    @property
-    def scale(self) -> float:
-        return float(np.max(self.hi - self.lo) / 2.0)
-
     def contains(self, x):
         """Whether each row of x (..., 4) is in the box; a bool for a single point."""
         x = np.asarray(x, dtype=float)
@@ -106,7 +102,7 @@ class CurvedChart:
         """partial_d Gamma^a_{bc} at x, indexed [d, a, b, c]."""
         if self.christoffel_grad is not None:
             return self.christoffel_grad(x)
-        return central_partials(self.connection, x, 1e-3, richardson=True)
+        return _richardson_partials(self.connection, x, 1e-3)
 
 
 @dataclass
@@ -142,11 +138,16 @@ class GeodesicPath:
         return float(np.max(np.abs(norms - norms[0])))
 
 
+def _richardson_partials(f, x, h: float) -> np.ndarray:
+    """central_partials extrapolated as (4 D(h) - D(2h)) / 3, O(h^4)."""
+    return (4.0 * central_partials(f, x, h) - central_partials(f, x, 2.0 * h)) / 3.0
+
+
 def christoffel_fd(metric, x, h: float) -> np.ndarray:
     """Gamma^a_{bc} from Richardson central differences of the metric, O(h^4)."""
     x = np.asarray(x, dtype=float)
     ginv = np.linalg.inv(metric(x))
-    dg = central_partials(metric, x, h, richardson=True)
+    dg = _richardson_partials(metric, x, h)
     # Gamma_{dbc} = (g_{db,c} + g_{dc,b} - g_{bc,d}) / 2
     low = 0.5 * (np.einsum("cdb->dbc", dg) + np.einsum("bdc->dbc", dg)
                  - np.einsum("dbc->dbc", dg))
@@ -387,7 +388,7 @@ def _connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS, max_iter: int =
 
 
 def world_function(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS,
-                   near: Optional[GeodesicPath] = None, return_work: bool = False):
+                   near: Optional[GeodesicPath] = None, work: Optional[dict] = None):
     """World function with the [0, 1] affine convention.
 
     Gamma(p, q) = g_p(v, v) for the initial velocity v of the geodesic
@@ -396,7 +397,8 @@ def world_function(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS,
     points (either side may be a single point) give a (B,) array, all
     pairs connected together.  near, the Jacobi propagator of a [0, 1]
     geodesic close to every pair, seeds each connect with v0 + X_v^{-1}
-    (dq - X_p dp) and chord step X_v^{-1}; return_work adds the work counts.
+    (dq - X_p dp) and chord step X_v^{-1}; work, a dict, receives the
+    batch's work counts.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -404,13 +406,14 @@ def world_function(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS,
     p, q = np.broadcast_arrays(p.reshape(-1, 4), q.reshape(-1, 4))
     v0 = chord = None
     if near is not None:
-        x_p, chord = near.jacobi[-1, :4, :4], np.linalg.inv(near.jacobi[-1, :4, 4:])
+        x_p, chord = near.jacobi[-1, :4, :4], _solve_xv(near.jacobi[-1], np.eye(4))
         v0 = near.v[0] + (q - near.x[-1] - (p - near.x[0]) @ x_p.T) @ chord.T
-    v, work = _connect(chart, p, q, steps=steps, v=v0, chord=chord)
+    v, counts = _connect(chart, p, q, steps=steps, v=v0, chord=chord)
+    if work is not None:
+        work.update(counts, world_function_calls=1)
     g = np.array([chart.metric(x) for x in p])
     w = np.einsum("ba,bac,bc->b", v, g, v)
-    w = float(w[0]) if single else w
-    return (w, {**work, "world_function_calls": 1}) if return_work else w
+    return float(w[0]) if single else w
 
 
 def world_function_gradient_check(chart: CurvedChart, p, q, h: float) -> float:
@@ -427,14 +430,31 @@ def world_function_gradient_check(chart: CurvedChart, p, q, h: float) -> float:
     return float(grad @ ginv @ grad - 4.0 * w[0])
 
 
-def null_connect(chart: CurvedChart, p, q, return_propagator: bool = False,
-                 steps: int = SHOOT_STEPS):
+def _solve_xv(jacobi, rhs) -> np.ndarray:
+    """X_v^{-1} rhs at Jacobi propagator samples; a singular X_v raises."""
+    try:
+        return np.linalg.solve(jacobi[..., :4, 4:], rhs)
+    except np.linalg.LinAlgError:
+        raise GeometryError("singular Jacobi propagator: conjugate point on the geodesic") from None
+
+
+class NullConnection(tuple):
+    """null_connect's (v, t); path is the connecting geodesic's Jacobi
+    propagator, the Newton connect's work counts in path.work."""
+
+    def __new__(cls, v, t, path):
+        pair = super().__new__(cls, (v, t))
+        pair.path = path
+        return pair
+
+
+def null_connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS) -> NullConnection:
     """Null geodesic from p to q: initial velocity v (v^0 = 1) and affine t.
 
     geodesic_shoot(chart, p, v, t) lands on q.  Newton's method: each
     iterate is one [0, 1] Jacobi-propagator shoot, stepping
     v <- v - X_v^{-1} (x(1) - q), with _connect's stop and step halving;
-    return_propagator adds the last shoot, work counts included.
+    the last shoot is the returned NullConnection's path.
     Raises GeometryError when the connecting geodesic is not null
     (spacelike or timelike separation) or no connection exists inside
     the chart.
@@ -451,7 +471,7 @@ def null_connect(chart: CurvedChart, p, q, return_propagator: bool = False,
             break
         res *= 0.5 if rn > 0.9 * prev else 1.0
         prev = rn
-        v01 = v01 - np.linalg.solve(path.jacobi[-1, :4, 4:], res)
+        v01 = v01 - _solve_xv(path.jacobi[-1], res)
     else:
         raise GeometryError(f"geodesic connection {p} -> {q} did not converge "
                             f"(residual {prev:.2e})")
@@ -466,7 +486,7 @@ def null_connect(chart: CurvedChart, p, q, return_propagator: bool = False,
     if t == 0.0:
         raise GeometryError("degenerate null direction (vanishing chart-time "
                             "component)")
-    return (v01 / t, t, path) if return_propagator else (v01 / t, t)
+    return NullConnection(v01 / t, t, path)
 
 
 # -- transport coefficient ------------------------------------------------
@@ -481,7 +501,7 @@ def _box_w(chart: CurvedChart, path: GeodesicPath) -> np.ndarray:
     """
     J = path.jacobi[1:]
     gam = np.array([chart.connection(x) for x in path.x[1:]])
-    trace = (np.trace(np.linalg.solve(J[:, :4, 4:], J[:, 4:, 4:]), axis1=1, axis2=2)
+    trace = (np.trace(_solve_xv(J, J[:, 4:, 4:]), axis1=1, axis2=2)
              + np.einsum("ncbc,nb->n", gam, path.v[1:]))
     return np.concatenate([[8.0], 2.0 * path.s[1:] * trace])
 
@@ -499,15 +519,14 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10,
     whose right side vanishes at s = 0.  box W_q is closed-form at the
     samples of the geodesic's Jacobi propagator (_box_w); ln k is
     integrated on its grid (4 samples or more), each step by the cubic
-    through the four nearest samples, O(h^4).  propagator is the one
-    null_connect(chart, q, p, return_propagator=True) returns, else it is
-    connected here with shoot_steps steps.  Returns (s_nodes, k_values)
-    at s = j / steps, j = 0..steps, Hermite interpolated between samples:
-    steps sets how many nodes are reported, not the accuracy.
-    k_values[-1] is k_q(p).
+    through the four nearest samples, O(h^4).  propagator is
+    null_connect(chart, q, p).path, else it is connected here with
+    shoot_steps steps.  Returns (s_nodes, k_values) at s = j / steps,
+    j = 0..steps, Hermite interpolated between samples: steps sets how
+    many nodes are reported, not the accuracy.  k_values[-1] is k_q(p);
+    a value that is not finite raises GeometryError.
     """
-    path = propagator or null_connect(chart, q, p, return_propagator=True,
-                                      steps=shoot_steps)[2]
+    path = propagator or null_connect(chart, q, p, steps=shoot_steps).path
     n, h = len(path.s) - 1, path.s[1]
     rate = np.zeros(n + 1)                   # -d ln k / ds
     rate[1:] = (_box_w(chart, path)[1:] - 8.0) / (4.0 * path.s[1:])
@@ -521,19 +540,23 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10,
     t = s_nodes * n - i
     integral = ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * big[i] + t * (1.0 - t) ** 2 * h * rate[i]
                 + t * t * (3.0 - 2.0 * t) * big[i + 1] - t * t * (1.0 - t) * h * rate[i + 1])
-    return s_nodes, np.exp(-integral) / TWO_PI
+    k = np.exp(-integral) / TWO_PI
+    if not np.all(np.isfinite(k)):
+        raise GeometryError(f"transport coefficient is not finite along {q} -> {p}")
+    return s_nodes, k
 
 
 def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
                 steps: int = SHOOT_STEPS,
-                propagator: Optional[GeodesicPath] = None, return_work: bool = False):
+                propagator: Optional[GeodesicPath] = None,
+                work: Optional[dict] = None) -> float:
     """k from the van Vleck determinant, independent of the transport ODE.
 
     Delta = -det(-[W_{,a b'}]/2) / sqrt(-det g_p) sqrt(-det g_q) with the
     mixed Hessian by central differences in both slots, its 64 world
     functions in one batch; k = sqrt(Delta) / (2 pi).  Flat chart:
     Delta = 1 exactly up to rounding.  propagator, the Jacobi propagator
-    from q to p, seeds the 64 connects; return_work adds their work counts.
+    from q to p, seeds the 64 connects; work, a dict, receives their counts.
     """
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
@@ -541,11 +564,11 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
     # [a, sign]: q +- h e_a, and p +- h e_b likewise
     qs = np.stack([q + step, q - step], axis=1)
     ps = np.stack([p + step, p - step], axis=1)
-    w, work = world_function(
+    w = world_function(
         chart,
         np.broadcast_to(qs[:, None, :, None], (4, 4, 2, 2, 4)).reshape(-1, 4),
         np.broadcast_to(ps[None, :, None, :], (4, 4, 2, 2, 4)).reshape(-1, 4),
-        steps=steps, near=propagator, return_work=True)
+        steps=steps, near=propagator, work=work)
     w = w.reshape(4, 4, 2, 2)
     mixed = (w[..., 0, 0] - w[..., 0, 1] - w[..., 1, 0] + w[..., 1, 1]) / (4.0 * h ** 2)
     det_m = np.linalg.det(-0.5 * mixed)
@@ -554,8 +577,7 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
     delta = -det_m / math.sqrt(-gp) / math.sqrt(-gq)
     if delta <= 0.0:
         raise GeometryError(f"van Vleck determinant {delta:.3e} is not positive")
-    k = math.sqrt(delta) / TWO_PI
-    return (k, work) if return_work else k
+    return math.sqrt(delta) / TWO_PI
 
 
 def conformal_k(chart: CurvedChart, q, p) -> float:

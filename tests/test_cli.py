@@ -482,6 +482,24 @@ def test_curved_transport_work_counters_repeat(tmp_path):
                                                  diag["van_vleck"]["worst_connect_residual"])
 
 
+def test_curved_transport_reports_k_steps_nodes(tmp_path):
+    out = tmp_path / "ct.json"
+    cfg = _write(tmp_path, "c.json", _transport_config(k_steps=4))
+    assert _run("curved-transport", cfg, out) == 0
+    rec = json.loads(out.read_text())["records"][0]
+    assert len(rec["k_nodes"]) == 5
+    assert rec["k_nodes"][0] == 1.0 / (2.0 * np.pi)
+    assert rec["k_nodes"][-1] == rec["k_ode"]
+
+
+def test_curved_transport_non_finite_k_is_geometry_error(tmp_path, monkeypatch):
+    from conerec import transport
+    monkeypatch.setattr(transport, "_box_w", lambda chart, path: np.full(len(path.s), np.nan))
+    code = _run("curved-transport", _write(tmp_path, "c.json", _transport_config()),
+                tmp_path / "ct.json")
+    assert code == cli.EXIT_GEOMETRY == 3
+
+
 def test_curved_transport_ray_leaves_chart(tmp_path):
     cfg = {"chart": {"name": "conformal", "eps": 1e-3, "halfwidth": 1.0},
            "rays": [{"p": [0, 0, 0, 0], "direction": [1, 0, 0], "t": 5.0}]}

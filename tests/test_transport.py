@@ -415,8 +415,7 @@ WORKLOAD_DIR = np.concatenate([[1.0], np.array([0.3, 0.5, 0.8]) / math.sqrt(0.98
 
 def _ray_propagator(chart, length=1.1):
     q = WORKLOAD_P + length * WORKLOAD_DIR
-    _, _, prop = tr.null_connect(chart, q, WORKLOAD_P, return_propagator=True)
-    return q, prop
+    return q, tr.null_connect(chart, q, WORKLOAD_P).path
 
 
 @pytest.mark.parametrize("profile", ["gaussian", "sine"])
@@ -515,14 +514,39 @@ def test_null_connect_propagator_carries_newton_work():
 def test_seeded_van_vleck_equals_unseeded(profile):
     chart = tr.make_chart("conformal", eps=1e-2, profile=profile)
     q, prop = _ray_propagator(chart)
-    plain, plain_work = tr.van_vleck_k(chart, q, WORKLOAD_P, return_work=True)
-    seeded, seeded_work = tr.van_vleck_k(chart, q, WORKLOAD_P, propagator=prop,
-                                         return_work=True)
+    plain_work, seeded_work = {}, {}
+    plain = tr.van_vleck_k(chart, q, WORKLOAD_P, work=plain_work)
+    seeded = tr.van_vleck_k(chart, q, WORKLOAD_P, propagator=prop, work=seeded_work)
     assert abs(seeded - plain) < 1e-10
     assert seeded_work["world_function_calls"] == plain_work["world_function_calls"] == 1
     assert seeded_work["shoots"] < plain_work["shoots"]
     assert max(seeded_work["worst_connect_residual"],
                plain_work["worst_connect_residual"]) <= 1e-13 * 2.0
+
+
+def test_transport_k_rejects_a_non_finite_propagator():
+    # a flat connection connects in one shoot; a NaN connection gradient
+    # leaves only the propagator's X and U blocks, and so box W, non-finite
+    flat = tr.make_chart("flat")
+    chart = tr.CurvedChart(metric=flat.metric, lo=flat.lo, hi=flat.hi,
+                           christoffel=flat.christoffel,
+                           christoffel_grad=lambda x: np.full((4, 4, 4, 4), np.nan))
+    q = P + 1.3 * OMEGA_DIR
+    prop = tr.null_connect(chart, q, P).path
+    assert np.isnan(prop.jacobi[-1]).all() and prop.work["shoots"] == 1
+    with pytest.raises(GeometryError, match="not finite"):
+        tr.transport_k(chart, q, P, steps=1, propagator=prop)
+
+
+def test_singular_jacobi_propagator_is_a_geometry_error():
+    chart = tr.make_chart("flat")
+    q = P + 1.3 * OMEGA_DIR
+    prop = tr.null_connect(chart, q, P).path
+    prop.jacobi[-1, :4, 4:] = 0.0
+    with pytest.raises(GeometryError, match="conjugate point"):
+        tr.transport_k(chart, q, P, steps=1, propagator=prop)
+    with pytest.raises(GeometryError, match="conjugate point"):
+        tr.world_function(chart, q, P, near=prop)
 
 
 def test_world_function_on_a_metric_only_chart_converges():
