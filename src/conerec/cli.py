@@ -554,8 +554,8 @@ def _suite_geometry(rng, cases):
     xs, ws = np.polynomial.legendre.leggauss(24)
     r0s = 0.5 * (a + b) + 0.5 * (b - a) * xs
     wr = 0.5 * (b - a) * ws
-    th, ph, wang, _ = grid.angles()
-    om = cone.unit_directions(th, ph)
+    wang = grid.angles()[2]
+    om, _ = grid.directions()
 
     def f(p):
         return np.exp(-p[:, 1] ** 2 - 0.5 * p[:, 2] - 0.3 * p[:, 0]) + 0.2 * p[:, 3] ** 2
@@ -704,14 +704,12 @@ def main(argv=None):
         prog="conerec",
         description="null-cone reconstruction toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--out", help="output path (default per command)")
-        sp.add_argument("--threads", type=int,
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--out", help="output path (default per command)")
+    parser.add_argument("--threads", type=int,
                         help="BLAS thread count, pinned before numpy loads")
-        sp.add_argument("--seed", type=int,
+    parser.add_argument("--seed", type=int,
                         help="seed for randomized suites (default config/0)")
     args = parser.parse_args(argv)
     if args.threads is not None:

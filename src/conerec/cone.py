@@ -14,6 +14,7 @@ transforms between charts by f_A = e^{i ph (p-q)} f_B.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,13 +31,48 @@ TWO_QUART = 2.0 ** 0.25
 # sphere quadrature
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_tables(n_theta, n_phi, chart_mode, cap):
+    """Angle-only tables of one grid key, shared by every grid built with it.
+
+    Returns the ring arrays (theta, w_theta, phi, keep, chart) and the
+    flattened node arrays over kept rings, ring-major (theta, phi,
+    weight, chart, omega, o).  All are read-only, so no caller can change
+    what the next grid of the same key sees.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    # descending in x = cos(theta): theta increasing from north pole
+    order = np.argsort(-x)
+    theta = np.arccos(x[order])
+    w_theta = w[order]
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    if chart_mode == "double":
+        keep = np.ones(n_theta, dtype=bool)
+        chart = (theta > math.pi / 2).astype(np.uint8)
+    else:
+        keep = theta < math.pi - cap
+        chart = np.zeros(n_theta, dtype=np.uint8)
+    th = np.repeat(theta[keep], n_phi)
+    ph = np.tile(phi, int(keep.sum()))
+    wt = np.repeat(w_theta[keep], n_phi) * (2.0 * math.pi / n_phi)
+    ch = np.repeat(chart[keep], n_phi)
+    omega = unit_directions(th, ph)
+    o, _ = spin_basis_field(th, ph, ch)
+    tables = (theta, w_theta, phi, keep, chart, th, ph, wt, ch, omega, o)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
 @dataclass
 class SphereGrid:
     """Product quadrature grid: Gauss-Legendre in cos(theta) x trapezoid in phi.
 
     chart_mode "double" assigns chart A to the northern rings and chart B
     to the southern ones; "single+cap" uses chart A everywhere and drops
-    rings within `cap` radians of the south pole.
+    rings within `cap` radians of the south pole.  The arrays are shared
+    between grids of the same (n_theta, n_phi, chart_mode, cap) and are
+    read-only.
     """
 
     n_theta: int
@@ -48,6 +84,7 @@ class SphereGrid:
     phi: np.ndarray = field(init=False)
     keep: np.ndarray = field(init=False)     # ring mask (cap exclusion)
     chart: np.ndarray = field(init=False)    # 0 = chart A, 1 = chart B, per ring
+    _nodes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_phi % 2 or self.n_phi < 8:
@@ -56,30 +93,18 @@ class SphereGrid:
             raise ValueError("n_theta must be at least 4")
         if self.chart_mode not in ("double", "single+cap"):
             raise ValueError(f"unknown chart_mode {self.chart_mode!r}")
-        x, w = np.polynomial.legendre.leggauss(self.n_theta)
-        # descending in x = cos(theta): theta increasing from north pole
-        order = np.argsort(-x)
-        self.theta = np.arccos(x[order])
-        self.w_theta = w[order]
-        self.phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
-        if self.chart_mode == "double":
-            self.keep = np.ones(self.n_theta, dtype=bool)
-            self.chart = (self.theta > math.pi / 2).astype(np.uint8)
-        else:
-            self.keep = self.theta < math.pi - self.cap
-            self.chart = np.zeros(self.n_theta, dtype=np.uint8)
-
-    @property
-    def w_phi(self):
-        return 2.0 * math.pi / self.n_phi
+        tables = _grid_tables(self.n_theta, self.n_phi, self.chart_mode, self.cap)
+        self.theta, self.w_theta, self.phi, self.keep, self.chart = tables[:5]
+        self._nodes = tables[5:]
 
     def angles(self):
         """Flattened (theta, phi, weight, chart) arrays over kept nodes, ring-major."""
-        th = np.repeat(self.theta[self.keep], self.n_phi)
-        ph = np.tile(self.phi, int(self.keep.sum()))
-        w = np.repeat(self.w_theta[self.keep], self.n_phi) * self.w_phi
-        ch = np.repeat(self.chart[self.keep], self.n_phi)
-        return th, ph, w, ch
+        return self._nodes[:4]
+
+    def directions(self):
+        """Unit directions omega (N, 3) and chart spin basis o (N, 2) at the
+        nodes of angles(); see unit_directions and spin_basis_field."""
+        return self._nodes[4], self._nodes[5]
 
     @property
     def excluded_solid_angle(self):
@@ -192,7 +217,7 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
         raise GeometryError("q must lie strictly inside the future cone of p0 "
                          f"(interval {gamma0:.3e}, dt {dq[0]:.3e})")
     theta, phi, quad_w, chart = grid.angles()
-    omega = unit_directions(theta, phi)
+    omega, o = grid.directions()
     t, x = dq[0], dq[1:]
     r = t - omega @ x
     if np.any(r <= 0):
@@ -201,7 +226,6 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     l = np.concatenate([np.ones_like(r0)[:, None], omega], axis=1)
     p = p0[None, :] + r0[:, None] * l
     n = (q[None, :] - p) / r[:, None]
-    o, _ = spin_basis_field(theta, phi, chart)
     iota = transversal_iota(o, n)
     m = from_matrix(np.einsum("ni,nj->nij", o, iota.conj()))
     rho = -1.0 / r0.astype(complex)

@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import cone
 from .errors import CoverageError
@@ -67,9 +66,9 @@ class ConeData:
     derivative; omitted, the derivative falls back to a Richardson
     difference in r0.  Grid source: values of shape
     (len(r0_nodes), n_nodes, ncomp) sampled on `grid`, interpolated along
-    each generator by a cubic spline.  Support must stay away from the
-    vertex: r0 at or below `r0_min` (grid: outside the node range) is an
-    error.
+    each generator by the not-a-knot cubic spline.  Support must stay
+    away from the vertex: r0 at or below `r0_min` (grid: outside the node
+    range) is an error.
 
     Grid values are stored in the canonical frame of the on-axis
     sections.  phi_0, zeta_0 and xi^{1'} contract only with o, so they
@@ -91,6 +90,8 @@ class ConeData:
         self.fn = fn
         self.fn_dr0 = fn_dr0
         self.r0_min = float(r0_min)
+        if not (math.isfinite(self.r0_min) and self.r0_min >= 0.0):
+            raise ValueError(f"r0_min must be finite and non-negative, got {r0_min!r}")
         if fn is None:
             if grid is None or r0_nodes is None or values is None:
                 raise ValueError("grid data needs grid, r0_nodes and values")
@@ -98,23 +99,30 @@ class ConeData:
             self.r0_nodes = np.asarray(r0_nodes, dtype=float)
             if self.r0_nodes.ndim != 1 or self.r0_nodes.size < 4:
                 raise ValueError("need at least 4 increasing r0 nodes")
+            if not np.all(np.isfinite(self.r0_nodes)):
+                raise ValueError("r0_nodes must be finite")
             if np.any(np.diff(self.r0_nodes) <= 0):
                 raise ValueError("r0 nodes must increase")
             if self.r0_nodes[0] <= 0:
                 raise ValueError("data support must exclude the vertex")
             th = grid.angles()[0]
-            self.values = np.asarray(values, dtype=complex)
+            self.values = np.ascontiguousarray(values, dtype=complex)
             expect = (self.r0_nodes.size, th.size)
             if self.values.shape[:2] != expect:
                 raise ValueError(f"values must have shape {expect} + (ncomp,)")
             if self.values.ndim == 2:
                 self.values = self.values[:, :, None]
-            self._spline = CubicSpline(self.r0_nodes, self.values, axis=0)
+            # every generator column at once, as real and imaginary parts
+            columns = self.values.reshape(expect[0], -1).view(float)
+            if not np.all(np.isfinite(columns)):
+                raise ValueError("values must be finite")
+            self._moments = (_moment_matrix(self.r0_nodes) @ columns
+                             ).view(complex).reshape(self.values.shape)
         else:
             self.grid = None
             self.r0_nodes = None
             self.values = None
-            self._spline = None
+            self._moments = None
 
     @property
     def is_analytic(self):
@@ -150,15 +158,19 @@ class ConeData:
             raise ValueError("section grid does not match the data grid")
 
     def _spline_eval(self, r0, deriv=False):
-        # per-node Horner on the cubic pieces; vectorized over nodes
-        idx = np.clip(np.searchsorted(self.r0_nodes, r0) - 1,
-                      0, self.r0_nodes.size - 2)
-        dx = (r0 - self.r0_nodes[idx])[:, None]
+        # per-node Horner on the bracketing cubic piece, from its end values
+        # y0, y1 and moments m0, m1; vectorized over nodes
+        x = self.r0_nodes
+        idx = np.clip(np.searchsorted(x, r0) - 1, 0, x.size - 2)
+        h = (x[idx + 1] - x[idx])[:, None]
+        dx = (r0 - x[idx])[:, None]
         nodes = np.arange(r0.size)
-        c = self._spline.c[:, idx, nodes, :]          # (4, N, ncomp)
+        y0, y1 = self.values[idx, nodes], self.values[idx + 1, nodes]
+        m0, m1 = self._moments[idx, nodes], self._moments[idx + 1, nodes]
+        slope = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0
         if deriv:
-            return (3.0 * c[0] * dx + 2.0 * c[1]) * dx + c[2]
-        return ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
+            return slope + dx * (m0 + dx * (m1 - m0) / (2.0 * h))
+        return y0 + dx * (slope + dx * (0.5 * m0 + dx * (m1 - m0) / (6.0 * h)))
 
     def evaluate(self, r0, omega, o_up, iota_up):
         """Component values at (r0, omega) in the supplied node frame."""
@@ -195,6 +207,30 @@ class ConeData:
         self._check_grid(section.grid)
         return self.radial_derivative(section.r0, section.omega,
                                       section.o, section.iota)
+
+
+def _moment_matrix(x):
+    """S with M = S @ y: the second derivatives M at the nodes x of the
+    not-a-knot cubic spline through the values y there.
+
+    Moment form (de Boor, A Practical Guide to Splines, ch. IV): the
+    interior rows are continuity of the first derivative, the first and
+    last rows continuity of the third derivative at x[1] and x[-2].
+    """
+    k = x.size
+    h = np.diff(x)
+    lhs = np.zeros((k, k))
+    rhs = np.zeros((k, k))
+    lhs[0, :3] = h[1], -(h[0] + h[1]), h[0]
+    lhs[-1, -3:] = h[-1], -(h[-2] + h[-1]), h[-2]
+    i = np.arange(1, k - 1)
+    lhs[i, i - 1] = h[:-1]
+    lhs[i, i] = 2.0 * (h[:-1] + h[1:])
+    lhs[i, i + 1] = h[1:]
+    rhs[i, i - 1] = 6.0 / h[:-1]
+    rhs[i, i] = -6.0 / h[:-1] - 6.0 / h[1:]
+    rhs[i, i + 1] = 6.0 / h[1:]
+    return np.linalg.solve(lhs, rhs)
 
 
 def richardson_dr0(values_at, r0, h):
@@ -461,6 +497,10 @@ def load_cone_data(path: str) -> ConeData:
     raw = np.fromfile(blob_path, dtype="<c16")
     if raw.size != int(np.prod(shape)):
         raise ValueError("blob size does not match the descriptor")
+    if not np.all(np.isfinite(raw.view(float))):
+        raise ValueError(f"blob {blob!r} holds non-finite values")
+    r0_min = desc.get("r0_min", 0.0)
+    if type(r0_min) not in (int, float):
+        raise ValueError(f"r0_min must be a number, got {r0_min!r}")
     return ConeData(valence, kind=kind, grid=grid,
-                    r0_nodes=r0_nodes, values=raw.reshape(shape),
-                    r0_min=desc.get("r0_min", 0.0))
+                    r0_nodes=r0_nodes, values=raw.reshape(shape), r0_min=r0_min)

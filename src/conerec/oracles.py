@@ -341,8 +341,8 @@ def derivative_under_integral_check(f, p0, q, h: float):
 
     # solid version: radial Gauss-Legendre from the apex to the section
     xs, ws = np.polynomial.legendre.leggauss(24)
-    th, ph_ang, wang, _ = grid.angles()
-    om = cone.unit_directions(th, ph_ang)
+    wang = grid.angles()[2]
+    om, _ = grid.directions()
     lvec = np.concatenate([np.ones((om.shape[0], 1)), om], axis=1)
 
     def solid_integral(qq):

@@ -280,15 +280,21 @@ def _integrate(chart: CurvedChart, rhs, y, s_end: float, steps: int, what: str):
     """Fixed-step RK4 samples of dy/ds = rhs(stage, y) over [0, s_end].
 
     y is a list of arrays whose first entry is the chart position; the
-    position is checked against the box after every step, and the first
-    step that leaves it raises GeometryError naming `what`.  Returns one
-    (steps + 1, ...) array per entry of y, starting with y itself.
+    position is checked after every step, and the first step that leaves
+    the box, or makes the position non-finite, raises GeometryError naming
+    `what`.  Returns one (steps + 1, ...) array per entry of y, starting
+    with y itself.
     """
     h = s_end / steps
     samples = [y]
     for i in range(steps):
         y = rk4_step(rhs, y, h)
         if not chart.contains(y[0]):
+            if not np.all(np.isfinite(y[0])):
+                raise GeometryError(f"{what} reached a non-finite state at "
+                                    f"s = {(i + 1) * h:.6g}, x = {y[0]}; the "
+                                    "chart's metric or connection is not "
+                                    "finite along it")
             raise GeometryError(f"{what} left the chart domain at "
                                 f"s = {(i + 1) * h:.6g}, x = {y[0]}")
         samples.append(y)

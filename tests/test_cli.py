@@ -196,6 +196,36 @@ def test_blob_outside_the_descriptor_directory_is_config_error(tmp_path, capsys)
     assert "blob" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edits, key", [
+    ({"r0_nodes": [0.3, 0.4, float("nan"), 0.5, 0.6, 0.65, 0.7, 0.8]}, "r0_nodes"),
+    ({"r0_nodes": [0.3, 0.4, 0.45, 0.5, 0.6, 0.65, 0.7, float("inf")]}, "r0_nodes"),
+    ({"r0_min": float("nan")}, "r0_min"),
+    ({"r0_min": -0.1}, "r0_min"),
+    ({"r0_min": "0.1"}, "r0_min"),
+    ({}, "blob"),
+])
+def test_non_finite_descriptor_or_blob_is_config_error(tmp_path, capsys, edits, key):
+    path = _edited_data_file(tmp_path, **edits)
+    if key == "blob":
+        blob = np.fromfile(tmp_path / "conedata.bin", dtype="<c16")
+        blob[17] = complex(np.nan, 0.0)
+        blob.tofile(tmp_path / "conedata.bin")
+    cfg = _rec_config(q=[[1, 0, 0, 0]], data={"file": path},
+                      quadrature={"n_theta": 12, "n_phi": 24})
+    cfg.pop("tolerance")
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
+                tmp_path / "o.json") == 2
+    assert key in capsys.readouterr().err
+
+
+def test_unknown_command_or_missing_config_exits_2(tmp_path):
+    cfg_path = _write(tmp_path, "c.json", _rec_config())
+    for argv in (["bogus", "--config", cfg_path], ["reconstruct"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
 def test_constraints_table(tmp_path):
     cfg = {"p0": [0, 0, 0, 0], "valence": 2, "s_values": [0.8, 1.6],
            "data": {"family": "plane-wave", "alpha": ALPHA},

@@ -29,6 +29,26 @@ def test_grid_cap_mode():
     assert abs(w.sum() + g.excluded_solid_angle - 4 * math.pi) < 1e-13
 
 
+def test_grid_tables_are_shared_and_read_only():
+    a = cone.SphereGrid(8, 16)
+    b = cone.SphereGrid(8, 16)
+    for x, y in zip(a.angles() + a.directions(), b.angles() + b.directions()):
+        assert x is y
+        with pytest.raises(ValueError):
+            x[0] = x[1]
+    assert a.theta is b.theta
+    with pytest.raises(ValueError):
+        a.w_theta[0] = 0.0
+    # the cached directions and basis are the ones computed from the angles
+    th, ph, _, ch = a.angles()
+    omega, o = a.directions()
+    assert np.array_equal(omega, cone.unit_directions(th, ph))
+    assert np.array_equal(o, cone.spin_basis_field(th, ph, ch)[0])
+    # another key gets its own tables
+    capped = cone.SphereGrid(8, 16, chart_mode="single+cap", cap=0.4)
+    assert capped.angles()[0].size < a.angles()[0].size
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         cone.SphereGrid(16, 31)   # odd n_phi

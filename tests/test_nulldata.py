@@ -2,6 +2,8 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +129,59 @@ def test_grid_data_interpolates_plane_wave():
     assert errs[0] / errs[1] > 10.0
     assert errs_d[0] / errs_d[1] > 6.0
     assert errs[1] < 1e-6 and errs_d[1] < 1e-4
+
+
+@pytest.mark.parametrize("k", [4, 40])
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_grid_spline_matches_scipy_not_a_knot(k, uniform, ncomp):
+    from scipy.interpolate import CubicSpline
+    gen = np.random.default_rng(100 * k + 10 * uniform + ncomp)
+    grid = SphereGrid(4, 8)
+    n_dir = grid.angles()[0].size
+    nodes = (np.linspace(0.3, 2.0, k) if uniform
+             else np.sort(gen.uniform(0.3, 2.0, k)))
+    vals = (gen.standard_normal((k, n_dir, ncomp))
+            + 1j * gen.standard_normal((k, n_dir, ncomp)))
+    data = ConeData(1, grid=grid, r0_nodes=nodes, values=vals)
+    r0 = gen.uniform(nodes[0], nodes[-1], n_dir)
+    r0[:3] = nodes[0], nodes[-1], nodes[1]      # both ends and a knot
+    om, o = grid.directions()
+    ref = CubicSpline(nodes, vals, axis=0)
+    per_node = np.arange(n_dir)
+    want = ref(r0)[per_node, per_node]
+    want_d = ref(r0, 1)[per_node, per_node]
+    got = data.evaluate(r0, om, o, None)
+    got_d = data.radial_derivative(r0, om, o, None)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got_d - want_d)) <= 1e-12 * np.max(np.abs(want_d))
+
+
+@pytest.mark.parametrize("bad, key", [("r0_nodes", "r0_nodes"), ("values", "values"),
+                                      ("r0_min", "r0_min")])
+def test_grid_data_rejects_non_finite_input(bad, key):
+    grid = SphereGrid(4, 8)
+    args = {"r0_nodes": np.linspace(0.5, 1.0, 6),
+            "values": np.zeros((6, grid.angles()[0].size, 1), dtype=complex),
+            "r0_min": 0.0}
+    if bad == "r0_min":
+        args[bad] = np.nan
+    else:
+        args[bad][1] = np.nan
+    with pytest.raises(ValueError, match=key):
+        ConeData(1, grid=grid, **args)
+
+
+def test_cli_and_library_import_without_scipy():
+    code = ("import sys; import conerec.cli, conerec.reconstruct, conerec.nulldata, "
+            "conerec.transport, conerec.oracles; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(nd.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_grid_data_domain_and_grid_guards():

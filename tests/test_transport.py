@@ -538,6 +538,19 @@ def test_transport_k_rejects_a_non_finite_propagator():
         tr.transport_k(chart, q, P, steps=1, propagator=prop)
 
 
+def test_non_finite_metric_is_not_reported_as_leaving_the_chart():
+    # NaN from the metric makes the geodesic state NaN, and a NaN position
+    # fails the box test; the error must name the non-finite state
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    chart = tr.CurvedChart(metric=lambda x: eta * np.nan if x[1] > 0.5 else eta,
+                           lo=np.full(4, -2.0), hi=np.full(4, 2.0))
+    v = np.array([1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(GeometryError, match="reached a non-finite state") as err:
+        tr.geodesic_shoot(chart, P, v, s_end=1.0, steps=20)
+    assert "left the chart" not in str(err.value)
+    assert tr.geodesic_shoot(chart, P, v, s_end=0.3, steps=20).x[-1][1] < 0.5
+
+
 def test_singular_jacobi_propagator_is_a_geometry_error():
     chart = tr.make_chart("flat")
     q = P + 1.3 * OMEGA_DIR
