@@ -322,20 +322,23 @@ def cmd_reconstruct(cfg, out, seed):
     records, failures = [], 0
     for i, q_raw in enumerate(q_list):
         q = _as_point(q_raw, f"q[{i}]")
-        if kind == "dirac":
-            res = reconstruct_dirac(p0, data, q, spec)
-            rec = {"q": q.tolist(),
-                   "phi": [_c2j(z) for z in res.value.phi],
-                   "psi": [_c2j(z) for z in res.value.psi]}
-        else:
-            if chart is not None:
+        try:
+            if kind == "dirac":
+                res = reconstruct_dirac(p0, data, q, spec)
+            elif chart is not None:
                 res = reconstruct_curved_singular(chart, p0, data, valence,
                                                   q, spec)
             else:
                 res = reconstruct_spin_n(p0, data, valence, q, spec)
-            rec = {"q": q.tolist(),
-                   "components": [_c2j(z) for z in res.value.components],
-                   "basis": res.value.basis_id}
+        except (GeometryError, CoverageError) as exc:
+            raise type(exc)(f"q[{i}]: {exc}") from None
+        rec = {"q": q.tolist()}
+        if kind == "dirac":
+            rec["phi"] = [_c2j(z) for z in res.value.phi]
+            rec["psi"] = [_c2j(z) for z in res.value.psi]
+        else:
+            rec["components"] = [_c2j(z) for z in res.value.components]
+            rec["basis"] = res.value.basis_id
         rec["diagnostics"] = res.diagnostics
         if oracle is not None:
             err = relative_error(components(res.value), components(oracle(q)))

@@ -490,7 +490,10 @@ def load_cone_data(path: str) -> ConeData:
                          "the descriptor")
     grid = SphereGrid(desc["n_theta"], desc["n_phi"],
                       chart_mode=desc["chart_mode"], cap=desc["cap"])
-    r0_nodes = np.asarray(desc["r0_nodes"], dtype=float)
+    r0_nodes = desc["r0_nodes"]
+    if type(r0_nodes) is not list or any(type(r) not in (int, float) for r in r0_nodes):
+        raise ValueError(f"r0_nodes must be a list of numbers, got {r0_nodes!r}")
+    r0_nodes = np.asarray(r0_nodes, dtype=float)
     n_nodes = grid.angles()[0].size
     shape = (r0_nodes.size, n_nodes, ncomp)
     blob_path = os.path.join(os.path.dirname(base) or ".", blob)

@@ -22,16 +22,17 @@ from .cone import SphereGrid, build_section
 from .errors import GeometryError
 from .frames import transversal_iota
 from .nulldata import ConeData, richardson_dr0
-from .spinor import (MAX_VALENCE, DiracSpinorValue, SymSpinorValue,
-                     lower_comps, sym_components)
+from .spinor import DiracSpinorValue, SymSpinorValue, lower_comps
 
 __all__ = ["QuadratureSpec", "ReconstructionResult", "reconstruct_dirac",
            "reconstruct_spin_n", "reconstruct_maxwell",
            "reconstruct_curved_singular", "convergence_study",
            "components", "relative_error"]
 
-_STD_O = np.array([1.0, 0.0], dtype=complex)
-_STD_IOTA = np.array([0.0, 1.0], dtype=complex)
+# Largest valence the evaluators accept: on the default 24x48 grid the
+# plane-wave error stays below 1e-13 up to 16 for |x - p0|/t <= 0.4 and
+# grows with n past it (sweep recorded in CHANGES.md).
+MAX_VALENCE = 16
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,16 @@ def _rho_coefficient(n: int, spec: QuadratureSpec) -> float:
     return float(n + 1 if spec.rho_variant == "penrose" else n)
 
 
-def _integrand_tensor(scal, iota_up, n: int):
-    """Sum over nodes x of scal[x] iota_A(x) ... iota_F(x), n lower indices."""
-    idx = "abcdef"[:n]          # one letter per index, n <= MAX_VALENCE
-    subs = "x," + ",".join("x" + c for c in idx) + "->" + idx
-    return np.einsum(subs, scal, *([lower_comps(iota_up)] * n))
+def _component_sum(scal, iota_up, n: int):
+    """phi_0 .. phi_n in the standard basis at q of sum_x scal[x] iota_A(x)
+    ... iota_F(x): phi_j = sum_x scal[x] a^(n-j) b^j with (a, b) = iota_A,
+    the powers built by repeated products."""
+    a, b = lower_comps(iota_up).T
+    left, right = [scal], [np.ones_like(b)]
+    for _ in range(n):
+        left.append(left[-1] * a)
+        right.append(right[-1] * b)
+    return np.array([left[n - j] @ right[j] for j in range(n + 1)])
 
 
 def _check_spin_args(data: ConeData, n: int):
@@ -105,50 +111,42 @@ def _check_spin_args(data: ConeData, n: int):
         raise ValueError("spin reconstruction expects phi_0 data")
 
 
-def _flat_scalars(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
-    """The section sigma(q) and, per data column, the flat integrand scalar
-    (d/dr0 - (n+1) rho) phi mu_sigma / (2 pi r) at its nodes."""
+def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
+    """Components at q, node count, {}: phi_0 .. phi_n for spin data,
+    phi_A (lower) then psi^{A'} (upper) for the Dirac pair.  Per data
+    column the integrand scalar on sigma(q) is
+    (d/dr0 - (n+1) rho) phi mu_sigma / (2 pi r)."""
     section = build_section(p0, q, spec.grid())
     vals = data.evaluate_on(section)
     dvals = _radial_derivative(data, section.r0, section.omega, section.o,
                                section.iota, spec)
     coeff = _rho_coefficient(n, spec)
     w = section.mu_sigma / (2.0 * math.pi * section.r)
-    return section, (dvals - coeff * section.rho[:, None] * vals) * w[:, None]
+    scal = (dvals - coeff * section.rho[:, None] * vals) * w[:, None]
+    if data.kind == "dirac":
+        comps = np.concatenate([_component_sum(-scal[:, 0], section.iota, 1),
+                                scal[:, 1] @ np.conj(section.iota)])
+    else:
+        comps = _component_sum(scal[:, 0] * (-1.0) ** n, section.iota, n)
+    return comps, section.n_nodes, {}
 
 
-def _spin_n_tensor(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
-    """(rank-n symmetric tensor in global components,), node count, {}."""
-    section, scal = _flat_scalars(p0, data, n, q, spec)
-    return ((_integrand_tensor(scal[:, 0] * (-1.0) ** n, section.iota, n),),
-            section.n_nodes, {})
-
-
-def _dirac_pair(p0, data: ConeData, q, spec: QuadratureSpec):
-    """(phi_A lower, psi^{A'} upper) global components, node count, {}."""
-    section, scal = _flat_scalars(p0, data, 1, q, spec)
-    phi = -np.einsum("x,xa->a", scal[:, 0], lower_comps(section.iota))
-    psi = np.einsum("x,xa->a", scal[:, 1], np.conj(section.iota))
-    return (phi, psi), section.n_nodes, {}
-
-
-def _evaluate(quadrature, data: ConeData, spec: QuadratureSpec):
-    """Run quadrature(spec) -> (arrays, n_nodes, extras) and build diagnostics.
-
-    The error estimate is the largest difference against a
-    half-resolution run over all arrays; it is 0.0 when no coarser
-    evaluation exists (spec at the floor, or data bound to its grid).
-    Returns (arrays, diagnostics).
-    """
-    arrays, n_nodes, extras = quadrature(spec)
+def _evaluate(quadrature, data: ConeData, q, spec: QuadratureSpec):
+    """quadrature(spec) -> (components, n_nodes, extras), wrapped at q with
+    its diagnostics in a ReconstructionResult.  The error estimate is the
+    largest component difference against a half-resolution run, 0.0 when
+    no coarser evaluation exists (spec at the floor, or grid-bound data)."""
+    comps, n_nodes, extras = quadrature(spec)
     estimate = 0.0
     if spec.halved() != spec and data.is_analytic:
         coarse, _, _ = quadrature(spec.halved())
-        estimate = max(float(np.max(np.abs(a - c))) for a, c in zip(arrays, coarse))
+        estimate = float(np.max(np.abs(comps - coarse)))
     diagnostics = {"n_nodes": int(n_nodes),
                    "excluded_solid_angle": spec.grid().excluded_solid_angle,
-                   "error_estimate": float(estimate), **extras}
-    return arrays, diagnostics
+                   "error_estimate": estimate, **extras}
+    value = (DiracSpinorValue(comps[:2], comps[2:]) if data.kind == "dirac"
+             else SymSpinorValue(comps.size - 1, comps))
+    return ReconstructionResult(value=value, q=q, diagnostics=diagnostics)
 
 
 def reconstruct_spin_n(p0, data: ConeData, n: int, q,
@@ -156,17 +154,16 @@ def reconstruct_spin_n(p0, data: ConeData, n: int, q,
     """Value of the valence-n field at q from phi_0 on the cone of p0.
 
     Quadrature of (-1)^n (d phi_0/dr0 - (n+1) rho phi_0) iota_A..iota_F
-    mu_sigma / (2 pi r) over sigma(q); the result is expressed in the
-    standard spin basis at q.  The error estimate in the diagnostics is
-    the difference against a half-resolution evaluation.  n runs from 1
-    to MAX_VALENCE.
+    mu_sigma / (2 pi r) over sigma(q), summed node by node straight into
+    the n+1 scalars phi_j of the standard spin basis at q (O(N n) work;
+    no rank-n tensor is formed).  The error estimate in the diagnostics
+    is the difference against a half-resolution evaluation.  n runs from
+    1 to MAX_VALENCE.
     """
     _check_spin_args(data, n)
     q = np.asarray(q, dtype=float)
-    (tensor,), diagnostics = _evaluate(
-        lambda sp: _spin_n_tensor(p0, data, n, q, sp), data, spec)
-    value = sym_components(tensor, _STD_O, _STD_IOTA)
-    return ReconstructionResult(value=value, q=q, diagnostics=diagnostics)
+    return _evaluate(lambda sp: _flat_components(p0, data, n, q, sp),
+                     data, q, spec)
 
 
 def reconstruct_maxwell(p0, data: ConeData, q,
@@ -179,17 +176,15 @@ def reconstruct_dirac(p0, data: ConeData, q,
                       spec: QuadratureSpec) -> ReconstructionResult:
     """4-spinor value at q from the (zeta_0, xi^{1'}) data pair.
 
-    The unprimed half integrates the zeta_0 column against -iota_A, the
-    primed half the xi^{1'} column against +iotabar^{A'}, both with the
-    2 rho coefficient and 1/(2 pi r) weight.
+    The unprimed half integrates the zeta_0 column against -iota_A (the
+    n = 1 component sum), the primed half the xi^{1'} column against
+    +iotabar^{A'}, both with the 2 rho coefficient and 1/(2 pi r) weight.
     """
     if data.kind != "dirac":
         raise ValueError("dirac reconstruction expects (zeta_0, xi^{1'}) data")
     q = np.asarray(q, dtype=float)
-    (phi, psi), diagnostics = _evaluate(
-        lambda sp: _dirac_pair(p0, data, q, sp), data, spec)
-    return ReconstructionResult(value=DiracSpinorValue(phi=phi, psi=psi), q=q,
-                                diagnostics=diagnostics)
+    return _evaluate(lambda sp: _flat_components(p0, data, 1, q, sp),
+                     data, q, spec)
 
 
 def components(value) -> np.ndarray:
@@ -237,9 +232,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_U = 0.5 * (_GL_NODES + 1.0)
 
 
-def _curved_spin_tensor(chart, p0, data: ConeData, n: int, q,
-                        spec: QuadratureSpec):
-    """Singular-integral tensor on a conformally flat chart.
+def _curved_components(chart, p0, data: ConeData, n: int, q,
+                       spec: QuadratureSpec):
+    """Singular-integral phi_0 .. phi_n on a conformally flat chart.
 
     Null geodesics of omega^2 eta are straight coordinate rays, so the
     section geometry is the flat one with relabeled affine parameters:
@@ -303,7 +298,7 @@ def _curved_spin_tensor(chart, p0, data: ConeData, n: int, q,
         "k_deviation": float(np.max(np.abs(k - 1.0 / (2.0 * math.pi)))),
         "area_measure_factor": float(np.median(mu / (k * r ** 2 * w_ang))),
     }
-    return (_integrand_tensor(scal, iota_s, n),), section.n_nodes, extras
+    return _component_sum(scal, iota_s, n), section.n_nodes, extras
 
 
 def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
@@ -331,7 +326,5 @@ def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
     q = np.asarray(q, dtype=float)
     chart.require_inside(p0, "cone vertex")
     chart.require_inside(q, "evaluation point")
-    (tensor,), diagnostics = _evaluate(
-        lambda sp: _curved_spin_tensor(chart, p0, data, n, q, sp), data, spec)
-    value = sym_components(tensor, _STD_O, _STD_IOTA)
-    return ReconstructionResult(value=value, q=q, diagnostics=diagnostics)
+    return _evaluate(lambda sp: _curved_components(chart, p0, data, n, q, sp),
+                     data, q, spec)

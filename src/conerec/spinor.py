@@ -41,7 +41,7 @@ EPS = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
-# Largest valence the dense (2,)*n symmetric tensors are used for.
+# Largest valence of the dense (2,)*n tensor helpers (test references).
 MAX_VALENCE = 6
 
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

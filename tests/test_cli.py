@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conerec import cli, cone, nulldata, oracles
+from conerec.reconstruct import MAX_VALENCE
 
 ALPHA = [[1.0, 0.0], [0.3, 0.4]]
 
@@ -88,6 +90,21 @@ def test_reconstruct_q_on_cone_is_geometry_error(tmp_path):
                 tmp_path / "o.json") == 3
 
 
+@pytest.mark.parametrize("second_q, chart, message", [
+    ([1, 0, 0, 1], None, "inside the future cone"),
+    ([30, 1, 0, 0], {"name": "conformal", "eps": 1e-3}, "outside the chart domain"),
+], ids=["outside-cone", "outside-chart"])
+def test_per_point_geometry_error_names_the_record(tmp_path, capsys, second_q,
+                                                   chart, message):
+    cfg = _rec_config(q=[[1.5, 0.4, 0.3, 0.2], second_q])
+    if chart is not None:
+        cfg["chart"] = chart
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
+                tmp_path / "o.json") == 3
+    err = capsys.readouterr().err
+    assert "q[1]: " in err and message in err
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert _run("reconstruct", str(tmp_path / "nope.json"),
                 tmp_path / "o.json") == 2
@@ -111,11 +128,11 @@ def test_empty_q_list_is_config_error(tmp_path):
                 tmp_path / "o.json") == 2
 
 
-def _grid_data_file(tmp_path, r0_lo, r0_hi):
+def _grid_data_file(tmp_path, r0_lo, r0_hi, grid_shape=(12, 24)):
     """Plane-wave phi_0 sampled on a (r0 x directions) grid, saved to disk."""
     spec = oracles.PlaneWaveSpec(1, np.array([1.0, 0.3 + 0.4j]))
     fn, _ = oracles.plane_wave_cone_fn(spec, np.zeros(4))
-    grid = cone.SphereGrid(12, 24)
+    grid = cone.SphereGrid(*grid_shape)
     r0_nodes = np.linspace(r0_lo, r0_hi, 8)
     rows = []
     for r0 in r0_nodes:
@@ -181,6 +198,28 @@ def test_mistyped_grid_in_descriptor_is_config_error(tmp_path, capsys, edits, ke
     assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
                 tmp_path / "o.json") == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nodes", [[0.3, {}, 0.8], [0.3, [0.5], 0.8], 0.3],
+                         ids=["object-node", "list-node", "number"])
+def test_non_number_r0_nodes_is_config_error(tmp_path, capsys, nodes):
+    # a JSON object among the nodes ended in a TypeError (exit 5)
+    path = _edited_data_file(tmp_path, r0_nodes=nodes)
+    cfg = _rec_config(q=[[1, 0, 0, 0]], data={"file": path},
+                      quadrature={"n_theta": 12, "n_phi": 24})
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
+                tmp_path / "o.json") == 2
+    assert "r0_nodes" in capsys.readouterr().err
+
+
+def test_per_point_coverage_error_names_the_record(tmp_path, capsys):
+    # q[0] sits on sections at r0 = 0.5, q[1] at r0 = 1.0 past the last node
+    path = _grid_data_file(tmp_path, 0.3, 0.8)
+    cfg = _rec_config(q=[[1, 0, 0, 0], [2, 0, 0, 0]], data={"file": path},
+                      quadrature={"n_theta": 12, "n_phi": 24})
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
+                tmp_path / "o.json") == 4
+    assert "q[1]: " in capsys.readouterr().err
 
 
 def test_blob_outside_the_descriptor_directory_is_config_error(tmp_path, capsys):
@@ -252,9 +291,11 @@ _CONSTRAINTS = {"p0": [0, 0, 0, 0], "valence": 1, "s_values": [0.8],
 @pytest.mark.parametrize("command, cfg, key", [
     ("reconstruct", _rec_config(kind="bogus"), "kind"),
     ("converge", {**_CONVERGE, "kind": "bogus"}, "kind"),
-    ("reconstruct", _rec_config(valence=7), "valence"),
-    ("reconstruct", _rec_config(valence=9), "valence"),
-    ("converge", {**_CONVERGE, "valence": 9}, "valence"),
+    ("reconstruct", _rec_config(valence=MAX_VALENCE + 1), "valence"),
+    ("reconstruct", _rec_config(valence=MAX_VALENCE + 1,
+                                chart={"name": "conformal", "eps": 1e-3}),
+     "valence"),
+    ("converge", {**_CONVERGE, "valence": MAX_VALENCE + 1}, "valence"),
     ("constraints", {"p0": [0, 0, 0, 0], "valence": 1.7, "s_values": [0.8],
                      "data": {"family": "plane-wave", "alpha": ALPHA}},
      "valence"),
@@ -314,8 +355,8 @@ _CONSTRAINTS = {"p0": [0, 0, 0, 0], "valence": 1, "s_values": [0.8],
     ("verify", {"suites": 5}, "suites"),
     ("verify", {"suites": "algebra"}, "suites must"),
     ("verify", {"suites": ["algebra"], "thresholds": [1]}, "thresholds"),
-], ids=["reconstruct-kind", "converge-kind", "reconstruct-valence-7",
-        "reconstruct-valence-9", "converge-valence-9",
+], ids=["reconstruct-kind", "converge-kind", "reconstruct-valence-above-cap",
+        "reconstruct-curved-valence-above-cap", "converge-valence-above-cap",
         "constraints-valence-fraction", "verify-cases-zero",
         "n_theta-string", "n_theta-fraction", "cap-string", "fd_step-zero",
         "eps-string", "width-string", "width-zero", "reconstruct-tolerance-string",
@@ -333,6 +374,32 @@ def test_bad_config_value_names_key(tmp_path, capsys, command, cfg, key):
     assert _run(command, _write(tmp_path, "c.json", cfg),
                 tmp_path / "out") == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("reconstruct", _rec_config(valence=MAX_VALENCE + 1)),
+    ("reconstruct", _rec_config(valence=MAX_VALENCE + 1,
+                                chart={"name": "conformal", "eps": 1e-3})),
+    ("converge", {**_CONVERGE, "valence": MAX_VALENCE + 1}),
+], ids=["reconstruct", "reconstruct-curved", "converge"])
+def test_valence_above_cap_exits_2_before_evaluating_data(tmp_path, capsys,
+                                                           monkeypatch, command,
+                                                           cfg):
+    def never(*args):
+        raise AssertionError("data evaluated before the valence check")
+
+    monkeypatch.setattr(oracles, "plane_wave_cone_fn", lambda *a: (never, never))
+    assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
+    assert "valence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("reconstruct", _rec_config(valence=MAX_VALENCE)),
+    ("converge", {**_CONVERGE, "valence": MAX_VALENCE, "levels": [[24, 48]],
+                  "tolerance": 1e-12}),
+], ids=["reconstruct", "converge"])
+def test_valence_at_cap_runs(tmp_path, command, cfg):
+    assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out") == 0
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -707,6 +774,10 @@ _LEAVES = [
     ("constraints", ("levels",)),
     ("verify", ("suites",)),
     ("verify", ("thresholds",)),
+    ("reconstruct", ("valence",)),
+    ("reconstruct-curved", ("valence",)),
+    ("converge", ("valence",)),
+    ("constraints", ("valence",)),
 ]
 
 _SMALL = st.one_of(st.integers(-3, 40), st.floats(-50.0, 50.0))
@@ -730,5 +801,33 @@ def test_mistyped_numeric_leaf_ends_in_a_documented_exit_code(leaf, value):
         with open(cfg_path, "w") as fh:
             json.dump(cfg, fh)
         code = cli.main([name.split("-curved")[0], "--config", cfg_path,
+                         "--out", os.path.join(tmp, "out")])
+    assert code in {0, 1, 2, 3, 4}
+
+
+# descriptor keys of a tiny 8x16 data file; ("r0_nodes", 3) is one node
+_DESCRIPTOR_LEAVES = [("valence",), ("n_components",), ("n_theta",),
+                      ("n_phi",), ("r0_min",), ("r0_nodes", 3)]
+
+
+@given(leaf=st.sampled_from(_DESCRIPTOR_LEAVES), value=_WRONG)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_mistyped_descriptor_leaf_ends_in_a_documented_exit_code(leaf, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _grid_data_file(Path(tmp), 0.3, 0.8, grid_shape=(8, 16))
+        with open(path) as fh:
+            desc = json.load(fh)
+        node = desc
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] = value
+        with open(path, "w") as fh:
+            json.dump(desc, fh)
+        cfg = _rec_config(q=[[1, 0, 0, 0]], data={"file": path},
+                          quadrature={"n_theta": 8, "n_phi": 16})
+        cfg_path = os.path.join(tmp, "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main(["reconstruct", "--config", cfg_path,
                          "--out", os.path.join(tmp, "out")])
     assert code in {0, 1, 2, 3, 4}

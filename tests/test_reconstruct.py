@@ -445,8 +445,8 @@ def test_curved_kind_and_valence_guards():
                                         np.array([1.0, 0, 0, 0]), spec)
 
 
-@pytest.mark.parametrize("n", [7, 9])
-def test_valence_above_dense_limit_rejected_before_evaluation(n):
+@pytest.mark.parametrize("n", [rec.MAX_VALENCE + 1, 40])
+def test_valence_above_cap_rejected_before_evaluation(n):
     from conerec.transport import make_chart
 
     def never(*args):
@@ -459,3 +459,70 @@ def test_valence_above_dense_limit_rejected_before_evaluation(n):
     with pytest.raises(ValueError, match="valence"):
         rec.reconstruct_curved_singular(make_chart("flat"), P0, data, n,
                                         Q_POINTS[0], spec)
+
+
+# -- one component sum for every valence ---------------------------------------
+
+def _unit_wave(n):
+    """Plane-wave data of valence n with a fixed unit principal spinor."""
+    pw = orc.PlaneWaveSpec(n, np.array([0.6 + 0.3j, -0.2 + 0.7j]) / np.sqrt(0.98))
+    fn, fn_dr0 = orc.plane_wave_cone_fn(pw, P0)
+    return pw, ConeData(n, fn=fn, fn_dr0=fn_dr0)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+@pytest.mark.parametrize("q", [Q_POINTS[0], Q_POINTS[2]], ids=["axis", "off-axis"])
+def test_high_valence_plane_wave(n, q):
+    pw, data = _unit_wave(n)
+    res = reconstruct_spin_n(P0, data, n, q, QuadratureSpec(24, 48))
+    exact = orc.plane_wave_field(pw, q)
+    assert rec.relative_error(res.value.components, exact.components) < 1e-12
+    assert res.value.valence == n
+
+
+def test_curved_flat_chart_equals_flat_reconstruction_high_valence():
+    from conerec.transport import make_chart
+    _, data = _unit_wave(8)
+    spec = QuadratureSpec(24, 48)
+    ref = reconstruct_spin_n(P0, data, 8, Q_POINTS[2], spec)
+    got = rec.reconstruct_curved_singular(make_chart("flat"), P0, data, 8,
+                                          Q_POINTS[2], spec)
+    assert rec.relative_error(got.value.components,
+                              ref.value.components) < 1e-13
+
+
+def _dense_component_sum(scal, iota_up, n):
+    """Reference: the rank-n tensor sum_x scal iota_A .. iota_F by einsum,
+    contracted back to phi_0 .. phi_n by spinor.sym_components."""
+    from conerec.spinor import lower_comps, sym_components
+    idx = "abcdef"[:n]
+    subs = "x," + ",".join("x" + c for c in idx) + "->" + idx
+    tensor = np.einsum(subs, scal, *([lower_comps(iota_up)] * n))
+    return sym_components(tensor, np.array([1.0, 0.0]),
+                          np.array([0.0, 1.0])).components
+
+
+@pytest.mark.parametrize("evaluator, n",
+                         [("flat", n) for n in range(1, 7)]
+                         + [("curved", n) for n in range(1, 7)] + [("dirac", 1)])
+def test_component_sum_matches_dense_tensor(monkeypatch, evaluator, n):
+    from conerec.transport import make_chart
+    if evaluator == "dirac":
+        _, _, data = _dirac_setup()
+        run = lambda: reconstruct_dirac(P0, data, Q_POINTS[2], REF_SPEC)
+    elif evaluator == "flat":
+        _, data = _spin_setup(n)
+        run = lambda: reconstruct_spin_n(P0, data, n, Q_POINTS[2], REF_SPEC)
+    else:
+        _, data = _spin_setup(n)
+        chart = make_chart("conformal", eps=1e-2)
+        run = lambda: rec.reconstruct_curved_singular(
+            chart, P0, data, n, Q_POINTS[2], QuadratureSpec(32, 64))
+    got = run()
+    monkeypatch.setattr(rec, "_component_sum", _dense_component_sum)
+    ref = run()
+    scale = np.max(np.abs(rec.components(ref.value)))
+    assert rec.relative_error(rec.components(got.value),
+                              rec.components(ref.value)) < 1e-13
+    assert abs(got.diagnostics["error_estimate"]
+               - ref.diagnostics["error_estimate"]) < 1e-13 * scale
