@@ -1,22 +1,18 @@
-"""The RK4 step and the transport kernel, a batched endpoint shoot.
+"""The RK4 step and the one RK4 loop that every geodesic shoot runs through.
 
-rk4_step is the one classical RK4 step; transport's integrators and the
-kernel all advance through it.
-
-For g = omega^2 eta the geodesic acceleration is
--2 (w.v) v + eta(v, v) eta^{-1} w with w = grad ln omega, so a shoot needs
-nothing of the chart but the log-gradient, which transport builds from
-its profile and which takes (..., 4) arrays.  Every row is one geodesic;
-all rows step together.  transport imports this module as `kernels`;
-BACKEND names it in run reports.
+rk4_step is the one classical RK4 step; shoot_endpoint is the one
+fixed-step loop over it.  transport's geodesic_shoot (one point or (B, 4)
+rows, the Jacobi propagator) and transport_spin_frame both integrate
+through shoot_endpoint; transport imports this module as `kernels` and
+calls the loop through that module attribute, and BACKEND names it in
+run reports.
 """
 
 import numpy as np
 
-BACKEND = "python"
+from .errors import GeometryError
 
-_ETA_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
-_ONES = np.ones(4)
+BACKEND = "python"
 
 
 def rk4_step(f, y, h):
@@ -38,40 +34,32 @@ def rk4_step(f, y, h):
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def _accel(grad_ln_omega, x, v):
-    # row-wise w.v and eta(v, v), each as one matrix-vector product
-    w = grad_ln_omega(x)
-    wv = (w * v) @ _ONES
-    nv = (v * v) @ _ETA_SIGN
-    return (-2.0 * wv)[:, None] * v + nv[:, None] * _ETA_SIGN * w
+def shoot_endpoint(rhs, contains, y, s_end, steps):
+    """Fixed-step RK4 samples of dy/ds = rhs(stage, y) over [0, s_end].
 
+    y is a list of arrays whose first entry is the position, one point
+    (4,) or (B, 4) rows; contains(position) says which of them are in the
+    chart box.  The first step that leaves the box, or makes a position
+    non-finite, raises GeometryError naming the first such point.  Returns
+    one (steps + 1, ...) array per entry of y, starting with y itself.
 
-def shoot_endpoint(grad_ln_omega, lo, hi, p, v, s_end, steps):
-    """Endpoints (x, u, status) of the RK4 geodesics from the rows of (p, v).
-
-    p and v are (B, 4); x and u are (B, 4) and status (B,).  status is 0
-    for a row that stayed in the box [lo, hi] and i when its step i
-    (1-based) left the box; that row stops there and x holds the
-    offending point.
+    It keeps the name it had as the batched endpoint kernel because the
+    benchmark's tracer wraps transport.kernels.shoot_endpoint and counts
+    its last positional argument as steps; so callers pass steps last and
+    call it through the module attribute.
     """
     h = s_end / steps
-
-    def rhs(stage, y):
-        return y[1], _accel(grad_ln_omega, *y)
-
-    x = np.array(p, dtype=float)
-    u = np.array(v, dtype=float)
-    status = np.zeros(len(x), dtype=int)
-    x_out, u_out = np.empty_like(x), np.empty_like(u)
-    live = np.arange(len(x))
+    samples = [y]
     for i in range(steps):
-        x, u = rk4_step(rhs, (x, u), h)
-        if (x < lo).any() or (x > hi).any():
-            out = np.any((x < lo) | (x > hi), axis=1)
-            gone = live[out]
-            x_out[gone], u_out[gone], status[gone] = x[out], u[out], i + 1
-            x, u, live = x[~out], u[~out], live[~out]
-            if not live.size:
-                break
-    x_out[live], u_out[live] = x, u
-    return x_out, u_out, status
+        y = rk4_step(rhs, y, h)
+        inside = contains(y[0])
+        if not np.all(inside):
+            x = np.reshape(y[0], (-1, 4))[np.argmin(inside)]
+            if not np.all(np.isfinite(x)):
+                raise GeometryError(f"geodesic reached a non-finite state at "
+                                    f"s = {(i + 1) * h:.6g}, x = {x}; the chart's "
+                                    "metric or connection is not finite along it")
+            raise GeometryError(f"geodesic left the chart domain at "
+                                f"s = {(i + 1) * h:.6g}, x = {x}")
+        samples.append(y)
+    return [np.array(entry) for entry in zip(*samples)]

@@ -461,45 +461,50 @@ def cmd_curved_transport(cfg, out, seed):
         t = _as_finite(_need(ray, "t", f"rays[{i}]"), f"rays[{i}].t")
         lvec = np.concatenate([[1.0], d / np.linalg.norm(d)])
         q = p + t * lvec
-        chart.require_inside(q, f"rays[{i}] endpoint")
-        conn = transport.null_connect(chart, q, p)
-        _, k_nodes = transport.transport_k(chart, q, p, steps=k_steps, propagator=conn.path)
-        k_ode = float(k_nodes[-1])
-        k_closed = float(transport.conformal_k(chart, q, p))
-        ks = [k_ode, k_closed]
-        rec = {"p": p.tolist(), "q": q.tolist(), "affine_parameter": conn[1],
-               "k_nodes": k_nodes.tolist(), "k_ode": k_ode, "k_closed_form": k_closed}
-        work = {"null_connect": conn.path.work}
-        if want_vv:
-            work["van_vleck"] = {}
-            k_vv = transport.van_vleck_k(chart, q, p, h=vv_h, propagator=conn.path,
-                                         work=work["van_vleck"])
-            rec["k_van_vleck"] = k_vv
-            ks.append(k_vv)
-        stages = list(work.values())
-        rec["diagnostics"] = {
-            **work, "worst_connect_residual": max(w["worst_connect_residual"] for w in stages),
-            "world_function_calls": sum(w.get("world_function_calls", 0) for w in stages)}
-        rec["flat_deviation"] = abs(2.0 * math.pi * k_closed - 1.0)
-        rec["route_spread"] = max(ks) - min(ks)
-        worst_spread = max(worst_spread, rec["route_spread"])
-        if frame_cfg is not None:
-            fr = _chart_frame(chart, p, theta, phi)
-            try:
-                pf = transport.transport_spin_frame(chart, p, fr.l, fr,
-                                                    s_end=s_end, steps=frame_steps)
-            except GeometryError:
-                raise
-            except ValueError as exc:
-                # the spin-basis extraction found the transported tetrad off
-                # normalization: the step is too coarse for this ray
-                raise ConfigError(
-                    f"rays[{i}]: the frame transported with frame.steps = "
-                    f"{frame_steps} drifted past 1e-10 ({exc}); use more steps")
-            dots = [float(np.vdot(pf.o[j - 1], pf.o[j]).real)
-                    for j in range(1, len(pf.o))]
-            rec["frame"] = {"product_drift": pf.product_drift(),
-                            "min_continuity": min(dots)}
+        try:
+            chart.require_inside(q, "endpoint")
+            conn = transport.null_connect(chart, q, p)
+            _, k_nodes = transport.transport_k(chart, q, p, steps=k_steps,
+                                               propagator=conn.path)
+            k_ode = float(k_nodes[-1])
+            k_closed = float(transport.conformal_k(chart, q, p))
+            ks = [k_ode, k_closed]
+            rec = {"p": p.tolist(), "q": q.tolist(), "affine_parameter": conn[1],
+                   "k_nodes": k_nodes.tolist(), "k_ode": k_ode, "k_closed_form": k_closed}
+            work = {"null_connect": conn.path.work}
+            if want_vv:
+                work["van_vleck"] = {}
+                k_vv = transport.van_vleck_k(chart, q, p, h=vv_h, propagator=conn.path,
+                                             work=work["van_vleck"])
+                rec["k_van_vleck"] = k_vv
+                ks.append(k_vv)
+            stages = list(work.values())
+            rec["diagnostics"] = {
+                **work,
+                "worst_connect_residual": max(w["worst_connect_residual"] for w in stages),
+                "world_function_calls": sum(w.get("world_function_calls", 0) for w in stages)}
+            rec["flat_deviation"] = abs(2.0 * math.pi * k_closed - 1.0)
+            rec["route_spread"] = max(ks) - min(ks)
+            worst_spread = max(worst_spread, rec["route_spread"])
+            if frame_cfg is not None:
+                fr = _chart_frame(chart, p, theta, phi)
+                try:
+                    pf = transport.transport_spin_frame(chart, p, fr.l, fr,
+                                                        s_end=s_end, steps=frame_steps)
+                except GeometryError:
+                    raise
+                except ValueError as exc:
+                    # the spin-basis extraction found the transported tetrad off
+                    # normalization: the step is too coarse for this ray
+                    raise ConfigError(
+                        f"rays[{i}]: the frame transported with frame.steps = "
+                        f"{frame_steps} drifted past 1e-10 ({exc}); use more steps")
+                dots = [float(np.vdot(pf.o[j - 1], pf.o[j]).real)
+                        for j in range(1, len(pf.o))]
+                rec["frame"] = {"product_drift": pf.product_drift(),
+                                "min_continuity": min(dots)}
+        except GeometryError as exc:
+            raise GeometryError(f"rays[{i}]: {exc}") from None
         records.append(rec)
     non_finite = _write_json(out, "curved-transport", cfg, {"records": records})
     print(f"curved-transport: {len(records)} rays, worst route spread "

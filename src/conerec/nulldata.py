@@ -26,7 +26,7 @@ import numpy as np
 from . import cone
 from .errors import CoverageError
 from .cone import ConeSection, SphereGrid, TangentialDerivatives
-from .spinor import ETA, lower_comps
+from .spinor import ETA, lower_comps, richardson
 
 __all__ = [
     "ConeData", "WeightedScalarField", "radial_derivative", "richardson_dr0",
@@ -244,7 +244,7 @@ def richardson_dr0(values_at, r0, h):
     def central(step):
         return (values_at(r0 + step) - values_at(r0 - step)) / (2.0 * step[..., None])
 
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+    return richardson(central, h)
 
 
 def _frame_from_omega(omega):
@@ -497,9 +497,9 @@ def load_cone_data(path: str) -> ConeData:
     n_nodes = grid.angles()[0].size
     shape = (r0_nodes.size, n_nodes, ncomp)
     blob_path = os.path.join(os.path.dirname(base) or ".", blob)
-    raw = np.fromfile(blob_path, dtype="<c16")
-    if raw.size != int(np.prod(shape)):
+    if os.path.getsize(blob_path) != 16 * int(np.prod(shape)):
         raise ValueError("blob size does not match the descriptor")
+    raw = np.fromfile(blob_path, dtype="<c16")
     if not np.all(np.isfinite(raw.view(float))):
         raise ValueError(f"blob {blob!r} holds non-finite values")
     r0_min = desc.get("r0_min", 0.0)

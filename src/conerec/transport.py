@@ -35,7 +35,7 @@ from . import _backend as kernels
 from ._backend import rk4_step
 from .errors import GeometryError
 from .frames import NPFrame, spin_basis_from_tetrad
-from .spinor import ETA, central_partials
+from .spinor import ETA, central_partials, richardson
 
 __all__ = [
     "CurvedChart", "GeodesicPath", "TransportState", "ParallelFrames",
@@ -60,8 +60,9 @@ class CurvedChart:
     differences of the metric and of the connection stand in for them.
     omega and grad_ln_omega are set by the registry for conformally flat charts,
     g = omega^2 eta; they take (..., 4) arrays, enable exact shortcuts,
-    and send endpoint shoots through the batched kernel.  Leave them
-    None for a general metric, whose shoots run row by row.
+    and give geodesic shoots their acceleration in closed form over all
+    rows.  Leave them None for a general metric, whose shoots contract
+    the connection one row at a time.
     """
 
     metric: Callable[[np.ndarray], np.ndarray]
@@ -102,7 +103,7 @@ class CurvedChart:
         """partial_d Gamma^a_{bc} at x, indexed [d, a, b, c]."""
         if self.christoffel_grad is not None:
             return self.christoffel_grad(x)
-        return _richardson_partials(self.connection, x, 1e-3)
+        return richardson(lambda h: central_partials(self.connection, x, h), 2e-3)
 
 
 @dataclass
@@ -117,8 +118,8 @@ class TransportState:
 
 @dataclass
 class GeodesicPath:
-    """RK4 geodesic samples: s (N+1,), x and v (N+1, 4); a Jacobi propagator
-    adds jacobi (N+1, 8, 8) = d(x, v) / d(x0, v0) and its Newton connect's work."""
+    """RK4 geodesic samples: s (N+1,), x and v (N+1, 4) or, shot from rows, (N+1, B, 4);
+    a Jacobi propagator adds jacobi (N+1, 8, 8) = d(x, v) / d(x0, v0) and its work."""
 
     s: np.ndarray
     x: np.ndarray
@@ -132,22 +133,17 @@ class GeodesicPath:
         return TransportState(self.x[-1].copy(), self.v[-1].copy())
 
     def norm_drift(self) -> float:
-        """Max drift of g(v, v) along the path relative to its start value."""
+        """Max drift of g(v, v) along a one-point path relative to its start value."""
         norms = np.array([v @ self.chart.metric(x) @ v
                           for x, v in zip(self.x, self.v)])
         return float(np.max(np.abs(norms - norms[0])))
-
-
-def _richardson_partials(f, x, h: float) -> np.ndarray:
-    """central_partials extrapolated as (4 D(h) - D(2h)) / 3, O(h^4)."""
-    return (4.0 * central_partials(f, x, h) - central_partials(f, x, 2.0 * h)) / 3.0
 
 
 def christoffel_fd(metric, x, h: float) -> np.ndarray:
     """Gamma^a_{bc} from Richardson central differences of the metric, O(h^4)."""
     x = np.asarray(x, dtype=float)
     ginv = np.linalg.inv(metric(x))
-    dg = _richardson_partials(metric, x, h)
+    dg = richardson(lambda step: central_partials(metric, x, step), 2.0 * h)
     # Gamma_{dbc} = (g_{db,c} + g_{dc,b} - g_{bc,d}) / 2
     low = 0.5 * (np.einsum("cdb->dbc", dg) + np.einsum("bdc->dbc", dg)
                  - np.einsum("dbc->dbc", dg))
@@ -207,6 +203,8 @@ def _profile(profile: str, width: float, center):
 
 
 _EYE = np.eye(4)
+_ETA_SIGN = np.diag(ETA).copy()
+_ONES = np.ones(4)
 # [..., m]: how often f, d/dx^i and d^2/dx^i dx^j differentiate factor m
 _DERIVATIVE_ORDERS = (0, np.eye(4, dtype=int),
                       np.eye(4, dtype=int)[:, None, :] + np.eye(4, dtype=int)[None, :, :])
@@ -276,78 +274,52 @@ def make_chart(name: str, eps: float = 0.0, profile: str = "gaussian",
 
 # -- geodesics -----------------------------------------------------------
 
-def _integrate(chart: CurvedChart, rhs, y, s_end: float, steps: int, what: str):
-    """Fixed-step RK4 samples of dy/ds = rhs(stage, y) over [0, s_end].
+def _acceleration(chart: CurvedChart, x, u) -> np.ndarray:
+    """Geodesic acceleration -Gamma(x)(u, u) at one point or (B, 4) rows.
 
-    y is a list of arrays whose first entry is the chart position; the
-    position is checked after every step, and the first step that leaves
-    the box, or makes the position non-finite, raises GeometryError naming
-    `what`.  Returns one (steps + 1, ...) array per entry of y, starting
-    with y itself.
+    For g = omega^2 eta it is -2 (w.u) u + eta(u, u) eta^{-1} w with
+    w = grad ln omega, in closed form over all rows; a chart given by
+    callbacks, which take one point, contracts its connection row by row.
     """
-    h = s_end / steps
-    samples = [y]
-    for i in range(steps):
-        y = rk4_step(rhs, y, h)
-        if not chart.contains(y[0]):
-            if not np.all(np.isfinite(y[0])):
-                raise GeometryError(f"{what} reached a non-finite state at "
-                                    f"s = {(i + 1) * h:.6g}, x = {y[0]}; the "
-                                    "chart's metric or connection is not "
-                                    "finite along it")
-            raise GeometryError(f"{what} left the chart domain at "
-                                f"s = {(i + 1) * h:.6g}, x = {y[0]}")
-        samples.append(y)
-    return [np.array(entry) for entry in zip(*samples)]
+    if chart.grad_ln_omega is not None:
+        w = chart.grad_ln_omega(x)
+        return ((-2.0 * ((w * u) @ _ONES))[..., None] * u
+                + ((u * u) @ _ETA_SIGN)[..., None] * _ETA_SIGN * w)
+    rows = zip(np.reshape(x, (-1, 4)), np.reshape(u, (-1, 4)))
+    return np.reshape([-(chart.connection(xi) @ ui @ ui) for xi, ui in rows], np.shape(u))
 
 
 def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
                    steps: int = 200, jacobi: bool = False) -> GeodesicPath:
     """Integrate the geodesic from (p, v) to affine parameter s_end.
 
-    Classical RK4 with fixed step.  Raises GeometryError as soon as a
+    p and v are one point (4,) or (B, 4) rows shot together, whose path
+    samples x and v are then (steps + 1, B, 4).  Classical RK4 with fixed
+    step in kernels.shoot_endpoint.  Raises GeometryError as soon as a
     step lands outside the chart box, reporting the exit point.
-    jacobi=True makes it the Jacobi propagator: the steps also carry the
-    geodesic-deviation equations X' = U, U' = -(partial_d Gamma)(v, v) X^d
+    jacobi=True (one point) makes it the Jacobi propagator: the steps also
+    carry the geodesic-deviation equations X' = U, U' = -(partial_d Gamma)(v, v) X^d
     - 2 Gamma(v, U) from (X, U) = 1, on connection and connection_grad.
     """
-    p = np.asarray(p, dtype=float).reshape(4)
-    v = np.asarray(v, dtype=float).reshape(4)
+    shape = (-1, 4) if np.ndim(p) == 2 and not jacobi else (4,)
+    p = np.asarray(p, dtype=float).reshape(shape)
+    v = np.asarray(v, dtype=float).reshape(shape)
     if steps < 1:
         raise ValueError("steps must be positive")
     chart.require_inside(p, "geodesic start")
 
     def rhs(stage, y):
         x, u = y[0], y[1]
-        gu = chart.connection(x) @ u              # [a, b]: Gamma^a_{bc} u^c
         if not jacobi:
-            return u, -(gu @ u)
+            return u, _acceleration(chart, x, u)
+        gu = chart.connection(x) @ u              # [a, b]: Gamma^a_{bc} u^c
         J = y[2]                                  # X stacked over U
         duu = chart.connection_grad(x) @ u @ u    # [d, a]
         return u, -(gu @ u), np.concatenate([J[4:], -(duu.T @ J[:4]) - 2.0 * (gu @ J[4:])])
 
     y = [p, v, np.eye(8)] if jacobi else [p, v]
-    samples = _integrate(chart, rhs, y, s_end, steps, "geodesic")
+    samples = kernels.shoot_endpoint(rhs, chart.contains, y, s_end, steps)
     return GeodesicPath(np.linspace(0.0, s_end, steps + 1), *samples[:2], chart, *samples[2:])
-
-
-def _shoot_endpoint(chart: CurvedChart, p, v, s_end: float, steps: int):
-    """Endpoints (x, v) of the shoots from the rows of p and v, all (B, 4).
-
-    Conformal charts run the batched kernel; a general metric shoots row
-    by row with geodesic_shoot.  A row that leaves the box raises.
-    """
-    if chart.grad_ln_omega is None:
-        paths = [geodesic_shoot(chart, pi, vi, s_end, steps) for pi, vi in zip(p, v)]
-        return (np.array([path.x[-1] for path in paths]),
-                np.array([path.v[-1] for path in paths]))
-    x, u, status = kernels.shoot_endpoint(chart.grad_ln_omega, chart.lo, chart.hi,
-                                          p, v, float(s_end), steps)
-    if np.any(status):
-        i = np.flatnonzero(status)[0]
-        raise GeometryError(f"geodesic left the chart domain at "
-                            f"s = {status[i] * s_end / steps:.6g}, x = {x[i]}")
-    return x, u
 
 
 def _work(shoots: int, steps: int, residual: float) -> dict:
@@ -378,7 +350,7 @@ def _connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS, max_iter: int =
     prev = np.full(len(p), math.inf)
     live = np.arange(len(p))
     for it in range(1, max_iter + 1):
-        x_end, _ = _shoot_endpoint(chart, p[live], v[live], 1.0, steps)
+        x_end = geodesic_shoot(chart, p[live], v[live], 1.0, steps).x[-1]
         res = x_end - q[live]
         rn = np.max(np.abs(res), axis=1)
         res[rn > 0.9 * prev[live]] *= 0.5
@@ -629,16 +601,16 @@ class ParallelFrames:
     iota: np.ndarray
 
     def product_drift(self) -> float:
-        """Max drift of the NP products g(l,n) - 1 and g(m, mbar) + 1."""
-        worst = 0.0
-        for i, x in enumerate(self.path.x):
-            g = self.path.chart.metric(x)
-            worst = max(worst,
-                        abs(self.l[i] @ g @ self.n[i] - 1.0),
-                        abs((self.m[i] @ g @ self.m[i].conj()).real + 1.0),
-                        abs(self.l[i] @ g @ self.l[i]),
-                        abs(self.n[i] @ g @ self.n[i]))
-        return worst
+        """Max drift of g(l, n) - 1, g(m, mbar) + 1, g(l, l) and g(n, n).
+
+        The chart is conformal, g = omega^2 eta, so the four products at
+        every sample come from one batched matrix product.
+        """
+        g = self.path.chart.omega(self.path.x)[:, None, None] ** 2 * ETA
+        legs = np.stack([self.l, self.m, self.l, self.n])[:, :, None, :]
+        duals = np.stack([self.n, self.m.conj(), self.l, self.n])[..., None]
+        products = (legs @ g @ duals)[..., 0, 0].real
+        return float(np.max(np.abs(products - [[1.0], [-1.0], [0.0], [0.0]])))
 
 
 def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
@@ -666,12 +638,10 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
 
     def rhs(stage, y):
         x, u, V = y
-        gam = chart.connection(x)
-        du = -np.einsum("abc,b,c->a", gam, u, u)
-        dV = -np.einsum("abc,b,ic->ia", gam, u, V)
-        return u, du, dV
+        gu = chart.connection(x) @ u              # [a, b]: Gamma^a_{bc} u^c
+        return u, -(gu @ u), -(V @ gu.T)
 
-    xs, vs, Vs = _integrate(chart, rhs, [p, v, legs], s_end, steps, "transport")
+    xs, vs, Vs = kernels.shoot_endpoint(rhs, chart.contains, [p, v, legs], s_end, steps)
     ls, ns = Vs[:, 0], Vs[:, 1]
     ms = Vs[:, 2] + 1j * Vs[:, 3]
     path = GeodesicPath(np.linspace(0.0, s_end, steps + 1), xs, vs, chart)

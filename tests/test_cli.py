@@ -1,7 +1,9 @@
 """Exit codes, file outputs, and determinism of the command front end."""
 
+import contextlib
 import copy
 import csv
+import io
 import json
 import os
 import shutil
@@ -831,3 +833,98 @@ def test_mistyped_descriptor_leaf_ends_in_a_documented_exit_code(leaf, value):
         code = cli.main(["reconstruct", "--config", cfg_path,
                          "--out", os.path.join(tmp, "out")])
     assert code in {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("edit", ["truncate", "pad", "non-finite"])
+@given(index=st.integers(0, 10 ** 6), pad=st.binary(min_size=1, max_size=40),
+       value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_damaged_blob_is_config_error_naming_blob(edit, index, pad, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _grid_data_file(Path(tmp), 0.3, 0.8, grid_shape=(8, 16))
+        blob = Path(path[:-len(".json")] + ".bin")
+        raw = blob.read_bytes()
+        if edit == "truncate":
+            raw = raw[:index % len(raw)]
+        elif edit == "pad":
+            raw += pad
+        else:
+            parts = np.frombuffer(raw, dtype="<f8").copy()
+            parts[index % parts.size] = value
+            raw = parts.tobytes()
+        blob.write_bytes(raw)
+        cfg = _rec_config(q=[[1, 0, 0, 0]], data={"file": path},
+                          quadrature={"n_theta": 8, "n_phi": 16})
+        cfg_path = os.path.join(tmp, "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["reconstruct", "--config", cfg_path,
+                             "--out", os.path.join(tmp, "out")])
+    assert code == 2
+    assert "blob" in err.getvalue()
+
+
+def _ray_error(tmp_path, capsys, cfg):
+    code = _run("curved-transport", _write(tmp_path, "c.json", cfg),
+                tmp_path / "ct.json")
+    return code, capsys.readouterr().err
+
+
+def test_curved_transport_connect_failure_names_the_ray(tmp_path, capsys):
+    # the van Vleck stencil around q = (1.49, 1.49, 0, 0) reaches past the box
+    ray = {"p": [0, 0, 0, 0], "direction": [1, 0, 0], "t": 1.49}
+    cfg = _transport_config(chart={"name": "conformal", "eps": 1e-2, "halfwidth": 1.5},
+                            rays=[_transport_config()["rays"][0], ray], van_vleck=True)
+    code, err = _ray_error(tmp_path, capsys, cfg)
+    assert code == 3
+    assert "geometry error: rays[1]: connection start" in err
+
+
+def test_curved_transport_frame_exit_names_the_ray(tmp_path, capsys):
+    cfg = _transport_config(chart={"name": "conformal", "eps": 1e-2, "halfwidth": 1.5},
+                            frame={"s_end": 3.0})
+    code, err = _ray_error(tmp_path, capsys, cfg)
+    assert code == 3
+    assert "geometry error: rays[0]: " in err and "left the chart domain" in err
+
+
+def test_curved_transport_endpoint_outside_names_the_ray(tmp_path, capsys):
+    ray = {"p": [0, 0, 0, 0], "direction": [1, 0, 0], "t": 20.0}
+    code, err = _ray_error(tmp_path, capsys, _transport_config(rays=[ray]))
+    assert code == 3
+    assert "geometry error: rays[0]: endpoint" in err
+
+
+def test_curved_transport_shoots_through_the_traced_kernel(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps transport.kernels.shoot_endpoint and
+    # counts its last positional argument as steps: every shoot of a ray
+    # must pass through that attribute, and every world function shoot
+    from conerec import transport
+    shoot, world_function = transport.kernels.shoot_endpoint, transport.world_function
+    calls, per_world_function = [], []
+
+    def traced_shoot(*args):
+        samples = shoot(*args)
+        calls.append((args[-1], len(samples[0]) - 1))
+        return samples
+
+    def traced_world_function(*args, **kwargs):
+        before = len(calls)
+        result = world_function(*args, **kwargs)
+        per_world_function.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(transport.kernels, "shoot_endpoint", traced_shoot)
+    monkeypatch.setattr(transport, "world_function", traced_world_function)
+    out = tmp_path / "ct.json"
+    cfg = _transport_config(van_vleck=True, frame={"steps": 100})
+    assert _run("curved-transport", _write(tmp_path, "c.json", cfg), out) == 0
+    diag = json.loads(out.read_text())["records"][0]["diagnostics"]
+    stages = (diag["null_connect"], diag["van_vleck"])
+    # one more shoot and 100 more steps: the frame
+    assert len(calls) == sum(w["shoots"] for w in stages) + 1
+    assert sum(last for last, _ in calls) == sum(w["kernel_steps"] for w in stages) + 100
+    assert all(last == steps for last, steps in calls)
+    assert per_world_function and min(per_world_function) >= 1

@@ -173,10 +173,7 @@ def test_domain_exit_raises_with_exit_point():
                           np.zeros(4), 1.0)
 
 
-# -- batched endpoint kernel -------------------------------------------------
-
-BOX_LO = np.full(4, -10.0)
-BOX_HI = np.full(4, 10.0)
+# -- shoots over (B, 4) rows -------------------------------------------------
 
 
 def _rows(n, seed=7):
@@ -193,36 +190,41 @@ def test_backend_reports_the_numpy_kernel():
 
 def test_batched_flat_shoot_exact_on_every_row():
     ps, vs = _rows(5)
-    grad = tr.make_chart("flat").grad_ln_omega
-    x, u, status = tr.kernels.shoot_endpoint(grad, BOX_LO, BOX_HI, ps, vs, 1.7, 96)
-    assert x.shape == u.shape == (5, 4) and status.shape == (5,)
-    assert not np.any(status)
-    assert np.max(np.abs(x - (ps + 1.7 * vs))) < 1e-14
-    assert np.array_equal(u, vs)
+    path = tr.geodesic_shoot(tr.make_chart("flat"), ps, vs, 1.7, steps=96)
+    assert path.x.shape == path.v.shape == (97, 5, 4)
+    assert np.max(np.abs(path.x[-1] - (ps + 1.7 * vs))) < 1e-14
+    assert np.array_equal(path.v[-1], vs)
 
 
 @pytest.mark.parametrize("profile", ["gaussian", "sine"])
 def test_batched_shoot_rows_match_geodesic_shoot(profile):
     chart = tr.make_chart("conformal", eps=1e-2, profile=profile)
+    # the same metric given by callbacks: its shoots contract the connection
+    custom = tr.CurvedChart(metric=chart.metric, lo=chart.lo, hi=chart.hi,
+                            christoffel=chart.christoffel)
     ps, vs = _rows(4)
-    x, u, status = tr.kernels.shoot_endpoint(chart.grad_ln_omega, chart.lo,
-                                             chart.hi, ps, vs, 1.7, 96)
-    assert not np.any(status)
+    rows = tr.geodesic_shoot(chart, ps, vs, 1.7, steps=96)
+    custom_rows = tr.geodesic_shoot(custom, ps, vs, 1.7, steps=96)
     for i in range(4):
         path = tr.geodesic_shoot(chart, ps[i], vs[i], 1.7, steps=96)
-        assert np.max(np.abs(x[i] - path.x[-1])) < 1e-12
-        assert np.max(np.abs(u[i] - path.v[-1])) < 1e-12
+        assert np.max(np.abs(rows.x[:, i] - path.x)) < 1e-15
+        assert np.max(np.abs(rows.v[:, i] - path.v)) < 1e-15
+        custom_path = tr.geodesic_shoot(custom, ps[i], vs[i], 1.7, steps=96)
+        assert np.max(np.abs(custom_rows.x[:, i] - custom_path.x)) < 1e-15
+        # closed-form acceleration against -Gamma(u, u)
+        assert np.max(np.abs(custom_path.x[-1] - path.x[-1])) < 1e-12
+        assert np.max(np.abs(custom_path.v[-1] - path.v[-1])) < 1e-12
 
 
 def test_batched_shoot_box_exit_status_per_row():
-    lo, hi = np.full(4, -1.0), np.full(4, 1.0)
+    chart = tr.make_chart("flat", halfwidth=1.0)
     ps = np.zeros((2, 4))
-    vs = np.array([[1.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]])
-    grad = tr.make_chart("flat").grad_ln_omega
-    x, _, status = tr.kernels.shoot_endpoint(grad, lo, hi, ps, vs, 3.0, 30)
-    assert status.tolist() == [11, 0]  # row 0: first step past t = 1
-    assert x[0, 0] > 1.0
-    assert abs(x[1, 0] - 0.3) < 1e-15
+    vs = np.array([[0.1, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    # row 1 leaves at its first step past t = 1; the error names its point
+    with pytest.raises(GeometryError, match=r"left the chart domain at "
+                                            r"s = 1\.1, x = \[1\.1 0\. "):
+        tr.geodesic_shoot(chart, ps, vs, 3.0, 30)
+    assert abs(tr.geodesic_shoot(chart, ps[:1], vs[:1], 3.0, 30).x[-1, 0, 0] - 0.3) < 1e-15
 
 
 def test_batched_world_function_equals_per_pair_calls():
@@ -254,9 +256,9 @@ def test_batched_connect_freezes_converged_pairs(monkeypatch):
     rows = []
     shoot = tr.kernels.shoot_endpoint
 
-    def counting(grad, lo, hi, p, v, s_end, steps):
-        rows.append(len(p))
-        return shoot(grad, lo, hi, p, v, s_end, steps)
+    def counting(rhs, contains, y, s_end, steps):
+        rows.append(len(y[0]))
+        return shoot(rhs, contains, y, s_end, steps)
 
     monkeypatch.setattr(tr.kernels, "shoot_endpoint", counting)
     both = tr.world_function(chart, ps, qs)
@@ -440,11 +442,7 @@ def test_jacobi_propagator_matches_differenced_shoots():
     step = h * np.eye(4)
 
     def ends(starts, velocities):
-        x, _, status = _backend.shoot_endpoint(chart.grad_ln_omega, chart.lo,
-                                               chart.hi, starts, velocities,
-                                               1.0, tr.SHOOT_STEPS)
-        assert not np.any(status)
-        return x
+        return tr.geodesic_shoot(chart, starts, velocities, 1.0, tr.SHOOT_STEPS).x[-1]
 
     same = np.broadcast_to(q, (4, 4))
     vel = np.broadcast_to(v0, (4, 4))
@@ -620,6 +618,20 @@ def test_spin_frame_weak_field_products_conserved():
     # continuity sign never flips on a smooth path
     dots = [np.vdot(pf.o[i - 1], pf.o[i]).real for i in range(1, len(pf.o))]
     assert min(dots) > 0.0
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+def test_product_drift_matches_per_sample_metric(profile):
+    chart = tr.make_chart("conformal", eps=1e-2, profile=profile, width=1.5)
+    fr = _chart_frame(chart, P, _flat_frame(theta=0.9, phi=2.3))
+    pf = tr.transport_spin_frame(chart, P, fr.l, fr, s_end=1.5, steps=60)
+    worst = 0.0
+    for x, l, n, m in zip(pf.path.x, pf.l, pf.n, pf.m):
+        g = chart.metric(x)
+        worst = max(worst, abs(l @ g @ n - 1.0), abs((m @ g @ m.conj()).real + 1.0),
+                    abs(l @ g @ l), abs(n @ g @ n))
+    assert worst > 0.0
+    assert abs(pf.product_drift() - worst) <= 1e-15
 
 
 def test_spin_frame_loop_identity():
