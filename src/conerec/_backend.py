@@ -16,26 +16,23 @@ BACKEND = "python"
 
 
 def rk4_step(f, y, h):
-    """One classical RK4 step of dy/ds = f(stage, y) for y a sequence of arrays.
+    """One classical RK4 step of dy/ds = f(y) for y a sequence of arrays.
 
-    f is called once per stage, in order: 0 at the start of the step, 1
-    and 2 at its midpoint, 3 at its end, so a caller can look up values
-    it sampled in advance at the same stage points.  Returns the advanced
-    state as a list.  List comprehensions, not tuple(generator), keep the
-    step's own Python overhead near 4 us, against ~100 us of kernel work
-    a step at 1 row.
+    Returns the advanced state as a list.  List comprehensions, not
+    tuple(generator), keep the step's own Python overhead near 4 us,
+    against ~100 us of kernel work a step at 1 row.
     """
     hh, h6 = 0.5 * h, h / 6.0
-    k1 = f(0, y)
-    k2 = f(1, [a + hh * k for a, k in zip(y, k1)])
-    k3 = f(2, [a + hh * k for a, k in zip(y, k2)])
-    k4 = f(3, [a + h * k for a, k in zip(y, k3)])
+    k1 = f(y)
+    k2 = f([a + hh * k for a, k in zip(y, k1)])
+    k3 = f([a + hh * k for a, k in zip(y, k2)])
+    k4 = f([a + h * k for a, k in zip(y, k3)])
     return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def shoot_endpoint(rhs, contains, y, s_end, steps):
-    """Fixed-step RK4 samples of dy/ds = rhs(stage, y) over [0, s_end].
+    """Fixed-step RK4 samples of dy/ds = rhs(y) over [0, s_end].
 
     y is a list of arrays whose first entry is the position, one point
     (4,) or (B, 4) rows; contains(position) says which of them are in the

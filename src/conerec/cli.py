@@ -98,6 +98,18 @@ def _as_list(v, what):
     return v
 
 
+def _known(cfg, keys, what):
+    """Require a JSON object holding only the given keys: a misspelled key
+    would otherwise be ignored and its default used without a word."""
+    extra = set(_as_object(cfg, what)) - set(keys)
+    if extra:
+        raise ConfigError(f"unknown {what} keys {sorted(extra)}")
+
+
+# keys main reads from every command's config
+_MAIN_KEYS = ("out", "seed")
+
+
 def _need(cfg, key, command):
     if key not in cfg:
         raise ConfigError(f"{command} config needs {key!r}")
@@ -183,11 +195,8 @@ def _c2j(z):
 
 def _quadrature(cfg):
     from .reconstruct import QuadratureSpec
-    keys = {"n_theta", "n_phi", "chart_mode", "cap", "radial_fd",
-            "fd_step", "rho_variant"}
-    extra = set(_as_object(cfg, "quadrature")) - keys
-    if extra:
-        raise ConfigError(f"unknown quadrature keys {sorted(extra)}")
+    _known(cfg, ("n_theta", "n_phi", "chart_mode", "cap", "radial_fd",
+                 "fd_step", "rho_variant"), "quadrature")
     checks = {"n_theta": _as_count, "n_phi": _as_count, "cap": _as_finite,
               "fd_step": _as_positive}
     cfg = {k: checks[k](v, f"quadrature.{k}") if k in checks else v
@@ -200,13 +209,10 @@ def _quadrature(cfg):
 
 def _chart(cfg):
     from . import transport
-    keys = {"name", "eps", "profile", "width", "center", "halfwidth"}
-    extra = set(_as_object(cfg, "chart")) - keys
-    if extra:
-        raise ConfigError(f"unknown chart keys {sorted(extra)}")
+    _known(cfg, ("name", "eps", "profile", "width", "center", "halfwidth"), "chart")
     checks = {"eps": _as_finite, "width": _as_positive, "halfwidth": _as_finite}
-    kwargs = {k: checks[k](cfg[k], f"chart.{k}") if k in checks else cfg[k]
-              for k in keys - {"name"} if k in cfg}
+    kwargs = {k: checks[k](v, f"chart.{k}") if k in checks else v
+              for k, v in cfg.items() if k != "name"}
     try:
         return transport.make_chart(cfg.get("name", "flat"), **kwargs)
     except ValueError as exc:
@@ -223,6 +229,7 @@ def _cone_data(cfg, p0, valence, command):
     from . import oracles
     from .nulldata import ConeData, load_cone_data
     if "file" in _as_object(cfg, "data"):
+        _known(cfg, ("file",), "data")
         if not isinstance(cfg["file"], str):
             raise ConfigError(f"data.file must be a path string, got {cfg['file']!r}")
         try:
@@ -234,6 +241,10 @@ def _cone_data(cfg, p0, valence, command):
                               f"config says {valence}")
         return data, None
     family = _need(cfg, "family", command + ".data")
+    if family not in ("plane-wave", "plane-wave-dirac"):
+        raise ConfigError(f"unknown data family {family!r}")
+    _known(cfg, ("family", "alpha", "amplitude")
+           + (("psi_amplitude",) if family == "plane-wave-dirac" else ()), "data")
     alpha = [_as_complex(a, "alpha component")
              for a in _as_list(_need(cfg, "alpha", command + ".data"), "data.alpha")]
     amplitude = _as_complex(cfg.get("amplitude", 1.0), "amplitude")
@@ -246,20 +257,18 @@ def _cone_data(cfg, p0, valence, command):
         data = ConeData(valence, fn=fn, fn_dr0=fn_dr0)
         oracle = lambda q: oracles.plane_wave_field(spec, q).components
         return data, oracle
-    if family == "plane-wave-dirac":
-        if valence != 1:
-            raise ConfigError("the Dirac family is valence 1")
-        psi_amp = _as_complex(cfg.get("psi_amplitude", 1.0), "psi_amplitude")
-        fn, fn_dr0 = oracles.plane_wave_dirac_cone_fn(spec, p0, psi_amp)
-        data = ConeData(1, kind="dirac", fn=fn, fn_dr0=fn_dr0)
+    if valence != 1:
+        raise ConfigError("the Dirac family is valence 1")
+    psi_amp = _as_complex(cfg.get("psi_amplitude", 1.0), "psi_amplitude")
+    fn, fn_dr0 = oracles.plane_wave_dirac_cone_fn(spec, p0, psi_amp)
+    data = ConeData(1, kind="dirac", fn=fn, fn_dr0=fn_dr0)
 
-        def oracle(q):
-            import numpy as np
-            val = oracles.plane_wave_dirac(spec, q, psi_amp)
-            return np.concatenate([val.phi, val.psi])
+    def oracle(q):
+        import numpy as np
+        val = oracles.plane_wave_dirac(spec, q, psi_amp)
+        return np.concatenate([val.phi, val.psi])
 
-        return data, oracle
-    raise ConfigError(f"unknown data family {family!r}")
+    return data, oracle
 
 
 # -- output writers ----------------------------------------------------------
@@ -307,6 +316,8 @@ def cmd_reconstruct(cfg, out, seed):
     from .reconstruct import (components, reconstruct_curved_singular,
                               reconstruct_dirac, reconstruct_spin_n,
                               relative_error)
+    _known(cfg, _MAIN_KEYS + ("p0", "q", "kind", "valence", "quadrature", "chart",
+                              "data", "tolerance"), "reconstruct")
     p0 = _as_point(_need(cfg, "p0", "reconstruct"), "p0")
     q_list = _as_list(_need(cfg, "q", "reconstruct"), "q")
     if not q_list:
@@ -356,6 +367,8 @@ def cmd_reconstruct(cfg, out, seed):
 def cmd_constraints(cfg, out, seed):
     from .cone import SphereGrid
     from .nulldata import constraint_residual
+    _known(cfg, _MAIN_KEYS + ("p0", "valence", "s_values", "data", "levels",
+                              "tolerance"), "constraints")
     p0 = _as_point(_need(cfg, "p0", "constraints"), "p0")
     valence = _as_count(_need(cfg, "valence", "constraints"), "valence")
     s_values = [_as_finite(s, f"s_values[{i}]") for i, s in
@@ -391,6 +404,8 @@ def cmd_converge(cfg, out, seed):
     import dataclasses
 
     from .reconstruct import convergence_study
+    _known(cfg, _MAIN_KEYS + ("p0", "q", "kind", "valence", "data", "quadrature",
+                              "levels", "tolerance"), "converge")
     p0 = _as_point(_need(cfg, "p0", "converge"), "p0")
     q = _as_point(_need(cfg, "q", "converge"), "q")
     kind, valence = _kind_and_valence(cfg)
@@ -430,6 +445,8 @@ def _chart_frame(chart, p, theta, phi):
 def cmd_curved_transport(cfg, out, seed):
     import numpy as np
     from . import transport
+    _known(cfg, _MAIN_KEYS + ("chart", "rays", "k_steps", "van_vleck", "van_vleck_h",
+                              "frame", "tolerance"), "curved-transport")
     chart = _chart(_need(cfg, "chart", "curved-transport"))
     if chart.omega is None:
         raise ConfigError("curved-transport needs a registry chart")
@@ -444,7 +461,7 @@ def cmd_curved_transport(cfg, out, seed):
     tol = _tolerance(cfg)
     frame_cfg = cfg.get("frame")
     if frame_cfg is not None:
-        _as_object(frame_cfg, "frame")
+        _known(frame_cfg, ("steps", "theta", "phi", "s_end"), "frame")
         frame_steps = _as_count(frame_cfg.get("steps", 200), "frame.steps")
         theta = _as_finite(frame_cfg.get("theta", 0.4), "frame.theta")
         phi = _as_finite(frame_cfg.get("phi", 1.1), "frame.phi")
@@ -452,7 +469,7 @@ def cmd_curved_transport(cfg, out, seed):
     records = []
     worst_spread = 0.0
     for i, ray in enumerate(rays):
-        _as_object(ray, f"rays[{i}]")
+        _known(ray, ("p", "direction", "t"), f"rays[{i}]")
         p = _as_point(_need(ray, "p", f"rays[{i}]"), f"rays[{i}].p")
         d = np.array([_as_finite(c, f"rays[{i}].direction") for c in _as_list(
             _need(ray, "direction", f"rays[{i}]"), f"rays[{i}].direction")])
@@ -669,6 +686,7 @@ _SUITES = {"algebra": _suite_algebra, "geometry": _suite_geometry,
 
 def cmd_verify(cfg, out, seed):
     import numpy as np
+    _known(cfg, _MAIN_KEYS + ("suites", "cases", "thresholds"), "verify")
     suites = _as_list(cfg.get("suites", sorted(_SUITES)), "suites")
     unknown = [s for s in suites if not isinstance(s, str) or s not in _SUITES]
     if unknown:
@@ -679,17 +697,21 @@ def cmd_verify(cfg, out, seed):
     for full, value in overrides.items():
         _as_finite(value, f"thresholds[{full!r}]")
     rng = np.random.default_rng(seed)
+    results = [(suite, name, residual, default) for suite in suites
+               for name, residual, default in _SUITES[suite](rng, cases)]
+    # an override must name a check that ran, or its gate would be lost
+    _known(overrides, [f"{suite}.{name}" for suite, name, _, _ in results],
+           "thresholds")
     checks = []
-    for suite in suites:
-        for name, residual, default in _SUITES[suite](rng, cases):
-            full = f"{suite}.{name}"
-            threshold = overrides.get(full, default)
-            ok = residual <= threshold
-            checks.append({"suite": suite, "name": name,
-                           "residual": residual, "threshold": threshold,
-                           "passed": bool(ok)})
-            print(f"[{'PASS' if ok else 'FAIL'}] {full}: "
-                  f"residual {residual:.3e}, threshold {threshold:.3e}")
+    for suite, name, residual, default in results:
+        full = f"{suite}.{name}"
+        threshold = overrides.get(full, default)
+        ok = residual <= threshold
+        checks.append({"suite": suite, "name": name,
+                       "residual": residual, "threshold": threshold,
+                       "passed": bool(ok)})
+        print(f"[{'PASS' if ok else 'FAIL'}] {full}: "
+              f"residual {residual:.3e}, threshold {threshold:.3e}")
     all_pass = all(c["passed"] for c in checks)
     non_finite = _write_json(out, "verify", cfg,
                              {"checks": checks, "all_pass": all_pass, "seed": seed})

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError
-from .frames import NPFrame, transversal_iota
-from .spinor import ETA, from_matrix, minkowski
+from .frames import transversal_iota
+from .spinor import ETA, minkowski
 
 TWO_QUART = 2.0 ** 0.25
 
@@ -163,7 +163,7 @@ class ConeSection:
     """sigma(q) sampled over a sphere grid of generator directions.
 
     Per-node arrays (flattened ring-major over kept rings): omega, r0, r,
-    p (points on the section), the adapted frame (l, n, m, o, iota), rho,
+    p (points on the section), the adapted frame (l, n, o, iota), rho,
     and the quadrature weights mu_sigma (geometric area element) and
     mu_leray = mu_sigma / (4 r0 r).
     """
@@ -181,7 +181,6 @@ class ConeSection:
     p: np.ndarray
     l: np.ndarray
     n: np.ndarray
-    m: np.ndarray
     o: np.ndarray
     iota: np.ndarray
     rho: np.ndarray
@@ -191,9 +190,6 @@ class ConeSection:
     @property
     def n_nodes(self):
         return self.r0.size
-
-    def node_frame(self, i) -> NPFrame:
-        return NPFrame(self.l[i], self.n[i], self.m[i], self.o[i], self.iota[i])
 
 
 def _section_scale(p0, q):
@@ -227,13 +223,12 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     p = p0[None, :] + r0[:, None] * l
     n = (q[None, :] - p) / r[:, None]
     iota = transversal_iota(o, n)
-    m = from_matrix(np.einsum("ni,nj->nij", o, iota.conj()))
     rho = -1.0 / r0.astype(complex)
     mu_sigma = quad_w * r0 ** 2
     mu_leray = mu_sigma / (4.0 * r0 * r)
     return ConeSection(p0=p0, q=q, grid=grid, theta=theta, phi=phi,
                        quad_w=quad_w, chart=chart, omega=omega, r0=r0, r=r,
-                       p=p, l=l, n=n, m=m, o=o, iota=iota, rho=rho,
+                       p=p, l=l, n=n, o=o, iota=iota, rho=rho,
                        mu_sigma=mu_sigma, mu_leray=mu_leray)
 
 
@@ -241,8 +236,8 @@ def section_tangents(section: ConeSection, td: TangentialDerivatives):
     """Embedding tangents and induced metric of a section.
 
     Returns t_theta, t_phi (N, 4), the derivatives of the points p along
-    the grid angles, and g11, g12, g22 (N,), the induced metric
-    -eta(t_i, t_j) in (theta, phi).
+    the grid angles, g11, g12, g22 (N,), the induced metric
+    -eta(t_i, t_j) in (theta, phi), and its determinant det (N,).
     """
     t_th = np.empty((section.n_nodes, 4))
     t_ph = np.empty((section.n_nodes, 4))
@@ -253,28 +248,21 @@ def section_tangents(section: ConeSection, td: TangentialDerivatives):
     g11 = -np.einsum("ni,ij,nj->n", t_th, ETA, t_th)
     g12 = -np.einsum("ni,ij,nj->n", t_th, ETA, t_ph)
     g22 = -np.einsum("ni,ij,nj->n", t_ph, ETA, t_ph)
-    return t_th, t_ph, g11, g12, g22
+    return t_th, t_ph, g11, g12, g22, g11 * g22 - g12 ** 2
 
 
-def area_element(section: ConeSection, update: bool = False) -> np.ndarray:
+def area_element(section: ConeSection) -> np.ndarray:
     """Area weights from the numerical Jacobian of the embedding.
 
     Differentiates the embedding (theta, phi) -> p on the grid, forms the
     induced metric, and converts sqrt(det) dtheta dphi into weights on the
     Gauss-Legendre x trapezoid nodes.  Cross-validates the exact weights
-    mu_sigma = r0^2 dOmega; with update=True the section's weights are
-    replaced by the numerical ones.
+    mu_sigma = r0^2 dOmega.
     """
-    _, _, g11, g12, g22 = section_tangents(section,
-                                           TangentialDerivatives(section.grid))
-    det = g11 * g22 - g12 ** 2
+    det = section_tangents(section, TangentialDerivatives(section.grid))[-1]
     if np.any(det <= 0):
         raise ValueError("degenerate embedding Jacobian")
-    w_num = section.quad_w * np.sqrt(det) / np.sin(section.theta)
-    if update:
-        section.mu_sigma = w_num
-        section.mu_leray = w_num / (4.0 * section.r0 * section.r)
-    return w_num
+    return section.quad_w * np.sqrt(det) / np.sin(section.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ import numpy as np
 from . import cone
 from .errors import CoverageError
 from .cone import ConeSection, SphereGrid, TangentialDerivatives
-from .spinor import ETA, lower_comps, richardson
+from .spinor import ETA, from_matrix, lower_comps, richardson
 
 __all__ = [
-    "ConeData", "WeightedScalarField", "radial_derivative", "richardson_dr0",
+    "ConeData", "WeightedScalarField", "richardson_dr0",
     "eth_prime", "section_spin_coefficients",
     "constraint_residual", "save_cone_data", "load_cone_data",
 ]
@@ -247,25 +247,6 @@ def richardson_dr0(values_at, r0, h):
     return richardson(central, h)
 
 
-def _frame_from_omega(omega):
-    """Canonical on-axis frame at given unit directions (e1 polar)."""
-    omega = np.asarray(omega, dtype=float)
-    theta = np.arccos(np.clip(omega[..., 0], -1.0, 1.0))
-    phi = np.mod(np.arctan2(omega[..., 2], omega[..., 1]), 2.0 * math.pi)
-    chart = (theta > math.pi / 2).astype(np.uint8)
-    return cone.spin_basis_field(theta, phi, chart)
-
-
-def radial_derivative(data: ConeData, r0, omega, o_up=None, iota_up=None):
-    """Generator derivative of the data at (r0, omega).
-
-    Frame arguments default to the canonical frame at omega.
-    """
-    if o_up is None or iota_up is None:
-        o_up, iota_up = _frame_from_omega(omega)
-    return data.radial_derivative(r0, omega, o_up, iota_up)
-
-
 # ---------------------------------------------------------------------------
 # tangential operators
 
@@ -278,12 +259,12 @@ def _chart_pair(values, phi, chart, weight):
 
 
 def _mbar_coefficients(section: ConeSection, td: TangentialDerivatives):
-    """(a, b) with mbar = a t_theta + b t_phi per node."""
-    t_th, t_ph, g11, g12, g22 = cone.section_tangents(section, td)
-    mbar = np.conj(section.m)
+    """(a, b) with mbar = a t_theta + b t_phi per node, m = o iotabar."""
+    t_th, t_ph, g11, g12, g22, det = cone.section_tangents(section, td)
+    mbar = np.conj(from_matrix(np.einsum("ni,nj->nij", section.o,
+                                         section.iota.conj())))
     b1 = -np.einsum("ni,ij,nj->n", t_th, ETA, mbar)
     b2 = -np.einsum("ni,ij,nj->n", t_ph, ETA, mbar)
-    det = g11 * g22 - g12 ** 2
     a = (g22 * b1 - g12 * b2) / det
     b = (g11 * b2 - g12 * b1) / det
     return a, b
@@ -320,11 +301,10 @@ def section_spin_coefficients(section: ConeSection,
     beta = iota^A grad_m o_A and sigma' = -iota^A grad_mbar iota_A; the
     components of o_A and iota_A are differentiated as weight (1,0) and
     (-1,0) scalars (the flat ambient connection vanishes in these
-    coordinates).  The canonical frame does not
-    depend on r0 along a generator, so its kappa = o^A grad_l o_A,
-    epsilon = iota^A grad_l o_A and tau' = -iota^A grad_l iota_A vanish
-    identically; they are returned as exact zeros rather than differenced
-    noise.
+    coordinates).  The canonical frame does not depend on r0 along a
+    generator, so its kappa = o^A grad_l o_A, epsilon = iota^A grad_l o_A
+    and tau' = -iota^A grad_l iota_A vanish identically and are not
+    returned.
     """
     calc = calculus or _SectionCalculus(section)
     o_low = lower_comps(section.o)
@@ -343,9 +323,7 @@ def section_spin_coefficients(section: ConeSection,
         alpha += section.iota[:, comp] * d_o
         beta += section.iota[:, comp] * d_o_m
         sigma_p -= section.iota[:, comp] * d_i
-    zeros = np.zeros(n, dtype=complex)
-    return {"rho": rho, "alpha": alpha, "beta": beta, "sigma_prime": sigma_p,
-            "kappa": zeros, "epsilon": zeros, "tau_prime": zeros.copy()}
+    return {"rho": rho, "alpha": alpha, "beta": beta, "sigma_prime": sigma_p}
 
 
 def eth_prime(f: WeightedScalarField, section: ConeSection,
@@ -361,8 +339,6 @@ def eth_prime(f: WeightedScalarField, section: ConeSection,
     (1,-1) arguments.  beta, and alpha unless given, are computed from
     the section's own frame field.
     """
-    if section.grid.n_phi < 8:
-        raise ValueError("need at least 8 nodes per ring")
     calc = calculus or _SectionCalculus(section)
     p, q = f.weight
     if (alpha is None and p != 0) or q != 0:
@@ -391,10 +367,15 @@ def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid | None = 
       p. phi_j - eth' phi_{j-1} = (j-1) sigma' phi_{j-2} - j tau' phi_{j-1}
                                   + (n-j+1) rho phi_j - (n-j) kappa phi_{j+1}
 
-    is evaluated for j = 1..n with every spin coefficient taken from the
-    section frame (p. phi_j = d phi_j/dr0 - (p eps + q epsbar) phi_j with
-    the weight (n-2j, 0) of phi_j).  Returns {j: max abs residual over
-    all sections}.
+    holds for j = 1..n, with p. phi_j = d phi_j/dr0 - (p eps + q epsbar)
+    phi_j for the weight (p, q) = (n-2j, 0) of phi_j.  The section frame
+    does not depend on r0 along a generator, so its kappa, epsilon and
+    tau' vanish (see section_spin_coefficients); what is evaluated is
+
+      d phi_j/dr0 - eth' phi_{j-1} = (j-1) sigma' phi_{j-2} + (n-j+1) rho phi_j
+
+    with the remaining coefficients taken from the section frame.
+    Returns {j: max abs residual over all sections}.
     """
     p0 = np.asarray(p0, dtype=float)
     n = data.valence
@@ -413,19 +394,13 @@ def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid | None = 
         calc = _SectionCalculus(section)
         coef = section_spin_coefficients(section, calc)
         for j in range(1, n + 1):
-            p_w, q_w = n - 2 * j, 0
-            thorn = dvals[:, j] - (p_w * coef["epsilon"]
-                                   + q_w * np.conj(coef["epsilon"])) * vals[:, j]
             eth_val = eth_prime(
                 WeightedScalarField(vals[:, j - 1], (n - 2 * (j - 1), 0)),
                 section, alpha=coef["alpha"], calculus=calc).values
-            rhs = (n - j + 1) * coef["rho"] * vals[:, j] \
-                - j * coef["tau_prime"] * vals[:, j - 1]
+            rhs = (n - j + 1) * coef["rho"] * vals[:, j]
             if j >= 2:
                 rhs = rhs + (j - 1) * coef["sigma_prime"] * vals[:, j - 2]
-            if j < n:
-                rhs = rhs - (n - j) * coef["kappa"] * vals[:, j + 1]
-            res = np.max(np.abs(thorn - eth_val - rhs))
+            res = np.max(np.abs(dvals[:, j] - eth_val - rhs))
             worst[j] = max(worst[j], float(res))
     return worst
 

@@ -25,9 +25,8 @@ from .nulldata import ConeData, richardson_dr0
 from .spinor import DiracSpinorValue, SymSpinorValue, lower_comps
 
 __all__ = ["QuadratureSpec", "ReconstructionResult", "reconstruct_dirac",
-           "reconstruct_spin_n", "reconstruct_maxwell",
-           "reconstruct_curved_singular", "convergence_study",
-           "components", "relative_error"]
+           "reconstruct_spin_n", "reconstruct_curved_singular",
+           "convergence_study", "components", "relative_error"]
 
 # Largest valence the evaluators accept: on the default 24x48 grid the
 # plane-wave error stays below 1e-13 up to 16 for |x - p0|/t <= 0.4 and
@@ -164,12 +163,6 @@ def reconstruct_spin_n(p0, data: ConeData, n: int, q,
     q = np.asarray(q, dtype=float)
     return _evaluate(lambda sp: _flat_components(p0, data, n, q, sp),
                      data, q, spec)
-
-
-def reconstruct_maxwell(p0, data: ConeData, q,
-                        spec: QuadratureSpec) -> ReconstructionResult:
-    """Electromagnetic spinor at q: the valence-2 case."""
-    return reconstruct_spin_n(p0, data, 2, q, spec)
 
 
 def reconstruct_dirac(p0, data: ConeData, q,

@@ -59,43 +59,6 @@ SIG = np.stack([
 # Frame-index raised symbols g^a = eta^{ab} g_b, used by the Dirac operator.
 SIG_UP = np.stack([SIG[0], -SIG[1], -SIG[2], -SIG[3]])
 
-VALID_INDEX_KINDS = {
-    ("unprimed", "lower"), ("unprimed", "upper"),
-    ("primed", "lower"), ("primed", "upper"),
-}
-
-
-@dataclass
-class SpinorVal:
-    """A one-index spinor value: two complex components plus index kind."""
-
-    components: np.ndarray
-    index_kind: tuple[str, str]  # (primedness, position)
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=complex)
-        if self.components.shape != (2,):
-            raise ValueError("SpinorVal needs exactly two components")
-        if tuple(self.index_kind) not in VALID_INDEX_KINDS:
-            raise ValueError(f"bad index kind {self.index_kind!r}")
-        self.index_kind = tuple(self.index_kind)
-
-
-@dataclass
-class FourVector:
-    """World vector in the reference frame; `real` asserts a real vector."""
-
-    components: np.ndarray
-    real: bool = True
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=complex)
-        if self.components.shape != (4,):
-            raise ValueError("FourVector needs four components")
-        if self.real and np.max(np.abs(self.components.imag)) > 1e-12 * max(
-                1.0, np.max(np.abs(self.components))):
-            raise ValueError("components not real but real=True")
-
 
 @dataclass
 class DiracSpinorValue:
@@ -129,14 +92,6 @@ class SymSpinorValue:
             raise ValueError("need valence+1 scalar components")
 
 
-def raise_lower(s: SpinorVal) -> SpinorVal:
-    """Toggle the index position with the epsilon conventions above."""
-    kind, pos = s.index_kind
-    if pos == "upper":
-        return SpinorVal(lower_comps(s.components), (kind, "lower"))
-    return SpinorVal(raise_comps(s.components), (kind, "upper"))
-
-
 def lower_comps(upper: np.ndarray) -> np.ndarray:
     """kappa_B = kappa^A eps_{AB} on a trailing component axis."""
     return np.asarray(upper) @ EPS
@@ -148,9 +103,8 @@ def raise_comps(lower: np.ndarray) -> np.ndarray:
 
 
 def to_matrix(v) -> np.ndarray:
-    """v^{AA'} = v^a g_a^{AA'}; accepts a FourVector or a (..., 4) array."""
-    comps = v.components if isinstance(v, FourVector) else np.asarray(v, dtype=complex)
-    return np.einsum("...a,aij->...ij", comps, SIG)
+    """v^{AA'} = v^a g_a^{AA'} over a (..., 4) array."""
+    return np.einsum("...a,aij->...ij", np.asarray(v, dtype=complex), SIG)
 
 
 def from_matrix(m: np.ndarray) -> np.ndarray:
@@ -171,9 +125,7 @@ def lower_matrix(m: np.ndarray) -> np.ndarray:
 
 def minkowski(u, v) -> complex:
     """eta_{ab} u^a v^b."""
-    uc = u.components if isinstance(u, FourVector) else np.asarray(u)
-    vc = v.components if isinstance(v, FourVector) else np.asarray(v)
-    return np.einsum("...a,ab,...b->...", uc, ETA, vc)
+    return np.einsum("...a,ab,...b->...", np.asarray(u), ETA, np.asarray(v))
 
 
 def symplectic_pairing(phi, psi, zeta, xi):
@@ -187,18 +139,8 @@ def symplectic_pairing(phi, psi, zeta, xi):
             + np.einsum("...a,...a->...", psi, lower_comps(xi)))
 
 
-def symplectic_product(u: DiracSpinorValue, v: DiracSpinorValue) -> complex:
-    """symplectic_pairing of two DiracSpinorValues."""
-    return symplectic_pairing(u.phi, u.psi, v.phi, v.psi)
-
-
-def clifford_mul(v, u: DiracSpinorValue) -> DiracSpinorValue:
-    """Clifford multiplication V . u = i sqrt(2) (V_{AA'} psi^{A'}, -V^{AA'} phi_A)."""
-    return DiracSpinorValue(*clifford_batch(v, u.phi, u.psi))
-
-
 def clifford_batch(vecs: np.ndarray, phi: np.ndarray, psi: np.ndarray):
-    """clifford_mul over leading axes; vecs is a FourVector or a (..., 4) array."""
+    """Clifford multiplication V . (phi + psi) over leading axes; vecs is (..., 4)."""
     m_up = to_matrix(vecs)
     m_low = lower_matrix(m_up)
     new_phi = 1j * SQRT2 * np.einsum("...ij,...j->...i", m_low, psi)

@@ -38,7 +38,7 @@ from .frames import NPFrame, spin_basis_from_tetrad
 from .spinor import ETA, central_partials, richardson
 
 __all__ = [
-    "CurvedChart", "GeodesicPath", "TransportState", "ParallelFrames",
+    "CurvedChart", "GeodesicPath", "ParallelFrames",
     "make_chart", "check_signature", "christoffel_fd", "rk4_step",
     "geodesic_shoot", "NullConnection", "null_connect", "world_function",
     "world_function_gradient_check",
@@ -107,16 +107,6 @@ class CurvedChart:
 
 
 @dataclass
-class TransportState:
-    """Point on a transported path: position, velocity, and optional payload."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    k: Optional[float] = None
-    frame: Optional[NPFrame] = None
-
-
-@dataclass
 class GeodesicPath:
     """RK4 geodesic samples: s (N+1,), x and v (N+1, 4) or, shot from rows, (N+1, B, 4);
     a Jacobi propagator adds jacobi (N+1, 8, 8) = d(x, v) / d(x0, v0) and its work."""
@@ -127,10 +117,6 @@ class GeodesicPath:
     chart: CurvedChart
     jacobi: Optional[np.ndarray] = None
     work: Optional[dict] = None
-
-    @property
-    def final(self) -> TransportState:
-        return TransportState(self.x[-1].copy(), self.v[-1].copy())
 
     def norm_drift(self) -> float:
         """Max drift of g(v, v) along a one-point path relative to its start value."""
@@ -308,7 +294,7 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
         raise ValueError("steps must be positive")
     chart.require_inside(p, "geodesic start")
 
-    def rhs(stage, y):
+    def rhs(y):
         x, u = y[0], y[1]
         if not jacobi:
             return u, _acceleration(chart, x, u)
@@ -636,7 +622,7 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
     legs = np.vstack([frame.l.real.astype(float), frame.n.real.astype(float),
                       frame.m.real.astype(float), frame.m.imag.astype(float)])
 
-    def rhs(stage, y):
+    def rhs(y):
         x, u, V = y
         gu = chart.connection(x) @ u              # [a, b]: Gamma^a_{bc} u^c
         return u, -(gu @ u), -(V @ gu.T)

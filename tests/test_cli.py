@@ -288,6 +288,41 @@ _CONVERGE = {"p0": [0, 0, 0, 0], "q": [1.5, 0.4, 0.3, 0.2], "valence": 1,
 _CONSTRAINTS = {"p0": [0, 0, 0, 0], "valence": 1, "s_values": [0.8],
                 "data": {"family": "plane-wave", "alpha": ALPHA},
                 "levels": [[8, 16]]}
+_RAY = {"p": [0.1, 0.25, -0.15, 0.2], "direction": [0.3, 0.5, 0.8], "t": 1.1}
+_TRANSPORT = {"chart": {"name": "flat"}, "rays": [_RAY], "k_steps": 1,
+              "van_vleck": False}
+_DIRAC_DATA = {"family": "plane-wave-dirac", "alpha": ALPHA}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("reconstruct", _rec_config(tolerence=1e-30), "tolerence"),
+    ("constraints", {**_CONSTRAINTS, "tolerence": 1e-30}, "tolerence"),
+    ("converge", {**_CONVERGE, "level": [[8, 16]]}, "level"),
+    ("curved-transport", {**_TRANSPORT, "k_step": 3}, "k_step"),
+    ("verify", {"suites": ["algebra"], "cases": 10, "case": 5}, "case"),
+    ("reconstruct", _rec_config(data={"family": "plane-wave", "alpha": ALPHA,
+                                      "amplitde": [2.0, 0.0]}), "amplitde"),
+    ("reconstruct", _rec_config(kind="dirac", data={**_DIRAC_DATA,
+                                                    "psi_amplitde": 2.0}),
+     "psi_amplitde"),
+    ("reconstruct", _rec_config(data={"file": "absent.json", "r0_min": 0.5}),
+     "r0_min"),
+    ("curved-transport", {**_TRANSPORT, "frame": {"step": 10}}, "step"),
+    ("curved-transport", {**_TRANSPORT, "rays": [{**_RAY, "T": 2.0}]},
+     "rays[0] keys ['T']"),
+    ("verify", {"suites": ["algebra"], "cases": 10,
+                "thresholds": {"algebra.clifford_relaton": 1e-12}},
+     "algebra.clifford_relaton"),
+    ("verify", {"suites": ["algebra"], "cases": 10,
+                "thresholds": {"geometry.section_area": 1e-8}},
+     "geometry.section_area"),
+], ids=["reconstruct", "constraints", "converge", "curved-transport", "verify",
+        "data-plane-wave", "data-plane-wave-dirac", "data-file", "frame", "rays",
+        "thresholds-misspelled", "thresholds-unselected-suite"])
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, cfg, key):
+    # a misspelled key would otherwise be ignored and its default used
+    assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, cfg, key", [

@@ -70,16 +70,18 @@ def test_analytic_matches_ambient_plane_wave():
 
 def test_radial_derivative_constant_is_zero():
     data = ConeData(1, fn=lambda r0, om, o, i: np.ones((r0.size, 1), complex))
-    om = unit_directions(np.array([0.3, 1.2]), np.array([0.0, 2.0]))
-    d = nd.radial_derivative(data, np.array([0.5, 0.8]), om)
+    th, ph = np.array([0.3, 1.2]), np.array([0.0, 2.0])
+    o, iota = spin_basis_field(th, ph, np.zeros(2))
+    d = data.radial_derivative(np.array([0.5, 0.8]), unit_directions(th, ph), o, iota)
     assert np.max(np.abs(d)) == 0.0
 
 
 def test_radial_derivative_quadratic_richardson():
     data = ConeData(1, fn=lambda r0, om, o, i: (r0 ** 2).astype(complex)[:, None])
-    om = unit_directions(np.array([0.4, 2.0, 1.1]), np.array([0.1, 3.0, 5.0]))
+    th, ph = np.array([0.4, 2.0, 1.1]), np.array([0.1, 3.0, 5.0])
+    o, iota = spin_basis_field(th, ph, np.zeros(3))
     r0 = np.array([0.5, 1.5, 2.5])
-    d = nd.radial_derivative(data, r0, om)
+    d = data.radial_derivative(r0, unit_directions(th, ph), o, iota)
     assert np.max(np.abs(d[:, 0] - 2.0 * r0)) < 1e-10
 
 
@@ -254,8 +256,7 @@ def test_eth_prime_weight_covariance():
     # weight (p-1, q+1)
     lam = 1.4 * np.exp(0.6j)
     sec = build_section(P0, np.array([1.0, 0.0, 0.0, 0.0]), SphereGrid(16, 32))
-    sec2 = dataclasses.replace(sec, o=lam * sec.o, iota=sec.iota / lam,
-                               m=(lam / np.conj(lam)) * sec.m)
+    sec2 = dataclasses.replace(sec, o=lam * sec.o, iota=sec.iota / lam)
     gen = np.random.default_rng(3)
     f1 = _random_weight_1m1_field(sec, gen)
     gen = np.random.default_rng(3)

@@ -7,8 +7,7 @@ import conerec.reconstruct as rec
 from conerec import oracles as orc
 from conerec.nulldata import ConeData
 from conerec.reconstruct import (QuadratureSpec, convergence_study,
-                                 reconstruct_dirac, reconstruct_maxwell,
-                                 reconstruct_spin_n)
+                                 reconstruct_dirac, reconstruct_spin_n)
 from conerec.spinor import sym_assemble
 
 rng = np.random.default_rng(20260816)
@@ -65,14 +64,6 @@ def test_spin_n_plane_wave(n):
         / np.max(np.abs(exact.components))
     assert rel < 1e-6
     assert res.value.valence == n and res.value.basis_id == "standard"
-
-
-def test_maxwell_is_valence_two():
-    pw, data = _spin_setup(2)
-    q = Q_POINTS[0]
-    a = reconstruct_maxwell(P0, data, q, QuadratureSpec(16, 32))
-    b = reconstruct_spin_n(P0, data, 2, q, QuadratureSpec(16, 32))
-    assert np.array_equal(a.value.components, b.value.components)
 
 
 def test_spin_one_matches_dirac_unprimed():
@@ -164,7 +155,6 @@ def test_gauge_invariance_frame_phase(monkeypatch):
         sec = true_build(p0, qq, grid)
         sec.o = lam * sec.o
         sec.iota = sec.iota / lam
-        sec.m = (lam / np.conj(lam)) * sec.m
         return sec
 
     monkeypatch.setattr(rec, "build_section", rescaled)
