@@ -23,11 +23,12 @@ BLAS pool size in the environment before numpy loads.
 
 import argparse
 import csv
-import io
+import importlib
 import json
 import math
 import os
 import sys
+from collections import namedtuple
 from datetime import datetime, timezone
 
 from .errors import CoverageError, GeometryError
@@ -47,16 +48,30 @@ class ConfigError(Exception):
     pass
 
 
-def _pin_threads(n: int):
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
-
-
 def _timestamp():
     return datetime.now(timezone.utc).isoformat()
 
 
-# -- config helpers ----------------------------------------------------------
+# -- config tables -----------------------------------------------------------
+#
+# Each config block has one table mapping every accepted key to a _Key:
+# check(value, name) returns the checked value or raises ConfigError naming
+# the key.  An absent key takes its default, checked like a given value; a
+# default of None leaves the key out, so the callee's own default holds,
+# and _REQUIRED makes the key mandatory.
+
+_REQUIRED = object()
+# Bounds of the counts a config sets, so that none can make a run allocate
+# or loop without end (1e308 is a valid JSON integer), and of the magnitude
+# of a coordinate or length, which the geometry squares.
+_MAX_GRID = 1024          # quadrature.n_theta and n_phi, each levels entry
+_MAX_STEPS = 10_000       # k_steps, frame.steps
+_MAX_CASES = 100_000      # verify cases
+_MAX_COORDINATE = 1e100
+
+
+_Key = namedtuple("_Key", "check default", defaults=[None])
+
 
 def _load_config(path):
     try:
@@ -86,18 +101,6 @@ def _nulled(node, where, found):
     return node
 
 
-def _as_object(v, what):
-    if not isinstance(v, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {v!r}")
-    return v
-
-
-def _as_list(v, what):
-    if not isinstance(v, list):
-        raise ConfigError(f"{what} must be a list, got {v!r}")
-    return v
-
-
 def _known(cfg, keys, what):
     """Require a JSON object holding only the given keys: a misspelled key
     would otherwise be ignored and its default used without a word."""
@@ -106,70 +109,152 @@ def _known(cfg, keys, what):
         raise ConfigError(f"unknown {what} keys {sorted(extra)}")
 
 
-# keys main reads from every command's config
-_MAIN_KEYS = ("out", "seed")
+def _read(cfg, table, where, prefix=""):
+    """The checked values of the config block `where`: unknown keys first,
+    then required keys, then each check in table order."""
+    _known(cfg, table, where)
+    for key, entry in table.items():
+        if entry.default is _REQUIRED and key not in cfg:
+            raise ConfigError(f"{where} config needs {key!r}")
+    return {key: entry.check(cfg.get(key, entry.default), prefix + key)
+            for key, entry in table.items() if key in cfg or entry.default is not None}
 
 
-def _need(cfg, key, command):
-    if key not in cfg:
-        raise ConfigError(f"{command} config needs {key!r}")
-    return cfg[key]
+def _check(ok, must, convert=None):
+    """Check raising "<name> must be <must>" unless ok(value)."""
+    def check(v, what):
+        if not ok(v):
+            raise ConfigError(f"{what} must be {must}, got {v!r}")
+        return v if convert is None else convert(v)
+    return check
 
 
-def _as_complex(v, what):
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(_as_finite(v[0], f"{what} real part"),
-                       _as_finite(v[1], f"{what} imaginary part"))
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{what} must be a number or an [re, im] pair")
-    return complex(v)
+def _block(table, build=dict):
+    """Check of a nested block: build(**values read by table), a ValueError
+    of build a config error naming the block."""
+    def check(v, what):
+        values = _read(v, table, what, what + ".")
+        try:
+            return build(**values)
+        except ValueError as exc:
+            raise ConfigError(f"bad {what}: {exc}")
+    return check
 
 
-def _as_point(v, what):
-    import numpy as np
-    try:
-        arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be four numbers, got {v!r}")
-    if arr.shape != (4,):
-        raise ConfigError(f"{what} must have four components")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{what} must be finite")
-    return arr
+def _list_of(check, non_empty=False):
+    """Check of a list whose entries, named what[i], each pass check."""
+    def read(v, what):
+        items = [check(x, f"{what}[{i}]") for i, x in enumerate(_as_list(v, what))]
+        if non_empty and not items:
+            raise ConfigError(f"{what} must be non-empty")
+        return items
+    return read
 
 
-def _as_finite(v, what):
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{what} must be a finite number, got {v!r}")
-    return float(v)
+def _optional(check):
+    """check, with null standing for an absent key."""
+    return lambda v, what: None if v is None else check(v, what)
 
 
-def _as_positive(v, what):
-    v = _as_finite(v, what)
-    if not v > 0.0:
-        raise ConfigError(f"{what} must be positive, got {v!r}")
+def _number(v):
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+
+
+def _count(most):
+    return _check(lambda v: _number(v) and v == int(v) and 1 <= v <= most,
+                  f"a positive integer at most {most}", int)
+
+
+def _as_given(v, what):  # a value its callee checks
     return v
 
 
-def _as_count(v, what):
-    if isinstance(v, bool) or not isinstance(v, (int, float)) \
-            or not math.isfinite(v) or v != int(v) or v < 1:
-        raise ConfigError(f"{what} must be a positive integer, got {v!r}")
-    return int(v)
+_as_object = _check(lambda v: isinstance(v, dict), "a JSON object")
+_as_list = _check(lambda v: isinstance(v, list), "a list")
+_as_path = _check(lambda v: isinstance(v, str), "a path string")
+_as_bool = _check(lambda v: isinstance(v, bool), "true or false")
+_as_kind = _check(lambda v: v in ("spin", "dirac"), "'spin' or 'dirac'")
+_as_seed = _check(lambda v: _number(v) and v == int(v) and v >= 0,
+                  "a non-negative integer", int)
+_as_finite = _check(_number, "a finite number", float)
+_as_positive = _check(lambda v: _number(v) and v > 0, "a positive number", float)
+_as_coordinate = _check(lambda v: _number(v) and abs(v) <= _MAX_COORDINATE,
+                        f"a number at most {_MAX_COORDINATE:g} in magnitude", float)
+_as_length = _check(lambda v: _number(v) and 0 < v <= _MAX_COORDINATE,
+                    f"a positive number at most {_MAX_COORDINATE:g}", float)
 
 
-def _kind_and_valence(cfg):
-    """The evaluator kind ("spin" or "dirac") and valence of a config."""
-    kind = cfg.get("kind", "spin")
-    if kind not in ("spin", "dirac"):
-        raise ConfigError(f"kind must be 'spin' or 'dirac', got {kind!r}")
-    return kind, _as_count(cfg.get("valence", 1), "valence")
+def _as_complex(v, what):
+    if isinstance(v, list) and len(v) == 2:
+        return complex(_as_finite(v[0], f"{what} real part"),
+                       _as_finite(v[1], f"{what} imaginary part"))
+    return complex(_check(_number, "a number or an [re, im] pair")(v, what))
 
 
-def _tolerance(cfg):
-    """The optional finite `tolerance` of a command config, or None."""
-    tol = cfg.get("tolerance")
-    return None if tol is None else _as_finite(tol, "tolerance")
+def _vector(n, nonzero=False):
+    """Check of n coordinates, as an array."""
+    def check(v, what):
+        import numpy as np
+        arr = np.array(_list_of(_as_coordinate)(v, what))
+        if arr.shape != (n,) or nonzero and not arr.any():
+            raise ConfigError(f"{what} must be {n} coordinates{', not all zero' * nonzero}")
+        return arr
+    return check
+
+
+def _as_level(v, what):
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ConfigError(f"{what} must be an [n_theta, n_phi] pair, got {v!r}")
+    return tuple(_list_of(_count(_MAX_GRID))(v, what))
+
+
+def _as_valence(v, what):
+    from .reconstruct import MAX_VALENCE
+    return _count(MAX_VALENCE)(v, what)
+
+
+def _late(module, name):
+    """A call of module.name, imported when called so numpy loads after --threads."""
+    return lambda **kw: getattr(importlib.import_module(module, __package__), name)(**kw)
+
+
+_as_point = _vector(4)
+_QUADRATURE = {"n_theta": _Key(_count(_MAX_GRID), 24), "n_phi": _Key(_count(_MAX_GRID), 48),
+               "chart_mode": _Key(_as_given), "cap": _Key(_as_finite),
+               "radial_fd": _Key(_as_given), "fd_step": _Key(_as_positive),
+               "rho_variant": _Key(_as_given)}
+_CHART = {"name": _Key(_as_given, "flat"), "eps": _Key(_as_finite),
+          "profile": _Key(_as_given), "width": _Key(_as_length),
+          "center": _Key(_as_point), "halfwidth": _Key(_as_coordinate)}
+_PLANE_WAVE = {"family": _Key(_as_given, _REQUIRED),
+               "alpha": _Key(_list_of(_as_complex), _REQUIRED),
+               "amplitude": _Key(_as_complex, 1.0)}
+# data sources: a block naming "file" is a file source, any other a family
+_DATA = {"file": {"file": _Key(_as_path, _REQUIRED)}, "plane-wave": _PLANE_WAVE,
+         "plane-wave-dirac": {**_PLANE_WAVE, "psi_amplitude": _Key(_as_complex, 1.0)}}
+_FRAME = {"steps": _Key(_count(_MAX_STEPS), 200), "theta": _Key(_as_finite, 0.4),
+          "phi": _Key(_as_finite, 1.1), "s_end": _Key(_as_coordinate, 1.0)}
+_RAY = {"p": _Key(_as_point, _REQUIRED), "direction": _Key(_vector(3, nonzero=True), _REQUIRED),
+        "t": _Key(_as_coordinate, _REQUIRED)}
+
+
+def _as_data(v, what):
+    source = "file" if "file" in _as_object(v, what) else v.get("family", "plane-wave")
+    if not isinstance(source, str) or source not in _DATA:
+        raise ConfigError(f"unknown data family {source!r}")
+    return _read(v, _DATA[source], what, what + ".")
+
+
+# entries shared by the commands that take the key
+_MAIN = {"seed": _Key(_as_seed, 0), "out": _Key(_optional(_as_path))}
+_POINT = _Key(_as_point, _REQUIRED)
+_KIND = _Key(_as_kind, "spin")
+_VALENCE = _Key(_as_valence, 1)
+_DATA_KEY = _Key(_as_data, _REQUIRED)
+_QUADRATURE_KEY = _Key(_block(_QUADRATURE, _late(".reconstruct", "QuadratureSpec")), {})
+_CHART_KEY = _Key(_block(_CHART, _late(".transport", "make_chart")))
+_LEVELS = _Key(_list_of(_as_level, non_empty=True))
+_TOLERANCE = _Key(_as_finite)
 
 
 def _exceeds(value, tol):
@@ -177,50 +262,14 @@ def _exceeds(value, tol):
     return tol is not None and not value <= tol
 
 
-def _levels(cfg, default):
-    """The non-empty [n_theta, n_phi] refinement levels of a config, as counts."""
-    levels = cfg.get("levels", default)
-    if not (isinstance(levels, list) and levels
-            and all(isinstance(p, list) and len(p) == 2 for p in levels)):
-        raise ConfigError(f"levels must be a non-empty list of [n_theta, n_phi] "
-                          f"pairs, got {levels!r}")
-    return [(_as_count(nt, f"levels[{i}][0]"), _as_count(nph, f"levels[{i}][1]"))
-            for i, (nt, nph) in enumerate(levels)]
-
-
 def _c2j(z):
     z = complex(z)
     return [z.real, z.imag]
 
 
-def _quadrature(cfg):
-    from .reconstruct import QuadratureSpec
-    _known(cfg, ("n_theta", "n_phi", "chart_mode", "cap", "radial_fd",
-                 "fd_step", "rho_variant"), "quadrature")
-    checks = {"n_theta": _as_count, "n_phi": _as_count, "cap": _as_finite,
-              "fd_step": _as_positive}
-    cfg = {k: checks[k](v, f"quadrature.{k}") if k in checks else v
-           for k, v in cfg.items()}
-    try:
-        return QuadratureSpec(**{"n_theta": 24, "n_phi": 48, **cfg})
-    except ValueError as exc:
-        raise ConfigError(f"bad quadrature: {exc}")
-
-
-def _chart(cfg):
-    from . import transport
-    _known(cfg, ("name", "eps", "profile", "width", "center", "halfwidth"), "chart")
-    checks = {"eps": _as_finite, "width": _as_positive, "halfwidth": _as_finite}
-    kwargs = {k: checks[k](v, f"chart.{k}") if k in checks else v
-              for k, v in cfg.items() if k != "name"}
-    try:
-        return transport.make_chart(cfg.get("name", "flat"), **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"bad chart: {exc}")
-
-
-def _cone_data(cfg, p0, valence, command):
-    """ConeData plus an oracle callback (None for file data).
+def _cone_data(src, p0, valence):
+    """ConeData plus an oracle callback (None for file data), from a data
+    block read by _as_data.
 
     Families: "plane-wave" (spin components phi_0..phi_n) and
     "plane-wave-dirac" (the (zeta_0, xi^{1'}) pair).  File sources name
@@ -228,38 +277,26 @@ def _cone_data(cfg, p0, valence, command):
     """
     from . import oracles
     from .nulldata import ConeData, load_cone_data
-    if "file" in _as_object(cfg, "data"):
-        _known(cfg, ("file",), "data")
-        if not isinstance(cfg["file"], str):
-            raise ConfigError(f"data.file must be a path string, got {cfg['file']!r}")
+    if "file" in src:
         try:
-            data = load_cone_data(cfg["file"])
+            data = load_cone_data(src["file"])
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load cone data {cfg['file']!r}: {exc}")
+            raise ConfigError(f"cannot load cone data {src['file']!r}: {exc}")
         if data.valence != valence:
             raise ConfigError(f"data file carries valence {data.valence}, "
                               f"config says {valence}")
         return data, None
-    family = _need(cfg, "family", command + ".data")
-    if family not in ("plane-wave", "plane-wave-dirac"):
-        raise ConfigError(f"unknown data family {family!r}")
-    _known(cfg, ("family", "alpha", "amplitude")
-           + (("psi_amplitude",) if family == "plane-wave-dirac" else ()), "data")
-    alpha = [_as_complex(a, "alpha component")
-             for a in _as_list(_need(cfg, "alpha", command + ".data"), "data.alpha")]
-    amplitude = _as_complex(cfg.get("amplitude", 1.0), "amplitude")
     try:
-        spec = oracles.PlaneWaveSpec(valence, alpha, amplitude)
+        spec = oracles.PlaneWaveSpec(valence, src["alpha"], src["amplitude"])
     except ValueError as exc:
         raise ConfigError(f"bad plane-wave parameters: {exc}")
-    if family == "plane-wave":
+    if src["family"] == "plane-wave":
         fn, fn_dr0 = oracles.plane_wave_cone_fn(spec, p0)
-        data = ConeData(valence, fn=fn, fn_dr0=fn_dr0)
-        oracle = lambda q: oracles.plane_wave_field(spec, q).components
-        return data, oracle
+        return (ConeData(valence, fn=fn, fn_dr0=fn_dr0),
+                lambda q: oracles.plane_wave_field(spec, q).components)
     if valence != 1:
         raise ConfigError("the Dirac family is valence 1")
-    psi_amp = _as_complex(cfg.get("psi_amplitude", 1.0), "psi_amplitude")
+    psi_amp = src["psi_amplitude"]
     fn, fn_dr0 = oracles.plane_wave_dirac_cone_fn(spec, p0, psi_amp)
     data = ConeData(1, kind="dirac", fn=fn, fn_dr0=fn_dr0)
 
@@ -276,8 +313,7 @@ def _cone_data(cfg, p0, valence, command):
 def _write_json(path, command, cfg, payload):
     """Write the report as strict JSON; True when a non-finite value became null."""
     doc = {"command": command, "config": cfg,
-           "meta": {"generated_at": _timestamp()}}
-    doc.update(payload)
+           "meta": {"generated_at": _timestamp()}, **payload}
     found = []
     doc = _nulled(doc, "output", found)
     with open(path, "w") as fh:
@@ -289,50 +325,39 @@ def _write_json(path, command, cfg, payload):
 
 
 def _write_csv(path, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
     with open(path, "w") as fh:
         fh.write(f"# generated_at={_timestamp()}\n")
-        fh.write(buf.getvalue())
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _order_column(errors):
     """log2 ratios between consecutive rows; blank for the first."""
-    out = [""]
-    for prev, cur in zip(errors, errors[1:]):
-        if prev > 0 and cur > 0:
-            out.append(f"{math.log2(prev / cur):.3f}")
-        else:
-            out.append("")
-    return out
+    return [""] + [f"{math.log2(prev / cur):.3f}" if prev > 0 and cur > 0 else ""
+                   for prev, cur in zip(errors, errors[1:])]
 
 
 # -- commands ----------------------------------------------------------------
+#
+# Each handler takes the checked values of its table, plus the raw config
+# under "config" for the output's echo.
 
-def cmd_reconstruct(cfg, out, seed):
+_RECONSTRUCT = {**_MAIN, "p0": _POINT,
+                "q": _Key(_list_of(_as_point, non_empty=True), _REQUIRED),
+                "kind": _KIND, "valence": _VALENCE, "quadrature": _QUADRATURE_KEY,
+                "chart": _CHART_KEY, "data": _DATA_KEY, "tolerance": _TOLERANCE}
+
+
+def cmd_reconstruct(v, out, seed):
     from .reconstruct import (components, reconstruct_curved_singular,
                               reconstruct_dirac, reconstruct_spin_n,
                               relative_error)
-    _known(cfg, _MAIN_KEYS + ("p0", "q", "kind", "valence", "quadrature", "chart",
-                              "data", "tolerance"), "reconstruct")
-    p0 = _as_point(_need(cfg, "p0", "reconstruct"), "p0")
-    q_list = _as_list(_need(cfg, "q", "reconstruct"), "q")
-    if not q_list:
-        raise ConfigError("q list must be non-empty")
-    kind, valence = _kind_and_valence(cfg)
-    spec = _quadrature(cfg.get("quadrature", {}))
-    chart = _chart(cfg["chart"]) if "chart" in cfg else None
+    p0, kind, valence, spec = v["p0"], v["kind"], v["valence"], v["quadrature"]
+    chart, tol = v.get("chart"), v.get("tolerance")
     if chart is not None and kind != "spin":
         raise ConfigError("the curved evaluator handles spin data only")
-    data, oracle = _cone_data(_need(cfg, "data", "reconstruct"), p0,
-                              valence, "reconstruct")
-    tol = _tolerance(cfg)
+    data, oracle = _cone_data(v["data"], p0, valence)
     records, failures = [], 0
-    for i, q_raw in enumerate(q_list):
-        q = _as_point(q_raw, f"q[{i}]")
+    for i, q in enumerate(v["q"]):
         try:
             if kind == "dirac":
                 res = reconstruct_dirac(p0, data, q, spec)
@@ -349,7 +374,7 @@ def cmd_reconstruct(cfg, out, seed):
             rec["psi"] = [_c2j(z) for z in res.value.psi]
         else:
             rec["components"] = [_c2j(z) for z in res.value.components]
-            rec["basis"] = res.value.basis_id
+            rec["basis"] = "standard"
         rec["diagnostics"] = res.diagnostics
         if oracle is not None:
             err = relative_error(components(res.value), components(oracle(q)))
@@ -358,33 +383,27 @@ def cmd_reconstruct(cfg, out, seed):
                 rec["within_tolerance"] = not _exceeds(err, tol)
                 failures += _exceeds(err, tol)
         records.append(rec)
-    non_finite = _write_json(out, "reconstruct", cfg, {"records": records})
+    non_finite = _write_json(out, "reconstruct", v["config"], {"records": records})
     print(f"reconstruct: {len(records)} records -> {out}"
           + (f" ({failures} above tolerance)" if failures else ""))
     return EXIT_CHECK if failures or non_finite else EXIT_OK
 
 
-def cmd_constraints(cfg, out, seed):
+_CONSTRAINTS = {**_MAIN, "p0": _POINT, "valence": _VALENCE._replace(default=_REQUIRED),
+                "s_values": _Key(_list_of(_as_coordinate, non_empty=True), _REQUIRED),
+                "data": _DATA_KEY, "tolerance": _TOLERANCE,
+                "levels": _LEVELS._replace(default=[[12, 24], [24, 48], [48, 96]])}
+
+
+def cmd_constraints(v, out, seed):
     from .cone import SphereGrid
     from .nulldata import constraint_residual
-    _known(cfg, _MAIN_KEYS + ("p0", "valence", "s_values", "data", "levels",
-                              "tolerance"), "constraints")
-    p0 = _as_point(_need(cfg, "p0", "constraints"), "p0")
-    valence = _as_count(_need(cfg, "valence", "constraints"), "valence")
-    s_values = [_as_finite(s, f"s_values[{i}]") for i, s in
-                enumerate(_as_list(_need(cfg, "s_values", "constraints"), "s_values"))]
-    if not s_values:
-        raise ConfigError("s_values must be non-empty")
-    data, _ = _cone_data(_need(cfg, "data", "constraints"), p0,
-                         valence, "constraints")
+    p0, s_values, tol = v["p0"], v["s_values"], v.get("tolerance")
+    data, _ = _cone_data(v["data"], p0, v["valence"])
     if data.kind != "spin":
         raise ConfigError("constraint residuals apply to spin data")
-    tol = _tolerance(cfg)
-    if data.is_analytic:
-        grids = [SphereGrid(nt, nph)
-                 for nt, nph in _levels(cfg, [[12, 24], [24, 48], [48, 96]])]
-    else:
-        grids = [data.grid]
+    grids = ([SphereGrid(nt, nph) for nt, nph in v["levels"]] if data.is_analytic
+             else [data.grid])
     tables = [constraint_residual(data, p0, s_values, g) for g in grids]
     js = sorted(tables[0])
     header = (["n_theta", "n_phi"] + [f"res_j{j}" for j in js]
@@ -400,24 +419,24 @@ def cmd_constraints(cfg, out, seed):
     return EXIT_CHECK if _exceeds(worst, tol) or not finite else EXIT_OK
 
 
-def cmd_converge(cfg, out, seed):
+_CONVERGE = {**_MAIN, "p0": _POINT, "q": _POINT, "kind": _KIND, "valence": _VALENCE,
+             "data": _DATA_KEY, "quadrature": _QUADRATURE_KEY,
+             "levels": _LEVELS._replace(default=[[16, 32], [32, 64], [64, 128]]),
+             "tolerance": _TOLERANCE}
+
+
+def cmd_converge(v, out, seed):
     import dataclasses
 
     from .reconstruct import convergence_study
-    _known(cfg, _MAIN_KEYS + ("p0", "q", "kind", "valence", "data", "quadrature",
-                              "levels", "tolerance"), "converge")
-    p0 = _as_point(_need(cfg, "p0", "converge"), "p0")
-    q = _as_point(_need(cfg, "q", "converge"), "q")
-    kind, valence = _kind_and_valence(cfg)
-    data, oracle = _cone_data(_need(cfg, "data", "converge"), p0,
-                              valence, "converge")
+    p0, q, tol = v["p0"], v["q"], v.get("tolerance")
+    data, oracle = _cone_data(v["data"], p0, v["valence"])
     if oracle is None:
         raise ConfigError("converge needs a named data family as oracle")
-    base = _quadrature(cfg.get("quadrature", {}))
-    specs = [dataclasses.replace(base, n_theta=nt, n_phi=nph)
-             for nt, nph in _levels(cfg, [[16, 32], [32, 64], [64, 128]])]
-    tol = _tolerance(cfg)
-    rows = convergence_study(p0, data, q, oracle(q), specs, kind=kind, n=valence)
+    specs = [dataclasses.replace(v["quadrature"], n_theta=nt, n_phi=nph)
+             for nt, nph in v["levels"]]
+    rows = convergence_study(p0, data, q, oracle(q), specs, kind=v["kind"],
+                             n=v["valence"])
     errors = [r["error"] for r in rows]
     orders = _order_column(errors)
     table = [[r["n_theta"], r["n_phi"], repr(r["error"]), o]
@@ -442,46 +461,26 @@ def _chart_frame(chart, p, theta, phi):
                    base.o / math.sqrt(om), base.iota / math.sqrt(om))
 
 
-def cmd_curved_transport(cfg, out, seed):
+_CURVED_TRANSPORT = {**_MAIN, "chart": _CHART_KEY._replace(default=_REQUIRED),
+                     "rays": _Key(_list_of(_block(_RAY), non_empty=True), _REQUIRED),
+                     "k_steps": _Key(_count(_MAX_STEPS), 10), "van_vleck": _Key(_as_bool, True),
+                     "van_vleck_h": _Key(_as_positive, 2e-2), "tolerance": _TOLERANCE,
+                     "frame": _Key(_optional(_block(_FRAME)))}
+
+
+def cmd_curved_transport(v, out, seed):
     import numpy as np
     from . import transport
-    _known(cfg, _MAIN_KEYS + ("chart", "rays", "k_steps", "van_vleck", "van_vleck_h",
-                              "frame", "tolerance"), "curved-transport")
-    chart = _chart(_need(cfg, "chart", "curved-transport"))
-    if chart.omega is None:
-        raise ConfigError("curved-transport needs a registry chart")
-    rays = _as_list(_need(cfg, "rays", "curved-transport"), "rays")
-    if not rays:
-        raise ConfigError("rays must be non-empty")
-    k_steps = _as_count(cfg.get("k_steps", 10), "k_steps")
-    want_vv = cfg.get("van_vleck", True)
-    if not isinstance(want_vv, bool):
-        raise ConfigError(f"van_vleck must be true or false, got {want_vv!r}")
-    vv_h = _as_positive(cfg.get("van_vleck_h", 2e-2), "van_vleck_h")
-    tol = _tolerance(cfg)
-    frame_cfg = cfg.get("frame")
-    if frame_cfg is not None:
-        _known(frame_cfg, ("steps", "theta", "phi", "s_end"), "frame")
-        frame_steps = _as_count(frame_cfg.get("steps", 200), "frame.steps")
-        theta = _as_finite(frame_cfg.get("theta", 0.4), "frame.theta")
-        phi = _as_finite(frame_cfg.get("phi", 1.1), "frame.phi")
-        s_end = _as_finite(frame_cfg.get("s_end", 1.0), "frame.s_end")
+    chart, frame, tol = v["chart"], v.get("frame"), v.get("tolerance")
     records = []
     worst_spread = 0.0
-    for i, ray in enumerate(rays):
-        _known(ray, ("p", "direction", "t"), f"rays[{i}]")
-        p = _as_point(_need(ray, "p", f"rays[{i}]"), f"rays[{i}].p")
-        d = np.array([_as_finite(c, f"rays[{i}].direction") for c in _as_list(
-            _need(ray, "direction", f"rays[{i}]"), f"rays[{i}].direction")])
-        if d.shape != (3,) or not np.any(d):
-            raise ConfigError(f"rays[{i}].direction must be a finite nonzero 3-vector")
-        t = _as_finite(_need(ray, "t", f"rays[{i}]"), f"rays[{i}].t")
-        lvec = np.concatenate([[1.0], d / np.linalg.norm(d)])
-        q = p + t * lvec
+    for i, ray in enumerate(v["rays"]):
+        p, d, t = ray["p"], ray["direction"], ray["t"]
+        q = p + t * np.concatenate([[1.0], d / np.linalg.norm(d)])
         try:
             chart.require_inside(q, "endpoint")
             conn = transport.null_connect(chart, q, p)
-            _, k_nodes = transport.transport_k(chart, q, p, steps=k_steps,
+            _, k_nodes = transport.transport_k(chart, q, p, steps=v["k_steps"],
                                                propagator=conn.path)
             k_ode = float(k_nodes[-1])
             k_closed = float(transport.conformal_k(chart, q, p))
@@ -489,10 +488,10 @@ def cmd_curved_transport(cfg, out, seed):
             rec = {"p": p.tolist(), "q": q.tolist(), "affine_parameter": conn[1],
                    "k_nodes": k_nodes.tolist(), "k_ode": k_ode, "k_closed_form": k_closed}
             work = {"null_connect": conn.path.work}
-            if want_vv:
+            if v["van_vleck"]:
                 work["van_vleck"] = {}
-                k_vv = transport.van_vleck_k(chart, q, p, h=vv_h, propagator=conn.path,
-                                             work=work["van_vleck"])
+                k_vv = transport.van_vleck_k(chart, q, p, h=v["van_vleck_h"],
+                                             propagator=conn.path, work=work["van_vleck"])
                 rec["k_van_vleck"] = k_vv
                 ks.append(k_vv)
             stages = list(work.values())
@@ -503,11 +502,12 @@ def cmd_curved_transport(cfg, out, seed):
             rec["flat_deviation"] = abs(2.0 * math.pi * k_closed - 1.0)
             rec["route_spread"] = max(ks) - min(ks)
             worst_spread = max(worst_spread, rec["route_spread"])
-            if frame_cfg is not None:
-                fr = _chart_frame(chart, p, theta, phi)
+            if frame is not None:
+                fr = _chart_frame(chart, p, frame["theta"], frame["phi"])
                 try:
                     pf = transport.transport_spin_frame(chart, p, fr.l, fr,
-                                                        s_end=s_end, steps=frame_steps)
+                                                        s_end=frame["s_end"],
+                                                        steps=frame["steps"])
                 except GeometryError:
                     raise
                 except ValueError as exc:
@@ -515,7 +515,7 @@ def cmd_curved_transport(cfg, out, seed):
                     # normalization: the step is too coarse for this ray
                     raise ConfigError(
                         f"rays[{i}]: the frame transported with frame.steps = "
-                        f"{frame_steps} drifted past 1e-10 ({exc}); use more steps")
+                        f"{frame['steps']} drifted past 1e-10 ({exc}); use more steps")
                 dots = [float(np.vdot(pf.o[j - 1], pf.o[j]).real)
                         for j in range(1, len(pf.o))]
                 rec["frame"] = {"product_drift": pf.product_drift(),
@@ -523,7 +523,7 @@ def cmd_curved_transport(cfg, out, seed):
         except GeometryError as exc:
             raise GeometryError(f"rays[{i}]: {exc}") from None
         records.append(rec)
-    non_finite = _write_json(out, "curved-transport", cfg, {"records": records})
+    non_finite = _write_json(out, "curved-transport", v["config"], {"records": records})
     print(f"curved-transport: {len(records)} rays, worst route spread "
           f"{worst_spread:.3e} -> {out}")
     return EXIT_CHECK if _exceeds(worst_spread, tol) or non_finite else EXIT_OK
@@ -684,18 +684,19 @@ _SUITES = {"algebra": _suite_algebra, "geometry": _suite_geometry,
            "constraints": _suite_constraints, "curved": _suite_curved}
 
 
-def cmd_verify(cfg, out, seed):
+# thresholds stay as given, since each check reports its threshold; their
+# ids are checked against the suites that ran
+_VERIFY = {**_MAIN,
+           "suites": _Key(_list_of(_check(lambda s: isinstance(s, str) and s in _SUITES,
+                                          f"one of {sorted(_SUITES)}")), sorted(_SUITES)),
+           "cases": _Key(_count(_MAX_CASES), 1000),
+           "thresholds": _Key(_check(lambda v: isinstance(v, dict) and all(
+               map(_number, v.values())), "an object of finite numbers"), {})}
+
+
+def cmd_verify(v, out, seed):
     import numpy as np
-    _known(cfg, _MAIN_KEYS + ("suites", "cases", "thresholds"), "verify")
-    suites = _as_list(cfg.get("suites", sorted(_SUITES)), "suites")
-    unknown = [s for s in suites if not isinstance(s, str) or s not in _SUITES]
-    if unknown:
-        raise ConfigError(f"unknown suites {unknown}; "
-                          f"known: {sorted(_SUITES)}")
-    cases = _as_count(cfg.get("cases", 1000), "cases")
-    overrides = _as_object(cfg.get("thresholds", {}), "thresholds")
-    for full, value in overrides.items():
-        _as_finite(value, f"thresholds[{full!r}]")
+    suites, cases, overrides = v["suites"], v["cases"], v["thresholds"]
     rng = np.random.default_rng(seed)
     results = [(suite, name, residual, default) for suite in suites
                for name, residual, default in _SUITES[suite](rng, cases)]
@@ -713,7 +714,7 @@ def cmd_verify(cfg, out, seed):
         print(f"[{'PASS' if ok else 'FAIL'}] {full}: "
               f"residual {residual:.3e}, threshold {threshold:.3e}")
     all_pass = all(c["passed"] for c in checks)
-    non_finite = _write_json(out, "verify", cfg,
+    non_finite = _write_json(out, "verify", v["config"],
                              {"checks": checks, "all_pass": all_pass, "seed": seed})
     print(f"verify: {sum(c['passed'] for c in checks)}/{len(checks)} "
           f"checks passed -> {out}")
@@ -727,6 +728,9 @@ _COMMANDS = {
     "verify": (cmd_verify, "json"),
     "curved-transport": (cmd_curved_transport, "json"),
 }
+_TABLES = {"reconstruct": _RECONSTRUCT, "constraints": _CONSTRAINTS,
+           "converge": _CONVERGE, "verify": _VERIFY,
+           "curved-transport": _CURVED_TRANSPORT}
 
 
 def main(argv=None):
@@ -746,19 +750,14 @@ def main(argv=None):
         if args.threads < 1:
             print("config error: --threads must be positive", file=sys.stderr)
             return EXIT_CONFIG
-        _pin_threads(args.threads)
+        os.environ.update(dict.fromkeys(_THREAD_VARS, str(args.threads)))
     handler, fmt = _COMMANDS[args.command]
     try:
         cfg = _as_object(_load_config(args.config), "config")
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, (int, float)) \
-                or seed != int(seed) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-        seed = int(seed)
-        if not isinstance(cfg.get("out", ""), (str, type(None))):
-            raise ConfigError(f"out must be a path string, got {cfg['out']!r}")
-        out = args.out or cfg.get("out") or f"conerec-{args.command}.{fmt}"
-        return handler(cfg, out, seed)
+        v = _read(cfg, _TABLES[args.command], args.command)
+        seed = v["seed"] if args.seed is None else _as_seed(args.seed, "--seed")
+        out = args.out or v.get("out") or f"conerec-{args.command}.{fmt}"
+        return handler({**v, "config": cfg}, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -67,7 +67,7 @@ def plane_wave_field(spec: PlaneWaveSpec, x) -> SymSpinorValue:
     ph = spec.amplitude * np.exp(1j * spec.phase(x))
     j = np.arange(spec.n + 1)
     comps = a0 ** (spec.n - j) * a1 ** j * ph
-    return SymSpinorValue(spec.n, comps, basis_id="standard")
+    return SymSpinorValue(spec.n, comps)
 
 
 def plane_wave_tensor(spec: PlaneWaveSpec, x) -> np.ndarray:

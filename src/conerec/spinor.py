@@ -79,12 +79,11 @@ class SymSpinorValue:
     """Totally symmetric valence-n spinor, stored as scalars phi_0 .. phi_n.
 
     phi_j is the contraction with (n-j) copies of o^A and j copies of
-    iota^A of the chosen spin basis; `basis_id` records which basis.
+    iota^A of the chosen spin basis.
     """
 
     valence: int
     components: np.ndarray
-    basis_id: str = "standard"
 
     def __post_init__(self):
         self.components = np.asarray(self.components, dtype=complex)

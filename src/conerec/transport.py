@@ -32,14 +32,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _backend as kernels
-from ._backend import rk4_step
 from .errors import GeometryError
 from .frames import NPFrame, spin_basis_from_tetrad
 from .spinor import ETA, central_partials, richardson
 
 __all__ = [
     "CurvedChart", "GeodesicPath", "ParallelFrames",
-    "make_chart", "check_signature", "christoffel_fd", "rk4_step",
+    "make_chart", "check_signature", "christoffel_fd",
     "geodesic_shoot", "NullConnection", "null_connect", "world_function",
     "world_function_gradient_check",
     "transport_k", "van_vleck_k", "conformal_k", "transport_spin_frame",

@@ -130,8 +130,9 @@ def test_empty_q_list_is_config_error(tmp_path):
                 tmp_path / "o.json") == 2
 
 
-def _grid_data_file(tmp_path, r0_lo, r0_hi, grid_shape=(12, 24)):
-    """Plane-wave phi_0 sampled on a (r0 x directions) grid, saved to disk."""
+def _grid_data_file(tmp_path, r0_lo, r0_hi, grid_shape=(12, 24), columns=1):
+    """The first `columns` plane-wave components (phi_0 by default) sampled
+    on a (r0 x directions) grid, saved to disk."""
     spec = oracles.PlaneWaveSpec(1, np.array([1.0, 0.3 + 0.4j]))
     fn, _ = oracles.plane_wave_cone_fn(spec, np.zeros(4))
     grid = cone.SphereGrid(*grid_shape)
@@ -140,7 +141,7 @@ def _grid_data_file(tmp_path, r0_lo, r0_hi, grid_shape=(12, 24)):
     for r0 in r0_nodes:
         sec = cone.build_section(np.zeros(4), np.array([2 * r0, 0, 0, 0]), grid)
         rows.append(fn(np.full(sec.n_nodes, r0), sec.omega,
-                       sec.o, sec.iota)[:, :1])
+                       sec.o, sec.iota)[:, :columns])
     data = nulldata.ConeData(1, grid=grid, r0_nodes=r0_nodes,
                              values=np.array(rows))
     base = tmp_path / "conedata"
@@ -413,6 +414,76 @@ def test_bad_config_value_names_key(tmp_path, capsys, command, cfg, key):
     assert key in capsys.readouterr().err
 
 
+_CONFORMAL = {"name": "conformal", "eps": 1e-2}
+
+
+@pytest.mark.parametrize("center", [{}, [0, {}, 0, 0], [0, None, 0, 0]],
+                         ids=["object", "object-component", "null-component"])
+def test_chart_center_not_four_numbers_exits_2_naming_it(tmp_path, capsys, center):
+    # a JSON object here raised a TypeError that the chart reader did not map
+    cfg = {**_TRANSPORT, "chart": {**_CONFORMAL, "center": center}}
+    assert _run("curved-transport", _write(tmp_path, "c.json", cfg),
+                tmp_path / "out") == 2
+    assert "chart.center" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("reconstruct", _rec_config(chart={**_CONFORMAL, "width": 1e308})),
+    ("curved-transport", {**_TRANSPORT, "chart": {**_CONFORMAL, "width": 1e308}}),
+], ids=["reconstruct", "curved-transport"])
+def test_chart_width_overflow_exits_2_naming_it(tmp_path, capsys, command, cfg):
+    # the profile squares its width: 1e308 overflowed (exit 5)
+    assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
+    assert "chart.width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("halfwidth", [1e308, -1e308], ids=["positive", "negative"])
+def test_chart_halfwidth_overflow_exits_2_naming_it(tmp_path, capsys, halfwidth):
+    # sampling a box 2e308 wide overflowed (exit 5)
+    cfg = {**_TRANSPORT, "chart": {**_CONFORMAL, "halfwidth": halfwidth}}
+    assert _run("curved-transport", _write(tmp_path, "c.json", cfg),
+                tmp_path / "out") == 2
+    assert "chart.halfwidth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("reconstruct", _rec_config(p0=[0, 0, 1e308, 0]), "p0"),
+    ("reconstruct", _rec_config(q=[[1, 0, 0, 0], [1e308, 0, 0, 0]]), "q[1]"),
+    ("converge", {**_CONVERGE, "p0": [0, -1e308, 0, 0]}, "p0"),
+    ("converge", {**_CONVERGE, "q": [1.5, 0.4, 1e308, 0.2]}, "q"),
+    ("constraints", {**_CONSTRAINTS, "s_values": [0.8, -1e308]}, "s_values[1]"),
+    ("curved-transport", {**_TRANSPORT, "rays": [{**_RAY, "p": [0, 0, 0, 1e308]}]},
+     "rays[0].p"),
+], ids=["reconstruct-p0", "reconstruct-q", "converge-p0", "converge-q",
+        "constraints-s_values", "curved-transport-ray-p"])
+def test_coordinate_overflow_exits_2_naming_it(tmp_path, capsys, command, cfg, key):
+    # the section geometry squares the separation: 1e308 overflowed (exit 5)
+    assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("reconstruct", _rec_config(quadrature={"n_theta": 1e308}), "quadrature.n_theta"),
+    ("reconstruct", _rec_config(quadrature={"n_phi": cli._MAX_GRID + 2}),
+     "quadrature.n_phi"),
+    ("converge", {**_CONVERGE, "levels": [[8, 16], [1e308, 16]]}, "levels[1][0]"),
+    ("constraints", {**_CONSTRAINTS, "levels": [[8, cli._MAX_GRID + 1]]},
+     "levels[0][1]"),
+    ("curved-transport", {**_TRANSPORT, "frame": {"steps": 1e308}}, "frame.steps"),
+    ("curved-transport", {**_TRANSPORT, "k_steps": cli._MAX_STEPS + 1}, "k_steps"),
+    ("constraints", {**_CONSTRAINTS, "valence": 1e308}, "valence"),
+    ("constraints", {**_CONSTRAINTS, "valence": MAX_VALENCE + 1}, "valence"),
+    ("verify", {"suites": ["algebra"], "cases": 1e308}, "cases"),
+], ids=["n_theta-huge", "n_phi-above", "levels-huge", "levels-above",
+        "frame-steps-huge", "k_steps-above", "constraints-valence-huge",
+        "constraints-valence-above", "cases-huge"])
+def test_count_above_its_bound_exits_2_naming_it(tmp_path, capsys, command, cfg, key):
+    # 1e308 overflowed in leggauss, looped without end (frame.steps) or
+    # allocated until the memory ran out (constraints valence)
+    assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("reconstruct", _rec_config(valence=MAX_VALENCE + 1)),
     ("reconstruct", _rec_config(valence=MAX_VALENCE + 1,
@@ -434,7 +505,8 @@ def test_valence_above_cap_exits_2_before_evaluating_data(tmp_path, capsys,
     ("reconstruct", _rec_config(valence=MAX_VALENCE)),
     ("converge", {**_CONVERGE, "valence": MAX_VALENCE, "levels": [[24, 48]],
                   "tolerance": 1e-12}),
-], ids=["reconstruct", "converge"])
+    ("constraints", {**_CONSTRAINTS, "valence": MAX_VALENCE}),
+], ids=["reconstruct", "converge", "constraints"])
 def test_valence_at_cap_runs(tmp_path, command, cfg):
     assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out") == 0
 
@@ -752,94 +824,159 @@ def test_console_entry_point(tmp_path):
     assert "algebra.clifford_relation" in proc.stdout
 
 
-# -- property: a mistyped leaf or block never ends in a traceback -----------
+# -- property: every leaf of a full config, mutated, ends in a documented exit
 
-_TINY = {
-    "reconstruct": {"p0": [0, 0, 0, 0], "q": [[1.5, 0.4, 0.3, 0.2]], "valence": 1,
-                    "data": {"family": "plane-wave", "alpha": ALPHA,
-                             "amplitude": [0.9, 0.2]},
-                    "quadrature": {"n_theta": 8, "n_phi": 16, "cap": 0.0,
-                                   "radial_fd": "richardson", "fd_step": 1e-3},
-                    "tolerance": 1e-3},
-    "reconstruct-curved": {"p0": [0, 0, 0, 0], "q": [[1.5, 0.4, 0.3, 0.2]],
-                           "valence": 2,
-                           "data": {"family": "plane-wave", "alpha": ALPHA},
-                           "chart": {"name": "conformal", "eps": 1e-3,
-                                     "width": 2.0, "halfwidth": 10.0},
-                           "quadrature": {"n_theta": 8, "n_phi": 16}},
-    "converge": {**_CONVERGE, "tolerance": 1e-2},
-    "constraints": {**_CONSTRAINTS, "tolerance": 1e-2},
-    "curved-transport": {"chart": {"name": "conformal", "eps": 1e-2,
-                                   "width": 2.0, "halfwidth": 10.0},
-                         "rays": [{"p": [0.1, 0.25, -0.15, 0.2],
-                                   "direction": [0.3, 0.5, 0.8], "t": 1.1}],
-                         "k_steps": 1, "van_vleck": False,
-                         "frame": {"steps": 50}, "tolerance": 1e-2},
-    "verify": {"suites": ["algebra"], "cases": 20,
-               "thresholds": {"algebra.clifford_relation": 1e-12}},
-}
+_QUADRATURE_FULL = {"n_theta": 8, "n_phi": 16, "chart_mode": "double", "cap": 0.0,
+                    "radial_fd": "analytic", "fd_step": 1e-3, "rho_variant": "penrose"}
+_CHART_FULL = {"name": "conformal", "eps": 1e-3, "profile": "gaussian", "width": 2.0,
+               "center": [0, 0, 0, 0], "halfwidth": 10.0}
 
-_LEAVES = [
-    ("reconstruct", ("quadrature", "n_theta")),
-    ("reconstruct", ("quadrature", "n_phi")),
-    ("reconstruct", ("quadrature", "cap")),
-    ("reconstruct", ("quadrature", "fd_step")),
-    ("reconstruct", ("tolerance",)),
-    ("reconstruct", ("data", "alpha", 1, 0)),
-    ("reconstruct", ("data", "amplitude", 1)),
-    ("reconstruct-curved", ("chart", "eps")),
-    ("reconstruct-curved", ("chart", "width")),
-    ("reconstruct-curved", ("chart", "halfwidth")),
-    ("converge", ("levels", 0, 0)),
-    ("converge", ("levels", 0, 1)),
-    ("converge", ("tolerance",)),
-    ("constraints", ("levels", 0, 0)),
-    ("constraints", ("levels", 0, 1)),
-    ("constraints", ("tolerance",)),
-    ("curved-transport", ("chart", "eps")),
-    ("curved-transport", ("chart", "width")),
-    ("curved-transport", ("chart", "halfwidth")),
-    ("curved-transport", ("tolerance",)),
-    ("verify", ("thresholds", "algebra.clifford_relation")),
-    ("reconstruct", ("data",)),
-    ("reconstruct", ("quadrature",)),
-    ("reconstruct-curved", ("chart",)),
-    ("curved-transport", ("chart",)),
-    ("curved-transport", ("frame",)),
-    ("curved-transport", ("rays",)),
-    ("converge", ("levels",)),
-    ("constraints", ("levels",)),
-    ("verify", ("suites",)),
-    ("verify", ("thresholds",)),
-    ("reconstruct", ("valence",)),
-    ("reconstruct-curved", ("valence",)),
-    ("converge", ("valence",)),
-    ("constraints", ("valence",)),
-]
+
+def _full_configs(data_file):
+    """One config per command naming every key of every block it reads;
+    between them the data blocks cover every source."""
+    main = {"seed": 1, "out": "unused.out"}
+    return {
+        "reconstruct": {**main, "p0": [0, 0, 0, 0], "q": [[1.0, 0.1, 0.0, 0.0]],
+                        "kind": "spin", "valence": 1, "quadrature": _QUADRATURE_FULL,
+                        "chart": _CHART_FULL,
+                        "data": {"file": data_file}, "tolerance": 1e-2},
+        "constraints": {**main, "p0": [0, 0, 0, 0], "valence": 1, "s_values": [0.8],
+                        "data": {"family": "plane-wave", "alpha": ALPHA,
+                                 "amplitude": [0.9, 0.2]},
+                        "levels": [[8, 16]], "tolerance": 1e-2},
+        "converge": {**main, "p0": [0, 0, 0, 0], "q": [1.5, 0.4, 0.3, 0.2],
+                     "kind": "dirac", "valence": 1,
+                     "data": {"family": "plane-wave-dirac", "alpha": ALPHA,
+                              "amplitude": [0.9, 0.2], "psi_amplitude": [0.5, -0.1]},
+                     "quadrature": _QUADRATURE_FULL, "levels": [[8, 16]],
+                     "tolerance": 1e-2},
+        "verify": {**main, "suites": ["algebra"], "cases": 20,
+                   "thresholds": {"algebra.clifford_relation": 1e-12}},
+        "curved-transport": {**main, "chart": _CHART_FULL, "rays": [_RAY],
+                             "k_steps": 1, "van_vleck": True, "van_vleck_h": 2e-2,
+                             "tolerance": 1e-2,
+                             "frame": {"steps": 50, "theta": 0.4, "phi": 1.1,
+                                       "s_end": 1.0}},
+    }
+
+
+_EVERY_TABLE = [*cli._TABLES.values(), cli._QUADRATURE, cli._CHART, cli._FRAME,
+                cli._RAY, *cli._DATA.values()]
+
+
+def _tables(command, cfg):
+    """(path, table) of each block of cfg that a config table reads."""
+    yield (), cli._TABLES[command]
+    for key, table in (("quadrature", cli._QUADRATURE), ("chart", cli._CHART),
+                       ("frame", cli._FRAME)):
+        if key in cfg:
+            yield (key,), table
+    if "data" in cfg:
+        data = cfg["data"]
+        yield ("data",), cli._DATA["file" if "file" in data else data["family"]]
+    for i in range(len(cfg.get("rays", []))):
+        yield ("rays", i), cli._RAY
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _leaves(node, path=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _leaves(value, path + (key,))
+
+
+def _mutants(command, cfg):
+    """(what, config) pairs: each leaf swapped for a value of another type
+    (a string or number, an object, null), a NaN literal, zero, negative,
+    1e308 and an empty list; per block, each required key dropped and an
+    unknown key added."""
+    def edited(path, edit):
+        new = copy.deepcopy(cfg)
+        edit(_at(new, path[:-1]), path[-1])
+        return new
+
+    for path in _leaves(cfg):
+        swapped = 5 if isinstance(_at(cfg, path), str) else "x"
+        for value in (swapped, {}, None, float("nan"), 0, -1, 1e308, []):
+            yield (path, value), edited(path, lambda n, k: n.__setitem__(k, value))
+    for path, table in _tables(command, cfg):
+        for key, entry in table.items():
+            if entry.default is cli._REQUIRED:
+                yield (path, "drop", key), edited(path + (key,),
+                                                  lambda n, k: n.pop(k))
+        new = copy.deepcopy(cfg)
+        _at(new, path)["unknown_key"] = 1
+        yield (path, "add"), new
+
+
+def _strict_output(path, command):
+    text = Path(path).read_text()
+    if cli._COMMANDS[command][1] == "csv":
+        lines = text.splitlines()
+        rows = list(csv.reader(lines[1:]))
+        return lines[0].startswith("# generated_at=") and len(rows) > 1 \
+            and len({len(r) for r in rows}) == 1
+
+    def no_constant(token):
+        raise ValueError(token)
+
+    try:
+        return isinstance(json.loads(text, parse_constant=no_constant), dict)
+    except ValueError:
+        return False
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_config_leaf_mutation_ends_in_a_documented_exit_code(tmp_path):
+    configs = _full_configs(_grid_data_file(tmp_path, 0.3, 0.8, grid_shape=(8, 16),
+                                            columns=2))
+    cfg_path, out = tmp_path / "c.json", tmp_path / "out"
+    read = []
+    for command, cfg in configs.items():
+        assert _run(command, _write(tmp_path, "c.json", cfg), out) == 0, command
+        for path, table in _tables(command, cfg):
+            assert set(_at(cfg, path)) == set(table), (command, path)
+            read.append(table)
+    assert all(any(t is r for r in read) for t in _EVERY_TABLE)
+    bad = []
+    for command, cfg in configs.items():
+        for what, mutant in _mutants(command, cfg):
+            cfg_path.write_text(json.dumps(mutant))
+            if out.exists():
+                out.unlink()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = _run(command, str(cfg_path), out)
+            if code not in {0, 1, 2, 3, 4} \
+                    or code == 0 and not _strict_output(out, command):
+                bad.append((command, what, code, err.getvalue().strip()))
+    assert not bad, "\n".join(map(repr, bad))
+
+
+def test_readme_configs_section_names_every_key_and_bound():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Configs\n", 1)[1].split("\n## ", 1)[0]
+    missing = sorted({key for table in _EVERY_TABLE for key in table
+                      if f"`{key}`" not in section and f'"{key}"' not in section})
+    assert not missing
+    bounds = (cli._MAX_GRID, cli._MAX_STEPS, cli._MAX_CASES, MAX_VALENCE)
+    assert all(f"at most {b}" in section for b in bounds)
+    assert f"{cli._MAX_COORDINATE:.0e}".replace("+", "") in section
+
 
 _SMALL = st.one_of(st.integers(-3, 40), st.floats(-50.0, 50.0))
 _WRONG = st.one_of(
     _SMALL, st.text(max_size=4), st.none(), st.booleans(),
     st.lists(_SMALL, max_size=3),
     st.dictionaries(st.text(max_size=2), _SMALL, max_size=2))
-
-
-@given(leaf=st.sampled_from(_LEAVES), value=_WRONG)
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_mistyped_numeric_leaf_ends_in_a_documented_exit_code(leaf, value):
-    name, path = leaf
-    cfg = copy.deepcopy(_TINY[name])
-    node = cfg
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = os.path.join(tmp, "c.json")
-        with open(cfg_path, "w") as fh:
-            json.dump(cfg, fh)
-        code = cli.main([name.split("-curved")[0], "--config", cfg_path,
-                         "--out", os.path.join(tmp, "out")])
-    assert code in {0, 1, 2, 3, 4}
 
 
 # descriptor keys of a tiny 8x16 data file; ("r0_nodes", 3) is one node

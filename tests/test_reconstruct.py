@@ -63,7 +63,7 @@ def test_spin_n_plane_wave(n):
     rel = np.max(np.abs(res.value.components - exact.components)) \
         / np.max(np.abs(exact.components))
     assert rel < 1e-6
-    assert res.value.valence == n and res.value.basis_id == "standard"
+    assert res.value.valence == n
 
 
 def test_spin_one_matches_dirac_unprimed():
@@ -344,7 +344,7 @@ def test_curved_flat_chart_equals_flat_reconstruction():
                                           spec)
     assert np.max(np.abs(got.value.components - ref.value.components)) < 1e-12
     assert got.diagnostics["k_deviation"] == 0.0
-    assert got.value.basis_id == "standard"
+    assert got.value.valence == 2
 
 
 def test_curved_on_axis_area_factor_is_half_pi():
