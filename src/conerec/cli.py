@@ -131,13 +131,15 @@ def _check(ok, must, convert=None):
 
 def _block(table, build=dict):
     """Check of a nested block: build(**values read by table), a ValueError
-    of build a config error naming the block."""
+    of build a config error naming the block, or the key when the message
+    starts with one of the table's keys."""
     def check(v, what):
         values = _read(v, table, what, what + ".")
         try:
             return build(**values)
         except ValueError as exc:
-            raise ConfigError(f"bad {what}: {exc}")
+            key = str(exc).split(" ", 1)[0]
+            raise ConfigError(f"{what}.{exc}" if key in table else f"bad {what}: {exc}")
     return check
 
 
@@ -267,11 +269,12 @@ def _c2j(z):
     return [z.real, z.imag]
 
 
-def _cone_data(src, p0, valence):
+def _cone_data(src, p0, valence, columns=1):
     """ConeData plus an oracle callback (None for file data), from a data
     block read by _as_data.
 
-    Families: "plane-wave" (spin components phi_0..phi_n) and
+    Families: "plane-wave" (spin components phi_0 .. phi_{columns-1}; the
+    evaluators read phi_0 only, the constraint check all n+1) and
     "plane-wave-dirac" (the (zeta_0, xi^{1'}) pair).  File sources name
     a descriptor written by save_cone_data.
     """
@@ -291,7 +294,7 @@ def _cone_data(src, p0, valence):
     except ValueError as exc:
         raise ConfigError(f"bad plane-wave parameters: {exc}")
     if src["family"] == "plane-wave":
-        fn, fn_dr0 = oracles.plane_wave_cone_fn(spec, p0)
+        fn, fn_dr0 = oracles.plane_wave_cone_fn(spec, p0, columns)
         return (ConeData(valence, fn=fn, fn_dr0=fn_dr0),
                 lambda q: oracles.plane_wave_field(spec, q).components)
     if valence != 1:
@@ -390,7 +393,7 @@ def cmd_reconstruct(v, out, seed):
 
 
 _CONSTRAINTS = {**_MAIN, "p0": _POINT, "valence": _VALENCE._replace(default=_REQUIRED),
-                "s_values": _Key(_list_of(_as_coordinate, non_empty=True), _REQUIRED),
+                "s_values": _Key(_list_of(_as_length, non_empty=True), _REQUIRED),
                 "data": _DATA_KEY, "tolerance": _TOLERANCE,
                 "levels": _LEVELS._replace(default=[[12, 24], [24, 48], [48, 96]])}
 
@@ -399,7 +402,7 @@ def cmd_constraints(v, out, seed):
     from .cone import SphereGrid
     from .nulldata import constraint_residual
     p0, s_values, tol = v["p0"], v["s_values"], v.get("tolerance")
-    data, _ = _cone_data(v["data"], p0, v["valence"])
+    data, _ = _cone_data(v["data"], p0, v["valence"], columns=v["valence"] + 1)
     if data.kind != "spin":
         raise ConfigError("constraint residuals apply to spin data")
     grids = ([SphereGrid(nt, nph) for nt, nph in v["levels"]] if data.is_analytic
@@ -733,19 +736,20 @@ _TABLES = {"reconstruct": _RECONSTRUCT, "constraints": _CONSTRAINTS,
            "curved-transport": _CURVED_TRANSPORT}
 
 
+# built once: parsing is stateless, so every main call shares it
+_PARSER = argparse.ArgumentParser(prog="conerec",
+                                  description="null-cone reconstruction toolkit")
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("--config", required=True, help="JSON config path")
+_PARSER.add_argument("--out", help="output path (default per command)")
+_PARSER.add_argument("--threads", type=int,
+                     help="BLAS thread count, pinned before numpy loads")
+_PARSER.add_argument("--seed", type=int,
+                     help="seed for randomized suites (default config/0)")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="conerec",
-        description="null-cone reconstruction toolkit",
-    )
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--out", help="output path (default per command)")
-    parser.add_argument("--threads", type=int,
-                        help="BLAS thread count, pinned before numpy loads")
-    parser.add_argument("--seed", type=int,
-                        help="seed for randomized suites (default config/0)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.threads is not None:
         if args.threads < 1:
             print("config error: --threads must be positive", file=sys.stderr)

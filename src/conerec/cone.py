@@ -32,6 +32,18 @@ TWO_QUART = 2.0 ** 0.25
 
 
 @functools.lru_cache(maxsize=16)
+def _rings(n_theta):
+    """Gauss-Legendre ring colatitudes, increasing from the north pole,
+    and their weights in cos(theta); read-only."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    order = np.argsort(-x)
+    rings = np.arccos(x[order]), w[order]
+    for arr in rings:
+        arr.flags.writeable = False
+    return rings
+
+
+@functools.lru_cache(maxsize=16)
 def _grid_tables(n_theta, n_phi, chart_mode, cap):
     """Angle-only tables of one grid key, shared by every grid built with it.
 
@@ -40,11 +52,7 @@ def _grid_tables(n_theta, n_phi, chart_mode, cap):
     weight, chart, omega, o).  All are read-only, so no caller can change
     what the next grid of the same key sees.
     """
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    # descending in x = cos(theta): theta increasing from north pole
-    order = np.argsort(-x)
-    theta = np.arccos(x[order])
-    w_theta = w[order]
+    theta, w_theta = _rings(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     if chart_mode == "double":
         keep = np.ones(n_theta, dtype=bool)
@@ -64,13 +72,27 @@ def _grid_tables(n_theta, n_phi, chart_mode, cap):
     return tables
 
 
+def check_cap(n_theta, chart_mode, cap):
+    """Raise ValueError unless cap is a ring cut the grid can use: in
+    [0, pi), 0 under "double", and keeping at least the northernmost
+    ring under "single+cap"."""
+    if not 0.0 <= cap < math.pi:
+        raise ValueError(f"cap must lie in [0, pi), got {cap!r}")
+    if chart_mode == "double" and cap != 0.0:
+        raise ValueError(f"cap must be 0 with chart_mode 'double', got {cap!r}")
+    if not _rings(n_theta)[0][0] < math.pi - cap:
+        raise ValueError(f"cap {cap!r} drops every ring of an n_theta = "
+                         f"{n_theta} grid")
+
+
 @dataclass
 class SphereGrid:
     """Product quadrature grid: Gauss-Legendre in cos(theta) x trapezoid in phi.
 
     chart_mode "double" assigns chart A to the northern rings and chart B
     to the southern ones; "single+cap" uses chart A everywhere and drops
-    rings within `cap` radians of the south pole.  The arrays are shared
+    rings within `cap` radians of the south pole (see check_cap for the
+    caps accepted).  The arrays are shared
     between grids of the same (n_theta, n_phi, chart_mode, cap) and are
     read-only.
     """
@@ -93,6 +115,7 @@ class SphereGrid:
             raise ValueError("n_theta must be at least 4")
         if self.chart_mode not in ("double", "single+cap"):
             raise ValueError(f"unknown chart_mode {self.chart_mode!r}")
+        check_cap(self.n_theta, self.chart_mode, self.cap)
         tables = _grid_tables(self.n_theta, self.n_phi, self.chart_mode, self.cap)
         self.theta, self.w_theta, self.phi, self.keep, self.chart = tables[:5]
         self._nodes = tables[5:]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinor import ETA, central_partials, lower_comps, minkowski, to_matrix
+from .spinor import ETA, SQRT2, central_partials, lower_comps, minkowski, to_matrix
 
 
 @dataclass
@@ -155,11 +155,18 @@ def transversal_iota(o, n_vec):
     Closed form of the companion spinor: automatically satisfies
     o_A iota^A = 1 and iota iotabar = n when n is null and normalized
     against l = o obar.  o is (..., 2) and n_vec (..., 4), one spinor
-    per row.
+    per row.  Written out on the components: n^{AA'} = (n^0 + n^1, n^2 -
+    i n^3; n^2 + i n^3, n^0 - n^1) / sqrt2 and obar_{A'} = (-obar^1,
+    obar^0).
     """
-    nmat = to_matrix(np.asarray(n_vec, dtype=complex))
-    obar_low = lower_comps(np.asarray(o, dtype=complex)).conj()
-    return np.einsum("...ij,...j->...i", nmat, obar_low)
+    n = np.asarray(n_vec)
+    ob = np.conj(np.asarray(o, dtype=complex))
+    ob0, ob1 = ob[..., 0], ob[..., 1]
+    n0, n1, n2, n3 = n[..., 0], n[..., 1], n[..., 2], n[..., 3]
+    cross = 1j * n3
+    iota0 = (n2 - cross) * ob0 - (n0 + n1) * ob1
+    iota1 = (n0 - n1) * ob0 - (n2 + cross) * ob1
+    return np.stack([iota0, iota1], axis=-1) / SQRT2
 
 
 @dataclass

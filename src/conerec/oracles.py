@@ -106,30 +106,57 @@ def plane_wave_components(spec: PlaneWaveSpec, x, o_up, iota_up) -> np.ndarray:
     return (co[..., None] ** (spec.n - j) * ci[..., None] ** j) * ph[..., None]
 
 
-def plane_wave_cone_fn(spec: PlaneWaveSpec, p0):
+def _column_powers(co, ci, n, columns):
+    """co^(n-j) ci^j for j = 0 .. columns-1, by repeated products; (..., columns)."""
+    left, right = [np.ones_like(co)], [np.ones_like(ci)]
+    for _ in range(n):
+        left.append(left[-1] * co)
+    for _ in range(columns - 1):
+        right.append(right[-1] * ci)
+    return np.stack([left[n - j] * right[j] for j in range(columns)], axis=-1)
+
+
+def _cone_phase(spec: PlaneWaveSpec, p0):
+    """r0, omega -> (eta(k, x), eta(k, l)) at x = p0 + r0 l, l = (1, omega):
+    the phase as eta(k, p0) + r0 eta(k, l), one matvec over the directions."""
+    k_low = ETA @ spec.k
+    k_p0 = spec.phase(p0)
+
+    def phase(r0, omega):
+        kl = k_low[0] + np.asarray(omega) @ k_low[1:]
+        return k_p0 + np.asarray(r0, dtype=float) * kl, kl
+
+    return phase
+
+
+def plane_wave_cone_fn(spec: PlaneWaveSpec, p0, columns=None):
     """Analytic cone-data callbacks for the restriction to C+(p0).
 
     Returns (fn, fn_dr0) with signature fn(r0, omega, o_up, iota_up) ->
-    (N, n+1): the components phi_j at p0 + r0 (1, omega) in the node
-    frame.  The generator derivative is exact: d/dr0 multiplies by
+    (N, columns): the components phi_0 .. phi_{columns-1} at
+    p0 + r0 (1, omega) in the node frame, all n+1 by default.  The flat
+    evaluators read phi_0 only (columns=1); the constraint relations need
+    all of them.  The generator derivative is exact: d/dr0 multiplies by
     i eta(k, l) at fixed direction since the node frame does not depend
     on r0.
     """
-    p0 = np.asarray(p0, dtype=float)
+    columns = spec.n + 1 if columns is None else columns
+    if not 1 <= columns <= spec.n + 1:
+        raise ValueError(f"columns must be between 1 and {spec.n + 1}, got {columns}")
+    phase = _cone_phase(spec, np.asarray(p0, dtype=float))
 
-    def _points(r0, omega):
-        r0 = np.asarray(r0, dtype=float)
-        lvec = np.concatenate([np.ones(omega.shape[:-1] + (1,)), omega], axis=-1)
-        return p0 + r0[..., None] * lvec, lvec
+    def _eval(r0, omega, o_up, iota_up):
+        ph, kl = phase(r0, omega)
+        comps = _column_powers(np.asarray(o_up) @ spec.alpha,
+                               np.asarray(iota_up) @ spec.alpha, spec.n, columns)
+        return comps * (spec.amplitude * np.exp(1j * ph))[..., None], kl
 
     def fn(r0, omega, o_up, iota_up):
-        x, _ = _points(r0, omega)
-        return plane_wave_components(spec, x, o_up, iota_up)
+        return _eval(r0, omega, o_up, iota_up)[0]
 
     def fn_dr0(r0, omega, o_up, iota_up):
-        x, lvec = _points(r0, omega)
-        kl = np.einsum("a,ab,...b->...", spec.k, ETA, lvec)
-        return 1j * kl[..., None] * plane_wave_components(spec, x, o_up, iota_up)
+        vals, kl = _eval(r0, omega, o_up, iota_up)
+        return 1j * kl[..., None] * vals
 
     return fn, fn_dr0
 
@@ -143,23 +170,18 @@ def plane_wave_dirac_cone_fn(spec: PlaneWaveSpec, p0, psi_amplitude=1.0):
     """
     if spec.n != 1:
         raise ValueError("the Dirac pairing needs a valence-1 spec")
-    p0 = np.asarray(p0, dtype=float)
+    phase = _cone_phase(spec, np.asarray(p0, dtype=float))
     psi_const = psi_amplitude * np.conj(raise_comps(spec.alpha))
 
     def _eval(r0, omega, o_up):
-        r0 = np.asarray(r0, dtype=float)
-        lvec = np.concatenate([np.ones(omega.shape[:-1] + (1,)), omega], axis=-1)
-        x = p0 + r0[..., None] * lvec
-        ph = np.exp(1j * spec.phase(x))
-        zeta0 = spec.amplitude * np.einsum("a,...a->...", spec.alpha, o_up) * ph
-        obar_low = lower_comps(np.conj(np.asarray(o_up)))
-        xi1 = np.einsum("a,...a->...", psi_const, obar_low) * ph
-        kl = np.einsum("a,ab,...b->...", spec.k, ETA, lvec)
+        ph, kl = phase(r0, omega)
+        ph = np.exp(1j * ph)
+        zeta0 = spec.amplitude * (np.asarray(o_up) @ spec.alpha) * ph
+        xi1 = (lower_comps(np.conj(np.asarray(o_up))) @ psi_const) * ph
         return np.stack([zeta0, xi1], axis=-1), kl
 
     def fn(r0, omega, o_up, iota_up):
-        vals, _ = _eval(r0, omega, o_up)
-        return vals
+        return _eval(r0, omega, o_up)[0]
 
     def fn_dr0(r0, omega, o_up, iota_up):
         vals, kl = _eval(r0, omega, o_up)

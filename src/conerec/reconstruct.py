@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cone import SphereGrid, build_section
+from .cone import SphereGrid, build_section, check_cap
 from .errors import GeometryError
 from .frames import transversal_iota
-from .nulldata import ConeData, richardson_dr0
+from .nulldata import ConeData
 from .spinor import DiracSpinorValue, SymSpinorValue, lower_comps
 
 __all__ = ["QuadratureSpec", "ReconstructionResult", "reconstruct_dirac",
@@ -62,6 +62,7 @@ class QuadratureSpec:
             raise ValueError(f"unknown radial_fd {self.radial_fd!r}")
         if self.rho_variant not in ("penrose", "reduced"):
             raise ValueError(f"unknown rho_variant {self.rho_variant!r}")
+        check_cap(self.n_theta, self.chart_mode, self.cap)
 
     def grid(self) -> SphereGrid:
         return SphereGrid(self.n_theta, self.n_phi,
@@ -79,12 +80,10 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _radial_derivative(data: ConeData, r0, omega, o, iota, spec: QuadratureSpec):
-    """d/dr0 of the data at the nodes (r0, omega) in the frame (o, iota)."""
-    if spec.radial_fd == "analytic":
-        return data.radial_derivative(r0, omega, o, iota)
-    return richardson_dr0(lambda r: data.evaluate(r, omega, o, iota), r0,
-                          spec.fd_step)
+def _fd_step(spec: QuadratureSpec):
+    """The Richardson step radial_fd "richardson" forces, else None (the
+    data's own derivative); see ConeData.evaluate."""
+    return spec.fd_step if spec.radial_fd == "richardson" else None
 
 
 def _rho_coefficient(n: int, spec: QuadratureSpec) -> float:
@@ -116,9 +115,7 @@ def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
     column the integrand scalar on sigma(q) is
     (d/dr0 - (n+1) rho) phi mu_sigma / (2 pi r)."""
     section = build_section(p0, q, spec.grid())
-    vals = data.evaluate_on(section)
-    dvals = _radial_derivative(data, section.r0, section.omega, section.o,
-                               section.iota, spec)
+    vals, dvals = data.evaluate_on(section, dr0=True, fd_step=_fd_step(spec))
     coeff = _rho_coefficient(n, spec)
     w = section.mu_sigma / (2.0 * math.pi * section.r)
     scal = (dvals - coeff * section.rho[:, None] * vals) * w[:, None]
@@ -278,9 +275,9 @@ def _curved_components(chart, p0, data: ConeData, n: int, q,
     n_frame = (q[None, :] - section.p) * (ibar / (om_p * r))[:, None]
     iota_s = transversal_iota(o_s, n_frame)
 
-    vals = data.evaluate(r0_star, section.omega, o_s, iota_s)[:, 0]
-    dvals = _radial_derivative(data, r0_star, section.omega, o_s, iota_s,
-                               spec)[:, 0]
+    vals, dvals = data.evaluate(r0_star, section.omega, o_s, iota_s, dr0=True,
+                                fd_step=_fd_step(spec))
+    vals, dvals = vals[:, 0], dvals[:, 0]
     # d/dr0 of the phi_0 scalar carries the frame rescaling
     dr0_ln_om = (om0 ** 2 / om_p ** 2) * dln_om_dl
     dvals = dvals - 0.5 * n * dr0_ln_om * vals

@@ -446,6 +446,73 @@ def test_chart_halfwidth_overflow_exits_2_naming_it(tmp_path, capsys, halfwidth)
     assert "chart.halfwidth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, quadrature", [
+    ("reconstruct", {"chart_mode": "single+cap", "cap": 4.0}),
+    ("reconstruct", {"chart_mode": "single+cap", "cap": -0.1}),
+    ("reconstruct", {"chart_mode": "double", "cap": 0.3}),
+    ("reconstruct", {"cap": 0.3}),
+    ("reconstruct", {"n_theta": 8, "n_phi": 16, "chart_mode": "single+cap", "cap": 3.0}),
+    ("converge", {"chart_mode": "single+cap", "cap": 3.5}),
+], ids=["above-pi", "negative", "nonzero-under-double", "nonzero-under-default",
+        "drops-every-ring", "converge-above-pi"])
+def test_unusable_cap_exits_2_naming_it(tmp_path, capsys, command, quadrature):
+    cfg = _rec_config(quadrature=quadrature)
+    if command == "converge":
+        cfg["q"] = cfg["q"][0]
+        cfg["levels"] = [[8, 16]]
+    code = _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out")
+    assert code == 2
+    assert "quadrature.cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s_values, key", [([0.8, 0], "s_values[1]"),
+                                           ([-0.5], "s_values[0]")],
+                         ids=["zero", "negative"])
+def test_non_positive_s_value_exits_2_naming_it(tmp_path, capsys, s_values, key):
+    cfg = {**_CONSTRAINTS, "s_values": s_values}
+    assert _run("constraints", _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert key in err and "positive" in err
+
+
+def test_constraints_reads_every_column_and_the_evaluators_phi_0(tmp_path, monkeypatch):
+    seen = {}
+    real = oracles.plane_wave_cone_fn
+
+    def recording(spec, p0, columns=None):
+        fn, fn_dr0 = real(spec, p0, columns)
+
+        def fn_seen(r0, omega, o_up, iota_up):
+            vals = fn(r0, omega, o_up, iota_up)
+            seen.setdefault(command, set()).add(vals.shape[1])
+            return vals
+
+        return fn_seen, fn_dr0
+
+    monkeypatch.setattr(oracles, "plane_wave_cone_fn", recording)
+    valence = 3
+    evaluator = _rec_config(valence=valence)
+    evaluator.pop("tolerance")
+    configs = {
+        "constraints": {**_CONSTRAINTS, "valence": valence},
+        "reconstruct": evaluator,
+        "converge": {**evaluator, "q": [1.5, 0.4, 0.3, 0.2], "levels": [[8, 16]]},
+    }
+    for command, cfg in configs.items():
+        assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out") == 0
+    assert seen == {"constraints": {valence + 1}, "reconstruct": {1}, "converge": {1}}
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+    cfg = _rec_config(q=[[1, 0, 0, 0]], quadrature={"n_theta": 8, "n_phi": 16})
+    cfg.pop("tolerance")
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg), tmp_path / "out") == 0
+
+
 @pytest.mark.parametrize("command, cfg, key", [
     ("reconstruct", _rec_config(p0=[0, 0, 1e308, 0]), "p0"),
     ("reconstruct", _rec_config(q=[[1, 0, 0, 0], [1e308, 0, 0, 0]]), "q[1]"),

@@ -30,6 +30,22 @@ def test_grid_cap_mode():
     assert abs(w.sum() + g.excluded_solid_angle - 4 * math.pi) < 1e-13
 
 
+@pytest.mark.parametrize("n_theta, chart_mode, cap", [
+    (16, "single+cap", 4.0), (16, "single+cap", math.pi), (16, "single+cap", -0.1),
+    (16, "single+cap", float("nan")), (16, "double", 0.4), (4, "single+cap", 2.7)],
+    ids=["above-pi", "pi", "negative", "nan", "nonzero-under-double",
+         "drops-every-ring"])
+def test_grid_rejects_an_unusable_cap(n_theta, chart_mode, cap):
+    with pytest.raises(ValueError, match="^cap "):
+        cone.SphereGrid(n_theta, 8, chart_mode=chart_mode, cap=cap)
+
+
+def test_grid_keeps_the_northern_ring_up_to_the_largest_cap():
+    north = cone.SphereGrid(4, 8).theta[0]
+    cap = math.pi - north - 1e-9
+    assert cone.SphereGrid(4, 8, chart_mode="single+cap", cap=cap).keep.sum() == 1
+
+
 def test_grid_tables_are_shared_and_read_only():
     a = cone.SphereGrid(8, 16)
     b = cone.SphereGrid(8, 16)

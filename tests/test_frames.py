@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conerec import cone, frames
-from conerec.spinor import ETA, from_matrix, lower_comps, lower_matrix, minkowski, SIG_UP
+from conerec.spinor import (ETA, SIG_UP, from_matrix, lower_comps, lower_matrix,
+                            minkowski, to_matrix)
 
 
 def standard_axes():
@@ -108,6 +109,19 @@ def test_transversal_iota_rows_match_the_section_frame():
     assert rows.shape == sec.iota.shape
     assert np.array_equal(rows, sec.iota)
     assert np.array_equal(frames.transversal_iota(sec.o[5], sec.n[5]), rows[5])
+
+
+def test_transversal_iota_matches_the_matrix_contraction():
+    # reference: n^{AA'} as a 2x2 matrix contracted with obar_{A'}
+    rng = np.random.default_rng(11)
+    o = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+    n = rng.standard_normal((500, 4))
+    ref = np.einsum("nij,nj->ni", to_matrix(n.astype(complex)), lower_comps(o).conj())
+    got = frames.transversal_iota(o, n)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # leading axes are kept as given
+    stacked = frames.transversal_iota(o.reshape(5, 100, 2), n.reshape(5, 100, 4))
+    assert np.array_equal(stacked.reshape(500, 2), got)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from conerec import nulldata as nd
 from conerec import oracles as orc
 from conerec.cone import SphereGrid, build_section, spin_basis_field, unit_directions
 from conerec.nulldata import ConeData, WeightedScalarField, eth_prime
+from conerec.spinor import ETA, lower_comps, raise_comps
 
 rng = np.random.default_rng(20260816)
 
@@ -90,7 +91,7 @@ def test_radial_derivative_richardson_fallback_smooth():
     fn, fn_dr0 = orc.plane_wave_cone_fn(spec, P0)
     data = ConeData(1, fn=fn)                 # no exact derivative callback
     sec = build_section(P0, np.array([1.0, 0.0, 0.0, 0.0]), SphereGrid(8, 16))
-    d = data.radial_derivative_on(sec)
+    d = data.evaluate_on(sec, dr0=True)[1]
     exact = fn_dr0(sec.r0, sec.omega, sec.o, sec.iota)
     assert np.max(np.abs(d - exact)) < 1e-7
 
@@ -104,6 +105,67 @@ def test_radial_derivative_vertex_guard():
     with pytest.raises(ValueError):
         # Richardson stencil reaches below r0_min
         data.radial_derivative(np.array([0.105]), om, None, None)
+
+
+def _relative(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def _off_axis_section(grid=SphereGrid(16, 32)):
+    return build_section(np.array([0.1, -0.2, 0.05, 0.1]),
+                         np.array([1.6, 0.3, -0.2, 0.4]), grid)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+@pytest.mark.parametrize("all_columns", [False, True], ids=["phi0", "all"])
+def test_one_call_pair_equals_the_separate_plane_wave_pair(n, all_columns):
+    spec = orc.PlaneWaveSpec(n, [0.6 + 0.2j, -0.3 + 0.5j], amplitude=0.9 + 0.2j)
+    p0 = np.array([0.1, -0.2, 0.05, 0.1])
+    columns = n + 1 if all_columns else 1
+    fn, fn_dr0 = orc.plane_wave_cone_fn(spec, p0, columns)
+    data = ConeData(n, fn=fn, fn_dr0=fn_dr0)
+    sec = _off_axis_section()
+    vals, dvals = data.evaluate_on(sec, dr0=True)
+    assert vals.shape == dvals.shape == (sec.n_nodes, columns)
+    assert np.array_equal(vals, data.evaluate_on(sec))
+    assert np.array_equal(dvals, data.radial_derivative(sec.r0, sec.omega, sec.o, sec.iota))
+    # the ambient field at the section points, and i eta(k, l) times it
+    ref = orc.plane_wave_components(spec, sec.p, sec.o, sec.iota)[:, :columns]
+    kl = sec.l @ (ETA @ spec.k)
+    assert _relative(vals, ref) <= 1e-14
+    assert _relative(dvals, 1j * kl[:, None] * ref) <= 1e-14
+
+
+def test_one_call_pair_equals_the_separate_dirac_pair():
+    spec = orc.PlaneWaveSpec(1, [0.7, -0.2 + 0.5j], amplitude=1.1)
+    p0 = np.array([0.1, -0.2, 0.05, 0.1])
+    fn, fn_dr0 = orc.plane_wave_dirac_cone_fn(spec, p0, psi_amplitude=0.8 - 0.3j)
+    data = ConeData(1, kind="dirac", fn=fn, fn_dr0=fn_dr0)
+    sec = _off_axis_section()
+    vals, dvals = data.evaluate_on(sec, dr0=True)
+    assert np.array_equal(vals, data.evaluate_on(sec))
+    assert np.array_equal(dvals, data.radial_derivative(sec.r0, sec.omega, sec.o, sec.iota))
+    ph = np.exp(1j * spec.phase(sec.p))
+    zeta0 = spec.amplitude * np.einsum("a,na->n", spec.alpha, sec.o) * ph
+    psi = (0.8 - 0.3j) * np.conj(raise_comps(spec.alpha))
+    xi1 = np.einsum("a,na->n", psi, lower_comps(np.conj(sec.o))) * ph
+    ref = np.stack([zeta0, xi1], axis=-1)
+    kl = sec.l @ (ETA @ spec.k)
+    assert _relative(vals, ref) <= 1e-14
+    assert _relative(dvals, 1j * kl[:, None] * ref) <= 1e-14
+
+
+def test_one_call_pair_equals_the_separate_spline_pair():
+    grid = SphereGrid(16, 32)
+    spec = orc.PlaneWaveSpec(2, [0.6 + 0.2j, -0.3 + 0.5j])
+    data = _grid_sample(spec, grid, np.linspace(0.2, 1.4, 12))
+    sec = _off_axis_section(grid)
+    vals, dvals = data.evaluate_on(sec, dr0=True)
+    assert np.array_equal(vals, data.evaluate_on(sec))
+    assert np.array_equal(dvals, data.radial_derivative(sec.r0, sec.omega, sec.o, sec.iota))
+    # a forced step differences the spline values instead
+    _, fd = data.evaluate_on(sec, dr0=True, fd_step=1e-3)
+    assert _relative(fd, dvals) < 1e-6
 
 
 def test_grid_data_interpolates_plane_wave():
@@ -126,7 +188,7 @@ def test_grid_data_interpolates_plane_wave():
     for n_r in (20, 40):
         data = _grid_sample(spec, grid, np.linspace(0.2, 1.0, n_r))
         errs.append(np.max(np.abs(data.evaluate_on(sec)[:, 0] - exact)))
-        errs_d.append(np.max(np.abs(data.radial_derivative_on(sec)[:, 0] - exact_d)))
+        errs_d.append(np.max(np.abs(data.evaluate_on(sec, dr0=True)[1][:, 0] - exact_d)))
     # cubic spline: O(h^4) values, O(h^3) derivative
     assert errs[0] / errs[1] > 10.0
     assert errs_d[0] / errs_d[1] > 6.0

@@ -312,6 +312,13 @@ def test_domain_errors_propagate():
         reconstruct_dirac(P0, data, np.array([0.5, 0.6, 0, 0]), QuadratureSpec(8, 16))
 
 
+@pytest.mark.parametrize("chart_mode, cap", [
+    ("single+cap", 4.0), ("single+cap", -0.2), ("double", 0.3), ("single+cap", 3.0)])
+def test_quadrature_spec_rejects_an_unusable_cap(chart_mode, cap):
+    with pytest.raises(ValueError, match="^cap "):
+        QuadratureSpec(8, 16, chart_mode=chart_mode, cap=cap)
+
+
 def test_diagnostics_fields():
     pw, b, data = _dirac_setup()
     res = reconstruct_dirac(P0, data, Q_POINTS[0], QuadratureSpec(16, 32))
