@@ -31,7 +31,7 @@ import sys
 from collections import namedtuple
 from datetime import datetime, timezone
 
-from .errors import CoverageError, GeometryError
+from .errors import ArgumentError, CoverageError, GeometryError
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -129,18 +129,21 @@ def _check(ok, must, convert=None):
     return check
 
 
+def _built(build, values, what, at=""):
+    """build(**values), a ValueError of build a config error naming the
+    block `what` and then `at`.  An ArgumentError names one of build's
+    arguments, which are the block's keys, so it is named as what.key."""
+    try:
+        return build(**values)
+    except ArgumentError as exc:
+        raise ConfigError(f"{what}.{exc}{at}")
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}{at}: {exc}")
+
+
 def _block(table, build=dict):
-    """Check of a nested block: build(**values read by table), a ValueError
-    of build a config error naming the block, or the key when the message
-    starts with one of the table's keys."""
-    def check(v, what):
-        values = _read(v, table, what, what + ".")
-        try:
-            return build(**values)
-        except ValueError as exc:
-            key = str(exc).split(" ", 1)[0]
-            raise ConfigError(f"{what}.{exc}" if key in table else f"bad {what}: {exc}")
-    return check
+    """Check of a nested block: build(**values read by table), see _built."""
+    return lambda v, what: _built(build, _read(v, table, what, what + "."), what)
 
 
 def _list_of(check, non_empty=False):
@@ -422,22 +425,22 @@ def cmd_constraints(v, out, seed):
     return EXIT_CHECK if _exceeds(worst, tol) or not finite else EXIT_OK
 
 
+# converge builds its specs per level, so its quadrature block stays a dict
 _CONVERGE = {**_MAIN, "p0": _POINT, "q": _POINT, "kind": _KIND, "valence": _VALENCE,
-             "data": _DATA_KEY, "quadrature": _QUADRATURE_KEY,
+             "data": _DATA_KEY, "quadrature": _Key(_block(_QUADRATURE), {}),
              "levels": _LEVELS._replace(default=[[16, 32], [32, 64], [64, 128]]),
              "tolerance": _TOLERANCE}
 
 
 def cmd_converge(v, out, seed):
-    import dataclasses
-
-    from .reconstruct import convergence_study
+    from .reconstruct import QuadratureSpec, convergence_study
     p0, q, tol = v["p0"], v["q"], v.get("tolerance")
+    specs = [_built(QuadratureSpec, {**v["quadrature"], "n_theta": nt, "n_phi": nph},
+                    "quadrature", f" at levels[{i}]")
+             for i, (nt, nph) in enumerate(v["levels"])]
     data, oracle = _cone_data(v["data"], p0, v["valence"])
     if oracle is None:
         raise ConfigError("converge needs a named data family as oracle")
-    specs = [dataclasses.replace(v["quadrature"], n_theta=nt, n_phi=nph)
-             for nt, nph in v["levels"]]
     rows = convergence_study(p0, data, q, oracle(q), specs, kind=v["kind"],
                              n=v["valence"])
     errors = [r["error"] for r in rows]

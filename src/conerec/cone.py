@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ArgumentError, GeometryError
 from .frames import transversal_iota
 from .spinor import ETA, minkowski
 
@@ -73,16 +73,16 @@ def _grid_tables(n_theta, n_phi, chart_mode, cap):
 
 
 def check_cap(n_theta, chart_mode, cap):
-    """Raise ValueError unless cap is a ring cut the grid can use: in
+    """Raise ArgumentError unless cap is a ring cut the grid can use: in
     [0, pi), 0 under "double", and keeping at least the northernmost
     ring under "single+cap"."""
     if not 0.0 <= cap < math.pi:
-        raise ValueError(f"cap must lie in [0, pi), got {cap!r}")
+        raise ArgumentError("cap", f"must lie in [0, pi), got {cap!r}")
     if chart_mode == "double" and cap != 0.0:
-        raise ValueError(f"cap must be 0 with chart_mode 'double', got {cap!r}")
+        raise ArgumentError("cap", f"must be 0 with chart_mode 'double', got {cap!r}")
     if not _rings(n_theta)[0][0] < math.pi - cap:
-        raise ValueError(f"cap {cap!r} drops every ring of an n_theta = "
-                         f"{n_theta} grid")
+        raise ArgumentError("cap", f"{cap!r} drops every ring of an n_theta = "
+                                   f"{n_theta} grid")
 
 
 @dataclass

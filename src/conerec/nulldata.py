@@ -66,11 +66,10 @@ class ConeData:
     derivative; omitted, the derivative falls back to a Richardson
     difference in r0.  Grid source: values of shape
     (len(r0_nodes), n_nodes, ncomp) sampled on `grid`, interpolated along
-    each generator by the not-a-knot cubic spline.  The evaluators take
-    values and d/dr0 together from one evaluate(..., dr0=True) call per
-    section.  Support must stay
-    away from the vertex: r0 at or below `r0_min` (grid: outside the node
-    range) is an error.
+    each generator by the not-a-knot cubic spline.  evaluate returns the
+    values and their d/dr0 together, so an evaluator makes one data call
+    per section.  Support must stay away from the vertex: r0 at or below
+    `r0_min` (grid: outside the node range) is an error.
 
     Grid values are stored in the canonical frame of the on-axis
     sections.  phi_0, zeta_0 and xi^{1'} contract only with o, so they
@@ -159,7 +158,7 @@ class ConeData:
                               or g.cap != grid.cap):
             raise ValueError("section grid does not match the data grid")
 
-    def _spline_eval(self, r0, dr0=False):
+    def _spline_eval(self, r0):
         # per-node Horner on the bracketing cubic piece, from its end values
         # y0, y1 and moments m0, m1; vectorized over nodes, one lookup for
         # the value and its derivative
@@ -171,61 +170,39 @@ class ConeData:
         y0, y1 = self.values[idx, nodes], self.values[idx + 1, nodes]
         m0, m1 = self._moments[idx, nodes], self._moments[idx + 1, nodes]
         slope = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0
-        vals = y0 + dx * (slope + dx * (0.5 * m0 + dx * (m1 - m0) / (6.0 * h)))
-        if not dr0:
-            return vals
-        return vals, slope + dx * (m0 + dx * (m1 - m0) / (2.0 * h))
+        return (y0 + dx * (slope + dx * (0.5 * m0 + dx * (m1 - m0) / (6.0 * h))),
+                slope + dx * (m0 + dx * (m1 - m0) / (2.0 * h)))
 
-    def _values(self, r0, omega, o_up, iota_up):
-        if self.is_analytic:
-            return np.asarray(self.fn(r0, omega, o_up, iota_up), dtype=complex)
-        return self._spline_eval(r0)
+    def evaluate(self, r0, omega, o_up, iota_up):
+        """(values, d/dr0) of every component at (r0, omega) in the supplied
+        node frame, the derivative at fixed direction.
 
-    def _derivative(self, r0, omega, o_up, iota_up, fd_step=None):
-        """d/dr0 at checked radii: the data's own derivative, or a
-        Richardson difference of the values with step fd_step if given."""
-        if fd_step is None:
-            if not self.is_analytic:
-                return self._spline_eval(r0, dr0=True)[1]
-            if self.fn_dr0 is not None:
-                return np.asarray(self.fn_dr0(r0, omega, o_up, iota_up), dtype=complex)
-            fd_step = 1e-2 * np.maximum(np.abs(r0), 1.0)
-            if np.any(r0 - fd_step <= self.r0_min):
-                raise CoverageError("differencing stencil reaches the vertex")
-        n_points = r0.size
-        return richardson_dr0(
-            lambda r: self._values(self._check_domain(r, n_points), omega, o_up, iota_up),
-            r0, fd_step)
-
-    def evaluate(self, r0, omega, o_up, iota_up, dr0=False, fd_step=None):
-        """Component values at (r0, omega) in the supplied node frame.
-
-        With dr0, the pair (values, d/dr0 of every component at fixed
-        direction) from this one call.  Grid data takes both from one
-        spline lookup; analytic data uses the exact callback fn_dr0 when
-        given, otherwise a two-level Richardson central difference.  A
-        given fd_step forces the Richardson difference with that step for
-        either source.
+        Grid data takes both from one spline lookup; analytic data uses
+        the exact callback fn_dr0 when given, otherwise a two-level
+        Richardson central difference of fn.
         """
         r0 = self._check_domain(r0, np.asarray(omega).shape[0])
-        if not dr0:
-            return self._values(r0, omega, o_up, iota_up)
-        if fd_step is None and not self.is_analytic:
-            return self._spline_eval(r0, dr0=True)
-        return (self._values(r0, omega, o_up, iota_up),
-                self._derivative(r0, omega, o_up, iota_up, fd_step))
+        if not self.is_analytic:
+            return self._spline_eval(r0)
+        vals = np.asarray(self.fn(r0, omega, o_up, iota_up), dtype=complex)
+        if self.fn_dr0 is not None:
+            return vals, np.asarray(self.fn_dr0(r0, omega, o_up, iota_up), dtype=complex)
+        h = 1e-2 * np.maximum(np.abs(r0), 1.0)
+        if np.any(r0 - h <= self.r0_min):
+            raise CoverageError("differencing stencil reaches the vertex")
+        return vals, richardson_dr0(
+            lambda r: np.asarray(self.fn(r, omega, o_up, iota_up), dtype=complex),
+            r0, h)
 
     def radial_derivative(self, r0, omega, o_up, iota_up):
         """d/dr0 of every component at fixed direction, alone (see evaluate)."""
-        r0 = self._check_domain(r0, np.asarray(omega).shape[0])
-        return self._derivative(r0, omega, o_up, iota_up)
+        return self.evaluate(r0, omega, o_up, iota_up)[1]
 
-    def evaluate_on(self, section: ConeSection, dr0=False, fd_step=None):
-        """All components on a section (nodes in their own charts); see
-        evaluate for dr0 and fd_step."""
+    def evaluate_on(self, section: ConeSection):
+        """(values, d/dr0) of all components on a section (nodes in their
+        own charts); see evaluate."""
         self._check_grid(section.grid)
-        return self.evaluate(section.r0, section.omega, section.o, section.iota,
-                             dr0=dr0, fd_step=fd_step)
+        return self.evaluate(section.r0, section.omega, section.o, section.iota)
 
 
 def _moment_matrix(x):
@@ -406,7 +383,7 @@ def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid | None = 
     for s in np.atleast_1d(np.asarray(s_values, dtype=float)):
         q_pt = p0 + np.array([s, 0.0, 0.0, 0.0])
         section = cone.build_section(p0, q_pt, grid)
-        vals, dvals = data.evaluate_on(section, dr0=True)
+        vals, dvals = data.evaluate_on(section)
         if vals.shape[1] != n + 1:
             raise ValueError("constraint check needs all components phi_0..phi_n")
         calc = _SectionCalculus(section)

@@ -21,7 +21,7 @@ import numpy as np
 from .cone import SphereGrid, build_section, check_cap
 from .errors import GeometryError
 from .frames import transversal_iota
-from .nulldata import ConeData
+from .nulldata import ConeData, richardson_dr0
 from .spinor import DiracSpinorValue, SymSpinorValue, lower_comps
 
 __all__ = ["QuadratureSpec", "ReconstructionResult", "reconstruct_dirac",
@@ -80,10 +80,15 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _fd_step(spec: QuadratureSpec):
-    """The Richardson step radial_fd "richardson" forces, else None (the
-    data's own derivative); see ConeData.evaluate."""
-    return spec.fd_step if spec.radial_fd == "richardson" else None
+def _radial_derivative(data: ConeData, dvals, r0, omega, o, iota,
+                       spec: QuadratureSpec):
+    """d/dr0 of the data at the nodes (r0, omega) in the frame (o, iota):
+    dvals, the data's own from evaluate, unless radial_fd "richardson"
+    forces a difference of the values with step fd_step."""
+    if spec.radial_fd == "analytic":
+        return dvals
+    return richardson_dr0(lambda r: data.evaluate(r, omega, o, iota)[0], r0,
+                          spec.fd_step)
 
 
 def _rho_coefficient(n: int, spec: QuadratureSpec) -> float:
@@ -115,7 +120,9 @@ def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
     column the integrand scalar on sigma(q) is
     (d/dr0 - (n+1) rho) phi mu_sigma / (2 pi r)."""
     section = build_section(p0, q, spec.grid())
-    vals, dvals = data.evaluate_on(section, dr0=True, fd_step=_fd_step(spec))
+    vals, dvals = data.evaluate_on(section)
+    dvals = _radial_derivative(data, dvals, section.r0, section.omega,
+                               section.o, section.iota, spec)
     coeff = _rho_coefficient(n, spec)
     w = section.mu_sigma / (2.0 * math.pi * section.r)
     scal = (dvals - coeff * section.rho[:, None] * vals) * w[:, None]
@@ -275,8 +282,9 @@ def _curved_components(chart, p0, data: ConeData, n: int, q,
     n_frame = (q[None, :] - section.p) * (ibar / (om_p * r))[:, None]
     iota_s = transversal_iota(o_s, n_frame)
 
-    vals, dvals = data.evaluate(r0_star, section.omega, o_s, iota_s, dr0=True,
-                                fd_step=_fd_step(spec))
+    vals, dvals = data.evaluate(r0_star, section.omega, o_s, iota_s)
+    dvals = _radial_derivative(data, dvals, r0_star, section.omega, o_s, iota_s,
+                               spec)
     vals, dvals = vals[:, 0], dvals[:, 0]
     # d/dr0 of the phi_0 scalar carries the frame rescaling
     dr0_ln_om = (om0 ** 2 / om_p ** 2) * dln_om_dl

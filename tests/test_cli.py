@@ -465,6 +465,27 @@ def test_unusable_cap_exits_2_naming_it(tmp_path, capsys, command, quadrature):
     assert "quadrature.cap" in capsys.readouterr().err
 
 
+# The first ring of an n_theta = 16 / 24 / 64 grid leaves a cap below
+# 2.996 / 3.043 / 3.104; converge builds a grid per level, none at the
+# block's own n_theta.
+def test_converge_cap_unusable_at_a_level_exits_2_naming_it(tmp_path, capsys):
+    cfg = {**_CONVERGE, "levels": [[64, 128], [16, 32]],
+           "quadrature": {"chart_mode": "single+cap", "cap": 3.0}}
+    assert _run("converge", _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "quadrature.cap" in err and "levels[1]" in err
+
+
+def test_converge_cap_usable_at_every_level_runs(tmp_path):
+    # unusable at the block's default n_theta 24, which converge never builds
+    cfg = {**_CONVERGE, "levels": [[64, 128]],
+           "quadrature": {"chart_mode": "single+cap", "cap": 3.05}}
+    out = tmp_path / "cv.csv"
+    assert _run("converge", _write(tmp_path, "c.json", cfg), out) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert [(r["n_theta"], r["n_phi"]) for r in rows] == [("64", "128")]
+
+
 @pytest.mark.parametrize("s_values, key", [([0.8, 0], "s_values[1]"),
                                            ([-0.5], "s_values[0]")],
                          ids=["zero", "negative"])

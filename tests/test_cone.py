@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conerec import cone
+from conerec.errors import ArgumentError
 from conerec.frames import NPFrame
 from conerec.spinor import from_matrix, minkowski
 
@@ -36,8 +37,9 @@ def test_grid_cap_mode():
     ids=["above-pi", "pi", "negative", "nan", "nonzero-under-double",
          "drops-every-ring"])
 def test_grid_rejects_an_unusable_cap(n_theta, chart_mode, cap):
-    with pytest.raises(ValueError, match="^cap "):
+    with pytest.raises(ArgumentError, match="^cap ") as info:
         cone.SphereGrid(n_theta, 8, chart_mode=chart_mode, cap=cap)
+    assert info.value.key == "cap"
 
 
 def test_grid_keeps_the_northern_ring_up_to_the_largest_cap():

@@ -64,7 +64,7 @@ def test_analytic_matches_ambient_plane_wave():
     fn, fn_dr0 = orc.plane_wave_cone_fn(spec, P0)
     data = ConeData(2, fn=fn, fn_dr0=fn_dr0)
     sec = build_section(P0, np.array([1.3, 0.2, -0.1, 0.3]), SphereGrid(12, 24))
-    vals = data.evaluate_on(sec)
+    vals = data.evaluate_on(sec)[0]
     expect = orc.plane_wave_components(spec, sec.p, sec.o, sec.iota)
     assert np.max(np.abs(vals - expect)) < 1e-12
 
@@ -91,7 +91,7 @@ def test_radial_derivative_richardson_fallback_smooth():
     fn, fn_dr0 = orc.plane_wave_cone_fn(spec, P0)
     data = ConeData(1, fn=fn)                 # no exact derivative callback
     sec = build_section(P0, np.array([1.0, 0.0, 0.0, 0.0]), SphereGrid(8, 16))
-    d = data.evaluate_on(sec, dr0=True)[1]
+    d = data.evaluate_on(sec)[1]
     exact = fn_dr0(sec.r0, sec.omega, sec.o, sec.iota)
     assert np.max(np.abs(d - exact)) < 1e-7
 
@@ -125,10 +125,10 @@ def test_one_call_pair_equals_the_separate_plane_wave_pair(n, all_columns):
     fn, fn_dr0 = orc.plane_wave_cone_fn(spec, p0, columns)
     data = ConeData(n, fn=fn, fn_dr0=fn_dr0)
     sec = _off_axis_section()
-    vals, dvals = data.evaluate_on(sec, dr0=True)
+    vals, dvals = data.evaluate_on(sec)
     assert vals.shape == dvals.shape == (sec.n_nodes, columns)
-    assert np.array_equal(vals, data.evaluate_on(sec))
-    assert np.array_equal(dvals, data.radial_derivative(sec.r0, sec.omega, sec.o, sec.iota))
+    assert np.array_equal(vals, fn(sec.r0, sec.omega, sec.o, sec.iota))
+    assert np.array_equal(dvals, fn_dr0(sec.r0, sec.omega, sec.o, sec.iota))
     # the ambient field at the section points, and i eta(k, l) times it
     ref = orc.plane_wave_components(spec, sec.p, sec.o, sec.iota)[:, :columns]
     kl = sec.l @ (ETA @ spec.k)
@@ -142,9 +142,9 @@ def test_one_call_pair_equals_the_separate_dirac_pair():
     fn, fn_dr0 = orc.plane_wave_dirac_cone_fn(spec, p0, psi_amplitude=0.8 - 0.3j)
     data = ConeData(1, kind="dirac", fn=fn, fn_dr0=fn_dr0)
     sec = _off_axis_section()
-    vals, dvals = data.evaluate_on(sec, dr0=True)
-    assert np.array_equal(vals, data.evaluate_on(sec))
-    assert np.array_equal(dvals, data.radial_derivative(sec.r0, sec.omega, sec.o, sec.iota))
+    vals, dvals = data.evaluate_on(sec)
+    assert np.array_equal(vals, fn(sec.r0, sec.omega, sec.o, sec.iota))
+    assert np.array_equal(dvals, fn_dr0(sec.r0, sec.omega, sec.o, sec.iota))
     ph = np.exp(1j * spec.phase(sec.p))
     zeta0 = spec.amplitude * np.einsum("a,na->n", spec.alpha, sec.o) * ph
     psi = (0.8 - 0.3j) * np.conj(raise_comps(spec.alpha))
@@ -156,15 +156,20 @@ def test_one_call_pair_equals_the_separate_dirac_pair():
 
 
 def test_one_call_pair_equals_the_separate_spline_pair():
-    grid = SphereGrid(16, 32)
+    from scipy.interpolate import CubicSpline
+    grid = SphereGrid(8, 16)
     spec = orc.PlaneWaveSpec(2, [0.6 + 0.2j, -0.3 + 0.5j])
     data = _grid_sample(spec, grid, np.linspace(0.2, 1.4, 12))
     sec = _off_axis_section(grid)
-    vals, dvals = data.evaluate_on(sec, dr0=True)
-    assert np.array_equal(vals, data.evaluate_on(sec))
-    assert np.array_equal(dvals, data.radial_derivative(sec.r0, sec.omega, sec.o, sec.iota))
-    # a forced step differences the spline values instead
-    _, fd = data.evaluate_on(sec, dr0=True, fd_step=1e-3)
+    vals, dvals = data.evaluate_on(sec)
+    # the spline and its derivative, each evaluated on its own
+    ref = CubicSpline(data.r0_nodes, data.values, axis=0)
+    per_node = np.arange(sec.n_nodes)
+    assert _relative(vals, ref(sec.r0)[per_node, per_node]) <= 1e-14
+    assert _relative(dvals, ref(sec.r0, 1)[per_node, per_node]) <= 1e-14
+    # a Richardson difference of the values agrees with the derivative
+    fd = nd.richardson_dr0(lambda r: data.evaluate(r, sec.omega, sec.o, sec.iota)[0],
+                           sec.r0, 1e-3)
     assert _relative(fd, dvals) < 1e-6
 
 
@@ -178,7 +183,7 @@ def test_grid_data_interpolates_plane_wave():
     on_axis = build_section(P0, np.array([1.0, 0.0, 0.0, 0.0]), grid)
     data40 = _grid_sample(spec, grid, np.linspace(0.2, 1.0, 40))
     exact_on = fn(on_axis.r0, on_axis.omega, on_axis.o, on_axis.iota)
-    assert np.max(np.abs(data40.evaluate_on(on_axis) - exact_on)) < 1e-6
+    assert np.max(np.abs(data40.evaluate_on(on_axis)[0] - exact_on)) < 1e-6
 
     # off-axis: r0 varies across nodes; only phi_0 is frame insensitive
     sec = build_section(P0, np.array([1.3, 0.2, -0.1, 0.3]), grid)
@@ -187,8 +192,9 @@ def test_grid_data_interpolates_plane_wave():
     errs, errs_d = [], []
     for n_r in (20, 40):
         data = _grid_sample(spec, grid, np.linspace(0.2, 1.0, n_r))
-        errs.append(np.max(np.abs(data.evaluate_on(sec)[:, 0] - exact)))
-        errs_d.append(np.max(np.abs(data.evaluate_on(sec, dr0=True)[1][:, 0] - exact_d)))
+        vals, dvals = data.evaluate_on(sec)
+        errs.append(np.max(np.abs(vals[:, 0] - exact)))
+        errs_d.append(np.max(np.abs(dvals[:, 0] - exact_d)))
     # cubic spline: O(h^4) values, O(h^3) derivative
     assert errs[0] / errs[1] > 10.0
     assert errs_d[0] / errs_d[1] > 6.0
@@ -215,8 +221,7 @@ def test_grid_spline_matches_scipy_not_a_knot(k, uniform, ncomp):
     per_node = np.arange(n_dir)
     want = ref(r0)[per_node, per_node]
     want_d = ref(r0, 1)[per_node, per_node]
-    got = data.evaluate(r0, om, o, None)
-    got_d = data.radial_derivative(r0, om, o, None)
+    got, got_d = data.evaluate(r0, om, o, None)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(got_d - want_d)) <= 1e-12 * np.max(np.abs(want_d))
 
@@ -422,7 +427,7 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.values, data.values)
     assert back.grid.n_theta == 12 and back.grid.n_phi == 24
     sec = build_section(P0, np.array([1.0, 0.0, 0.0, 0.0]), grid)
-    assert np.array_equal(back.evaluate_on(sec), data.evaluate_on(sec))
+    assert np.array_equal(back.evaluate_on(sec)[0], data.evaluate_on(sec)[0])
 
 
 def test_save_rejects_analytic(tmp_path):

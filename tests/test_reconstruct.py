@@ -5,6 +5,7 @@ import pytest
 
 import conerec.reconstruct as rec
 from conerec import oracles as orc
+from conerec.errors import ArgumentError
 from conerec.nulldata import ConeData
 from conerec.reconstruct import (QuadratureSpec, convergence_study,
                                  reconstruct_dirac, reconstruct_spin_n)
@@ -315,8 +316,9 @@ def test_domain_errors_propagate():
 @pytest.mark.parametrize("chart_mode, cap", [
     ("single+cap", 4.0), ("single+cap", -0.2), ("double", 0.3), ("single+cap", 3.0)])
 def test_quadrature_spec_rejects_an_unusable_cap(chart_mode, cap):
-    with pytest.raises(ValueError, match="^cap "):
+    with pytest.raises(ArgumentError, match="^cap ") as info:
         QuadratureSpec(8, 16, chart_mode=chart_mode, cap=cap)
+    assert info.value.key == "cap"
 
 
 def test_diagnostics_fields():
