@@ -141,6 +141,13 @@ def _built(build, values, what, at=""):
         raise ConfigError(f"bad {what}{at}: {exc}")
 
 
+def _with_estimate_grid(spec, at=""):
+    """spec, once the half-resolution grid of its error estimate proves
+    usable: a cap can keep a ring at n_theta but none at n_theta / 2."""
+    _built(spec.halved, {}, "quadrature", f", the error estimate's half grid{at}")
+    return spec
+
+
 def _block(table, build=dict):
     """Check of a nested block: build(**values read by table), see _built."""
     return lambda v, what: _built(build, _read(v, table, what, what + "."), what)
@@ -362,6 +369,8 @@ def cmd_reconstruct(v, out, seed):
     if chart is not None and kind != "spin":
         raise ConfigError("the curved evaluator handles spin data only")
     data, oracle = _cone_data(v["data"], p0, valence)
+    if data.is_analytic:
+        _with_estimate_grid(spec)
     records, failures = [], 0
     for i, q in enumerate(v["q"]):
         try:
@@ -435,9 +444,11 @@ _CONVERGE = {**_MAIN, "p0": _POINT, "q": _POINT, "kind": _KIND, "valence": _VALE
 def cmd_converge(v, out, seed):
     from .reconstruct import QuadratureSpec, convergence_study
     p0, q, tol = v["p0"], v["q"], v.get("tolerance")
-    specs = [_built(QuadratureSpec, {**v["quadrature"], "n_theta": nt, "n_phi": nph},
-                    "quadrature", f" at levels[{i}]")
-             for i, (nt, nph) in enumerate(v["levels"])]
+    specs = []
+    for i, (nt, nph) in enumerate(v["levels"]):
+        spec = _built(QuadratureSpec, {**v["quadrature"], "n_theta": nt, "n_phi": nph},
+                      "quadrature", f" at levels[{i}]")
+        specs.append(_with_estimate_grid(spec, f" of levels[{i}]"))
     data, oracle = _cone_data(v["data"], p0, v["valence"])
     if oracle is None:
         raise ConfigError("converge needs a named data family as oracle")

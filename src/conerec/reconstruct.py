@@ -225,10 +225,6 @@ def convergence_study(p0, data: ConeData, q, oracle, specs,
 
 # -- curved charts -----------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-_GL_U = 0.5 * (_GL_NODES + 1.0)
-
-
 def _curved_components(chart, p0, data: ConeData, n: int, q,
                        spec: QuadratureSpec):
     """Singular-integral phi_0 .. phi_n on a conformally flat chart.
@@ -241,8 +237,10 @@ def _curved_components(chart, p0, data: ConeData, n: int, q,
     picks up omega^2 at the section.  The adapted spin frame rescales
     the canonical one so l = o obar holds in orthonormal components;
     its r0-dependence adds -(n/2) dln(omega)/dr0 phi_0 to the radial
-    derivative of the phi_0 scalar.
+    derivative of the phi_0 scalar.  Both chord averages of omega^2, along
+    the generator from p0 and from q, are conformal_k's.
     """
+    from .transport import conformal_k   # here, so flat-only runs never load transport
     section = build_section(p0, q, spec.grid())
     inside = chart.contains(section.p)
     if not np.all(inside):
@@ -257,19 +255,13 @@ def _curved_components(chart, p0, data: ConeData, n: int, q,
     omq = chart.omega(np.asarray(q, dtype=float))
     om_p = chart.omega(section.p)
 
-    # curved affine label of the section along each generator
-    rays = (p0[None, None, :]
-            + (ell[:, None] * _GL_U[None, :])[:, :, None]
-            * section.l[:, None, :])
-    om2_ray = chart.omega(rays) ** 2
-    r0_star = ell * (0.5 * om2_ray @ _GL_WEIGHTS) / om0 ** 2
+    # curved affine label of the section along each generator: ell times
+    # the chord average of omega^2 from p0, over omega(p0)^2
+    r0_star = ell * (2.0 * math.pi * om_p / om0) * conformal_k(chart, p0, section.p)
 
     # chord average of omega^2 from q: van Vleck square root numerator
-    chords = (q[None, None, :]
-              + _GL_U[None, :, None] * (section.p - q[None, :])[:, None, :])
-    om2_chord = chart.omega(chords) ** 2
-    ibar = 0.5 * om2_chord @ _GL_WEIGHTS
-    k = ibar / (2.0 * math.pi * om_p * omq)
+    k = conformal_k(chart, q, section.p)
+    ibar = 2.0 * math.pi * om_p * omq * k
 
     r = section.r * ibar * om0 ** 2 / om_p ** 2
     grads = chart.grad_ln_omega(section.p)
@@ -309,17 +301,12 @@ def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
     from the flat chart the result is the two singular integrals only.
     On the flat chart it coincides with reconstruct_spin_n.
 
-    The chart must carry a conformal factor (registry charts "flat" and
-    "conformal"); the diagnostics report the largest deviation of k from
-    its flat value 1/(2 pi) and the empirical conversion factor between
-    the section measure mu_sigma and k r^2 dOmega (pi/2 for an on-axis
-    flat configuration).
+    The diagnostics report the largest deviation of k from its flat
+    value 1/(2 pi) and the empirical conversion factor between the
+    section measure mu_sigma and k r^2 dOmega (pi/2 for an on-axis flat
+    configuration).
     """
     _check_spin_args(data, n)
-    if getattr(chart, "omega", None) is None or \
-            getattr(chart, "grad_ln_omega", None) is None:
-        raise ValueError("curved reconstruction needs a conformally flat "
-                         "chart with omega and grad_ln_omega callables")
     p0 = np.asarray(p0, dtype=float)
     q = np.asarray(q, dtype=float)
     chart.require_inside(p0, "cone vertex")

@@ -1,26 +1,25 @@
-"""Geodesic transport on weakly curved charts.
+"""Geodesic transport on conformally flat charts.
 
-A chart is a Lorentzian metric given as a callable on a boxed
-coordinate domain.  On an RK4 geodesic integrator that can also carry
-the geodesic-deviation equations (the Jacobi propagator) this module
-builds the two-point machinery the curved reconstructor consumes: null
-connection by Newton's method on that propagator, the world function
-with the [0, 1] affine convention (its flat value is the coordinate
-interval), the transport coefficient k obtained by integrating
+A chart is the metric g = omega^2 eta, omega = 1 + eps f, on a boxed
+coordinate domain, with f a named smooth profile bounded by 1 ("flat"
+is eps = 0 with f = 0).  |eps| < 1 keeps omega >= 1 - |eps| > 0, so g
+is Lorentzian everywhere, and the factor, its log-gradient, the metric,
+the connection and its gradient are all closed form.  On an RK4
+geodesic integrator that can also carry the geodesic-deviation
+equations (the Jacobi propagator) this module builds the two-point
+machinery the curved reconstructor consumes: null connection by
+Newton's method on that propagator, the world function with the
+[0, 1] affine convention (its flat value is the coordinate interval),
+the transport coefficient k obtained by integrating
 
     2 <grad W, grad k> + (box W - 8) k = 0,      k -> 1/(2 pi)
 
 along null generators with box W in closed form on the propagator,
 and parallel transport of NP frames with a continuity-fixed spin basis.
-The van Vleck determinant of differenced world functions and, on
-conformal charts, a closed form give k by two independent routes.
-
-Charts come from a small registry: "flat" and "conformal" with
-metric (1 + eps f)^2 eta for a named smooth profile f.  Conformal
-charts carry the factor and its log-gradient as callables; several
-routines use them for closed-form cross-checks (null chart geodesics
-of a conformal metric are straight coordinate lines, only their
-affine parameterization bends).
+The van Vleck determinant of differenced world functions and the
+conformal closed form (the chord average of omega^2) give k by two
+independent routes.  Null geodesics of a conformal metric are straight
+coordinate lines; only their affine parameterization bends.
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ import numpy as np
 from . import _backend as kernels
 from .errors import GeometryError
 from .frames import NPFrame, spin_basis_from_tetrad
-from .spinor import ETA, central_partials, richardson
+from .spinor import ETA
 
 __all__ = [
-    "CurvedChart", "GeodesicPath", "ParallelFrames",
-    "make_chart", "check_signature", "christoffel_fd",
+    "CurvedChart", "GeodesicPath", "ParallelFrames", "make_chart",
     "geodesic_shoot", "NullConnection", "null_connect", "world_function",
     "world_function_gradient_check",
     "transport_k", "van_vleck_k", "conformal_k", "transport_spin_frame",
@@ -47,31 +45,36 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # RK4 steps of one endpoint shoot over the [0, 1] affine range
 SHOOT_STEPS = 48
+_EYE = np.eye(4)
+_ETA_SIGN = np.diag(ETA).copy()
+_ONES = np.ones(4)
+# [..., m]: how often f, d/dx^i and d^2/dx^i dx^j differentiate factor m
+_DERIVATIVE_ORDERS = (0, np.eye(4, dtype=int),
+                      np.eye(4, dtype=int)[:, None, :] + np.eye(4, dtype=int)[None, :, :])
+# Gamma^a_{bc} = delta^a_b w_c + delta^a_c w_b - eta_{bc} eta^{ad} w_d is
+# linear in w = grad ln omega for g = omega^2 eta: [d, abc] multiplies w_d,
+# and the Hessian of ln omega in place of w gives partial_d Gamma^a_{bc}
+_CONFORMAL_GAMMA = (np.einsum("ab,cd->dabc", _EYE, _EYE) + np.einsum("ac,bd->dabc", _EYE, _EYE)
+                    - np.einsum("bc,ad->dabc", ETA, ETA)).reshape(4, 64)
+# Gauss-Legendre rule of conformal_k's chord average, nodes mapped to [0, 1]
+_CHORD_NODES, _CHORD_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_CHORD_U = 0.5 * (_CHORD_NODES + 1.0)
 
 
 @dataclass
 class CurvedChart:
-    """Lorentzian metric on the coordinate box [lo, hi]^4.
+    """The conformally flat metric (1 + eps f)^2 eta on the box [lo, hi]^4.
 
-    metric maps a point to the symmetric 4x4 matrix g_{ab}; christoffel,
-    when given, maps a point to Gamma^a_{bc} (first index up), and
-    christoffel_grad to partial_d Gamma^a_{bc} as [d, a, b, c]; Richardson
-    differences of the metric and of the connection stand in for them.
-    omega and grad_ln_omega are set by the registry for conformally flat charts,
-    g = omega^2 eta; they take (..., 4) arrays, enable exact shortcuts,
-    and give geodesic shoots their acceleration in closed form over all
-    rows.  Leave them None for a general metric, whose shoots contract
-    the connection one row at a time.
+    jet(x, order) returns the profile f at (..., 4) points and its first
+    `order` (at most 2) derivatives, (f, grad f, Hessian of f); |f| <= 1.
+    Every geometric quantity below is closed form in eps and the jet and
+    takes (..., 4) arrays.
     """
 
-    metric: Callable[[np.ndarray], np.ndarray]
+    jet: Callable
+    eps: float
     lo: np.ndarray
     hi: np.ndarray
-    christoffel: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = "custom"
-    omega: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    grad_ln_omega: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    christoffel_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float).reshape(4)
@@ -93,16 +96,29 @@ class CurvedChart:
             raise GeometryError(f"{what} {x[np.argmax(outside)]} is outside "
                                 f"the chart domain [{self.lo}, {self.hi}]")
 
+    def omega(self, x):
+        """The conformal factor 1 + eps f."""
+        return 1.0 + self.eps * self.jet(x, 0)[0]
+
+    def grad_ln_omega(self, x) -> np.ndarray:
+        fx, grad = self.jet(x, 1)
+        return (self.eps / (1.0 + self.eps * fx))[..., None] * grad
+
+    def metric(self, x) -> np.ndarray:
+        """g_{ab} = omega^2 eta_{ab}, [..., a, b]."""
+        return (self.omega(x) ** 2)[..., None, None] * ETA
+
     def connection(self, x) -> np.ndarray:
-        if self.christoffel is not None:
-            return self.christoffel(x)
-        return christoffel_fd(self.metric, x, 1e-3)
+        """Gamma^a_{bc}, [..., a, b, c]."""
+        return (self.grad_ln_omega(x) @ _CONFORMAL_GAMMA).reshape(np.shape(x)[:-1] + (4, 4, 4))
 
     def connection_grad(self, x) -> np.ndarray:
-        """partial_d Gamma^a_{bc} at x, indexed [d, a, b, c]."""
-        if self.christoffel_grad is not None:
-            return self.christoffel_grad(x)
-        return richardson(lambda h: central_partials(self.connection, x, h), 2e-3)
+        """partial_d Gamma^a_{bc}, [..., d, a, b, c]."""
+        fx, grad, hess = self.jet(x)
+        scale = self.eps / (1.0 + self.eps * fx)
+        w = scale[..., None] * grad
+        hess_ln = scale[..., None, None] * hess - w[..., :, None] * w[..., None, :]
+        return (hess_ln @ _CONFORMAL_GAMMA).reshape(np.shape(x)[:-1] + (4, 4, 4, 4))
 
 
 @dataclass
@@ -119,42 +135,20 @@ class GeodesicPath:
 
     def norm_drift(self) -> float:
         """Max drift of g(v, v) along a one-point path relative to its start value."""
-        norms = np.array([v @ self.chart.metric(x) @ v
-                          for x, v in zip(self.x, self.v)])
+        norms = self.chart.omega(self.x) ** 2 * ((self.v * self.v) @ _ETA_SIGN)
         return float(np.max(np.abs(norms - norms[0])))
-
-
-def christoffel_fd(metric, x, h: float) -> np.ndarray:
-    """Gamma^a_{bc} from Richardson central differences of the metric, O(h^4)."""
-    x = np.asarray(x, dtype=float)
-    ginv = np.linalg.inv(metric(x))
-    dg = richardson(lambda step: central_partials(metric, x, step), 2.0 * h)
-    # Gamma_{dbc} = (g_{db,c} + g_{dc,b} - g_{bc,d}) / 2
-    low = 0.5 * (np.einsum("cdb->dbc", dg) + np.einsum("bdc->dbc", dg)
-                 - np.einsum("dbc->dbc", dg))
-    return np.einsum("ad,dbc->abc", ginv, low)
-
-
-def check_signature(chart: CurvedChart, points) -> None:
-    """Raise unless the metric has Lorentzian signature (+,-,-,-) at each point."""
-    for x in np.atleast_2d(np.asarray(points, dtype=float)):
-        g = chart.metric(x)
-        if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
-            raise ValueError(f"metric is not symmetric at {x}")
-        ev = np.sort(np.linalg.eigvalsh(g))
-        if not (np.all(ev[:3] < 0.0) and ev[3] > 0.0):
-            raise ValueError(f"metric signature is not Lorentzian at {x}: "
-                             f"eigenvalues {ev}")
 
 
 # -- chart registry ------------------------------------------------------
 
-def _profile(profile: str, width: float, center):
-    """Smooth bounded bump on (..., 4) arrays.
+def _flat_jet(x, order=2):
+    """f = 0 and its derivatives."""
+    shape = np.shape(x)[:-1]
+    return (np.zeros(shape)[()], np.zeros(shape + (4,)), np.zeros(shape + (4, 4)))[:order + 1]
 
-    jet(x, order) returns f and its first `order` (at most 2) derivatives,
-    (f, grad f, Hessian of f), from one evaluation.
-    """
+
+def _profile(profile: str, width: float, center):
+    """Smooth bump on (..., 4) arrays with |f| <= 1, as a CurvedChart jet."""
     if not width ** 2 > 0.0:
         raise ValueError(f"profile width {width!r} must be nonzero and not "
                          "so small that its square underflows")
@@ -187,91 +181,31 @@ def _profile(profile: str, width: float, center):
     return jet
 
 
-_EYE = np.eye(4)
-_ETA_SIGN = np.diag(ETA).copy()
-_ONES = np.ones(4)
-# [..., m]: how often f, d/dx^i and d^2/dx^i dx^j differentiate factor m
-_DERIVATIVE_ORDERS = (0, np.eye(4, dtype=int),
-                      np.eye(4, dtype=int)[:, None, :] + np.eye(4, dtype=int)[None, :, :])
-# Gamma^a_{bc} = delta^a_b w_c + delta^a_c w_b - eta_{bc} eta^{ad} w_d is
-# linear in w = grad ln omega for g = omega^2 eta: [d, abc] multiplies w_d,
-# and the Hessian of ln omega in place of w gives partial_d Gamma^a_{bc}
-_CONFORMAL_GAMMA = (np.einsum("ab,cd->dabc", _EYE, _EYE) + np.einsum("ac,bd->dabc", _EYE, _EYE)
-                    - np.einsum("bc,ad->dabc", ETA, ETA)).reshape(4, 64)
-
-
 def make_chart(name: str, eps: float = 0.0, profile: str = "gaussian",
                width: float = 2.0, center=(0.0, 0.0, 0.0, 0.0),
                halfwidth: float = 10.0) -> CurvedChart:
-    """Build a registered chart: "flat" or "conformal".
-
-    The conformal chart has metric (1 + eps f)^2 eta with f the named
-    profile; eps must keep 1 + eps f positive on the whole box.  Both
-    carry their connection and its gradient in closed form.
-    """
+    """Build a registered chart on the box [-halfwidth, halfwidth]^4:
+    "flat", or "conformal" with metric (1 + eps f)^2 eta for the named
+    profile f and |eps| < 1."""
     lo = np.full(4, -halfwidth)
     hi = np.full(4, halfwidth)
     if name == "flat":
-        chart = CurvedChart(metric=lambda x: ETA.copy(), lo=lo, hi=hi,
-                            christoffel=lambda x: np.zeros((4, 4, 4)),
-                            name="flat",
-                            omega=lambda x: np.ones(np.shape(x)[:-1])[()],
-                            grad_ln_omega=lambda x: np.zeros(np.shape(x)),
-                            christoffel_grad=lambda x: np.zeros((4, 4, 4, 4)))
-    elif name == "conformal":
+        return CurvedChart(_flat_jet, 0.0, lo, hi)
+    if name == "conformal":
         if not -1.0 < eps < 1.0:
             raise ValueError("eps must satisfy |eps| < 1 for a positive factor")
-        jet = _profile(profile, width, center)
-
-        def omega(x):
-            return 1.0 + eps * jet(x, 0)[0]
-
-        def grad_ln_omega(x):
-            fx, grad = jet(x, 1)
-            return (eps / (1.0 + eps * fx))[..., None] * grad
-
-        def metric(x):
-            return omega(x) ** 2 * ETA
-
-        def christoffel(x):
-            return (grad_ln_omega(x) @ _CONFORMAL_GAMMA).reshape(np.shape(x)[:-1] + (4, 4, 4))
-
-        def christoffel_grad(x):
-            fx, grad, hess = jet(x)
-            w = (eps / (1.0 + eps * fx))[..., None] * grad
-            hess_ln = ((eps / (1.0 + eps * fx))[..., None, None] * hess
-                       - w[..., :, None] * w[..., None, :])
-            return (hess_ln @ _CONFORMAL_GAMMA).reshape(np.shape(x)[:-1] + (4, 4, 4, 4))
-
-        chart = CurvedChart(metric=metric, lo=lo, hi=hi,
-                            christoffel=christoffel,
-                            name=f"conformal(eps={eps:g}, profile={profile})",
-                            omega=omega, grad_ln_omega=grad_ln_omega,
-                            christoffel_grad=christoffel_grad)
-    else:
-        raise ValueError(f"unknown chart {name!r}; registry has 'flat' and 'conformal'")
-    rng = np.random.default_rng(0)
-    sample = np.vstack([np.zeros(4),
-                        rng.uniform(lo, hi, size=(8, 4))])
-    check_signature(chart, sample)
-    return chart
+        return CurvedChart(_profile(profile, width, center), eps, lo, hi)
+    raise ValueError(f"unknown chart {name!r}; registry has 'flat' and 'conformal'")
 
 
 # -- geodesics -----------------------------------------------------------
 
 def _acceleration(chart: CurvedChart, x, u) -> np.ndarray:
-    """Geodesic acceleration -Gamma(x)(u, u) at one point or (B, 4) rows.
-
-    For g = omega^2 eta it is -2 (w.u) u + eta(u, u) eta^{-1} w with
-    w = grad ln omega, in closed form over all rows; a chart given by
-    callbacks, which take one point, contracts its connection row by row.
-    """
-    if chart.grad_ln_omega is not None:
-        w = chart.grad_ln_omega(x)
-        return ((-2.0 * ((w * u) @ _ONES))[..., None] * u
-                + ((u * u) @ _ETA_SIGN)[..., None] * _ETA_SIGN * w)
-    rows = zip(np.reshape(x, (-1, 4)), np.reshape(u, (-1, 4)))
-    return np.reshape([-(chart.connection(xi) @ ui @ ui) for xi, ui in rows], np.shape(u))
+    """Geodesic acceleration -Gamma(x)(u, u) at one point or (B, 4) rows:
+    -2 (w.u) u + eta(u, u) eta^{-1} w with w = grad ln omega."""
+    w = chart.grad_ln_omega(x)
+    return ((-2.0 * ((w * u) @ _ONES))[..., None] * u
+            + ((u * u) @ _ETA_SIGN)[..., None] * _ETA_SIGN * w)
 
 
 def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
@@ -354,14 +288,14 @@ def world_function(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS,
                    near: Optional[GeodesicPath] = None, work: Optional[dict] = None):
     """World function with the [0, 1] affine convention.
 
-    Gamma(p, q) = g_p(v, v) for the initial velocity v of the geodesic
-    reaching q at parameter 1; on the flat chart this is the coordinate
-    interval eta(q - p, q - p).  Two points give a float; (B, 4) rows of
-    points (either side may be a single point) give a (B,) array, all
-    pairs connected together.  near, the Jacobi propagator of a [0, 1]
-    geodesic close to every pair, seeds each connect with v0 + X_v^{-1}
-    (dq - X_p dp) and chord step X_v^{-1}; work, a dict, receives the
-    batch's work counts.
+    Gamma(p, q) = g_p(v, v) = omega(p)^2 eta(v, v) for the initial
+    velocity v of the geodesic reaching q at parameter 1; on the flat
+    chart this is the coordinate interval eta(q - p, q - p).  Two points
+    give a float; (B, 4) rows of points (either side may be a single
+    point) give a (B,) array, all pairs connected together.  near, the
+    Jacobi propagator of a [0, 1] geodesic close to every pair, seeds each
+    connect with v0 + X_v^{-1} (dq - X_p dp) and chord step X_v^{-1};
+    work, a dict, receives the batch's work counts.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -374,8 +308,7 @@ def world_function(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS,
     v, counts = _connect(chart, p, q, steps=steps, v=v0, chord=chord)
     if work is not None:
         work.update(counts, world_function_calls=1)
-    g = np.array([chart.metric(x) for x in p])
-    w = np.einsum("ba,bac,bc->b", v, g, v)
+    w = chart.omega(p) ** 2 * ((v * v) @ _ETA_SIGN)
     return float(w[0]) if single else w
 
 
@@ -389,8 +322,7 @@ def world_function_gradient_check(chart: CurvedChart, p, q, h: float) -> float:
     step = h * np.eye(4)
     w = world_function(chart, p, np.vstack([q, q + step, q - step]))
     grad = (w[1:5] - w[5:]) / (2.0 * h)
-    ginv = np.linalg.inv(chart.metric(q))
-    return float(grad @ ginv @ grad - 4.0 * w[0])
+    return float((grad * grad) @ _ETA_SIGN / chart.omega(q) ** 2 - 4.0 * w[0])
 
 
 def _solve_xv(jacobi, rhs) -> np.ndarray:
@@ -460,12 +392,12 @@ def _box_w(chart: CurvedChart, path: GeodesicPath) -> np.ndarray:
     The [0, 1] geodesic from q to x(s) starts with velocity s v0, so
     partial_a W = 2 s g_ab v^b, and its end velocity moves with x(s) as
     s U_v X_v^{-1}: the covariant Hessian 2 s g_ac (U_v X_v^{-1} + Gamma(v))^c_b
-    has trace box W = 2 s (tr(U_v X_v^{-1}) + Gamma^c_{bc} v^b), 8 at s = 0.
+    has trace box W = 2 s (tr(U_v X_v^{-1}) + Gamma^c_{bc} v^b), 8 at s = 0,
+    where Gamma^c_{bc} v^b = 4 w.v with w = grad ln omega.
     """
     J = path.jacobi[1:]
-    gam = np.array([chart.connection(x) for x in path.x[1:]])
     trace = (np.trace(_solve_xv(J, J[:, 4:, 4:]), axis1=1, axis2=2)
-             + np.einsum("ncbc,nb->n", gam, path.v[1:]))
+             + 4.0 * ((chart.grad_ln_omega(path.x[1:]) * path.v[1:]) @ _ONES))
     return np.concatenate([[8.0], 2.0 * path.s[1:] * trace])
 
 
@@ -515,9 +447,10 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
                 work: Optional[dict] = None) -> float:
     """k from the van Vleck determinant, independent of the transport ODE.
 
-    Delta = -det(-[W_{,a b'}]/2) / sqrt(-det g_p) sqrt(-det g_q) with the
-    mixed Hessian by central differences in both slots, its 64 world
-    functions in one batch; k = sqrt(Delta) / (2 pi).  Flat chart:
+    Delta = -det(-[W_{,a b'}]/2) / sqrt(-det g_p) sqrt(-det g_q), where
+    sqrt(-det g) = omega^4, with the mixed Hessian by central differences
+    in both slots, its 64 world functions in one batch;
+    k = sqrt(Delta) / (2 pi).  Flat chart:
     Delta = 1 exactly up to rounding.  propagator, the Jacobi propagator
     from q to p, seeds the 64 connects; work, a dict, receives their counts.
     """
@@ -535,16 +468,14 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
     w = w.reshape(4, 4, 2, 2)
     mixed = (w[..., 0, 0] - w[..., 0, 1] - w[..., 1, 0] + w[..., 1, 1]) / (4.0 * h ** 2)
     det_m = np.linalg.det(-0.5 * mixed)
-    gp = np.linalg.det(chart.metric(p))
-    gq = np.linalg.det(chart.metric(q))
-    delta = -det_m / math.sqrt(-gp) / math.sqrt(-gq)
+    delta = -det_m / (chart.omega(p) * chart.omega(q)) ** 4
     if delta <= 0.0:
         raise GeometryError(f"van Vleck determinant {delta:.3e} is not positive")
     return math.sqrt(delta) / TWO_PI
 
 
-def conformal_k(chart: CurvedChart, q, p) -> float:
-    """Closed form of k on a conformally flat chart.
+def conformal_k(chart: CurvedChart, q, p):
+    """Closed form of k from q to p, a point (a float) or (B, 4) rows.
 
     For g = omega^2 eta and null-separated q, p the van Vleck square
     root is the chord average of omega^2 divided by the endpoint
@@ -553,17 +484,15 @@ def conformal_k(chart: CurvedChart, q, p) -> float:
         sqrt(Delta) = (int_0^1 omega^2(q + u (p - q)) du) / (omega_p omega_q),
 
     which the transport ODE and the mixed-Hessian determinant both
-    reproduce; it is exact, symmetric, and 1 on the flat chart.
+    reproduce; it is exact, symmetric, and 1 on the flat chart.  The
+    chord average is a 32-node Gauss-Legendre sum.
     """
-    if chart.omega is None:
-        raise ValueError("conformal_k needs a chart with a conformal factor")
-    p = np.asarray(p, dtype=float).reshape(4)
+    p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float).reshape(4)
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    u = 0.5 * (nodes + 1.0)
-    om2 = chart.omega(q + u[:, None] * (p - q)) ** 2
-    ibar = 0.5 * float(weights @ om2)
-    return ibar / (TWO_PI * chart.omega(p) * chart.omega(q))
+    chords = q + _CHORD_U[:, None] * (p - q)[..., None, :]
+    ibar = 0.5 * (chart.omega(chords) ** 2 @ _CHORD_WEIGHTS)
+    k = ibar / (TWO_PI * chart.omega(p) * chart.omega(q))
+    return float(k) if p.ndim == 1 else k
 
 
 # -- parallel frames -------------------------------------------------------
@@ -573,8 +502,8 @@ class ParallelFrames:
     """Parallel-transported NP frame along a geodesic.
 
     l, n (real) and m (complex) hold chart components per sample; o and
-    iota are the spin basis of the orthonormal-frame components (for a
-    conformal chart the vierbein is omega times the identity), with the
+    iota are the spin basis of the orthonormal-frame components (the
+    vierbein of omega^2 eta is omega times the identity), with the
     overall sign fixed by continuity from the previous sample.
     """
 
@@ -588,10 +517,10 @@ class ParallelFrames:
     def product_drift(self) -> float:
         """Max drift of g(l, n) - 1, g(m, mbar) + 1, g(l, l) and g(n, n).
 
-        The chart is conformal, g = omega^2 eta, so the four products at
-        every sample come from one batched matrix product.
+        With g = omega^2 eta the four products at every sample come from
+        one batched matrix product.
         """
-        g = self.path.chart.omega(self.path.x)[:, None, None] ** 2 * ETA
+        g = self.path.chart.metric(self.path.x)
         legs = np.stack([self.l, self.m, self.l, self.n])[:, :, None, :]
         duals = np.stack([self.n, self.m.conj(), self.l, self.n])[..., None]
         products = (legs @ g @ duals)[..., 0, 0].real
@@ -614,9 +543,6 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
     if abs(frame.l @ g0 @ frame.n - 1.0) > 1e-8:
         raise ValueError("input frame is not normalized in the chart metric "
                          f"(g(l, n) = {frame.l @ g0 @ frame.n})")
-    if chart.omega is None:
-        raise ValueError("spin-basis extraction needs a conformal chart "
-                         "(vierbein = omega * identity)")
     # legs as a real (4, 4) block: l, n, Re m, Im m
     legs = np.vstack([frame.l.real.astype(float), frame.n.real.astype(float),
                       frame.m.real.astype(float), frame.m.imag.astype(float)])

@@ -476,6 +476,26 @@ def test_converge_cap_unusable_at_a_level_exits_2_naming_it(tmp_path, capsys):
     assert "quadrature.cap" in err and "levels[1]" in err
 
 
+# The error estimate of analytic data reruns at half resolution; an
+# n_theta = 8 grid keeps a ring under cap 2.74 and its n_theta = 4 half
+# none, a 64 grid one under cap 3.08 and its 32 half none.
+def test_reconstruct_cap_unusable_at_the_half_grid_exits_2_naming_it(tmp_path, capsys):
+    cfg = _rec_config(quadrature={"n_theta": 8, "n_phi": 16,
+                                  "chart_mode": "single+cap", "cap": 2.74})
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "quadrature.cap" in err and "n_theta = 4" in err and "half grid" in err
+
+
+def test_converge_cap_unusable_at_a_levels_half_grid_exits_2_naming_it(tmp_path, capsys):
+    cfg = {**_CONVERGE, "levels": [[64, 128]],
+           "quadrature": {"chart_mode": "single+cap", "cap": 3.08}}
+    assert _run("converge", _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "quadrature.cap" in err and "n_theta = 32" in err
+    assert "half grid of levels[0]" in err
+
+
 def test_converge_cap_usable_at_every_level_runs(tmp_path):
     # unusable at the block's default n_theta 24, which converge never builds
     cfg = {**_CONVERGE, "levels": [[64, 128]],

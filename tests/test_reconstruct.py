@@ -417,17 +417,6 @@ def test_curved_domain_errors():
         rec.reconstruct_curved_singular(small, p0_off, data, 2, q_off, spec)
 
 
-def test_curved_requires_conformal_chart():
-    from conerec.transport import CurvedChart
-    data = _curved_setup()
-    bare = CurvedChart(metric=lambda x: np.diag([1.0, -1.0, -1.0, -1.0]),
-                       lo=-10 * np.ones(4), hi=10 * np.ones(4))
-    with pytest.raises(ValueError, match="conformally flat"):
-        rec.reconstruct_curved_singular(bare, P0, data, 2,
-                                        np.array([1.0, 0.0, 0.0, 0.0]),
-                                        QuadratureSpec(16, 32))
-
-
 def test_curved_kind_and_valence_guards():
     from conerec.transport import make_chart
     chart = make_chart("flat")

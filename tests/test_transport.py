@@ -10,6 +10,7 @@ from conerec import transport as tr
 from conerec.cone import spin_basis_field
 from conerec.errors import GeometryError
 from conerec.frames import NPFrame, frame_from_spin_basis
+from conerec.spinor import ETA, central_partials, richardson
 
 P = np.array([0.2, 0.1, -0.3, 0.4])
 OMEGA_DIR = np.array([1.0, 0.3, 0.5, math.sqrt(1.0 - 0.34)])
@@ -54,8 +55,24 @@ def test_registry_conformal_chart():
     chart = tr.make_chart("conformal", eps=1e-2, profile="gaussian", width=2.0)
     g = chart.metric(np.zeros(4))
     assert abs(g[0, 0] - (1.0 + 1e-2) ** 2) < 1e-15
-    tr.check_signature(chart, np.array([[0.0, 0.0, 0.0, 0.0],
-                                        [1.0, 2.0, 3.0, -4.0]]))
+    assert np.array_equal(g, g[0, 0] * ETA)
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+@pytest.mark.parametrize("eps", [0.999, -0.999])
+def test_conformal_factor_stays_positive_and_metric_lorentzian(profile, eps):
+    # |f| <= 1 on both profiles, so omega = 1 + eps f >= 1 - |eps| and
+    # g = omega^2 eta has signature (+, -, -, -) on the whole box
+    rng = np.random.default_rng(11)
+    for width, center in [(0.3, (0.0, 0.0, 0.0, 0.0)), (2.0, (1.0, -2.0, 0.5, 3.0)),
+                          (7.0, (-4.0, 4.0, -4.0, 4.0))]:
+        chart = tr.make_chart("conformal", eps=eps, profile=profile, width=width,
+                              center=center)
+        x = np.vstack([np.array(center), rng.uniform(chart.lo, chart.hi, (200, 4))])
+        om = chart.omega(x)
+        assert np.all(om >= 1.0 - abs(eps) - 1e-15) and np.all(om > 0.0)
+        assert np.array_equal(chart.metric(x), om[:, None, None] ** 2 * ETA)
+        assert chart.metric(x[0]).shape == (4, 4)
 
 
 def test_registry_rejects_unknown_names():
@@ -67,21 +84,23 @@ def test_registry_rejects_unknown_names():
         tr.make_chart("conformal", eps=1.5)
 
 
-def test_signature_check_rejects_euclidean_patch():
-    bad = tr.CurvedChart(metric=lambda x: np.diag([1.0, 1.0, -1.0, -1.0]),
-                         lo=-np.ones(4), hi=np.ones(4))
-    with pytest.raises(ValueError, match="signature"):
-        tr.check_signature(bad, np.zeros(4))
+def _christoffel_fd(metric, x, h):
+    """Gamma^a_{bc} from Richardson central differences of the metric, O(h^4)."""
+    dg = richardson(lambda step: central_partials(metric, x, step), 2.0 * h)
+    # Gamma_{dbc} = (g_{db,c} + g_{dc,b} - g_{bc,d}) / 2
+    low = 0.5 * (np.einsum("cdb->dbc", dg) + np.einsum("bdc->dbc", dg) - dg)
+    return np.einsum("ad,dbc->abc", np.linalg.inv(metric(x)), low)
 
 
 def test_christoffel_fd_matches_analytic_conformal():
-    chart = tr.make_chart("conformal", eps=1e-2, profile="sine", width=1.5)
     x = np.array([0.3, -0.6, 0.2, 0.9])
-    fd = tr.christoffel_fd(chart.metric, x, 1e-5)
-    exact = chart.connection(x)
-    assert np.max(np.abs(fd - exact)) < 1e-9
-    assert np.max(np.abs(exact - np.swapaxes(exact, 1, 2))) == 0.0
-    assert np.max(np.abs(fd - np.swapaxes(fd, 1, 2))) < 1e-12
+    for profile in ("gaussian", "sine"):
+        chart = tr.make_chart("conformal", eps=1e-2, profile=profile, width=1.5)
+        fd = _christoffel_fd(chart.metric, x, 1e-5)
+        exact = chart.connection(x)
+        assert np.max(np.abs(fd - exact)) < 1e-9
+        assert np.max(np.abs(exact - np.swapaxes(exact, 1, 2))) == 0.0
+        assert np.max(np.abs(fd - np.swapaxes(fd, 1, 2))) < 1e-12
 
 
 # -- geodesics --------------------------------------------------------------
@@ -199,21 +218,16 @@ def test_batched_flat_shoot_exact_on_every_row():
 @pytest.mark.parametrize("profile", ["gaussian", "sine"])
 def test_batched_shoot_rows_match_geodesic_shoot(profile):
     chart = tr.make_chart("conformal", eps=1e-2, profile=profile)
-    # the same metric given by callbacks: its shoots contract the connection
-    custom = tr.CurvedChart(metric=chart.metric, lo=chart.lo, hi=chart.hi,
-                            christoffel=chart.christoffel)
     ps, vs = _rows(4)
     rows = tr.geodesic_shoot(chart, ps, vs, 1.7, steps=96)
-    custom_rows = tr.geodesic_shoot(custom, ps, vs, 1.7, steps=96)
     for i in range(4):
         path = tr.geodesic_shoot(chart, ps[i], vs[i], 1.7, steps=96)
         assert np.max(np.abs(rows.x[:, i] - path.x)) < 1e-15
         assert np.max(np.abs(rows.v[:, i] - path.v)) < 1e-15
-        custom_path = tr.geodesic_shoot(custom, ps[i], vs[i], 1.7, steps=96)
-        assert np.max(np.abs(custom_rows.x[:, i] - custom_path.x)) < 1e-15
-        # closed-form acceleration against -Gamma(u, u)
-        assert np.max(np.abs(custom_path.x[-1] - path.x[-1])) < 1e-12
-        assert np.max(np.abs(custom_path.v[-1] - path.v[-1])) < 1e-12
+    # closed-form acceleration against -Gamma(u, u), contracted row by row
+    accel = tr._acceleration(chart, ps, vs)
+    contracted = [-(chart.connection(x) @ u @ u) for x, u in zip(ps, vs)]
+    assert np.max(np.abs(accel - contracted)) < 1e-16
 
 
 def test_batched_shoot_box_exit_status_per_row():
@@ -271,17 +285,6 @@ def test_connect_failure_names_the_pair():
     with pytest.raises(GeometryError, match=r"\(pair 1\) did not converge "
                                             r"\(residual [0-9.]+e-0\d\)"):
         tr._connect(chart, FAST_SLOW_P, FAST_SLOW_Q, max_iter=3)
-
-
-def test_custom_chart_shoots_row_by_row():
-    conformal = tr.make_chart("conformal", eps=1e-2)
-    custom = tr.CurvedChart(metric=conformal.metric, lo=conformal.lo,
-                            hi=conformal.hi, christoffel=conformal.christoffel)
-    ps, vs = _rows(3)
-    qs = ps + vs
-    got = tr.world_function(custom, ps, qs, steps=24)
-    want = tr.world_function(conformal, ps, qs, steps=24)
-    assert np.max(np.abs(got - want)) < 1e-12
 
 
 # -- null connection and world function -------------------------------------
@@ -384,18 +387,11 @@ def test_transport_k_matches_conformal_closed_form():
     assert abs(k[-1] - kcf) < 0.05 * dev
 
 
-def test_transport_k_mixed_hessian_on_sheared_flat_chart(monkeypatch):
-    # Minkowski in sheared coordinates: a constant metric whose inverse has
-    # off-diagonal entries (0, 1) and (2, 3), so box W has mixed Hessian
-    # terms; box W = 8 and k stays 1/(2 pi).  box W is closed-form on the
-    # Jacobi propagator, so no world function is evaluated
-    shear = np.eye(4)
-    shear[1, 0], shear[2, 3] = 0.3, -0.2
-    g = shear.T @ np.diag([1.0, -1.0, -1.0, -1.0]) @ shear
-    chart = tr.CurvedChart(metric=lambda x: g, lo=np.full(4, -10.0),
-                           hi=np.full(4, 10.0),
-                           christoffel=lambda x: np.zeros((4, 4, 4)))
-    q = P + 1.3 * np.linalg.solve(shear, OMEGA_DIR)
+def test_transport_k_evaluates_no_world_function(monkeypatch):
+    # box W is closed-form on the Jacobi propagator, so no world function
+    # is evaluated; on the flat chart box W = 8 and k stays 1/(2 pi)
+    chart = tr.make_chart("flat")
+    q = P + 1.3 * OMEGA_DIR
     calls = []
 
     def recording(*args, **kwargs):
@@ -424,11 +420,9 @@ def _ray_propagator(chart, length=1.1):
 def test_connection_grad_matches_differenced_connection(profile):
     chart = tr.make_chart("conformal", eps=1e-2, profile=profile, width=1.5,
                           center=(0.1, 0.2, -0.1, 0.3))
-    differenced = tr.CurvedChart(metric=chart.metric, lo=chart.lo, hi=chart.hi,
-                                 christoffel=chart.christoffel)
     x = np.array([0.3, -0.6, 0.2, 0.9])
-    assert np.max(np.abs(chart.connection_grad(x)
-                         - differenced.connection_grad(x))) < 1e-12
+    differenced = richardson(lambda h: central_partials(chart.connection, x, h), 2e-3)
+    assert np.max(np.abs(chart.connection_grad(x) - differenced)) < 1e-12
     rows = np.vstack([x, -x, 0.5 * x])
     assert np.max(np.abs(chart.connection_grad(rows)[1]
                          - chart.connection_grad(-x))) < 1e-16
@@ -525,10 +519,8 @@ def test_seeded_van_vleck_equals_unseeded(profile):
 def test_transport_k_rejects_a_non_finite_propagator():
     # a flat connection connects in one shoot; a NaN connection gradient
     # leaves only the propagator's X and U blocks, and so box W, non-finite
-    flat = tr.make_chart("flat")
-    chart = tr.CurvedChart(metric=flat.metric, lo=flat.lo, hi=flat.hi,
-                           christoffel=flat.christoffel,
-                           christoffel_grad=lambda x: np.full((4, 4, 4, 4), np.nan))
+    chart = tr.make_chart("flat")
+    chart.connection_grad = lambda x: np.full((4, 4, 4, 4), np.nan)
     q = P + 1.3 * OMEGA_DIR
     prop = tr.null_connect(chart, q, P).path
     assert np.isnan(prop.jacobi[-1]).all() and prop.work["shoots"] == 1
@@ -537,11 +529,11 @@ def test_transport_k_rejects_a_non_finite_propagator():
 
 
 def test_non_finite_metric_is_not_reported_as_leaving_the_chart():
-    # NaN from the metric makes the geodesic state NaN, and a NaN position
-    # fails the box test; the error must name the non-finite state
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    chart = tr.CurvedChart(metric=lambda x: eta * np.nan if x[1] > 0.5 else eta,
-                           lo=np.full(4, -2.0), hi=np.full(4, 2.0))
+    # NaN from the metric's log-gradient past x^1 = 0.5 makes the geodesic
+    # state NaN, and a NaN position fails the box test; the error must name
+    # the non-finite state
+    chart = tr.make_chart("flat", halfwidth=2.0)
+    chart.grad_ln_omega = lambda x: np.where(x[..., 1:2] > 0.5, np.nan, 0.0) * np.ones(4)
     v = np.array([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(GeometryError, match="reached a non-finite state") as err:
         tr.geodesic_shoot(chart, P, v, s_end=1.0, steps=20)
@@ -558,20 +550,6 @@ def test_singular_jacobi_propagator_is_a_geometry_error():
         tr.transport_k(chart, q, P, steps=1, propagator=prop)
     with pytest.raises(GeometryError, match="conjugate point"):
         tr.world_function(chart, q, P, near=prop)
-
-
-def test_world_function_on_a_metric_only_chart_converges():
-    # Christoffels differenced from the metric callback alone must be
-    # accurate enough for the 1e-13 connect stop at unit separations
-    analytic = tr.make_chart("conformal", eps=1e-2)
-    metric_only = tr.CurvedChart(metric=analytic.metric, lo=analytic.lo,
-                                 hi=analytic.hi)
-    p = np.array([0.1, 0.2, -0.1, 0.3])
-    d = np.array([0.3, 0.5, 0.8]) / math.sqrt(0.98)
-    for length in (0.3, 1.0, 1.6):
-        q = p + length * np.concatenate([[1.2], d])
-        got = tr.world_function(metric_only, p, q)
-        assert abs(got - tr.world_function(analytic, p, q)) < 1e-12
 
 
 def test_van_vleck_cross_checks_closed_form():
@@ -595,6 +573,16 @@ def test_conformal_k_flat_chart_and_symmetry():
     chart = tr.make_chart("conformal", eps=1e-2)
     assert abs(tr.conformal_k(chart, q, P)
                - tr.conformal_k(chart, P, q)) < 1e-15
+
+
+def test_conformal_k_rows_equal_per_point_calls():
+    chart = tr.make_chart("conformal", eps=0.3, profile="sine", width=1.0)
+    q = P + 1.3 * OMEGA_DIR
+    ps = P + np.random.default_rng(5).uniform(-0.5, 0.5, (6, 4))
+    rows = tr.conformal_k(chart, q, ps)
+    assert rows.shape == (6,)
+    assert isinstance(tr.conformal_k(chart, q, ps[0]), float)
+    assert np.max(np.abs(rows - [tr.conformal_k(chart, q, p) for p in ps])) < 1e-15
 
 
 # -- parallel frames ----------------------------------------------------------
