@@ -329,9 +329,9 @@ def _write_json(path, command, cfg, payload):
            "meta": {"generated_at": _timestamp()}, **payload}
     found = []
     doc = _nulled(doc, "output", found)
+    # json.dumps, not json.dump, so the C encoder writes the document
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
     if found:
         print(f"non-finite result written as null at {found[0][0]}", file=sys.stderr)
     return bool(found)
@@ -493,6 +493,7 @@ def cmd_curved_transport(v, out, seed):
     worst_spread = 0.0
     for i, ray in enumerate(v["rays"]):
         p, d, t = ray["p"], ray["direction"], ray["t"]
+        d = d / np.max(np.abs(d))    # so the norm of a tiny direction cannot underflow
         q = p + t * np.concatenate([[1.0], d / np.linalg.norm(d)])
         try:
             chart.require_inside(q, "endpoint")
@@ -511,11 +512,10 @@ def cmd_curved_transport(v, out, seed):
                                              propagator=conn.path, work=work["van_vleck"])
                 rec["k_van_vleck"] = k_vv
                 ks.append(k_vv)
-            stages = list(work.values())
             rec["diagnostics"] = {
                 **work,
-                "worst_connect_residual": max(w["worst_connect_residual"] for w in stages),
-                "world_function_calls": sum(w.get("world_function_calls", 0) for w in stages)}
+                "world_function_calls": sum(w.get("world_function_calls", 0)
+                                            for w in work.values())}
             rec["flat_deviation"] = abs(2.0 * math.pi * k_closed - 1.0)
             rec["route_spread"] = max(ks) - min(ks)
             worst_spread = max(worst_spread, rec["route_spread"])

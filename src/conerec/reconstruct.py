@@ -238,9 +238,9 @@ def _curved_components(chart, p0, data: ConeData, n: int, q,
     the canonical one so l = o obar holds in orthonormal components;
     its r0-dependence adds -(n/2) dln(omega)/dr0 phi_0 to the radial
     derivative of the phi_0 scalar.  Both chord averages of omega^2, along
-    the generator from p0 and from q, are conformal_k's.
+    the generator from p0 and from q, are transport's _chord_mean.
     """
-    from .transport import conformal_k   # here, so flat-only runs never load transport
+    from .transport import _chord_mean   # here, so flat-only runs never load transport
     section = build_section(p0, q, spec.grid())
     inside = chart.contains(section.p)
     if not np.all(inside):
@@ -257,11 +257,11 @@ def _curved_components(chart, p0, data: ConeData, n: int, q,
 
     # curved affine label of the section along each generator: ell times
     # the chord average of omega^2 from p0, over omega(p0)^2
-    r0_star = ell * (2.0 * math.pi * om_p / om0) * conformal_k(chart, p0, section.p)
+    r0_star = ell * _chord_mean(chart, p0, section.p) / om0 ** 2
 
     # chord average of omega^2 from q: van Vleck square root numerator
-    k = conformal_k(chart, q, section.p)
-    ibar = 2.0 * math.pi * om_p * omq * k
+    ibar = _chord_mean(chart, q, section.p)
+    k = ibar / (2.0 * math.pi * om_p * omq)
 
     r = section.r * ibar * om0 ** 2 / om_p ** 2
     grads = chart.grad_ln_omega(section.p)

@@ -7,8 +7,9 @@ is Lorentzian everywhere, and the factor, its log-gradient, the metric,
 the connection and its gradient are all closed form.  On an RK4
 geodesic integrator that can also carry the geodesic-deviation
 equations (the Jacobi propagator) this module builds the two-point
-machinery the curved reconstructor consumes: null connection by
-Newton's method on that propagator, the world function with the
+machinery the curved reconstructor consumes: null connection in
+closed form (the straight chord, its affine parameter from the chord
+average of omega^2), the world function with the
 [0, 1] affine convention (its flat value is the coordinate interval),
 the transport coefficient k obtained by integrating
 
@@ -56,7 +57,7 @@ _DERIVATIVE_ORDERS = (0, np.eye(4, dtype=int),
 # and the Hessian of ln omega in place of w gives partial_d Gamma^a_{bc}
 _CONFORMAL_GAMMA = (np.einsum("ab,cd->dabc", _EYE, _EYE) + np.einsum("ac,bd->dabc", _EYE, _EYE)
                     - np.einsum("bc,ad->dabc", ETA, ETA)).reshape(4, 64)
-# Gauss-Legendre rule of conformal_k's chord average, nodes mapped to [0, 1]
+# Gauss-Legendre rule of _chord_mean, nodes mapped to [0, 1]
 _CHORD_NODES, _CHORD_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CHORD_U = 0.5 * (_CHORD_NODES + 1.0)
 
@@ -241,12 +242,6 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
     return GeodesicPath(np.linspace(0.0, s_end, steps + 1), *samples[:2], chart, *samples[2:])
 
 
-def _work(shoots: int, steps: int, residual: float) -> dict:
-    """Counts of a connect that makes one (batched) shoot per iteration."""
-    return {"connect_iterations": shoots, "shoots": shoots, "kernel_steps": shoots * steps,
-            "worst_connect_residual": residual}
-
-
 def _connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS, max_iter: int = 60,
              v=None, chord=None):
     """[0, 1]-affine initial velocities of the geodesics from p to q.
@@ -277,7 +272,8 @@ def _connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS, max_iter: int =
         going = ~(rn <= 1e-13 * scale[live])
         live, res = live[going], res[going]
         if not live.size:
-            return v, _work(it, steps, float(np.max(prev)))
+            return v, {"connect_iterations": it, "shoots": it, "kernel_steps": it * steps,
+                       "worst_connect_residual": float(np.max(prev))}
         v[live] -= res if chord is None else res @ chord.T
     i = live[0]
     raise GeometryError(f"geodesic connection {p[i]} -> {q[i]} (pair {i}) did not "
@@ -335,7 +331,7 @@ def _solve_xv(jacobi, rhs) -> np.ndarray:
 
 class NullConnection(tuple):
     """null_connect's (v, t); path is the connecting geodesic's Jacobi
-    propagator, the Newton connect's work counts in path.work."""
+    propagator, its shoot's work counts in path.work."""
 
     def __new__(cls, v, t, path):
         pair = super().__new__(cls, (v, t))
@@ -346,41 +342,32 @@ class NullConnection(tuple):
 def null_connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS) -> NullConnection:
     """Null geodesic from p to q: initial velocity v (v^0 = 1) and affine t.
 
-    geodesic_shoot(chart, p, v, t) lands on q.  Newton's method: each
-    iterate is one [0, 1] Jacobi-propagator shoot, stepping
-    v <- v - X_v^{-1} (x(1) - q), with _connect's stop and step halving;
-    the last shoot is the returned NullConnection's path.
-    Raises GeometryError when the connecting geodesic is not null
-    (spacelike or timelike separation) or no connection exists inside
-    the chart.
+    geodesic_shoot(chart, p, v, t) lands on q.  On g = omega^2 eta the
+    null geodesic is the straight chord p + sigma (q - p), and its affine
+    parameter grows as the integral of omega^2 d sigma, so the [0, 1]
+    velocity is (q - p) I(p, q) / omega(p)^2 with I the chord average of
+    omega^2.  One Jacobi-propagator shoot with that velocity is the
+    returned NullConnection's path; its work counts report the RK4
+    landing error max|x(1) - q|.  Raises GeometryError when p and q are
+    not null-separated (whether they are does not depend on omega) or
+    the shoot leaves the chart.
     """
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
-    scale = max(1.0, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
-    v01, prev = q - p, math.inf
-    for it in range(1, 21):
-        path = geodesic_shoot(chart, p, v01, 1.0, steps, jacobi=True)
-        res = path.x[-1] - q
-        rn = float(np.max(np.abs(res)))
-        if rn <= 1e-13 * scale:
-            break
-        res *= 0.5 if rn > 0.9 * prev else 1.0
-        prev = rn
-        v01 = v01 - _solve_xv(path.jacobi[-1], res)
-    else:
-        raise GeometryError(f"geodesic connection {p} -> {q} did not converge "
-                            f"(residual {prev:.2e})")
-    path.work = _work(it, steps, rn)
-    gam = float(v01 @ chart.metric(p) @ v01)
-    scale = max(float(np.max(np.abs(q - p))), 1e-30) ** 2
-    if abs(gam) > 1e-8 * scale:
+    d = q - p
+    gam = float((d * d) @ _ETA_SIGN)
+    if abs(gam) > 1e-8 * float(np.max(np.abs(d))) ** 2:
         kind = "timelike" if gam > 0 else "spacelike"
         raise GeometryError(f"p and q are {kind}-separated "
-                            f"(world function {gam:.3e}); no null geodesic")
+                            f"(coordinate interval {gam:.3e}); no null geodesic")
+    v01 = d * (_chord_mean(chart, p, q) / chart.omega(p) ** 2)
     t = float(v01[0])
     if t == 0.0:
         raise GeometryError("degenerate null direction (vanishing chart-time "
                             "component)")
+    path = geodesic_shoot(chart, p, v01, 1.0, steps, jacobi=True)
+    path.work = {"shoots": 1, "kernel_steps": steps,
+                 "landing_error": float(np.max(np.abs(path.x[-1] - q)))}
     return NullConnection(v01 / t, t, path)
 
 
@@ -474,6 +461,15 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
     return math.sqrt(delta) / TWO_PI
 
 
+def _chord_mean(chart: CurvedChart, a, b):
+    """I(a, b) = int_0^1 omega^2(a + u (b - a)) du, the chord average of
+    omega^2 from the point a to b, a point (a float) or (B, 4) rows (a
+    (B,) array); a 32-node Gauss-Legendre sum."""
+    a = np.asarray(a, dtype=float).reshape(4)
+    chords = a + _CHORD_U[:, None] * (np.asarray(b, dtype=float) - a)[..., None, :]
+    return 0.5 * (chart.omega(chords) ** 2 @ _CHORD_WEIGHTS)
+
+
 def conformal_k(chart: CurvedChart, q, p):
     """Closed form of k from q to p, a point (a float) or (B, 4) rows.
 
@@ -481,17 +477,14 @@ def conformal_k(chart: CurvedChart, q, p):
     root is the chord average of omega^2 divided by the endpoint
     factors,
 
-        sqrt(Delta) = (int_0^1 omega^2(q + u (p - q)) du) / (omega_p omega_q),
+        sqrt(Delta) = I(q, p) / (omega_p omega_q),
 
     which the transport ODE and the mixed-Hessian determinant both
-    reproduce; it is exact, symmetric, and 1 on the flat chart.  The
-    chord average is a 32-node Gauss-Legendre sum.
+    reproduce; it is exact, symmetric, and 1 on the flat chart.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float).reshape(4)
-    chords = q + _CHORD_U[:, None] * (p - q)[..., None, :]
-    ibar = 0.5 * (chart.omega(chords) ** 2 @ _CHORD_WEIGHTS)
-    k = ibar / (TWO_PI * chart.omega(p) * chart.omega(q))
+    k = _chord_mean(chart, q, p) / (TWO_PI * chart.omega(p) * chart.omega(q))
     return float(k) if p.ndim == 1 else k
 
 
@@ -558,8 +551,7 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
     path = GeodesicPath(np.linspace(0.0, s_end, steps + 1), xs, vs, chart)
     os = np.empty((steps + 1, 2), dtype=complex)
     iotas = np.empty((steps + 1, 2), dtype=complex)
-    for i in range(steps + 1):
-        om = chart.omega(xs[i])
+    for i, om in enumerate(chart.omega(xs)):
         o_i, iota_i = spin_basis_from_tetrad(om * ls[i], om * ns[i], om * ms[i])
         if i > 0 and (np.vdot(os[i - 1], o_i)).real < 0.0:
             o_i, iota_i = -o_i, -iota_i

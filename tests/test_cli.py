@@ -786,14 +786,29 @@ def test_curved_transport_work_counters_repeat(tmp_path):
         outs.append(_strip_stamp(out))
     assert outs[0] == outs[1]
     diag = json.loads(outs[0])["records"][0]["diagnostics"]
-    for stage in ("null_connect", "van_vleck"):
-        work = diag[stage]
-        assert work["shoots"] == work["connect_iterations"] >= 1
-        assert work["kernel_steps"] == 48 * work["shoots"]
-        assert 0.0 <= work["worst_connect_residual"] < 1e-12
+    connect = diag["null_connect"]
+    assert sorted(connect) == ["kernel_steps", "landing_error", "shoots"]
+    assert connect["shoots"] == 1 and connect["kernel_steps"] == 48
+    assert 0.0 <= connect["landing_error"] < 1e-11
+    work = diag["van_vleck"]
+    assert work["shoots"] == work["connect_iterations"] >= 1
+    assert work["kernel_steps"] == 48 * work["shoots"]
+    assert 0.0 <= work["worst_connect_residual"] < 1e-12
     assert diag["world_function_calls"] == 1
-    assert diag["worst_connect_residual"] == max(diag["null_connect"]["worst_connect_residual"],
-                                                 diag["van_vleck"]["worst_connect_residual"])
+    assert "worst_connect_residual" not in diag
+
+
+@pytest.mark.parametrize("tiny", [1e-170, 1e-320])
+def test_curved_transport_tiny_direction_is_a_direction(tmp_path, tiny):
+    # the norm of a tiny direction underflows unless it is scaled first
+    records = []
+    for tag, direction in (("unit", [1, 0, 0]), ("tiny", [tiny, 0, 0])):
+        out = tmp_path / f"{tag}.json"
+        cfg = _transport_config(rays=[{"p": [0, 0, 0, 0], "direction": direction,
+                                       "t": 1.2}])
+        assert _run("curved-transport", _write(tmp_path, "c.json", cfg), out) == 0
+        records.append(json.loads(out.read_text())["records"])
+    assert records[0] == records[1]
 
 
 def test_curved_transport_reports_k_steps_nodes(tmp_path):

@@ -431,7 +431,8 @@ def test_connection_grad_matches_differenced_connection(profile):
 def test_jacobi_propagator_matches_differenced_shoots():
     chart = tr.make_chart("conformal", eps=1e-2)
     q, prop = _ray_propagator(chart)
-    assert np.max(np.abs(prop.x[-1] - WORKLOAD_P)) < 1e-13
+    fine = tr.geodesic_shoot(chart, q, prop.v[0], 1.0, 800).x[-1]
+    assert np.max(np.abs(fine - WORKLOAD_P)) < 1e-13
     v0, h = prop.v[0], 1e-6
     step = h * np.eye(4)
 
@@ -491,15 +492,37 @@ def test_transport_k_connects_when_given_no_propagator():
     assert np.max(np.abs(own - given)) < 1e-14
 
 
-def test_null_connect_propagator_carries_newton_work():
+def test_null_connect_propagator_carries_one_shoot_work(monkeypatch):
     chart = tr.make_chart("conformal", eps=1e-2)
+    shoot, steps = tr.kernels.shoot_endpoint, []
+
+    def counting(rhs, contains, y, s_end, n):
+        steps.append(n)
+        return shoot(rhs, contains, y, s_end, n)
+
+    monkeypatch.setattr(tr.kernels, "shoot_endpoint", counting)
     q, prop = _ray_propagator(chart)
-    work = prop.work
-    assert work["connect_iterations"] == work["shoots"] == 3
-    assert work["kernel_steps"] == 3 * tr.SHOOT_STEPS
-    assert work["worst_connect_residual"] <= 1e-13 * np.max(np.abs(q))
+    assert steps == [tr.SHOOT_STEPS]
+    landing = np.max(np.abs(prop.x[-1] - WORKLOAD_P))
+    assert prop.work == {"shoots": 1, "kernel_steps": tr.SHOOT_STEPS,
+                         "landing_error": landing}
+    assert landing < 1e-11
     v, t = tr.null_connect(chart, q, WORKLOAD_P)
     assert np.max(np.abs(v * t - prop.v[0])) < 1e-15
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+@pytest.mark.parametrize("eps", [1e-2, 0.3])
+def test_null_connect_closed_form_matches_fine_connect(profile, eps):
+    # the chord velocity is the [0, 1] geodesic's: a fine fixed-point
+    # connect finds the same one, and a fine shoot from it lands on target
+    chart = tr.make_chart("conformal", eps=eps, profile=profile)
+    q, prop = _ray_propagator(chart)
+    v0 = prop.v[0]
+    fine, _ = tr._connect(chart, q[None], WORKLOAD_P[None], steps=400)
+    assert np.max(np.abs(v0 - fine[0])) < 1e-13
+    landed = tr.geodesic_shoot(chart, q, v0, 1.0, 800).x[-1]
+    assert np.max(np.abs(landed - WORKLOAD_P)) < 1e-13
 
 
 @pytest.mark.parametrize("profile", ["gaussian", "sine"])
