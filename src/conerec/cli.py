@@ -31,7 +31,7 @@ import sys
 from collections import namedtuple
 from datetime import datetime, timezone
 
-from .errors import ArgumentError, CoverageError, GeometryError
+from .errors import CoverageError, GeometryError
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -131,21 +131,11 @@ def _check(ok, must, convert=None):
 
 def _built(build, values, what, at=""):
     """build(**values), a ValueError of build a config error naming the
-    block `what` and then `at`.  An ArgumentError names one of build's
-    arguments, which are the block's keys, so it is named as what.key."""
+    block `what` and then `at`."""
     try:
         return build(**values)
-    except ArgumentError as exc:
-        raise ConfigError(f"{what}.{exc}{at}")
     except ValueError as exc:
         raise ConfigError(f"bad {what}{at}: {exc}")
-
-
-def _with_estimate_grid(spec, at=""):
-    """spec, once the half-resolution grid of its error estimate proves
-    usable: a cap can keep a ring at n_theta but none at n_theta / 2."""
-    _built(spec.halved, {}, "quadrature", f", the error estimate's half grid{at}")
-    return spec
 
 
 def _block(table, build=dict):
@@ -232,7 +222,6 @@ def _late(module, name):
 
 _as_point = _vector(4)
 _QUADRATURE = {"n_theta": _Key(_count(_MAX_GRID), 24), "n_phi": _Key(_count(_MAX_GRID), 48),
-               "chart_mode": _Key(_as_given), "cap": _Key(_as_finite),
                "radial_fd": _Key(_as_given), "fd_step": _Key(_as_positive),
                "rho_variant": _Key(_as_given)}
 _CHART = {"name": _Key(_as_given, "flat"), "eps": _Key(_as_finite),
@@ -369,8 +358,6 @@ def cmd_reconstruct(v, out, seed):
     if chart is not None and kind != "spin":
         raise ConfigError("the curved evaluator handles spin data only")
     data, oracle = _cone_data(v["data"], p0, valence)
-    if data.is_analytic:
-        _with_estimate_grid(spec)
     records, failures = [], 0
     for i, q in enumerate(v["q"]):
         try:
@@ -444,11 +431,9 @@ _CONVERGE = {**_MAIN, "p0": _POINT, "q": _POINT, "kind": _KIND, "valence": _VALE
 def cmd_converge(v, out, seed):
     from .reconstruct import QuadratureSpec, convergence_study
     p0, q, tol = v["p0"], v["q"], v.get("tolerance")
-    specs = []
-    for i, (nt, nph) in enumerate(v["levels"]):
-        spec = _built(QuadratureSpec, {**v["quadrature"], "n_theta": nt, "n_phi": nph},
-                      "quadrature", f" at levels[{i}]")
-        specs.append(_with_estimate_grid(spec, f" of levels[{i}]"))
+    specs = [_built(QuadratureSpec, {**v["quadrature"], "n_theta": nt, "n_phi": nph},
+                    "quadrature", f" at levels[{i}]")
+             for i, (nt, nph) in enumerate(v["levels"])]
     data, oracle = _cone_data(v["data"], p0, v["valence"])
     if oracle is None:
         raise ConfigError("converge needs a named data family as oracle")
@@ -494,7 +479,13 @@ def cmd_curved_transport(v, out, seed):
     for i, ray in enumerate(v["rays"]):
         p, d, t = ray["p"], ray["direction"], ray["t"]
         d = d / np.max(np.abs(d))    # so the norm of a tiny direction cannot underflow
-        q = p + t * np.concatenate([[1.0], d / np.linalg.norm(d)])
+        chord = t * np.concatenate([[1.0], d / np.linalg.norm(d)])
+        q = p + chord
+        # q rounds at the scale of |p|: a chord lost in that rounding is not null
+        if np.max(np.abs((q - p) - chord)) > 1e-10 * abs(t):
+            raise ConfigError(f"rays[{i}].t = {t!r} is too short to resolve at the "
+                              f"magnitude of rays[{i}].p: q - p misses t (1, direction) "
+                              "by more than 1e-10 t")
         try:
             chart.require_inside(q, "endpoint")
             conn = transport.null_connect(chart, q, p)

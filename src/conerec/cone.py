@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, GeometryError
+from .errors import GeometryError
 from .frames import transversal_iota
 from .spinor import ETA, minkowski
 
@@ -32,79 +32,46 @@ TWO_QUART = 2.0 ** 0.25
 
 
 @functools.lru_cache(maxsize=16)
-def _rings(n_theta):
-    """Gauss-Legendre ring colatitudes, increasing from the north pole,
-    and their weights in cos(theta); read-only."""
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    order = np.argsort(-x)
-    rings = np.arccos(x[order]), w[order]
-    for arr in rings:
-        arr.flags.writeable = False
-    return rings
+def _grid_tables(n_theta, n_phi):
+    """Angle-only tables of one grid size, shared by every grid built with it.
 
-
-@functools.lru_cache(maxsize=16)
-def _grid_tables(n_theta, n_phi, chart_mode, cap):
-    """Angle-only tables of one grid key, shared by every grid built with it.
-
-    Returns the ring arrays (theta, w_theta, phi, keep, chart) and the
-    flattened node arrays over kept rings, ring-major (theta, phi,
-    weight, chart, omega, o).  All are read-only, so no caller can change
-    what the next grid of the same key sees.
+    Returns the ring arrays (theta, w_theta, phi, chart) and the flattened
+    node arrays, ring-major (theta, phi, weight, chart, omega, o).  The
+    Gauss-Legendre rings increase in colatitude from the north pole, and
+    the rings past the equator take chart B.  All arrays are read-only, so
+    no caller can change what the next grid of the same size sees.
     """
-    theta, w_theta = _rings(n_theta)
+    x, w_theta = np.polynomial.legendre.leggauss(n_theta)
+    order = np.argsort(-x)
+    theta, w_theta = np.arccos(x[order]), w_theta[order]
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    if chart_mode == "double":
-        keep = np.ones(n_theta, dtype=bool)
-        chart = (theta > math.pi / 2).astype(np.uint8)
-    else:
-        keep = theta < math.pi - cap
-        chart = np.zeros(n_theta, dtype=np.uint8)
-    th = np.repeat(theta[keep], n_phi)
-    ph = np.tile(phi, int(keep.sum()))
-    wt = np.repeat(w_theta[keep], n_phi) * (2.0 * math.pi / n_phi)
-    ch = np.repeat(chart[keep], n_phi)
+    chart = (theta > math.pi / 2).astype(np.uint8)
+    th = np.repeat(theta, n_phi)
+    ph = np.tile(phi, n_theta)
+    wt = np.repeat(w_theta, n_phi) * (2.0 * math.pi / n_phi)
+    ch = np.repeat(chart, n_phi)
     omega = unit_directions(th, ph)
     o, _ = spin_basis_field(th, ph, ch)
-    tables = (theta, w_theta, phi, keep, chart, th, ph, wt, ch, omega, o)
+    tables = (theta, w_theta, phi, chart, th, ph, wt, ch, omega, o)
     for arr in tables:
         arr.flags.writeable = False
     return tables
-
-
-def check_cap(n_theta, chart_mode, cap):
-    """Raise ArgumentError unless cap is a ring cut the grid can use: in
-    [0, pi), 0 under "double", and keeping at least the northernmost
-    ring under "single+cap"."""
-    if not 0.0 <= cap < math.pi:
-        raise ArgumentError("cap", f"must lie in [0, pi), got {cap!r}")
-    if chart_mode == "double" and cap != 0.0:
-        raise ArgumentError("cap", f"must be 0 with chart_mode 'double', got {cap!r}")
-    if not _rings(n_theta)[0][0] < math.pi - cap:
-        raise ArgumentError("cap", f"{cap!r} drops every ring of an n_theta = "
-                                   f"{n_theta} grid")
 
 
 @dataclass
 class SphereGrid:
     """Product quadrature grid: Gauss-Legendre in cos(theta) x trapezoid in phi.
 
-    chart_mode "double" assigns chart A to the northern rings and chart B
-    to the southern ones; "single+cap" uses chart A everywhere and drops
-    rings within `cap` radians of the south pole (see check_cap for the
-    caps accepted).  The arrays are shared
-    between grids of the same (n_theta, n_phi, chart_mode, cap) and are
-    read-only.
+    Chart A covers the northern rings and chart B the southern ones, so
+    the grid covers the whole sphere.  The arrays are shared between grids
+    of the same (n_theta, n_phi) and are read-only.
     """
 
     n_theta: int
     n_phi: int
-    chart_mode: str = "double"
-    cap: float = 0.0
     theta: np.ndarray = field(init=False)
     w_theta: np.ndarray = field(init=False)
     phi: np.ndarray = field(init=False)
-    keep: np.ndarray = field(init=False)     # ring mask (cap exclusion)
     chart: np.ndarray = field(init=False)    # 0 = chart A, 1 = chart B, per ring
     _nodes: tuple = field(init=False, repr=False, compare=False)
 
@@ -113,25 +80,18 @@ class SphereGrid:
             raise ValueError("n_phi must be even and at least 8")
         if self.n_theta < 4:
             raise ValueError("n_theta must be at least 4")
-        if self.chart_mode not in ("double", "single+cap"):
-            raise ValueError(f"unknown chart_mode {self.chart_mode!r}")
-        check_cap(self.n_theta, self.chart_mode, self.cap)
-        tables = _grid_tables(self.n_theta, self.n_phi, self.chart_mode, self.cap)
-        self.theta, self.w_theta, self.phi, self.keep, self.chart = tables[:5]
-        self._nodes = tables[5:]
+        tables = _grid_tables(self.n_theta, self.n_phi)
+        self.theta, self.w_theta, self.phi, self.chart = tables[:4]
+        self._nodes = tables[4:]
 
     def angles(self):
-        """Flattened (theta, phi, weight, chart) arrays over kept nodes, ring-major."""
+        """Flattened (theta, phi, weight, chart) node arrays, ring-major."""
         return self._nodes[:4]
 
     def directions(self):
         """Unit directions omega (N, 3) and chart spin basis o (N, 2) at the
         nodes of angles(); see unit_directions and spin_basis_field."""
         return self._nodes[4], self._nodes[5]
-
-    @property
-    def excluded_solid_angle(self):
-        return float(np.sum(self.w_theta[~self.keep]) * 2.0 * math.pi)
 
 
 def unit_directions(theta, phi):
@@ -185,7 +145,7 @@ def chart_transition(values, phi, weight, to_chart):
 class ConeSection:
     """sigma(q) sampled over a sphere grid of generator directions.
 
-    Per-node arrays (flattened ring-major over kept rings): omega, r0, r,
+    Per-node arrays (flattened ring-major): omega, r0, r,
     p (points on the section), the adapted frame (l, n, o, iota), rho,
     and the quadrature weights mu_sigma (geometric area element) and
     mu_leray = mu_sigma / (4 r0 r).
@@ -357,8 +317,6 @@ class TangentialDerivatives:
     """
 
     def __init__(self, grid: SphereGrid):
-        if np.any(~grid.keep):
-            raise ValueError("tangential derivatives need all rings (no cap)")
         self.grid = grid
         self._dmat = theta_derivative_matrix(grid)
         k = np.fft.fftfreq(grid.n_phi, d=1.0 / grid.n_phi)

@@ -12,11 +12,3 @@ class GeometryError(ValueError):
 class CoverageError(ValueError):
     """Stored characteristic data does not cover the requested region."""
 
-
-class ArgumentError(ValueError):
-    """A bad value of the argument named `key`; the message starts with it,
-    so a caller can prefix the block the argument was read from."""
-
-    def __init__(self, key, must):
-        super().__init__(f"{key} {must}")
-        self.key = key

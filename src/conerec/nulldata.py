@@ -153,9 +153,7 @@ class ConeData:
 
     def _check_grid(self, grid):
         g = self.grid
-        if g is not None and (g.n_theta != grid.n_theta or g.n_phi != grid.n_phi
-                              or g.chart_mode != grid.chart_mode
-                              or g.cap != grid.cap):
+        if g is not None and (g.n_theta != grid.n_theta or g.n_phi != grid.n_phi):
             raise ValueError("section grid does not match the data grid")
 
     def _spline_eval(self, r0):
@@ -404,6 +402,14 @@ def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid | None = 
 # file format: JSON descriptor + little-endian complex blob
 
 
+# The sphere grid every conedata-v1 file describes: the two-chart grid
+# with no ring left out.  The descriptor keeps both keys.
+_V1_GRID = {"chart_mode": "double", "cap": 0.0}
+# keys a descriptor must hold; r0_min is optional (default 0)
+_DESCRIPTOR_KEYS = ("valence", "kind", "n_components", "n_theta", "n_phi",
+                    *_V1_GRID, "r0_nodes", "blob")
+
+
 def save_cone_data(path: str, data: ConeData):
     """Write grid data as <path>.json descriptor + <path>.bin blob.
 
@@ -422,8 +428,7 @@ def save_cone_data(path: str, data: ConeData):
         "n_components": data.ncomp,
         "n_theta": g.n_theta,
         "n_phi": g.n_phi,
-        "chart_mode": g.chart_mode,
-        "cap": g.cap,
+        **_V1_GRID,
         "r0_nodes": data.r0_nodes.tolist(),
         "r0_min": data.r0_min,
         "blob": blob_name,
@@ -443,12 +448,19 @@ def load_cone_data(path: str) -> ConeData:
     base = path[:-5] if path.endswith(".json") else path
     with open(base + ".json") as fh:
         desc = json.load(fh)
+    if not isinstance(desc, dict):
+        raise ValueError(f"descriptor must be a JSON object, got {type(desc).__name__}")
     if desc.get("format") != "conedata-v1":
         raise ValueError("not a cone-data descriptor")
+    missing = [k for k in _DESCRIPTOR_KEYS if k not in desc]
+    if missing:
+        raise ValueError(f"descriptor needs {', '.join(map(repr, missing))}")
     counts = ("valence", "n_components", "n_theta", "n_phi")
-    if not all(type(desc[k]) is int for k in counts) \
-            or type(desc["cap"]) not in (int, float):
-        raise ValueError(f"{', '.join(counts)} must be integers and cap a number")
+    if not all(type(desc[k]) is int for k in counts):
+        raise ValueError(f"{', '.join(counts)} must be integers")
+    for key, want in _V1_GRID.items():
+        if isinstance(desc[key], bool) or desc[key] != want:
+            raise ValueError(f"{key} must be {want!r}, got {desc[key]!r}")
     kind, valence, ncomp = desc["kind"], desc["valence"], desc["n_components"]
     allowed = (2,) if kind == "dirac" else (1, valence + 1)
     if ncomp not in allowed:
@@ -458,8 +470,7 @@ def load_cone_data(path: str) -> ConeData:
     if blob in ("", ".", "..") or os.path.basename(str(blob)) != blob:
         raise ValueError(f"blob {blob!r} must be a plain file name next to "
                          "the descriptor")
-    grid = SphereGrid(desc["n_theta"], desc["n_phi"],
-                      chart_mode=desc["chart_mode"], cap=desc["cap"])
+    grid = SphereGrid(desc["n_theta"], desc["n_phi"])
     r0_nodes = desc["r0_nodes"]
     if type(r0_nodes) is not list or any(type(r) not in (int, float) for r in r0_nodes):
         raise ValueError(f"r0_nodes must be a list of numbers, got {r0_nodes!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cone import SphereGrid, build_section, check_cap
+from .cone import SphereGrid, build_section
 from .errors import GeometryError
 from .frames import transversal_iota
 from .nulldata import ConeData, richardson_dr0
@@ -49,8 +49,6 @@ class QuadratureSpec:
 
     n_theta: int
     n_phi: int
-    chart_mode: str = "double"
-    cap: float = 0.0
     radial_fd: str = "analytic"
     fd_step: float = 1e-3
     rho_variant: str = "penrose"
@@ -62,11 +60,9 @@ class QuadratureSpec:
             raise ValueError(f"unknown radial_fd {self.radial_fd!r}")
         if self.rho_variant not in ("penrose", "reduced"):
             raise ValueError(f"unknown rho_variant {self.rho_variant!r}")
-        check_cap(self.n_theta, self.chart_mode, self.cap)
 
     def grid(self) -> SphereGrid:
-        return SphereGrid(self.n_theta, self.n_phi,
-                          chart_mode=self.chart_mode, cap=self.cap)
+        return SphereGrid(self.n_theta, self.n_phi)
 
     def halved(self) -> "QuadratureSpec":
         return replace(self, n_theta=max(self.n_theta // 2, 4),
@@ -144,9 +140,7 @@ def _evaluate(quadrature, data: ConeData, q, spec: QuadratureSpec):
     if spec.halved() != spec and data.is_analytic:
         coarse, _, _ = quadrature(spec.halved())
         estimate = float(np.max(np.abs(comps - coarse)))
-    diagnostics = {"n_nodes": int(n_nodes),
-                   "excluded_solid_angle": spec.grid().excluded_solid_angle,
-                   "error_estimate": estimate, **extras}
+    diagnostics = {"n_nodes": int(n_nodes), "error_estimate": estimate, **extras}
     value = (DiracSpinorValue(comps[:2], comps[2:]) if data.kind == "dirac"
              else SymSpinorValue(comps.size - 1, comps))
     return ReconstructionResult(value=value, q=q, diagnostics=diagnostics)

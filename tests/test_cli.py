@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -192,7 +193,8 @@ def test_one_column_dirac_file_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("edits, key", [
     ({"n_theta": "12"}, "n_theta"),
-    ({"chart_mode": "single+cap", "cap": "0.1"}, "cap"),
+    ({"cap": 0.1}, "cap"),
+    ({"chart_mode": "single+cap"}, "chart_mode"),
 ])
 def test_mistyped_grid_in_descriptor_is_config_error(tmp_path, capsys, edits, key):
     path = _edited_data_file(tmp_path, **edits)
@@ -201,6 +203,34 @@ def test_mistyped_grid_in_descriptor_is_config_error(tmp_path, capsys, edits, ke
     assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
                 tmp_path / "o.json") == 2
     assert key in capsys.readouterr().err
+
+
+def test_non_object_descriptor_is_config_error(tmp_path, capsys):
+    # a JSON list here ended in an AttributeError (exit 5)
+    path = _grid_data_file(tmp_path, 0.3, 0.8)
+    Path(path).write_text("[1]\n")
+    cfg = _rec_config(q=[[1, 0, 0, 0]], data={"file": path},
+                      quadrature={"n_theta": 12, "n_phi": 24})
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
+                tmp_path / "o.json") == 2
+    err = capsys.readouterr().err
+    assert "cannot load cone data" in err and "must be a JSON object" in err
+
+
+@pytest.mark.parametrize("key", nulldata._DESCRIPTOR_KEYS)
+def test_descriptor_without_a_required_key_is_config_error_naming_it(tmp_path, capsys,
+                                                                     key):
+    # a missing valence said only "config error: 'valence'"
+    path = _grid_data_file(tmp_path, 0.3, 0.8)
+    desc = json.loads(Path(path).read_text())
+    del desc[key]
+    Path(path).write_text(json.dumps(desc))
+    cfg = _rec_config(q=[[1, 0, 0, 0]], data={"file": path},
+                      quadrature={"n_theta": 12, "n_phi": 24})
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
+                tmp_path / "o.json") == 2
+    err = capsys.readouterr().err
+    assert "cannot load cone data" in err and f"descriptor needs {key!r}" in err
 
 
 @pytest.mark.parametrize("nodes", [[0.3, {}, 0.8], [0.3, [0.5], 0.8], 0.3],
@@ -340,7 +370,7 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, cfg, ke
     ("verify", {"suites": ["algebra"], "cases": 0}, "cases"),
     ("reconstruct", _rec_config(quadrature={"n_theta": "24"}), "quadrature.n_theta"),
     ("reconstruct", _rec_config(quadrature={"n_theta": 8.5}), "quadrature.n_theta"),
-    ("reconstruct", _rec_config(quadrature={"cap": "x"}), "quadrature.cap"),
+    ("reconstruct", _rec_config(quadrature={"cap": "x"}), "unknown quadrature keys ['cap']"),
     ("reconstruct", _rec_config(quadrature={"fd_step": 0}), "quadrature.fd_step"),
     ("reconstruct", _rec_config(chart={"name": "conformal", "eps": "0.01"}),
      "chart.eps"),
@@ -446,6 +476,9 @@ def test_chart_halfwidth_overflow_exits_2_naming_it(tmp_path, capsys, halfwidth)
     assert "chart.halfwidth" in capsys.readouterr().err
 
 
+# The grid has no single-chart cap mode: quadrature.chart_mode and
+# quadrature.cap are unknown keys whatever their values, and the error
+# names each of them.
 @pytest.mark.parametrize("command, quadrature", [
     ("reconstruct", {"chart_mode": "single+cap", "cap": 4.0}),
     ("reconstruct", {"chart_mode": "single+cap", "cap": -0.1}),
@@ -453,8 +486,10 @@ def test_chart_halfwidth_overflow_exits_2_naming_it(tmp_path, capsys, halfwidth)
     ("reconstruct", {"cap": 0.3}),
     ("reconstruct", {"n_theta": 8, "n_phi": 16, "chart_mode": "single+cap", "cap": 3.0}),
     ("converge", {"chart_mode": "single+cap", "cap": 3.5}),
+    ("reconstruct", {"chart_mode": "double"}),
+    ("converge", {"cap": 0.0}),
 ], ids=["above-pi", "negative", "nonzero-under-double", "nonzero-under-default",
-        "drops-every-ring", "converge-above-pi"])
+        "drops-every-ring", "converge-above-pi", "chart_mode-alone", "converge-zero"])
 def test_unusable_cap_exits_2_naming_it(tmp_path, capsys, command, quadrature):
     cfg = _rec_config(quadrature=quadrature)
     if command == "converge":
@@ -462,48 +497,9 @@ def test_unusable_cap_exits_2_naming_it(tmp_path, capsys, command, quadrature):
         cfg["levels"] = [[8, 16]]
     code = _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out")
     assert code == 2
-    assert "quadrature.cap" in capsys.readouterr().err
-
-
-# The first ring of an n_theta = 16 / 24 / 64 grid leaves a cap below
-# 2.996 / 3.043 / 3.104; converge builds a grid per level, none at the
-# block's own n_theta.
-def test_converge_cap_unusable_at_a_level_exits_2_naming_it(tmp_path, capsys):
-    cfg = {**_CONVERGE, "levels": [[64, 128], [16, 32]],
-           "quadrature": {"chart_mode": "single+cap", "cap": 3.0}}
-    assert _run("converge", _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "quadrature.cap" in err and "levels[1]" in err
-
-
-# The error estimate of analytic data reruns at half resolution; an
-# n_theta = 8 grid keeps a ring under cap 2.74 and its n_theta = 4 half
-# none, a 64 grid one under cap 3.08 and its 32 half none.
-def test_reconstruct_cap_unusable_at_the_half_grid_exits_2_naming_it(tmp_path, capsys):
-    cfg = _rec_config(quadrature={"n_theta": 8, "n_phi": 16,
-                                  "chart_mode": "single+cap", "cap": 2.74})
-    assert _run("reconstruct", _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
-    err = capsys.readouterr().err
-    assert "quadrature.cap" in err and "n_theta = 4" in err and "half grid" in err
-
-
-def test_converge_cap_unusable_at_a_levels_half_grid_exits_2_naming_it(tmp_path, capsys):
-    cfg = {**_CONVERGE, "levels": [[64, 128]],
-           "quadrature": {"chart_mode": "single+cap", "cap": 3.08}}
-    assert _run("converge", _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
-    err = capsys.readouterr().err
-    assert "quadrature.cap" in err and "n_theta = 32" in err
-    assert "half grid of levels[0]" in err
-
-
-def test_converge_cap_usable_at_every_level_runs(tmp_path):
-    # unusable at the block's default n_theta 24, which converge never builds
-    cfg = {**_CONVERGE, "levels": [[64, 128]],
-           "quadrature": {"chart_mode": "single+cap", "cap": 3.05}}
-    out = tmp_path / "cv.csv"
-    assert _run("converge", _write(tmp_path, "c.json", cfg), out) == 0
-    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
-    assert [(r["n_theta"], r["n_phi"]) for r in rows] == [("64", "128")]
+    assert "unknown quadrature keys" in err
+    assert all(repr(key) in err for key in quadrature if key in ("chart_mode", "cap"))
 
 
 @pytest.mark.parametrize("s_values, key", [([0.8, 0], "s_values[1]"),
@@ -876,6 +872,26 @@ def test_curved_transport_bad_input_is_config_error(tmp_path, capsys, cfg, key):
     assert key in capsys.readouterr().err
 
 
+# q = p + t (1, d) rounds at the scale of |p| = 0.55: on the parent t = 1e-9
+# left a timelike chord (exit 3) and t = 1e-200 no chord at all
+@pytest.mark.parametrize("t", [1e-9, 1e-200])
+def test_curved_transport_ray_too_short_for_p_exits_2_naming_t(tmp_path, capsys, t):
+    ray = {"p": [0.1, 0.2, 0.3, 0.4], "direction": [0.3, 0.5, 0.8], "t": t}
+    code = _run("curved-transport", _write(tmp_path, "c.json",
+                                           _transport_config(rays=[ray])),
+                tmp_path / "ct.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "rays[0].t" in err and "too short" in err
+
+
+def test_curved_transport_short_ray_resolved_at_p_runs(tmp_path):
+    ray = {"p": [0.1, 0.2, 0.3, 0.4], "direction": [0.3, 0.5, 0.8], "t": 1e-5}
+    assert _run("curved-transport", _write(tmp_path, "c.json",
+                                           _transport_config(rays=[ray])),
+                tmp_path / "ct.json") == 0
+
+
 def test_curved_transport_coarse_frame_names_key(tmp_path, capsys):
     cfg = _transport_config(frame={"theta": 0.7, "phi": 1.3, "steps": 10})
     code = _run("curved-transport", _write(tmp_path, "c.json", cfg),
@@ -949,8 +965,8 @@ def test_console_entry_point(tmp_path):
 
 # -- property: every leaf of a full config, mutated, ends in a documented exit
 
-_QUADRATURE_FULL = {"n_theta": 8, "n_phi": 16, "chart_mode": "double", "cap": 0.0,
-                    "radial_fd": "analytic", "fd_step": 1e-3, "rho_variant": "penrose"}
+_QUADRATURE_FULL = {"n_theta": 8, "n_phi": 16, "radial_fd": "analytic", "fd_step": 1e-3,
+                    "rho_variant": "penrose"}
 _CHART_FULL = {"name": "conformal", "eps": 1e-3, "profile": "gaussian", "width": 2.0,
                "center": [0, 0, 0, 0], "halfwidth": 10.0}
 
@@ -1084,15 +1100,30 @@ def test_every_config_leaf_mutation_ends_in_a_documented_exit_code(tmp_path):
     assert not bad, "\n".join(map(repr, bad))
 
 
-def test_readme_configs_section_names_every_key_and_bound():
+def _readme_configs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n### Configs\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split("\n### Configs\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_configs_section_names_every_key_and_bound():
+    section = _readme_configs()
     missing = sorted({key for table in _EVERY_TABLE for key in table
                       if f"`{key}`" not in section and f'"{key}"' not in section})
     assert not missing
     bounds = (cli._MAX_GRID, cli._MAX_STEPS, cli._MAX_CASES, MAX_VALENCE)
     assert all(f"at most {b}" in section for b in bounds)
     assert f"{cli._MAX_COORDINATE:.0e}".replace("+", "") in section
+
+
+@pytest.mark.parametrize("block, table", [("quadrature", cli._QUADRATURE),
+                                          ("chart", cli._CHART), ("frame", cli._FRAME)],
+                         ids=["quadrature", "chart", "frame"])
+def test_readme_block_example_has_exactly_the_accepted_keys(block, table):
+    # the example object is the first one quoted in the block's bullet, so a
+    # key removed from the table cannot linger there
+    bullet = _readme_configs().split(f"\n- `{block}`", 1)[1].split("\n- ", 1)[0]
+    example = json.loads(re.search(r"`(\{.*?\})`", bullet, re.S).group(1))
+    assert set(example) == set(table)
 
 
 _SMALL = st.one_of(st.integers(-3, 40), st.floats(-50.0, 50.0))
@@ -1104,7 +1135,8 @@ _WRONG = st.one_of(
 
 # descriptor keys of a tiny 8x16 data file; ("r0_nodes", 3) is one node
 _DESCRIPTOR_LEAVES = [("valence",), ("n_components",), ("n_theta",),
-                      ("n_phi",), ("r0_min",), ("r0_nodes", 3)]
+                      ("n_phi",), ("chart_mode",), ("cap",), ("r0_min",),
+                      ("r0_nodes", 3)]
 
 
 @given(leaf=st.sampled_from(_DESCRIPTOR_LEAVES), value=_WRONG)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conerec import cone
-from conerec.errors import ArgumentError
 from conerec.frames import NPFrame
 from conerec.spinor import from_matrix, minkowski
 
@@ -15,37 +14,9 @@ def test_grid_basics():
     th, ph, w, ch = g.angles()
     assert abs(w.sum() - 4 * math.pi) < 1e-13
     assert th.size == 16 * 32
-    # double mode: northern rings chart A, southern chart B
+    # two charts: northern rings chart A, southern chart B
     assert set(ch[th < math.pi / 2]) == {0}
     assert set(ch[th > math.pi / 2]) == {1}
-    assert g.excluded_solid_angle == 0.0
-
-
-def test_grid_cap_mode():
-    g = cone.SphereGrid(16, 32, chart_mode="single+cap", cap=0.4)
-    th, ph, w, ch = g.angles()
-    assert np.all(th < math.pi - 0.4)
-    assert set(ch) == {0}
-    assert g.excluded_solid_angle > 0
-    # excluded angle matches the dropped weights
-    assert abs(w.sum() + g.excluded_solid_angle - 4 * math.pi) < 1e-13
-
-
-@pytest.mark.parametrize("n_theta, chart_mode, cap", [
-    (16, "single+cap", 4.0), (16, "single+cap", math.pi), (16, "single+cap", -0.1),
-    (16, "single+cap", float("nan")), (16, "double", 0.4), (4, "single+cap", 2.7)],
-    ids=["above-pi", "pi", "negative", "nan", "nonzero-under-double",
-         "drops-every-ring"])
-def test_grid_rejects_an_unusable_cap(n_theta, chart_mode, cap):
-    with pytest.raises(ArgumentError, match="^cap ") as info:
-        cone.SphereGrid(n_theta, 8, chart_mode=chart_mode, cap=cap)
-    assert info.value.key == "cap"
-
-
-def test_grid_keeps_the_northern_ring_up_to_the_largest_cap():
-    north = cone.SphereGrid(4, 8).theta[0]
-    cap = math.pi - north - 1e-9
-    assert cone.SphereGrid(4, 8, chart_mode="single+cap", cap=cap).keep.sum() == 1
 
 
 def test_grid_tables_are_shared_and_read_only():
@@ -63,9 +34,9 @@ def test_grid_tables_are_shared_and_read_only():
     omega, o = a.directions()
     assert np.array_equal(omega, cone.unit_directions(th, ph))
     assert np.array_equal(o, cone.spin_basis_field(th, ph, ch)[0])
-    # another key gets its own tables
-    capped = cone.SphereGrid(8, 16, chart_mode="single+cap", cap=0.4)
-    assert capped.angles()[0].size < a.angles()[0].size
+    # another size gets its own tables
+    wider = cone.SphereGrid(8, 32)
+    assert wider.angles()[0].size == 2 * a.angles()[0].size
 
 
 def test_grid_validation():
@@ -73,8 +44,6 @@ def test_grid_validation():
         cone.SphereGrid(16, 31)   # odd n_phi
     with pytest.raises(ValueError):
         cone.SphereGrid(3, 32)    # too few rings
-    with pytest.raises(ValueError):
-        cone.SphereGrid(16, 32, chart_mode="triple")
 
 
 def test_spin_basis_field_reproduces_l_and_n():

@@ -430,6 +430,16 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.evaluate_on(sec)[0], data.evaluate_on(sec)[0])
 
 
+def test_descriptor_keeps_the_two_chart_grid_literals(tmp_path):
+    # conedata-v1 files name the one grid they describe, as they always have
+    data = _grid_sample(_spec(1), SphereGrid(8, 16), np.linspace(0.2, 1.0, 5))
+    path = os.path.join(tmp_path, "wave")
+    nd.save_cone_data(path, data)
+    with open(path + ".json") as fh:
+        text = fh.read()
+    assert '"cap": 0.0,' in text and '"chart_mode": "double",' in text
+
+
 def test_save_rejects_analytic(tmp_path):
     data = ConeData(1, fn=lambda r0, om, o, i: np.ones((r0.size, 1), complex))
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 import conerec.reconstruct as rec
 from conerec import oracles as orc
-from conerec.errors import ArgumentError
 from conerec.nulldata import ConeData
 from conerec.reconstruct import (QuadratureSpec, convergence_study,
                                  reconstruct_dirac, reconstruct_spin_n)
@@ -313,25 +312,13 @@ def test_domain_errors_propagate():
         reconstruct_dirac(P0, data, np.array([0.5, 0.6, 0, 0]), QuadratureSpec(8, 16))
 
 
-@pytest.mark.parametrize("chart_mode, cap", [
-    ("single+cap", 4.0), ("single+cap", -0.2), ("double", 0.3), ("single+cap", 3.0)])
-def test_quadrature_spec_rejects_an_unusable_cap(chart_mode, cap):
-    with pytest.raises(ArgumentError, match="^cap ") as info:
-        QuadratureSpec(8, 16, chart_mode=chart_mode, cap=cap)
-    assert info.value.key == "cap"
-
-
 def test_diagnostics_fields():
     pw, b, data = _dirac_setup()
     res = reconstruct_dirac(P0, data, Q_POINTS[0], QuadratureSpec(16, 32))
     d = res.diagnostics
+    assert set(d) == {"n_nodes", "error_estimate"}
     assert d["n_nodes"] == 16 * 32
-    assert d["excluded_solid_angle"] == 0.0
     assert d["error_estimate"] >= 0.0
-    capped = QuadratureSpec(16, 32, chart_mode="single+cap", cap=0.3)
-    res2 = reconstruct_dirac(P0, data, Q_POINTS[0], capped)
-    assert res2.diagnostics["excluded_solid_angle"] > 0.0
-    assert res2.diagnostics["n_nodes"] < 16 * 32
 
 
 # -- curved charts ------------------------------------------------------------
