@@ -512,22 +512,11 @@ def cmd_curved_transport(v, out, seed):
             worst_spread = max(worst_spread, rec["route_spread"])
             if frame is not None:
                 fr = _chart_frame(chart, p, frame["theta"], frame["phi"])
-                try:
-                    pf = transport.transport_spin_frame(chart, p, fr.l, fr,
-                                                        s_end=frame["s_end"],
-                                                        steps=frame["steps"])
-                except GeometryError:
-                    raise
-                except ValueError as exc:
-                    # the spin-basis extraction found the transported tetrad off
-                    # normalization: the step is too coarse for this ray
-                    raise ConfigError(
-                        f"rays[{i}]: the frame transported with frame.steps = "
-                        f"{frame['steps']} drifted past 1e-10 ({exc}); use more steps")
-                dots = [float(np.vdot(pf.o[j - 1], pf.o[j]).real)
-                        for j in range(1, len(pf.o))]
+                pf = transport.transport_spin_frame(chart, p, fr.l, fr, s_end=frame["s_end"],
+                                                    steps=frame["steps"])
+                dots = np.sum(pf.o[:-1].conj() * pf.o[1:], axis=1).real
                 rec["frame"] = {"product_drift": pf.product_drift(),
-                                "min_continuity": min(dots)}
+                                "min_continuity": float(dots.min())}
         except GeometryError as exc:
             raise GeometryError(f"rays[{i}]: {exc}") from None
         records.append(rec)

@@ -402,12 +402,14 @@ def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid | None = 
 # file format: JSON descriptor + little-endian complex blob
 
 
-# The sphere grid every conedata-v1 file describes: the two-chart grid
-# with no ring left out.  The descriptor keeps both keys.
+# The literals every conedata-v1 descriptor holds, which the writer
+# writes and the reader requires: the sphere grid (the two-chart grid
+# with no ring left out) and the blob's one encoding.
 _V1_GRID = {"chart_mode": "double", "cap": 0.0}
+_V1_BLOB = {"dtype": "<c16", "layout": "r0-major, ring-major directions, component-minor"}
 # keys a descriptor must hold; r0_min is optional (default 0)
 _DESCRIPTOR_KEYS = ("valence", "kind", "n_components", "n_theta", "n_phi",
-                    *_V1_GRID, "r0_nodes", "blob")
+                    *_V1_GRID, *_V1_BLOB, "r0_nodes", "blob")
 
 
 def save_cone_data(path: str, data: ConeData):
@@ -432,10 +434,9 @@ def save_cone_data(path: str, data: ConeData):
         "r0_nodes": data.r0_nodes.tolist(),
         "r0_min": data.r0_min,
         "blob": blob_name,
-        "dtype": "<c16",
-        "layout": "r0-major, ring-major directions, component-minor",
+        **_V1_BLOB,
     }
-    blob = np.ascontiguousarray(data.values.astype("<c16"))
+    blob = np.ascontiguousarray(data.values.astype(_V1_BLOB["dtype"]))
     with open(base + ".bin", "wb") as fh:
         fh.write(blob.tobytes())
     with open(base + ".json", "w") as fh:
@@ -458,7 +459,7 @@ def load_cone_data(path: str) -> ConeData:
     counts = ("valence", "n_components", "n_theta", "n_phi")
     if not all(type(desc[k]) is int for k in counts):
         raise ValueError(f"{', '.join(counts)} must be integers")
-    for key, want in _V1_GRID.items():
+    for key, want in {**_V1_GRID, **_V1_BLOB}.items():
         if isinstance(desc[key], bool) or desc[key] != want:
             raise ValueError(f"{key} must be {want!r}, got {desc[key]!r}")
     kind, valence, ncomp = desc["kind"], desc["valence"], desc["n_components"]
@@ -480,7 +481,7 @@ def load_cone_data(path: str) -> ConeData:
     blob_path = os.path.join(os.path.dirname(base) or ".", blob)
     if os.path.getsize(blob_path) != 16 * int(np.prod(shape)):
         raise ValueError("blob size does not match the descriptor")
-    raw = np.fromfile(blob_path, dtype="<c16")
+    raw = np.fromfile(blob_path, dtype=_V1_BLOB["dtype"])
     if not np.all(np.isfinite(raw.view(float))):
         raise ValueError(f"blob {blob!r} holds non-finite values")
     r0_min = desc.get("r0_min", 0.0)

@@ -16,7 +16,8 @@ the transport coefficient k obtained by integrating
     2 <grad W, grad k> + (box W - 8) k = 0,      k -> 1/(2 pi)
 
 along null generators with box W in closed form on the propagator,
-and parallel transport of NP frames with a continuity-fixed spin basis.
+and parallel transport of NP frames along their own l, legs and spin
+basis in closed form (a rescaling and a null rotation about l).
 The van Vleck determinant of differenced world functions and the
 conformal closed form (the chord average of omega^2) give k by two
 independent routes.  Null geodesics of a conformal metric are straight
@@ -496,8 +497,8 @@ class ParallelFrames:
 
     l, n (real) and m (complex) hold chart components per sample; o and
     iota are the spin basis of the orthonormal-frame components (the
-    vierbein of omega^2 eta is omega times the identity), with the
-    overall sign fixed by continuity from the previous sample.
+    vierbein of omega^2 eta is omega times the identity), the one at
+    the start scaled and null-rotated with the legs.
     """
 
     path: GeodesicPath
@@ -522,38 +523,42 @@ class ParallelFrames:
 
 def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
                          s_end: float = 1.0, steps: int = 400) -> ParallelFrames:
-    """Parallel transport an NP frame along the geodesic from (p, v).
+    """Parallel transport an NP frame along its own l from p, in closed form.
 
-    The tetrad legs satisfy the linear transport equation dV/ds =
-    -Gamma(x) xdot V integrated jointly with the geodesic; the spin
-    basis is re-extracted per sample from the orthonormal-frame
-    components and its two-fold sign fixed by continuity.  The input
-    frame must be normalized in the chart metric at p.
+    v must be c l_p with c != 0, and the frame normalized in the chart
+    metric at p (else ValueError).  Along that chord U = omega V obeys
+    dU/ds = -(w.U) xdot for l and m, so l rescales and m null-rotates
+    about l (Penrose & Rindler vol. 1, sec. 5.6).  One RK4 shoot carries
+    dx/ds = r^2 v and dE/ds = r^2 eps grad f . (omega_p m_p), r = omega_p / omega;
+    with mu = -c E r / omega_p^2, l = r^2 l_p, m = r (m_p + mu l_p),
+    n = n_p + 2 Re(conj(mu) m_p) + |mu|^2 l_p, and the spin basis of
+    (omega l, omega n, omega m), extracted once at p, is sqrt(r) o_p and
+    (iota_p + conj(mu) o_p) / sqrt(r).
     """
     p = np.asarray(p, dtype=float).reshape(4)
     v = np.asarray(v, dtype=float).reshape(4)
+    l_p, n_p, m_p = frame.l.real, frame.n.real, np.asarray(frame.m, dtype=complex)
     g0 = chart.metric(p)
-    if abs(frame.l @ g0 @ frame.n - 1.0) > 1e-8:
-        raise ValueError("input frame is not normalized in the chart metric "
-                         f"(g(l, n) = {frame.l @ g0 @ frame.n})")
-    # legs as a real (4, 4) block: l, n, Re m, Im m
-    legs = np.vstack([frame.l.real.astype(float), frame.n.real.astype(float),
-                      frame.m.real.astype(float), frame.m.imag.astype(float)])
+    ln = l_p @ g0 @ n_p
+    if abs(ln - 1.0) > 1e-8:
+        raise ValueError(f"input frame is not normalized in the chart metric (g(l, n) = {ln})")
+    c = float(v @ g0 @ n_p / ln)
+    if not np.max(np.abs(v - c * l_p)) <= 1e-12 * np.max(np.abs(v)) or c == 0.0:
+        raise ValueError(f"v = {v} is not a nonzero multiple of the frame's l")
+    om_p = float(chart.omega(p))
+    o_p, iota_p = spin_basis_from_tetrad(om_p * l_p, om_p * n_p, om_p * m_p)
+    m_eps = (chart.eps * om_p) * m_p
 
     def rhs(y):
-        x, u, V = y
-        gu = chart.connection(x) @ u              # [a, b]: Gamma^a_{bc} u^c
-        return u, -(gu @ u), -(V @ gu.T)
+        fx, grad = chart.jet(y[0], 1)
+        r2 = (om_p / (1.0 + chart.eps * fx)) ** 2
+        return r2 * v, r2 * (grad @ m_eps)
 
-    xs, vs, Vs = kernels.shoot_endpoint(rhs, chart.contains, [p, v, legs], s_end, steps)
-    ls, ns = Vs[:, 0], Vs[:, 1]
-    ms = Vs[:, 2] + 1j * Vs[:, 3]
-    path = GeodesicPath(np.linspace(0.0, s_end, steps + 1), xs, vs, chart)
-    os = np.empty((steps + 1, 2), dtype=complex)
-    iotas = np.empty((steps + 1, 2), dtype=complex)
-    for i, om in enumerate(chart.omega(xs)):
-        o_i, iota_i = spin_basis_from_tetrad(om * ls[i], om * ns[i], om * ms[i])
-        if i > 0 and (np.vdot(os[i - 1], o_i)).real < 0.0:
-            o_i, iota_i = -o_i, -iota_i
-        os[i], iotas[i] = o_i, iota_i
-    return ParallelFrames(path, ls, ns, ms, os, iotas)
+    xs, es = kernels.shoot_endpoint(rhs, chart.contains, [p, 0j], s_end, steps)
+    r = om_p / chart.omega(xs)[:, None]
+    mu = (-c / om_p ** 2) * r * es[:, None]
+    ls = r ** 2 * l_p
+    ns = n_p + 2.0 * (mu.conj() * m_p).real + abs(mu) ** 2 * l_p
+    path = GeodesicPath(np.linspace(0.0, s_end, steps + 1), xs, c * ls, chart)
+    return ParallelFrames(path, ls, ns, r * (m_p + mu * l_p),
+                          np.sqrt(r) * o_p, (iota_p + mu.conj() * o_p) / np.sqrt(r))

@@ -205,6 +205,30 @@ def test_mistyped_grid_in_descriptor_is_config_error(tmp_path, capsys, edits, ke
     assert key in capsys.readouterr().err
 
 
+def _descriptor_error(tmp_path, capsys, **edits):
+    path = _edited_data_file(tmp_path, **edits)
+    cfg = _rec_config(q=[[1, 0, 0, 0]], data={"file": path},
+                      quadrature={"n_theta": 12, "n_phi": 24})
+    code = _run("reconstruct", _write(tmp_path, "c.json", cfg), tmp_path / "o.json")
+    return code, capsys.readouterr().err
+
+
+# the blob is read as <c16 in the writer's layout only, so a descriptor
+# claiming anything else is refused, not read as complex128
+@pytest.mark.parametrize("dtype", ["<c8", ">c16", "complex128", 16])
+def test_descriptor_claiming_another_dtype_exits_2_naming_it(tmp_path, capsys, dtype):
+    code, err = _descriptor_error(tmp_path, capsys, dtype=dtype)
+    assert code == 2
+    assert "dtype must be '<c16'" in err
+
+
+@pytest.mark.parametrize("layout", ["nonsense", "", None])
+def test_descriptor_claiming_another_layout_exits_2_naming_it(tmp_path, capsys, layout):
+    code, err = _descriptor_error(tmp_path, capsys, layout=layout)
+    assert code == 2
+    assert "layout must be 'r0-major, ring-major directions, component-minor'" in err
+
+
 def test_non_object_descriptor_is_config_error(tmp_path, capsys):
     # a JSON list here ended in an AttributeError (exit 5)
     path = _grid_data_file(tmp_path, 0.3, 0.8)
@@ -892,13 +916,13 @@ def test_curved_transport_short_ray_resolved_at_p_runs(tmp_path):
                 tmp_path / "ct.json") == 0
 
 
-def test_curved_transport_coarse_frame_names_key(tmp_path, capsys):
+def test_curved_transport_coarse_frame_keeps_products_at_roundoff(tmp_path):
+    # the legs are closed form along the chord, so 10 frame steps cannot
+    # drift the tetrad off normalization
     cfg = _transport_config(frame={"theta": 0.7, "phi": 1.3, "steps": 10})
-    code = _run("curved-transport", _write(tmp_path, "c.json", cfg),
-                tmp_path / "ct.json")
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "rays[0]" in err and "frame.steps" in err and "1e-10" in err
+    out = tmp_path / "ct.json"
+    assert _run("curved-transport", _write(tmp_path, "c.json", cfg), out) == 0
+    assert json.loads(out.read_text())["records"][0]["frame"]["product_drift"] <= 1e-14
 
 
 def test_curved_transport_frame_leaving_chart_is_geometry_error(tmp_path):
@@ -1135,8 +1159,8 @@ _WRONG = st.one_of(
 
 # descriptor keys of a tiny 8x16 data file; ("r0_nodes", 3) is one node
 _DESCRIPTOR_LEAVES = [("valence",), ("n_components",), ("n_theta",),
-                      ("n_phi",), ("chart_mode",), ("cap",), ("r0_min",),
-                      ("r0_nodes", 3)]
+                      ("n_phi",), ("chart_mode",), ("cap",), ("dtype",), ("layout",),
+                      ("r0_min",), ("r0_nodes", 3)]
 
 
 @given(leaf=st.sampled_from(_DESCRIPTOR_LEAVES), value=_WRONG)

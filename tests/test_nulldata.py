@@ -440,6 +440,18 @@ def test_descriptor_keeps_the_two_chart_grid_literals(tmp_path):
     assert '"cap": 0.0,' in text and '"chart_mode": "double",' in text
 
 
+def test_descriptor_keeps_the_blob_literals(tmp_path):
+    # the reader requires what the writer writes, from one table
+    data = _grid_sample(_spec(1), SphereGrid(8, 16), np.linspace(0.2, 1.0, 5))
+    path = os.path.join(tmp_path, "wave")
+    nd.save_cone_data(path, data)
+    with open(path + ".json") as fh:
+        text = fh.read()
+    assert '"dtype": "<c16",' in text
+    assert '"layout": "r0-major, ring-major directions, component-minor",' in text
+    assert os.path.getsize(path + ".bin") == 16 * data.values.size
+
+
 def test_save_rejects_analytic(tmp_path):
     data = ConeData(1, fn=lambda r0, om, o, i: np.ones((r0.size, 1), complex))
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from conerec import _backend
 from conerec import transport as tr
 from conerec.cone import spin_basis_field
 from conerec.errors import GeometryError
-from conerec.frames import NPFrame, frame_from_spin_basis
+from conerec.frames import NPFrame, frame_from_spin_basis, spin_basis_from_tetrad
 from conerec.spinor import ETA, central_partials, richardson
 
 P = np.array([0.2, 0.1, -0.3, 0.4])
@@ -665,3 +665,63 @@ def test_spin_frame_rejects_unnormalized_input():
     fr = _flat_frame()  # eta-normalized, not chart-normalized
     with pytest.raises(ValueError, match="not normalized"):
         tr.transport_spin_frame(chart, np.zeros(4), fr.l, fr, s_end=0.5)
+
+
+@pytest.mark.parametrize("c", [2.0, -1.0])
+def test_spin_frame_along_c_l_is_the_l_frame_at_c_s(c):
+    # v = c l runs the same chord c times as fast: the c factor in mu
+    chart = tr.make_chart("conformal", eps=0.3, profile="sine", width=1.0)
+    fr = _chart_frame(chart, P, _flat_frame(theta=0.7, phi=1.3))
+    scaled = tr.transport_spin_frame(chart, P, c * fr.l, fr, s_end=0.8, steps=200)
+    unit = tr.transport_spin_frame(chart, P, fr.l, fr, s_end=0.8 * c, steps=200)
+    for a, b in zip((scaled.path.x, scaled.l, scaled.n, scaled.m, scaled.o, scaled.iota),
+                    (unit.path.x, unit.l, unit.n, unit.m, unit.o, unit.iota)):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    assert np.max(np.abs(scaled.path.v - c * unit.path.v)) <= 1e-12
+
+
+@pytest.mark.parametrize("v", [np.zeros(4), np.array([1.0, 0.0, 0.0, 1.0])],
+                         ids=["zero", "off-l"])
+def test_spin_frame_rejects_v_that_is_not_a_multiple_of_l(v):
+    chart = tr.make_chart("conformal", eps=1e-2)
+    fr = _chart_frame(chart, P, _flat_frame())
+    with pytest.raises(ValueError, match="not a nonzero multiple of the frame's l"):
+        tr.transport_spin_frame(chart, P, v, fr, s_end=0.5, steps=10)
+
+
+def _leg_ode_frame(chart, p, v, frame, s_end, steps):
+    """The leg-ODE transport the closed form replaced, kept as its reference:
+    RK4 on (x, u) and the four legs dV/ds = -Gamma(x) xdot V, then the spin
+    basis extracted at every sample, its sign fixed by continuity."""
+    legs = np.vstack([frame.l.real, frame.n.real, frame.m.real, frame.m.imag])
+
+    def rhs(y):
+        x, u, V = y
+        gu = chart.connection(x) @ u
+        return u, -(gu @ u), -(V @ gu.T)
+
+    xs, _, Vs = _backend.shoot_endpoint(rhs, chart.contains, [p, v, legs], s_end, steps)
+    ls, ns, ms = Vs[:, 0], Vs[:, 1], Vs[:, 2] + 1j * Vs[:, 3]
+    os, iotas = [], []
+    for om, l, n, m in zip(chart.omega(xs), ls, ns, ms):
+        o, iota = spin_basis_from_tetrad(om * l, om * n, om * m)
+        if os and np.vdot(os[-1], o).real < 0.0:
+            o, iota = -o, -iota
+        os.append(o)
+        iotas.append(iota)
+    return ls, ns, ms, np.array(os), np.array(iotas)
+
+
+@pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("eps", [1e-2, 0.3, 0.9])
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+def test_spin_frame_closed_form_meets_the_leg_ode(profile, eps, width):
+    chart = tr.make_chart("conformal", eps=eps, profile=profile, width=width)
+    p = np.array([0.1, 0.25, -0.15, 0.2])
+    fr = _chart_frame(chart, p, _flat_frame(theta=0.7, phi=1.3))
+    reference = _leg_ode_frame(chart, p, fr.l, fr, 1.0, 1600)
+    for steps, tol in ((1600, 1e-12), (100, 1e-8)):
+        pf = tr.transport_spin_frame(chart, p, fr.l, fr, s_end=1.0, steps=steps)
+        for got, want in zip((pf.l, pf.n, pf.m, pf.o, pf.iota), reference):
+            assert np.max(np.abs(got - want[::1600 // steps])) <= tol
+        assert pf.product_drift() <= 1e-14
