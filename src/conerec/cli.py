@@ -68,6 +68,9 @@ _MAX_GRID = 1024          # quadrature.n_theta and n_phi, each levels entry
 _MAX_STEPS = 10_000       # k_steps, frame.steps
 _MAX_CASES = 100_000      # verify cases
 _MAX_COORDINATE = 1e100
+# each part of data.alpha, amplitude and psi_amplitude: amplitude |alpha|^18,
+# a valence-16 datum's radial derivative, then stays below 1e100
+_MAX_WAVE = 1e5
 
 
 _Key = namedtuple("_Key", "check default", defaults=[None])
@@ -182,15 +185,18 @@ _as_finite = _check(_number, "a finite number", float)
 _as_positive = _check(lambda v: _number(v) and v > 0, "a positive number", float)
 _as_coordinate = _check(lambda v: _number(v) and abs(v) <= _MAX_COORDINATE,
                         f"a number at most {_MAX_COORDINATE:g} in magnitude", float)
+_as_wave_part = _check(lambda v: _number(v) and abs(v) <= _MAX_WAVE,
+                       f"a number at most {_MAX_WAVE:g} in magnitude", float)
 _as_length = _check(lambda v: _number(v) and 0 < v <= _MAX_COORDINATE,
                     f"a positive number at most {_MAX_COORDINATE:g}", float)
 
 
 def _as_complex(v, what):
+    """A plane-wave parameter, [re, im] or real, each part at most _MAX_WAVE."""
     if isinstance(v, list) and len(v) == 2:
-        return complex(_as_finite(v[0], f"{what} real part"),
-                       _as_finite(v[1], f"{what} imaginary part"))
-    return complex(_check(_number, "a number or an [re, im] pair")(v, what))
+        return complex(_as_wave_part(v[0], f"{what} real part"),
+                       _as_wave_part(v[1], f"{what} imaginary part"))
+    return complex(_as_wave_part(v, what))
 
 
 def _vector(n, nonzero=False):
@@ -222,7 +228,6 @@ def _late(module, name):
 
 _as_point = _vector(4)
 _QUADRATURE = {"n_theta": _Key(_count(_MAX_GRID), 24), "n_phi": _Key(_count(_MAX_GRID), 48),
-               "radial_fd": _Key(_as_given), "fd_step": _Key(_as_positive),
                "rho_variant": _Key(_as_given)}
 _CHART = {"name": _Key(_as_given, "flat"), "eps": _Key(_as_finite),
           "profile": _Key(_as_given), "width": _Key(_as_length),

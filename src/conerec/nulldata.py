@@ -394,7 +394,7 @@ def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid | None = 
             if j >= 2:
                 rhs = rhs + (j - 1) * coef["sigma_prime"] * vals[:, j - 2]
             res = np.max(np.abs(dvals[:, j] - eth_val - rhs))
-            worst[j] = max(worst[j], float(res))
+            worst[j] = float(np.max([worst[j], res]))    # a NaN residual stays NaN
     return worst
 
 

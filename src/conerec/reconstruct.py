@@ -21,7 +21,7 @@ import numpy as np
 from .cone import SphereGrid, build_section
 from .errors import GeometryError
 from .frames import transversal_iota
-from .nulldata import ConeData, richardson_dr0
+from .nulldata import ConeData
 from .spinor import DiracSpinorValue, SymSpinorValue, lower_comps
 
 __all__ = ["QuadratureSpec", "ReconstructionResult", "reconstruct_dirac",
@@ -36,28 +36,22 @@ MAX_VALENCE = 16
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Resolution and method switches for one reconstruction.
+    """Resolution and method switch for one reconstruction.
 
-    radial_fd "analytic" defers to the data's own derivative (exact
-    callback or its builtin fallback); "richardson" forces a two-level
-    central difference of the values with step fd_step, the same code
-    path for callback and grid data.  rho_variant selects the
-    rho-coefficient in the integrand: "penrose" uses (n+1) rho, the
-    "reduced" variant drops one rho (n=1: single rho), kept selectable
-    for the normalization audit.
+    The radial derivative is always the data's own (exact callback or
+    its builtin fallback).  rho_variant selects the rho-coefficient in
+    the integrand: "penrose" uses (n+1) rho, the "reduced" variant drops
+    one rho (n=1: single rho), kept selectable for the normalization
+    audit.
     """
 
     n_theta: int
     n_phi: int
-    radial_fd: str = "analytic"
-    fd_step: float = 1e-3
     rho_variant: str = "penrose"
 
     def __post_init__(self):
         if self.n_theta < 4 or self.n_phi % 2 or self.n_phi < 8:
             raise ValueError("need n_theta >= 4 and even n_phi >= 8")
-        if self.radial_fd not in ("analytic", "richardson"):
-            raise ValueError(f"unknown radial_fd {self.radial_fd!r}")
         if self.rho_variant not in ("penrose", "reduced"):
             raise ValueError(f"unknown rho_variant {self.rho_variant!r}")
 
@@ -74,17 +68,6 @@ class ReconstructionResult:
     value: object                      # DiracSpinorValue or SymSpinorValue
     q: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-
-def _radial_derivative(data: ConeData, dvals, r0, omega, o, iota,
-                       spec: QuadratureSpec):
-    """d/dr0 of the data at the nodes (r0, omega) in the frame (o, iota):
-    dvals, the data's own from evaluate, unless radial_fd "richardson"
-    forces a difference of the values with step fd_step."""
-    if spec.radial_fd == "analytic":
-        return dvals
-    return richardson_dr0(lambda r: data.evaluate(r, omega, o, iota)[0], r0,
-                          spec.fd_step)
 
 
 def _rho_coefficient(n: int, spec: QuadratureSpec) -> float:
@@ -117,8 +100,6 @@ def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
     (d/dr0 - (n+1) rho) phi mu_sigma / (2 pi r)."""
     section = build_section(p0, q, spec.grid())
     vals, dvals = data.evaluate_on(section)
-    dvals = _radial_derivative(data, dvals, section.r0, section.omega,
-                               section.o, section.iota, spec)
     coeff = _rho_coefficient(n, spec)
     w = section.mu_sigma / (2.0 * math.pi * section.r)
     scal = (dvals - coeff * section.rho[:, None] * vals) * w[:, None]
@@ -269,8 +250,6 @@ def _curved_components(chart, p0, data: ConeData, n: int, q,
     iota_s = transversal_iota(o_s, n_frame)
 
     vals, dvals = data.evaluate(r0_star, section.omega, o_s, iota_s)
-    dvals = _radial_derivative(data, dvals, r0_star, section.omega, o_s, iota_s,
-                               spec)
     vals, dvals = vals[:, 0], dvals[:, 0]
     # d/dr0 of the phi_0 scalar carries the frame rescaling
     dr0_ln_om = (om0 ** 2 / om_p ** 2) * dln_om_dl

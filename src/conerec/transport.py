@@ -11,17 +11,16 @@ machinery the curved reconstructor consumes: null connection in
 closed form (the straight chord, its affine parameter from the chord
 average of omega^2), the world function with the
 [0, 1] affine convention (its flat value is the coordinate interval),
-the transport coefficient k obtained by integrating
-
-    2 <grad W, grad k> + (box W - 8) k = 0,      k -> 1/(2 pi)
-
-along null generators with box W in closed form on the propagator,
-and parallel transport of NP frames along their own l, legs and spin
-basis in closed form (a rescaling and a null rotation about l).
-The van Vleck determinant of differenced world functions and the
-conformal closed form (the chord average of omega^2) give k by two
-independent routes.  Null geodesics of a conformal metric are straight
-coordinate lines; only their affine parameterization bends.
+the transport coefficient k = sqrt(Delta) / (2 pi) along null
+generators, Delta the van Vleck determinant read off the propagator's
+X_v block (Liouville's formula integrates the transport equation
+2 <grad W, grad k> + (box W - 8) k = 0 to a determinant), and parallel
+transport of NP frames along their own l, legs and spin basis in
+closed form (a rescaling and a null rotation about l).  The van Vleck
+determinant of differenced world functions and the conformal closed
+form (the chord average of omega^2) give k by two independent routes.
+Null geodesics of a conformal metric are straight coordinate lines;
+only their affine parameterization bends.
 """
 
 from __future__ import annotations
@@ -374,66 +373,59 @@ def null_connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS) -> NullConn
 
 # -- transport coefficient ------------------------------------------------
 
-def _box_w(chart: CurvedChart, path: GeodesicPath) -> np.ndarray:
-    """box W_q at the samples of the Jacobi propagator from q, in closed form.
-
-    The [0, 1] geodesic from q to x(s) starts with velocity s v0, so
-    partial_a W = 2 s g_ab v^b, and its end velocity moves with x(s) as
-    s U_v X_v^{-1}: the covariant Hessian 2 s g_ac (U_v X_v^{-1} + Gamma(v))^c_b
-    has trace box W = 2 s (tr(U_v X_v^{-1}) + Gamma^c_{bc} v^b), 8 at s = 0,
-    where Gamma^c_{bc} v^b = 4 w.v with w = grad ln omega.
-    """
-    J = path.jacobi[1:]
-    trace = (np.trace(_solve_xv(J, J[:, 4:, 4:]), axis1=1, axis2=2)
-             + 4.0 * ((chart.grad_ln_omega(path.x[1:]) * path.v[1:]) @ _ONES))
-    return np.concatenate([[8.0], 2.0 * path.s[1:] * trace])
-
-
 def transport_k(chart: CurvedChart, q, p, steps: int = 10,
                 shoot_steps: int = SHOOT_STEPS,
                 propagator: Optional[GeodesicPath] = None):
     """Transport coefficient k_q along the null geodesic from q to p.
 
-    On the connecting geodesic grad W_q reduces to 2 s gdot, so the
-    transport equation becomes the scalar ODE
+    k = sqrt(Delta) / (2 pi) with Delta the van Vleck determinant, read
+    off the geodesic's Jacobi propagator.  Along the generator the
+    transport equation is d ln k/ds = -(box W - 8) / (4 s), and box W
+    carries tr(U_v X_v^{-1}) = d ln det X_v / ds (Liouville's formula), so
+    it integrates in closed form at every propagator sample (Visser,
+    Phys. Rev. D 47, 2395, 1993; Poisson, Pound & Vega, Living Rev.
+    Relativ. 14, 7, 2011, sec. 7):
 
-        d ln k/ds = -(box W_q - 8) / (4 s),      k(0) = 1/(2 pi),
+        k = (omega_q / omega_x)^2 / (2 pi sqrt(det(X_v / s))),   k(0) = 1/(2 pi).
 
-    whose right side vanishes at s = 0.  box W_q is closed-form at the
-    samples of the geodesic's Jacobi propagator (_box_w); ln k is
-    integrated on its grid (4 samples or more), each step by the cubic
-    through the four nearest samples, O(h^4).  propagator is
-    null_connect(chart, q, p).path, else it is connected here with
-    shoot_steps steps.  Returns (s_nodes, k_values) at s = j / steps,
-    j = 0..steps, Hermite interpolated between samples: steps sets how
-    many nodes are reported, not the accuracy.  k_values[-1] is k_q(p);
-    a value that is not finite raises GeometryError.
+    propagator is null_connect(chart, q, p).path, else it is connected
+    here with shoot_steps steps.  Returns (s_nodes, k_values) at
+    s = j / steps, j = 0..steps: a node on a sample takes it exactly,
+    others interpolate ln(2 pi k) through the 6 nearest samples, so
+    steps sets how many nodes are reported, not the accuracy.
+    k_values[-1] is k_q(p).  det(X_v / s) <= 0 (a conjugate point) or a
+    value that is not finite raises GeometryError.
     """
     path = propagator or null_connect(chart, q, p, steps=shoot_steps).path
-    n, h = len(path.s) - 1, path.s[1]
-    rate = np.zeros(n + 1)                   # -d ln k / ds
-    rate[1:] = (_box_w(chart, path)[1:] - 8.0) / (4.0 * path.s[1:])
-    # cubic ghost samples past both ends give every step the same rule
-    g = np.concatenate([[4.0 * rate[0] - 6.0 * rate[1] + 4.0 * rate[2] - rate[3]], rate,
-                        [4.0 * rate[-1] - 6.0 * rate[-2] + 4.0 * rate[-3] - rate[-4]]])
-    big = np.concatenate([[0.0], np.cumsum(h / 24.0 * (13.0 * (g[1:-2] + g[2:-1])
-                                                       - g[:-3] - g[3:]))])
-    s_nodes = np.linspace(0.0, 1.0, steps + 1)
-    i = np.minimum((s_nodes * n).astype(int), n - 1)
-    t = s_nodes * n - i
-    integral = ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * big[i] + t * (1.0 - t) ** 2 * h * rate[i]
-                + t * t * (3.0 - 2.0 * t) * big[i + 1] - t * t * (1.0 - t) * h * rate[i + 1])
-    k = np.exp(-integral) / TWO_PI
-    if not np.all(np.isfinite(k)):
+    n = len(path.s) - 1
+    with np.errstate(invalid="ignore"):       # a non-finite propagator raises below
+        det = np.linalg.det(path.jacobi[1:, :4, 4:] / path.s[1:, None, None])
+    if np.any(det <= 0.0):
+        raise GeometryError("singular Jacobi propagator: conjugate point on the geodesic")
+    om = chart.omega(path.x)
+    k = np.concatenate([[1.0 / TWO_PI], (om[0] / om[1:]) ** 2 / (TWO_PI * np.sqrt(det))])
+    # node j sits at sample i + t / steps; the 6 samples around it (all of
+    # a shorter propagator) carry its Lagrange weights
+    i, t = np.divmod(np.arange(steps + 1) * n, steps)
+    width = min(6, n + 1)
+    stencil, others = np.arange(width), ~np.eye(width, dtype=bool)
+    lo = np.clip(i - (width - 1) // 2, 0, n + 1 - width)
+    off = (i - lo + t / steps)[:, None] - stencil
+    weights = (np.prod(np.where(others, off[:, None, :], 1.0), axis=-1)
+               / np.prod(np.where(others, stencil[:, None] - stencil, 1.0), axis=-1))
+    ln_k = np.log(TWO_PI * k)
+    k_nodes = np.where(t == 0, k[i], np.exp(np.sum(weights * ln_k[lo[:, None] + stencil],
+                                                   axis=1)) / TWO_PI)
+    if not np.all(np.isfinite(k_nodes)):
         raise GeometryError(f"transport coefficient is not finite along {q} -> {p}")
-    return s_nodes, k
+    return np.linspace(0.0, 1.0, steps + 1), k_nodes
 
 
 def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
                 steps: int = SHOOT_STEPS,
                 propagator: Optional[GeodesicPath] = None,
                 work: Optional[dict] = None) -> float:
-    """k from the van Vleck determinant, independent of the transport ODE.
+    """k from differenced world functions, independent of transport_k.
 
     Delta = -det(-[W_{,a b'}]/2) / sqrt(-det g_p) sqrt(-det g_q), where
     sqrt(-det g) = omega^4, with the mixed Hessian by central differences
@@ -480,8 +472,10 @@ def conformal_k(chart: CurvedChart, q, p):
 
         sqrt(Delta) = I(q, p) / (omega_p omega_q),
 
-    which the transport ODE and the mixed-Hessian determinant both
-    reproduce; it is exact, symmetric, and 1 on the flat chart.
+    which transport_k and the mixed-Hessian determinant both reproduce;
+    it is symmetric and 1 on the flat chart.  I is _chord_mean's 32-node
+    rule: at roundoff while the chord spans a few profile widths, but up
+    to ~1e-2 off when it spans many (a narrow profile on a long chord).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float).reshape(4)

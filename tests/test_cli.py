@@ -395,7 +395,10 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, cfg, ke
     ("reconstruct", _rec_config(quadrature={"n_theta": "24"}), "quadrature.n_theta"),
     ("reconstruct", _rec_config(quadrature={"n_theta": 8.5}), "quadrature.n_theta"),
     ("reconstruct", _rec_config(quadrature={"cap": "x"}), "unknown quadrature keys ['cap']"),
-    ("reconstruct", _rec_config(quadrature={"fd_step": 0}), "quadrature.fd_step"),
+    ("reconstruct", _rec_config(quadrature={"fd_step": 0}),
+     "unknown quadrature keys ['fd_step']"),
+    ("reconstruct", _rec_config(quadrature={"radial_fd": "richardson"}),
+     "unknown quadrature keys ['radial_fd']"),
     ("reconstruct", _rec_config(chart={"name": "conformal", "eps": "0.01"}),
      "chart.eps"),
     ("reconstruct", _rec_config(chart={"name": "conformal", "width": "2"}),
@@ -451,7 +454,8 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, cfg, ke
         "reconstruct-curved-valence-above-cap", "converge-valence-above-cap",
         "constraints-valence-fraction", "verify-cases-zero",
         "n_theta-string", "n_theta-fraction", "cap-string", "fd_step-zero",
-        "eps-string", "width-string", "width-zero", "reconstruct-tolerance-string",
+        "radial_fd-richardson", "eps-string", "width-string", "width-zero",
+        "reconstruct-tolerance-string",
         "converge-tolerance-string", "constraints-tolerance-string",
         "curved-transport-tolerance-string", "verify-threshold-string",
         "alpha-part-string", "converge-levels-fraction",
@@ -650,22 +654,26 @@ def test_non_finite_literal_is_config_error(tmp_path, capsys, literal):
     assert not (tmp_path / "rec.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_oracle_error_fails_the_tolerance_gate(tmp_path):
-    # a Richardson step that underflows makes every value NaN
-    cfg = _rec_config(quadrature={"n_theta": 8, "n_phi": 16,
-                                  "radial_fd": "richardson", "fd_step": 1e-320})
+def _nan_data(monkeypatch):
+    """Make every data value and radial derivative on a section NaN."""
+    evaluate_on = nulldata.ConeData.evaluate_on
+    monkeypatch.setattr(nulldata.ConeData, "evaluate_on", lambda data, section: tuple(
+        np.full_like(a, np.nan) for a in evaluate_on(data, section)))
+
+
+def test_nan_oracle_error_fails_the_tolerance_gate(tmp_path, monkeypatch):
+    _nan_data(monkeypatch)
+    cfg = _rec_config(quadrature={"n_theta": 8, "n_phi": 16})
     out = tmp_path / "rec.json"
     assert _run("reconstruct", _write(tmp_path, "c.json", cfg), out) == 1
     assert all(rec["within_tolerance"] is False
                for rec in json.loads(out.read_text())["records"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_result_is_written_as_null(tmp_path, capsys):
+def test_nan_result_is_written_as_null(tmp_path, capsys, monkeypatch):
     # strict JSON has no NaN token; without a tolerance the run still fails
-    cfg = _rec_config(quadrature={"n_theta": 8, "n_phi": 16,
-                                  "radial_fd": "richardson", "fd_step": 1e-320})
+    _nan_data(monkeypatch)
+    cfg = _rec_config(quadrature={"n_theta": 8, "n_phi": 16})
     cfg.pop("tolerance")
     out = tmp_path / "rec.json"
     assert _run("reconstruct", _write(tmp_path, "c.json", cfg), out) == 1
@@ -678,12 +686,11 @@ def test_nan_result_is_written_as_null(tmp_path, capsys):
     assert "output.records[0]" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_converge_nan_result_fails_without_tolerance(tmp_path):
+def test_converge_nan_result_fails_without_tolerance(tmp_path, monkeypatch):
+    _nan_data(monkeypatch)
     cfg = {"p0": [0, 0, 0, 0], "q": [1.5, 0.4, 0.3, 0.2], "valence": 1,
            "data": {"family": "plane-wave", "alpha": ALPHA},
-           "levels": [[8, 16]],
-           "quadrature": {"radial_fd": "richardson", "fd_step": 1e-320}}
+           "levels": [[8, 16]]}
     out = tmp_path / "cv.csv"
     assert _run("converge", _write(tmp_path, "c.json", cfg), out) == 1
     rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
@@ -701,6 +708,34 @@ def test_constraints_nan_result_fails_without_tolerance(tmp_path, monkeypatch):
     out = tmp_path / "con.csv"
     assert _run("constraints", _write(tmp_path, "c.json", cfg), out) == 1
     assert "nan" in out.read_text()
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"alpha": [[1e160, 0], [1e160, 0]]}, "data.alpha[0] real part"),
+    ({"alpha": ALPHA, "amplitude": 1e308}, "data.amplitude"),
+], ids=["alpha", "amplitude"])
+def test_plane_wave_parameter_past_the_bound_exits_2_naming_it(tmp_path, capsys, data, key):
+    # both overflowed to an all-null record (exit 1) before the bound
+    cfg = _rec_config(data={"family": "plane-wave", **data})
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg), tmp_path / "rec.json") == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "rec.json").exists()
+
+
+def test_plane_wave_at_the_bound_stays_finite(tmp_path):
+    top = cli._MAX_WAVE
+    spin = {"family": "plane-wave", "alpha": [[top, top], [top, -top]],
+            "amplitude": [top, -top]}
+    dirac = {**spin, "family": "plane-wave-dirac", "psi_amplitude": [-top, top]}
+    base = {"p0": [0, 0, 0, 0], "valence": MAX_VALENCE, "data": spin}
+    q, levels = [1.5, 0.4, 0.3, 0.2], [[8, 16]]
+    for command, cfg in (
+            ("reconstruct", {**base, "q": [q], "quadrature": {"n_theta": 8, "n_phi": 16}}),
+            ("converge", {**base, "q": q, "levels": levels}),
+            ("constraints", {**base, "s_values": [0.8], "levels": levels}),
+            ("converge", {**base, "valence": 1, "kind": "dirac", "data": dirac, "q": q,
+                          "levels": levels})):
+        assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out") == 0, cfg
 
 
 def test_unmapped_exception_is_internal_error(tmp_path, monkeypatch, capsys):
@@ -734,8 +769,7 @@ def test_converge_table(tmp_path):
     cfg = {"p0": [0, 0, 0, 0], "q": [1.5, 0.4, 0.3, 0.2],
            "valence": 2,
            "data": {"family": "plane-wave", "alpha": ALPHA},
-           "levels": [[16, 32], [32, 64]],
-           "quadrature": {"radial_fd": "richardson", "fd_step": 1e-2}}
+           "levels": [[16, 32], [32, 64]]}
     out = tmp_path / "cv.csv"
     assert _run("converge", _write(tmp_path, "c.json", cfg), out) == 0
     lines = out.read_text().splitlines()
@@ -841,12 +875,15 @@ def test_curved_transport_reports_k_steps_nodes(tmp_path):
     assert rec["k_nodes"][-1] == rec["k_ode"]
 
 
-def test_curved_transport_non_finite_k_is_geometry_error(tmp_path, monkeypatch):
+def test_curved_transport_non_finite_k_is_geometry_error(tmp_path, monkeypatch, capsys):
     from conerec import transport
-    monkeypatch.setattr(transport, "_box_w", lambda chart, path: np.full(len(path.s), np.nan))
+    # a NaN connection gradient leaves the propagator's X and U blocks, and so k, NaN
+    monkeypatch.setattr(transport.CurvedChart, "connection_grad",
+                        lambda chart, x: np.full((4, 4, 4, 4), np.nan))
     code = _run("curved-transport", _write(tmp_path, "c.json", _transport_config()),
                 tmp_path / "ct.json")
     assert code == cli.EXIT_GEOMETRY == 3
+    assert "rays[0]: transport coefficient is not finite" in capsys.readouterr().err
 
 
 def test_curved_transport_ray_leaves_chart(tmp_path):
@@ -989,8 +1026,7 @@ def test_console_entry_point(tmp_path):
 
 # -- property: every leaf of a full config, mutated, ends in a documented exit
 
-_QUADRATURE_FULL = {"n_theta": 8, "n_phi": 16, "radial_fd": "analytic", "fd_step": 1e-3,
-                    "rho_variant": "penrose"}
+_QUADRATURE_FULL = {"n_theta": 8, "n_phi": 16, "rho_variant": "penrose"}
 _CHART_FULL = {"name": "conformal", "eps": 1e-3, "profile": "gaussian", "width": 2.0,
                "center": [0, 0, 0, 0], "halfwidth": 10.0}
 
@@ -1137,6 +1173,7 @@ def test_readme_configs_section_names_every_key_and_bound():
     bounds = (cli._MAX_GRID, cli._MAX_STEPS, cli._MAX_CASES, MAX_VALENCE)
     assert all(f"at most {b}" in section for b in bounds)
     assert f"{cli._MAX_COORDINATE:.0e}".replace("+", "") in section
+    assert f"at most {cli._MAX_WAVE:.0e}".replace("+0", "") in section
 
 
 @pytest.mark.parametrize("block, table", [("quadrature", cli._QUADRATURE),

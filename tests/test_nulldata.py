@@ -380,6 +380,14 @@ def test_constraint_residual_zero_data():
     assert max(r.values()) == 0.0
 
 
+def test_constraint_residual_of_nan_data_is_nan():
+    # a NaN residual must not lose to the running maximum's start value 0
+    data = ConeData(2, fn=lambda r0, om, o, i: np.full((r0.size, 3), np.nan, complex),
+                    fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 3), complex))
+    r = nd.constraint_residual(data, P0, [1.0, 1.5], SphereGrid(12, 24))
+    assert all(np.isnan(v) for v in r.values())
+
+
 def test_constraint_residual_perturbation_scales_linearly():
     spec = _spec(1)
     fn, fn_dr0 = orc.plane_wave_cone_fn(spec, P0)

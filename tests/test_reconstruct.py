@@ -5,7 +5,7 @@ import pytest
 
 import conerec.reconstruct as rec
 from conerec import oracles as orc
-from conerec.nulldata import ConeData
+from conerec.nulldata import ConeData, richardson_dr0
 from conerec.reconstruct import (QuadratureSpec, convergence_study,
                                  reconstruct_dirac, reconstruct_spin_n)
 from conerec.spinor import sym_assemble
@@ -84,11 +84,19 @@ def test_spin_one_matches_dirac_unprimed():
     assert np.max(np.abs(r_spin.value.components - from_dirac)) < 1e-10
 
 
+def _differenced(data, h=1e-3):
+    """data with its exact r0 derivative replaced by a Richardson
+    difference of its values with step h."""
+    def fn_dr0(r0, omega, o_up, iota_up):
+        return richardson_dr0(lambda r: data.fn(r, omega, o_up, iota_up), r0, h)
+
+    return ConeData(data.valence, kind=data.kind, fn=data.fn, fn_dr0=fn_dr0)
+
+
 def test_richardson_radial_path():
     pw, b, data = _dirac_setup()
     q = Q_POINTS[2]
-    spec = QuadratureSpec(32, 64, radial_fd="richardson", fd_step=1e-3)
-    res = reconstruct_dirac(P0, data, q, spec)
+    res = reconstruct_dirac(P0, _differenced(data), q, QuadratureSpec(32, 64))
     exact = orc.plane_wave_dirac(pw, q, psi_amplitude=b)
     assert _dirac_rel_err(res, exact) < 1e-9
 
@@ -289,8 +297,6 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(8, 7)
     with pytest.raises(ValueError):
-        QuadratureSpec(8, 16, radial_fd="other")
-    with pytest.raises(ValueError):
         QuadratureSpec(8, 16, rho_variant="other")
 
 
@@ -381,10 +387,8 @@ def test_curved_richardson_radial_path():
     q = np.array([1.5, 0.4, 0.3, 0.2])
     a = rec.reconstruct_curved_singular(chart, P0, data, 2, q,
                                         QuadratureSpec(16, 32))
-    b = rec.reconstruct_curved_singular(chart, P0, data, 2, q,
-                                        QuadratureSpec(16, 32,
-                                                       radial_fd="richardson",
-                                                       fd_step=1e-3))
+    b = rec.reconstruct_curved_singular(chart, P0, _differenced(data), 2, q,
+                                        QuadratureSpec(16, 32))
     assert np.max(np.abs(a.value.components - b.value.components)) < 1e-9
 
 

@@ -388,8 +388,8 @@ def test_transport_k_matches_conformal_closed_form():
 
 
 def test_transport_k_evaluates_no_world_function(monkeypatch):
-    # box W is closed-form on the Jacobi propagator, so no world function
-    # is evaluated; on the flat chart box W = 8 and k stays 1/(2 pi)
+    # k is read off the Jacobi propagator's X_v block, so no world function
+    # is evaluated; on the flat chart X_v = s 1 and k stays 1/(2 pi)
     chart = tr.make_chart("flat")
     q = P + 1.3 * OMEGA_DIR
     calls = []
@@ -448,29 +448,6 @@ def test_jacobi_propagator_matches_differenced_shoots():
 
 
 @pytest.mark.parametrize("profile", ["gaussian", "sine"])
-def test_closed_form_box_w_matches_world_function_stencil(profile):
-    chart = tr.make_chart("conformal", eps=1e-2, profile=profile)
-    q, prop = _ray_propagator(chart)
-    box = tr._box_w(chart, prop)
-    assert box[0] == 8.0
-    for i in (12, 24, 40):
-        x = prop.x[i]
-
-        def second(h):
-            # diagonal second differences; g^{ab} is diagonal on this chart
-            steps = h * np.eye(4)
-            w = tr.world_function(chart, q, np.vstack([x, x + steps, x - steps]))
-            return (w[1:5] - w[5:]) / (2.0 * h), (w[1:5] - 2.0 * w[0] + w[5:]) / h ** 2
-
-        (g1, h1), (g2, h2) = second(1e-2), second(2e-2)
-        grad, hess = (4.0 * g1 - g2) / 3.0, (4.0 * h1 - h2) / 3.0
-        ginv = np.linalg.inv(chart.metric(x))
-        stencil = (np.einsum("aa,a->", ginv, hess)
-                   - np.einsum("ab,cab,c->", ginv, chart.connection(x), grad))
-        assert abs(box[i] - stencil) < 1e-7
-
-
-@pytest.mark.parametrize("profile", ["gaussian", "sine"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
 @pytest.mark.parametrize("k_steps", [1, 10])
 def test_transport_k_matches_closed_form_at_every_node(profile, eps, k_steps):
@@ -482,6 +459,27 @@ def test_transport_k_matches_closed_form_at_every_node(profile, eps, k_steps):
     for sj, kj in zip(s[1:], k[1:]):
         x = tr.geodesic_shoot(chart, q, prop.v[0], sj, steps=400).x[-1]
         assert abs(kj - tr.conformal_k(chart, q, x)) < 1e-10
+
+
+# composite Gauss-Legendre rule on [0, 1]: 200 panels of 20 nodes
+_PANEL_U, _PANEL_W = np.polynomial.legendre.leggauss(20)
+_FINE_U = ((np.arange(200)[:, None] + 0.5 * (_PANEL_U + 1.0)) / 200).ravel()
+_FINE_W = np.tile(_PANEL_W, 200) / 400.0
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+@pytest.mark.parametrize("eps, bound", [(1e-2, 1e-9), (0.3, 1e-7), (0.9, 1e-6)])
+@pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
+def test_transport_k_meets_the_resolved_chord_integral(profile, eps, bound, width):
+    # k(q, p) = I(q, p) / (2 pi omega_p omega_q) with the chord average of
+    # omega^2 resolved far past the 48-step propagator's error
+    chart = tr.make_chart("conformal", eps=eps, profile=profile, width=width)
+    q, prop = _ray_propagator(chart)
+    chord = q + _FINE_U[:, None] * (WORKLOAD_P - q)
+    exact = (_FINE_W @ chart.omega(chord) ** 2
+             / (2.0 * math.pi * chart.omega(WORKLOAD_P) * chart.omega(q)))
+    _, k = tr.transport_k(chart, q, WORKLOAD_P, steps=1, propagator=prop)
+    assert abs(k[-1] - exact) < bound
 
 
 def test_transport_k_connects_when_given_no_propagator():
@@ -541,7 +539,7 @@ def test_seeded_van_vleck_equals_unseeded(profile):
 
 def test_transport_k_rejects_a_non_finite_propagator():
     # a flat connection connects in one shoot; a NaN connection gradient
-    # leaves only the propagator's X and U blocks, and so box W, non-finite
+    # leaves only the propagator's X and U blocks, and so det X_v, non-finite
     chart = tr.make_chart("flat")
     chart.connection_grad = lambda x: np.full((4, 4, 4, 4), np.nan)
     q = P + 1.3 * OMEGA_DIR
