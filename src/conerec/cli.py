@@ -63,8 +63,8 @@ def _timestamp():
 _REQUIRED = object()
 # Bounds of the counts a config sets, so that none can make a run allocate
 # or loop without end (1e308 is a valid JSON integer), and of the magnitude
-# of a coordinate or length, which the geometry squares.
-_MAX_GRID = 1024          # quadrature.n_theta and n_phi, each levels entry
+# of a coordinate or length, which the geometry squares.  The grid bound
+# is cone.MAX_GRID (see _as_grid), which data files share.
 _MAX_STEPS = 10_000       # k_steps, frame.steps
 _MAX_CASES = 100_000      # verify cases
 _MAX_COORDINATE = 1e100
@@ -210,10 +210,17 @@ def _vector(n, nonzero=False):
     return check
 
 
+def _as_grid(v, what):
+    """quadrature.n_theta and n_phi, each levels entry: at most cone.MAX_GRID,
+    the bound a data file's grid has too."""
+    from .cone import MAX_GRID
+    return _count(MAX_GRID)(v, what)
+
+
 def _as_level(v, what):
     if not (isinstance(v, list) and len(v) == 2):
         raise ConfigError(f"{what} must be an [n_theta, n_phi] pair, got {v!r}")
-    return tuple(_list_of(_count(_MAX_GRID))(v, what))
+    return tuple(_list_of(_as_grid)(v, what))
 
 
 def _as_valence(v, what):
@@ -227,7 +234,7 @@ def _late(module, name):
 
 
 _as_point = _vector(4)
-_QUADRATURE = {"n_theta": _Key(_count(_MAX_GRID), 24), "n_phi": _Key(_count(_MAX_GRID), 48),
+_QUADRATURE = {"n_theta": _Key(_as_grid, 24), "n_phi": _Key(_as_grid, 48),
                "rho_variant": _Key(_as_given)}
 _CHART = {"name": _Key(_as_given, "flat"), "eps": _Key(_as_finite),
           "profile": _Key(_as_given), "width": _Key(_as_length),

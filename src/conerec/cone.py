@@ -25,6 +25,9 @@ from .frames import transversal_iota
 from .spinor import ETA, minkowski
 
 TWO_QUART = 2.0 ** 0.25
+# Largest n_theta and n_phi a config or a data file may set: the
+# Gauss-Legendre rule of n_theta rings costs O(n_theta^2) memory.
+MAX_GRID = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +235,6 @@ def section_tangents(section: ConeSection, td: TangentialDerivatives):
     g12 = -np.einsum("ni,ij,nj->n", t_th, ETA, t_ph)
     g22 = -np.einsum("ni,ij,nj->n", t_ph, ETA, t_ph)
     return t_th, t_ph, g11, g12, g22, g11 * g22 - g12 ** 2
-
-
-def area_element(section: ConeSection) -> np.ndarray:
-    """Area weights from the numerical Jacobian of the embedding.
-
-    Differentiates the embedding (theta, phi) -> p on the grid, forms the
-    induced metric, and converts sqrt(det) dtheta dphi into weights on the
-    Gauss-Legendre x trapezoid nodes.  Cross-validates the exact weights
-    mu_sigma = r0^2 dOmega.
-    """
-    det = section_tangents(section, TangentialDerivatives(section.grid))[-1]
-    if np.any(det <= 0):
-        raise ValueError("degenerate embedding Jacobian")
-    return section.quad_w * np.sqrt(det) / np.sin(section.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,10 @@ def load_cone_data(path: str) -> ConeData:
     counts = ("valence", "n_components", "n_theta", "n_phi")
     if not all(type(desc[k]) is int for k in counts):
         raise ValueError(f"{', '.join(counts)} must be integers")
+    for key in ("n_theta", "n_phi"):
+        if not 1 <= desc[key] <= cone.MAX_GRID:
+            raise ValueError(f"{key} must be a positive integer at most "
+                             f"{cone.MAX_GRID}, got {desc[key]}")
     for key, want in {**_V1_GRID, **_V1_BLOB}.items():
         if isinstance(desc[key], bool) or desc[key] != want:
             raise ValueError(f"{key} must be {want!r}, got {desc[key]!r}")
@@ -471,16 +475,17 @@ def load_cone_data(path: str) -> ConeData:
     if blob in ("", ".", "..") or os.path.basename(str(blob)) != blob:
         raise ValueError(f"blob {blob!r} must be a plain file name next to "
                          "the descriptor")
-    grid = SphereGrid(desc["n_theta"], desc["n_phi"])
     r0_nodes = desc["r0_nodes"]
     if type(r0_nodes) is not list or any(type(r) not in (int, float) for r in r0_nodes):
         raise ValueError(f"r0_nodes must be a list of numbers, got {r0_nodes!r}")
     r0_nodes = np.asarray(r0_nodes, dtype=float)
-    n_nodes = grid.angles()[0].size
-    shape = (r0_nodes.size, n_nodes, ncomp)
+    # the grid has a node per ring and angle; its size is checked on the
+    # blob before the grid is built
+    shape = (r0_nodes.size, desc["n_theta"] * desc["n_phi"], ncomp)
     blob_path = os.path.join(os.path.dirname(base) or ".", blob)
-    if os.path.getsize(blob_path) != 16 * int(np.prod(shape)):
+    if os.path.getsize(blob_path) != 16 * math.prod(shape):
         raise ValueError("blob size does not match the descriptor")
+    grid = SphereGrid(desc["n_theta"], desc["n_phi"])
     raw = np.fromfile(blob_path, dtype=_V1_BLOB["dtype"])
     if not np.all(np.isfinite(raw.view(float))):
         raise ValueError(f"blob {blob!r} holds non-finite values")

@@ -13,7 +13,6 @@ standard spin basis at q.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -177,24 +176,21 @@ def relative_error(got, ref) -> float:
 
 def convergence_study(p0, data: ConeData, q, oracle, specs,
                       kind: str = "spin", n: int = 1):
-    """Error vs oracle and runtime for each quadrature spec.
+    """Error vs oracle for each quadrature spec.
 
     oracle: a DiracSpinorValue, a SymSpinorValue or a flat component
     array (see components).  Returns a list of rows {n_theta, n_phi,
-    error, runtime_s}; error is relative_error against the oracle.
+    error}; error is relative_error against the oracle.
     """
     ref = components(oracle)
     rows = []
     for spec in specs:
-        t0 = time.perf_counter()
         if kind == "dirac":
             res = reconstruct_dirac(p0, data, q, spec)
         else:
             res = reconstruct_spin_n(p0, data, n, q, spec)
-        dt = time.perf_counter() - t0
         rows.append({"n_theta": spec.n_theta, "n_phi": spec.n_phi,
-                     "error": relative_error(components(res.value), ref),
-                     "runtime_s": dt})
+                     "error": relative_error(components(res.value), ref)})
     return rows
 
 

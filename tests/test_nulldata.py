@@ -1,6 +1,7 @@
 """Characteristic data storage, tangential operators, constraint checks."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -458,6 +459,26 @@ def test_descriptor_keeps_the_blob_literals(tmp_path):
     assert '"dtype": "<c16",' in text
     assert '"layout": "r0-major, ring-major directions, component-minor",' in text
     assert os.path.getsize(path + ".bin") == 16 * data.values.size
+
+
+def test_load_checks_the_blob_size_before_building_the_grid(tmp_path, monkeypatch):
+    # a descriptor at the grid bound over an 8x16 blob is refused by its
+    # arithmetic alone, before the 1024-ring grid would be built
+    data = _grid_sample(_spec(1), SphereGrid(8, 16), np.linspace(0.2, 1.0, 5))
+    path = os.path.join(tmp_path, "wave")
+    nd.save_cone_data(path, data)
+    with open(path + ".json") as fh:
+        desc = json.load(fh)
+    desc.update(n_theta=1024, n_phi=1024)
+    with open(path + ".json", "w") as fh:
+        json.dump(desc, fh)
+
+    def no_grid(*args):
+        raise AssertionError("grid built before the blob was checked")
+
+    monkeypatch.setattr(nd, "SphereGrid", no_grid)
+    with pytest.raises(ValueError, match="blob size does not match the descriptor"):
+        nd.load_cone_data(path + ".json")
 
 
 def test_save_rejects_analytic(tmp_path):

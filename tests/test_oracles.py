@@ -5,6 +5,8 @@ import pytest
 
 from conerec import cone, oracles, spinor
 
+from _reference import sym_components
+
 
 RNG = np.random.default_rng(20260816)
 
@@ -38,7 +40,7 @@ def test_field_matches_tensor_contractions():
     t = oracles.plane_wave_tensor(spec, x)
     o_up = np.array([1.0, 0.0], dtype=complex)
     i_up = np.array([0.0, 1.0], dtype=complex)
-    via_tensor = spinor.sym_components(t, o_up, i_up)
+    via_tensor = sym_components(t, o_up, i_up)
     direct = oracles.plane_wave_field(spec, x)
     assert np.allclose(via_tensor.components, direct.components, atol=1e-14)
 
@@ -75,7 +77,7 @@ def test_plane_wave_components_vs_single_point():
     batch = oracles.plane_wave_components(spec, x, o_up, i_up)
     for i in (0, 37, 101):
         t = oracles.plane_wave_tensor(spec, x[i])
-        val = spinor.sym_components(t, o_up[i], i_up[i])
+        val = sym_components(t, o_up[i], i_up[i])
         assert np.allclose(batch[i], val.components, atol=1e-13)
 
 

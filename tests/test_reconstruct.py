@@ -8,7 +8,8 @@ from conerec import oracles as orc
 from conerec.nulldata import ConeData, richardson_dr0
 from conerec.reconstruct import (QuadratureSpec, convergence_study,
                                  reconstruct_dirac, reconstruct_spin_n)
-from conerec.spinor import sym_assemble
+
+from _reference import sym_assemble, sym_components
 
 rng = np.random.default_rng(20260816)
 
@@ -245,7 +246,6 @@ def test_convergence_study_plane_wave():
     specs = [QuadratureSpec(nt, 2 * nt) for nt in (4, 8, 16, 32, 64)]
     rows = convergence_study(P0, data, q, exact, specs, kind="dirac")
     errs = [r["error"] for r in rows]
-    assert all(r["runtime_s"] >= 0 for r in rows)
     # ratio >= 4 per doubling until below 1e-10
     for a, b_ in zip(errs, errs[1:]):
         if a < 1e-10:
@@ -472,8 +472,8 @@ def test_curved_flat_chart_equals_flat_reconstruction_high_valence():
 
 def _dense_component_sum(scal, iota_up, n):
     """Reference: the rank-n tensor sum_x scal iota_A .. iota_F by einsum,
-    contracted back to phi_0 .. phi_n by spinor.sym_components."""
-    from conerec.spinor import lower_comps, sym_components
+    contracted back to phi_0 .. phi_n by the dense sym_components."""
+    from conerec.spinor import lower_comps
     idx = "abcdef"[:n]
     subs = "x," + ",".join("x" + c for c in idx) + "->" + idx
     tensor = np.einsum(subs, scal, *([lower_comps(iota_up)] * n))
