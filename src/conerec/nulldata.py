@@ -104,8 +104,9 @@ class ConeData:
                 raise ValueError("r0_nodes must be finite")
             if np.any(np.diff(self.r0_nodes) <= 0):
                 raise ValueError("r0 nodes must increase")
-            if self.r0_nodes[0] <= 0:
-                raise ValueError("data support must exclude the vertex")
+            if self.r0_nodes[0] <= 0 or self.r0_nodes[0] < self.r0_min:
+                raise ValueError("data support must exclude the vertex and start at or above "
+                                 f"r0_min: first r0 node {self.r0_nodes[0]}, r0_min {self.r0_min}")
             th = grid.angles()[0]
             self.values = np.ascontiguousarray(values, dtype=complex)
             expect = (self.r0_nodes.size, th.size)
@@ -456,6 +457,9 @@ def load_cone_data(path: str) -> ConeData:
     missing = [k for k in _DESCRIPTOR_KEYS if k not in desc]
     if missing:
         raise ValueError(f"descriptor needs {', '.join(map(repr, missing))}")
+    unknown = sorted(set(desc) - {"format", "r0_min", *_DESCRIPTOR_KEYS})
+    if unknown:
+        raise ValueError(f"descriptor has unknown keys {', '.join(map(repr, unknown))}")
     counts = ("valence", "n_components", "n_theta", "n_phi")
     if not all(type(desc[k]) is int for k in counts):
         raise ValueError(f"{', '.join(counts)} must be integers")

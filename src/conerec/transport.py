@@ -3,10 +3,10 @@
 A chart is the metric g = omega^2 eta, omega = 1 + eps f, on a boxed
 coordinate domain, with f a named smooth profile bounded by 1 ("flat"
 is eps = 0 with f = 0).  |eps| < 1 keeps omega >= 1 - |eps| > 0, so g
-is Lorentzian everywhere, and the factor, its log-gradient, the metric,
-the connection and its gradient are all closed form.  On an RK4
-geodesic integrator that can also carry the geodesic-deviation
-equations (the Jacobi propagator) this module builds the two-point
+is Lorentzian everywhere, and the factor, its log-gradient and the
+metric are closed form.  On an RK4 geodesic integrator that also
+carries the complex-step derivative of its one acceleration (the
+Jacobi propagator) this module builds the two-point
 machinery the curved reconstructor consumes: null connection in
 closed form (the straight chord, its affine parameter from the chord
 average of omega^2), the world function with the
@@ -45,17 +45,14 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # RK4 steps of one endpoint shoot over the [0, 1] affine range
 SHOOT_STEPS = 48
-_EYE = np.eye(4)
 _ETA_SIGN = np.diag(ETA).copy()
 _ONES = np.ones(4)
-_EYE_BOOL = _EYE.astype(bool)
+_EYE_BOOL = np.eye(4, dtype=bool)
 # the sine profile's one sine factor, along x^0
 _FIRST = _EYE_BOOL[0]
-# Gamma^a_{bc} = delta^a_b w_c + delta^a_c w_b - eta_{bc} eta^{ad} w_d is
-# linear in w = grad ln omega for g = omega^2 eta: [d, abc] multiplies w_d,
-# and the Hessian of ln omega in place of w gives partial_d Gamma^a_{bc}
-_CONFORMAL_GAMMA = (np.einsum("ab,cd->dabc", _EYE, _EYE) + np.einsum("ac,bd->dabc", _EYE, _EYE)
-                    - np.einsum("bc,ad->dabc", ETA, ETA)).reshape(4, 64)
+# imaginary step of the Jacobi propagator's complex-step derivative: its
+# square underflows to 0, so the real part is the undisturbed value
+_STEP = 1e-200
 # Gauss-Legendre rule of _chord_mean, nodes mapped to [0, 1]
 _CHORD_NODES, _CHORD_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CHORD_U = 0.5 * (_CHORD_NODES + 1.0)
@@ -65,10 +62,10 @@ _CHORD_U = 0.5 * (_CHORD_NODES + 1.0)
 class CurvedChart:
     """The conformally flat metric (1 + eps f)^2 eta on the box [lo, hi]^4.
 
-    jet(x, order) returns the profile f at (..., 4) points and its first
-    `order` (at most 2) derivatives, (f, grad f, Hessian of f); |f| <= 1.
-    Every geometric quantity below is closed form in eps and the jet and
-    takes (..., 4) arrays.
+    jet(x, order) returns (f,) or, for order 1, (f, grad f) of the profile
+    at (..., 4) points, |f| <= 1; the Jacobi propagator differentiates it by
+    a complex step, so it must be complex-analytic in x (no abs or conj).
+    Every quantity below is closed form in eps and the jet, on (..., 4) arrays.
     """
 
     jet: Callable
@@ -108,18 +105,6 @@ class CurvedChart:
         """g_{ab} = omega^2 eta_{ab}, [..., a, b]."""
         return (self.omega(x) ** 2)[..., None, None] * ETA
 
-    def connection(self, x) -> np.ndarray:
-        """Gamma^a_{bc}, [..., a, b, c]."""
-        return (self.grad_ln_omega(x) @ _CONFORMAL_GAMMA).reshape(np.shape(x)[:-1] + (4, 4, 4))
-
-    def connection_grad(self, x) -> np.ndarray:
-        """partial_d Gamma^a_{bc}, [..., d, a, b, c]."""
-        fx, grad, hess = self.jet(x)
-        scale = self.eps / (1.0 + self.eps * fx)
-        w = scale[..., None] * grad
-        hess_ln = scale[..., None, None] * hess - w[..., :, None] * w[..., None, :]
-        return (hess_ln @ _CONFORMAL_GAMMA).reshape(np.shape(x)[:-1] + (4, 4, 4, 4))
-
 
 @dataclass
 class GeodesicPath:
@@ -136,10 +121,10 @@ class GeodesicPath:
 
 # -- chart registry ------------------------------------------------------
 
-def _flat_jet(x, order=2):
-    """f = 0 and its derivatives."""
+def _flat_jet(x, order):
+    """f = 0 and its gradient."""
     shape = np.shape(x)[:-1]
-    return (np.zeros(shape)[()], np.zeros(shape + (4,)), np.zeros(shape + (4, 4)))[:order + 1]
+    return (np.zeros(shape)[()], np.zeros(shape + (4,)))[:order + 1]
 
 
 def _profile(profile: str, width: float, center):
@@ -152,19 +137,15 @@ def _profile(profile: str, width: float, center):
         # (d * d) @ k is -|d|^2 / width^2 over the last axis in one call
         k = np.full(4, -1.0 / width ** 2)
 
-        def jet(x, order=2):
-            d = np.asarray(x, dtype=float) - c
+        def jet(x, order):
+            d = np.asarray(x) - c
             fx = np.exp((d * d) @ k)
-            grad = (fx * (-2.0 / width ** 2))[..., None] * d
-            if order < 2:
-                return (fx, grad)[:order + 1]
-            return fx, grad, (grad[..., :, None] * (d * (-2.0 / width ** 2))[..., None, :]
-                              + (-2.0 / width ** 2) * fx[..., None, None] * _EYE)
+            return (fx, (fx * (-2.0 / width ** 2))[..., None] * d)[:order + 1]
     elif profile == "sine":
-        def jet(x, order=2):
+        def jet(x, order):
             # f is a product of one factor per coordinate (sin, cos, cos, cos);
-            # d/dx^m turns factor m into der[m], and twice into -fac[m]
-            d = (np.asarray(x, dtype=float) - c) / width
+            # d/dx^m turns factor m into der[m]
+            d = (np.asarray(x) - c) / width
             s, co = np.sin(d), np.cos(d)
             fac = np.where(_FIRST, s, co)
             fx = np.multiply.reduce(fac, axis=-1)
@@ -172,15 +153,7 @@ def _profile(profile: str, width: float, center):
                 return (fx,)
             der = np.where(_FIRST, co, -s)
             rows = np.where(_EYE_BOOL, der[..., None, :], fac[..., None, :])
-            grad = np.multiply.reduce(rows, axis=-1) / width
-            if order == 1:
-                return fx, grad
-            # [i, j]: row i with factor j differentiated too; on the diagonal
-            # every factor but one is kept and that one negated, so -f
-            mixed = np.multiply.reduce(np.where(_EYE_BOOL, der[..., None, None, :],
-                                                rows[..., :, None, :]), axis=-1)
-            return fx, grad, np.where(_EYE_BOOL, (-fx / width ** 2)[..., None, None],
-                                      mixed / width ** 2)
+            return fx, np.multiply.reduce(rows, axis=-1) / width
     else:
         raise ValueError(f"unknown conformal profile {profile!r}")
     return jet
@@ -222,8 +195,9 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
     step in kernels.shoot_endpoint.  Raises GeometryError as soon as a
     step lands outside the chart box, reporting the exit point.
     jacobi=True (one point) makes it the Jacobi propagator: the steps also
-    carry the geodesic-deviation equations X' = U, U' = -(partial_d Gamma)(v, v) X^d
-    - 2 Gamma(v, U) from (X, U) = 1, on connection and connection_grad.
+    carry the geodesic-deviation equations X' = U, U' = the derivative of
+    _acceleration along (X, U), from (X, U) = 1: its complex step (Squire &
+    Trapp, SIAM Rev. 40, 1998), one call on (x, u) and x + ih X, u + ih U.
     """
     shape = (-1, 4) if np.ndim(p) == 2 and not jacobi else (4,)
     p = np.asarray(p, dtype=float).reshape(shape)
@@ -236,10 +210,11 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
         x, u = y[0], y[1]
         if not jacobi:
             return u, _acceleration(chart, x, u)
-        gu = chart.connection(x) @ u              # [a, b]: Gamma^a_{bc} u^c
-        J = y[2]                                  # X stacked over U
-        duu = chart.connection_grad(x) @ u @ u    # [d, a]
-        return u, -(gu @ u), np.concatenate([J[4:], -(duu.T @ J[:4]) - 2.0 * (gu @ J[4:])])
+        J = y[2]                                  # X stacked over U, a column per perturbation
+        # row 0 is undisturbed, so a non-finite J cannot reach the geodesic
+        z = np.concatenate([x, u]) + 1j * _STEP * np.vstack([np.zeros(8), J.T])
+        a = _acceleration(chart, z[:, :4], z[:, 4:])
+        return u, a[0].real, np.concatenate([J[4:], a[1:].imag.T / _STEP])
 
     y = [p, v, np.eye(8)] if jacobi else [p, v]
     samples = kernels.shoot_endpoint(rhs, chart.contains, y, s_end, steps)

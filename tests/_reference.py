@@ -3,8 +3,9 @@
 No command runs these.  Dense symmetric-spinor tensors cross-check the
 component scalars, the NP frame check audits section frames, the area
 element from the embedding's numerical Jacobian audits the exact section
-weights, and the null-norm drift and the eikonal identity audit geodesics
-and the world function.
+weights, the Christoffel symbols audit the one geodesic acceleration,
+and the null-norm drift and the eikonal identity audit geodesics and the
+world function.
 """
 
 import itertools
@@ -119,6 +120,15 @@ def area_element(section: cone.ConeSection) -> np.ndarray:
     if np.any(det <= 0):
         raise ValueError("degenerate embedding Jacobian")
     return section.quad_w * np.sqrt(det) / np.sin(section.theta)
+
+
+def christoffel(chart: transport.CurvedChart, x) -> np.ndarray:
+    """Gamma^a_{bc} of g = omega^2 eta at one point, [a, b, c]:
+    delta^a_b w_c + delta^a_c w_b - eta_{bc} eta^{ad} w_d, w = grad ln omega."""
+    w = chart.grad_ln_omega(x)
+    eye = np.eye(4)
+    return (eye[:, :, None] * w + eye[:, None, :] * w[:, None]
+            - ETA * (_ETA_SIGN * w)[:, None, None])
 
 
 def norm_drift(path: transport.GeodesicPath) -> float:

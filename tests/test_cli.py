@@ -314,6 +314,8 @@ def test_blob_outside_the_descriptor_directory_is_config_error(tmp_path, capsys)
     ({"r0_min": -0.1}, "r0_min"),
     ({"r0_min": "0.1"}, "r0_min"),
     ({}, "blob"),
+    ({"r0_min": 5.0}, "r0_min"),
+    ({"n_thetaa": 5}, "n_thetaa"),
 ])
 def test_non_finite_descriptor_or_blob_is_config_error(tmp_path, capsys, edits, key):
     path = _edited_data_file(tmp_path, **edits)
@@ -892,9 +894,11 @@ def test_curved_transport_reports_k_steps_nodes(tmp_path):
 
 def test_curved_transport_non_finite_k_is_geometry_error(tmp_path, monkeypatch, capsys):
     from conerec import transport
-    # a NaN connection gradient leaves the propagator's X and U blocks, and so k, NaN
-    monkeypatch.setattr(transport.CurvedChart, "connection_grad",
-                        lambda chart, x: np.full((4, 4, 4, 4), np.nan))
+    accel = transport._acceleration
+    # a NaN imaginary part on the complex-step rows leaves the geodesic
+    # finite and the propagator's X and U blocks, and so k, NaN
+    monkeypatch.setattr(transport, "_acceleration", lambda chart, x, u: (
+        accel(chart, x, u) + complex(0.0, np.nan) if np.iscomplexobj(x) else accel(chart, x, u)))
     code = _run("curved-transport", _write(tmp_path, "c.json", _transport_config()),
                 tmp_path / "ct.json")
     assert code == cli.EXIT_GEOMETRY == 3

@@ -1,4 +1,4 @@
-"""Geodesic transport: charts, connections, world function, k, frames."""
+"""Geodesic transport: charts, geodesics, world function, k, frames."""
 
 import math
 
@@ -12,7 +12,7 @@ from conerec.errors import GeometryError
 from conerec.frames import NPFrame, frame_from_spin_basis, spin_basis_from_tetrad
 from conerec.spinor import ETA, central_partials, richardson
 
-from _reference import norm_drift, world_function_gradient_check
+from _reference import christoffel, norm_drift, world_function_gradient_check
 
 P = np.array([0.2, 0.1, -0.3, 0.4])
 OMEGA_DIR = np.array([1.0, 0.3, 0.5, math.sqrt(1.0 - 0.34)])
@@ -38,7 +38,7 @@ def test_registry_flat_chart():
     chart = tr.make_chart("flat")
     x = np.array([1.0, 2.0, -3.0, 0.5])
     assert np.array_equal(chart.metric(x), np.diag([1.0, -1.0, -1.0, -1.0]))
-    assert np.array_equal(chart.connection(x), np.zeros((4, 4, 4)))
+    assert np.array_equal(chart.grad_ln_omega(x), np.zeros(4))
     assert chart.contains(x)
     assert not chart.contains(np.array([11.0, 0.0, 0.0, 0.0]))
 
@@ -99,7 +99,7 @@ def test_christoffel_fd_matches_analytic_conformal():
     for profile in ("gaussian", "sine"):
         chart = tr.make_chart("conformal", eps=1e-2, profile=profile, width=1.5)
         fd = _christoffel_fd(chart.metric, x, 1e-5)
-        exact = chart.connection(x)
+        exact = christoffel(chart, x)
         assert np.max(np.abs(fd - exact)) < 1e-9
         assert np.max(np.abs(exact - np.swapaxes(exact, 1, 2))) == 0.0
         assert np.max(np.abs(fd - np.swapaxes(fd, 1, 2))) < 1e-12
@@ -162,7 +162,7 @@ def test_timelike_deflection_matches_linearized_oracle():
 
         def lin_rhs(s, dx, dv):
             x0 = P + s * v0
-            return dv, -np.einsum("abc,b,c->a", chart.connection(x0), v0, v0)
+            return dv, -np.einsum("abc,b,c->a", christoffel(chart, x0), v0, v0)
 
         n = 2000
         h = s_end / n
@@ -228,7 +228,7 @@ def test_batched_shoot_rows_match_geodesic_shoot(profile):
         assert np.max(np.abs(rows.v[:, i] - path.v)) < 1e-15
     # closed-form acceleration against -Gamma(u, u), contracted row by row
     accel = tr._acceleration(chart, ps, vs)
-    contracted = [-(chart.connection(x) @ u @ u) for x, u in zip(ps, vs)]
+    contracted = [-(christoffel(chart, x) @ u @ u) for x, u in zip(ps, vs)]
     assert np.max(np.abs(accel - contracted)) < 1e-16
 
 
@@ -419,15 +419,64 @@ def _ray_propagator(chart, length=1.1):
 
 
 @pytest.mark.parametrize("profile", ["gaussian", "sine"])
-def test_connection_grad_matches_differenced_connection(profile):
+def test_complex_step_acceleration_matches_differenced_acceleration(profile):
     chart = tr.make_chart("conformal", eps=1e-2, profile=profile, width=1.5,
                           center=(0.1, 0.2, -0.1, 0.3))
-    x = np.array([0.3, -0.6, 0.2, 0.9])
-    differenced = richardson(lambda h: central_partials(chart.connection, x, h), 2e-3)
-    assert np.max(np.abs(chart.connection_grad(x) - differenced)) < 1e-12
-    rows = np.vstack([x, -x, 0.5 * x])
-    assert np.max(np.abs(chart.connection_grad(rows)[1]
-                         - chart.connection_grad(-x))) < 1e-16
+    y = np.array([0.3, -0.6, 0.2, 0.9, 1.2, 0.3, -0.5, 0.1])
+
+    def differenced(h):
+        accel = [tr._acceleration(chart, z[:, :4], z[:, 4:])
+                 for z in (y + h * np.eye(8), y - h * np.eye(8))]
+        return ((accel[0] - accel[1]) / (2.0 * h)).T
+
+    # row k steps y by i h e_k, as the propagator's rows step along its columns
+    z = y + 1j * tr._STEP * np.eye(8)
+    a = tr._acceleration(chart, z[:, :4], z[:, 4:])
+    assert np.max(np.abs(a.imag.T / tr._STEP - richardson(differenced, 2e-3))) < 1e-12
+    # h^2 underflows, so every row's real part is the undisturbed acceleration
+    assert np.max(np.abs(a.real - tr._acceleration(chart, y[:4], y[4:]))) < 1e-17
+
+
+def _tensor_propagator(chart, p, v, steps):
+    """The Jacobi propagator on the Christoffel symbols: X' = U,
+    U' = -(partial_d Gamma)(v, v) X^d - 2 Gamma(v, U), with partial_d Gamma
+    by Richardson differences of the reference Gamma."""
+
+    def rhs(y):
+        x, u, J = y
+        gu = christoffel(chart, x) @ u
+        dgamma = richardson(lambda h: central_partials(lambda z: christoffel(chart, z), x, h),
+                            2e-3)
+        duu = dgamma @ u @ u
+        return u, -(gu @ u), np.concatenate([J[4:], -(duu.T @ J[:4]) - 2.0 * (gu @ J[4:])])
+
+    return _backend.shoot_endpoint(rhs, chart.contains, [p, v, np.eye(8)], 1.0, steps)
+
+
+@pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("eps", [1e-2, 0.3, 0.9])
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+def test_jacobi_propagator_meets_the_tensor_propagator(profile, eps, width):
+    chart = tr.make_chart("conformal", eps=eps, profile=profile, width=width)
+    q, prop = _ray_propagator(chart)
+    xs, _, js = _tensor_propagator(chart, q, prop.v[0], len(prop.s) - 1)
+    assert np.max(np.abs(prop.x - xs)) <= 1e-14
+    assert np.max(np.abs(prop.jacobi - js)) <= 1e-10 * np.max(np.abs(js))
+
+
+@pytest.mark.parametrize("width", [0.5, 2.0])
+@pytest.mark.parametrize("profile", ["flat", "gaussian", "sine"])
+def test_jet_is_complex_analytic(profile, width):
+    # the propagator differentiates every jet by a complex step, so the
+    # step's imaginary part must carry the jet's own gradient
+    center = np.array([0.1, 0.2, -0.1, 0.3])
+    chart = (tr.make_chart("flat") if profile == "flat" else
+             tr.make_chart("conformal", eps=0.3, profile=profile, width=width, center=center))
+    for x in (center + 0.1 * width * np.array([0.3, -0.5, 0.8, 0.2]),
+              center + width * np.array([2.5, -1.5, 3.0, 1.0])):
+        grad = chart.jet(x, 1)[1]
+        stepped = chart.jet(x + 1j * tr._STEP * np.eye(4), 0)[0].imag / tr._STEP
+        assert np.max(np.abs(stepped - grad)) <= 1e-14 * max(1.0, np.max(np.abs(grad)))
 
 
 def test_jacobi_propagator_matches_differenced_shoots():
@@ -539,14 +588,18 @@ def test_seeded_van_vleck_equals_unseeded(profile):
                plain_work["worst_connect_residual"]) <= 1e-13 * 2.0
 
 
-def test_transport_k_rejects_a_non_finite_propagator():
-    # a flat connection connects in one shoot; a NaN connection gradient
-    # leaves only the propagator's X and U blocks, and so det X_v, non-finite
+def test_transport_k_rejects_a_non_finite_propagator(monkeypatch):
+    # a flat chart connects in one shoot; a NaN derivative of the
+    # acceleration leaves only the propagator's X and U blocks, and so
+    # det X_v, non-finite
     chart = tr.make_chart("flat")
-    chart.connection_grad = lambda x: np.full((4, 4, 4, 4), np.nan)
+    accel = tr._acceleration
+    monkeypatch.setattr(tr, "_acceleration", lambda chart, x, u: (
+        accel(chart, x, u) + complex(0.0, math.nan) if np.iscomplexobj(x) else accel(chart, x, u)))
     q = P + 1.3 * OMEGA_DIR
     prop = tr.null_connect(chart, q, P).path
     assert np.isnan(prop.jacobi[-1]).all() and prop.work["shoots"] == 1
+    assert prop.work["landing_error"] < 1e-14
     with pytest.raises(GeometryError, match="not finite"):
         tr.transport_k(chart, q, P, steps=1, propagator=prop)
 
@@ -697,7 +750,7 @@ def _leg_ode_frame(chart, p, v, frame, s_end, steps):
 
     def rhs(y):
         x, u, V = y
-        gu = chart.connection(x) @ u
+        gu = christoffel(chart, x) @ u
         return u, -(gu @ u), -(V @ gu.T)
 
     xs, _, Vs = _backend.shoot_endpoint(rhs, chart.contains, [p, v, legs], s_end, steps)
