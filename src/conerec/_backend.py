@@ -1,62 +1,205 @@
-"""The RK4 step and the one RK4 loop that every geodesic shoot runs through.
+"""The one geodesic kernel: segmented Chebyshev-Picard iteration.
 
-rk4_step is the one classical RK4 step; shoot_endpoint is the one
-fixed-step loop over it.  transport's geodesic_shoot (one point or (B, 4)
-rows, the Jacobi propagator) and transport_spin_frame both integrate
-through shoot_endpoint; transport imports this module as `kernels` and
-calls the loop through that module attribute, and BACKEND names it in
-run reports.
+shoot_endpoint solves dy/ds = rhs(y) over [0, s_end] by Picard iteration
+y <- y(a) + Q f(y) on the Chebyshev-Lobatto nodes of each segment [a, b]
+(Clenshaw & Norton, Comput. J. 6, 1963; Bai & Junkins, J. Astronaut.
+Sci. 58, 2011), one right-hand-side call over all nodes and rows an
+iteration.  A segment is accepted once the iteration has converged and
+the tail of its Chebyshev coefficients is at roundoff (Aurentz &
+Trefethen, ACM TOMS 43, 2017); one that is not, or whose updates stop
+contracting, is halved.  interpolate evaluates a shoot's samples between
+the nodes by barycentric interpolation within their segment.
+
+transport's geodesic_shoot (one point or (B, 4) rows, the Jacobi
+propagator) and transport_spin_frame both integrate through
+shoot_endpoint; transport imports this module as `kernels` and calls the
+kernel through that module attribute, and BACKEND names it in run reports.
 """
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GeometryError
 
 BACKEND = "python"
+# Chebyshev nodes a segment, when the caller names none
+NODES = 16
+# a segment converges once a Picard update is within _TOL of the scale of
+# its entry (1 or larger), and is resolved once its last two Chebyshev
+# coefficients are within _TAIL of it
+_TOL = 1e-15
+_TAIL = 1e-14
+# from the third iteration on each update must shrink by _RATIO, within
+# _MAX_ITER iterations
+_RATIO = 0.5
+_MAX_ITER = 40
+# segments of one shoot, accepted and pending, past which a failing
+# segment raises instead of halving
+_MAX_SEGMENTS = 256
 
 
-def rk4_step(f, y, h):
-    """One classical RK4 step of dy/ds = f(y) for y a sequence of arrays.
-
-    Returns the advanced state as a list.  List comprehensions, not
-    tuple(generator), keep the step's own Python overhead near 4 us,
-    against ~100 us of kernel work a step at 1 row.
-    """
-    hh, h6 = 0.5 * h, h / 6.0
-    k1 = f(y)
-    k2 = f([a + hh * k for a, k in zip(y, k1)])
-    k3 = f([a + hh * k for a, k in zip(y, k2)])
-    k4 = f([a + h * k for a, k in zip(y, k3)])
-    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+class _Table(NamedTuple):
+    tau: np.ndarray            # Lobatto nodes on [-1, 1], increasing
+    coef: np.ndarray           # node values -> Chebyshev coefficients
+    integral: np.ndarray       # node values -> integral from -1 of their interpolant
+    bary: np.ndarray           # barycentric weights of the nodes
 
 
-def shoot_endpoint(rhs, contains, y, s_end, steps):
-    """Fixed-step RK4 samples of dy/ds = rhs(y) over [0, s_end].
+@functools.lru_cache(maxsize=16)
+def _table(n):
+    """The Chebyshev tables of n + 1 Lobatto nodes, built once per n."""
+    j = np.arange(n + 1)
+    tau = np.sin(np.pi * (2 * j - n) / (2 * n))
+    # a_k = (2 / n) sum'' f_j T_k(tau_j), halved at k = 0 and k = n, with
+    # T_k(tau_j) = cos(pi k (n - j) / n) reduced to one period exactly
+    half = np.ones(n + 1)
+    half[[0, -1]] = 0.5
+    turns = np.outer(j, n - j) % (2 * n)
+    coef = (2.0 / n) * half[:, None] * np.cos(np.pi * turns / n) * half
+    cheb = np.polynomial.chebyshev
+    integral = cheb.chebvander(tau, n + 1) @ cheb.chebint(np.eye(n + 1), lbnd=-1.0) @ coef
+    integral[0] = 0.0
+    return _Table(tau, coef, integral, half * (-1.0) ** j)
+
+
+def _largest(a) -> float:
+    """max |a| over the finite entries of a, 0 for none."""
+    a = np.abs(a)
+    return float(np.max(a, initial=0.0, where=np.isfinite(a)))
+
+
+def _change(new, old) -> float:
+    """max |new - old| where old is finite: NaN where a value turned non-finite."""
+    return float(np.max(np.abs(new - old), initial=0.0, where=np.isfinite(old)))
+
+
+class Shoot(NamedTuple):
+    """shoot_endpoint's samples: s (M,) and one (M, ...) array per entry
+    of the start state, segment k at samples k nodes .. (k + 1) nodes;
+    the Picard iterations of all segments and the largest last update."""
+
+    s: np.ndarray
+    y: list
+    nodes: int
+    iterations: int
+    update: float
+
+    @property
+    def segments(self) -> int:
+        return (len(self.s) - 1) // self.nodes
+
+
+def _picard(rhs, ya, a, b, table, guess):
+    """Picard iterates on [a, b] from the start state ya and the node
+    values guess (or ya at every node).  Returns (values, iterations,
+    last update, None) once converged and resolved, else (None,
+    iterations, last update, the name of the check that failed)."""
+    n1 = len(table.tau)
+    half = 0.5 * (b - a)
+    ys = guess or [np.broadcast_to(e, (n1,) + np.shape(e)) for e in ya]
+    scale = [max(1.0, _largest(e)) for e in ya]
+    prev = np.inf
+    for it in range(1, _MAX_ITER + 1):
+        new = [e + half * (table.integral @ np.reshape(f, (n1, -1))).reshape(np.shape(f))
+               for e, f in zip(ya, rhs(ys))]
+        if not np.all(np.isfinite(new[0])):
+            return None, it, np.inf, "non-finite"
+        # NaN, so not converged, while a value turns non-finite: it may
+        # reach the position at the next iteration
+        update = float(np.max([_change(u, v) / c for u, v, c in zip(new, ys, scale)]))
+        ys = new
+        if update <= _TOL:
+            tail = max(_largest((table.coef[-2:] @ np.reshape(e, (n1, -1)))) / c
+                       for e, c in zip(ys, scale))
+            if tail > _TAIL:
+                return None, it, update, f"Chebyshev tail {tail:.1e} above {_TAIL:.0e}"
+            return ys, it, update, None
+        if it >= 3 and update > _RATIO * prev:
+            break
+        prev = update
+    return None, it, update, f"Picard update {update:.1e} not contracting"
+
+
+def shoot_endpoint(rhs, contains, y, s_end, nodes, guess=None):
+    """Chebyshev-Picard samples of dy/ds = rhs(y) over [0, s_end].
 
     y is a list of arrays whose first entry is the position, one point
-    (4,) or (B, 4) rows; contains(position) says which of them are in the
-    chart box.  The first step that leaves the box, or makes a position
-    non-finite, raises GeometryError naming the first such point.  Returns
-    one (steps + 1, ...) array per entry of y, starting with y itself.
+    (4,) or (B, 4) rows; rhs takes and returns such a list with a leading
+    node axis, and contains(position) says which of its points are in the
+    chart box.  Each segment carries nodes + 1 Chebyshev-Lobatto samples,
+    its ends shared with its neighbours; it starts as the whole interval,
+    or as guess's segments with guess's samples (a Shoot of the same
+    rows) as the first iterate, and a segment that does not converge,
+    resolve or stay finite is halved.  Past _MAX_SEGMENTS segments the
+    failing check raises GeometryError, as does the first sample of an
+    accepted segment outside the box, naming it.  Non-finite values off
+    the position pass to the caller.  Returns a Shoot.
 
     It keeps the name it had as the batched endpoint kernel because the
     benchmark's tracer wraps transport.kernels.shoot_endpoint and counts
-    its last positional argument as steps; so callers pass steps last and
+    its last positional argument as steps; so callers pass nodes last and
     call it through the module attribute.
     """
-    h = s_end / steps
-    samples = [y]
-    for i in range(steps):
-        y = rk4_step(rhs, y, h)
-        inside = contains(y[0])
-        if not np.all(inside):
-            x = np.reshape(y[0], (-1, 4))[np.argmin(inside)]
-            if not np.all(np.isfinite(x)):
-                raise GeometryError(f"geodesic reached a non-finite state at "
-                                    f"s = {(i + 1) * h:.6g}, x = {x}; the chart's "
-                                    "metric or connection is not finite along it")
-            raise GeometryError(f"geodesic left the chart domain at "
-                                f"s = {(i + 1) * h:.6g}, x = {x}")
-        samples.append(y)
-    return [np.array(entry) for entry in zip(*samples)]
+    if nodes < 4:
+        raise ValueError(f"a segment needs at least 4 Chebyshev nodes, got {nodes}")
+    table = _table(nodes)
+    if guess is None or guess.nodes != nodes:
+        pending = [(s_end, None)]
+    else:
+        edges = guess.s[guess.nodes::guess.nodes]
+        pending = [(b, [e[k * nodes:(k + 1) * nodes + 1] for e in guess.y])
+                   for k, b in enumerate(edges)][::-1]
+        pending[0] = (s_end, pending[0][1])
+    s, samples, a = [np.zeros(1)], [[np.asarray(e)[None]] for e in y], 0.0
+    iterations, worst = 0, 0.0
+    with np.errstate(all="ignore"):
+        while pending:
+            b, first = pending.pop()
+            ya = [e[-1][-1] for e in samples]
+            ys, it, update, failed = _picard(rhs, ya, a, b, table, first)
+            iterations += it
+            if failed:
+                if len(s) + len(pending) + 1 > _MAX_SEGMENTS:
+                    if failed == "non-finite":
+                        raise GeometryError(f"geodesic reached a non-finite state past "
+                                            f"s = {a:.6g}, x = {ya[0]}; the chart's metric "
+                                            "or connection is not finite along it")
+                    raise GeometryError(f"geodesic not resolved on s in [{a:.6g}, {b:.6g}] "
+                                        f"after {_MAX_SEGMENTS} segments of {nodes} "
+                                        f"Chebyshev nodes: {failed}")
+                pending += [(b, None), (0.5 * (a + b), None)]
+                continue
+            s_seg = a + (0.5 * (b - a)) * (table.tau + 1.0)
+            s_seg[-1] = b
+            inside = np.reshape(contains(ys[0]), (nodes + 1, -1))
+            if not np.all(inside):
+                j = int(np.argmin(np.all(inside, axis=1)))
+                x = np.reshape(ys[0], (nodes + 1, -1, 4))[j, np.argmin(inside[j])]
+                raise GeometryError(f"geodesic left the chart domain at "
+                                    f"s = {s_seg[j]:.6g}, x = {x}")
+            s.append(s_seg[1:])
+            for out, e in zip(samples, ys):
+                out.append(e[1:])
+            worst = max(worst, update)
+            a = b
+    return Shoot(np.concatenate(s), [np.concatenate(e) for e in samples], nodes,
+                 iterations, worst)
+
+
+def interpolate(s, values, nodes, at):
+    """values (M, ...) at the samples s of a Shoot with nodes a segment,
+    at the parameters `at`: barycentric Chebyshev interpolation within the
+    segment holding each, a sample's own value where `at` hits it."""
+    if s[-1] < s[0]:
+        s, at = -s, -np.asarray(at)
+    edges = s[::nodes]
+    seg = np.clip(np.searchsorted(edges, at, side="right") - 1, 0, len(edges) - 2)
+    idx = seg[:, None] * nodes + np.arange(nodes + 1)
+    diff = np.asarray(at)[:, None] - s[idx]
+    hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        w = np.where(np.any(hit, axis=1, keepdims=True), hit, _table(nodes).bary / diff)
+    w = w / np.sum(w, axis=1, keepdims=True)
+    return np.einsum("kj,kj...->k...", w, values[idx])

@@ -4,12 +4,12 @@ A chart is the metric g = omega^2 eta, omega = 1 + eps f, on a boxed
 coordinate domain, with f a named smooth profile bounded by 1 ("flat"
 is eps = 0 with f = 0).  |eps| < 1 keeps omega >= 1 - |eps| > 0, so g
 is Lorentzian everywhere, and the factor, its log-gradient and the
-metric are closed form.  On an RK4 geodesic integrator that also
-carries the complex-step derivative of its one acceleration (the
-Jacobi propagator) this module builds the two-point
-machinery the curved reconstructor consumes: null connection in
-closed form (the straight chord, its affine parameter from the chord
-average of omega^2), the world function with the
+metric are closed form.  Every geodesic is shot by the segmented
+Chebyshev-Picard kernel of _backend, which also carries the complex-step
+derivative of the one acceleration (the Jacobi propagator).  On it
+this module builds the two-point machinery the curved reconstructor
+consumes: null connection in closed form (the straight chord, its affine
+parameter from the chord average of omega^2), the world function with the
 [0, 1] affine convention (its flat value is the coordinate interval),
 the transport coefficient k = sqrt(Delta) / (2 pi) along null
 generators, Delta the van Vleck determinant read off the propagator's
@@ -26,7 +26,7 @@ only their affine parameterization bends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,8 +43,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# RK4 steps of one endpoint shoot over the [0, 1] affine range
-SHOOT_STEPS = 48
 _ETA_SIGN = np.diag(ETA).copy()
 _ONES = np.ones(4)
 _EYE_BOOL = np.eye(4, dtype=bool)
@@ -108,13 +106,16 @@ class CurvedChart:
 
 @dataclass
 class GeodesicPath:
-    """RK4 geodesic samples: s (N+1,), x and v (N+1, 4) or, shot from rows, (N+1, B, 4);
-    a Jacobi propagator adds jacobi (N+1, 8, 8) = d(x, v) / d(x0, v0) and its work."""
+    """Geodesic samples: s (M,), x and v (M, 4) or, shot from rows, (M, B, 4);
+    a Jacobi propagator adds jacobi (M, 8, 8) = d(x, v) / d(x0, v0).  A shoot's
+    samples are segments of nodes + 1 Chebyshev-Lobatto nodes sharing their
+    ends (nodes 0: samples that are not), and work holds its resolution."""
 
     s: np.ndarray
     x: np.ndarray
     v: np.ndarray
     chart: CurvedChart
+    nodes: int = 0
     jacobi: Optional[np.ndarray] = None
     work: Optional[dict] = None
 
@@ -187,23 +188,25 @@ def _acceleration(chart: CurvedChart, x, u) -> np.ndarray:
 
 
 def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
-                   steps: int = 200, jacobi: bool = False) -> GeodesicPath:
+                   steps: int = kernels.NODES, jacobi: bool = False,
+                   guess: Optional[GeodesicPath] = None) -> GeodesicPath:
     """Integrate the geodesic from (p, v) to affine parameter s_end.
 
     p and v are one point (4,) or (B, 4) rows shot together, whose path
-    samples x and v are then (steps + 1, B, 4).  Classical RK4 with fixed
-    step in kernels.shoot_endpoint.  Raises GeometryError as soon as a
-    step lands outside the chart box, reporting the exit point.
-    jacobi=True (one point) makes it the Jacobi propagator: the steps also
-    carry the geodesic-deviation equations X' = U, U' = the derivative of
-    _acceleration along (X, U), from (X, U) = 1: its complex step (Squire &
-    Trapp, SIAM Rev. 40, 1998), one call on (x, u) and x + ih X, u + ih U.
+    samples x and v are then (M, B, 4).  kernels.shoot_endpoint solves it
+    on segments of steps Chebyshev nodes, from guess's samples (a path of
+    the same rows) when given.  Raises GeometryError for a path that leaves
+    the chart box, reporting the exit point, or that it cannot resolve.
+    work holds the shoot's nodes, segments, Picard iterations and last
+    Picard update.  jacobi=True (one point) makes it the Jacobi
+    propagator: the shoot also carries the geodesic-deviation equations
+    X' = U, U' = the derivative of _acceleration along (X, U), from
+    (X, U) = 1: its complex step (Squire & Trapp, SIAM Rev. 40, 1998), one
+    call on (x, u) and x + ih X, u + ih U.
     """
     shape = (-1, 4) if np.ndim(p) == 2 and not jacobi else (4,)
     p = np.asarray(p, dtype=float).reshape(shape)
     v = np.asarray(v, dtype=float).reshape(shape)
-    if steps < 1:
-        raise ValueError("steps must be positive")
     chart.require_inside(p, "geodesic start")
 
     def rhs(y):
@@ -212,17 +215,24 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
             return u, _acceleration(chart, x, u)
         J = y[2]                                  # X stacked over U, a column per perturbation
         # row 0 is undisturbed, so a non-finite J cannot reach the geodesic
-        z = np.concatenate([x, u]) + 1j * _STEP * np.vstack([np.zeros(8), J.T])
-        a = _acceleration(chart, z[:, :4], z[:, 4:])
-        return u, a[0].real, np.concatenate([J[4:], a[1:].imag.T / _STEP])
+        cols = np.concatenate([np.zeros(x.shape[:-1] + (1, 8)), np.swapaxes(J, -1, -2)], axis=-2)
+        z = np.concatenate([x, u], axis=-1)[..., None, :] + 1j * _STEP * cols
+        a = _acceleration(chart, z[..., :4], z[..., 4:])
+        return u, a[..., 0, :].real, np.concatenate(
+            [J[..., 4:, :], np.swapaxes(a[..., 1:, :].imag, -1, -2) / _STEP], axis=-2)
 
     y = [p, v, np.eye(8)] if jacobi else [p, v]
-    samples = kernels.shoot_endpoint(rhs, chart.contains, y, s_end, steps)
-    return GeodesicPath(np.linspace(0.0, s_end, steps + 1), *samples[:2], chart, *samples[2:])
+    if guess is not None:
+        guess = kernels.Shoot(guess.s, [guess.x, guess.v, guess.jacobi][:len(y)],
+                              guess.nodes, 0, 0.0)
+    shot = kernels.shoot_endpoint(rhs, chart.contains, y, s_end, steps, guess=guess)
+    return GeodesicPath(shot.s, *shot.y[:2], chart, shot.nodes, *shot.y[2:], work={
+        "nodes": shot.nodes, "segments": shot.segments,
+        "picard_iterations": shot.iterations, "picard_update": shot.update})
 
 
-def _connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS, max_iter: int = 60,
-             v=None, chord=None):
+def _connect(chart: CurvedChart, p, q, steps: int = kernels.NODES, max_iter: int = 60,
+             v=None, chord=None, guess: Optional[GeodesicPath] = None):
     """[0, 1]-affine initial velocities of the geodesics from p to q.
 
     p and q are (B, 4) rows of point pairs.  Fixed-point iteration with
@@ -232,8 +242,10 @@ def _connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS, max_iter: int =
     q - p, and chord, an inverse endpoint Jacobian, replaces the identity
     in that step.  Every pair iterates on its own:
     it stops once its residual is within 1e-13 of the point scale, and
-    growth of its residual halves its step.  A stuck pair raises.
-    Returns v and the batch's work counts.
+    growth of its residual halves its step.  A stuck pair raises.  Each
+    shoot starts from the previous one's path, the first from guess (a
+    path of these rows) when given.  Returns v and the batch's work
+    counts: the last shoot's resolution, Picard iterations summed.
     """
     chart.require_inside(p, "connection start")
     chart.require_inside(q, "connection target")
@@ -242,24 +254,28 @@ def _connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS, max_iter: int =
     v = q - p if v is None else v
     prev = np.full(len(p), math.inf)
     live = np.arange(len(p))
+    iterations = 0
     for it in range(1, max_iter + 1):
-        x_end = geodesic_shoot(chart, p[live], v[live], 1.0, steps).x[-1]
-        res = x_end - q[live]
+        path = geodesic_shoot(chart, p[live], v[live], 1.0, steps, guess=guess)
+        iterations += path.work["picard_iterations"]
+        res = path.x[-1] - q[live]
         rn = np.max(np.abs(res), axis=1)
         res[rn > 0.9 * prev[live]] *= 0.5
         prev[live] = rn
         going = ~(rn <= 1e-13 * scale[live])
         live, res = live[going], res[going]
         if not live.size:
-            return v, {"connect_iterations": it, "shoots": it, "kernel_steps": it * steps,
+            return v, {"connect_iterations": it, "shoots": it, **path.work,
+                       "picard_iterations": iterations,
                        "worst_connect_residual": float(np.max(prev))}
+        guess = replace(path, x=path.x[:, going], v=path.v[:, going])
         v[live] -= res if chord is None else res @ chord.T
     i = live[0]
     raise GeometryError(f"geodesic connection {p[i]} -> {q[i]} (pair {i}) did not "
                         f"converge (residual {prev[i]:.2e})")
 
 
-def world_function(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS,
+def world_function(chart: CurvedChart, p, q, steps: int = kernels.NODES,
                    near: Optional[GeodesicPath] = None, work: Optional[dict] = None):
     """World function with the [0, 1] affine convention.
 
@@ -269,18 +285,24 @@ def world_function(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS,
     give a float; (B, 4) rows of points (either side may be a single
     point) give a (B,) array, all pairs connected together.  near, the
     Jacobi propagator of a [0, 1] geodesic close to every pair, seeds each
-    connect with v0 + X_v^{-1} (dq - X_p dp) and chord step X_v^{-1};
+    connect with v0 + X_v^{-1} (dq - X_p dp) and chord step X_v^{-1}, and
+    its first shoot with the paths the propagator predicts from there;
     work, a dict, receives the batch's work counts.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     single = p.ndim == 1 and q.ndim == 1
     p, q = np.broadcast_arrays(p.reshape(-1, 4), q.reshape(-1, 4))
-    v0 = chord = None
+    v0 = chord = guess = None
     if near is not None:
         x_p, chord = near.jacobi[-1, :4, :4], _solve_xv(near.jacobi[-1], np.eye(4))
         v0 = near.v[0] + (q - near.x[-1] - (p - near.x[0]) @ x_p.T) @ chord.T
-    v, counts = _connect(chart, p, q, steps=steps, v=v0, chord=chord)
+        # (x, v)(s) + J(s) (dp, dv) along the propagator, a row per pair
+        moved = np.einsum("mij,bj->mbi", near.jacobi,
+                          np.concatenate([p - near.x[0], v0 - near.v[0]], axis=1))
+        guess = GeodesicPath(near.s, near.x[:, None] + moved[..., :4],
+                             near.v[:, None] + moved[..., 4:], chart, near.nodes)
+    v, counts = _connect(chart, p, q, steps=steps, v=v0, chord=chord, guess=guess)
     if work is not None:
         work.update(counts, world_function_calls=1)
     w = chart.omega(p) ** 2 * ((v * v) @ _ETA_SIGN)
@@ -305,18 +327,18 @@ class NullConnection(tuple):
         return pair
 
 
-def null_connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS) -> NullConnection:
+def null_connect(chart: CurvedChart, p, q, steps: int = kernels.NODES) -> NullConnection:
     """Null geodesic from p to q: initial velocity v (v^0 = 1) and affine t.
 
     geodesic_shoot(chart, p, v, t) lands on q.  On g = omega^2 eta the
     null geodesic is the straight chord p + sigma (q - p), and its affine
     parameter grows as the integral of omega^2 d sigma, so the [0, 1]
     velocity is (q - p) I(p, q) / omega(p)^2 with I the chord average of
-    omega^2.  One Jacobi-propagator shoot with that velocity is the
-    returned NullConnection's path; its work counts report the RK4
-    landing error max|x(1) - q|.  Raises GeometryError when p and q are
-    not null-separated (whether they are does not depend on omega) or
-    the shoot leaves the chart.
+    omega^2.  One Jacobi-propagator shoot with that velocity, on segments
+    of steps Chebyshev nodes, is the returned NullConnection's path; its
+    work counts add the landing error max|x(1) - q|.  Raises GeometryError
+    when p and q are not null-separated (whether they are does not depend
+    on omega) or the shoot leaves the chart.
     """
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
@@ -332,7 +354,7 @@ def null_connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS) -> NullConn
         raise GeometryError("degenerate null direction (vanishing chart-time "
                             "component)")
     path = geodesic_shoot(chart, p, v01, 1.0, steps, jacobi=True)
-    path.work = {"shoots": 1, "kernel_steps": steps,
+    path.work = {"shoots": 1, **path.work,
                  "landing_error": float(np.max(np.abs(path.x[-1] - q)))}
     return NullConnection(v01 / t, t, path)
 
@@ -340,7 +362,7 @@ def null_connect(chart: CurvedChart, p, q, steps: int = SHOOT_STEPS) -> NullConn
 # -- transport coefficient ------------------------------------------------
 
 def transport_k(chart: CurvedChart, q, p, steps: int = 10,
-                shoot_steps: int = SHOOT_STEPS,
+                shoot_steps: int = kernels.NODES,
                 propagator: Optional[GeodesicPath] = None):
     """Transport coefficient k_q along the null geodesic from q to p.
 
@@ -355,40 +377,29 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10,
         k = (omega_q / omega_x)^2 / (2 pi sqrt(det(X_v / s))),   k(0) = 1/(2 pi).
 
     propagator is null_connect(chart, q, p).path, else it is connected
-    here with shoot_steps steps.  Returns (s_nodes, k_values) at
-    s = j / steps, j = 0..steps: a node on a sample takes it exactly,
-    others interpolate ln(2 pi k) through the 6 nearest samples, so
-    steps sets how many nodes are reported, not the accuracy.
+    here on segments of shoot_steps Chebyshev nodes.  Returns (s_nodes,
+    k_values) at s = j / steps, j = 0..steps: ln(2 pi k) interpolated
+    within the propagator's segment (kernels.interpolate), exact on a
+    sample, so steps sets how many nodes are reported, not the accuracy.
     k_values[-1] is k_q(p).  det(X_v / s) <= 0 (a conjugate point) or a
     value that is not finite raises GeometryError.
     """
     path = propagator or null_connect(chart, q, p, steps=shoot_steps).path
-    n = len(path.s) - 1
     with np.errstate(invalid="ignore"):       # a non-finite propagator raises below
         det = np.linalg.det(path.jacobi[1:, :4, 4:] / path.s[1:, None, None])
     if np.any(det <= 0.0):
         raise GeometryError("singular Jacobi propagator: conjugate point on the geodesic")
     om = chart.omega(path.x)
-    k = np.concatenate([[1.0 / TWO_PI], (om[0] / om[1:]) ** 2 / (TWO_PI * np.sqrt(det))])
-    # node j sits at sample i + t / steps; the 6 samples around it (all of
-    # a shorter propagator) carry its Lagrange weights
-    i, t = np.divmod(np.arange(steps + 1) * n, steps)
-    width = min(6, n + 1)
-    stencil, others = np.arange(width), ~np.eye(width, dtype=bool)
-    lo = np.clip(i - (width - 1) // 2, 0, n + 1 - width)
-    off = (i - lo + t / steps)[:, None] - stencil
-    weights = (np.prod(np.where(others, off[:, None, :], 1.0), axis=-1)
-               / np.prod(np.where(others, stencil[:, None] - stencil, 1.0), axis=-1))
-    ln_k = np.log(TWO_PI * k)
-    k_nodes = np.where(t == 0, k[i], np.exp(np.sum(weights * ln_k[lo[:, None] + stencil],
-                                                   axis=1)) / TWO_PI)
+    ln_k = np.concatenate([[0.0], 2.0 * np.log(om[0] / om[1:]) - 0.5 * np.log(det)])
+    s_nodes = np.linspace(0.0, 1.0, steps + 1)
+    k_nodes = np.exp(kernels.interpolate(path.s, ln_k, path.nodes, s_nodes)) / TWO_PI
     if not np.all(np.isfinite(k_nodes)):
         raise GeometryError(f"transport coefficient is not finite along {q} -> {p}")
-    return np.linspace(0.0, 1.0, steps + 1), k_nodes
+    return s_nodes, k_nodes
 
 
 def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
-                steps: int = SHOOT_STEPS,
+                steps: int = kernels.NODES,
                 propagator: Optional[GeodesicPath] = None,
                 work: Optional[dict] = None) -> float:
     """k from differenced world functions, independent of transport_k.
@@ -490,12 +501,13 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
     v must be c l_p with c != 0, and the frame normalized in the chart
     metric at p (else ValueError).  Along that chord U = omega V obeys
     dU/ds = -(w.U) xdot for l and m, so l rescales and m null-rotates
-    about l (Penrose & Rindler vol. 1, sec. 5.6).  One RK4 shoot carries
-    dx/ds = r^2 v and dE/ds = r^2 eps grad f . (omega_p m_p), r = omega_p / omega;
-    with mu = -c E r / omega_p^2, l = r^2 l_p, m = r (m_p + mu l_p),
-    n = n_p + 2 Re(conj(mu) m_p) + |mu|^2 l_p, and the spin basis of
-    (omega l, omega n, omega m), extracted once at p, is sqrt(r) o_p and
-    (iota_p + conj(mu) o_p) / sqrt(r).
+    about l (Penrose & Rindler vol. 1, sec. 5.6).  One Chebyshev-Picard
+    shoot carries dx/ds = r^2 v and dE/ds = r^2 eps grad f . (omega_p m_p),
+    r = omega_p / omega, and its steps + 1 uniform samples are interpolated
+    within their segments; with mu = -c E r / omega_p^2, l = r^2 l_p,
+    m = r (m_p + mu l_p), n = n_p + 2 Re(conj(mu) m_p) + |mu|^2 l_p, and the
+    spin basis of (omega l, omega n, omega m), extracted once at p, is
+    sqrt(r) o_p and (iota_p + conj(mu) o_p) / sqrt(r).
     """
     p = np.asarray(p, dtype=float).reshape(4)
     v = np.asarray(v, dtype=float).reshape(4)
@@ -514,13 +526,16 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
     def rhs(y):
         fx, grad = chart.jet(y[0], 1)
         r2 = (om_p / (1.0 + chart.eps * fx)) ** 2
-        return r2 * v, r2 * (grad @ m_eps)
+        return r2[..., None] * v, r2 * (grad @ m_eps)
 
-    xs, es = kernels.shoot_endpoint(rhs, chart.contains, [p, 0j], s_end, steps)
+    shot = kernels.shoot_endpoint(rhs, chart.contains, [p, 0j], s_end, kernels.NODES)
+    s = np.linspace(0.0, s_end, steps + 1)
+    xs = kernels.interpolate(shot.s, shot.y[0], shot.nodes, s)
+    es = kernels.interpolate(shot.s, shot.y[1], shot.nodes, s)
     r = om_p / chart.omega(xs)[:, None]
     mu = (-c / om_p ** 2) * r * es[:, None]
     ls = r ** 2 * l_p
     ns = n_p + 2.0 * (mu.conj() * m_p).real + abs(mu) ** 2 * l_p
-    path = GeodesicPath(np.linspace(0.0, s_end, steps + 1), xs, c * ls, chart)
+    path = GeodesicPath(s, xs, c * ls, chart)
     return ParallelFrames(path, ls, ns, r * (m_p + mu * l_p),
                           np.sqrt(r) * o_p, (iota_p + mu.conj() * o_p) / np.sqrt(r))

@@ -4,8 +4,10 @@ No command runs these.  Dense symmetric-spinor tensors cross-check the
 component scalars, the NP frame check audits section frames, the area
 element from the embedding's numerical Jacobian audits the exact section
 weights, the Christoffel symbols audit the one geodesic acceleration,
-and the null-norm drift and the eikonal identity audit geodesics and the
-world function.
+the null-norm drift and the eikonal identity audit geodesics and the
+world function, and the classical RK4 integrator the Chebyshev-Picard
+kernel replaced integrates the tensor forms of the propagator and the
+frame those are checked against.
 """
 
 import itertools
@@ -148,3 +150,23 @@ def world_function_gradient_check(chart: transport.CurvedChart, p, q, h: float) 
     w = transport.world_function(chart, p, np.vstack([q, q + step, q - step]))
     grad = (w[1:5] - w[5:]) / (2.0 * h)
     return float((grad * grad) @ _ETA_SIGN / chart.omega(q) ** 2 - 4.0 * w[0])
+
+
+def rk4_step(f, y, h):
+    """One classical RK4 step of dy/ds = f(y) for y a sequence of arrays."""
+    hh, h6 = 0.5 * h, h / 6.0
+    k1 = f(y)
+    k2 = f([a + hh * k for a, k in zip(y, k1)])
+    k3 = f([a + hh * k for a, k in zip(y, k2)])
+    k4 = f([a + h * k for a, k in zip(y, k3)])
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+def rk4_shoot(f, y, s_end, steps):
+    """Fixed-step RK4 samples of dy/ds = f(y) over [0, s_end]: one
+    (steps + 1, ...) array per entry of y, starting with y itself."""
+    samples = [y]
+    for _ in range(steps):
+        samples.append(rk4_step(f, samples[-1], s_end / steps))
+    return [np.array(entry) for entry in zip(*samples)]

@@ -840,6 +840,30 @@ def test_curved_transport_records(tmp_path):
     assert rec["frame"]["min_continuity"] > 0.0
 
 
+def test_curved_transport_narrow_bump_is_resolved(tmp_path):
+    # a gaussian of width 0.1 across a t = 3 ray through its centre: the
+    # kernel halves its segments around the bump, and k_ode meets the
+    # resolved chord integral within 1e-3 (measured 5.9e-4; what is left is
+    # the 32-node chord rule of the connecting velocity, not the shoot)
+    from conerec import transport
+    d = np.array([0.3, 0.5, 0.8])
+    p = np.concatenate([[-1.5], -1.5 * d / np.linalg.norm(d)])
+    cfg = {"chart": {"name": "conformal", "eps": 0.5, "width": 0.1},
+           "rays": [{"p": p.tolist(), "direction": d.tolist(), "t": 3.0}],
+           "k_steps": 1, "van_vleck": False}
+    out = tmp_path / "ct.json"
+    assert _run("curved-transport", _write(tmp_path, "c.json", cfg), out) == 0
+    rec = json.loads(out.read_text())["records"][0]
+    assert rec["diagnostics"]["null_connect"]["segments"] > 8
+    chart = transport.make_chart("conformal", eps=0.5, width=0.1)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    u = ((np.arange(400)[:, None] + 0.5 * (nodes + 1.0)) / 400).ravel()
+    q = np.array(rec["q"])
+    chord = np.tile(weights, 400) / 800.0 @ chart.omega(q + u[:, None] * (p - q)) ** 2
+    exact = chord / (2.0 * np.pi * chart.omega(p) * chart.omega(q))
+    assert abs(rec["k_ode"] - exact) <= 1e-3 * exact
+
+
 def test_curved_transport_work_counters_repeat(tmp_path):
     cfg = {"chart": {"name": "conformal", "eps": 1e-2},
            "rays": [{"p": [0.1, 0.25, -0.15, 0.2],
@@ -858,12 +882,19 @@ def test_curved_transport_work_counters_repeat(tmp_path):
     assert outs[0] == outs[1]
     diag = json.loads(outs[0])["records"][0]["diagnostics"]
     connect = diag["null_connect"]
-    assert sorted(connect) == ["kernel_steps", "landing_error", "shoots"]
-    assert connect["shoots"] == 1 and connect["kernel_steps"] == 48
+    assert sorted(connect) == ["landing_error", "nodes", "picard_iterations",
+                               "picard_update", "segments", "shoots"]
+    assert connect["shoots"] == 1 and connect["nodes"] == 16 and connect["segments"] >= 1
+    assert connect["picard_iterations"] >= 2 * connect["segments"]
+    assert 0.0 <= connect["picard_update"] <= 1e-15
     assert 0.0 <= connect["landing_error"] < 1e-11
     work = diag["van_vleck"]
+    assert sorted(work) == ["connect_iterations", "nodes", "picard_iterations",
+                            "picard_update", "segments", "shoots",
+                            "world_function_calls", "worst_connect_residual"]
     assert work["shoots"] == work["connect_iterations"] >= 1
-    assert work["kernel_steps"] == 48 * work["shoots"]
+    assert work["nodes"] == 16 and work["segments"] >= 1
+    assert work["picard_iterations"] >= work["shoots"] and 0.0 <= work["picard_update"] <= 1e-15
     assert 0.0 <= work["worst_connect_residual"] < 1e-12
     assert diag["world_function_calls"] == 1
     assert "worst_connect_residual" not in diag
@@ -896,11 +927,14 @@ def test_curved_transport_non_finite_k_is_geometry_error(tmp_path, monkeypatch, 
     from conerec import transport
     accel = transport._acceleration
     # a NaN imaginary part on the complex-step rows leaves the geodesic
-    # finite and the propagator's X and U blocks, and so k, NaN
+    # finite and the propagator's X and U blocks, and so k, NaN; the jet
+    # divides by the NaN rows without a RuntimeWarning
     monkeypatch.setattr(transport, "_acceleration", lambda chart, x, u: (
         accel(chart, x, u) + complex(0.0, np.nan) if np.iscomplexobj(x) else accel(chart, x, u)))
-    code = _run("curved-transport", _write(tmp_path, "c.json", _transport_config()),
-                tmp_path / "ct.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run("curved-transport", _write(tmp_path, "c.json", _transport_config()),
+                    tmp_path / "ct.json")
     assert code == cli.EXIT_GEOMETRY == 3
     assert "rays[0]: transport coefficient is not finite" in capsys.readouterr().err
 
@@ -1327,10 +1361,10 @@ def test_curved_transport_shoots_through_the_traced_kernel(tmp_path, monkeypatch
     shoot, world_function = transport.kernels.shoot_endpoint, transport.world_function
     calls, per_world_function = [], []
 
-    def traced_shoot(*args):
-        samples = shoot(*args)
-        calls.append((args[-1], len(samples[0]) - 1))
-        return samples
+    def traced_shoot(*args, **kwargs):
+        shot = shoot(*args, **kwargs)
+        calls.append((args[-1], shot))
+        return shot
 
     def traced_world_function(*args, **kwargs):
         before = len(calls)
@@ -1345,8 +1379,10 @@ def test_curved_transport_shoots_through_the_traced_kernel(tmp_path, monkeypatch
     assert _run("curved-transport", _write(tmp_path, "c.json", cfg), out) == 0
     diag = json.loads(out.read_text())["records"][0]["diagnostics"]
     stages = (diag["null_connect"], diag["van_vleck"])
-    # one more shoot and 100 more steps: the frame
+    # one more shoot: the frame; the last positional argument is the node
+    # count a segment, so the tracer's steps count Chebyshev nodes
     assert len(calls) == sum(w["shoots"] for w in stages) + 1
-    assert sum(last for last, _ in calls) == sum(w["kernel_steps"] for w in stages) + 100
-    assert all(last == steps for last, steps in calls)
+    assert all(type(last) is int and last == shot.nodes == 16 for last, shot in calls)
+    assert sum(shot.iterations for _, shot in calls[:-1]) == sum(
+        w["picard_iterations"] for w in stages)
     assert per_world_function and min(per_world_function) >= 1

@@ -12,11 +12,13 @@ from conerec.errors import GeometryError
 from conerec.frames import NPFrame, frame_from_spin_basis, spin_basis_from_tetrad
 from conerec.spinor import ETA, central_partials, richardson
 
-from _reference import christoffel, norm_drift, world_function_gradient_check
+from _reference import (christoffel, norm_drift, rk4_shoot, rk4_step,
+                        world_function_gradient_check)
 
 P = np.array([0.2, 0.1, -0.3, 0.4])
 OMEGA_DIR = np.array([1.0, 0.3, 0.5, math.sqrt(1.0 - 0.34)])
 INV_2PI = 1.0 / (2.0 * math.pi)
+_FIRST_AXIS = np.eye(4)[0]
 
 
 def _flat_frame(theta=0.4, phi=1.1):
@@ -118,12 +120,56 @@ def test_rk4_step_is_the_classical_step():
 
     h = 0.1
     y = (np.array([1.0, -2.0]), 3.0)
-    got = _backend.rk4_step(f, y, h)
+    got = rk4_step(f, y, h)
     z = -0.7 * h
     growth = 1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
     assert len(seen) == 4
     assert np.allclose(got[0], growth * y[0], rtol=1e-15, atol=0)
     assert abs(got[1] - growth * y[1]) < 1e-15
+
+
+def _anywhere(x):
+    return np.ones(np.shape(x)[:-1], dtype=bool)
+
+
+def test_picard_kernel_meets_the_exponential():
+    # y' = lambda y on a real and a complex entry: one segment over s 8
+    # does not contract (|lambda| s ~ 16), so it is halved until each does,
+    # and every sample and every interpolated value is exp(lambda s)
+    lam = -0.3 + 2.0j
+    shot = _backend.shoot_endpoint(lambda y: [-0.7 * y[0], lam * y[1]], _anywhere,
+                                   [np.ones(4), np.array(1.0 + 0j)], 8.0, 16)
+    assert shot.segments > 1 and len(shot.s) == 16 * shot.segments + 1
+    assert shot.s[0] == 0.0 and shot.s[-1] == 8.0 and np.all(np.diff(shot.s[::16]) > 0)
+    assert shot.iterations >= 2 * shot.segments and shot.update <= 1e-15
+    assert np.max(np.abs(shot.y[0] - np.exp(-0.7 * shot.s)[:, None])) < 1e-15
+    assert np.max(np.abs(shot.y[1] - np.exp(lam * shot.s))) < 1e-15
+    at = np.linspace(0.0, 8.0, 101)
+    between = _backend.interpolate(shot.s, shot.y[1], 16, at)
+    assert np.max(np.abs(between - np.exp(lam * at))) < 1e-15
+    # a hit returns the sample itself, also along a decreasing parameter
+    assert _backend.interpolate(shot.s, shot.y[1], 16, shot.s[[0, 7, -1]]).tolist() == \
+        shot.y[1][[0, 7, -1]].tolist()
+    back = _backend.interpolate(-shot.s, shot.y[1], 16, -at)
+    assert np.max(np.abs(back - between)) == 0.0
+
+
+@pytest.mark.parametrize("rhs, check", [
+    # stiff: the updates contract only on segments far shorter than 1 / 256
+    (lambda y: [-1e6 * y[0], 0.0 * y[1]], "Picard update .* not contracting"),
+    # a staircase in s: no polynomial resolves its 1000 jumps
+    (lambda y: [np.ones_like(y[0]) * _FIRST_AXIS, np.floor(1000.0 * y[0][..., 0])],
+     "Chebyshev tail .* above 1e-14"),
+], ids=["stiff", "staircase"])
+def test_picard_kernel_cap_names_the_failing_check(rhs, check):
+    with pytest.raises(GeometryError, match=r"geodesic not resolved on s in \[.*\] after "
+                                            r"256 segments of 16 Chebyshev nodes: " + check):
+        _backend.shoot_endpoint(rhs, _anywhere, [np.ones(4), np.array(0.0)], 1.0, 16)
+
+
+def test_picard_kernel_needs_four_nodes():
+    with pytest.raises(ValueError, match="at least 4 Chebyshev nodes"):
+        tr.geodesic_shoot(tr.make_chart("flat"), P, OMEGA_DIR, 1.0, steps=3)
 
 
 def test_flat_shoot_is_straight():
@@ -223,8 +269,11 @@ def test_batched_shoot_rows_match_geodesic_shoot(profile):
     ps, vs = _rows(4)
     rows = tr.geodesic_shoot(chart, ps, vs, 1.7, steps=96)
     for i in range(4):
+        # rows share their Picard iterations, so they agree to the few ulp of
+        # an update at convergence, relative to the largest coordinate
         path = tr.geodesic_shoot(chart, ps[i], vs[i], 1.7, steps=96)
-        assert np.max(np.abs(rows.x[:, i] - path.x)) < 1e-15
+        assert np.array_equal(rows.s, path.s)
+        assert np.max(np.abs(rows.x[:, i] - path.x)) < 1e-15 * np.max(np.abs(path.x))
         assert np.max(np.abs(rows.v[:, i] - path.v)) < 1e-15
     # closed-form acceleration against -Gamma(u, u), contracted row by row
     accel = tr._acceleration(chart, ps, vs)
@@ -236,9 +285,11 @@ def test_batched_shoot_box_exit_status_per_row():
     chart = tr.make_chart("flat", halfwidth=1.0)
     ps = np.zeros((2, 4))
     vs = np.array([[0.1, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    # row 1 leaves at its first step past t = 1; the error names its point
+    # row 1 leaves at s = 1; the error names its first node past it, the
+    # 30-node Lobatto node 1.5 (1 - cos(12 pi / 30))
+    first = 1.5 * (1.0 - math.cos(math.pi * 12 / 30))
     with pytest.raises(GeometryError, match=r"left the chart domain at "
-                                            r"s = 1\.1, x = \[1\.1 0\. "):
+                                            rf"s = {first:.6g}, x = \[{first:.8f} 0\. "):
         tr.geodesic_shoot(chart, ps, vs, 3.0, 30)
     assert abs(tr.geodesic_shoot(chart, ps[:1], vs[:1], 3.0, 30).x[-1, 0, 0] - 0.3) < 1e-15
 
@@ -272,9 +323,9 @@ def test_batched_connect_freezes_converged_pairs(monkeypatch):
     rows = []
     shoot = tr.kernels.shoot_endpoint
 
-    def counting(rhs, contains, y, s_end, steps):
+    def counting(rhs, contains, y, s_end, nodes, **kwargs):
         rows.append(len(y[0]))
-        return shoot(rhs, contains, y, s_end, steps)
+        return shoot(rhs, contains, y, s_end, nodes, **kwargs)
 
     monkeypatch.setattr(tr.kernels, "shoot_endpoint", counting)
     both = tr.world_function(chart, ps, qs)
@@ -440,7 +491,7 @@ def test_complex_step_acceleration_matches_differenced_acceleration(profile):
 def _tensor_propagator(chart, p, v, steps):
     """The Jacobi propagator on the Christoffel symbols: X' = U,
     U' = -(partial_d Gamma)(v, v) X^d - 2 Gamma(v, U), with partial_d Gamma
-    by Richardson differences of the reference Gamma."""
+    by Richardson differences of the reference Gamma, by RK4."""
 
     def rhs(y):
         x, u, J = y
@@ -450,18 +501,71 @@ def _tensor_propagator(chart, p, v, steps):
         duu = dgamma @ u @ u
         return u, -(gu @ u), np.concatenate([J[4:], -(duu.T @ J[:4]) - 2.0 * (gu @ J[4:])])
 
-    return _backend.shoot_endpoint(rhs, chart.contains, [p, v, np.eye(8)], 1.0, steps)
+    return rk4_shoot(rhs, [p, v, np.eye(8)], 1.0, steps)
 
 
 @pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("eps", [1e-2, 0.3, 0.9])
 @pytest.mark.parametrize("profile", ["gaussian", "sine"])
 def test_jacobi_propagator_meets_the_tensor_propagator(profile, eps, width):
+    # the endpoint against RK4 at N and 2N steps, extrapolated past its
+    # h^4 error: N = 1000 on the Christoffel geodesic for x, 192 on the
+    # tensor propagator for J
     chart = tr.make_chart("conformal", eps=eps, profile=profile, width=width)
     q, prop = _ray_propagator(chart)
-    xs, _, js = _tensor_propagator(chart, q, prop.v[0], len(prop.s) - 1)
-    assert np.max(np.abs(prop.x - xs)) <= 1e-14
-    assert np.max(np.abs(prop.jacobi - js)) <= 1e-10 * np.max(np.abs(js))
+
+    def geodesic(steps):
+        def rhs(y):
+            x, u = y
+            return u, -(christoffel(chart, x) @ u @ u)
+        return rk4_shoot(rhs, [q, prop.v[0]], 1.0, steps)[0][-1]
+
+    def extrapolated(shoot, steps):
+        coarse, fine = shoot(steps), shoot(2 * steps)
+        return fine + (fine - coarse) / 15.0
+
+    xs = extrapolated(geodesic, 1000)
+    js = extrapolated(lambda n: _tensor_propagator(chart, q, prop.v[0], n)[2][-1], 192)
+    assert np.max(np.abs(prop.x[-1] - xs)) <= 1e-14
+    assert np.max(np.abs(prop.jacobi[-1] - js)) <= 1e-10 * np.max(np.abs(js))
+
+
+# the rays of the accuracy sweep, as (p, spatial direction, t): the
+# benchmark's, one through P, and a longer one from the other side
+SWEEP_RAYS = [(WORKLOAD_P, np.array([0.3, 0.5, 0.8]), 1.1),
+              (P, np.array([0.3, 0.5, math.sqrt(0.66)]), 1.3),
+              (np.array([-1.0, -0.6, 0.3, -0.5]), np.array([0.6, -0.3, 0.5]), 2.0)]
+
+
+def _rk4_propagator(chart, q, v, steps):
+    """Endpoint x and J of RK4 on the propagator's own complex-step equations."""
+
+    def rhs(y):
+        x, u, J = y
+        z = np.concatenate([x, u]) + 1j * tr._STEP * np.vstack([np.zeros(8), J.T])
+        a = tr._acceleration(chart, z[:, :4], z[:, 4:])
+        return u, a[0].real, np.concatenate([J[4:], a[1:].imag.T / tr._STEP])
+
+    xs, _, js = rk4_shoot(rhs, [q, v, np.eye(8)], 1.0, steps)
+    return xs[-1], js[-1]
+
+
+@pytest.mark.parametrize("eps", [1e-2, 0.1, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+def test_propagator_is_no_worse_than_rk4_48(profile, eps):
+    # endpoint x and J against RK4 at 96 and 192 steps extrapolated past its
+    # h^4 error, beside the 48-step RK4 the kernel replaced; every case must
+    # connect (no exit 3) on all three widths and rays
+    for width in (0.5, 1.0, 2.0):
+        chart = tr.make_chart("conformal", eps=eps, profile=profile, width=width)
+        for p, d, t in SWEEP_RAYS:
+            q = p + t * np.concatenate([[1.0], d / np.linalg.norm(d)])
+            prop = tr.null_connect(chart, q, p).path
+            coarse, fine = (_rk4_propagator(chart, q, prop.v[0], n) for n in (96, 192))
+            x_ref, j_ref = (b + (b - a) / 15.0 for a, b in zip(coarse, fine))
+            x_48, j_48 = _rk4_propagator(chart, q, prop.v[0], 48)
+            assert np.max(np.abs(prop.x[-1] - x_ref)) <= np.max(np.abs(x_48 - x_ref))
+            assert np.max(np.abs(prop.jacobi[-1] - j_ref)) <= np.max(np.abs(j_48 - j_ref))
 
 
 @pytest.mark.parametrize("width", [0.5, 2.0])
@@ -488,7 +592,7 @@ def test_jacobi_propagator_matches_differenced_shoots():
     step = h * np.eye(4)
 
     def ends(starts, velocities):
-        return tr.geodesic_shoot(chart, starts, velocities, 1.0, tr.SHOOT_STEPS).x[-1]
+        return tr.geodesic_shoot(chart, starts, velocities, 1.0).x[-1]
 
     same = np.broadcast_to(q, (4, 4))
     vel = np.broadcast_to(v0, (4, 4))
@@ -543,18 +647,22 @@ def test_transport_k_connects_when_given_no_propagator():
 
 def test_null_connect_propagator_carries_one_shoot_work(monkeypatch):
     chart = tr.make_chart("conformal", eps=1e-2)
-    shoot, steps = tr.kernels.shoot_endpoint, []
+    shoot, shots = tr.kernels.shoot_endpoint, []
 
-    def counting(rhs, contains, y, s_end, n):
-        steps.append(n)
-        return shoot(rhs, contains, y, s_end, n)
+    def counting(*args, **kwargs):
+        shots.append(shoot(*args, **kwargs))
+        return shots[-1]
 
     monkeypatch.setattr(tr.kernels, "shoot_endpoint", counting)
     q, prop = _ray_propagator(chart)
-    assert steps == [tr.SHOOT_STEPS]
+    assert len(shots) == 1
     landing = np.max(np.abs(prop.x[-1] - WORKLOAD_P))
-    assert prop.work == {"shoots": 1, "kernel_steps": tr.SHOOT_STEPS,
-                         "landing_error": landing}
+    assert prop.work == {"shoots": 1, "nodes": tr.kernels.NODES,
+                         "segments": shots[0].segments,
+                         "picard_iterations": shots[0].iterations,
+                         "picard_update": shots[0].update, "landing_error": landing}
+    assert len(prop.s) == prop.work["segments"] * tr.kernels.NODES + 1
+    assert prop.work["picard_iterations"] >= 2 and prop.work["picard_update"] <= 1e-15
     assert landing < 1e-11
     v, t = tr.null_connect(chart, q, WORKLOAD_P)
     assert np.max(np.abs(v * t - prop.v[0])) < 1e-15
@@ -588,6 +696,7 @@ def test_seeded_van_vleck_equals_unseeded(profile):
                plain_work["worst_connect_residual"]) <= 1e-13 * 2.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_transport_k_rejects_a_non_finite_propagator(monkeypatch):
     # a flat chart connects in one shoot; a NaN derivative of the
     # acceleration leaves only the propagator's X and U blocks, and so
@@ -753,7 +862,7 @@ def _leg_ode_frame(chart, p, v, frame, s_end, steps):
         gu = christoffel(chart, x) @ u
         return u, -(gu @ u), -(V @ gu.T)
 
-    xs, _, Vs = _backend.shoot_endpoint(rhs, chart.contains, [p, v, legs], s_end, steps)
+    xs, _, Vs = rk4_shoot(rhs, [p, v, legs], s_end, steps)
     ls, ns, ms = Vs[:, 0], Vs[:, 1], Vs[:, 2] + 1j * Vs[:, 3]
     os, iotas = [], []
     for om, l, n, m in zip(chart.omega(xs), ls, ns, ms):
