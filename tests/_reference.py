@@ -125,12 +125,12 @@ def area_element(section: cone.ConeSection) -> np.ndarray:
 
 
 def christoffel(chart: transport.CurvedChart, x) -> np.ndarray:
-    """Gamma^a_{bc} of g = omega^2 eta at one point, [a, b, c]:
+    """Gamma^a_{bc} of g = omega^2 eta at one point or (..., 4) points, [..., a, b, c]:
     delta^a_b w_c + delta^a_c w_b - eta_{bc} eta^{ad} w_d, w = grad ln omega."""
     w = chart.grad_ln_omega(x)
     eye = np.eye(4)
-    return (eye[:, :, None] * w + eye[:, None, :] * w[:, None]
-            - ETA * (_ETA_SIGN * w)[:, None, None])
+    return (eye[:, :, None] * w[..., None, None, :] + eye[:, None, :] * w[..., None, :, None]
+            - ETA * (_ETA_SIGN * w)[..., :, None, None])
 
 
 def norm_drift(path: transport.GeodesicPath) -> float:
