@@ -663,7 +663,7 @@ def _suite_curved(rng, cases):
     q = p + 1.5 * lvec
 
     flat = transport.make_chart("flat")
-    _, ks = transport.transport_k(flat, q, p, steps=8, shoot_steps=24)
+    _, ks = transport.transport_k(flat, q, p, steps=8)
     flat_k = float(np.max(np.abs(2.0 * math.pi * ks - 1.0)))
 
     base = _chart_frame(flat, p, 0.4, 1.1)

@@ -26,7 +26,7 @@ only their affine parameterization bends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,14 +108,13 @@ class CurvedChart:
 class GeodesicPath:
     """Geodesic samples: s (M,), x and v (M, 4) or, shot from rows, (M, B, 4);
     a Jacobi propagator adds jacobi (M, 8, 8) = d(x, v) / d(x0, v0).  A shoot's
-    samples are segments of nodes + 1 Chebyshev-Lobatto nodes sharing their
-    ends (nodes 0: samples that are not), and work holds its resolution."""
+    samples are segments of kernels.NODES + 1 Chebyshev-Lobatto nodes sharing
+    their ends, and work holds its resolution."""
 
     s: np.ndarray
     x: np.ndarray
     v: np.ndarray
     chart: CurvedChart
-    nodes: int = 0
     jacobi: Optional[np.ndarray] = None
     work: Optional[dict] = None
 
@@ -187,16 +186,15 @@ def _acceleration(chart: CurvedChart, x, u) -> np.ndarray:
             + ((u * u) @ _ETA_SIGN)[..., None] * _ETA_SIGN * w)
 
 
-def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
-                   steps: int = kernels.NODES, jacobi: bool = False,
-                   guess: Optional[GeodesicPath] = None) -> GeodesicPath:
+def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0, jacobi: bool = False,
+                   guess: Optional[kernels.Shoot] = None) -> GeodesicPath:
     """Integrate the geodesic from (p, v) to affine parameter s_end.
 
     p and v are one point (4,) or (B, 4) rows shot together, whose path
-    samples x and v are then (M, B, 4).  kernels.shoot_endpoint solves it
-    on segments of steps Chebyshev nodes, from guess's samples (a path of
-    the same rows) when given.  Raises GeometryError for a path that leaves
-    the chart box, reporting the exit point, or that it cannot resolve.
+    samples x and v are then (M, B, 4).  kernels.shoot_endpoint solves it,
+    from guess's samples (a shoot of the same rows) when given.  Raises
+    GeometryError for a path that leaves the chart box, reporting the exit
+    point, or that it cannot resolve.
     work holds the shoot's nodes, segments, Picard iterations and last
     Picard update.  jacobi=True (one point) makes it the Jacobi
     propagator: the shoot also carries the geodesic-deviation equations
@@ -222,17 +220,13 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
             [J[..., 4:, :], np.swapaxes(a[..., 1:, :].imag, -1, -2) / _STEP], axis=-2)
 
     y = [p, v, np.eye(8)] if jacobi else [p, v]
-    if guess is not None:
-        guess = kernels.Shoot(guess.s, [guess.x, guess.v, guess.jacobi][:len(y)],
-                              guess.nodes, 0, 0.0)
-    shot = kernels.shoot_endpoint(rhs, chart.contains, y, s_end, steps, guess=guess)
-    return GeodesicPath(shot.s, *shot.y[:2], chart, shot.nodes, *shot.y[2:], work={
-        "nodes": shot.nodes, "segments": shot.segments,
+    shot = kernels.shoot_endpoint(rhs, chart.contains, y, s_end, kernels.NODES, guess=guess)
+    return GeodesicPath(shot.s, shot.y[0], shot.y[1], chart, *shot.y[2:], work={
+        "nodes": kernels.NODES, "segments": shot.segments,
         "picard_iterations": shot.iterations, "picard_update": shot.update})
 
 
-def _connect(chart: CurvedChart, p, q, steps: int = kernels.NODES, max_iter: int = 60,
-             v=None, chord=None, guess: Optional[GeodesicPath] = None):
+def _connect(chart: CurvedChart, p, q, max_iter: int = 60, v=None, chord=None):
     """[0, 1]-affine initial velocities of the geodesics from p to q.
 
     p and q are (B, 4) rows of point pairs.  Fixed-point iteration with
@@ -243,8 +237,8 @@ def _connect(chart: CurvedChart, p, q, steps: int = kernels.NODES, max_iter: int
     in that step.  Every pair iterates on its own:
     it stops once its residual is within 1e-13 of the point scale, and
     growth of its residual halves its step.  A stuck pair raises.  Each
-    shoot starts from the previous one's path, the first from guess (a
-    path of these rows) when given.  Returns v and the batch's work
+    shoot after the first starts its Picard iteration from the previous
+    one's samples.  Returns v and the batch's work
     counts: the last shoot's resolution, Picard iterations summed.
     """
     chart.require_inside(p, "connection start")
@@ -254,9 +248,9 @@ def _connect(chart: CurvedChart, p, q, steps: int = kernels.NODES, max_iter: int
     v = q - p if v is None else v
     prev = np.full(len(p), math.inf)
     live = np.arange(len(p))
-    iterations = 0
+    iterations, guess = 0, None
     for it in range(1, max_iter + 1):
-        path = geodesic_shoot(chart, p[live], v[live], 1.0, steps, guess=guess)
+        path = geodesic_shoot(chart, p[live], v[live], 1.0, guess=guess)
         iterations += path.work["picard_iterations"]
         res = path.x[-1] - q[live]
         rn = np.max(np.abs(res), axis=1)
@@ -268,15 +262,15 @@ def _connect(chart: CurvedChart, p, q, steps: int = kernels.NODES, max_iter: int
             return v, {"connect_iterations": it, "shoots": it, **path.work,
                        "picard_iterations": iterations,
                        "worst_connect_residual": float(np.max(prev))}
-        guess = replace(path, x=path.x[:, going], v=path.v[:, going])
+        guess = kernels.Shoot(path.s, [path.x[:, going], path.v[:, going]], 0, 0.0)
         v[live] -= res if chord is None else res @ chord.T
     i = live[0]
     raise GeometryError(f"geodesic connection {p[i]} -> {q[i]} (pair {i}) did not "
                         f"converge (residual {prev[i]:.2e})")
 
 
-def world_function(chart: CurvedChart, p, q, steps: int = kernels.NODES,
-                   near: Optional[GeodesicPath] = None, work: Optional[dict] = None):
+def world_function(chart: CurvedChart, p, q, near: Optional[GeodesicPath] = None,
+                   work: Optional[dict] = None):
     """World function with the [0, 1] affine convention.
 
     Gamma(p, q) = g_p(v, v) = omega(p)^2 eta(v, v) for the initial
@@ -285,24 +279,18 @@ def world_function(chart: CurvedChart, p, q, steps: int = kernels.NODES,
     give a float; (B, 4) rows of points (either side may be a single
     point) give a (B,) array, all pairs connected together.  near, the
     Jacobi propagator of a [0, 1] geodesic close to every pair, seeds each
-    connect with v0 + X_v^{-1} (dq - X_p dp) and chord step X_v^{-1}, and
-    its first shoot with the paths the propagator predicts from there;
+    connect with v0 + X_v^{-1} (dq - X_p dp) and chord step X_v^{-1};
     work, a dict, receives the batch's work counts.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     single = p.ndim == 1 and q.ndim == 1
     p, q = np.broadcast_arrays(p.reshape(-1, 4), q.reshape(-1, 4))
-    v0 = chord = guess = None
+    v0 = chord = None
     if near is not None:
         x_p, chord = near.jacobi[-1, :4, :4], _solve_xv(near.jacobi[-1], np.eye(4))
         v0 = near.v[0] + (q - near.x[-1] - (p - near.x[0]) @ x_p.T) @ chord.T
-        # (x, v)(s) + J(s) (dp, dv) along the propagator, a row per pair
-        moved = np.einsum("mij,bj->mbi", near.jacobi,
-                          np.concatenate([p - near.x[0], v0 - near.v[0]], axis=1))
-        guess = GeodesicPath(near.s, near.x[:, None] + moved[..., :4],
-                             near.v[:, None] + moved[..., 4:], chart, near.nodes)
-    v, counts = _connect(chart, p, q, steps=steps, v=v0, chord=chord, guess=guess)
+    v, counts = _connect(chart, p, q, v=v0, chord=chord)
     if work is not None:
         work.update(counts, world_function_calls=1)
     w = chart.omega(p) ** 2 * ((v * v) @ _ETA_SIGN)
@@ -327,15 +315,15 @@ class NullConnection(tuple):
         return pair
 
 
-def null_connect(chart: CurvedChart, p, q, steps: int = kernels.NODES) -> NullConnection:
+def null_connect(chart: CurvedChart, p, q) -> NullConnection:
     """Null geodesic from p to q: initial velocity v (v^0 = 1) and affine t.
 
     geodesic_shoot(chart, p, v, t) lands on q.  On g = omega^2 eta the
     null geodesic is the straight chord p + sigma (q - p), and its affine
     parameter grows as the integral of omega^2 d sigma, so the [0, 1]
     velocity is (q - p) I(p, q) / omega(p)^2 with I the chord average of
-    omega^2.  One Jacobi-propagator shoot with that velocity, on segments
-    of steps Chebyshev nodes, is the returned NullConnection's path; its
+    omega^2.  One Jacobi-propagator shoot with that velocity is the
+    returned NullConnection's path; its
     work counts add the landing error max|x(1) - q|.  Raises GeometryError
     when p and q are not null-separated (whether they are does not depend
     on omega) or the shoot leaves the chart.
@@ -353,7 +341,7 @@ def null_connect(chart: CurvedChart, p, q, steps: int = kernels.NODES) -> NullCo
     if t == 0.0:
         raise GeometryError("degenerate null direction (vanishing chart-time "
                             "component)")
-    path = geodesic_shoot(chart, p, v01, 1.0, steps, jacobi=True)
+    path = geodesic_shoot(chart, p, v01, 1.0, jacobi=True)
     path.work = {"shoots": 1, **path.work,
                  "landing_error": float(np.max(np.abs(path.x[-1] - q)))}
     return NullConnection(v01 / t, t, path)
@@ -362,7 +350,7 @@ def null_connect(chart: CurvedChart, p, q, steps: int = kernels.NODES) -> NullCo
 # -- transport coefficient ------------------------------------------------
 
 def transport_k(chart: CurvedChart, q, p, steps: int = 10,
-                shoot_steps: int = kernels.NODES,
+                shoot_steps: Optional[int] = None,
                 propagator: Optional[GeodesicPath] = None):
     """Transport coefficient k_q along the null geodesic from q to p.
 
@@ -377,14 +365,15 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10,
         k = (omega_q / omega_x)^2 / (2 pi sqrt(det(X_v / s))),   k(0) = 1/(2 pi).
 
     propagator is null_connect(chart, q, p).path, else it is connected
-    here on segments of shoot_steps Chebyshev nodes.  Returns (s_nodes,
+    here; shoot_steps is accepted and unused (the kernel resolves the
+    shoot to its own tolerance).  Returns (s_nodes,
     k_values) at s = j / steps, j = 0..steps: ln(2 pi k) interpolated
     within the propagator's segment (kernels.interpolate), exact on a
     sample, so steps sets how many nodes are reported, not the accuracy.
     k_values[-1] is k_q(p).  det(X_v / s) <= 0 (a conjugate point) or a
     value that is not finite raises GeometryError.
     """
-    path = propagator or null_connect(chart, q, p, steps=shoot_steps).path
+    path = propagator or null_connect(chart, q, p).path
     with np.errstate(invalid="ignore"):       # a non-finite propagator raises below
         det = np.linalg.det(path.jacobi[1:, :4, 4:] / path.s[1:, None, None])
     if np.any(det <= 0.0):
@@ -392,14 +381,13 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10,
     om = chart.omega(path.x)
     ln_k = np.concatenate([[0.0], 2.0 * np.log(om[0] / om[1:]) - 0.5 * np.log(det)])
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
-    k_nodes = np.exp(kernels.interpolate(path.s, ln_k, path.nodes, s_nodes)) / TWO_PI
+    k_nodes = np.exp(kernels.interpolate(path.s, ln_k, s_nodes)) / TWO_PI
     if not np.all(np.isfinite(k_nodes)):
         raise GeometryError(f"transport coefficient is not finite along {q} -> {p}")
     return s_nodes, k_nodes
 
 
 def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
-                steps: int = kernels.NODES,
                 propagator: Optional[GeodesicPath] = None,
                 work: Optional[dict] = None) -> float:
     """k from differenced world functions, independent of transport_k.
@@ -422,7 +410,7 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
         chart,
         np.broadcast_to(qs[:, None, :, None], (4, 4, 2, 2, 4)).reshape(-1, 4),
         np.broadcast_to(ps[None, :, None, :], (4, 4, 2, 2, 4)).reshape(-1, 4),
-        steps=steps, near=propagator, work=work)
+        near=propagator, work=work)
     w = w.reshape(4, 4, 2, 2)
     with np.errstate(all="ignore"):           # a non-finite determinant raises below
         mixed = (w[..., 0, 0] - w[..., 0, 1] - w[..., 1, 0] + w[..., 1, 1]) / (4.0 * h ** 2)
@@ -530,8 +518,8 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
 
     shot = kernels.shoot_endpoint(rhs, chart.contains, [p, 0j], s_end, kernels.NODES)
     s = np.linspace(0.0, s_end, steps + 1)
-    xs = kernels.interpolate(shot.s, shot.y[0], shot.nodes, s)
-    es = kernels.interpolate(shot.s, shot.y[1], shot.nodes, s)
+    xs = kernels.interpolate(shot.s, shot.y[0], s)
+    es = kernels.interpolate(shot.s, shot.y[1], s)
     r = om_p / chart.omega(xs)[:, None]
     mu = (-c / om_p ** 2) * r * es[:, None]
     ls = r ** 2 * l_p

@@ -1382,7 +1382,7 @@ def test_curved_transport_shoots_through_the_traced_kernel(tmp_path, monkeypatch
     # one more shoot: the frame; the last positional argument is the node
     # count a segment, so the tracer's steps count Chebyshev nodes
     assert len(calls) == sum(w["shoots"] for w in stages) + 1
-    assert all(type(last) is int and last == shot.nodes == 16 for last, shot in calls)
+    assert all(type(last) is int and last == 16 for last, _ in calls)
     assert sum(shot.iterations for _, shot in calls[:-1]) == sum(
         w["picard_iterations"] for w in stages)
     assert per_world_function and min(per_world_function) >= 1

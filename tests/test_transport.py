@@ -145,12 +145,12 @@ def test_picard_kernel_meets_the_exponential():
     assert np.max(np.abs(shot.y[0] - np.exp(-0.7 * shot.s)[:, None])) < 1e-15
     assert np.max(np.abs(shot.y[1] - np.exp(lam * shot.s))) < 1e-15
     at = np.linspace(0.0, 8.0, 101)
-    between = _backend.interpolate(shot.s, shot.y[1], 16, at)
+    between = _backend.interpolate(shot.s, shot.y[1], at)
     assert np.max(np.abs(between - np.exp(lam * at))) < 1e-15
     # a hit returns the sample itself, also along a decreasing parameter
-    assert _backend.interpolate(shot.s, shot.y[1], 16, shot.s[[0, 7, -1]]).tolist() == \
+    assert _backend.interpolate(shot.s, shot.y[1], shot.s[[0, 7, -1]]).tolist() == \
         shot.y[1][[0, 7, -1]].tolist()
-    back = _backend.interpolate(-shot.s, shot.y[1], 16, -at)
+    back = _backend.interpolate(-shot.s, shot.y[1], -at)
     assert np.max(np.abs(back - between)) == 0.0
 
 
@@ -167,15 +167,15 @@ def test_picard_kernel_cap_names_the_failing_check(rhs, check):
         _backend.shoot_endpoint(rhs, _anywhere, [np.ones(4), np.array(0.0)], 1.0, 16)
 
 
-def test_picard_kernel_needs_four_nodes():
-    with pytest.raises(ValueError, match="at least 4 Chebyshev nodes"):
-        tr.geodesic_shoot(tr.make_chart("flat"), P, OMEGA_DIR, 1.0, steps=3)
+def test_picard_kernel_shoots_its_one_node_count():
+    with pytest.raises(ValueError, match="segments of 16 Chebyshev nodes, got 30"):
+        _backend.shoot_endpoint(lambda y: y, _anywhere, [np.ones(4)], 1.0, 30)
 
 
 def test_flat_shoot_is_straight():
     chart = tr.make_chart("flat")
     v = np.array([1.2, 0.3, 0.5, 0.1])
-    path = tr.geodesic_shoot(chart, P, v, 2.0, steps=100)
+    path = tr.geodesic_shoot(chart, P, v, 2.0)
     expect = P[None, :] + path.s[:, None] * v[None, :]
     assert np.max(np.abs(path.x - expect)) < 1e-13
     assert np.max(np.abs(path.v - v[None, :])) == 0.0
@@ -183,16 +183,16 @@ def test_flat_shoot_is_straight():
 
 
 def test_null_norm_drift_weak_field():
-    # null norm conserved to 1e-8 over unit affine length at 1e3 steps
+    # null norm conserved to 1e-8 over unit affine length
     chart = tr.make_chart("conformal", eps=1e-2)
-    path = tr.geodesic_shoot(chart, P, OMEGA_DIR, 1.0, steps=1000)
+    path = tr.geodesic_shoot(chart, P, OMEGA_DIR, 1.0)
     assert norm_drift(path) < 1e-8
 
 
 def test_conformal_null_image_is_straight():
     # null geodesics of omega^2 eta bend only in parameterization
     chart = tr.make_chart("conformal", eps=1e-2)
-    path = tr.geodesic_shoot(chart, P, OMEGA_DIR, 2.0, steps=400)
+    path = tr.geodesic_shoot(chart, P, OMEGA_DIR, 2.0)
     rel = path.x - P[None, :]
     cross = rel[1:] - np.outer(rel[1:, 0], OMEGA_DIR)
     assert np.max(np.abs(cross)) < 1e-12
@@ -204,7 +204,7 @@ def test_timelike_deflection_matches_linearized_oracle():
     residual = {}
     for eps in (1e-2, 1e-3):
         chart = tr.make_chart("conformal", eps=eps)
-        got = tr.geodesic_shoot(chart, P, v0, s_end, steps=400).x[-1]
+        got = tr.geodesic_shoot(chart, P, v0, s_end).x[-1]
 
         def lin_rhs(s, dx, dv):
             x0 = P + s * v0
@@ -233,8 +233,7 @@ def test_timelike_deflection_matches_linearized_oracle():
 def test_domain_exit_raises_with_exit_point():
     chart = tr.make_chart("conformal", eps=1e-3)
     with pytest.raises(GeometryError, match="left the chart domain"):
-        tr.geodesic_shoot(chart, P, np.array([30.0, 0.0, 0.0, 0.0]), 1.0,
-                          steps=10)
+        tr.geodesic_shoot(chart, P, np.array([30.0, 0.0, 0.0, 0.0]), 1.0)
     with pytest.raises(GeometryError, match="outside"):
         tr.geodesic_shoot(chart, np.array([20.0, 0.0, 0.0, 0.0]),
                           np.zeros(4), 1.0)
@@ -257,8 +256,8 @@ def test_backend_reports_the_numpy_kernel():
 
 def test_batched_flat_shoot_exact_on_every_row():
     ps, vs = _rows(5)
-    path = tr.geodesic_shoot(tr.make_chart("flat"), ps, vs, 1.7, steps=96)
-    assert path.x.shape == path.v.shape == (97, 5, 4)
+    path = tr.geodesic_shoot(tr.make_chart("flat"), ps, vs, 1.7)
+    assert path.x.shape == path.v.shape == (tr.kernels.NODES + 1, 5, 4)
     assert np.max(np.abs(path.x[-1] - (ps + 1.7 * vs))) < 1e-14
     assert np.array_equal(path.v[-1], vs)
 
@@ -267,13 +266,11 @@ def test_batched_flat_shoot_exact_on_every_row():
 def test_batched_shoot_rows_match_geodesic_shoot(profile):
     chart = tr.make_chart("conformal", eps=1e-2, profile=profile)
     ps, vs = _rows(4)
-    rows = tr.geodesic_shoot(chart, ps, vs, 1.7, steps=96)
+    rows = tr.geodesic_shoot(chart, ps, vs, 1.7)
     for i in range(4):
-        # rows share their Picard iterations, so they agree to the few ulp of
-        # an update at convergence, relative to the largest coordinate
-        path = tr.geodesic_shoot(chart, ps[i], vs[i], 1.7, steps=96)
+        path = tr.geodesic_shoot(chart, ps[i], vs[i], 1.7)
         assert np.array_equal(rows.s, path.s)
-        assert np.max(np.abs(rows.x[:, i] - path.x)) < 1e-15 * np.max(np.abs(path.x))
+        assert np.max(np.abs(rows.x[:, i] - path.x)) < 1e-15
         assert np.max(np.abs(rows.v[:, i] - path.v)) < 1e-15
     # closed-form acceleration against -Gamma(u, u), contracted row by row
     accel = tr._acceleration(chart, ps, vs)
@@ -286,12 +283,12 @@ def test_batched_shoot_box_exit_status_per_row():
     ps = np.zeros((2, 4))
     vs = np.array([[0.1, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
     # row 1 leaves at s = 1; the error names its first node past it, the
-    # 30-node Lobatto node 1.5 (1 - cos(12 pi / 30))
-    first = 1.5 * (1.0 - math.cos(math.pi * 12 / 30))
+    # 16-node Lobatto node 1.5 (1 - cos(7 pi / 16))
+    first = 1.5 * (1.0 - math.cos(math.pi * 7 / 16))
     with pytest.raises(GeometryError, match=r"left the chart domain at "
                                             rf"s = {first:.6g}, x = \[{first:.8f} 0\. "):
-        tr.geodesic_shoot(chart, ps, vs, 3.0, 30)
-    assert abs(tr.geodesic_shoot(chart, ps[:1], vs[:1], 3.0, 30).x[-1, 0, 0] - 0.3) < 1e-15
+        tr.geodesic_shoot(chart, ps, vs, 3.0)
+    assert abs(tr.geodesic_shoot(chart, ps[:1], vs[:1], 3.0).x[-1, 0, 0] - 0.3) < 1e-15
 
 
 def test_batched_world_function_equals_per_pair_calls():
@@ -354,7 +351,7 @@ def test_null_connect_weak_field_lands():
     chart = tr.make_chart("conformal", eps=1e-3)
     q = P + 1.3 * OMEGA_DIR
     v, t = tr.null_connect(chart, P, q)
-    path = tr.geodesic_shoot(chart, P, v, t, steps=200)
+    path = tr.geodesic_shoot(chart, P, v, t)
     assert np.max(np.abs(path.x[-1] - q)) < 1e-8
     g = chart.metric(P)
     assert abs(v @ g @ v) < 1e-8
@@ -513,9 +510,10 @@ def _tensor_propagator(chart, p, v, steps):
 @pytest.mark.parametrize("eps", [1e-2, 0.3, 0.9])
 @pytest.mark.parametrize("profile", ["gaussian", "sine"])
 def test_jacobi_propagator_meets_the_tensor_propagator(profile, eps, width):
-    # the endpoint against RK4 at N and 2N steps, extrapolated past its
-    # h^4 error: N = 1000 on the Christoffel geodesic for x, 192 on the
-    # tensor propagator for J
+    # every point of a uniform grid, the propagator interpolated within its
+    # segments, against RK4 at N and 2N steps extrapolated past its h^4
+    # error: N = 1000 on the Christoffel geodesic for x, 192 on the tensor
+    # propagator for J
     chart = tr.make_chart("conformal", eps=eps, profile=profile, width=width)
     q, prop = _ray_propagator(chart)
 
@@ -523,16 +521,18 @@ def test_jacobi_propagator_meets_the_tensor_propagator(profile, eps, width):
         def rhs(y):
             x, u = y
             return u, -(christoffel(chart, x) @ u @ u)
-        return rk4_shoot(rhs, [q, prop.v[0]], 1.0, steps)[0][-1]
+        return rk4_shoot(rhs, [q, prop.v[0]], 1.0, steps)[0]
 
     def extrapolated(shoot, steps):
-        coarse, fine = shoot(steps), shoot(2 * steps)
+        coarse, fine = shoot(steps), shoot(2 * steps)[::2]
         return fine + (fine - coarse) / 15.0
 
     xs = extrapolated(geodesic, 1000)
-    js = extrapolated(lambda n: _tensor_propagator(chart, q, prop.v[0], n)[2][-1], 192)
-    assert np.max(np.abs(prop.x[-1] - xs)) <= 1e-14
-    assert np.max(np.abs(prop.jacobi[-1] - js)) <= 1e-10 * np.max(np.abs(js))
+    js = extrapolated(lambda n: _tensor_propagator(chart, q, prop.v[0], n)[2], 192)
+    x_at = tr.kernels.interpolate(prop.s, prop.x, np.linspace(0.0, 1.0, 1001))
+    j_at = tr.kernels.interpolate(prop.s, prop.jacobi, np.linspace(0.0, 1.0, 193))
+    assert np.max(np.abs(x_at - xs)) <= 1e-14
+    assert np.max(np.abs(j_at - js)) <= 1e-10 * np.max(np.abs(js))
 
 
 # the rays of the accuracy sweep, as (p, spatial direction, t): the
@@ -591,7 +591,7 @@ def test_jet_is_complex_analytic(profile, width):
 def test_jacobi_propagator_matches_differenced_shoots():
     chart = tr.make_chart("conformal", eps=1e-2)
     q, prop = _ray_propagator(chart)
-    fine = tr.geodesic_shoot(chart, q, prop.v[0], 1.0, 800).x[-1]
+    fine = tr.geodesic_shoot(chart, q, prop.v[0], 1.0).x[-1]
     assert np.max(np.abs(fine - WORKLOAD_P)) < 1e-13
     v0, h = prop.v[0], 1e-6
     step = h * np.eye(4)
@@ -617,7 +617,7 @@ def test_transport_k_matches_closed_form_at_every_node(profile, eps, k_steps):
     assert np.array_equal(s, np.linspace(0.0, 1.0, k_steps + 1))
     assert abs(k[-1] - tr.conformal_k(chart, q, WORKLOAD_P)) < 1e-10
     for sj, kj in zip(s[1:], k[1:]):
-        x = tr.geodesic_shoot(chart, q, prop.v[0], sj, steps=400).x[-1]
+        x = tr.geodesic_shoot(chart, q, prop.v[0], sj).x[-1]
         assert abs(kj - tr.conformal_k(chart, q, x)) < 1e-10
 
 
@@ -632,7 +632,7 @@ _FINE_W = np.tile(_PANEL_W, 200) / 400.0
 @pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
 def test_transport_k_meets_the_resolved_chord_integral(profile, eps, bound, width):
     # k(q, p) = I(q, p) / (2 pi omega_p omega_q) with the chord average of
-    # omega^2 resolved far past the 48-step propagator's error
+    # omega^2 resolved far past the propagator's error
     chart = tr.make_chart("conformal", eps=eps, profile=profile, width=width)
     q, prop = _ray_propagator(chart)
     chord = q + _FINE_U[:, None] * (WORKLOAD_P - q)
@@ -676,14 +676,14 @@ def test_null_connect_propagator_carries_one_shoot_work(monkeypatch):
 @pytest.mark.parametrize("profile", ["gaussian", "sine"])
 @pytest.mark.parametrize("eps", [1e-2, 0.3])
 def test_null_connect_closed_form_matches_fine_connect(profile, eps):
-    # the chord velocity is the [0, 1] geodesic's: a fine fixed-point
-    # connect finds the same one, and a fine shoot from it lands on target
+    # the chord velocity is the [0, 1] geodesic's: the fixed-point connect
+    # finds the same one, and a shoot from it lands on target
     chart = tr.make_chart("conformal", eps=eps, profile=profile)
     q, prop = _ray_propagator(chart)
     v0 = prop.v[0]
-    fine, _ = tr._connect(chart, q[None], WORKLOAD_P[None], steps=400)
+    fine, _ = tr._connect(chart, q[None], WORKLOAD_P[None])
     assert np.max(np.abs(v0 - fine[0])) < 1e-13
-    landed = tr.geodesic_shoot(chart, q, v0, 1.0, 800).x[-1]
+    landed = tr.geodesic_shoot(chart, q, v0, 1.0).x[-1]
     assert np.max(np.abs(landed - WORKLOAD_P)) < 1e-13
 
 
@@ -726,9 +726,9 @@ def test_non_finite_metric_is_not_reported_as_leaving_the_chart():
     chart.grad_ln_omega = lambda x: np.where(x[..., 1:2] > 0.5, np.nan, 0.0) * np.ones(4)
     v = np.array([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(GeometryError, match="reached a non-finite state") as err:
-        tr.geodesic_shoot(chart, P, v, s_end=1.0, steps=20)
+        tr.geodesic_shoot(chart, P, v, s_end=1.0)
     assert "left the chart" not in str(err.value)
-    assert tr.geodesic_shoot(chart, P, v, s_end=0.3, steps=20).x[-1][1] < 0.5
+    assert tr.geodesic_shoot(chart, P, v, s_end=0.3).x[-1][1] < 0.5
 
 
 def test_singular_jacobi_propagator_is_a_geometry_error():
@@ -745,7 +745,7 @@ def test_singular_jacobi_propagator_is_a_geometry_error():
 def test_van_vleck_cross_checks_closed_form():
     chart = tr.make_chart("conformal", eps=1e-3)
     q = P + 1.3 * OMEGA_DIR
-    kvv = tr.van_vleck_k(chart, q, P, steps=32)
+    kvv = tr.van_vleck_k(chart, q, P)
     kcf = tr.conformal_k(chart, q, P)
     dev = abs(kcf - INV_2PI)
     assert abs(kvv - kcf) < 0.05 * dev + 1e-12
@@ -754,7 +754,7 @@ def test_van_vleck_cross_checks_closed_form():
 def test_van_vleck_flat_unity():
     chart = tr.make_chart("flat")
     q = P + 1.3 * OMEGA_DIR
-    assert abs(tr.van_vleck_k(chart, q, P, steps=16) - INV_2PI) < 1e-9
+    assert abs(tr.van_vleck_k(chart, q, P) - INV_2PI) < 1e-9
 
 
 def test_conformal_k_flat_chart_and_symmetry():
