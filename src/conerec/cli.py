@@ -28,10 +28,12 @@ import json
 import math
 import os
 import sys
-from collections import namedtuple
 from datetime import datetime, timezone
 
-from .errors import CoverageError, GeometryError
+from .errors import ConfigError, CoverageError, GeometryError
+from .tables import (_REQUIRED, _Key, _as_bool, _as_finite, _as_kind, _as_object,
+                     _as_path, _as_positive, _check, _count, _finite_json, _known,
+                     _list_of, _nulled, _number, _optional, _read)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -44,23 +46,14 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _timestamp():
     return datetime.now(timezone.utc).isoformat()
 
 
 # -- config tables -----------------------------------------------------------
 #
-# Each config block has one table mapping every accepted key to a _Key:
-# check(value, name) returns the checked value or raises ConfigError naming
-# the key.  An absent key takes its default, checked like a given value; a
-# default of None leaves the key out, so the callee's own default holds,
-# and _REQUIRED makes the key mandatory.
-
-_REQUIRED = object()
+# Each config block has one table, read by tables._read.
+#
 # Bounds of the counts a config sets, so that none can make a run allocate
 # or loop without end (1e308 is a valid JSON integer), and of the magnitude
 # of a coordinate or length, which the geometry squares.  The grid bound
@@ -73,63 +66,14 @@ _MAX_COORDINATE = 1e100
 _MAX_WAVE = 1e5
 
 
-_Key = namedtuple("_Key", "check default", defaults=[None])
-
-
 def _load_config(path):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return _finite_json(json.load(fh), "config")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    found = []
-    _nulled(cfg, "config", found)
-    if found:  # NaN, Infinity, and overflowing literals such as 1e999
-        raise ConfigError(f"{found[0][0]} is {found[0][1]!r}; NaN and Infinity "
-                          "are not valid JSON numbers")
-    return cfg
-
-
-def _nulled(node, where, found):
-    """node with each non-finite float replaced by None; found gets (path, value)."""
-    if isinstance(node, float) and not math.isfinite(node):
-        found.append((where, node))
-        return None
-    if isinstance(node, dict):
-        return {k: _nulled(v, f"{where}.{k}", found) for k, v in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [_nulled(v, f"{where}[{i}]", found) for i, v in enumerate(node)]
-    return node
-
-
-def _known(cfg, keys, what):
-    """Require a JSON object holding only the given keys: a misspelled key
-    would otherwise be ignored and its default used without a word."""
-    extra = set(_as_object(cfg, what)) - set(keys)
-    if extra:
-        raise ConfigError(f"unknown {what} keys {sorted(extra)}")
-
-
-def _read(cfg, table, where, prefix=""):
-    """The checked values of the config block `where`: unknown keys first,
-    then required keys, then each check in table order."""
-    _known(cfg, table, where)
-    for key, entry in table.items():
-        if entry.default is _REQUIRED and key not in cfg:
-            raise ConfigError(f"{where} config needs {key!r}")
-    return {key: entry.check(cfg.get(key, entry.default), prefix + key)
-            for key, entry in table.items() if key in cfg or entry.default is not None}
-
-
-def _check(ok, must, convert=None):
-    """Check raising "<name> must be <must>" unless ok(value)."""
-    def check(v, what):
-        if not ok(v):
-            raise ConfigError(f"{what} must be {must}, got {v!r}")
-        return v if convert is None else convert(v)
-    return check
 
 
 def _built(build, values, what, at=""):
@@ -146,43 +90,12 @@ def _block(table, build=dict):
     return lambda v, what: _built(build, _read(v, table, what, what + "."), what)
 
 
-def _list_of(check, non_empty=False):
-    """Check of a list whose entries, named what[i], each pass check."""
-    def read(v, what):
-        items = [check(x, f"{what}[{i}]") for i, x in enumerate(_as_list(v, what))]
-        if non_empty and not items:
-            raise ConfigError(f"{what} must be non-empty")
-        return items
-    return read
-
-
-def _optional(check):
-    """check, with null standing for an absent key."""
-    return lambda v, what: None if v is None else check(v, what)
-
-
-def _number(v):
-    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
-
-
-def _count(most):
-    return _check(lambda v: _number(v) and v == int(v) and 1 <= v <= most,
-                  f"a positive integer at most {most}", int)
-
-
 def _as_given(v, what):  # a value its callee checks
     return v
 
 
-_as_object = _check(lambda v: isinstance(v, dict), "a JSON object")
-_as_list = _check(lambda v: isinstance(v, list), "a list")
-_as_path = _check(lambda v: isinstance(v, str), "a path string")
-_as_bool = _check(lambda v: isinstance(v, bool), "true or false")
-_as_kind = _check(lambda v: v in ("spin", "dirac"), "'spin' or 'dirac'")
 _as_seed = _check(lambda v: _number(v) and v == int(v) and v >= 0,
                   "a non-negative integer", int)
-_as_finite = _check(_number, "a finite number", float)
-_as_positive = _check(lambda v: _number(v) and v > 0, "a positive number", float)
 _as_coordinate = _check(lambda v: _number(v) and abs(v) <= _MAX_COORDINATE,
                         f"a number at most {_MAX_COORDINATE:g} in magnitude", float)
 _as_wave_part = _check(lambda v: _number(v) and abs(v) <= _MAX_WAVE,
@@ -280,9 +193,9 @@ def _c2j(z):
     return [z.real, z.imag]
 
 
-def _cone_data(src, p0, valence, columns=1):
-    """ConeData plus an oracle callback (None for file data), from a data
-    block read by _as_data.
+def _cone_data(src, p0, valence, kind, columns=1):
+    """ConeData of the given kind plus an oracle callback (None for file
+    data), from a data block read by _as_data.
 
     Families: "plane-wave" (spin components phi_0 .. phi_{columns-1}; the
     evaluators read phi_0 only, the constraint check all n+1) and
@@ -296,10 +209,12 @@ def _cone_data(src, p0, valence, columns=1):
             data = load_cone_data(src["file"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load cone data {src['file']!r}: {exc}")
-        if data.valence != valence:
-            raise ConfigError(f"data file carries valence {data.valence}, "
-                              f"config says {valence}")
+        if (data.valence, data.kind) != (valence, kind):
+            raise ConfigError(f"data file carries valence {data.valence} {data.kind} data, "
+                              f"config says valence {valence}, kind {kind!r}")
         return data, None
+    if kind != ("dirac" if src["family"] == "plane-wave-dirac" else "spin"):
+        raise ConfigError(f"kind {kind!r} does not read the {src['family']} family")
     try:
         spec = oracles.PlaneWaveSpec(valence, src["alpha"], src["amplitude"])
     except ValueError as exc:
@@ -368,8 +283,9 @@ def cmd_reconstruct(v, out, seed):
     p0, kind, valence, spec = v["p0"], v["kind"], v["valence"], v["quadrature"]
     chart, tol = v.get("chart"), v.get("tolerance")
     if chart is not None and kind != "spin":
-        raise ConfigError("the curved evaluator handles spin data only")
-    data, oracle = _cone_data(v["data"], p0, valence)
+        raise ConfigError("kind must be 'spin' with a chart: the curved evaluator reads "
+                          "spin data only")
+    data, oracle = _cone_data(v["data"], p0, valence, kind)
     records, failures = [], 0
     for i, q in enumerate(v["q"]):
         try:
@@ -413,10 +329,9 @@ def cmd_constraints(v, out, seed):
     from .cone import SphereGrid
     from .nulldata import constraint_residual
     p0, s_values, tol = v["p0"], v["s_values"], v.get("tolerance")
-    data, _ = _cone_data(v["data"], p0, v["valence"], columns=v["valence"] + 1)
-    if data.kind != "spin":
-        raise ConfigError("constraint residuals apply to spin data")
-    grids = ([SphereGrid(nt, nph) for nt, nph in v["levels"]] if data.is_analytic
+    data, _ = _cone_data(v["data"], p0, v["valence"], "spin", columns=v["valence"] + 1)
+    grids = ([_built(SphereGrid, {"n_theta": nt, "n_phi": nph}, "levels", f"[{i}]")
+              for i, (nt, nph) in enumerate(v["levels"])] if data.is_analytic
              else [data.grid])
     tables = [constraint_residual(data, p0, s_values, g) for g in grids]
     js = sorted(tables[0])
@@ -446,7 +361,7 @@ def cmd_converge(v, out, seed):
     specs = [_built(QuadratureSpec, {**v["quadrature"], "n_theta": nt, "n_phi": nph},
                     "quadrature", f" at levels[{i}]")
              for i, (nt, nph) in enumerate(v["levels"])]
-    data, oracle = _cone_data(v["data"], p0, v["valence"])
+    data, oracle = _cone_data(v["data"], p0, v["valence"], v["kind"])
     if oracle is None:
         raise ConfigError("converge needs a named data family as oracle")
     rows = convergence_study(p0, data, q, oracle(q), specs, kind=v["kind"],

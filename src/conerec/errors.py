@@ -12,3 +12,6 @@ class GeometryError(ValueError):
 class CoverageError(ValueError):
     """Stored characteristic data does not cover the requested region."""
 
+
+class ConfigError(ValueError):
+    """A config value or data-file descriptor a reading table refuses."""

@@ -6,9 +6,10 @@ tetrad through Hermitian outer products
 
     l = o obar,  n = iota iotabar,  m = o iotabar,
 
-and is normalized to o_A iota^A = 1, leaving a two-fold sign ambiguity
-that we fix with a documented tie-break.  The spin coefficients of a
-cone section's frame are nulldata.section_spin_coefficients.
+and is normalized to o_A iota^A = 1, which leaves its overall sign
+free.  An NPFrame carries both, so nothing here factors a tetrad back
+into its spin basis.  The spin coefficients of a cone section's frame
+are nulldata.section_spin_coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinor import SQRT2, from_matrix, lower_comps, to_matrix
+from .spinor import SQRT2, from_matrix, lower_comps
 
 
 @dataclass
@@ -33,53 +34,6 @@ class NPFrame:
     m: np.ndarray
     o: np.ndarray
     iota: np.ndarray
-
-
-def _rank1_factor(mat):
-    """o with o obar^T = mat for Hermitian PSD rank-1 mat."""
-    scale = np.max(np.abs(mat))
-    if abs(np.linalg.det(mat)) > 1e-10 * max(scale, 1.0) ** 2:
-        raise ValueError("matrix is not rank one: the vector is not null")
-    if mat[0, 0].real >= mat[1, 1].real:
-        o0 = np.sqrt(mat[0, 0].real)
-        if o0 == 0.0:
-            raise ValueError("degenerate null vector")
-        return np.array([o0, mat[1, 0] / o0], dtype=complex)
-    o1 = np.sqrt(mat[1, 1].real)
-    return np.array([mat[0, 1] / o1, o1], dtype=complex)
-
-
-def spin_basis_from_tetrad(l, n, m):
-    """Spin basis (o, iota) of a normalized NP tetrad.
-
-    Unique up to overall sign; fixed by requiring the largest-magnitude
-    component of o to have positive real part (if that real part is
-    zero, positive imaginary part).
-    """
-    lmat = to_matrix(np.asarray(l, dtype=complex))
-    o = _rank1_factor(lmat)
-    # m = o iotabar fixes iotabar given o
-    mmat = to_matrix(np.asarray(m, dtype=complex))
-    iotabar = o.conj() @ mmat / (o @ o.conj()).real
-    iota = iotabar.conj()
-    # rescale by a unit phase so that o_A iota^A = 1 exactly
-    s = lower_comps(o) @ iota
-    if abs(abs(s) - 1.0) > 1e-10:
-        raise ValueError(f"tetrad not normalized: |o_A iota^A| = {abs(s)}")
-    lam = 1.0 / np.sqrt(s)
-    o = lam * o
-    iota = lam * iota
-    nmat = to_matrix(np.asarray(n, dtype=complex))
-    dev = np.max(np.abs(nmat - np.outer(iota, iota.conj())))
-    if dev > 1e-10 * max(1.0, np.max(np.abs(nmat))):
-        raise ValueError(f"n is not the outer square of iota (off by {dev:.2e}): "
-                         "degenerate or inconsistent tetrad")
-    idx = int(np.argmax(np.abs(o)))
-    c = o[idx]
-    if c.real < 0 or (c.real == 0 and c.imag < 0):
-        o = -o
-        iota = -iota
-    return o, iota
 
 
 def frame_from_spin_basis(o, iota) -> NPFrame:

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cone
-from .errors import CoverageError
+from .errors import ConfigError, CoverageError
 from .cone import ConeSection, SphereGrid, TangentialDerivatives
 from .spinor import ETA, from_matrix, lower_comps, richardson
+from .tables import (_REQUIRED, _Key, _as_finite, _as_kind, _as_object, _check, _count,
+                     _finite_json, _list_of, _literal, _number, _read)
 
 __all__ = [
     "ConeData", "WeightedScalarField", "richardson_dr0",
@@ -408,9 +410,24 @@ def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid | None = 
 # with no ring left out) and the blob's one encoding.
 _V1_GRID = {"chart_mode": "double", "cap": 0.0}
 _V1_BLOB = {"dtype": "<c16", "layout": "r0-major, ring-major directions, component-minor"}
-# keys a descriptor must hold; r0_min is optional (default 0)
-_DESCRIPTOR_KEYS = ("valence", "kind", "n_components", "n_theta", "n_phi",
-                    *_V1_GRID, *_V1_BLOB, "r0_nodes", "blob")
+_as_file_name = _check(lambda v: isinstance(v, str) and v not in ("", ".", "..")
+                       and os.path.basename(v) == v, "a plain file name next to the descriptor")
+# Every descriptor key, read like a config block (see tables).  Counts are
+# JSON integers.  r0_nodes is bounded like the grid: the spline fit solves
+# a dense node x node system, 3.2 GB a matrix at 20000 nodes.
+_DESCRIPTOR = {
+    "format": _Key(_literal("conedata-v1"), _REQUIRED),
+    "valence": _Key(_count(json_int=True), _REQUIRED),
+    "kind": _Key(_as_kind, _REQUIRED),
+    "n_components": _Key(_count(json_int=True), _REQUIRED),
+    "n_theta": _Key(_count(cone.MAX_GRID, json_int=True), _REQUIRED),
+    "n_phi": _Key(_count(cone.MAX_GRID, json_int=True), _REQUIRED),
+    **{key: _Key(_literal(want), _REQUIRED) for key, want in {**_V1_GRID, **_V1_BLOB}.items()},
+    "r0_nodes": _Key(_list_of(_as_finite, most=cone.MAX_GRID), _REQUIRED),
+    "r0_min": _Key(_check(lambda v: _number(v) and v >= 0, "a non-negative number", float),
+                   0.0),
+    "blob": _Key(_as_file_name, _REQUIRED),
+}
 
 
 def save_cone_data(path: str, data: ConeData):
@@ -446,55 +463,30 @@ def save_cone_data(path: str, data: ConeData):
 
 
 def load_cone_data(path: str) -> ConeData:
-    """Read data written by save_cone_data; path names the descriptor."""
+    """Read data written by save_cone_data; path names the descriptor.
+
+    Every key is read through _DESCRIPTOR; what is checked here spans
+    several keys or reads the blob.
+    """
     base = path[:-5] if path.endswith(".json") else path
     with open(base + ".json") as fh:
         desc = json.load(fh)
-    if not isinstance(desc, dict):
-        raise ValueError(f"descriptor must be a JSON object, got {type(desc).__name__}")
-    if desc.get("format") != "conedata-v1":
-        raise ValueError("not a cone-data descriptor")
-    missing = [k for k in _DESCRIPTOR_KEYS if k not in desc]
-    if missing:
-        raise ValueError(f"descriptor needs {', '.join(map(repr, missing))}")
-    unknown = sorted(set(desc) - {"format", "r0_min", *_DESCRIPTOR_KEYS})
-    if unknown:
-        raise ValueError(f"descriptor has unknown keys {', '.join(map(repr, unknown))}")
-    counts = ("valence", "n_components", "n_theta", "n_phi")
-    if not all(type(desc[k]) is int for k in counts):
-        raise ValueError(f"{', '.join(counts)} must be integers")
-    for key in ("n_theta", "n_phi"):
-        if not 1 <= desc[key] <= cone.MAX_GRID:
-            raise ValueError(f"{key} must be a positive integer at most "
-                             f"{cone.MAX_GRID}, got {desc[key]}")
-    for key, want in {**_V1_GRID, **_V1_BLOB}.items():
-        if isinstance(desc[key], bool) or desc[key] != want:
-            raise ValueError(f"{key} must be {want!r}, got {desc[key]!r}")
-    kind, valence, ncomp = desc["kind"], desc["valence"], desc["n_components"]
+    if _as_object(desc, "descriptor").get("format", "conedata-v1") != "conedata-v1":
+        raise ConfigError("not a cone-data descriptor")
+    d = _read(_finite_json(desc, "descriptor"), _DESCRIPTOR, "descriptor")
+    kind, valence, ncomp = d["kind"], d["valence"], d["n_components"]
     allowed = (2,) if kind == "dirac" else (1, valence + 1)
     if ncomp not in allowed:
-        raise ValueError(f"n_components {ncomp} does not fit kind {kind!r} "
-                         f"with valence {valence}; expected one of {allowed}")
-    blob = desc["blob"]
-    if blob in ("", ".", "..") or os.path.basename(str(blob)) != blob:
-        raise ValueError(f"blob {blob!r} must be a plain file name next to "
-                         "the descriptor")
-    r0_nodes = desc["r0_nodes"]
-    if type(r0_nodes) is not list or any(type(r) not in (int, float) for r in r0_nodes):
-        raise ValueError(f"r0_nodes must be a list of numbers, got {r0_nodes!r}")
-    r0_nodes = np.asarray(r0_nodes, dtype=float)
+        raise ConfigError(f"n_components {ncomp} does not fit kind {kind!r} "
+                          f"with valence {valence}; expected one of {allowed}")
     # the grid has a node per ring and angle; its size is checked on the
     # blob before the grid is built
-    shape = (r0_nodes.size, desc["n_theta"] * desc["n_phi"], ncomp)
-    blob_path = os.path.join(os.path.dirname(base) or ".", blob)
+    shape = (len(d["r0_nodes"]), d["n_theta"] * d["n_phi"], ncomp)
+    blob_path = os.path.join(os.path.dirname(base) or ".", d["blob"])
     if os.path.getsize(blob_path) != 16 * math.prod(shape):
-        raise ValueError("blob size does not match the descriptor")
-    grid = SphereGrid(desc["n_theta"], desc["n_phi"])
+        raise ConfigError("blob size does not match the descriptor")
     raw = np.fromfile(blob_path, dtype=_V1_BLOB["dtype"])
     if not np.all(np.isfinite(raw.view(float))):
-        raise ValueError(f"blob {blob!r} holds non-finite values")
-    r0_min = desc.get("r0_min", 0.0)
-    if type(r0_min) not in (int, float):
-        raise ValueError(f"r0_min must be a number, got {r0_min!r}")
-    return ConeData(valence, kind=kind, grid=grid,
-                    r0_nodes=r0_nodes, values=raw.reshape(shape), r0_min=r0_min)
+        raise ConfigError(f"blob {d['blob']!r} holds non-finite values")
+    return ConeData(valence, kind=kind, grid=SphereGrid(d["n_theta"], d["n_phi"]),
+                    r0_nodes=d["r0_nodes"], values=raw.reshape(shape), r0_min=d["r0_min"])

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import _backend as kernels
 from .errors import GeometryError
-from .frames import NPFrame, spin_basis_from_tetrad
-from .spinor import ETA
+from .frames import NPFrame
+from .spinor import ETA, to_matrix
 
 __all__ = [
     "CurvedChart", "GeodesicPath", "ParallelFrames", "make_chart",
@@ -494,8 +494,10 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
     r = omega_p / omega, and its steps + 1 uniform samples are interpolated
     within their segments; with mu = -c E r / omega_p^2, l = r^2 l_p,
     m = r (m_p + mu l_p), n = n_p + 2 Re(conj(mu) m_p) + |mu|^2 l_p, and the
-    spin basis of (omega l, omega n, omega m), extracted once at p, is
-    sqrt(r) o_p and (iota_p + conj(mu) o_p) / sqrt(r).
+    spin basis of (omega l, omega n, omega m) is sqrt(r) o_p and
+    (iota_p + conj(mu) o_p) / sqrt(r), with (o_p, iota_p) = sqrt(omega_p)
+    (frame.o, frame.iota), the frame's own basis in orthonormal components
+    (its sign is the frame's; ValueError unless o_p conj(o_p) is omega_p l_p).
     """
     p = np.asarray(p, dtype=float).reshape(4)
     v = np.asarray(v, dtype=float).reshape(4)
@@ -508,7 +510,11 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
     if not np.max(np.abs(v - c * l_p)) <= 1e-12 * np.max(np.abs(v)) or c == 0.0:
         raise ValueError(f"v = {v} is not a nonzero multiple of the frame's l")
     om_p = float(chart.omega(p))
-    o_p, iota_p = spin_basis_from_tetrad(om_p * l_p, om_p * n_p, om_p * m_p)
+    o_p = math.sqrt(om_p) * np.asarray(frame.o, dtype=complex)
+    iota_p = math.sqrt(om_p) * np.asarray(frame.iota, dtype=complex)
+    dev = np.max(np.abs(to_matrix(om_p * l_p) - np.outer(o_p, o_p.conj())))
+    if not dev <= 1e-10 * max(1.0, om_p * np.max(np.abs(l_p))):
+        raise ValueError(f"the frame's o does not give back its l: o obar misses it by {dev:.2e}")
     m_eps = (chart.eps * om_p) * m_p
 
     def rhs(y):

@@ -1,7 +1,9 @@
 """Reference implementations the tests check the package against.
 
 No command runs these.  Dense symmetric-spinor tensors cross-check the
-component scalars, the NP frame check audits section frames, the area
+component scalars, the NP frame check audits section frames, the spin
+basis factored out of a tetrad (unique up to a sign fixed by a
+tie-break) audits the bases frames carry, the area
 element from the embedding's numerical Jacobian audits the exact section
 weights, the Christoffel symbols audit the one geodesic acceleration,
 the null-norm drift and the eikonal identity audit geodesics and the
@@ -108,6 +110,53 @@ def check_np_frame(frame, tol: float = 1e-12):
     s = lower_comps(frame.o) @ frame.iota
     if abs(s - 1.0) > tol:
         raise ValueError(f"o_A iota^A = {s}, expected 1")
+
+
+def _rank1_factor(mat):
+    """o with o obar^T = mat for Hermitian PSD rank-1 mat."""
+    scale = np.max(np.abs(mat))
+    if abs(np.linalg.det(mat)) > 1e-10 * max(scale, 1.0) ** 2:
+        raise ValueError("matrix is not rank one: the vector is not null")
+    if mat[0, 0].real >= mat[1, 1].real:
+        o0 = np.sqrt(mat[0, 0].real)
+        if o0 == 0.0:
+            raise ValueError("degenerate null vector")
+        return np.array([o0, mat[1, 0] / o0], dtype=complex)
+    o1 = np.sqrt(mat[1, 1].real)
+    return np.array([mat[0, 1] / o1, o1], dtype=complex)
+
+
+def spin_basis_from_tetrad(l, n, m):
+    """Spin basis (o, iota) of a normalized NP tetrad.
+
+    Unique up to overall sign; fixed by requiring the largest-magnitude
+    component of o to have positive real part (if that real part is
+    zero, positive imaginary part).
+    """
+    lmat = to_matrix(np.asarray(l, dtype=complex))
+    o = _rank1_factor(lmat)
+    # m = o iotabar fixes iotabar given o
+    mmat = to_matrix(np.asarray(m, dtype=complex))
+    iotabar = o.conj() @ mmat / (o @ o.conj()).real
+    iota = iotabar.conj()
+    # rescale by a unit phase so that o_A iota^A = 1 exactly
+    s = lower_comps(o) @ iota
+    if abs(abs(s) - 1.0) > 1e-10:
+        raise ValueError(f"tetrad not normalized: |o_A iota^A| = {abs(s)}")
+    lam = 1.0 / np.sqrt(s)
+    o = lam * o
+    iota = lam * iota
+    nmat = to_matrix(np.asarray(n, dtype=complex))
+    dev = np.max(np.abs(nmat - np.outer(iota, iota.conj())))
+    if dev > 1e-10 * max(1.0, np.max(np.abs(nmat))):
+        raise ValueError(f"n is not the outer square of iota (off by {dev:.2e}): "
+                         "degenerate or inconsistent tetrad")
+    idx = int(np.argmax(np.abs(o)))
+    c = o[idx]
+    if c.real < 0 or (c.real == 0 and c.imag < 0):
+        o = -o
+        iota = -iota
+    return o, iota
 
 
 def area_element(section: cone.ConeSection) -> np.ndarray:

@@ -228,6 +228,17 @@ def test_descriptor_grid_past_the_bound_exits_2_naming_it(tmp_path, capsys, key,
     assert f"{key} must be a positive integer at most {MAX_GRID}, got {value}" in err
 
 
+# the spline fit solves two dense node x node systems: 20000 nodes took
+# 3.2 GB each, over a blob of 10 MB on a 4x8 grid
+def test_descriptor_r0_nodes_past_the_bound_exits_2_naming_it(tmp_path, capsys):
+    nodes = np.linspace(0.3, 0.8, MAX_GRID + 1).tolist()
+    start = time.perf_counter()
+    code, err = _descriptor_error(tmp_path, capsys, r0_nodes=nodes)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert f"r0_nodes must hold at most {MAX_GRID} entries, got {MAX_GRID + 1}" in err
+
+
 # the blob is read as <c16 in the writer's layout only, so a descriptor
 # claiming anything else is refused, not read as complex128
 @pytest.mark.parametrize("dtype", ["<c8", ">c16", "complex128", 16])
@@ -256,7 +267,8 @@ def test_non_object_descriptor_is_config_error(tmp_path, capsys):
     assert "cannot load cone data" in err and "must be a JSON object" in err
 
 
-@pytest.mark.parametrize("key", nulldata._DESCRIPTOR_KEYS)
+@pytest.mark.parametrize("key", [key for key, entry in nulldata._DESCRIPTOR.items()
+                                 if entry.default is cli._REQUIRED])
 def test_descriptor_without_a_required_key_is_config_error_naming_it(tmp_path, capsys,
                                                                      key):
     # a missing valence said only "config error: 'valence'"
@@ -329,6 +341,24 @@ def test_non_finite_descriptor_or_blob_is_config_error(tmp_path, capsys, edits, 
     assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
                 tmp_path / "o.json") == 2
     assert key in capsys.readouterr().err
+
+
+def test_constraints_level_the_grid_refuses_is_named(tmp_path, capsys):
+    # the sphere grid's own check named n_phi, a key this config lacks
+    cfg = {"p0": [0, 0, 0, 0], "valence": 1, "s_values": [1.0],
+           "data": {"family": "plane-wave", "alpha": ALPHA}, "levels": [[8, 16], [1, 1]]}
+    assert _run("constraints", _write(tmp_path, "c.json", cfg), tmp_path / "o.csv") == 2
+    assert "bad levels[1]: n_phi must be even and at least 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "converge"])
+def test_kind_the_data_family_does_not_give_is_named(tmp_path, capsys, command):
+    # the evaluator's own check said "spin reconstruction expects phi_0 data"
+    cfg = _rec_config(data=_DIRAC_DATA)
+    if command == "converge":
+        cfg.update(q=cfg["q"][0], levels=[[8, 16]])
+    assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "o") == 2
+    assert "kind 'spin' does not read the plane-wave-dirac family" in capsys.readouterr().err
 
 
 def test_unknown_command_or_missing_config_exits_2(tmp_path):
@@ -1067,6 +1097,19 @@ def test_repeated_runs_identical(tmp_path, command, cfg, suffix):
     assert outs[0] == outs[1]
 
 
+def test_cli_imports_no_numpy():
+    # --threads pins the BLAS pool in the environment, which only works
+    # if numpy loads after the arguments are parsed
+    code = ("import sys; import conerec.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
+
+
 def test_threads_flag(tmp_path):
     cfg_path = _write(tmp_path, "c.json",
                       {"cases": 50, "suites": ["algebra"]})
@@ -1202,17 +1245,27 @@ def _strict_output(path, command):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_every_config_leaf_mutation_ends_in_a_documented_exit_code(tmp_path):
+def test_every_config_leaf_mutation_ends_in_a_documented_exit_code(tmp_path, monkeypatch):
     configs = _full_configs(_grid_data_file(tmp_path, 0.3, 0.8, grid_shape=(8, 16),
                                             columns=2))
     cfg_path, out = tmp_path / "c.json", tmp_path / "out"
-    read = []
+    read, descriptors = [], []
+
+    def read_descriptor(desc, table, *args):
+        descriptors.append((desc, table))
+        return cli._read(desc, table, *args)
+
+    monkeypatch.setattr(nulldata, "_read", read_descriptor)
     for command, cfg in configs.items():
         assert _run(command, _write(tmp_path, "c.json", cfg), out) == 0, command
         for path, table in _tables(command, cfg):
             assert set(_at(cfg, path)) == set(table), (command, path)
             read.append(table)
-    assert all(any(t is r for r in read) for t in _EVERY_TABLE)
+    monkeypatch.undo()
+    for desc, table in descriptors:  # the data file names every descriptor key
+        assert set(desc) == set(table)
+        read.append(table)
+    assert all(any(t is r for r in read) for t in (*_EVERY_TABLE, nulldata._DESCRIPTOR))
     bad = []
     for command, cfg in configs.items():
         for what, mutant in _mutants(command, cfg):
@@ -1262,13 +1315,9 @@ _WRONG = st.one_of(
     st.dictionaries(st.text(max_size=2), _SMALL, max_size=2))
 
 
-# descriptor keys of a tiny 8x16 data file; ("r0_nodes", 3) is one node
-_DESCRIPTOR_LEAVES = [("valence",), ("n_components",), ("n_theta",),
-                      ("n_phi",), ("chart_mode",), ("cap",), ("dtype",), ("layout",),
-                      ("r0_min",), ("r0_nodes", 3)]
-
-
-@given(leaf=st.sampled_from(_DESCRIPTOR_LEAVES), value=_WRONG)
+# every descriptor key of a tiny 8x16 data file, and one of its r0 nodes
+@given(leaf=st.sampled_from([(key,) for key in nulldata._DESCRIPTOR] + [("r0_nodes", 3)]),
+       value=_WRONG)
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_mistyped_descriptor_leaf_ends_in_a_documented_exit_code(leaf, value):
     with tempfile.TemporaryDirectory() as tmp:
@@ -1289,6 +1338,94 @@ def test_mistyped_descriptor_leaf_ends_in_a_documented_exit_code(leaf, value):
         code = cli.main(["reconstruct", "--config", cfg_path,
                          "--out", os.path.join(tmp, "out")])
     assert code in {0, 1, 2, 3, 4}
+
+
+# -- property: whole configs drawn from the valid ranges, small grids and
+# at most two points or rays, end in strict output or a documented exit
+# naming a key or record
+
+_UNIT = st.floats(-1.0, 1.0)
+_POINTS = st.tuples(st.floats(-0.5, 2.5), _UNIT, _UNIT, _UNIT).map(list)
+_PART = st.floats(-3.0, 3.0)
+_WAVE = st.tuples(_PART, _PART).map(list)
+# the grids the quadrature rule takes, up to 16 x 32
+_GRID = st.tuples(st.integers(4, 16), st.integers(4, 16).map(lambda half: 2 * half))
+_GRIDS = st.lists(_GRID.map(list), min_size=1, max_size=2)
+_CHARTS = st.one_of(st.just({"name": "flat"}), st.fixed_dictionaries({
+    "name": st.just("conformal"), "eps": st.floats(-0.99, 0.99),
+    "profile": st.sampled_from(["gaussian", "sine"]), "width": st.floats(0.1, 4.0)}))
+
+
+@st.composite
+def _spin_or_dirac(draw, dirac=st.booleans()):
+    """kind, valence and a plane-wave data block that fits them."""
+    data = {"alpha": [draw(_WAVE), draw(_WAVE)], "amplitude": draw(_WAVE)}
+    if not draw(dirac):
+        return {"kind": "spin", "valence": draw(st.integers(1, 16)),
+                "data": {"family": "plane-wave", **data}}
+    return {"kind": "dirac", "valence": 1,
+            "data": {"family": "plane-wave-dirac", **data, "psi_amplitude": draw(_WAVE)}}
+
+
+@st.composite
+def _whole_config(draw):
+    command = draw(st.sampled_from(["reconstruct", "reconstruct-curved", "converge",
+                                    "constraints", "curved-transport"]))
+    p0 = draw(_POINTS)
+    level = dict(zip(("n_theta", "n_phi"), draw(_GRID)))
+    if command == "curved-transport":
+        rays = st.fixed_dictionaries({
+            "p": _POINTS, "direction": st.tuples(_UNIT, _UNIT, _UNIT).map(list),
+            "t": st.floats(0.1, 2.0)})
+        cfg = {"chart": draw(_CHARTS), "rays": draw(st.lists(rays, min_size=1, max_size=2)),
+               "k_steps": draw(st.integers(1, 4)), "van_vleck": draw(st.booleans())}
+        if draw(st.booleans()):
+            cfg["frame"] = {"steps": draw(st.integers(1, 50)), "s_end": draw(st.floats(0.1, 2.0))}
+        return command, cfg
+    if command == "constraints":
+        return command, {"p0": p0, "valence": draw(st.integers(1, 16)),
+                         "s_values": draw(st.lists(st.floats(0.1, 2.5), min_size=1,
+                                                   max_size=2)),
+                         "data": {"family": "plane-wave", "alpha": [draw(_WAVE), draw(_WAVE)]},
+                         "levels": draw(_GRIDS)}
+    # q - p0 = t (1, w) with |w| up to 1.2: mostly inside the cone of p0
+    lean = st.floats(-0.7, 0.7)
+    offsets = st.tuples(st.floats(0.1, 2.5), lean, lean, lean).map(
+        lambda o: [o[0], *(o[0] * w for w in o[1:])])
+    qs = [[a + b for a, b in zip(p0, offset)]
+          for offset in draw(st.lists(offsets, min_size=1, max_size=2))]
+    if command == "converge":
+        return command, {"p0": p0, "q": qs[0], **draw(_spin_or_dirac()),
+                         "levels": draw(_GRIDS)}
+    if command == "reconstruct-curved":
+        return "reconstruct", {"p0": p0, "q": qs, **draw(_spin_or_dirac(st.just(False))),
+                               "quadrature": level, "chart": draw(_CHARTS)}
+    return command, {"p0": p0, "q": qs, **draw(_spin_or_dirac()), "quadrature": level}
+
+
+def _names_a_key_or_record(err, cfg):
+    words = {key for path in _leaves(cfg) for key in path
+             if isinstance(key, str) and len(key) > 1}
+    return bool(re.search(r"\b(q|rays)\[\d+\]", err)) or any(
+        re.search(rf"\b{re.escape(word)}\b", err) for word in words)
+
+
+@given(drawn=_whole_config())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_whole_config_from_the_valid_ranges_ends_in_a_documented_way(drawn):
+    command, cfg = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = os.path.join(tmp, "c.json"), os.path.join(tmp, "out")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", cfg_path, "--out", out])
+        err = err.getvalue()
+        if code in {0, 1}:
+            assert _strict_output(out, command), err
+        else:
+            assert code in {2, 3, 4} and _names_a_key_or_record(err, cfg), (code, err)
 
 
 @pytest.mark.parametrize("edit", ["truncate", "pad", "non-finite"])

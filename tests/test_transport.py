@@ -9,11 +9,11 @@ from conerec import _backend
 from conerec import transport as tr
 from conerec.cone import spin_basis_field
 from conerec.errors import GeometryError
-from conerec.frames import NPFrame, frame_from_spin_basis, spin_basis_from_tetrad
+from conerec.frames import NPFrame, frame_from_spin_basis
 from conerec.spinor import ETA, central_partials, richardson
 
 from _reference import (christoffel, norm_drift, rk4_shoot, rk4_step,
-                        world_function_gradient_check)
+                        spin_basis_from_tetrad, world_function_gradient_check)
 
 P = np.array([0.2, 0.1, -0.3, 0.4])
 OMEGA_DIR = np.array([1.0, 0.3, 0.5, math.sqrt(1.0 - 0.34)])
@@ -816,7 +816,9 @@ def test_spin_frame_loop_identity():
     chart = tr.make_chart("conformal", eps=1e-3)
     fr = _chart_frame(chart, P, _flat_frame())
     out = tr.transport_spin_frame(chart, P, fr.l, fr, s_end=1.5, steps=300)
-    fr_end = NPFrame(out.l[-1], out.n[-1], out.m[-1], out.o[-1], out.iota[-1])
+    # out.o and out.iota are orthonormal components; an NPFrame holds chart ones
+    root = math.sqrt(chart.omega(out.path.x[-1]))
+    fr_end = NPFrame(out.l[-1], out.n[-1], out.m[-1], out.o[-1] / root, out.iota[-1] / root)
     back = tr.transport_spin_frame(chart, out.path.x[-1], -out.path.v[-1], fr_end,
                                    s_end=1.5, steps=300)
     assert np.max(np.abs(back.l[-1] - fr.l)) < 1e-10
