@@ -429,6 +429,7 @@ def cmd_curved_transport(v, out, seed):
                 k_vv = transport.van_vleck_k(chart, q, p, h=v["van_vleck_h"],
                                              propagator=conn.path, work=work["van_vleck"])
                 rec["k_van_vleck"] = k_vv
+                rec["k_van_vleck_error_bound"] = work["van_vleck"].pop("error_bound")
                 ks.append(k_vv)
             rec["diagnostics"] = {
                 **work,

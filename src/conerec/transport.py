@@ -10,16 +10,17 @@ derivative of the one acceleration (the Jacobi propagator).  On it
 this module builds the two-point machinery the curved reconstructor
 consumes: null connection in closed form (the straight chord, its affine
 parameter from the chord average of omega^2), the world function with the
-[0, 1] affine convention (its flat value is the coordinate interval),
-the transport coefficient k = sqrt(Delta) / (2 pi) along null
-generators, Delta the van Vleck determinant read off the propagator's
-X_v block (Liouville's formula integrates the transport equation
-2 <grad W, grad k> + (box W - 8) k = 0 to a determinant), and parallel
-transport of NP frames along their own l, legs and spin basis in
-closed form (a rescaling and a null rotation about l).  The van Vleck
-determinant of differenced world functions and the conformal closed
-form (the chord average of omega^2) give k by two independent routes.
-Null geodesics of a conformal metric are straight coordinate lines;
+[0, 1] affine convention (its flat value is the coordinate interval) and
+its closed-form gradient at the start point, the transport coefficient
+k = sqrt(Delta) / (2 pi) along null generators, Delta the van Vleck
+determinant read off the propagator's X_v block (Liouville's formula
+integrates the transport equation 2 <grad W, grad k> + (box W - 8) k = 0
+to a determinant), and parallel transport of NP frames along their own
+l, legs and spin basis in closed form (a rescaling and a null rotation
+about l).  The van Vleck determinant of that gradient differenced in the
+other point (at two steps, Richardson-extrapolated, with an error bound)
+and the conformal closed form (the chord average of omega^2) give k by
+two independent routes.  Null geodesics of a conformal metric are straight coordinate lines;
 only their affine parameterization bends.
 """
 
@@ -51,6 +52,8 @@ _FIRST = _EYE_BOOL[0]
 # imaginary step of the Jacobi propagator's complex-step derivative: its
 # square underflows to 0, so the real part is the undisturbed value
 _STEP = 1e-200
+# unit roundoff: a shoot's endpoint is rounded at this scale of the points
+_ULP = np.finfo(float).eps
 # Gauss-Legendre rule of _chord_mean, nodes mapped to [0, 1]
 _CHORD_NODES, _CHORD_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CHORD_U = 0.5 * (_CHORD_NODES + 1.0)
@@ -270,7 +273,7 @@ def _connect(chart: CurvedChart, p, q, max_iter: int = 60, v=None, chord=None):
 
 
 def world_function(chart: CurvedChart, p, q, near: Optional[GeodesicPath] = None,
-                   work: Optional[dict] = None):
+                   work: Optional[dict] = None, gradient: bool = False):
     """World function with the [0, 1] affine convention.
 
     Gamma(p, q) = g_p(v, v) = omega(p)^2 eta(v, v) for the initial
@@ -280,7 +283,11 @@ def world_function(chart: CurvedChart, p, q, near: Optional[GeodesicPath] = None
     point) give a (B,) array, all pairs connected together.  near, the
     Jacobi propagator of a [0, 1] geodesic close to every pair, seeds each
     connect with v0 + X_v^{-1} (dq - X_p dp) and chord step X_v^{-1};
-    work, a dict, receives the batch's work counts.
+    work, a dict, receives the batch's work counts.  gradient=True returns
+    (Gamma, dGamma/dp), the gradient at the first point in closed form
+    from the same v: Synge's sigma_a = -g_ab v^b, so dGamma/dp^a =
+    -2 omega(p)^2 eta_ab v^b (Poisson, Pound & Vega, Living Rev. Relativ.
+    14, 7, 2011, sec. 3), shaped (4,) or (B, 4) like the points.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -293,8 +300,12 @@ def world_function(chart: CurvedChart, p, q, near: Optional[GeodesicPath] = None
     v, counts = _connect(chart, p, q, v=v0, chord=chord)
     if work is not None:
         work.update(counts, world_function_calls=1)
-    w = chart.omega(p) ** 2 * ((v * v) @ _ETA_SIGN)
-    return float(w[0]) if single else w
+    om2 = chart.omega(p) ** 2
+    w = om2 * ((v * v) @ _ETA_SIGN)
+    if not gradient:
+        return float(w[0]) if single else w
+    grad = (-2.0 * om2)[:, None] * _ETA_SIGN * v
+    return (float(w[0]), grad[0]) if single else (w, grad)
 
 
 def _solve_xv(jacobi, rhs) -> np.ndarray:
@@ -350,7 +361,6 @@ def null_connect(chart: CurvedChart, p, q) -> NullConnection:
 # -- transport coefficient ------------------------------------------------
 
 def transport_k(chart: CurvedChart, q, p, steps: int = 10,
-                shoot_steps: Optional[int] = None,
                 propagator: Optional[GeodesicPath] = None):
     """Transport coefficient k_q along the null geodesic from q to p.
 
@@ -365,11 +375,10 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10,
         k = (omega_q / omega_x)^2 / (2 pi sqrt(det(X_v / s))),   k(0) = 1/(2 pi).
 
     propagator is null_connect(chart, q, p).path, else it is connected
-    here; shoot_steps is accepted and unused (the kernel resolves the
-    shoot to its own tolerance).  Returns (s_nodes,
-    k_values) at s = j / steps, j = 0..steps: ln(2 pi k) interpolated
-    within the propagator's segment (kernels.interpolate), exact on a
-    sample, so steps sets how many nodes are reported, not the accuracy.
+    here.  Returns (s_nodes, k_values) at s = j / steps, j = 0..steps:
+    ln(2 pi k) interpolated within the propagator's segment
+    (kernels.interpolate), exact on a sample, so steps sets how many nodes
+    are reported, not the accuracy.
     k_values[-1] is k_q(p).  det(X_v / s) <= 0 (a conjugate point) or a
     value that is not finite raises GeometryError.
     """
@@ -390,35 +399,58 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10,
 def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
                 propagator: Optional[GeodesicPath] = None,
                 work: Optional[dict] = None) -> float:
-    """k from differenced world functions, independent of transport_k.
+    """k from a differenced world-function gradient, independent of transport_k.
 
-    Delta = -det(-[W_{,a b'}]/2) / sqrt(-det g_p) sqrt(-det g_q), where
-    sqrt(-det g) = omega^4, with the mixed Hessian by central differences
-    in both slots, its 64 world functions in one batch;
-    k = sqrt(Delta) / (2 pi), and a Delta that is not positive and finite
-    raises GeometryError.  Flat chart:
-    Delta = 1 exactly up to rounding.  propagator, the Jacobi propagator
-    from q to p, seeds the 64 connects; work, a dict, receives their counts.
+    Delta = -det(M) / sqrt(-det g_p) sqrt(-det g_q) with M = -[W_{,a b'}]/2
+    and sqrt(-det g) = omega^4.  The gradient in the q slot is closed form
+    (world_function's gradient=True), so only the p slot is differenced:
+    central differences over p +- h e_b and p +- (h/2) e_b, the 16
+    connects from q in one world_function batch.  k = sqrt(Delta) / (2 pi)
+    at each step, and the returned value is their Richardson extrapolation
+    (4 k_{h/2} - k_h) / 3; a Delta that is not positive and finite at
+    either step raises GeometryError.  Flat chart: Delta = 1 exactly up to
+    rounding.  propagator, the Jacobi propagator from q to p, seeds the
+    connects; work, a dict, receives their counts and error_bound.
+
+    error_bound bounds the returned value's error; it does not estimate
+    it.  It is |k_{h/2} - k_h| / 3, the h/2 value's truncation error, which
+    the extrapolation only lowers, plus the differencing roundoff.  A
+    connect ends with its endpoint within r of its target, r the worst
+    connect residual plus the unit roundoff at the points' scale, so its
+    velocity is off by up to ||dv/dp||_inf r.  A column of M at step h_j
+    is then off by up to omega_q^2 ||dv/dp||_inf r / h_j, det M by
+    sum|M^{-1}| ||M||_inf r / h_j relative (to first order), and k by half
+    that; weighted 4/3 and 1/3, the two steps give
+    1.5 k sum|M^{-1}| ||M||_inf r / h, with M at h/2.
     """
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
-    step = h * np.eye(4)
-    # [a, sign]: q +- h e_a, and p +- h e_b likewise
-    qs = np.stack([q + step, q - step], axis=1)
-    ps = np.stack([p + step, p - step], axis=1)
-    w = world_function(
-        chart,
-        np.broadcast_to(qs[:, None, :, None], (4, 4, 2, 2, 4)).reshape(-1, 4),
-        np.broadcast_to(ps[None, :, None, :], (4, 4, 2, 2, 4)).reshape(-1, 4),
-        near=propagator, work=work)
-    w = w.reshape(4, 4, 2, 2)
+    # [step, sign, b]: p +- h e_b, then p +- (h/2) e_b
+    offsets = np.multiply.outer(np.array([[h, -h], [0.5 * h, -0.5 * h]]), np.eye(4))
+    targets = p + offsets
+    counts = {}
+    _, grad = world_function(chart, q, targets.reshape(-1, 4), near=propagator,
+                             work=counts, gradient=True)
+    grad = grad.reshape(2, 2, 4, 4)
+    # the spacing actually taken, exact in floating point, not 2h rounded
+    spacing = np.diagonal(targets[:, 0] - targets[:, 1], axis1=-2, axis2=-1)
     with np.errstate(all="ignore"):           # a non-finite determinant raises below
-        mixed = (w[..., 0, 0] - w[..., 0, 1] - w[..., 1, 0] + w[..., 1, 1]) / (4.0 * h ** 2)
-        delta = -np.linalg.det(-0.5 * mixed) / (chart.omega(p) * chart.omega(q)) ** 4
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise GeometryError(f"van Vleck determinant {delta:.3e} is not a positive "
-                            "finite number")
-    return math.sqrt(delta) / TWO_PI
+        # M[step, a, b]: column b is the gradient differenced along e_b
+        m = -0.5 * np.swapaxes(grad[:, 0] - grad[:, 1], -1, -2) / spacing[:, None, :]
+        delta = -np.linalg.det(m) / (chart.omega(p) * chart.omega(q)) ** 4
+    for d in delta:
+        if not (math.isfinite(d) and d > 0.0):
+            raise GeometryError(f"van Vleck determinant {d:.3e} is not a positive "
+                                "finite number")
+    k_h, k_half = np.sqrt(delta) / TWO_PI
+    k = float(4.0 * k_half - k_h) / 3.0
+    if work is not None:
+        scale = max(1.0, float(np.max(np.abs(targets))), float(np.max(np.abs(q))))
+        r = counts["worst_connect_residual"] + _ULP * scale
+        norms = np.sum(np.abs(np.linalg.inv(m[1]))) * np.max(np.abs(m[1]) @ _ONES)
+        work.update(counts, error_bound=float(abs(k_half - k_h) / 3.0
+                                              + 1.5 * k * norms * r / h))
+    return k
 
 
 def _chord_mean(chart: CurvedChart, a, b):

@@ -200,7 +200,7 @@ def test_criterion_07_curved_transport():
     q = p + 1.3 * lvec
 
     flat = transport.make_chart("flat")
-    _, ks = transport.transport_k(flat, q, p, steps=8, shoot_steps=24)
+    _, ks = transport.transport_k(flat, q, p, steps=8)
     flat_k = float(np.max(np.abs(ks - INV_2PI)))
 
     o_up, i_up = cone.spin_basis_field(np.array([0.4]), np.array([1.1]),
@@ -214,7 +214,7 @@ def test_criterion_07_curved_transport():
     dev = {}
     for eps in (1e-3, 1e-4):
         chart = transport.make_chart("conformal", eps=eps)
-        _, k = transport.transport_k(chart, q, p, steps=6, shoot_steps=24)
+        _, k = transport.transport_k(chart, q, p, steps=6)
         dev[eps] = float(k[-1] - INV_2PI)
     ratio = dev[1e-3] / dev[1e-4]
 

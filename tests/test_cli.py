@@ -970,9 +970,9 @@ def test_curved_transport_non_finite_k_is_geometry_error(tmp_path, monkeypatch, 
 
 
 def test_curved_transport_non_finite_van_vleck_is_geometry_error(tmp_path, capsys):
-    # h**2 underflows to 0, so the mixed Hessian is 0/0 and Delta NaN: it
-    # passed the positivity check, k_van_vleck was written as null and
-    # route_spread left it out; now no RuntimeWarning is raised either
+    # p +- h e_b rounds to p, so the differenced gradient is 0/0 and Delta
+    # NaN: it once passed the positivity check, k_van_vleck was written as
+    # null and route_spread left it out; now no RuntimeWarning is raised either
     cfg = _transport_config(van_vleck=True, van_vleck_h=1e-200, tolerance=1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -982,6 +982,20 @@ def test_curved_transport_non_finite_van_vleck_is_geometry_error(tmp_path, capsy
     assert ("rays[0]: van Vleck determinant nan is not a positive finite number"
             in capsys.readouterr().err)
     assert not (tmp_path / "ct.json").exists()
+
+
+@pytest.mark.parametrize("h", [1e-9, 1e-7, 1e-5, 2e-2])
+def test_curved_transport_van_vleck_bound_holds(tmp_path, h):
+    # from the roundoff floor of h to a step 2e4 times the short ray, the
+    # reported bound holds against the closed form
+    ray = _transport_config()["rays"][0]
+    cfg = _transport_config(van_vleck=True, van_vleck_h=h,
+                            rays=[{**ray, "t": 1e-6}, ray])
+    out = tmp_path / "ct.json"
+    assert _run("curved-transport", _write(tmp_path, "c.json", cfg), out) == 0
+    for rec in json.loads(out.read_text())["records"]:
+        err = abs(rec["k_van_vleck"] - rec["k_closed_form"])
+        assert err <= rec["k_van_vleck_error_bound"] < 1e-6
 
 
 def test_curved_transport_ray_leaves_chart(tmp_path):
@@ -1466,13 +1480,14 @@ def _ray_error(tmp_path, capsys, cfg):
 
 
 def test_curved_transport_connect_failure_names_the_ray(tmp_path, capsys):
-    # the van Vleck stencil around q = (1.49, 1.49, 0, 0) reaches past the box
-    ray = {"p": [0, 0, 0, 0], "direction": [1, 0, 0], "t": 1.49}
+    # p = (0, 1.49, 0, 0) sits within van_vleck_h of the box face, so the
+    # van Vleck connect targets p + h e_1 reach past it
+    ray = {"p": [0, 1.49, 0, 0], "direction": [-1, 0, 0], "t": 1.0}
     cfg = _transport_config(chart={"name": "conformal", "eps": 1e-2, "halfwidth": 1.5},
                             rays=[_transport_config()["rays"][0], ray], van_vleck=True)
     code, err = _ray_error(tmp_path, capsys, cfg)
     assert code == 3
-    assert "geometry error: rays[1]: connection start" in err
+    assert "geometry error: rays[1]: connection target" in err
 
 
 def test_curved_transport_frame_exit_names_the_ray(tmp_path, capsys):

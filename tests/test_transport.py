@@ -1,5 +1,6 @@
 """Geodesic transport: charts, geodesics, world function, k, frames."""
 
+import functools
 import math
 
 import numpy as np
@@ -410,7 +411,7 @@ def test_connection_target_outside_box_raises():
 def test_transport_k_flat_constant():
     chart = tr.make_chart("flat")
     q = P + 1.3 * OMEGA_DIR
-    s, k = tr.transport_k(chart, q, P, steps=8, shoot_steps=24)
+    s, k = tr.transport_k(chart, q, P, steps=8)
     assert np.max(np.abs(k - INV_2PI)) < 1e-8
     assert np.all(k > 0.0)
 
@@ -420,7 +421,7 @@ def test_transport_k_weak_field_linear_scaling():
     dev = {}
     for eps in (1e-3, 1e-4):
         chart = tr.make_chart("conformal", eps=eps)
-        _, k = tr.transport_k(chart, q, P, steps=6, shoot_steps=24)
+        _, k = tr.transport_k(chart, q, P, steps=6)
         assert np.all(np.isfinite(k)) and np.all(k > 0.0)
         dev[eps] = k[-1] - INV_2PI
         assert abs(dev[eps]) > 1e-3 * eps * INV_2PI
@@ -431,7 +432,7 @@ def test_transport_k_weak_field_linear_scaling():
 def test_transport_k_matches_conformal_closed_form():
     chart = tr.make_chart("conformal", eps=1e-3)
     q = P + 1.3 * OMEGA_DIR
-    _, k = tr.transport_k(chart, q, P, steps=6, shoot_steps=24)
+    _, k = tr.transport_k(chart, q, P, steps=6)
     kcf = tr.conformal_k(chart, q, P)
     dev = abs(kcf - INV_2PI)
     assert abs(k[-1] - kcf) < 0.05 * dev
@@ -449,7 +450,7 @@ def test_transport_k_evaluates_no_world_function(monkeypatch):
         raise AssertionError("transport_k evaluated a world function")
 
     monkeypatch.setattr(tr, "world_function", recording)
-    _, k = tr.transport_k(chart, q, P, steps=1, shoot_steps=8)
+    _, k = tr.transport_k(chart, q, P, steps=1)
     assert calls == []
     assert np.max(np.abs(k - INV_2PI)) < 1e-8
 
@@ -542,6 +543,16 @@ SWEEP_RAYS = [(WORKLOAD_P, np.array([0.3, 0.5, 0.8]), 1.1),
               (np.array([-1.0, -0.6, 0.3, -0.5]), np.array([0.6, -0.3, 0.5]), 2.0)]
 
 
+@functools.cache
+def _sweep_propagator(profile, eps, width, ray):
+    """(chart, p, q, null_connect(chart, q, p).path) of SWEEP_RAYS[ray] on the
+    sweep chart; shared by the sweep tests, which only read it."""
+    chart = tr.make_chart("conformal", eps=eps, profile=profile, width=width)
+    p, d, t = SWEEP_RAYS[ray]
+    q = p + t * np.concatenate([[1.0], d / np.linalg.norm(d)])
+    return chart, p, q, tr.null_connect(chart, q, p).path
+
+
 def _rk4_propagator(chart, q, v, steps):
     """Endpoint x and J of RK4 on the propagator's own complex-step equations."""
 
@@ -562,10 +573,8 @@ def test_propagator_is_no_worse_than_rk4_48(profile, eps):
     # h^4 error, beside the 48-step RK4 the kernel replaced; every case must
     # connect (no exit 3) on all three widths and rays
     for width in (0.5, 1.0, 2.0):
-        chart = tr.make_chart("conformal", eps=eps, profile=profile, width=width)
-        for p, d, t in SWEEP_RAYS:
-            q = p + t * np.concatenate([[1.0], d / np.linalg.norm(d)])
-            prop = tr.null_connect(chart, q, p).path
+        for ray in range(len(SWEEP_RAYS)):
+            chart, p, q, prop = _sweep_propagator(profile, eps, width, ray)
             coarse, fine = (_rk4_propagator(chart, q, prop.v[0], n) for n in (96, 192))
             x_ref, j_ref = (b + (b - a) / 15.0 for a, b in zip(coarse, fine))
             x_48, j_48 = _rk4_propagator(chart, q, prop.v[0], 48)
@@ -640,6 +649,22 @@ def test_transport_k_meets_the_resolved_chord_integral(profile, eps, bound, widt
              / (2.0 * math.pi * chart.omega(WORKLOAD_P) * chart.omega(q)))
     _, k = tr.transport_k(chart, q, WORKLOAD_P, steps=1, propagator=prop)
     assert abs(k[-1] - exact) < bound
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+@pytest.mark.parametrize("eps, bound", [(1e-2, 1e-9), (0.3, 1e-7), (0.9, 1e-6)])
+@pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
+def test_van_vleck_meets_the_resolved_chord_integral(profile, eps, bound, width):
+    # the Richardson value of the one-slot differences, on every sweep ray,
+    # against the chord integral resolved far past it; its reported bound
+    # must hold too
+    for ray in range(len(SWEEP_RAYS)):
+        chart, p, q, prop = _sweep_propagator(profile, eps, width, ray)
+        chord = q + _FINE_U[:, None] * (p - q)
+        exact = _FINE_W @ chart.omega(chord) ** 2 / (2.0 * math.pi * chart.omega(p) * chart.omega(q))
+        work = {}
+        err = abs(tr.van_vleck_k(chart, q, p, propagator=prop, work=work) - exact)
+        assert err < bound and err <= work["error_bound"]
 
 
 def test_transport_k_connects_when_given_no_propagator():
@@ -749,6 +774,44 @@ def test_van_vleck_cross_checks_closed_form():
     kcf = tr.conformal_k(chart, q, P)
     dev = abs(kcf - INV_2PI)
     assert abs(kvv - kcf) < 0.05 * dev + 1e-12
+
+
+def test_van_vleck_connects_sixteen_rows_in_one_world_function(monkeypatch):
+    # the q slot's gradient is closed form: one batch connects q to
+    # p +- h e_b and p +- (h/2) e_b, and nothing else is connected
+    chart = tr.make_chart("conformal", eps=1e-2)
+    q, prop = _ray_propagator(chart)
+    world_function, batches = tr.world_function, []
+
+    def recording(chart, p, q, **kwargs):
+        batches.append((np.array(p), np.array(q), kwargs))
+        return world_function(chart, p, q, **kwargs)
+
+    monkeypatch.setattr(tr, "world_function", recording)
+    h = 2e-2
+    tr.van_vleck_k(chart, q, WORKLOAD_P, h=h, propagator=prop)
+    assert len(batches) == 1
+    starts, targets, kwargs = batches[0]
+    assert np.array_equal(starts, q) and kwargs["gradient"] and kwargs["near"] is prop
+    steps = np.concatenate([s * np.eye(4) for s in (h, -h, 0.5 * h, -0.5 * h)])
+    assert targets.shape == (16, 4)
+    assert np.max(np.abs(targets - WORKLOAD_P - steps)) < 1e-16
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+def test_world_function_gradient_is_the_differenced_first_slot(profile):
+    # dW/dp^a = -2 omega_p^2 eta_ab v^b against central differences, O(h^2)
+    chart = tr.make_chart("conformal", eps=0.3, profile=profile, width=1.0)
+    q = P + 1.3 * np.array([1.0, 0.6, -0.2, 0.3])
+    h = 1e-4
+    step = h * np.eye(4)
+    w, grad = tr.world_function(chart, np.vstack([P, P + step, P - step]), q, gradient=True)
+    assert grad.shape == (9, 4)
+    diff = (w[1:5] - w[5:]) / (2.0 * h)
+    assert np.max(np.abs(grad[0] - diff)) < 1e-7 * np.max(np.abs(grad[0]))
+    one, one_grad = tr.world_function(chart, P, q, gradient=True)
+    assert isinstance(one, float) and one_grad.shape == (4,)
+    assert abs(one - w[0]) < 1e-13 and np.max(np.abs(one_grad - grad[0])) < 1e-13
 
 
 def test_van_vleck_flat_unity():
