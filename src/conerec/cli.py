@@ -426,11 +426,10 @@ def cmd_curved_transport(v, out, seed):
             work = {"null_connect": conn.path.work}
             if v["van_vleck"]:
                 work["van_vleck"] = {}
-                k_vv = transport.van_vleck_k(chart, q, p, h=v["van_vleck_h"],
-                                             propagator=conn.path, work=work["van_vleck"])
-                rec["k_van_vleck"] = k_vv
-                rec["k_van_vleck_error_bound"] = work["van_vleck"].pop("error_bound")
-                ks.append(k_vv)
+                rec["k_van_vleck"], rec["k_van_vleck_error_bound"] = transport.van_vleck_k(
+                    chart, q, p, h=v["van_vleck_h"], propagator=conn.path,
+                    work=work["van_vleck"])
+                ks.append(rec["k_van_vleck"])
             rec["diagnostics"] = {
                 **work,
                 "world_function_calls": sum(w.get("world_function_calls", 0)

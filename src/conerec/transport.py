@@ -18,9 +18,9 @@ integrates the transport equation 2 <grad W, grad k> + (box W - 8) k = 0
 to a determinant), and parallel transport of NP frames along their own
 l, legs and spin basis in closed form (a rescaling and a null rotation
 about l).  The van Vleck determinant of that gradient differenced in the
-other point (at two steps, Richardson-extrapolated, with an error bound)
-and the conformal closed form (the chord average of omega^2) give k by
-two independent routes.  Null geodesics of a conformal metric are straight coordinate lines;
+other point (at two steps, Richardson-extrapolated, with an a-posteriori
+error estimate) and the conformal closed form (the chord average of
+omega^2) give k by two independent routes.  Null geodesics of a conformal metric are straight coordinate lines;
 only their affine parameterization bends.
 """
 
@@ -273,21 +273,21 @@ def _connect(chart: CurvedChart, p, q, max_iter: int = 60, v=None, chord=None):
 
 
 def world_function(chart: CurvedChart, p, q, near: Optional[GeodesicPath] = None,
-                   work: Optional[dict] = None, gradient: bool = False):
-    """World function with the [0, 1] affine convention.
+                   work: Optional[dict] = None):
+    """World function with the [0, 1] affine convention, and its gradient at p.
 
     Gamma(p, q) = g_p(v, v) = omega(p)^2 eta(v, v) for the initial
     velocity v of the geodesic reaching q at parameter 1; on the flat
-    chart this is the coordinate interval eta(q - p, q - p).  Two points
-    give a float; (B, 4) rows of points (either side may be a single
-    point) give a (B,) array, all pairs connected together.  near, the
-    Jacobi propagator of a [0, 1] geodesic close to every pair, seeds each
-    connect with v0 + X_v^{-1} (dq - X_p dp) and chord step X_v^{-1};
-    work, a dict, receives the batch's work counts.  gradient=True returns
-    (Gamma, dGamma/dp), the gradient at the first point in closed form
-    from the same v: Synge's sigma_a = -g_ab v^b, so dGamma/dp^a =
-    -2 omega(p)^2 eta_ab v^b (Poisson, Pound & Vega, Living Rev. Relativ.
-    14, 7, 2011, sec. 3), shaped (4,) or (B, 4) like the points.
+    chart this is the coordinate interval eta(q - p, q - p).  The gradient
+    at the first point is closed form from the same v: Synge's sigma_a =
+    -g_ab v^b, so dGamma/dp^a = -2 omega(p)^2 eta_ab v^b (Poisson, Pound &
+    Vega, Living Rev. Relativ. 14, 7, 2011, sec. 3).  Returns
+    (Gamma, dGamma/dp): two points give a float and a (4,) array; (B, 4)
+    rows of points (either side may be a single point) give (B,) and
+    (B, 4), all pairs connected together.  near, the Jacobi propagator of
+    a [0, 1] geodesic close to every pair, seeds each connect with
+    v0 + X_v^{-1} (dq - X_p dp) and chord step X_v^{-1}; work, a dict,
+    receives the batch's work counts.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -302,8 +302,6 @@ def world_function(chart: CurvedChart, p, q, near: Optional[GeodesicPath] = None
         work.update(counts, world_function_calls=1)
     om2 = chart.omega(p) ** 2
     w = om2 * ((v * v) @ _ETA_SIGN)
-    if not gradient:
-        return float(w[0]) if single else w
     grad = (-2.0 * om2)[:, None] * _ETA_SIGN * v
     return (float(w[0]), grad[0]) if single else (w, grad)
 
@@ -398,39 +396,42 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10,
 
 def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
                 propagator: Optional[GeodesicPath] = None,
-                work: Optional[dict] = None) -> float:
+                work: Optional[dict] = None) -> tuple[float, float]:
     """k from a differenced world-function gradient, independent of transport_k.
 
     Delta = -det(M) / sqrt(-det g_p) sqrt(-det g_q) with M = -[W_{,a b'}]/2
     and sqrt(-det g) = omega^4.  The gradient in the q slot is closed form
-    (world_function's gradient=True), so only the p slot is differenced:
+    (world_function returns it), so only the p slot is differenced:
     central differences over p +- h e_b and p +- (h/2) e_b, the 16
     connects from q in one world_function batch.  k = sqrt(Delta) / (2 pi)
-    at each step, and the returned value is their Richardson extrapolation
-    (4 k_{h/2} - k_h) / 3; a Delta that is not positive and finite at
-    either step raises GeometryError.  Flat chart: Delta = 1 exactly up to
-    rounding.  propagator, the Jacobi propagator from q to p, seeds the
-    connects; work, a dict, receives their counts and error_bound.
+    at each step; a Delta that is not positive and finite at either step
+    raises GeometryError.  Flat chart: Delta = 1 exactly up to rounding.
+    propagator, the Jacobi propagator from q to p, seeds the connects;
+    work, a dict, receives their counts.
 
-    error_bound bounds the returned value's error; it does not estimate
-    it.  It is |k_{h/2} - k_h| / 3, the h/2 value's truncation error, which
-    the extrapolation only lowers, plus the differencing roundoff.  A
-    connect ends with its endpoint within r of its target, r the worst
+    Returns (k, error_bound): k the Richardson extrapolation
+    (4 k_{h/2} - k_h) / 3, error_bound an a-posteriori estimate of its
+    error, valid in the asymptotic regime.  It is |k_{h/2} - k_h| / 3, the
+    h/2 value's truncation error while the h^2 term of the differences
+    dominates, plus a first-order estimate of the differencing roundoff.
+    A connect ends with its endpoint within r of its target, r the worst
     connect residual plus the unit roundoff at the points' scale, so its
     velocity is off by up to ||dv/dp||_inf r.  A column of M at step h_j
     is then off by up to omega_q^2 ||dv/dp||_inf r / h_j, det M by
     sum|M^{-1}| ||M||_inf r / h_j relative (to first order), and k by half
     that; weighted 4/3 and 1/3, the two steps give
-    1.5 k sum|M^{-1}| ||M||_inf r / h, with M at h/2.
+    1.5 k sum|M^{-1}| ||M||_inf r / h, with M at h/2.  Outside that
+    regime, where h is not small against the profile's width and k_h and
+    k_{h/2} may agree by chance, it can read too low.
     """
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
     # [step, sign, b]: p +- h e_b, then p +- (h/2) e_b
     offsets = np.multiply.outer(np.array([[h, -h], [0.5 * h, -0.5 * h]]), np.eye(4))
     targets = p + offsets
-    counts = {}
+    counts = {} if work is None else work
     _, grad = world_function(chart, q, targets.reshape(-1, 4), near=propagator,
-                             work=counts, gradient=True)
+                             work=counts)
     grad = grad.reshape(2, 2, 4, 4)
     # the spacing actually taken, exact in floating point, not 2h rounded
     spacing = np.diagonal(targets[:, 0] - targets[:, 1], axis1=-2, axis2=-1)
@@ -444,13 +445,10 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
                                 "finite number")
     k_h, k_half = np.sqrt(delta) / TWO_PI
     k = float(4.0 * k_half - k_h) / 3.0
-    if work is not None:
-        scale = max(1.0, float(np.max(np.abs(targets))), float(np.max(np.abs(q))))
-        r = counts["worst_connect_residual"] + _ULP * scale
-        norms = np.sum(np.abs(np.linalg.inv(m[1]))) * np.max(np.abs(m[1]) @ _ONES)
-        work.update(counts, error_bound=float(abs(k_half - k_h) / 3.0
-                                              + 1.5 * k * norms * r / h))
-    return k
+    scale = max(1.0, float(np.max(np.abs(targets))), float(np.max(np.abs(q))))
+    r = counts["worst_connect_residual"] + _ULP * scale
+    norms = np.sum(np.abs(np.linalg.inv(m[1]))) * np.max(np.abs(m[1]) @ _ONES)
+    return k, float(abs(k_half - k_h) / 3.0 + 1.5 * k * norms * r / h)
 
 
 def _chord_mean(chart: CurvedChart, a, b):

@@ -196,7 +196,7 @@ def world_function_gradient_check(chart: transport.CurvedChart, p, q, h: float) 
     """
     q = np.asarray(q, dtype=float).reshape(4)
     step = h * np.eye(4)
-    w = transport.world_function(chart, p, np.vstack([q, q + step, q - step]))
+    w = transport.world_function(chart, p, np.vstack([q, q + step, q - step]))[0]
     grad = (w[1:5] - w[5:]) / (2.0 * h)
     return float((grad * grad) @ _ETA_SIGN / chart.omega(q) ** 2 - 4.0 * w[0])
 

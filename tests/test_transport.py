@@ -297,13 +297,13 @@ def test_batched_world_function_equals_per_pair_calls():
     rng = np.random.default_rng(3)
     ps = P + rng.uniform(-0.2, 0.2, (6, 4))
     qs = P + np.array([1.9, 0.4, 0.6, 0.2]) + rng.uniform(-0.2, 0.2, (6, 4))
-    batched = tr.world_function(chart, ps, qs)
+    batched = tr.world_function(chart, ps, qs)[0]
     assert batched.shape == (6,)
     for i in range(6):
-        assert abs(batched[i] - tr.world_function(chart, ps[i], qs[i])) < 1e-13
+        assert abs(batched[i] - tr.world_function(chart, ps[i], qs[i])[0]) < 1e-13
     # one point against rows broadcasts
-    one = tr.world_function(chart, P, qs)
-    assert max(abs(one[i] - tr.world_function(chart, P, qs[i]))
+    one = tr.world_function(chart, P, qs)[0]
+    assert max(abs(one[i] - tr.world_function(chart, P, qs[i])[0])
                for i in range(6)) < 1e-13
 
 
@@ -317,7 +317,7 @@ FAST_SLOW_Q = np.array([[8.5, 8.1, 8.0, 8.2], [1.0, 0.4, -0.2, 0.3]])
 def test_batched_connect_freezes_converged_pairs(monkeypatch):
     chart = tr.make_chart("conformal", **STRONG_BUMP)
     ps, qs = FAST_SLOW_P, FAST_SLOW_Q
-    alone = [tr.world_function(chart, ps[i], qs[i]) for i in range(2)]
+    alone = [tr.world_function(chart, ps[i], qs[i])[0] for i in range(2)]
     rows = []
     shoot = tr.kernels.shoot_endpoint
 
@@ -326,7 +326,7 @@ def test_batched_connect_freezes_converged_pairs(monkeypatch):
         return shoot(rhs, contains, y, s_end, nodes, **kwargs)
 
     monkeypatch.setattr(tr.kernels, "shoot_endpoint", counting)
-    both = tr.world_function(chart, ps, qs)
+    both = tr.world_function(chart, ps, qs)[0]
     assert rows[0] == 2 and rows[-1] == 1 and len(rows) > 4
     assert np.max(np.abs(both - alone)) < 1e-13
 
@@ -374,20 +374,20 @@ def test_world_function_flat_is_coordinate_interval():
         b = rng.uniform(-1.0, 1.0, size=4)
         d = b - a
         interval = d[0] ** 2 - d[1] ** 2 - d[2] ** 2 - d[3] ** 2
-        assert abs(tr.world_function(chart, a, b) - interval) < 1e-13
+        assert abs(tr.world_function(chart, a, b)[0] - interval) < 1e-13
 
 
 def test_world_function_null_pair_vanishes():
     q = P + 1.3 * OMEGA_DIR
     for chart in (tr.make_chart("flat"), tr.make_chart("conformal", eps=1e-3)):
-        assert abs(tr.world_function(chart, P, q)) < 1e-8
+        assert abs(tr.world_function(chart, P, q)[0]) < 1e-8
 
 
 def test_world_function_symmetry_weak_field():
     chart = tr.make_chart("conformal", eps=1e-2)
     q = P + np.array([1.9, 0.4, 0.6, 0.2])
-    assert abs(tr.world_function(chart, P, q)
-               - tr.world_function(chart, q, P)) < 1e-8
+    assert abs(tr.world_function(chart, P, q)[0]
+               - tr.world_function(chart, q, P)[0]) < 1e-8
 
 
 def test_world_function_eikonal_identity_second_order():
@@ -662,9 +662,9 @@ def test_van_vleck_meets_the_resolved_chord_integral(profile, eps, bound, width)
         chart, p, q, prop = _sweep_propagator(profile, eps, width, ray)
         chord = q + _FINE_U[:, None] * (p - q)
         exact = _FINE_W @ chart.omega(chord) ** 2 / (2.0 * math.pi * chart.omega(p) * chart.omega(q))
-        work = {}
-        err = abs(tr.van_vleck_k(chart, q, p, propagator=prop, work=work) - exact)
-        assert err < bound and err <= work["error_bound"]
+        k, error_bound = tr.van_vleck_k(chart, q, p, propagator=prop)
+        err = abs(k - exact)
+        assert err < bound and err <= error_bound
 
 
 def test_transport_k_connects_when_given_no_propagator():
@@ -717,8 +717,8 @@ def test_seeded_van_vleck_equals_unseeded(profile):
     chart = tr.make_chart("conformal", eps=1e-2, profile=profile)
     q, prop = _ray_propagator(chart)
     plain_work, seeded_work = {}, {}
-    plain = tr.van_vleck_k(chart, q, WORKLOAD_P, work=plain_work)
-    seeded = tr.van_vleck_k(chart, q, WORKLOAD_P, propagator=prop, work=seeded_work)
+    plain, _ = tr.van_vleck_k(chart, q, WORKLOAD_P, work=plain_work)
+    seeded, _ = tr.van_vleck_k(chart, q, WORKLOAD_P, propagator=prop, work=seeded_work)
     assert abs(seeded - plain) < 1e-10
     assert seeded_work["world_function_calls"] == plain_work["world_function_calls"] == 1
     assert seeded_work["shoots"] < plain_work["shoots"]
@@ -770,7 +770,7 @@ def test_singular_jacobi_propagator_is_a_geometry_error():
 def test_van_vleck_cross_checks_closed_form():
     chart = tr.make_chart("conformal", eps=1e-3)
     q = P + 1.3 * OMEGA_DIR
-    kvv = tr.van_vleck_k(chart, q, P)
+    kvv, _ = tr.van_vleck_k(chart, q, P)
     kcf = tr.conformal_k(chart, q, P)
     dev = abs(kcf - INV_2PI)
     assert abs(kvv - kcf) < 0.05 * dev + 1e-12
@@ -792,7 +792,7 @@ def test_van_vleck_connects_sixteen_rows_in_one_world_function(monkeypatch):
     tr.van_vleck_k(chart, q, WORKLOAD_P, h=h, propagator=prop)
     assert len(batches) == 1
     starts, targets, kwargs = batches[0]
-    assert np.array_equal(starts, q) and kwargs["gradient"] and kwargs["near"] is prop
+    assert np.array_equal(starts, q) and kwargs["near"] is prop
     steps = np.concatenate([s * np.eye(4) for s in (h, -h, 0.5 * h, -0.5 * h)])
     assert targets.shape == (16, 4)
     assert np.max(np.abs(targets - WORKLOAD_P - steps)) < 1e-16
@@ -805,11 +805,11 @@ def test_world_function_gradient_is_the_differenced_first_slot(profile):
     q = P + 1.3 * np.array([1.0, 0.6, -0.2, 0.3])
     h = 1e-4
     step = h * np.eye(4)
-    w, grad = tr.world_function(chart, np.vstack([P, P + step, P - step]), q, gradient=True)
+    w, grad = tr.world_function(chart, np.vstack([P, P + step, P - step]), q)
     assert grad.shape == (9, 4)
     diff = (w[1:5] - w[5:]) / (2.0 * h)
     assert np.max(np.abs(grad[0] - diff)) < 1e-7 * np.max(np.abs(grad[0]))
-    one, one_grad = tr.world_function(chart, P, q, gradient=True)
+    one, one_grad = tr.world_function(chart, P, q)
     assert isinstance(one, float) and one_grad.shape == (4,)
     assert abs(one - w[0]) < 1e-13 and np.max(np.abs(one_grad - grad[0])) < 1e-13
 
@@ -817,7 +817,7 @@ def test_world_function_gradient_is_the_differenced_first_slot(profile):
 def test_van_vleck_flat_unity():
     chart = tr.make_chart("flat")
     q = P + 1.3 * OMEGA_DIR
-    assert abs(tr.van_vleck_k(chart, q, P) - INV_2PI) < 1e-9
+    assert abs(tr.van_vleck_k(chart, q, P)[0] - INV_2PI) < 1e-9
 
 
 def test_conformal_k_flat_chart_and_symmetry():
