@@ -286,6 +286,11 @@ def cmd_reconstruct(v, out, seed):
         raise ConfigError("kind must be 'spin' with a chart: the curved evaluator reads "
                           "spin data only")
     data, oracle = _cone_data(v["data"], p0, valence, kind)
+    grid = data.grid
+    if grid is not None and (grid.n_theta, grid.n_phi) != (spec.n_theta, spec.n_phi):
+        raise ConfigError(f"quadrature {spec.n_theta}x{spec.n_phi} (n_theta x n_phi) does not "
+                          f"match the data file's grid {grid.n_theta}x{grid.n_phi}: file data "
+                          "is read on its own grid")
     records, failures = [], 0
     for i, q in enumerate(v["q"]):
         try:
@@ -417,17 +422,17 @@ def cmd_curved_transport(v, out, seed):
             chart.require_inside(q, "endpoint")
             conn = transport.null_connect(chart, q, p)
             _, k_nodes = transport.transport_k(chart, q, p, steps=v["k_steps"],
-                                               propagator=conn.path)
+                                               propagator=conn)
             k_ode = float(k_nodes[-1])
             k_closed = float(transport.conformal_k(chart, q, p))
             ks = [k_ode, k_closed]
-            rec = {"p": p.tolist(), "q": q.tolist(), "affine_parameter": conn[1],
+            rec = {"p": p.tolist(), "q": q.tolist(), "affine_parameter": float(conn.v[0][0]),
                    "k_nodes": k_nodes.tolist(), "k_ode": k_ode, "k_closed_form": k_closed}
-            work = {"null_connect": conn.path.work}
+            work = {"null_connect": conn.work}
             if v["van_vleck"]:
                 work["van_vleck"] = {}
                 rec["k_van_vleck"], rec["k_van_vleck_error_bound"] = transport.van_vleck_k(
-                    chart, q, p, h=v["van_vleck_h"], propagator=conn.path,
+                    chart, q, p, h=v["van_vleck_h"], propagator=conn,
                     work=work["van_vleck"])
                 ks.append(rec["k_van_vleck"])
             rec["diagnostics"] = {

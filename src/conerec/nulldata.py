@@ -26,12 +26,12 @@ import numpy as np
 from . import cone
 from .errors import ConfigError, CoverageError
 from .cone import ConeSection, SphereGrid, TangentialDerivatives
-from .spinor import ETA, from_matrix, lower_comps, richardson
+from .spinor import ETA, from_matrix, lower_comps
 from .tables import (_REQUIRED, _Key, _as_finite, _as_kind, _as_object, _check, _count,
                      _finite_json, _list_of, _literal, _number, _read)
 
 __all__ = [
-    "ConeData", "WeightedScalarField", "richardson_dr0",
+    "ConeData", "WeightedScalarField",
     "eth_prime", "section_spin_coefficients",
     "constraint_residual", "save_cone_data", "load_cone_data",
 ]
@@ -64,14 +64,14 @@ class ConeData:
     kind "dirac": columns are (zeta_0, xi^{1'}) (valence is 1).
 
     Analytic source: callbacks fn(r0, omega, o_up, iota_up) -> (N, ncomp)
-    and optionally fn_dr0 with the same signature for the exact generator
-    derivative; omitted, the derivative falls back to a Richardson
-    difference in r0.  Grid source: values of shape
+    and fn_dr0, with the same signature, for the exact generator
+    derivative; both are required.  Grid source: values of shape
     (len(r0_nodes), n_nodes, ncomp) sampled on `grid`, interpolated along
-    each generator by the not-a-knot cubic spline.  evaluate returns the
-    values and their d/dr0 together, so an evaluator makes one data call
-    per section.  Support must stay away from the vertex: r0 at or below
-    `r0_min` (grid: outside the node range) is an error.
+    each generator by the not-a-knot cubic spline, and read only on the
+    grid's own directions.  evaluate returns the values and their d/dr0
+    together, so an evaluator makes one data call per section.  Support
+    must stay away from the vertex: r0 at or below `r0_min` (grid:
+    outside the node range) is an error.
 
     Grid values are stored in the canonical frame of the on-axis
     sections.  phi_0, zeta_0 and xi^{1'} contract only with o, so they
@@ -88,6 +88,8 @@ class ConeData:
             raise ValueError(f"unknown kind {kind!r}")
         if kind == "dirac" and valence != 1:
             raise ValueError("the 4-spinor data pair is valence 1")
+        if fn is not None and fn_dr0 is None:
+            raise ValueError("analytic data needs fn_dr0, its exact d/dr0")
         self.valence = int(valence)
         self.kind = kind
         self.fn = fn
@@ -138,27 +140,6 @@ class ConeData:
             return 2 if self.kind == "dirac" else None   # fn decides for spin
         return self.values.shape[2]
 
-    def _check_domain(self, r0, n_points):
-        r0 = np.asarray(r0, dtype=float)
-        if r0.ndim == 0:
-            r0 = np.full(n_points, float(r0))
-        if self.is_analytic:
-            if np.any(r0 <= self.r0_min):
-                raise CoverageError("evaluation point too close to the vertex")
-        else:
-            if r0.size != self.values.shape[1]:
-                raise ValueError("grid data evaluates per direction node; "
-                                 f"expected {self.values.shape[1]} radii")
-            lo, hi = self.r0_nodes[0], self.r0_nodes[-1]
-            if np.any(r0 < lo) or np.any(r0 > hi):
-                raise CoverageError("r0 outside the sampled generator range")
-        return r0
-
-    def _check_grid(self, grid):
-        g = self.grid
-        if g is not None and (g.n_theta != grid.n_theta or g.n_phi != grid.n_phi):
-            raise ValueError("section grid does not match the data grid")
-
     def _spline_eval(self, r0):
         # per-node Horner on the bracketing cubic piece, from its end values
         # y0, y1 and moments m0, m1; vectorized over nodes, one lookup for
@@ -178,22 +159,27 @@ class ConeData:
         """(values, d/dr0) of every component at (r0, omega) in the supplied
         node frame, the derivative at fixed direction.
 
-        Grid data takes both from one spline lookup; analytic data uses
-        the exact callback fn_dr0 when given, otherwise a two-level
-        Richardson central difference of fn.
+        Analytic data calls fn and fn_dr0.  Grid data takes both from one
+        spline lookup, per node of its grid: omega must be the grid's own
+        directions, else ValueError.
         """
-        r0 = self._check_domain(r0, np.asarray(omega).shape[0])
-        if not self.is_analytic:
-            return self._spline_eval(r0)
-        vals = np.asarray(self.fn(r0, omega, o_up, iota_up), dtype=complex)
-        if self.fn_dr0 is not None:
-            return vals, np.asarray(self.fn_dr0(r0, omega, o_up, iota_up), dtype=complex)
-        h = 1e-2 * np.maximum(np.abs(r0), 1.0)
-        if np.any(r0 - h <= self.r0_min):
-            raise CoverageError("differencing stencil reaches the vertex")
-        return vals, richardson_dr0(
-            lambda r: np.asarray(self.fn(r, omega, o_up, iota_up), dtype=complex),
-            r0, h)
+        r0 = np.asarray(r0, dtype=float)
+        if r0.ndim == 0:
+            r0 = np.full(np.shape(omega)[0], float(r0))
+        if self.is_analytic:
+            if np.any(r0 <= self.r0_min):
+                raise CoverageError("evaluation point too close to the vertex")
+            return (np.asarray(self.fn(r0, omega, o_up, iota_up), dtype=complex),
+                    np.asarray(self.fn_dr0(r0, omega, o_up, iota_up), dtype=complex))
+        own = self.grid.directions()[0]
+        if omega is not own and not np.array_equal(omega, own):
+            raise ValueError("section grid does not match the data grid")
+        if r0.shape != own.shape[:1]:
+            raise ValueError("grid data evaluates per direction node; "
+                             f"expected {own.shape[0]} radii")
+        if np.any(r0 < self.r0_nodes[0]) or np.any(r0 > self.r0_nodes[-1]):
+            raise CoverageError("r0 outside the sampled generator range")
+        return self._spline_eval(r0)
 
     def radial_derivative(self, r0, omega, o_up, iota_up):
         """d/dr0 of every component at fixed direction, alone (see evaluate)."""
@@ -202,7 +188,6 @@ class ConeData:
     def evaluate_on(self, section: ConeSection):
         """(values, d/dr0) of all components on a section (nodes in their
         own charts); see evaluate."""
-        self._check_grid(section.grid)
         return self.evaluate(section.r0, section.omega, section.o, section.iota)
 
 
@@ -228,20 +213,6 @@ def _moment_matrix(x):
     rhs[i, i] = -6.0 / h[:-1] - 6.0 / h[1:]
     rhs[i, i + 1] = 6.0 / h[1:]
     return np.linalg.solve(lhs, rhs)
-
-
-def richardson_dr0(values_at, r0, h):
-    """d/dr0 by a two-level Richardson central difference, (4 D(h/2) - D(h)) / 3.
-
-    values_at maps per-node radii (N,) to (N, ncomp) values; D(s) is the
-    central difference with step s.  h is a scalar or a per-node (N,) step.
-    """
-    h = np.asarray(h, dtype=float)
-
-    def central(step):
-        return (values_at(r0 + step) - values_at(r0 - step)) / (2.0 * step[..., None])
-
-    return richardson(central, h)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +326,7 @@ def eth_prime(f: WeightedScalarField, section: ConeSection,
 # constraint residuals
 
 
-def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid | None = None):
+def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid):
     """Max residual of the component relations along the cone, per j.
 
     The data must carry all components phi_0..phi_n.  On each section
@@ -378,8 +349,6 @@ def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid | None = 
     n = data.valence
     if data.kind != "spin":
         raise ValueError("constraint relations apply to the spin components")
-    if grid is None:
-        grid = data.grid if data.grid is not None else SphereGrid(24, 48)
     worst = {j: 0.0 for j in range(1, n + 1)}
     for s in np.atleast_1d(np.asarray(s_values, dtype=float)):
         q_pt = p0 + np.array([s, 0.0, 0.0, 0.0])

@@ -37,8 +37,8 @@ MAX_VALENCE = 16
 class QuadratureSpec:
     """Resolution and method switch for one reconstruction.
 
-    The radial derivative is always the data's own (exact callback or
-    its builtin fallback).  rho_variant selects the rho-coefficient in
+    The radial derivative is always the data's own (its exact callback,
+    or the spline derivative of grid data).  rho_variant selects the rho-coefficient in
     the integrand: "penrose" uses (n+1) rho, the "reduced" variant drops
     one rho (n=1: single rho), kept selectable for the normalization
     audit.

@@ -152,12 +152,6 @@ def central_partials(f, x, h: float) -> np.ndarray:
     return np.stack([(f(x + e) - f(x - e)) / (2.0 * h) for e in h * np.eye(4)])
 
 
-def richardson(difference, h):
-    """(4 D(h/2) - D(h)) / 3: the two-level Richardson extrapolation of a
-    central difference D(step), O(h^4); h is a scalar or an array of steps."""
-    return (4.0 * difference(0.5 * h) - difference(h)) / 3.0
-
-
 def dirac_assemble(dphi: np.ndarray, dpsi: np.ndarray):
     """Dirac operator value from coordinate first derivatives.
 

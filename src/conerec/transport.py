@@ -7,21 +7,25 @@ is Lorentzian everywhere, and the factor, its log-gradient and the
 metric are closed form.  Every geodesic is shot by the segmented
 Chebyshev-Picard kernel of _backend, which also carries the complex-step
 derivative of the one acceleration (the Jacobi propagator).  On it
-this module builds the two-point machinery the curved reconstructor
-consumes: null connection in closed form (the straight chord, its affine
-parameter from the chord average of omega^2), the world function with the
-[0, 1] affine convention (its flat value is the coordinate interval) and
-its closed-form gradient at the start point, the transport coefficient
-k = sqrt(Delta) / (2 pi) along null generators, Delta the van Vleck
-determinant read off the propagator's X_v block (Liouville's formula
-integrates the transport equation 2 <grad W, grad k> + (box W - 8) k = 0
-to a determinant), and parallel transport of NP frames along their own
-l, legs and spin basis in closed form (a rescaling and a null rotation
-about l).  The van Vleck determinant of that gradient differenced in the
-other point (at two steps, Richardson-extrapolated, with an a-posteriori
-error estimate) and the conformal closed form (the chord average of
-omega^2) give k by two independent routes.  Null geodesics of a conformal metric are straight coordinate lines;
-only their affine parameterization bends.
+this module builds the two-point machinery of the curved-transport
+checks:
+- the null connection, the Jacobi propagator of the straight chord,
+  whose affine parameter grows with the chord average of omega^2 (null
+  geodesics of a conformal metric are straight coordinate lines; only
+  their affine parameterization bends);
+- the world function with the [0, 1] affine convention (its flat value
+  is the coordinate interval) and its closed-form gradient at the start
+  point;
+- the transport coefficient k = sqrt(Delta) / (2 pi) along null
+  generators, Delta the van Vleck determinant read off the propagator's
+  X_v block (Liouville's formula integrates the transport equation
+  2 <grad W, grad k> + (box W - 8) k = 0 to a determinant);
+- parallel transport of NP frames along their own l, legs and spin
+  basis in closed form (a rescaling and a null rotation about l).
+Two independent routes check k: the van Vleck determinant of the world
+function's gradient differenced in the other point (at two steps,
+Richardson-extrapolated, with an a-posteriori error estimate), and the
+conformal closed form (the chord average of omega^2).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .spinor import ETA, to_matrix
 
 __all__ = [
     "CurvedChart", "GeodesicPath", "ParallelFrames", "make_chart",
-    "geodesic_shoot", "NullConnection", "null_connect", "world_function",
+    "geodesic_shoot", "null_connect", "world_function",
     "transport_k", "van_vleck_k", "conformal_k", "transport_spin_frame",
 ]
 
@@ -314,28 +318,18 @@ def _solve_xv(jacobi, rhs) -> np.ndarray:
         raise GeometryError("singular Jacobi propagator: conjugate point on the geodesic") from None
 
 
-class NullConnection(tuple):
-    """null_connect's (v, t); path is the connecting geodesic's Jacobi
-    propagator, its shoot's work counts in path.work."""
+def null_connect(chart: CurvedChart, p, q) -> GeodesicPath:
+    """Null geodesic from p to q on [0, 1], as its Jacobi propagator.
 
-    def __new__(cls, v, t, path):
-        pair = super().__new__(cls, (v, t))
-        pair.path = path
-        return pair
-
-
-def null_connect(chart: CurvedChart, p, q) -> NullConnection:
-    """Null geodesic from p to q: initial velocity v (v^0 = 1) and affine t.
-
-    geodesic_shoot(chart, p, v, t) lands on q.  On g = omega^2 eta the
-    null geodesic is the straight chord p + sigma (q - p), and its affine
-    parameter grows as the integral of omega^2 d sigma, so the [0, 1]
-    velocity is (q - p) I(p, q) / omega(p)^2 with I the chord average of
-    omega^2.  One Jacobi-propagator shoot with that velocity is the
-    returned NullConnection's path; its
-    work counts add the landing error max|x(1) - q|.  Raises GeometryError
-    when p and q are not null-separated (whether they are does not depend
-    on omega) or the shoot leaves the chart.
+    On g = omega^2 eta the null geodesic is the straight chord
+    p + sigma (q - p), and its affine parameter grows as the integral of
+    omega^2 d sigma, so the [0, 1] velocity is (q - p) I(p, q) / omega(p)^2
+    with I the chord average of omega^2.  Returns the Jacobi-propagator
+    shoot with that velocity; its work counts add the landing error
+    max|x(1) - q|.  Its v[0][0] is the affine parameter t at which the
+    velocity v[0] / t (v^0 = 1) reaches q.  Raises GeometryError when p
+    and q are not null-separated (whether they are does not depend on
+    omega), the chord has no time extent, or the shoot leaves the chart.
     """
     p = np.asarray(p, dtype=float).reshape(4)
     q = np.asarray(q, dtype=float).reshape(4)
@@ -346,14 +340,13 @@ def null_connect(chart: CurvedChart, p, q) -> NullConnection:
         raise GeometryError(f"p and q are {kind}-separated "
                             f"(coordinate interval {gam:.3e}); no null geodesic")
     v01 = d * (_chord_mean(chart, p, q) / chart.omega(p) ** 2)
-    t = float(v01[0])
-    if t == 0.0:
+    if v01[0] == 0.0:
         raise GeometryError("degenerate null direction (vanishing chart-time "
                             "component)")
     path = geodesic_shoot(chart, p, v01, 1.0, jacobi=True)
     path.work = {"shoots": 1, **path.work,
                  "landing_error": float(np.max(np.abs(path.x[-1] - q)))}
-    return NullConnection(v01 / t, t, path)
+    return path
 
 
 # -- transport coefficient ------------------------------------------------
@@ -372,7 +365,7 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10,
 
         k = (omega_q / omega_x)^2 / (2 pi sqrt(det(X_v / s))),   k(0) = 1/(2 pi).
 
-    propagator is null_connect(chart, q, p).path, else it is connected
+    propagator is null_connect(chart, q, p), else it is connected
     here.  Returns (s_nodes, k_values) at s = j / steps, j = 0..steps:
     ln(2 pi k) interpolated within the propagator's segment
     (kernels.interpolate), exact on a sample, so steps sets how many nodes
@@ -380,7 +373,7 @@ def transport_k(chart: CurvedChart, q, p, steps: int = 10,
     k_values[-1] is k_q(p).  det(X_v / s) <= 0 (a conjugate point) or a
     value that is not finite raises GeometryError.
     """
-    path = propagator or null_connect(chart, q, p).path
+    path = propagator or null_connect(chart, q, p)
     with np.errstate(invalid="ignore"):       # a non-finite propagator raises below
         det = np.linalg.det(path.jacobi[1:, :4, 4:] / path.s[1:, None, None])
     if np.any(det <= 0.0):

@@ -7,9 +7,10 @@ tie-break) audits the bases frames carry, the area
 element from the embedding's numerical Jacobian audits the exact section
 weights, the Christoffel symbols audit the one geodesic acceleration,
 the null-norm drift and the eikonal identity audit geodesics and the
-world function, and the classical RK4 integrator the Chebyshev-Picard
+world function, the classical RK4 integrator the Chebyshev-Picard
 kernel replaced integrates the tensor forms of the propagator and the
-frame those are checked against.
+frame those are checked against, and two-level Richardson differences
+audit exact and spline derivatives.
 """
 
 import itertools
@@ -219,3 +220,23 @@ def rk4_shoot(f, y, s_end, steps):
     for _ in range(steps):
         samples.append(rk4_step(f, samples[-1], s_end / steps))
     return [np.array(entry) for entry in zip(*samples)]
+
+
+def richardson(difference, h):
+    """(4 D(h/2) - D(h)) / 3: the two-level Richardson extrapolation of a
+    central difference D(step), O(h^4); h is a scalar or an array of steps."""
+    return (4.0 * difference(0.5 * h) - difference(h)) / 3.0
+
+
+def richardson_dr0(values_at, r0, h):
+    """d/dr0 by a two-level Richardson central difference, (4 D(h/2) - D(h)) / 3.
+
+    values_at maps per-node radii (N,) to (N, ncomp) values; D(s) is the
+    central difference with step s.  h is a scalar or a per-node (N,) step.
+    """
+    h = np.asarray(h, dtype=float)
+
+    def central(step):
+        return (values_at(r0 + step) - values_at(r0 - step)) / (2.0 * step[..., None])
+
+    return richardson(central, h)

@@ -174,6 +174,37 @@ def test_uncovered_radius_is_coverage_error(tmp_path):
                 tmp_path / "o.json") == 4
 
 
+@pytest.mark.parametrize("chart", [None, {"name": "conformal", "eps": 1e-2}],
+                         ids=["flat", "curved"])
+def test_file_grid_other_than_quadrature_exits_2_naming_both(tmp_path, capsys, chart):
+    # 16x16 and 8x32 have the same node count but other directions
+    path = _grid_data_file(tmp_path, 0.2, 1.6, grid_shape=(16, 16))
+    cfg = _rec_config(q=[[1, 0, 0, 0]], data={"file": path},
+                      quadrature={"n_theta": 8, "n_phi": 32})
+    if chart is not None:
+        cfg["chart"] = chart
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg),
+                tmp_path / "o.json") == 2
+    err = capsys.readouterr().err
+    assert "quadrature 8x32" in err and "grid 16x16" in err
+
+
+def test_curved_evaluator_on_file_data_matches_flat_on_the_flat_chart(tmp_path):
+    path = _grid_data_file(tmp_path, 0.2, 1.6, grid_shape=(16, 16))
+    results = []
+    for chart in (None, {"name": "flat"}):
+        cfg = _rec_config(q=[[1, 0, 0, 0], [1.5, 0.2, -0.1, 0.3]], data={"file": path},
+                          quadrature={"n_theta": 16, "n_phi": 16})
+        if chart is not None:
+            cfg["chart"] = chart
+        out = tmp_path / "rec.json"
+        assert _run("reconstruct", _write(tmp_path, "c.json", cfg), out) == 0
+        results.append(np.array([rec["components"]
+                                 for rec in json.loads(out.read_text())["records"]]))
+    assert np.max(np.abs(results[0])) > 0.1
+    assert np.max(np.abs(results[1] - results[0])) <= 1e-12
+
+
 def _edited_data_file(tmp_path, **edits):
     """_grid_data_file with descriptor keys replaced."""
     path = _grid_data_file(tmp_path, 0.3, 0.8)

@@ -15,6 +15,8 @@ from conerec.cone import SphereGrid, build_section, spin_basis_field, unit_direc
 from conerec.nulldata import ConeData, WeightedScalarField, eth_prime
 from conerec.spinor import ETA, lower_comps, raise_comps
 
+from _reference import richardson_dr0
+
 rng = np.random.default_rng(20260816)
 
 P0 = np.zeros(4)
@@ -60,6 +62,11 @@ def test_cone_data_validation():
         ConeData(1, grid=grid, r0_nodes=nodes, values=vals[:, :5])
 
 
+def test_analytic_data_needs_its_exact_derivative():
+    with pytest.raises(ValueError, match="fn_dr0"):
+        ConeData(1, fn=lambda r0, om, o, i: np.ones((r0.size, 1), complex))
+
+
 def test_analytic_matches_ambient_plane_wave():
     spec = _spec(2)
     fn, fn_dr0 = orc.plane_wave_cone_fn(spec, P0)
@@ -70,42 +77,13 @@ def test_analytic_matches_ambient_plane_wave():
     assert np.max(np.abs(vals - expect)) < 1e-12
 
 
-def test_radial_derivative_constant_is_zero():
-    data = ConeData(1, fn=lambda r0, om, o, i: np.ones((r0.size, 1), complex))
-    th, ph = np.array([0.3, 1.2]), np.array([0.0, 2.0])
-    o, iota = spin_basis_field(th, ph, np.zeros(2))
-    d = data.radial_derivative(np.array([0.5, 0.8]), unit_directions(th, ph), o, iota)
-    assert np.max(np.abs(d)) == 0.0
-
-
-def test_radial_derivative_quadratic_richardson():
-    data = ConeData(1, fn=lambda r0, om, o, i: (r0 ** 2).astype(complex)[:, None])
-    th, ph = np.array([0.4, 2.0, 1.1]), np.array([0.1, 3.0, 5.0])
-    o, iota = spin_basis_field(th, ph, np.zeros(3))
-    r0 = np.array([0.5, 1.5, 2.5])
-    d = data.radial_derivative(r0, unit_directions(th, ph), o, iota)
-    assert np.max(np.abs(d[:, 0] - 2.0 * r0)) < 1e-10
-
-
-def test_radial_derivative_richardson_fallback_smooth():
-    spec = _spec(1)
-    fn, fn_dr0 = orc.plane_wave_cone_fn(spec, P0)
-    data = ConeData(1, fn=fn)                 # no exact derivative callback
-    sec = build_section(P0, np.array([1.0, 0.0, 0.0, 0.0]), SphereGrid(8, 16))
-    d = data.evaluate_on(sec)[1]
-    exact = fn_dr0(sec.r0, sec.omega, sec.o, sec.iota)
-    assert np.max(np.abs(d - exact)) < 1e-7
-
-
 def test_radial_derivative_vertex_guard():
     data = ConeData(1, fn=lambda r0, om, o, i: (r0 ** 2).astype(complex)[:, None],
+                    fn_dr0=lambda r0, om, o, i: (2.0 * r0).astype(complex)[:, None],
                     r0_min=0.1)
     om = unit_directions(np.array([0.3]), np.array([0.0]))
     with pytest.raises(ValueError):
         data.evaluate(np.array([0.05]), om, None, None)
-    with pytest.raises(ValueError):
-        # Richardson stencil reaches below r0_min
-        data.radial_derivative(np.array([0.105]), om, None, None)
 
 
 def _relative(got, ref):
@@ -169,8 +147,8 @@ def test_one_call_pair_equals_the_separate_spline_pair():
     assert _relative(vals, ref(sec.r0)[per_node, per_node]) <= 1e-14
     assert _relative(dvals, ref(sec.r0, 1)[per_node, per_node]) <= 1e-14
     # a Richardson difference of the values agrees with the derivative
-    fd = nd.richardson_dr0(lambda r: data.evaluate(r, sec.omega, sec.o, sec.iota)[0],
-                           sec.r0, 1e-3)
+    fd = richardson_dr0(lambda r: data.evaluate(r, sec.omega, sec.o, sec.iota)[0],
+                        sec.r0, 1e-3)
     assert _relative(fd, dvals) < 1e-6
 
 
@@ -264,6 +242,22 @@ def test_grid_data_domain_and_grid_guards():
     other = build_section(P0, np.array([0.8, 0.0, 0.0, 0.0]), SphereGrid(12, 26))
     with pytest.raises(ValueError):
         data.evaluate_on(other)
+
+
+def test_grid_data_reads_only_its_own_directions():
+    # 16x16 and 8x32 grids both have 256 nodes
+    data = _grid_sample(_spec(1), SphereGrid(16, 16), np.linspace(0.2, 1.6, 8))
+    q = np.array([1.3, 0.2, -0.1, 0.3])
+    other = build_section(P0, q, SphereGrid(8, 32))
+    with pytest.raises(ValueError, match="section grid does not match the data grid"):
+        data.evaluate_on(other)
+    with pytest.raises(ValueError, match="section grid does not match the data grid"):
+        data.evaluate(other.r0, other.omega, other.o, other.iota)
+    # equal directions need not be the grid's own array
+    own = build_section(P0, q, SphereGrid(16, 16))
+    copied = data.evaluate(own.r0, own.omega.copy(), own.o, own.iota)
+    for got, want in zip(copied, data.evaluate_on(own)):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +370,8 @@ def test_constraint_residual_higher_valence():
 
 
 def test_constraint_residual_zero_data():
-    data = ConeData(2, fn=lambda r0, om, o, i: np.zeros((r0.size, 3), complex))
+    data = ConeData(2, fn=lambda r0, om, o, i: np.zeros((r0.size, 3), complex),
+                    fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 3), complex))
     r = nd.constraint_residual(data, P0, [1.0], SphereGrid(12, 24))
     assert max(r.values()) == 0.0
 
@@ -415,7 +410,8 @@ def test_constraint_residual_perturbation_scales_linearly():
 
 
 def test_constraint_residual_missing_components():
-    data = ConeData(2, fn=lambda r0, om, o, i: np.zeros((r0.size, 1), complex))
+    data = ConeData(2, fn=lambda r0, om, o, i: np.zeros((r0.size, 1), complex),
+                    fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 1), complex))
     with pytest.raises(ValueError):
         nd.constraint_residual(data, P0, [1.0], SphereGrid(12, 24))
 
@@ -482,7 +478,8 @@ def test_load_checks_the_blob_size_before_building_the_grid(tmp_path, monkeypatc
 
 
 def test_save_rejects_analytic(tmp_path):
-    data = ConeData(1, fn=lambda r0, om, o, i: np.ones((r0.size, 1), complex))
+    data = ConeData(1, fn=lambda r0, om, o, i: np.ones((r0.size, 1), complex),
+                    fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 1), complex))
     with pytest.raises(ValueError):
         nd.save_cone_data(os.path.join(tmp_path, "x"), data)
 

@@ -5,11 +5,11 @@ import pytest
 
 import conerec.reconstruct as rec
 from conerec import oracles as orc
-from conerec.nulldata import ConeData, richardson_dr0
+from conerec.nulldata import ConeData
 from conerec.reconstruct import (QuadratureSpec, convergence_study,
                                  reconstruct_dirac, reconstruct_spin_n)
 
-from _reference import sym_assemble, sym_components
+from _reference import richardson_dr0, sym_assemble, sym_components
 
 rng = np.random.default_rng(20260816)
 
@@ -127,9 +127,11 @@ def test_grid_data_reconstruction():
 
 
 def test_zero_data_zero_value():
-    zero_spin = ConeData(2, fn=lambda r0, om, o, i: np.zeros((r0.size, 1), complex))
+    zero_spin = ConeData(2, fn=lambda r0, om, o, i: np.zeros((r0.size, 1), complex),
+                         fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 1), complex))
     zero_dirac = ConeData(1, kind="dirac",
-                          fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex))
+                          fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex),
+                          fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 2), complex))
     spec = QuadratureSpec(8, 16)
     r1 = reconstruct_spin_n(P0, zero_spin, 2, Q_POINTS[0], spec)
     r2 = reconstruct_dirac(P0, zero_dirac, Q_POINTS[0], spec)
@@ -143,7 +145,11 @@ def test_locality_of_radial_support():
         prof = np.where(r0 < 0.2, (0.2 - r0) ** 3, 0.0)
         return (prof * (1.0 + om[:, 1])).astype(complex)[:, None]
 
-    data = ConeData(1, fn=f)
+    def f_dr0(r0, om, o, i):
+        prof = np.where(r0 < 0.2, -3.0 * (0.2 - r0) ** 2, 0.0)
+        return (prof * (1.0 + om[:, 1])).astype(complex)[:, None]
+
+    data = ConeData(1, fn=f, fn_dr0=f_dr0)
     res = reconstruct_spin_n(P0, data, 1, Q_POINTS[0], QuadratureSpec(16, 32))
     assert np.all(res.value.components == 0)   # section sits at r0 = 1/2
 
@@ -278,7 +284,8 @@ def test_convergence_study_accepts_every_oracle_form():
 
 def test_convergence_study_zero_data():
     zero = ConeData(1, kind="dirac",
-                    fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex))
+                    fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex),
+                    fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 2), complex))
     from conerec.spinor import DiracSpinorValue
     oracle = DiracSpinorValue(phi=np.zeros(2, complex), psi=np.zeros(2, complex))
     rows = convergence_study(P0, zero, Q_POINTS[0], oracle,
@@ -301,9 +308,11 @@ def test_quadrature_spec_validation():
 
 
 def test_kind_mismatch_rejected():
-    zero_spin = ConeData(1, fn=lambda r0, om, o, i: np.zeros((r0.size, 1), complex))
+    zero_spin = ConeData(1, fn=lambda r0, om, o, i: np.zeros((r0.size, 1), complex),
+                         fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 1), complex))
     zero_dirac = ConeData(1, kind="dirac",
-                          fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex))
+                          fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex),
+                          fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 2), complex))
     with pytest.raises(ValueError):
         reconstruct_dirac(P0, zero_spin, Q_POINTS[0], QuadratureSpec(8, 16))
     with pytest.raises(ValueError):
@@ -392,6 +401,26 @@ def test_curved_richardson_radial_path():
     assert np.max(np.abs(a.value.components - b.value.components)) < 1e-9
 
 
+def test_curved_evaluator_reads_file_data_only_on_its_grid():
+    from conerec.cone import spin_basis_field, unit_directions
+    from conerec.transport import make_chart
+    pw = orc.PlaneWaveSpec(1, np.array([1.0, 0.3 + 0.4j]))
+    fn, _ = orc.plane_wave_cone_fn(pw, P0)
+    grid = QuadratureSpec(16, 16).grid()
+    th, ph, _, ch = grid.angles()
+    o_up, iota_up = spin_basis_field(th, ph, ch)
+    om = unit_directions(th, ph)
+    nodes = np.linspace(0.2, 1.6, 8)
+    data = ConeData(1, grid=grid, r0_nodes=nodes,
+                    values=np.stack([fn(np.full(th.size, r), om, o_up, iota_up) for r in nodes]))
+    chart = make_chart("conformal", eps=1e-2)
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="section grid does not match the data grid"):
+        rec.reconstruct_curved_singular(chart, P0, data, 1, q, QuadratureSpec(8, 32))
+    assert rec.reconstruct_curved_singular(chart, P0, data, 1, q,
+                                           QuadratureSpec(16, 16)).diagnostics["n_nodes"] == 256
+
+
 def test_curved_domain_errors():
     from conerec.errors import GeometryError
     from conerec.transport import make_chart
@@ -431,7 +460,7 @@ def test_valence_above_cap_rejected_before_evaluation(n):
     def never(*args):
         raise AssertionError("data evaluated before the valence check")
 
-    data = ConeData(n, fn=never)
+    data = ConeData(n, fn=never, fn_dr0=never)
     spec = QuadratureSpec(8, 16)
     with pytest.raises(ValueError, match="valence"):
         reconstruct_spin_n(P0, data, n, Q_POINTS[0], spec)

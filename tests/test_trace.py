@@ -2,7 +2,8 @@
 
 perfbench/spans.py wraps conerec functions by name; a renamed or rebound
 function would silently drop out of the trace.  This runs two tiny
-reconstructions under the tracer and checks the counts per section.
+reconstructions under the tracer and checks the counts per section, and
+one tiny curved-transport ray and checks that every transport span is hit.
 """
 
 import io
@@ -74,3 +75,24 @@ def test_tracer_counts_one_data_call_per_section(tmp_path):
     # analytic points add a half-resolution section for the error estimate
     assert counts == {"analytic": (2 * n, 2 * n, 0), "file": (n, n, 0)}
     assert ConeData.__dict__["evaluate"] is original
+
+
+def test_tracer_sees_every_transport_layer_of_a_ray(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "chart": {"name": "conformal", "eps": 1e-2},
+        "rays": [{"p": [0.1, 0.25, -0.15, 0.2], "direction": [0.3, 0.5, 0.8], "t": 1.1}],
+        "k_steps": 2, "frame": {"steps": 10}}))
+    tracer = _tracer()
+    main = tracer.install(cli)
+    try:
+        with redirect_stdout(io.StringIO()):
+            code = main(["curved-transport", "--config", str(cfg),
+                         "--out", str(tmp_path / "out.json")])
+        stats = tracer.stats
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    for name in ("null_connect", "transport_k", "van_vleck_k", "world_function",
+                 "kernels.shoot_endpoint"):
+        assert stats.get(f"transport.{name}", [0])[0] >= 1, name

@@ -11,9 +11,9 @@ from conerec import transport as tr
 from conerec.cone import spin_basis_field
 from conerec.errors import GeometryError
 from conerec.frames import NPFrame, frame_from_spin_basis
-from conerec.spinor import ETA, central_partials, richardson
+from conerec.spinor import ETA, central_partials
 
-from _reference import (christoffel, norm_drift, rk4_shoot, rk4_step,
+from _reference import (christoffel, norm_drift, richardson, rk4_shoot, rk4_step,
                         spin_basis_from_tetrad, world_function_gradient_check)
 
 P = np.array([0.2, 0.1, -0.3, 0.4])
@@ -343,7 +343,9 @@ def test_connect_failure_names_the_pair():
 def test_null_connect_flat_exact():
     chart = tr.make_chart("flat")
     q = P + 1.3 * OMEGA_DIR
-    v, t = tr.null_connect(chart, P, q)
+    path = tr.null_connect(chart, P, q)
+    t = path.v[0][0]
+    v = path.v[0] / t
     assert np.max(np.abs(v - OMEGA_DIR)) < 1e-14
     assert abs(t - 1.3) < 1e-14
 
@@ -351,7 +353,9 @@ def test_null_connect_flat_exact():
 def test_null_connect_weak_field_lands():
     chart = tr.make_chart("conformal", eps=1e-3)
     q = P + 1.3 * OMEGA_DIR
-    v, t = tr.null_connect(chart, P, q)
+    conn = tr.null_connect(chart, P, q)
+    t = conn.v[0][0]
+    v = conn.v[0] / t
     path = tr.geodesic_shoot(chart, P, v, t)
     assert np.max(np.abs(path.x[-1] - q)) < 1e-8
     g = chart.metric(P)
@@ -464,7 +468,7 @@ WORKLOAD_DIR = np.concatenate([[1.0], np.array([0.3, 0.5, 0.8]) / math.sqrt(0.98
 
 def _ray_propagator(chart, length=1.1):
     q = WORKLOAD_P + length * WORKLOAD_DIR
-    return q, tr.null_connect(chart, q, WORKLOAD_P).path
+    return q, tr.null_connect(chart, q, WORKLOAD_P)
 
 
 @pytest.mark.parametrize("profile", ["gaussian", "sine"])
@@ -545,12 +549,12 @@ SWEEP_RAYS = [(WORKLOAD_P, np.array([0.3, 0.5, 0.8]), 1.1),
 
 @functools.cache
 def _sweep_propagator(profile, eps, width, ray):
-    """(chart, p, q, null_connect(chart, q, p).path) of SWEEP_RAYS[ray] on the
+    """(chart, p, q, null_connect(chart, q, p)) of SWEEP_RAYS[ray] on the
     sweep chart; shared by the sweep tests, which only read it."""
     chart = tr.make_chart("conformal", eps=eps, profile=profile, width=width)
     p, d, t = SWEEP_RAYS[ray]
     q = p + t * np.concatenate([[1.0], d / np.linalg.norm(d)])
-    return chart, p, q, tr.null_connect(chart, q, p).path
+    return chart, p, q, tr.null_connect(chart, q, p)
 
 
 def _rk4_propagator(chart, q, v, steps):
@@ -694,7 +698,9 @@ def test_null_connect_propagator_carries_one_shoot_work(monkeypatch):
     assert len(prop.s) == prop.work["segments"] * tr.kernels.NODES + 1
     assert prop.work["picard_iterations"] >= 2 and prop.work["picard_update"] <= 1e-15
     assert landing < 1e-11
-    v, t = tr.null_connect(chart, q, WORKLOAD_P)
+    path = tr.null_connect(chart, q, WORKLOAD_P)
+    t = path.v[0][0]
+    v = path.v[0] / t
     assert np.max(np.abs(v * t - prop.v[0])) < 1e-15
 
 
@@ -736,7 +742,7 @@ def test_transport_k_rejects_a_non_finite_propagator(monkeypatch):
     monkeypatch.setattr(tr, "_acceleration", lambda chart, x, u: (
         accel(chart, x, u) + complex(0.0, math.nan) if np.iscomplexobj(x) else accel(chart, x, u)))
     q = P + 1.3 * OMEGA_DIR
-    prop = tr.null_connect(chart, q, P).path
+    prop = tr.null_connect(chart, q, P)
     assert np.isnan(prop.jacobi[-1]).all() and prop.work["shoots"] == 1
     assert prop.work["landing_error"] < 1e-14
     with pytest.raises(GeometryError, match="not finite"):
@@ -759,7 +765,7 @@ def test_non_finite_metric_is_not_reported_as_leaving_the_chart():
 def test_singular_jacobi_propagator_is_a_geometry_error():
     chart = tr.make_chart("flat")
     q = P + 1.3 * OMEGA_DIR
-    prop = tr.null_connect(chart, q, P).path
+    prop = tr.null_connect(chart, q, P)
     prop.jacobi[-1, :4, 4:] = 0.0
     with pytest.raises(GeometryError, match="conjugate point"):
         tr.transport_k(chart, q, P, steps=1, propagator=prop)
