@@ -353,9 +353,11 @@ def cmd_constraints(v, out, seed):
     return EXIT_CHECK if _exceeds(worst, tol) or not finite else EXIT_OK
 
 
-# converge builds its specs per level, so its quadrature block stays a dict
+# converge takes n_theta and n_phi from each level, so its quadrature
+# block holds only the rest of a QuadratureSpec
+_CONVERGE_QUADRATURE = {"rho_variant": _QUADRATURE["rho_variant"]}
 _CONVERGE = {**_MAIN, "p0": _POINT, "q": _POINT, "kind": _KIND, "valence": _VALENCE,
-             "data": _DATA_KEY, "quadrature": _Key(_block(_QUADRATURE), {}),
+             "data": _DATA_KEY, "quadrature": _Key(_block(_CONVERGE_QUADRATURE), {}),
              "levels": _LEVELS._replace(default=[[16, 32], [32, 64], [64, 128]]),
              "tolerance": _TOLERANCE}
 

@@ -225,12 +225,9 @@ def section_tangents(section: ConeSection, td: TangentialDerivatives):
     the grid angles, g11, g12, g22 (N,), the induced metric
     -eta(t_i, t_j) in (theta, phi), and its determinant det (N,).
     """
-    t_th = np.empty((section.n_nodes, 4))
-    t_ph = np.empty((section.n_nodes, 4))
-    for comp in range(4):
-        fld = section.p[:, comp].astype(complex)
-        t_th[:, comp] = td.d_theta(fld).real
-        t_ph[:, comp] = td.d_phi(fld).real
+    p = section.p.astype(complex)
+    t_th = td.d_theta(p).real
+    t_ph = td.d_phi(p).real
     g11 = -np.einsum("ni,ij,nj->n", t_th, ETA, t_th)
     g12 = -np.einsum("ni,ij,nj->n", t_th, ETA, t_ph)
     g22 = -np.einsum("ni,ij,nj->n", t_ph, ETA, t_ph)
@@ -241,24 +238,6 @@ def section_tangents(section: ConeSection, td: TangentialDerivatives):
 # tangential differentiation on sections
 
 _DTHETA_STENCIL = 9
-
-
-def _lagrange_deriv_weights(nodes, x0):
-    """Derivative-at-x0 weights of the Lagrange interpolant through nodes."""
-    k = len(nodes)
-    w = np.zeros(k)
-    for j in range(k):
-        others = [nodes[i] for i in range(k) if i != j]
-        denom = np.prod([nodes[j] - xi for xi in others])
-        s = 0.0
-        for skip in range(k - 1):
-            term = 1.0
-            for idx, xi in enumerate(others):
-                if idx != skip:
-                    term *= x0 - xi
-            s += term
-        w[j] = s / denom
-    return w
 
 
 def theta_derivative_matrix(grid: SphereGrid) -> np.ndarray:
@@ -272,6 +251,13 @@ def theta_derivative_matrix(grid: SphereGrid) -> np.ndarray:
     (n_theta, 2 n_theta); columns 0..n-1 act on f(theta_i, phi), columns
     n..2n-1 on f(theta_i, phi + pi).
 
+    Each row is the middle row of the barycentric differentiation matrix
+    of its 9 stencil nodes x_j (Berrut & Trefethen, SIAM Rev. 46 (2004),
+    eq. 9.4): w_j = (b_j / b_c) / (x_c - x_j) with b_j = 1 / prod_{k != j}
+    (x_j - x_k), and the middle weight minus the sum of the others.  Near
+    a pole two stencil nodes can be the same grid column; their weights
+    add.
+
     A field regular in one chart is garbage near the opposite pole; its
     derivative there is equally garbage but local stencils keep the
     pollution confined to rings within half a stencil of that pole.
@@ -280,48 +266,50 @@ def theta_derivative_matrix(grid: SphereGrid) -> np.ndarray:
     nt = th.size
     idx = np.arange(nt)
     ext = np.concatenate([-th[::-1], th, 2.0 * math.pi - th[::-1]])
-    ring = np.concatenate([idx[::-1], idx, idx[::-1]])
-    shifted = np.concatenate([np.ones(nt, bool), np.zeros(nt, bool),
-                              np.ones(nt, bool)])
+    col = np.concatenate([idx[::-1] + nt, idx, idx[::-1] + nt])
     half = _DTHETA_STENCIL // 2
+    # with n_theta >= 4 every stencil, centered on c = nt + i, fits in ext
+    e = nt + idx[:, None] + np.arange(-half, half + 1)
+    x = ext[e]
+    diff = x[:, :, None] - x[:, None, :]
+    diff[:, np.arange(_DTHETA_STENCIL), np.arange(_DTHETA_STENCIL)] = 1.0
+    b = 1.0 / np.prod(diff, axis=2)
+    w = np.zeros_like(x)
+    off = np.arange(_DTHETA_STENCIL) != half
+    w[:, off] = b[:, off] / b[:, [half]] / (x[:, [half]] - x[:, off])
+    w[:, half] = -w.sum(axis=1)
     D = np.zeros((nt, 2 * nt))
-    for i in range(nt):
-        c = nt + i
-        lo = min(max(c - half, 0), 3 * nt - _DTHETA_STENCIL)
-        sl = slice(lo, lo + _DTHETA_STENCIL)
-        w = _lagrange_deriv_weights(ext[sl], ext[c])
-        for off, wj in enumerate(w):
-            e = lo + off
-            col = ring[e] + (nt if shifted[e] else 0)
-            D[i, col] += wj
+    np.add.at(D, (np.repeat(idx, _DTHETA_STENCIL), col[e].ravel()), w.ravel())
     return D
 
 
 class TangentialDerivatives:
     """d/dtheta and d/dphi of ring-major fields on a section's grid.
 
-    phi-derivatives are spectral (FFT); theta-derivatives use 9-point
-    Lagrange stencils on the Gauss-Legendre nodes, extended through both
-    poles onto the phi + pi meridian.
+    A field is (N,) or (N, k), one column per component, N = n_theta
+    n_phi; each derivative has the field's shape.  phi-derivatives are
+    spectral (FFT); theta-derivatives use 9-point stencils on the
+    Gauss-Legendre nodes, extended through both poles onto the phi + pi
+    meridian (see theta_derivative_matrix).
     """
 
     def __init__(self, grid: SphereGrid):
         self.grid = grid
         self._dmat = theta_derivative_matrix(grid)
         k = np.fft.fftfreq(grid.n_phi, d=1.0 / grid.n_phi)
-        self._ik = 1j * k
+        self._ik = 1j * k[:, None]
 
-    def _shape(self, f):
-        return np.asarray(f).reshape(self.grid.n_theta, self.grid.n_phi)
+    def _rings(self, f):
+        """f as (n_theta, n_phi, k)."""
+        return np.asarray(f).reshape(self.grid.n_theta, self.grid.n_phi, -1)
 
     def d_phi(self, f):
-        fr = self._shape(f)
-        out = np.fft.ifft(self._ik[None, :] * np.fft.fft(fr, axis=1), axis=1)
-        return out.reshape(-1)
+        out = np.fft.ifft(self._ik * np.fft.fft(self._rings(f), axis=1), axis=1)
+        return out.reshape(np.shape(f))
 
     def d_theta(self, f):
-        fr = self._shape(f)
+        fr = self._rings(f)
         shifted = np.roll(fr, self.grid.n_phi // 2, axis=1)
-        stacked = np.concatenate([fr, shifted], axis=0)   # (2 nt, nphi)
-        out = self._dmat @ stacked
-        return out.reshape(-1)
+        stacked = np.concatenate([fr, shifted])   # (2 nt, nphi, k)
+        out = self._dmat @ stacked.reshape(2 * self.grid.n_theta, -1)
+        return out.reshape(np.shape(f))

@@ -129,6 +129,21 @@ def _cone_phase(spec: PlaneWaveSpec, p0):
     return phase
 
 
+def _cone_fn_pair(evaluate):
+    """(fn, fn_dr0) of a plane wave on the cone, from evaluate(r0, omega,
+    o_up, iota_up) -> (values (N, columns), eta(k, l) (N,)).  The
+    generator derivative is exact: d/dr0 multiplies by i eta(k, l) at
+    fixed direction, since the node frame does not depend on r0."""
+    def fn(r0, omega, o_up, iota_up):
+        return evaluate(r0, omega, o_up, iota_up)[0]
+
+    def fn_dr0(r0, omega, o_up, iota_up):
+        vals, kl = evaluate(r0, omega, o_up, iota_up)
+        return 1j * kl[..., None] * vals
+
+    return fn, fn_dr0
+
+
 def plane_wave_cone_fn(spec: PlaneWaveSpec, p0, columns=None):
     """Analytic cone-data callbacks for the restriction to C+(p0).
 
@@ -136,9 +151,7 @@ def plane_wave_cone_fn(spec: PlaneWaveSpec, p0, columns=None):
     (N, columns): the components phi_0 .. phi_{columns-1} at
     p0 + r0 (1, omega) in the node frame, all n+1 by default.  The flat
     evaluators read phi_0 only (columns=1); the constraint relations need
-    all of them.  The generator derivative is exact: d/dr0 multiplies by
-    i eta(k, l) at fixed direction since the node frame does not depend
-    on r0.
+    all of them.  The generator derivative is exact (see _cone_fn_pair).
     """
     columns = spec.n + 1 if columns is None else columns
     if not 1 <= columns <= spec.n + 1:
@@ -151,14 +164,7 @@ def plane_wave_cone_fn(spec: PlaneWaveSpec, p0, columns=None):
                                np.asarray(iota_up) @ spec.alpha, spec.n, columns)
         return comps * (spec.amplitude * np.exp(1j * ph))[..., None], kl
 
-    def fn(r0, omega, o_up, iota_up):
-        return _eval(r0, omega, o_up, iota_up)[0]
-
-    def fn_dr0(r0, omega, o_up, iota_up):
-        vals, kl = _eval(r0, omega, o_up, iota_up)
-        return 1j * kl[..., None] * vals
-
-    return fn, fn_dr0
+    return _cone_fn_pair(_eval)
 
 
 def plane_wave_dirac_cone_fn(spec: PlaneWaveSpec, p0, psi_amplitude=1.0):
@@ -173,21 +179,14 @@ def plane_wave_dirac_cone_fn(spec: PlaneWaveSpec, p0, psi_amplitude=1.0):
     phase = _cone_phase(spec, np.asarray(p0, dtype=float))
     psi_const = psi_amplitude * np.conj(raise_comps(spec.alpha))
 
-    def _eval(r0, omega, o_up):
+    def _eval(r0, omega, o_up, iota_up):
         ph, kl = phase(r0, omega)
         ph = np.exp(1j * ph)
         zeta0 = spec.amplitude * (np.asarray(o_up) @ spec.alpha) * ph
         xi1 = (lower_comps(np.conj(np.asarray(o_up))) @ psi_const) * ph
         return np.stack([zeta0, xi1], axis=-1), kl
 
-    def fn(r0, omega, o_up, iota_up):
-        return _eval(r0, omega, o_up)[0]
-
-    def fn_dr0(r0, omega, o_up, iota_up):
-        vals, kl = _eval(r0, omega, o_up)
-        return 1j * kl[..., None] * vals
-
-    return fn, fn_dr0
+    return _cone_fn_pair(_eval)
 
 
 def weyl_residual_fd(field_fn, n: int, x, h: float) -> float:
@@ -305,7 +304,8 @@ def dirac_symmetry_check(phi1, psi1, phi2, psi2, h: float) -> float:
 
 
 def _dirac_fd_q(f, q, h):
-    """Assemble D^q f by central differences; f(q) -> (phi, psi) of one shape."""
+    """Assemble D^q f by central differences; f(q) -> (phi, psi) of one
+    shape, as a pair or stacked along a leading axis."""
     d = central_partials(lambda qq: np.stack(f(qq)), q, h)
     return dirac_assemble(d[:, 0], d[:, 1])
 
@@ -313,8 +313,10 @@ def _dirac_fd_q(f, q, h):
 def derivative_under_integral_check(f, p0, q, h: float):
     """Residuals of the two cone-integral differentiation formulas.
 
-    f(q, p) -> (phi (N,2), psi (N,2)) must be smooth in both slots and
-    vectorized over p.  Checks, by O(h^2) central differences in q,
+    f(q, p) -> (phi (..., 2), psi (..., 2)) must be smooth in both slots
+    and vectorized over the leading axes of p (..., 4): the check calls
+    it once per difference point on a whole section or on all its
+    radial nodes at once.  Checks, by O(h^2) central differences in q,
 
       D^q int_{sigma(q)} f mu_sigma
         = int_{sigma(q)} [D^q f + n.grad_l^p f - 2 rho n.f] mu_sigma
@@ -336,66 +338,45 @@ def derivative_under_integral_check(f, p0, q, h: float):
     q = np.asarray(q, dtype=float)
     grid = cone.SphereGrid(24, 48)
 
+    # (phi, psi) stacked along a leading axis of 2
+    def u(qq, p):
+        return np.stack(f(qq, p))
+
+    def dirac_q(g):
+        return np.stack(_dirac_fd_q(g, q, h))
+
+    def clifford(vecs, v):
+        return np.stack(clifford_batch(vecs, v[0], v[1]))
+
     def section_integral(qq):
         sec = cone.build_section(p0, qq, grid)
-        phi, psi = f(qq, sec.p)
-        w = sec.mu_sigma[:, None]
-        return np.sum(w * phi, axis=0), np.sum(w * psi, axis=0)
-
-    lhs_phi, lhs_psi = _dirac_fd_q(section_integral, q, h)
+        return np.sum(sec.mu_sigma[:, None] * u(qq, sec.p), axis=1)
 
     sec = cone.build_section(p0, q, grid)
-    phi0, psi0 = f(q, sec.p)
-    dq_phi, dq_psi = _dirac_fd_q(lambda qq: f(qq, sec.p), q, h)   # node by node
-    # generator derivative of f in p
-    pp, sp = f(q, sec.p + h * sec.l)
-    pm, sm = f(q, sec.p - h * sec.l)
-    dl_phi = (pp - pm) / (2.0 * h)
-    dl_psi = (sp - sm) / (2.0 * h)
-    ndl_phi, ndl_psi = clifford_batch(sec.n, dl_phi, dl_psi)
-    nf_phi, nf_psi = clifford_batch(sec.n, phi0, psi0)
-    w = sec.mu_sigma[:, None]
-    rho = sec.rho[:, None]
-    rhs_phi = np.sum(w * (dq_phi + ndl_phi - 2.0 * rho * nf_phi), axis=0)
-    rhs_psi = np.sum(w * (dq_psi + ndl_psi - 2.0 * rho * nf_psi), axis=0)
-    res_section = max(np.max(np.abs(lhs_phi - rhs_phi)),
-                      np.max(np.abs(lhs_psi - rhs_psi)))
+    u0 = u(q, sec.p)
+    dl = (u(q, sec.p + h * sec.l) - u(q, sec.p - h * sec.l)) / (2.0 * h)
+    rhs = np.sum(sec.mu_sigma[:, None]
+                 * (dirac_q(lambda qq: u(qq, sec.p)) + clifford(sec.n, dl)
+                    - 2.0 * sec.rho[:, None] * clifford(sec.n, u0)), axis=1)
+    res_section = np.max(np.abs(dirac_q(section_integral) - rhs))
 
-    # solid version: radial Gauss-Legendre from the apex to the section
+    # solid version: radial Gauss-Legendre from the apex to the section,
+    # nodes (24, N) over the generators
     xs, ws = np.polynomial.legendre.leggauss(24)
-    wang = grid.angles()[2]
-    om, _ = grid.directions()
-    lvec = np.concatenate([np.ones((om.shape[0], 1)), om], axis=1)
+
+    def radial(r0):
+        """Points on the generators below r0 and their mu_cone weights."""
+        s = 0.5 * (xs[:, None] + 1.0) * r0
+        wr = 0.5 * r0 * ws[:, None]
+        return p0 + s[..., None] * sec.l, (sec.quad_w * wr * s / 2.0)[..., None]
 
     def solid_integral(qq):
-        secq = cone.build_section(p0, qq, grid)
-        acc_phi = np.zeros(2, dtype=complex)
-        acc_psi = np.zeros(2, dtype=complex)
-        for x, wgl in zip(xs, ws):
-            s = 0.5 * (x + 1.0) * secq.r0          # nodes per generator
-            wr = 0.5 * secq.r0 * wgl
-            phi, psi = f(qq, p0 + s[:, None] * lvec)
-            fac = (wang * wr * s / 2.0)[:, None]
-            acc_phi += np.sum(fac * phi, axis=0)
-            acc_psi += np.sum(fac * psi, axis=0)
-        return acc_phi, acc_psi
+        pts, fac = radial(cone.build_section(p0, qq, grid).r0)
+        return np.sum(np.sum(fac * u(qq, pts), axis=2), axis=1)
 
-    lhs2_phi, lhs2_psi = _dirac_fd_q(solid_integral, q, h)
-
-    acc_phi = np.zeros(2, dtype=complex)
-    acc_psi = np.zeros(2, dtype=complex)
-    for x, wgl in zip(xs, ws):
-        s = 0.5 * (x + 1.0) * sec.r0
-        wr = 0.5 * sec.r0 * wgl
-        pts = p0 + s[:, None] * lvec
-        dq_phi, dq_psi = _dirac_fd_q(lambda qq: f(qq, pts), q, h)
-        fac = (wang * wr * s / 2.0)[:, None]
-        acc_phi += np.sum(fac * dq_phi, axis=0)
-        acc_psi += np.sum(fac * dq_psi, axis=0)
-    bphi, bpsi = clifford_batch(sec.n, phi0, psi0)
+    pts, fac = radial(sec.r0)
+    acc = np.sum(np.sum(fac * dirac_q(lambda qq: u(qq, pts)), axis=2), axis=1)
     bw = (sec.mu_sigma / (2.0 * sec.r0))[:, None]
-    rhs2_phi = acc_phi + np.sum(bw * bphi, axis=0)
-    rhs2_psi = acc_psi + np.sum(bw * bpsi, axis=0)
-    res_solid = max(np.max(np.abs(lhs2_phi - rhs2_phi)),
-                    np.max(np.abs(lhs2_psi - rhs2_psi)))
+    rhs2 = acc + np.sum(bw * clifford(sec.n, u0), axis=1)
+    res_solid = np.max(np.abs(dirac_q(solid_integral) - rhs2))
     return {"section": float(res_section), "solid": float(res_solid)}

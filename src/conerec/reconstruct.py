@@ -113,10 +113,10 @@ def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
 def _evaluate(quadrature, data: ConeData, q, spec: QuadratureSpec):
     """quadrature(spec) -> (components, n_nodes, extras), wrapped at q with
     its diagnostics in a ReconstructionResult.  The error estimate is the
-    largest component difference against a half-resolution run, 0.0 when
+    largest component difference against a half-resolution run, None when
     no coarser evaluation exists (spec at the floor, or grid-bound data)."""
     comps, n_nodes, extras = quadrature(spec)
-    estimate = 0.0
+    estimate = None
     if spec.halved() != spec and data.is_analytic:
         coarse, _, _ = quadrature(spec.halved())
         estimate = float(np.max(np.abs(comps - coarse)))

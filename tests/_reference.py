@@ -9,8 +9,9 @@ weights, the Christoffel symbols audit the one geodesic acceleration,
 the null-norm drift and the eikonal identity audit geodesics and the
 world function, the classical RK4 integrator the Chebyshev-Picard
 kernel replaced integrates the tensor forms of the propagator and the
-frame those are checked against, and two-level Richardson differences
-audit exact and spline derivatives.
+frame those are checked against, two-level Richardson differences
+audit exact and spline derivatives, and Lagrange stencil weights built
+ring by ring audit the closed-form theta-derivative matrix.
 """
 
 import itertools
@@ -240,3 +241,40 @@ def richardson_dr0(values_at, r0, h):
         return (values_at(r0 + step) - values_at(r0 - step)) / (2.0 * step[..., None])
 
     return richardson(central, h)
+
+
+def _lagrange_deriv_weights(nodes, x0):
+    """Derivative-at-x0 weights of the Lagrange interpolant through nodes."""
+    k = len(nodes)
+    w = np.zeros(k)
+    for j in range(k):
+        others = [nodes[i] for i in range(k) if i != j]
+        denom = np.prod([nodes[j] - xi for xi in others])
+        s = 0.0
+        for skip in range(k - 1):
+            term = 1.0
+            for idx, xi in enumerate(others):
+                if idx != skip:
+                    term *= x0 - xi
+            s += term
+        w[j] = s / denom
+    return w
+
+
+def theta_derivative_matrix(grid: cone.SphereGrid, stencil: int = 9) -> np.ndarray:
+    """cone.theta_derivative_matrix ring by ring: the Lagrange weights of
+    each ring's centered stencil on the doubled meridian, added into the
+    (n_theta, 2 n_theta) columns entry by entry."""
+    th = grid.theta
+    nt = th.size
+    idx = np.arange(nt)
+    ext = np.concatenate([-th[::-1], th, 2.0 * math.pi - th[::-1]])
+    col = np.concatenate([idx[::-1] + nt, idx, idx[::-1] + nt])
+    half = stencil // 2
+    D = np.zeros((nt, 2 * nt))
+    for i in range(nt):
+        lo = nt + i - half
+        w = _lagrange_deriv_weights(ext[lo:lo + stencil], ext[nt + i])
+        for off, wj in enumerate(w):
+            D[i, col[lo + off]] += wj
+    return D

@@ -165,6 +165,27 @@ def test_grid_data_file_round_trip(tmp_path):
     assert "oracle_error" not in doc["records"][0]
 
 
+@pytest.mark.parametrize("source", ["file", "floor", "analytic"])
+def test_error_estimate_null_without_a_coarser_run(tmp_path, source):
+    # file data has no half-resolution run, nor has the 4x8 floor; a
+    # record must not claim an exact result there
+    cfg = _rec_config()
+    cfg.pop("tolerance")
+    if source == "file":
+        cfg.update(q=[[1, 0, 0, 0]], quadrature={"n_theta": 12, "n_phi": 24},
+                   data={"file": _grid_data_file(tmp_path, 0.3, 0.8)})
+    elif source == "floor":
+        cfg.update(quadrature={"n_theta": 4, "n_phi": 8})
+    out = tmp_path / "rec.json"
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg), out) == 0
+    estimates = [rec["diagnostics"]["error_estimate"]
+                 for rec in json.loads(out.read_text())["records"]]
+    if source == "analytic":
+        assert all(e > 0.0 for e in estimates)
+    else:
+        assert estimates == [None] * len(cfg["q"])
+
+
 def test_uncovered_radius_is_coverage_error(tmp_path):
     # sections of q=(1,0,0,0) sit at r0=0.5, outside the sampled range
     path = _grid_data_file(tmp_path, 0.40, 0.45)
@@ -387,7 +408,7 @@ def test_kind_the_data_family_does_not_give_is_named(tmp_path, capsys, command):
     # the evaluator's own check said "spin reconstruction expects phi_0 data"
     cfg = _rec_config(data=_DIRAC_DATA)
     if command == "converge":
-        cfg.update(q=cfg["q"][0], levels=[[8, 16]])
+        cfg.update(q=cfg["q"][0], quadrature={}, levels=[[8, 16]])
     assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "o") == 2
     assert "kind 'spin' does not read the plane-wave-dirac family" in capsys.readouterr().err
 
@@ -431,6 +452,8 @@ _DIRAC_DATA = {"family": "plane-wave-dirac", "alpha": ALPHA}
     ("reconstruct", _rec_config(tolerence=1e-30), "tolerence"),
     ("constraints", {**_CONSTRAINTS, "tolerence": 1e-30}, "tolerence"),
     ("converge", {**_CONVERGE, "level": [[8, 16]]}, "level"),
+    ("converge", {**_CONVERGE, "quadrature": {"n_theta": 1000, "n_phi": 3}},
+     "['n_phi', 'n_theta']"),
     ("curved-transport", {**_TRANSPORT, "k_step": 3}, "k_step"),
     ("verify", {"suites": ["algebra"], "cases": 10, "case": 5}, "case"),
     ("reconstruct", _rec_config(data={"family": "plane-wave", "alpha": ALPHA,
@@ -449,7 +472,8 @@ _DIRAC_DATA = {"family": "plane-wave-dirac", "alpha": ALPHA}
     ("verify", {"suites": ["algebra"], "cases": 10,
                 "thresholds": {"geometry.section_area": 1e-8}},
      "geometry.section_area"),
-], ids=["reconstruct", "constraints", "converge", "curved-transport", "verify",
+], ids=["reconstruct", "constraints", "converge", "converge-quadrature",
+        "curved-transport", "verify",
         "data-plane-wave", "data-plane-wave-dirac", "data-file", "frame", "rays",
         "thresholds-misspelled", "thresholds-unselected-suite"])
 def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, cfg, key):
@@ -639,7 +663,8 @@ def test_constraints_reads_every_column_and_the_evaluators_phi_0(tmp_path, monke
     configs = {
         "constraints": {**_CONSTRAINTS, "valence": valence},
         "reconstruct": evaluator,
-        "converge": {**evaluator, "q": [1.5, 0.4, 0.3, 0.2], "levels": [[8, 16]]},
+        "converge": {**evaluator, "q": [1.5, 0.4, 0.3, 0.2], "quadrature": {},
+                     "levels": [[8, 16]]},
     }
     for command, cfg in configs.items():
         assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out") == 0
@@ -1127,6 +1152,11 @@ def _strip_stamp(path):
                      "data": {"family": "plane-wave", "alpha": ALPHA},
                      "levels": [[12, 24], [24, 48]]}, "csv"),
     ("verify", {"cases": 100, "seed": 7, "suites": ["algebra"]}, "json"),
+    ("converge", {**_CONVERGE, "levels": [[8, 16], [16, 32]]}, "csv"),
+    ("curved-transport", {**_TRANSPORT, "chart": {"name": "conformal", "eps": 1e-2},
+                          "van_vleck": True, "frame": {"steps": 50}}, "json"),
+    ("verify", {"cases": 100, "seed": 7,
+                "suites": ["algebra", "geometry", "constraints", "curved"]}, "json"),
 ])
 def test_repeated_runs_identical(tmp_path, command, cfg, suffix):
     cfg_path = _write(tmp_path, "c.json", cfg)
@@ -1204,7 +1234,7 @@ def _full_configs(data_file):
                      "kind": "dirac", "valence": 1,
                      "data": {"family": "plane-wave-dirac", "alpha": ALPHA,
                               "amplitude": [0.9, 0.2], "psi_amplitude": [0.5, -0.1]},
-                     "quadrature": _QUADRATURE_FULL, "levels": [[8, 16]],
+                     "quadrature": {"rho_variant": "penrose"}, "levels": [[8, 16]],
                      "tolerance": 1e-2},
         "verify": {**main, "suites": ["algebra"], "cases": 20,
                    "thresholds": {"algebra.clifford_relation": 1e-12}},
@@ -1216,14 +1246,15 @@ def _full_configs(data_file):
     }
 
 
-_EVERY_TABLE = [*cli._TABLES.values(), cli._QUADRATURE, cli._CHART, cli._FRAME,
-                cli._RAY, *cli._DATA.values()]
+_EVERY_TABLE = [*cli._TABLES.values(), cli._QUADRATURE, cli._CONVERGE_QUADRATURE,
+                cli._CHART, cli._FRAME, cli._RAY, *cli._DATA.values()]
 
 
 def _tables(command, cfg):
     """(path, table) of each block of cfg that a config table reads."""
     yield (), cli._TABLES[command]
-    for key, table in (("quadrature", cli._QUADRATURE), ("chart", cli._CHART),
+    quadrature = cli._CONVERGE_QUADRATURE if command == "converge" else cli._QUADRATURE
+    for key, table in (("quadrature", quadrature), ("chart", cli._CHART),
                        ("frame", cli._FRAME)):
         if key in cfg:
             yield (key,), table

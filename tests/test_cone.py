@@ -7,6 +7,7 @@ from conerec import cone
 from conerec.frames import NPFrame
 from conerec.spinor import from_matrix, minkowski
 
+import _reference
 from _reference import area_element, check_np_frame
 
 
@@ -261,6 +262,28 @@ def test_leray_factorization():
         sec = cone.build_section(p0, np.array([s, 0, 0, 0]), g)
         rhs += 2.0 * w * s * np.sum(sec.mu_leray * f(sec.p))
     assert abs(lhs - rhs) < 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("n_theta", [4, 5, 8, 24, 48])
+def test_theta_derivative_matrix_matches_lagrange_reference(n_theta):
+    g = cone.SphereGrid(n_theta, 8)
+    ref = _reference.theta_derivative_matrix(g)
+    got = cone.theta_derivative_matrix(g)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_tangential_derivatives_of_stacked_fields():
+    g = cone.SphereGrid(12, 24)
+    td = cone.TangentialDerivatives(g)
+    rng = np.random.default_rng(5)
+    shape = (g.n_theta * g.n_phi, 3)
+    fields = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for d in (td.d_theta, td.d_phi):
+        out = d(fields)
+        assert out.shape == fields.shape
+        scale = np.max(np.abs(out))
+        for k in range(fields.shape[1]):
+            assert np.max(np.abs(out[:, k] - d(fields[:, k]))) <= 1e-14 * scale
 
 
 def test_tangential_derivatives_spectral():
