@@ -244,10 +244,14 @@ def _write_json(path, command, cfg, payload):
     doc = {"command": command, "config": cfg,
            "meta": {"generated_at": _timestamp()}, **payload}
     found = []
-    doc = _nulled(doc, "output", found)
-    # json.dumps, not json.dump, so the C encoder writes the document
+    # json.dumps, not json.dump, so the C encoder writes the document; it
+    # refuses a non-finite float, and only then is the report walked
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_nulled(doc, "output", found), sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
+        fh.write(text + "\n")
     if found:
         print(f"non-finite result written as null at {found[0][0]}", file=sys.stderr)
     return bool(found)

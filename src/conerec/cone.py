@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError
-from .frames import transversal_iota
-from .spinor import ETA, minkowski
+from .spinor import EPS, ETA, minkowski, to_matrix
 
 TWO_QUART = 2.0 ** 0.25
 # Largest n_theta and n_phi a config or a data file may set: the
@@ -148,10 +147,11 @@ def chart_transition(values, phi, weight, to_chart):
 class ConeSection:
     """sigma(q) sampled over a sphere grid of generator directions.
 
-    Per-node arrays (flattened ring-major): omega, r0, r,
-    p (points on the section), the adapted frame (l, n, o, iota), rho,
-    and the quadrature weights mu_sigma (geometric area element) and
-    mu_leray = mu_sigma / (4 r0 r).
+    Per-node arrays (flattened ring-major): omega, r0, r, the spin frame
+    (o, iota), rho and the geometric area element mu_sigma, which are all
+    the flat evaluator reads.  The points p, the null legs (l, n) and the
+    Leray weight mu_leray = mu_sigma / (4 r0 r) are derived when first
+    read and then kept.
     """
 
     p0: np.ndarray
@@ -164,18 +164,34 @@ class ConeSection:
     omega: np.ndarray
     r0: np.ndarray
     r: np.ndarray
-    p: np.ndarray
-    l: np.ndarray
-    n: np.ndarray
     o: np.ndarray
     iota: np.ndarray
     rho: np.ndarray
     mu_sigma: np.ndarray
-    mu_leray: np.ndarray
 
     @property
     def n_nodes(self):
         return self.r0.size
+
+    @functools.cached_property
+    def l(self):
+        """Generator legs l = (1, omega), (N, 4)."""
+        return np.concatenate([np.ones_like(self.r0)[:, None], self.omega], axis=1)
+
+    @functools.cached_property
+    def p(self):
+        """Section points p = p0 + r0 l, (N, 4)."""
+        return self.p0[None, :] + self.r0[:, None] * self.l
+
+    @functools.cached_property
+    def n(self):
+        """Transversal legs n = (q - p) / r with g(l, n) = 1, (N, 4)."""
+        return (self.q[None, :] - self.p) / self.r[:, None]
+
+    @functools.cached_property
+    def mu_leray(self):
+        """Leray weights mu_sigma / (4 r0 r), (N,)."""
+        return self.mu_sigma / (4.0 * self.r0 * self.r)
 
 
 def _section_scale(p0, q):
@@ -188,7 +204,10 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     Per direction omega the generator point solving both null conditions
     sits at affine radius r0 = Gamma0(q) / (2 (t - x.omega)) with
     (t, x) = q - p0, and the backward radius is r = t - x.omega, so that
-    q = p + r n with n = (q - p)/r and g(l, n) = 1.
+    q = p + r n with n = (q - p)/r and g(l, n) = 1.  The companion
+    iota^A = n^{AA'} obar_{A'} needs no n: l^{AA'} obar_{A'} = o^A
+    (obar^{A'} obar_{A'}) = 0 and n = (q - p0 - r0 l) / r, so iota^A =
+    (q - p0)^{AA'} obar_{A'} / r, one constant chord for every node.
     """
     p0 = np.asarray(p0, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -205,17 +224,14 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     if np.any(r <= 0):
         raise GeometryError("section extends behind the evaluation point")
     r0 = gamma0 / (2.0 * r)
-    l = np.concatenate([np.ones_like(r0)[:, None], omega], axis=1)
-    p = p0[None, :] + r0[:, None] * l
-    n = (q[None, :] - p) / r[:, None]
-    iota = transversal_iota(o, n)
-    rho = -1.0 / r0.astype(complex)
+    # obar_{A'} = obar^{B'} eps_{B'A'}, with eps folded into the chord's
+    # 2x2 matrix; the reciprocals are taken in floating point, not complex
+    iota = (o.conj() @ (EPS @ to_matrix(dq).T)) * (1.0 / r)[:, None]
+    rho = (-1.0 / r0).astype(complex)
     mu_sigma = quad_w * r0 ** 2
-    mu_leray = mu_sigma / (4.0 * r0 * r)
     return ConeSection(p0=p0, q=q, grid=grid, theta=theta, phi=phi,
                        quad_w=quad_w, chart=chart, omega=omega, r0=r0, r=r,
-                       p=p, l=l, n=n, o=o, iota=iota, rho=rho,
-                       mu_sigma=mu_sigma, mu_leray=mu_leray)
+                       o=o, iota=iota, rho=rho, mu_sigma=mu_sigma)
 
 
 def section_tangents(section: ConeSection, td: TangentialDerivatives):
@@ -287,10 +303,10 @@ class TangentialDerivatives:
     """d/dtheta and d/dphi of ring-major fields on a section's grid.
 
     A field is (N,) or (N, k), one column per component, N = n_theta
-    n_phi; each derivative has the field's shape.  phi-derivatives are
-    spectral (FFT); theta-derivatives use 9-point stencils on the
-    Gauss-Legendre nodes, extended through both poles onto the phi + pi
-    meridian (see theta_derivative_matrix).
+    n_phi; each derivative is complex, with the field's shape.
+    phi-derivatives are spectral (FFT); theta-derivatives use 9-point
+    stencils on the Gauss-Legendre nodes, extended through both poles
+    onto the phi + pi meridian (see theta_derivative_matrix).
     """
 
     def __init__(self, grid: SphereGrid):
@@ -308,8 +324,9 @@ class TangentialDerivatives:
         return out.reshape(np.shape(f))
 
     def d_theta(self, f):
-        fr = self._rings(f)
+        fr = self._rings(np.asarray(f, dtype=complex))
         shifted = np.roll(fr, self.grid.n_phi // 2, axis=1)
         stacked = np.concatenate([fr, shifted])   # (2 nt, nphi, k)
-        out = self._dmat @ stacked.reshape(2 * self.grid.n_theta, -1)
-        return out.reshape(np.shape(f))
+        # D is real: one real product acts on real and imaginary parts alike
+        out = self._dmat @ stacked.reshape(2 * self.grid.n_theta, -1).view(float)
+        return out.view(complex).reshape(np.shape(f))

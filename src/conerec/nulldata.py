@@ -219,11 +219,12 @@ def _moment_matrix(x):
 # tangential operators
 
 
-def _chart_pair(values, phi, chart, weight):
-    """Both chart representations (A, B) of per-node own-chart values."""
-    in_b = chart == 1
-    return (np.where(in_b, cone.chart_transition(values, phi, weight, 0), values),
-            np.where(in_b, values, cone.chart_transition(values, phi, weight, 1)))
+def _chart_pair(values, phi, in_b, weight):
+    """Both chart representations (A, B) of per-node own-chart values,
+    stacked on a new last axis; phi and in_b broadcast against values."""
+    return np.stack([np.where(in_b, cone.chart_transition(values, phi, weight, 0), values),
+                     np.where(in_b, values, cone.chart_transition(values, phi, weight, 1))],
+                    axis=-1)
 
 
 def _mbar_coefficients(section: ConeSection, td: TangentialDerivatives):
@@ -249,10 +250,16 @@ class _SectionCalculus:
         self._phi = section.phi
 
     def _d_own(self, values, weight):
-        vals_a, vals_b = _chart_pair(values, self._phi, self.section.chart, weight)
-        d_th = np.where(self._in_b, self.td.d_theta(vals_b), self.td.d_theta(vals_a))
-        d_ph = np.where(self._in_b, self.td.d_phi(vals_b), self.td.d_phi(vals_a))
-        return d_th, d_ph
+        """(d/dtheta, d/dphi) of own-chart values (N,) or (N, k) of one
+        weight, each node reading its own chart's derivative.  The chart
+        pair is one stacked field: one d_theta and one d_phi call."""
+        values = np.asarray(values)
+        per_node = (slice(None),) + (None,) * (values.ndim - 1)
+        in_b = self._in_b[per_node]
+        pair = _chart_pair(values, self._phi[per_node], in_b, weight)
+        d_th, d_ph = self.td.d_theta(pair), self.td.d_phi(pair)
+        return (np.where(in_b, d_th[..., 1], d_th[..., 0]),
+                np.where(in_b, d_ph[..., 1], d_ph[..., 0]))
 
     def grad_mbar(self, values, weight):
         """mbar^a d_a of per-node own-chart values of the given weight."""
@@ -275,22 +282,17 @@ def section_spin_coefficients(section: ConeSection,
     returned.
     """
     calc = calculus or _SectionCalculus(section)
-    o_low = lower_comps(section.o)
-    i_low = lower_comps(section.iota)
-    n = section.n_nodes
-    rho = np.zeros(n, dtype=complex)
-    alpha = np.zeros(n, dtype=complex)
-    beta = np.zeros(n, dtype=complex)
-    sigma_p = np.zeros(n, dtype=complex)
-    for comp in range(2):
-        d_th, d_ph = calc._d_own(o_low[:, comp], (1, 0))
-        d_o = calc.a * d_th + calc.b * d_ph
-        d_o_m = np.conj(calc.a) * d_th + np.conj(calc.b) * d_ph
-        d_i = calc.grad_mbar(i_low[:, comp], (-1, 0))
-        rho += section.o[:, comp] * d_o
-        alpha += section.iota[:, comp] * d_o
-        beta += section.iota[:, comp] * d_o_m
-        sigma_p -= section.iota[:, comp] * d_i
+    a, b = calc.a[:, None], calc.b[:, None]
+    # both components of o_A, then of iota_A, in one derivative call each
+    d_th, d_ph = calc._d_own(lower_comps(section.o), (1, 0))
+    d_o = a * d_th + b * d_ph
+    d_o_m = np.conj(a) * d_th + np.conj(b) * d_ph
+    d_th, d_ph = calc._d_own(lower_comps(section.iota), (-1, 0))
+    d_i = a * d_th + b * d_ph
+    rho = np.sum(section.o * d_o, axis=1)
+    alpha = np.sum(section.iota * d_o, axis=1)
+    beta = np.sum(section.iota * d_o_m, axis=1)
+    sigma_p = -np.sum(section.iota * d_i, axis=1)
     return {"rho": rho, "alpha": alpha, "beta": beta, "sigma_prime": sigma_p}
 
 

@@ -1157,6 +1157,11 @@ def _strip_stamp(path):
                           "van_vleck": True, "frame": {"steps": 50}}, "json"),
     ("verify", {"cases": 100, "seed": 7,
                 "suites": ["algebra", "geometry", "constraints", "curved"]}, "json"),
+    # the curved evaluator reads the section's lazily derived p and l
+    ("reconstruct", {k: v for k, v in _rec_config(chart={"name": "conformal", "eps": 1e-3}).items()
+                     if k != "tolerance"}, "json"),
+    ("reconstruct", _rec_config(kind="dirac", data={**_DIRAC_DATA, "psi_amplitude": [0.5, -0.1]}),
+     "json"),
 ])
 def test_repeated_runs_identical(tmp_path, command, cfg, suffix):
     cfg_path = _write(tmp_path, "c.json", cfg)

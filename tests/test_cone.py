@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conerec import cone
-from conerec.frames import NPFrame
-from conerec.spinor import from_matrix, minkowski
+from conerec.frames import NPFrame, transversal_iota
+from conerec.spinor import from_matrix, lower_comps, minkowski, to_matrix
 
 import _reference
 from _reference import area_element, check_np_frame
@@ -124,6 +124,42 @@ def test_section_example_values():
     for i in (0, 37, 100):
         m = from_matrix(np.outer(sec.o[i], sec.iota[i].conj()))
         check_np_frame(NPFrame(sec.l[i], sec.n[i], m, sec.o[i], sec.iota[i]), 1e-10)
+
+
+_LAZY = ("l", "p", "n", "mu_leray")
+_UNIT = np.array([0.48, 0.6, 0.64]) / np.linalg.norm([0.48, 0.6, 0.64])
+# an ordinary q and a near-null one, |x| = 0.99 t, off a fixed vertex
+_VERTEX = np.array([0.1, -0.2, 0.05, 0.3])
+_FRAME_QS = (_VERTEX + np.array([1.5, 0.4, 0.3, 0.2]),
+             _VERTEX + 1.3 * np.concatenate([[1.0], 0.99 * _UNIT]))
+
+
+def test_section_derives_points_legs_and_leray_weight_when_read():
+    sec = cone.build_section(_VERTEX, _FRAME_QS[0], cone.SphereGrid(8, 16))
+    assert not set(_LAZY) & set(vars(sec))
+    l = np.concatenate([np.ones((sec.n_nodes, 1)), sec.omega], axis=1)
+    p = sec.p0[None, :] + sec.r0[:, None] * l
+    n = (sec.q[None, :] - p) / sec.r[:, None]
+    mu_leray = sec.mu_sigma / (4.0 * sec.r0 * sec.r)
+    for name, want in zip(_LAZY, (l, p, n, mu_leray)):
+        got = getattr(sec, name)
+        assert np.array_equal(got, want), name
+        # read once, then kept
+        assert vars(sec)[name] is got and getattr(sec, name) is got
+
+
+@pytest.mark.parametrize("q", _FRAME_QS, ids=["ordinary", "near-null"])
+@pytest.mark.parametrize("n_theta", [8, 64])
+def test_section_frame_from_the_chord_is_normalized_and_transversal(q, n_theta):
+    sec = cone.build_section(_VERTEX, q, cone.SphereGrid(n_theta, 2 * n_theta))
+    pairing = np.einsum("ni,ni->n", lower_comps(sec.o), sec.iota)
+    assert np.max(np.abs(pairing - 1.0)) < 1e-13
+    # n reaches ~25 beside the near-null direction, so the bound scales with it
+    outer = np.einsum("ni,nj->nij", sec.iota, sec.iota.conj())
+    assert (np.max(np.abs(outer - to_matrix(sec.n)))
+            < 1e-13 * max(1.0, np.max(np.abs(sec.n))))
+    # l^{AA'} obar_{A'} = 0, which lets iota come from the chord q - p0 alone
+    assert np.max(np.abs(transversal_iota(sec.o, sec.l))) < 1e-15
 
 
 def test_section_rejects_bad_q():

@@ -71,7 +71,9 @@ def test_transversal_iota_rows_match_the_section_frame():
                              cone.SphereGrid(8, 16))
     rows = frames.transversal_iota(sec.o, sec.n)
     assert rows.shape == sec.iota.shape
-    assert np.array_equal(rows, sec.iota)
+    # the section takes iota from the chord q - p0, not from each row's n
+    scale = np.max(np.abs(sec.iota))
+    assert np.max(np.abs(rows - sec.iota)) <= 4 * np.spacing(scale)
     assert np.array_equal(frames.transversal_iota(sec.o[5], sec.n[5]), rows[5])
 
 
