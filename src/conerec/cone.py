@@ -125,18 +125,15 @@ def spin_basis_field(theta, phi, chart):
 
 
 def chart_transition(values, phi, weight, to_chart):
-    """Re-express weighted-scalar values in the requested chart (0=A, 1=B).
-
-    values are assumed given in the opposite chart; f_A = e^{i phi (p-q)} f_B.
+    """Re-express weighted-scalar values in the requested chart (0=A, 1=B),
+    one or per node; values are in the other chart, f_A = e^{i phi (p-q)} f_B.
     """
     p, q = weight
     s = p - q
     if s == 0:
         return np.array(values, copy=True)
     factor = np.exp(1j * s * np.asarray(phi))
-    if to_chart == 0:
-        return values * factor
-    return values / factor
+    return np.where(np.asarray(to_chart) == 0, values * factor, values / factor)
 
 
 # ---------------------------------------------------------------------------

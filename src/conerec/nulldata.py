@@ -64,14 +64,15 @@ class ConeData:
     kind "dirac": columns are (zeta_0, xi^{1'}) (valence is 1).
 
     Analytic source: callbacks fn(r0, omega, o_up, iota_up) -> (N, ncomp)
-    and fn_dr0, with the same signature, for the exact generator
-    derivative; both are required.  Grid source: values of shape
-    (len(r0_nodes), n_nodes, ncomp) sampled on `grid`, interpolated along
-    each generator by the not-a-knot cubic spline, and read only on the
-    grid's own directions.  evaluate returns the values and their d/dr0
-    together, so an evaluator makes one data call per section.  Support
-    must stay away from the vertex: r0 at or below `r0_min` (grid:
-    outside the node range) is an error.
+    and fn_dr0(r0, omega, o_up, iota_up, values), the exact generator
+    derivative of the values fn just returned there; both are required.
+    A composite fn_dr0 hands each part that part's values, not the sum.
+    Grid source: values of shape (len(r0_nodes), n_nodes, ncomp) sampled
+    on `grid`, interpolated along each generator by the not-a-knot cubic
+    spline, and read only on the grid's own directions.  evaluate returns
+    the values and their d/dr0 together, so an evaluator makes one data
+    call per section.  Support must stay away from the vertex: r0 at or
+    below `r0_min` (grid: outside the node range) is an error.
 
     Grid values are stored in the canonical frame of the on-axis
     sections.  phi_0, zeta_0 and xi^{1'} contract only with o, so they
@@ -159,9 +160,9 @@ class ConeData:
         """(values, d/dr0) of every component at (r0, omega) in the supplied
         node frame, the derivative at fixed direction.
 
-        Analytic data calls fn and fn_dr0.  Grid data takes both from one
-        spline lookup, per node of its grid: omega must be the grid's own
-        directions, else ValueError.
+        Analytic data calls fn, then fn_dr0 with the values fn returned.
+        Grid data takes both from one spline lookup, per node of its grid:
+        omega must be the grid's own directions, else ValueError.
         """
         r0 = np.asarray(r0, dtype=float)
         if r0.ndim == 0:
@@ -169,8 +170,8 @@ class ConeData:
         if self.is_analytic:
             if np.any(r0 <= self.r0_min):
                 raise CoverageError("evaluation point too close to the vertex")
-            return (np.asarray(self.fn(r0, omega, o_up, iota_up), dtype=complex),
-                    np.asarray(self.fn_dr0(r0, omega, o_up, iota_up), dtype=complex))
+            values = np.asarray(self.fn(r0, omega, o_up, iota_up), dtype=complex)
+            return values, np.asarray(self.fn_dr0(r0, omega, o_up, iota_up, values), dtype=complex)
         own = self.grid.directions()[0]
         if omega is not own and not np.array_equal(omega, own):
             raise ValueError("section grid does not match the data grid")
@@ -221,10 +222,10 @@ def _moment_matrix(x):
 
 def _chart_pair(values, phi, in_b, weight):
     """Both chart representations (A, B) of per-node own-chart values,
-    stacked on a new last axis; phi and in_b broadcast against values."""
-    return np.stack([np.where(in_b, cone.chart_transition(values, phi, weight, 0), values),
-                     np.where(in_b, values, cone.chart_transition(values, phi, weight, 1))],
-                    axis=-1)
+    stacked on a new last axis; phi and in_b broadcast against values.
+    Each node needs one transition, to the chart it is not in."""
+    other = cone.chart_transition(values, phi, weight, np.where(in_b, 0, 1))
+    return np.stack([np.where(in_b, other, values), np.where(in_b, values, other)], axis=-1)
 
 
 def _mbar_coefficients(section: ConeSection, td: TangentialDerivatives):
@@ -457,7 +458,9 @@ def load_cone_data(path: str) -> ConeData:
     if os.path.getsize(blob_path) != 16 * math.prod(shape):
         raise ConfigError("blob size does not match the descriptor")
     raw = np.fromfile(blob_path, dtype=_V1_BLOB["dtype"])
-    if not np.all(np.isfinite(raw.view(float))):
-        raise ConfigError(f"blob {d['blob']!r} holds non-finite values")
-    return ConeData(valence, kind=kind, grid=SphereGrid(d["n_theta"], d["n_phi"]),
-                    r0_nodes=d["r0_nodes"], values=raw.reshape(shape), r0_min=d["r0_min"])
+    grid = SphereGrid(d["n_theta"], d["n_phi"])
+    try:    # ConeData's own scan is the one finiteness check of the blob
+        return ConeData(valence, kind=kind, grid=grid, r0_nodes=d["r0_nodes"],
+                        values=raw.reshape(shape), r0_min=d["r0_min"])
+    except ValueError as exc:
+        raise ConfigError(f"descriptor and blob {d['blob']!r} make no cone data: {exc}") from None

@@ -106,8 +106,16 @@ def plane_wave_components(spec: PlaneWaveSpec, x, o_up, iota_up) -> np.ndarray:
     return (co[..., None] ** (spec.n - j) * ci[..., None] ** j) * ph[..., None]
 
 
-def _column_powers(co, ci, n, columns):
-    """co^(n-j) ci^j for j = 0 .. columns-1, by repeated products; (..., columns)."""
+def _column_powers(o_up, iota_up, alpha, n, columns):
+    """co^(n-j) ci^j for j = 0 .. columns-1, co = o.alpha and ci = iota.alpha,
+    by repeated products; (..., columns).  One column, co^n, reads no iota."""
+    co = np.asarray(o_up) @ alpha
+    if columns == 1:
+        power = co if n else np.ones_like(co)
+        for _ in range(n - 1):
+            power = power * co
+        return power[..., None]
+    ci = np.asarray(iota_up) @ alpha
     left, right = [np.ones_like(co)], [np.ones_like(ci)]
     for _ in range(n):
         left.append(left[-1] * co)
@@ -116,30 +124,26 @@ def _column_powers(co, ci, n, columns):
     return np.stack([left[n - j] * right[j] for j in range(columns)], axis=-1)
 
 
-def _cone_phase(spec: PlaneWaveSpec, p0):
-    """r0, omega -> (eta(k, x), eta(k, l)) at x = p0 + r0 l, l = (1, omega):
-    the phase as eta(k, p0) + r0 eta(k, l), one matvec over the directions."""
+def _cone_fn_pair(spec: PlaneWaveSpec, p0, node_values):
+    """(fn, fn_dr0) of a plane wave on C+(p0) with values node_values(o_up,
+    iota_up, e), e = e^{i eta(k, x)} at x = p0 + r0 l, l = (1, omega), the
+    phase eta(k, p0) + r0 eta(k, l) (one matvec over the directions).
+    fn_dr0(r0, omega, o_up, iota_up, values) is handed the values fn
+    returned there and evaluates nothing again: d/dr0 at fixed direction
+    multiplies them by i eta(k, l), exactly, as the node frame does not
+    depend on r0."""
     k_low = ETA @ spec.k
-    k_p0 = spec.phase(p0)
+    k_p0 = spec.phase(np.asarray(p0, dtype=float))
 
-    def phase(r0, omega):
-        kl = k_low[0] + np.asarray(omega) @ k_low[1:]
-        return k_p0 + np.asarray(r0, dtype=float) * kl, kl
+    def kl(omega):
+        return k_low[0] + np.asarray(omega) @ k_low[1:]
 
-    return phase
-
-
-def _cone_fn_pair(evaluate):
-    """(fn, fn_dr0) of a plane wave on the cone, from evaluate(r0, omega,
-    o_up, iota_up) -> (values (N, columns), eta(k, l) (N,)).  The
-    generator derivative is exact: d/dr0 multiplies by i eta(k, l) at
-    fixed direction, since the node frame does not depend on r0."""
     def fn(r0, omega, o_up, iota_up):
-        return evaluate(r0, omega, o_up, iota_up)[0]
+        phase = k_p0 + np.asarray(r0, dtype=float) * kl(omega)
+        return node_values(o_up, iota_up, np.exp(1j * phase))
 
-    def fn_dr0(r0, omega, o_up, iota_up):
-        vals, kl = evaluate(r0, omega, o_up, iota_up)
-        return 1j * kl[..., None] * vals
+    def fn_dr0(r0, omega, o_up, iota_up, values):
+        return 1j * kl(omega)[..., None] * values
 
     return fn, fn_dr0
 
@@ -147,24 +151,22 @@ def _cone_fn_pair(evaluate):
 def plane_wave_cone_fn(spec: PlaneWaveSpec, p0, columns=None):
     """Analytic cone-data callbacks for the restriction to C+(p0).
 
-    Returns (fn, fn_dr0) with signature fn(r0, omega, o_up, iota_up) ->
-    (N, columns): the components phi_0 .. phi_{columns-1} at
-    p0 + r0 (1, omega) in the node frame, all n+1 by default.  The flat
-    evaluators read phi_0 only (columns=1); the constraint relations need
-    all of them.  The generator derivative is exact (see _cone_fn_pair).
+    Returns (fn, fn_dr0): fn(r0, omega, o_up, iota_up) -> (N, columns),
+    the components phi_0 .. phi_{columns-1} at p0 + r0 (1, omega) in the
+    node frame, all n+1 by default, and fn_dr0(r0, omega, o_up, iota_up,
+    values) -> their exact d/dr0 from the values fn returned (see
+    _cone_fn_pair).  The flat evaluators read phi_0 only (columns=1); the
+    constraint relations need all of them.
     """
     columns = spec.n + 1 if columns is None else columns
     if not 1 <= columns <= spec.n + 1:
         raise ValueError(f"columns must be between 1 and {spec.n + 1}, got {columns}")
-    phase = _cone_phase(spec, np.asarray(p0, dtype=float))
 
-    def _eval(r0, omega, o_up, iota_up):
-        ph, kl = phase(r0, omega)
-        comps = _column_powers(np.asarray(o_up) @ spec.alpha,
-                               np.asarray(iota_up) @ spec.alpha, spec.n, columns)
-        return comps * (spec.amplitude * np.exp(1j * ph))[..., None], kl
+    def node_values(o_up, iota_up, e):
+        comps = _column_powers(o_up, iota_up, spec.alpha, spec.n, columns)
+        return comps * (spec.amplitude * e)[..., None]
 
-    return _cone_fn_pair(_eval)
+    return _cone_fn_pair(spec, p0, node_values)
 
 
 def plane_wave_dirac_cone_fn(spec: PlaneWaveSpec, p0, psi_amplitude=1.0):
@@ -172,21 +174,18 @@ def plane_wave_dirac_cone_fn(spec: PlaneWaveSpec, p0, psi_amplitude=1.0):
 
     zeta_0 = phi_A o^A and xi^{1'} = psi^{A'} obar_{A'} per node; column
     order (zeta_0, xi^{1'}).  Same (fn, fn_dr0) shape as
-    plane_wave_cone_fn.
+    plane_wave_cone_fn: both columns carry the one phase.
     """
     if spec.n != 1:
         raise ValueError("the Dirac pairing needs a valence-1 spec")
-    phase = _cone_phase(spec, np.asarray(p0, dtype=float))
     psi_const = psi_amplitude * np.conj(raise_comps(spec.alpha))
 
-    def _eval(r0, omega, o_up, iota_up):
-        ph, kl = phase(r0, omega)
-        ph = np.exp(1j * ph)
-        zeta0 = spec.amplitude * (np.asarray(o_up) @ spec.alpha) * ph
-        xi1 = (lower_comps(np.conj(np.asarray(o_up))) @ psi_const) * ph
-        return np.stack([zeta0, xi1], axis=-1), kl
+    def node_values(o_up, iota_up, e):
+        zeta0 = spec.amplitude * (np.asarray(o_up) @ spec.alpha) * e
+        xi1 = (lower_comps(np.conj(np.asarray(o_up))) @ psi_const) * e
+        return np.stack([zeta0, xi1], axis=-1)
 
-    return _cone_fn_pair(_eval)
+    return _cone_fn_pair(spec, p0, node_values)
 
 
 def weyl_residual_fd(field_fn, n: int, x, h: float) -> float:

@@ -79,7 +79,7 @@ def test_analytic_matches_ambient_plane_wave():
 
 def test_radial_derivative_vertex_guard():
     data = ConeData(1, fn=lambda r0, om, o, i: (r0 ** 2).astype(complex)[:, None],
-                    fn_dr0=lambda r0, om, o, i: (2.0 * r0).astype(complex)[:, None],
+                    fn_dr0=lambda r0, om, o, i, v: (2.0 * r0).astype(complex)[:, None],
                     r0_min=0.1)
     om = unit_directions(np.array([0.3]), np.array([0.0]))
     with pytest.raises(ValueError):
@@ -95,6 +95,40 @@ def _off_axis_section(grid=SphereGrid(16, 32)):
                          np.array([1.6, 0.3, -0.2, 0.4]), grid)
 
 
+def _eta_k_l(spec, omega):
+    """eta(k, l) at l = (1, omega), formed as the plane-wave oracles form it."""
+    k_low = ETA @ spec.k
+    return k_low[0] + omega @ k_low[1:]
+
+
+@pytest.mark.parametrize("family, n, columns", [("spin", 1, 1), ("spin", 4, 1),
+                                                ("spin", 4, 5), ("dirac", 1, 2)])
+def test_analytic_evaluate_runs_one_plane_wave_evaluation(monkeypatch, family, n, columns):
+    # both families evaluate through _cone_fn_pair's node_values; count
+    # its calls, whichever callback makes them
+    calls = []
+    real = orc._cone_fn_pair
+
+    def counting(spec, p0, node_values):
+        def counted(o_up, iota_up, e):
+            calls.append(e.size)
+            return node_values(o_up, iota_up, e)
+
+        return real(spec, p0, counted)
+
+    monkeypatch.setattr(orc, "_cone_fn_pair", counting)
+    spec = orc.PlaneWaveSpec(n, [0.6 + 0.2j, -0.3 + 0.5j], amplitude=0.9 + 0.2j)
+    if family == "dirac":
+        fn, fn_dr0 = orc.plane_wave_dirac_cone_fn(spec, P0, psi_amplitude=0.8 - 0.3j)
+    else:
+        fn, fn_dr0 = orc.plane_wave_cone_fn(spec, P0, columns)
+    data = ConeData(n, kind=family, fn=fn, fn_dr0=fn_dr0)
+    sec = _off_axis_section()
+    vals, dvals = data.evaluate_on(sec)
+    assert calls == [sec.n_nodes]
+    assert vals.shape == dvals.shape == (sec.n_nodes, columns)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 16])
 @pytest.mark.parametrize("all_columns", [False, True], ids=["phi0", "all"])
 def test_one_call_pair_equals_the_separate_plane_wave_pair(n, all_columns):
@@ -106,8 +140,10 @@ def test_one_call_pair_equals_the_separate_plane_wave_pair(n, all_columns):
     sec = _off_axis_section()
     vals, dvals = data.evaluate_on(sec)
     assert vals.shape == dvals.shape == (sec.n_nodes, columns)
-    assert np.array_equal(vals, fn(sec.r0, sec.omega, sec.o, sec.iota))
-    assert np.array_equal(dvals, fn_dr0(sec.r0, sec.omega, sec.o, sec.iota))
+    alone = fn(sec.r0, sec.omega, sec.o, sec.iota)
+    assert np.array_equal(vals, alone)
+    assert np.array_equal(dvals, fn_dr0(sec.r0, sec.omega, sec.o, sec.iota, alone))
+    assert np.array_equal(dvals, 1j * _eta_k_l(spec, sec.omega)[:, None] * alone)
     # the ambient field at the section points, and i eta(k, l) times it
     ref = orc.plane_wave_components(spec, sec.p, sec.o, sec.iota)[:, :columns]
     kl = sec.l @ (ETA @ spec.k)
@@ -122,8 +158,10 @@ def test_one_call_pair_equals_the_separate_dirac_pair():
     data = ConeData(1, kind="dirac", fn=fn, fn_dr0=fn_dr0)
     sec = _off_axis_section()
     vals, dvals = data.evaluate_on(sec)
-    assert np.array_equal(vals, fn(sec.r0, sec.omega, sec.o, sec.iota))
-    assert np.array_equal(dvals, fn_dr0(sec.r0, sec.omega, sec.o, sec.iota))
+    alone = fn(sec.r0, sec.omega, sec.o, sec.iota)
+    assert np.array_equal(vals, alone)
+    assert np.array_equal(dvals, fn_dr0(sec.r0, sec.omega, sec.o, sec.iota, alone))
+    assert np.array_equal(dvals, 1j * _eta_k_l(spec, sec.omega)[:, None] * alone)
     ph = np.exp(1j * spec.phase(sec.p))
     zeta0 = spec.amplitude * np.einsum("a,na->n", spec.alpha, sec.o) * ph
     psi = (0.8 - 0.3j) * np.conj(raise_comps(spec.alpha))
@@ -167,7 +205,8 @@ def test_grid_data_interpolates_plane_wave():
     # off-axis: r0 varies across nodes; only phi_0 is frame insensitive
     sec = build_section(P0, np.array([1.3, 0.2, -0.1, 0.3]), grid)
     exact = fn(sec.r0, sec.omega, sec.o, sec.iota)[:, 0]
-    exact_d = fn_dr0(sec.r0, sec.omega, sec.o, sec.iota)[:, 0]
+    exact_d = fn_dr0(sec.r0, sec.omega, sec.o, sec.iota,
+                     fn(sec.r0, sec.omega, sec.o, sec.iota))[:, 0]
     errs, errs_d = [], []
     for n_r in (20, 40):
         data = _grid_sample(spec, grid, np.linspace(0.2, 1.0, n_r))
@@ -371,7 +410,7 @@ def test_constraint_residual_higher_valence():
 
 def test_constraint_residual_zero_data():
     data = ConeData(2, fn=lambda r0, om, o, i: np.zeros((r0.size, 3), complex),
-                    fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 3), complex))
+                    fn_dr0=lambda r0, om, o, i, v: np.zeros((r0.size, 3), complex))
     r = nd.constraint_residual(data, P0, [1.0], SphereGrid(12, 24))
     assert max(r.values()) == 0.0
 
@@ -379,7 +418,7 @@ def test_constraint_residual_zero_data():
 def test_constraint_residual_of_nan_data_is_nan():
     # a NaN residual must not lose to the running maximum's start value 0
     data = ConeData(2, fn=lambda r0, om, o, i: np.full((r0.size, 3), np.nan, complex),
-                    fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 3), complex))
+                    fn_dr0=lambda r0, om, o, i, v: np.zeros((r0.size, 3), complex))
     r = nd.constraint_residual(data, P0, [1.0, 1.5], SphereGrid(12, 24))
     assert all(np.isnan(v) for v in r.values())
 
@@ -395,8 +434,9 @@ def test_constraint_residual_perturbation_scales_linearly():
             out[:, 1] += delta * np.sin(r0) * (1.0 + om[:, 1])
             return out
 
-        def fd(r0, om, o, i):
-            out = fn_dr0(r0, om, o, i).copy()
+        def fd(r0, om, o, i, values):
+            # the plane wave's part of values, handed to its own derivative
+            out = fn_dr0(r0, om, o, i, fn(r0, om, o, i)).copy()
             out[:, 1] += delta * np.cos(r0) * (1.0 + om[:, 1])
             return out
 
@@ -411,7 +451,7 @@ def test_constraint_residual_perturbation_scales_linearly():
 
 def test_constraint_residual_missing_components():
     data = ConeData(2, fn=lambda r0, om, o, i: np.zeros((r0.size, 1), complex),
-                    fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 1), complex))
+                    fn_dr0=lambda r0, om, o, i, v: np.zeros((r0.size, 1), complex))
     with pytest.raises(ValueError):
         nd.constraint_residual(data, P0, [1.0], SphereGrid(12, 24))
 
@@ -479,7 +519,7 @@ def test_load_checks_the_blob_size_before_building_the_grid(tmp_path, monkeypatc
 
 def test_save_rejects_analytic(tmp_path):
     data = ConeData(1, fn=lambda r0, om, o, i: np.ones((r0.size, 1), complex),
-                    fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 1), complex))
+                    fn_dr0=lambda r0, om, o, i, v: np.zeros((r0.size, 1), complex))
     with pytest.raises(ValueError):
         nd.save_cone_data(os.path.join(tmp_path, "x"), data)
 

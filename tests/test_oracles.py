@@ -97,7 +97,8 @@ def test_cone_fn_and_radial_derivative():
     # analytic generator derivative matches Richardson differences
     h = 1e-4
     fd = (fn(r0 + h, om, o_up, i_up) - fn(r0 - h, om, o_up, i_up)) / (2 * h)
-    assert np.max(np.abs(fd - fn_dr0(r0, om, o_up, i_up))) < 1e-6
+    vals = fn(r0, om, o_up, i_up)
+    assert np.max(np.abs(fd - fn_dr0(r0, om, o_up, i_up, vals))) < 1e-6
 
 
 def test_dirac_cone_fn_projections():
@@ -119,7 +120,7 @@ def test_dirac_cone_fn_projections():
         assert abs(vals[i, 1] - xi1) < 1e-13
     h = 1e-4
     fd = (fn(r0 + h, om, o_up, i_up) - fn(r0 - h, om, o_up, i_up)) / (2 * h)
-    assert np.max(np.abs(fd - fn_dr0(r0, om, o_up, i_up))) < 1e-6
+    assert np.max(np.abs(fd - fn_dr0(r0, om, o_up, i_up, vals))) < 1e-6
 
 
 def test_sl_identity_orders():

@@ -88,7 +88,7 @@ def test_spin_one_matches_dirac_unprimed():
 def _differenced(data, h=1e-3):
     """data with its exact r0 derivative replaced by a Richardson
     difference of its values with step h."""
-    def fn_dr0(r0, omega, o_up, iota_up):
+    def fn_dr0(r0, omega, o_up, iota_up, values):
         return richardson_dr0(lambda r: data.fn(r, omega, o_up, iota_up), r0, h)
 
     return ConeData(data.valence, kind=data.kind, fn=data.fn, fn_dr0=fn_dr0)
@@ -128,10 +128,10 @@ def test_grid_data_reconstruction():
 
 def test_zero_data_zero_value():
     zero_spin = ConeData(2, fn=lambda r0, om, o, i: np.zeros((r0.size, 1), complex),
-                         fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 1), complex))
+                         fn_dr0=lambda r0, om, o, i, v: np.zeros((r0.size, 1), complex))
     zero_dirac = ConeData(1, kind="dirac",
                           fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex),
-                          fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 2), complex))
+                          fn_dr0=lambda r0, om, o, i, v: np.zeros((r0.size, 2), complex))
     spec = QuadratureSpec(8, 16)
     r1 = reconstruct_spin_n(P0, zero_spin, 2, Q_POINTS[0], spec)
     r2 = reconstruct_dirac(P0, zero_dirac, Q_POINTS[0], spec)
@@ -145,7 +145,7 @@ def test_locality_of_radial_support():
         prof = np.where(r0 < 0.2, (0.2 - r0) ** 3, 0.0)
         return (prof * (1.0 + om[:, 1])).astype(complex)[:, None]
 
-    def f_dr0(r0, om, o, i):
+    def f_dr0(r0, om, o, i, values):
         prof = np.where(r0 < 0.2, -3.0 * (0.2 - r0) ** 2, 0.0)
         return (prof * (1.0 + om[:, 1])).astype(complex)[:, None]
 
@@ -184,8 +184,13 @@ def test_linearity():
     a, b = 1.3 - 0.4j, -0.6 + 2.1j
     f1, f1d = orc.plane_wave_cone_fn(pw1, P0)
     f2, f2d = orc.plane_wave_cone_fn(pw2, P0)
-    mix = ConeData(2, fn=lambda *s: a * f1(*s) + b * f2(*s),
-                   fn_dr0=lambda *s: a * f1d(*s) + b * f2d(*s))
+
+    def mix_dr0(r0, om, o, i, values):
+        # each part differentiates its own values, not the mix's
+        return (a * f1d(r0, om, o, i, f1(r0, om, o, i))
+                + b * f2d(r0, om, o, i, f2(r0, om, o, i)))
+
+    mix = ConeData(2, fn=lambda *s: a * f1(*s) + b * f2(*s), fn_dr0=mix_dr0)
     spec = QuadratureSpec(16, 32)
     q = Q_POINTS[1]
     rm = reconstruct_spin_n(P0, mix, 2, q, spec)
@@ -285,7 +290,7 @@ def test_convergence_study_accepts_every_oracle_form():
 def test_convergence_study_zero_data():
     zero = ConeData(1, kind="dirac",
                     fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex),
-                    fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 2), complex))
+                    fn_dr0=lambda r0, om, o, i, v: np.zeros((r0.size, 2), complex))
     from conerec.spinor import DiracSpinorValue
     oracle = DiracSpinorValue(phi=np.zeros(2, complex), psi=np.zeros(2, complex))
     rows = convergence_study(P0, zero, Q_POINTS[0], oracle,
@@ -309,10 +314,10 @@ def test_quadrature_spec_validation():
 
 def test_kind_mismatch_rejected():
     zero_spin = ConeData(1, fn=lambda r0, om, o, i: np.zeros((r0.size, 1), complex),
-                         fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 1), complex))
+                         fn_dr0=lambda r0, om, o, i, v: np.zeros((r0.size, 1), complex))
     zero_dirac = ConeData(1, kind="dirac",
                           fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex),
-                          fn_dr0=lambda r0, om, o, i: np.zeros((r0.size, 2), complex))
+                          fn_dr0=lambda r0, om, o, i, v: np.zeros((r0.size, 2), complex))
     with pytest.raises(ValueError):
         reconstruct_dirac(P0, zero_spin, Q_POINTS[0], QuadratureSpec(8, 16))
     with pytest.raises(ValueError):
