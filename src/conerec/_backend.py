@@ -4,12 +4,14 @@ shoot_endpoint solves dy/ds = rhs(y) over [0, s_end] by Picard iteration
 y <- y(a) + Q f(y) on the Chebyshev-Lobatto nodes of each segment [a, b]
 (Clenshaw & Norton, Comput. J. 6, 1963; Bai & Junkins, J. Astronaut.
 Sci. 58, 2011), one right-hand-side call over all nodes and rows an
-iteration, every segment on NODES + 1 nodes.  A segment is accepted once
-the iteration has converged and the tail of its Chebyshev coefficients
-is at roundoff (Aurentz & Trefethen, ACM TOMS 43, 2017); one that is
-not, or whose updates stop contracting, is halved.  Rows shot together
-each stop iterating once converged, so a row stops at the iterate it
-would stop at shot alone on the same segments.  interpolate
+iteration, every segment on NODES + 1 nodes.  The state iterates packed,
+one (nodes, rows, columns) array per dtype (_Packing), so an iteration
+is one integral product and one update reduction per dtype.  A segment
+is accepted once the iteration has converged and the tail of its
+Chebyshev coefficients is at roundoff (Aurentz & Trefethen, ACM TOMS 43,
+2017); one that is not, or whose updates stop contracting, is halved.
+Rows shot together each stop iterating once converged, so a row stops at
+the iterate it would stop at shot alone on the same segments.  interpolate
 evaluates a shoot's samples between the nodes by barycentric
 interpolation within their segment.
 
@@ -20,6 +22,7 @@ kernel through that module attribute, and BACKEND names it in run reports.
 """
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -68,14 +71,61 @@ def _table():
     return _Table(tau, coef, integral, half * (-1.0) ** j)
 
 
-def _row_max(a):
-    """max |a| per row of a (nodes, rows, k), NaN where a row holds one."""
-    return np.abs(a).max(axis=0).max(axis=1)
-
-
 def _finite(a, by=None):
     """a with zero where by (default a) is not finite."""
     return np.where(np.isfinite(a if by is None else by), a, 0.0)
+
+
+class _Packing(NamedTuple):
+    """Where the entries of a state lie in its packed arrays: one
+    (..., rows, columns) array per dtype, the real entries in group 0 and
+    the complex ones, if any, in group 1; a single point is one row."""
+
+    rows: bool                 # the position is (B, 4) rows, not one point
+    spans: list                # per entry: (group, first column, end column, shape)
+    groups: list               # per group: its entries, in column order
+    cuts: list                 # per group: its entries' first columns and widths
+
+    @classmethod
+    def of(cls, y):
+        rows = np.ndim(y[0]) == 2
+        spans, groups, ends = [], [[], []], [0, 0]
+        for i, e in enumerate(y):
+            g = int(np.iscomplexobj(e))
+            shape = np.shape(e)[rows:]
+            spans.append((g, ends[g], ends[g] + math.prod(shape), shape))
+            groups[g].append(i)
+            ends[g] = spans[-1][2]
+        groups = [i for i in groups if i]
+        cuts = [([spans[j][1] for j in i], [spans[j][2] - spans[j][1] for j in i])
+                for i in groups]
+        return cls(rows, spans, groups, cuts)
+
+    def pack(self, entries, lead, width):
+        """entries with the leading axes lead, one array per group."""
+        parts = [np.asarray(e).reshape(lead + (width, -1)) for e in entries]
+        return [parts[i[0]] if len(i) == 1 else np.concatenate([parts[j] for j in i], axis=-1)
+                for i in self.groups]
+
+    def unpack(self, packed):
+        """The entries of (n, rows, columns) group arrays; rows are copied
+        out contiguous, a single point's entries are views."""
+        n, width = packed[0].shape[:2]
+        if self.rows:
+            return [np.ascontiguousarray(packed[g][:, :, lo:hi]).reshape((n, width) + shape)
+                    for g, lo, hi, shape in self.spans]
+        return [packed[g][:, 0, lo:hi].reshape((n,) + shape) for g, lo, hi, shape in self.spans]
+
+    def position(self, packed):
+        """The position columns of (n, rows, columns) group arrays."""
+        _, lo, hi, _ = self.spans[0]
+        return packed[0][:, :, lo:hi]
+
+    def scale(self, start):
+        """Per group, each column's scale: max(1, |y(a)|) over the
+        finite values of its entry within its row."""
+        return [np.repeat(np.maximum(1.0, np.maximum.reduceat(np.abs(_finite(e)), lo, axis=1)),
+                          widths, axis=1) for e, (lo, widths) in zip(start, self.cuts)]
 
 
 class Shoot(NamedTuple):
@@ -93,68 +143,78 @@ class Shoot(NamedTuple):
         return (len(self.s) - 1) // NODES
 
 
-def _picard(rhs, ya, a, b, guess):
-    """Picard iterates on [a, b] from the start state ya and the node
-    values guess (or ya at every node).  Rows of a (B, 4) position iterate
-    on their own: a row stops, its values kept, once it has converged and
-    resolved, at the iterate it would stop at shot alone.  Returns
-    (values, iterations, last update, None) once every row has, else
-    (None, iterations, last update, the name of the check that failed)."""
+def _update(new, old, scale):
+    """Each row's largest change from old to new, relative to its scale."""
+    rows = [(np.abs(u - e).max(axis=0) / c).max(axis=1) for u, e, c in zip(new, old, scale)]
+    return rows[0] if len(rows) == 1 else np.maximum(*rows)
+
+
+def _picard(rhs, packing, ya, a, b, guess):
+    """Picard iterates on [a, b] from the packed start state ya (one
+    (rows, columns) array per group) and the packed node values guess (or
+    ya at every node).  The state iterates as one array per group: one
+    integral product and one update reduction an iteration.  Each row
+    iterates on its own: it stops, its values kept, once it has converged
+    and resolved, at the iterate it would stop at shot alone, and it
+    leaves the arrays the right-hand side sees.  Returns (values,
+    iterations, last update, None) once every row has, else (None,
+    iterations, last update, the name of the check that failed)."""
     table = _table()
     n1 = NODES + 1
-    half = 0.5 * (b - a)
-    rows = np.ndim(ya[0]) == 2
-    count = len(ya[0]) if rows else 1
-    # shapes past the row axis; every entry also as (rows, k) and
-    # (nodes, rows, k), a single point one row
-    shapes = [np.shape(e)[rows:] for e in ya]
-    start = [np.reshape(e, (count, -1)) for e in ya]
-    cur = guess or [np.broadcast_to(e, (n1,) + np.shape(e)) for e in ya]
-    scale = [np.maximum(1.0, _row_max(_finite(e[None]))) for e in start]
-    live, prev, worst, out = np.arange(count), np.full(count, np.inf), 0.0, None
+    integral = (0.5 * (b - a)) * table.integral
+    count = len(ya[0])
+    cur = guess or [np.broadcast_to(e, (n1,) + e.shape) for e in ya]
+    scale = packing.scale(ya)
+    live, limit, worst, out = np.arange(count), np.full(count, np.inf), 0.0, None
     for it in range(1, _MAX_ITER + 1):
-        width = len(live)
-        new = [e + half * (table.integral @ np.reshape(d, (n1, -1))).reshape(n1, width, -1)
-               for e, d in zip(start, rhs(cur))]
-        if not np.all(np.isfinite(new[0])):
-            return None, it, np.inf, "non-finite"
-        old = [np.reshape(e, u.shape) for e, u in zip(cur, new)]
-        update = np.max([_row_max(u - e) / c for u, e, c in zip(new, old, scale)], axis=0)
-        if np.isnan(update).any():
-            # only the values that were finite count: NaN, so not converged,
-            # while a value turns non-finite, as it may reach the position next
-            update = np.max([_row_max(_finite(u - e, e)) / c
-                             for u, e, c in zip(new, old, scale)], axis=0)
-        cur = [u.reshape((n1,) + (width,) * rows + s) for u, s in zip(new, shapes)]
-        done = update <= _TOL
-        finished = np.count_nonzero(done)
-        if finished:
-            tail = np.max([_row_max(_finite((table.coef[-2:] @ np.reshape(
-                u[:, done], (n1, -1))).reshape(2, -1, u.shape[2]))) / c[done]
-                for u, c in zip(new, scale)])
+        slopes = packing.pack(rhs(packing.unpack(cur)), (n1,), len(live))
+        new = [e + (integral @ d.reshape(n1, -1)).reshape(d.shape) for e, d in zip(ya, slopes)]
+        update = _update(new, cur, scale)
+        top = update.max()
+        if not top < np.inf:
+            if not np.isfinite(packing.position(new)).all():
+                return None, it, np.inf, "non-finite"
+            if np.isnan(top):
+                # only the values that were finite count: NaN, so not converged,
+                # while a value turns non-finite, as it may reach the position next
+                update = _update([_finite(u - e, e) for u, e in zip(new, cur)],
+                                 [0.0] * len(new), scale)
+                top = update.max()
+        going = None
+        if np.fmin.reduce(update) <= _TOL:
+            done = update <= _TOL
+            ends = new
+            if not done.all():
+                going = ~done
+                ends = [u[:, done] for u in new]
+            tail = max((_finite(np.abs(table.coef[-2:] @ u.reshape(n1, -1)))
+                        .reshape(2, len(u[0]), -1) / c[done]).max() for u, c in zip(ends, scale))
             if tail > _TAIL:
-                return None, it, float(np.max(update)), \
-                    f"Chebyshev tail {tail:.1e} above {_TAIL:.0e}"
-            worst = max(worst, float(np.max(update[done])))
-            if not rows:
-                return cur, it, worst, None
-            if out is None:
-                out = [np.empty((n1, count) + s, e.dtype) for e, s in zip(cur, shapes)]
-            for o, e in zip(out, cur):
-                o[:, live[done]] = e[:, done]
-        # a converged row's update is within _TOL, so never fails this
-        if it >= 3 and np.any(update > np.maximum(_RATIO * prev, _TOL)):
-            break
-        prev = update
-        if finished:
-            if finished == width:
+                return None, it, float(top), f"Chebyshev tail {tail:.1e} above {_TAIL:.0e}"
+            worst = max(worst, float(update[done].max()))
+            if going is None:
+                if out is None:
+                    return new, it, worst, None
+                for o, u in zip(out, new):
+                    o[:, live] = u
                 return out, it, worst, None
-            going = ~done
-            live, prev = live[going], prev[going]
-            cur = [e[:, going] for e in cur]
-            start = [e[going] for e in start]
+            update, limit = update[going], limit[going]
+        # from the third iteration on, every row still iterating must shrink
+        # its update by _RATIO (the converged ones have left update and limit)
+        if it >= 3 and (update > limit).any():
+            break
+        if going is not None:
+            if out is None:
+                out = [np.empty((n1, count, u.shape[2]), u.dtype) for u in new]
+            for o, e in zip(out, ends):
+                o[:, live[done]] = e
+            live = live[going]
+            new = [u[:, going] for u in new]
+            ya = [e[going] for e in ya]
             scale = [c[going] for c in scale]
-    update = float(np.max(update))
+        limit = _RATIO * update
+        cur = new
+    update = float(top)
     return None, it, update, f"Picard update {update:.1e} not contracting"
 
 
@@ -164,15 +224,17 @@ def shoot_endpoint(rhs, contains, y, s_end, nodes, guess=None):
     y is a list of arrays whose first entry is the position, one point
     (4,) or (B, 4) rows; rhs takes and returns such a list with a leading
     node axis (over the rows still iterating), and contains(position) says
-    which of its points are in the chart box.  Each segment carries
-    NODES + 1 Chebyshev-Lobatto samples, its ends shared with its
-    neighbours; it starts as the whole interval, or as guess's segments
-    with guess's samples (a Shoot of the same rows) as the first iterate,
-    and a segment that does not converge, resolve or stay finite is
-    halved.  Past _MAX_SEGMENTS segments the failing check raises
-    GeometryError, as does the first sample of an accepted segment outside
-    the box, naming it.  Non-finite values off the position pass to the
-    caller.  Returns a Shoot.
+    which of its points are in the chart box.  The kernel packs the state
+    into one array per dtype (real, and complex if an entry is) and hands
+    rhs each entry unpacked.  Each segment carries NODES + 1
+    Chebyshev-Lobatto samples, its ends shared with its neighbours; it
+    starts as the whole interval, or as guess's segments with guess's
+    samples (a Shoot of the same rows) as the first iterate, and a segment
+    that does not converge, resolve or stay finite is halved.  Past
+    _MAX_SEGMENTS segments the failing check raises GeometryError, as does
+    the first sample of an accepted segment outside the box, naming it.
+    Non-finite values off the position pass to the caller.  Returns a
+    Shoot.
 
     nodes must be NODES, the one node count the kernel has tables for.
     It is an argument because the benchmark's tracer wraps
@@ -183,26 +245,30 @@ def shoot_endpoint(rhs, contains, y, s_end, nodes, guess=None):
     if nodes != NODES:
         raise ValueError(f"the kernel shoots segments of {NODES} Chebyshev nodes, got {nodes}")
     tau = _table().tau
+    packing = _Packing.of(y)
+    start = packing.pack(y, (), len(y[0]) if packing.rows else 1)
     if guess is None:
         pending = [(s_end, None)]
     else:
         edges = guess.s[NODES::NODES]
-        pending = [(b, [e[k * NODES:(k + 1) * NODES + 1] for e in guess.y])
+        first = packing.pack(guess.y, (len(guess.s),), len(start[0]))
+        pending = [(b, [e[k * NODES:(k + 1) * NODES + 1] for e in first])
                    for k, b in enumerate(edges)][::-1]
         pending[0] = (s_end, pending[0][1])
-    s, samples, a = [np.zeros(1)], [[np.asarray(e)[None]] for e in y], 0.0
+    s, samples, a = [np.zeros(1)], [[e[None]] for e in start], 0.0
     iterations, worst = 0, 0.0
     with np.errstate(all="ignore"):
         while pending:
             b, first = pending.pop()
             ya = [e[-1][-1] for e in samples]
-            ys, it, update, failed = _picard(rhs, ya, a, b, first)
+            ys, it, update, failed = _picard(rhs, packing, ya, a, b, first)
             iterations += it
             if failed:
                 if len(s) + len(pending) + 1 > _MAX_SEGMENTS:
                     if failed == "non-finite":
+                        x = packing.unpack([e[None] for e in ya])[0][0]
                         raise GeometryError(f"geodesic reached a non-finite state past "
-                                            f"s = {a:.6g}, x = {ya[0]}; the chart's metric "
+                                            f"s = {a:.6g}, x = {x}; the chart's metric "
                                             "or connection is not finite along it")
                     raise GeometryError(f"geodesic not resolved on s in [{a:.6g}, {b:.6g}] "
                                         f"after {_MAX_SEGMENTS} segments of {NODES} "
@@ -211,10 +277,11 @@ def shoot_endpoint(rhs, contains, y, s_end, nodes, guess=None):
                 continue
             s_seg = a + (0.5 * (b - a)) * (tau + 1.0)
             s_seg[-1] = b
-            inside = np.reshape(contains(ys[0]), (NODES + 1, -1))
+            position = np.ascontiguousarray(packing.position(ys))
+            inside = np.reshape(contains(position), (NODES + 1, -1))
             if not np.all(inside):
                 j = int(np.argmin(np.all(inside, axis=1)))
-                x = np.reshape(ys[0], (NODES + 1, -1, 4))[j, np.argmin(inside[j])]
+                x = position[j, np.argmin(inside[j])]
                 raise GeometryError(f"geodesic left the chart domain at "
                                     f"s = {s_seg[j]:.6g}, x = {x}")
             s.append(s_seg[1:])
@@ -222,7 +289,8 @@ def shoot_endpoint(rhs, contains, y, s_end, nodes, guess=None):
                 out.append(e[1:])
             worst = max(worst, update)
             a = b
-    return Shoot(np.concatenate(s), [np.concatenate(e) for e in samples], iterations, worst)
+    return Shoot(np.concatenate(s), packing.unpack([np.concatenate(e) for e in samples]),
+                 iterations, worst)
 
 
 def interpolate(s, values, at):

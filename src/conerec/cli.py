@@ -263,9 +263,16 @@ def _write_csv(path, header, rows):
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
-def _order_column(errors):
-    """log2 ratios between consecutive rows; blank for the first."""
-    return [""] + [f"{math.log2(prev / cur):.3f}" if prev > 0 and cur > 0 else ""
+# converge leaves an order blank where both relative errors are below 100
+# ulp: a ratio of two roundoff errors is noise, not a convergence order
+_ORDER_FLOOR = 100.0 * sys.float_info.epsilon
+
+
+def _order_column(errors, floor=0.0):
+    """log2 ratios between consecutive rows; blank for the first and where
+    an error is not positive or both are below floor."""
+    return [""] + [f"{math.log2(prev / cur):.3f}"
+                   if prev > 0 and cur > 0 and max(prev, cur) >= floor else ""
                    for prev, cur in zip(errors, errors[1:])]
 
 
@@ -378,7 +385,7 @@ def cmd_converge(v, out, seed):
     rows = convergence_study(p0, data, q, oracle(q), specs, kind=v["kind"],
                              n=v["valence"])
     errors = [r["error"] for r in rows]
-    orders = _order_column(errors)
+    orders = _order_column(errors, _ORDER_FLOOR)
     table = [[r["n_theta"], r["n_phi"], repr(r["error"]), o]
              for r, o in zip(rows, orders)]
     _write_csv(out, ["n_theta", "n_phi", "rel_error", "order"], table)

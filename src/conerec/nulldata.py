@@ -26,7 +26,7 @@ import numpy as np
 from . import cone
 from .errors import ConfigError, CoverageError
 from .cone import ConeSection, SphereGrid, TangentialDerivatives
-from .spinor import ETA, from_matrix, lower_comps
+from .spinor import from_matrix, lower_comps
 from .tables import (_REQUIRED, _Key, _as_finite, _as_kind, _as_object, _check, _count,
                      _finite_json, _list_of, _literal, _number, _read)
 
@@ -233,8 +233,8 @@ def _mbar_coefficients(section: ConeSection, td: TangentialDerivatives):
     t_th, t_ph, g11, g12, g22, det = cone.section_tangents(section, td)
     mbar = np.conj(from_matrix(np.einsum("ni,nj->nij", section.o,
                                          section.iota.conj())))
-    b1 = -np.einsum("ni,ij,nj->n", t_th, ETA, mbar)
-    b2 = -np.einsum("ni,ij,nj->n", t_ph, ETA, mbar)
+    b1 = cone.minus_eta(t_th, mbar)
+    b2 = cone.minus_eta(t_ph, mbar)
     a = (g22 * b1 - g12 * b2) / det
     b = (g11 * b2 - g12 * b1) / det
     return a, b

@@ -12,6 +12,7 @@ standard spin basis at q.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -73,14 +74,25 @@ def _rho_coefficient(n: int, spec: QuadratureSpec) -> float:
     return float(n + 1 if spec.rho_variant == "penrose" else n)
 
 
+@functools.lru_cache(maxsize=4)
+def _ones(size: int) -> np.ndarray:
+    """A read-only complex ones vector of the given length."""
+    ones = np.ones(size, dtype=complex)
+    ones.flags.writeable = False
+    return ones
+
+
 def _component_sum(scal, iota_up, n: int):
     """phi_0 .. phi_n in the standard basis at q of sum_x scal[x] iota_A(x)
     ... iota_F(x): phi_j = sum_x scal[x] a^(n-j) b^j with (a, b) = iota_A,
-    the powers built by repeated products."""
+    the powers built by repeated products, those of b from a contiguous
+    copy of b.  Each phi_j is a dot product, phi_0 one with a cached ones
+    vector, so all of them sum in the one BLAS order."""
     a, b = lower_comps(iota_up).T
-    left, right = [scal], [np.ones_like(b)]
+    left, right = [scal], [_ones(len(b)), np.ascontiguousarray(b)]
     for _ in range(n):
         left.append(left[-1] * a)
+    for _ in range(n - 1):
         right.append(right[-1] * b)
     return np.array([left[n - j] @ right[j] for j in range(n + 1)])
 

@@ -233,7 +233,8 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0, jacobi: bool = 
         "picard_iterations": shot.iterations, "picard_update": shot.update})
 
 
-def _connect(chart: CurvedChart, p, q, max_iter: int = 60, v=None, chord=None):
+def _connect(chart: CurvedChart, p, q, max_iter: int = 60, v=None, chord=None,
+             near: Optional[GeodesicPath] = None):
     """[0, 1]-affine initial velocities of the geodesics from p to q.
 
     p and q are (B, 4) rows of point pairs.  Fixed-point iteration with
@@ -243,10 +244,15 @@ def _connect(chart: CurvedChart, p, q, max_iter: int = 60, v=None, chord=None):
     q - p, and chord, an inverse endpoint Jacobian, replaces the identity
     in that step.  Every pair iterates on its own:
     it stops once its residual is within 1e-13 of the point scale, and
-    growth of its residual halves its step.  A stuck pair raises.  Each
-    shoot after the first starts its Picard iteration from the previous
-    one's samples.  Returns v and the batch's work
-    counts: the last shoot's resolution, Picard iterations summed.
+    growth of its residual halves its step.  A stuck pair raises.
+    Each shoot after the first starts its Picard iteration from the
+    previous one's samples.  near, the Jacobi propagator J(s) of a [0, 1]
+    geodesic close to every pair, moves those samples to first order: the
+    first shoot starts from near's samples plus J(s) (p - near.x[0],
+    v - near.v[0]) on near's segments, and each later one from the
+    previous samples plus J(s)[:, 4:] times its velocity step, where its
+    segments are still near's.  Returns v and the batch's work counts:
+    the last shoot's resolution, Picard iterations summed.
     """
     chart.require_inside(p, "connection start")
     chart.require_inside(q, "connection target")
@@ -256,6 +262,18 @@ def _connect(chart: CurvedChart, p, q, max_iter: int = 60, v=None, chord=None):
     prev = np.full(len(p), math.inf)
     live = np.arange(len(p))
     iterations, guess = 0, None
+    if near is not None:
+        jacobi = near.jacobi.reshape(-1, 8)
+
+        def moved(x, u, delta):
+            """x and u (M, B, 4) at near's samples moved by J(s) delta, as a
+            guess; delta is (B, 8) over (p, v) or (B, 4) over v alone."""
+            shift = (jacobi[:, 8 - delta.shape[1]:] @ delta.T).reshape(len(near.s), 8, -1)
+            shift = shift.transpose(0, 2, 1)
+            return kernels.Shoot(near.s, [x + shift[..., :4], u + shift[..., 4:]], 0, 0.0)
+
+        guess = moved(near.x[:, None], near.v[:, None],
+                      np.concatenate([p - near.x[0], v - near.v[0]], axis=1))
     for it in range(1, max_iter + 1):
         path = geodesic_shoot(chart, p[live], v[live], 1.0, guess=guess)
         iterations += path.work["picard_iterations"]
@@ -269,8 +287,13 @@ def _connect(chart: CurvedChart, p, q, max_iter: int = 60, v=None, chord=None):
             return v, {"connect_iterations": it, "shoots": it, **path.work,
                        "picard_iterations": iterations,
                        "worst_connect_residual": float(np.max(prev))}
-        guess = kernels.Shoot(path.s, [path.x[:, going], path.v[:, going]], 0, 0.0)
-        v[live] -= res if chord is None else res @ chord.T
+        step = res if chord is None else res @ chord.T
+        v[live] -= step
+        x, u = path.x[:, going], path.v[:, going]
+        if near is not None and np.array_equal(path.s, near.s):
+            guess = moved(x, u, -step)
+        else:
+            guess = kernels.Shoot(path.s, [x, u], 0, 0.0)
     i = live[0]
     raise GeometryError(f"geodesic connection {p[i]} -> {q[i]} (pair {i}) did not "
                         f"converge (residual {prev[i]:.2e})")
@@ -290,7 +313,8 @@ def world_function(chart: CurvedChart, p, q, near: Optional[GeodesicPath] = None
     rows of points (either side may be a single point) give (B,) and
     (B, 4), all pairs connected together.  near, the Jacobi propagator of
     a [0, 1] geodesic close to every pair, seeds each connect with
-    v0 + X_v^{-1} (dq - X_p dp) and chord step X_v^{-1}; work, a dict,
+    v0 + X_v^{-1} (dq - X_p dp) and chord step X_v^{-1}, and each of its
+    shoots with near's samples moved by J(s) (_connect); work, a dict,
     receives the batch's work counts.
     """
     p = np.asarray(p, dtype=float)
@@ -301,7 +325,7 @@ def world_function(chart: CurvedChart, p, q, near: Optional[GeodesicPath] = None
     if near is not None:
         x_p, chord = near.jacobi[-1, :4, :4], _solve_xv(near.jacobi[-1], np.eye(4))
         v0 = near.v[0] + (q - near.x[-1] - (p - near.x[0]) @ x_p.T) @ chord.T
-    v, counts = _connect(chart, p, q, v=v0, chord=chord)
+    v, counts = _connect(chart, p, q, v=v0, chord=chord, near=near)
     if work is not None:
         work.update(counts, world_function_calls=1)
     om2 = chart.omega(p) ** 2

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import importlib
 import io
 import json
 import os
@@ -881,6 +882,31 @@ def test_converge_table(tmp_path):
     assert all(float(r["rel_error"]) < 1e-3 for r in rows)
 
 
+def test_converge_order_is_blank_where_both_errors_are_roundoff(tmp_path):
+    # valence 2 resolves to roundoff by 16x32: the default levels' errors
+    # are all within 100 ulp, where a log2 ratio reads noise as an order;
+    # a level whose error is above that floor keeps its order
+    floor = 100 * np.finfo(float).eps
+    cfg = {"p0": [0, 0, 0, 0], "q": [1.5, 0.4, 0.3, 0.2], "valence": 2,
+           "data": {"family": "plane-wave", "alpha": ALPHA}}
+    for name, levels in (("default", None), ("coarse", [[8, 16], [16, 32], [32, 64]])):
+        out = tmp_path / f"{name}.csv"
+        level_cfg = cfg if levels is None else {**cfg, "levels": levels}
+        assert _run("converge", _write(tmp_path, f"{name}.json", level_cfg), out) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        errors = [float(r["rel_error"]) for r in rows]
+        assert rows[0]["order"] == ""
+        for prev, cur, row in zip(errors, errors[1:], rows[1:]):
+            if max(prev, cur) < floor:
+                assert row["order"] == ""
+            else:
+                assert float(row["order"]) == pytest.approx(np.log2(prev / cur), abs=1e-3)
+        if levels is None:
+            assert max(errors) < floor and [r["order"] for r in rows] == ["", "", ""]
+        else:
+            assert errors[0] > floor and float(rows[1]["order"]) > 10.0 and rows[2]["order"] == ""
+
+
 def test_verify_all_suites_pass(tmp_path):
     cfg = {"cases": 200, "seed": 1}
     out = tmp_path / "vf.json"
@@ -1203,16 +1229,30 @@ def test_threads_flag(tmp_path):
                      str(tmp_path / "v2.json"), "--threads", "0"]) == 2
 
 
-def test_console_entry_point(tmp_path):
-    exe = shutil.which("conerec")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+def _console_script(name):
+    """The target of [project.scripts] name in the repository's
+    pyproject.toml, imported."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"][name]
+    module, _, attr = target.partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
+def test_console_entry_point(tmp_path, capsys):
+    # the installed script when it is on PATH, else the target pyproject.toml
+    # declares for it, run in process
     cfg_path = _write(tmp_path, "c.json", {"cases": 20, "suites": ["algebra"]})
-    proc = subprocess.run([exe, "verify", "--config", cfg_path,
-                           "--out", str(tmp_path / "vf.json")],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "algebra.clifford_relation" in proc.stdout
+    argv = ["verify", "--config", cfg_path, "--out", str(tmp_path / "vf.json")]
+    exe = shutil.which("conerec")
+    if exe is not None:
+        proc = subprocess.run([exe, *argv], capture_output=True, text=True)
+        code, stdout = proc.returncode, proc.stdout
+    else:
+        code = _console_script("conerec")(argv)
+        stdout = capsys.readouterr().out
+    assert code == 0
+    assert "algebra.clifford_relation" in stdout
 
 
 # -- property: every leaf of a full config, mutated, ends in a documented exit

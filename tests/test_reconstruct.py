@@ -539,3 +539,21 @@ def test_component_sum_matches_dense_tensor(monkeypatch, evaluator, n):
                               rec.components(ref.value)) < 1e-13
     assert abs(got.diagnostics["error_estimate"]
                - ref.diagnostics["error_estimate"]) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_component_sum_equals_the_powers_started_from_ones(n):
+    # the powers of b start from b itself and phi_0 dots a cached ones
+    # vector; each component must equal, bit for bit, the dot products of
+    # powers started from a fresh ones vector, so flat outputs stay put
+    from conerec.cone import SphereGrid, build_section
+    from conerec.spinor import lower_comps
+    section = build_section(P0, Q_POINTS[2], SphereGrid(24, 48))
+    scal = rng.standard_normal(section.n_nodes) + 1j * rng.standard_normal(section.n_nodes)
+    a, b = lower_comps(section.iota).T
+    left, right = [scal], [np.ones_like(b)]
+    for _ in range(n):
+        left.append(left[-1] * a)
+        right.append(right[-1] * b)
+    expect = np.array([left[n - j] @ right[j] for j in range(n + 1)])
+    assert np.array_equal(rec._component_sum(scal, section.iota, n), expect)

@@ -732,6 +732,45 @@ def test_seeded_van_vleck_equals_unseeded(profile):
                plain_work["worst_connect_residual"]) <= 1e-13 * 2.0
 
 
+@pytest.mark.parametrize("profile", ["gaussian", "sine"])
+def test_van_vleck_batch_starts_from_the_jacobi_shifted_propagator(profile, monkeypatch):
+    # the batch's first iterate is the propagator's samples moved by
+    # J(s) (v0 - v): first order in the steps h, so within 10 h^2 of the
+    # rows it converges to; seeded so, the batch takes fewer Picard
+    # iterations than seeded from the previous shoot's samples alone
+    chart = tr.make_chart("conformal", eps=1e-2, profile=profile)
+    q, prop = _ray_propagator(chart)
+    h = 2e-2
+    connect, calls = tr._connect, []
+
+    def recording(chart, p, q, **kwargs):
+        calls.append((p, q, dict(kwargs, v=kwargs["v"].copy())))
+        return connect(chart, p, q, **kwargs)
+
+    monkeypatch.setattr(tr, "_connect", recording)
+    tr.van_vleck_k(chart, q, WORKLOAD_P, h=h, propagator=prop)
+    (starts, targets, kwargs), = calls
+    assert kwargs["near"] is prop
+    shoot, guesses = tr.kernels.shoot_endpoint, []
+
+    def capturing(rhs, contains, y, s_end, nodes, guess=None):
+        guesses.append(guess)
+        return shoot(rhs, contains, y, s_end, nodes, guess=guess)
+
+    monkeypatch.setattr(tr.kernels, "shoot_endpoint", capturing)
+    v, seeded = connect(chart, starts, targets, v=kwargs["v"].copy(),
+                        chord=kwargs["chord"], near=prop)
+    first = guesses[0]
+    _, plain = connect(chart, starts, targets, v=kwargs["v"].copy(), chord=kwargs["chord"])
+    assert guesses[seeded["shoots"]] is None
+    assert seeded["picard_iterations"] < plain["picard_iterations"]
+    assert np.array_equal(first.s, prop.s)
+    rows = tr.geodesic_shoot(chart, starts, v, 1.0)
+    for got, converged in zip(first.y, (rows.x, rows.v)):
+        at = tr.kernels.interpolate(rows.s, converged, first.s)
+        assert np.max(np.abs(got - at)) <= 10.0 * h ** 2
+
+
 @pytest.mark.filterwarnings("error")
 def test_transport_k_rejects_a_non_finite_propagator(monkeypatch):
     # a flat chart connects in one shoot; a NaN derivative of the
