@@ -239,10 +239,14 @@ def _cone_data(src, p0, valence, kind, columns=1):
 
 # -- output writers ----------------------------------------------------------
 
-def _write_json(path, command, cfg, payload):
-    """Write the report as strict JSON; True when a non-finite value became null."""
-    doc = {"command": command, "config": cfg,
-           "meta": {"generated_at": _timestamp()}, **payload}
+def _write_json(path, command, cfg, payload, seed):
+    """Write the report as strict JSON; True when a non-finite value became null.
+    meta holds the run's provenance; only generated_at varies between runs."""
+    import numpy as np
+    from . import __version__, _backend
+    meta = {"generated_at": _timestamp(), "version": __version__,
+            "backend": _backend.BACKEND, "numpy": np.__version__, "seed": seed}
+    doc = {"command": command, "config": cfg, "meta": meta, **payload}
     found = []
     # json.dumps, not json.dump, so the C encoder writes the document; it
     # refuses a non-finite float, and only then is the report walked
@@ -329,7 +333,8 @@ def cmd_reconstruct(v, out, seed):
                 rec["within_tolerance"] = not _exceeds(err, tol)
                 failures += _exceeds(err, tol)
         records.append(rec)
-    non_finite = _write_json(out, "reconstruct", v["config"], {"records": records})
+    non_finite = _write_json(out, "reconstruct", v["config"], {"records": records},
+                             seed)
     print(f"reconstruct: {len(records)} records -> {out}"
           + (f" ({failures} above tolerance)" if failures else ""))
     return EXIT_CHECK if failures or non_finite else EXIT_OK
@@ -465,7 +470,8 @@ def cmd_curved_transport(v, out, seed):
         except GeometryError as exc:
             raise GeometryError(f"rays[{i}]: {exc}") from None
         records.append(rec)
-    non_finite = _write_json(out, "curved-transport", v["config"], {"records": records})
+    non_finite = _write_json(out, "curved-transport", v["config"], {"records": records},
+                             seed)
     print(f"curved-transport: {len(records)} rays, worst route spread "
           f"{worst_spread:.3e} -> {out}")
     return EXIT_CHECK if _exceeds(worst_spread, tol) or non_finite else EXIT_OK
@@ -657,7 +663,7 @@ def cmd_verify(v, out, seed):
               f"residual {residual:.3e}, threshold {threshold:.3e}")
     all_pass = all(c["passed"] for c in checks)
     non_finite = _write_json(out, "verify", v["config"],
-                             {"checks": checks, "all_pass": all_pass, "seed": seed})
+                             {"checks": checks, "all_pass": all_pass, "seed": seed}, seed)
     print(f"verify: {sum(c['passed'] for c in checks)}/{len(checks)} "
           f"checks passed -> {out}")
     return EXIT_OK if all_pass and not non_finite else EXIT_CHECK

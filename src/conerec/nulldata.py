@@ -16,8 +16,10 @@ charts.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -119,9 +121,13 @@ class ConeData:
                 raise ValueError(f"values must have shape {expect} + (ncomp,)")
             if self.values.ndim == 2:
                 self.values = self.values[:, :, None]
-            # every generator column at once, as real and imaginary parts
+            # every generator column at once, as real and imaginary parts; a
+            # finite sum proves every term finite without a full-size mask,
+            # and only a non-finite one (NaN, inf, or overflow) is scanned
             columns = self.values.reshape(expect[0], -1).view(float)
-            if not np.all(np.isfinite(columns)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = columns.sum()
+            if not np.isfinite(total) and not np.all(np.isfinite(columns)):
                 raise ValueError("values must be finite")
             self._moments = (_moment_matrix(self.r0_nodes) @ columns
                              ).view(complex).reshape(self.values.shape)
@@ -144,14 +150,18 @@ class ConeData:
     def _spline_eval(self, r0):
         # per-node Horner on the bracketing cubic piece, from its end values
         # y0, y1 and moments m0, m1; vectorized over nodes, one lookup for
-        # the value and its derivative
+        # the value and its derivative.  Row idx of node j is row
+        # idx * N + j of the (K * N, ncomp) views, gathered with one take.
         x = self.r0_nodes
         idx = np.clip(np.searchsorted(x, r0) - 1, 0, x.size - 2)
         h = (x[idx + 1] - x[idx])[:, None]
         dx = (r0 - x[idx])[:, None]
-        nodes = np.arange(r0.size)
-        y0, y1 = self.values[idx, nodes], self.values[idx + 1, nodes]
-        m0, m1 = self._moments[idx, nodes], self._moments[idx + 1, nodes]
+        n = r0.size
+        rows = idx * n + np.arange(n)
+        values = self.values.reshape(-1, self.values.shape[2])
+        moments = self._moments.reshape(values.shape)
+        y0, y1 = values.take(rows, axis=0), values.take(rows + n, axis=0)
+        m0, m1 = moments.take(rows, axis=0), moments.take(rows + n, axis=0)
         slope = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0
         return (y0 + dx * (slope + dx * (0.5 * m0 + dx * (m1 - m0) / (6.0 * h))),
                 slope + dx * (m0 + dx * (m1 - m0) / (2.0 * h)))
@@ -427,18 +437,32 @@ def save_cone_data(path: str, data: ConeData):
         **_V1_BLOB,
     }
     blob = np.ascontiguousarray(data.values.astype(_V1_BLOB["dtype"]))
-    with open(base + ".bin", "wb") as fh:
-        fh.write(blob.tobytes())
-    with open(base + ".json", "w") as fh:
-        json.dump(desc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(desc, indent=1, sort_keys=True) + "\n"
+    # each file is written under a temporary name, then replaces the old
+    # one: a reader that maps the old blob keeps its pages, and an
+    # interrupted save leaves the old pair in place
+    staged = {base + ".bin": blob.tobytes(), base + ".json": text.encode()}
+    tmp = {final: f"{final}.{os.getpid()}.tmp" for final in staged}
+    try:
+        for final, payload in staged.items():
+            with open(tmp[final], "wb") as fh:
+                fh.write(payload)
+        for final in staged:
+            os.replace(tmp[final], final)
+    finally:
+        for name in tmp.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
 
 
 def load_cone_data(path: str) -> ConeData:
     """Read data written by save_cone_data; path names the descriptor.
 
     Every key is read through _DESCRIPTOR; what is checked here spans
-    several keys or reads the blob.
+    several keys or reads the blob.  The blob is mapped read-only, not
+    copied: the data's values are a read-only view of the file, which
+    must not be rewritten in place while they are read (save_cone_data
+    replaces it).
     """
     base = path[:-5] if path.endswith(".json") else path
     with open(base + ".json") as fh:
@@ -455,9 +479,14 @@ def load_cone_data(path: str) -> ConeData:
     # blob before the grid is built
     shape = (len(d["r0_nodes"]), d["n_theta"] * d["n_phi"], ncomp)
     blob_path = os.path.join(os.path.dirname(base) or ".", d["blob"])
-    if os.path.getsize(blob_path) != 16 * math.prod(shape):
-        raise ConfigError("blob size does not match the descriptor")
-    raw = np.fromfile(blob_path, dtype=_V1_BLOB["dtype"])
+    with open(blob_path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != 16 * math.prod(shape):
+            raise ConfigError("blob size does not match the descriptor")
+        # read in place through a read-only mapping, not copied (an empty
+        # file cannot be mapped)
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+    raw = np.frombuffer(buf, dtype=_V1_BLOB["dtype"])
     grid = SphereGrid(d["n_theta"], d["n_phi"])
     try:    # ConeData's own scan is the one finiteness check of the blob
         return ConeData(valence, kind=kind, grid=grid, r0_nodes=d["r0_nodes"],

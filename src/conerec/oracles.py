@@ -140,7 +140,10 @@ def _cone_fn_pair(spec: PlaneWaveSpec, p0, node_values):
 
     def fn(r0, omega, o_up, iota_up):
         phase = k_p0 + np.asarray(r0, dtype=float) * kl(omega)
-        return node_values(o_up, iota_up, np.exp(1j * phase))
+        e = np.empty(phase.shape, dtype=complex)    # e^{i phase}, part by part
+        np.cos(phase, out=e.real)
+        np.sin(phase, out=e.imag)
+        return node_values(o_up, iota_up, e)
 
     def fn_dr0(r0, omega, o_up, iota_up, values):
         return 1j * kl(omega)[..., None] * values

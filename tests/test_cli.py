@@ -1203,6 +1203,26 @@ def test_repeated_runs_identical(tmp_path, command, cfg, suffix):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("reconstruct", _rec_config(quadrature={"n_theta": 8, "n_phi": 16}, tolerance=1e-2)),
+    ("verify", {"cases": 10, "suites": ["algebra"]}),
+    ("curved-transport", _TRANSPORT),
+])
+def test_meta_holds_deterministic_provenance(tmp_path, command, cfg):
+    from conerec import __version__, _backend
+    cfg_path = _write(tmp_path, "c.json", cfg)
+    metas = []
+    for tag in ("a", "b"):
+        out = tmp_path / f"{tag}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([command, "--config", cfg_path, "--out", str(out), "--seed", "5"]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta.pop("generated_at")
+        metas.append(meta)
+    assert metas[0] == metas[1] == {"version": __version__, "backend": _backend.BACKEND,
+                                    "numpy": np.__version__, "seed": 5}
+
+
 def test_cli_imports_no_numpy():
     # --threads pins the BLAS pool in the environment, which only works
     # if numpy loads after the arguments are parsed

@@ -12,6 +12,7 @@ import pytest
 from conerec import nulldata as nd
 from conerec import oracles as orc
 from conerec.cone import SphereGrid, build_section, spin_basis_field, unit_directions
+from conerec.errors import ConfigError
 from conerec.nulldata import ConeData, WeightedScalarField, eth_prime
 from conerec.spinor import ETA, lower_comps, raise_comps
 
@@ -259,14 +260,19 @@ def test_grid_data_rejects_non_finite_input(bad, key):
         ConeData(1, grid=grid, **args)
 
 
+def _src_env():
+    """The environment with this package's source tree first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(nd.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def test_cli_and_library_import_without_scipy():
     code = ("import sys; import conerec.cli, conerec.reconstruct, conerec.nulldata, "
             "conerec.transport, conerec.oracles; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(nd.__file__))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"
 
@@ -473,6 +479,130 @@ def test_save_load_round_trip(tmp_path):
     assert back.grid.n_theta == 12 and back.grid.n_phi == 24
     sec = build_section(P0, np.array([1.0, 0.0, 0.0, 0.0]), grid)
     assert np.array_equal(back.evaluate_on(sec)[0], data.evaluate_on(sec)[0])
+
+
+def test_loaded_values_are_a_read_only_view_of_the_file(tmp_path):
+    data = _grid_sample(_spec(1), SphereGrid(8, 16), np.linspace(0.2, 1.0, 5))
+    path = os.path.join(tmp_path, "wave")
+    nd.save_cone_data(path, data)
+    back = nd.load_cone_data(path + ".json")
+    assert not back.values.flags.writeable
+    assert not back.values.flags.owndata
+    with pytest.raises(ValueError):
+        back.values[0, 0, 0] = 0.0
+
+
+def _saved_blob(tmp_path, blob):
+    """A one-component 8x16 spin file of 4 nodes whose blob holds `blob`."""
+    path = os.path.join(tmp_path, "wave")
+    nd.save_cone_data(path, ConeData(1, grid=SphereGrid(8, 16), values=np.ones((4, 128)),
+                                     r0_nodes=np.linspace(100.0, 400.0, 4)))
+    np.asarray(blob, dtype="<c16").tofile(path + ".bin")
+    return path + ".json"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_blob_is_refused_naming_the_blob(tmp_path, value):
+    blob = np.ones(4 * 128, dtype=complex)
+    blob[77] = complex(0.0, value)
+    with pytest.raises(ConfigError, match="blob 'wave.bin'.*values must be finite"):
+        nd.load_cone_data(_saved_blob(tmp_path, blob))
+
+
+def test_finite_blob_whose_sum_overflows_loads(tmp_path):
+    # the finiteness scan starts from the sum of the blob; an overflowing
+    # sum of finite terms must not read as a non-finite value
+    blob = 1e308 * (1 + 1j) * np.resize([1.0, 1.0, -1.0], 4 * 128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(blob.view(float).sum())
+    back = nd.load_cone_data(_saved_blob(tmp_path, blob))
+    assert np.array_equal(back.values.ravel(), blob)
+    assert np.all(np.isfinite(back._moments))
+
+
+def _spline_reference(data, r0):
+    """(values, d/dr0) of grid data by per-node fancy indexing, with the
+    arithmetic of ConeData._spline_eval."""
+    x = data.r0_nodes
+    idx = np.clip(np.searchsorted(x, r0) - 1, 0, x.size - 2)
+    h = (x[idx + 1] - x[idx])[:, None]
+    dx = (r0 - x[idx])[:, None]
+    nodes = np.arange(r0.size)
+    y0, y1 = data.values[idx, nodes], data.values[idx + 1, nodes]
+    m0, m1 = data._moments[idx, nodes], data._moments[idx + 1, nodes]
+    slope = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0
+    return (y0 + dx * (slope + dx * (0.5 * m0 + dx * (m1 - m0) / (6.0 * h))),
+            slope + dx * (m0 + dx * (m1 - m0) / (2.0 * h)))
+
+
+@pytest.mark.parametrize("kind", ["spin", "dirac"])
+def test_mapped_file_evaluates_like_copied_values(tmp_path, kind):
+    grid = SphereGrid(12, 24)
+    th, ph, _, ch = grid.angles()
+    o_up, iota_up = spin_basis_field(th, ph, ch)
+    om = unit_directions(th, ph)
+    spec = _spec(1 if kind == "dirac" else 2)
+    fn = (orc.plane_wave_dirac_cone_fn(spec, P0, 0.7) if kind == "dirac"
+          else orc.plane_wave_cone_fn(spec, P0, columns=1))[0]
+    r0_nodes = np.linspace(0.2, 1.6, 11)
+    vals = np.stack([fn(np.full(th.size, r), om, o_up, iota_up) for r in r0_nodes])
+    path = os.path.join(tmp_path, "wave")
+    nd.save_cone_data(path, ConeData(spec.n, kind=kind, grid=grid, r0_nodes=r0_nodes,
+                                     values=vals))
+    mapped = nd.load_cone_data(path + ".json")
+    copied = ConeData(spec.n, kind=kind, grid=grid, r0_nodes=r0_nodes,
+                      values=np.fromfile(path + ".bin", dtype="<c16").reshape(vals.shape))
+    for q in ([1.0, 0.0, 0.0, 0.0], [1.5, 0.4, -0.3, 0.2], [2.0, 0.1, 0.2, 0.9]):
+        sec = build_section(P0, np.array(q), grid)
+        got = mapped.evaluate_on(sec)
+        for want in (copied.evaluate_on(sec), _spline_reference(copied, sec.r0)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_save_replaces_files_under_a_reader_that_maps_them(tmp_path):
+    # a mapping of a blob truncated in place would read the new data (or
+    # fault past its end); a replaced blob keeps the reader's pages.  Run
+    # apart, so a fault cannot take the test process with it.
+    code = """if True:
+        import os, sys
+        import numpy as np
+        from conerec import nulldata as nd
+        from conerec.cone import SphereGrid, build_section
+        path = os.path.join(sys.argv[1], "wave")
+        grid = SphereGrid(8, 16)
+        r0_nodes = np.linspace(0.2, 1.0, 5)
+        vals = np.arange(5 * 128, dtype=float).reshape(5, 128) * (1 + 0.5j)
+        nd.save_cone_data(path, nd.ConeData(1, grid=grid, r0_nodes=r0_nodes, values=vals))
+        first = nd.load_cone_data(path + ".json")
+        sec = build_section(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), grid)
+        before = first.evaluate_on(sec)
+        nd.save_cone_data(path, nd.ConeData(1, grid=grid, r0_nodes=r0_nodes, values=-vals))
+        after = first.evaluate_on(sec)
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
+        assert np.array_equal(first.values[..., 0], vals)
+        assert np.array_equal(nd.load_cone_data(path + ".json").values[..., 0], -vals)
+        print(sorted(os.listdir(sys.argv[1])))
+    """
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=_src_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['wave.bin', 'wave.json']"
+
+
+def test_interrupted_save_leaves_the_old_pair(tmp_path, monkeypatch):
+    data = _grid_sample(_spec(1), SphereGrid(8, 16), np.linspace(0.2, 1.0, 5))
+    path = os.path.join(tmp_path, "wave")
+    nd.save_cone_data(path, data)
+    old = {name: (tmp_path / name).read_bytes() for name in ("wave.bin", "wave.json")}
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(nd.os, "replace", fail)
+    other = ConeData(1, grid=data.grid, r0_nodes=data.r0_nodes + 0.1, values=2 * data.values)
+    with pytest.raises(OSError, match="disk full"):
+        nd.save_cone_data(path, other)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
 
 def test_descriptor_keeps_the_two_chart_grid_literals(tmp_path):
