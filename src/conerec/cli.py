@@ -244,8 +244,13 @@ def _write_json(path, command, cfg, payload, seed):
     meta holds the run's provenance; only generated_at varies between runs."""
     import numpy as np
     from . import __version__, _backend
+    # the BLAS pool pin: the one positive integer all of _THREAD_VARS hold
+    # (main puts --threads there), else null
+    pins = {os.environ.get(var, "") for var in _THREAD_VARS}
+    pin = pins.pop() if len(pins) == 1 else ""
     meta = {"generated_at": _timestamp(), "version": __version__,
-            "backend": _backend.BACKEND, "numpy": np.__version__, "seed": seed}
+            "backend": _backend.BACKEND, "numpy": np.__version__, "seed": seed,
+            "threads": int(pin) if pin.isdecimal() and int(pin) > 0 else None}
     doc = {"command": command, "config": cfg, "meta": meta, **payload}
     found = []
     # json.dumps, not json.dump, so the C encoder writes the document; it

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError
-from .spinor import EPS, minkowski, to_matrix
+from .spinor import EPS, to_matrix
 
 TWO_QUART = 2.0 ** 0.25
 # Largest n_theta and n_phi a config or a data file may set: the
@@ -38,7 +38,7 @@ def _grid_tables(n_theta, n_phi):
     """Angle-only tables of one grid size, shared by every grid built with it.
 
     Returns the ring arrays (theta, w_theta, phi, chart) and the flattened
-    node arrays, ring-major (theta, phi, weight, chart, omega, o).  The
+    node arrays, ring-major (theta, phi, weight, chart, omega, o, obar).  The
     Gauss-Legendre rings increase in colatitude from the north pole, and
     the rings past the equator take chart B.  All arrays are read-only, so
     no caller can change what the next grid of the same size sees.
@@ -54,7 +54,7 @@ def _grid_tables(n_theta, n_phi):
     ch = np.repeat(chart, n_phi)
     omega = unit_directions(th, ph)
     o, _ = spin_basis_field(th, ph, ch)
-    tables = (theta, w_theta, phi, chart, th, ph, wt, ch, omega, o)
+    tables = (theta, w_theta, phi, chart, th, ph, wt, ch, omega, o, o.conj())
     for arr in tables:
         arr.flags.writeable = False
     return tables
@@ -65,8 +65,8 @@ class SphereGrid:
     """Product quadrature grid: Gauss-Legendre in cos(theta) x trapezoid in phi.
 
     Chart A covers the northern rings and chart B the southern ones, so
-    the grid covers the whole sphere.  The arrays are shared between grids
-    of the same (n_theta, n_phi) and are read-only.
+    the grid covers the whole sphere.  The arrays, obar = conj(o) at the
+    nodes among them, are shared between grids of one size and read-only.
     """
 
     n_theta: int
@@ -75,6 +75,7 @@ class SphereGrid:
     w_theta: np.ndarray = field(init=False)
     phi: np.ndarray = field(init=False)
     chart: np.ndarray = field(init=False)    # 0 = chart A, 1 = chart B, per ring
+    obar: np.ndarray = field(init=False, repr=False, compare=False)
     _nodes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,7 +85,7 @@ class SphereGrid:
             raise ValueError("n_theta must be at least 4")
         tables = _grid_tables(self.n_theta, self.n_phi)
         self.theta, self.w_theta, self.phi, self.chart = tables[:4]
-        self._nodes = tables[4:]
+        self._nodes, self.obar = tables[4:10], tables[10]
 
     def angles(self):
         """Flattened (theta, phi, weight, chart) node arrays, ring-major."""
@@ -145,10 +146,11 @@ class ConeSection:
     """sigma(q) sampled over a sphere grid of generator directions.
 
     Per-node arrays (flattened ring-major): omega, r0, r, the spin frame
-    (o, iota), rho and the geometric area element mu_sigma, which are all
-    the flat evaluator reads.  The points p, the null legs (l, n) and the
-    Leray weight mu_leray = mu_sigma / (4 r0 r) are derived when first
-    read and then kept.
+    (o, iota) and the geometric area element mu_sigma, which are all the
+    flat evaluator reads; omega and o are the grid's own tables, so data
+    callbacks compute direction-only factors once per grid.  The points
+    p, the null legs (l, n), rho = -1/r0 and the Leray weight mu_leray =
+    mu_sigma / (4 r0 r) are derived when first read and then kept.
     """
 
     p0: np.ndarray
@@ -163,7 +165,6 @@ class ConeSection:
     r: np.ndarray
     o: np.ndarray
     iota: np.ndarray
-    rho: np.ndarray
     mu_sigma: np.ndarray
 
     @property
@@ -186,13 +187,14 @@ class ConeSection:
         return (self.q[None, :] - self.p) / self.r[:, None]
 
     @functools.cached_property
+    def rho(self):
+        """Spin coefficient rho = -1/r0, complex (N,)."""
+        return (-1.0 / self.r0).astype(complex)
+
+    @functools.cached_property
     def mu_leray(self):
         """Leray weights mu_sigma / (4 r0 r), (N,)."""
         return self.mu_sigma / (4.0 * self.r0 * self.r)
-
-
-def _section_scale(p0, q):
-    return max(1.0, float(np.max(np.abs(q - p0))))
 
 
 def build_section(p0, q, grid: SphereGrid) -> ConeSection:
@@ -209,26 +211,26 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     p0 = np.asarray(p0, dtype=float)
     q = np.asarray(q, dtype=float)
     dq = q - p0
-    gamma0 = float(minkowski(dq, dq).real)
-    scale = _section_scale(p0, q)
+    t, x = dq[0], dq[1:]
+    gamma0 = float(t * t - x[0] * x[0] - x[1] * x[1] - x[2] * x[2])
+    scale = max(1.0, float(np.max(np.abs(dq))))
     if dq[0] <= 0 or gamma0 < 1e-8 * scale ** 2:
         raise GeometryError("q must lie strictly inside the future cone of p0 "
                          f"(interval {gamma0:.3e}, dt {dq[0]:.3e})")
     theta, phi, quad_w, chart = grid.angles()
     omega, o = grid.directions()
-    t, x = dq[0], dq[1:]
     r = t - omega @ x
     if np.any(r <= 0):
         raise GeometryError("section extends behind the evaluation point")
     r0 = gamma0 / (2.0 * r)
     # obar_{A'} = obar^{B'} eps_{B'A'}, with eps folded into the chord's
-    # 2x2 matrix; the reciprocals are taken in floating point, not complex
-    iota = (o.conj() @ (EPS @ to_matrix(dq).T)) * (1.0 / r)[:, None]
-    rho = (-1.0 / r0).astype(complex)
+    # 2x2 matrix; the reciprocals are taken in floating point and cast
+    # once, since a real operand sends the product through a casting loop
+    iota = (grid.obar @ (EPS @ to_matrix(dq).T)) * (1.0 / r).astype(complex)[:, None]
     mu_sigma = quad_w * r0 ** 2
     return ConeSection(p0=p0, q=q, grid=grid, theta=theta, phi=phi,
                        quad_w=quad_w, chart=chart, omega=omega, r0=r0, r=r,
-                       o=o, iota=iota, rho=rho, mu_sigma=mu_sigma)
+                       o=o, iota=iota, mu_sigma=mu_sigma)
 
 
 def section_tangents(section: ConeSection, td: TangentialDerivatives):

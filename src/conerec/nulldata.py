@@ -163,8 +163,9 @@ class ConeData:
         y0, y1 = values.take(rows, axis=0), values.take(rows + n, axis=0)
         m0, m1 = moments.take(rows, axis=0), moments.take(rows + n, axis=0)
         slope = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0
-        return (y0 + dx * (slope + dx * (0.5 * m0 + dx * (m1 - m0) / (6.0 * h))),
-                slope + dx * (m0 + dx * (m1 - m0) / (2.0 * h)))
+        curv = dx * (m1 - m0)
+        return (y0 + dx * (slope + dx * (0.5 * m0 + curv / (6.0 * h))),
+                slope + dx * (m0 + curv / (2.0 * h)))
 
     def evaluate(self, r0, omega, o_up, iota_up):
         """(values, d/dr0) of every component at (r0, omega) in the supplied

@@ -124,6 +124,24 @@ def _column_powers(o_up, iota_up, alpha, n, columns):
     return np.stack([left[n - j] * right[j] for j in range(columns)], axis=-1)
 
 
+class _PerGrid:
+    """f(arr), kept for the last two read-only arrays that own their data (a
+    grid's tables: a level's and its half level's), held and matched by
+    identity; an array that can change gets f afresh on every call."""
+
+    def __init__(self, f):
+        self.f, self.entries = f, []
+
+    def __call__(self, arr):
+        if not isinstance(arr, np.ndarray) or arr.flags.writeable or arr.base is not None:
+            return self.f(arr)
+        value = next((v for key, v in self.entries if key is arr), None)
+        if value is None:
+            value = self.f(arr)
+            self.entries = [*self.entries[-1:], (arr, value)]
+        return value
+
+
 def _cone_fn_pair(spec: PlaneWaveSpec, p0, node_values):
     """(fn, fn_dr0) of a plane wave on C+(p0) with values node_values(o_up,
     iota_up, e), e = e^{i eta(k, x)} at x = p0 + r0 l, l = (1, omega), the
@@ -131,12 +149,12 @@ def _cone_fn_pair(spec: PlaneWaveSpec, p0, node_values):
     fn_dr0(r0, omega, o_up, iota_up, values) is handed the values fn
     returned there and evaluates nothing again: d/dr0 at fixed direction
     multiplies them by i eta(k, l), exactly, as the node frame does not
-    depend on r0."""
+    depend on r0.  eta(k, l), i eta(k, l) and node_values' direction-only
+    factors are computed once per grid (_PerGrid: two entries at most)."""
     k_low = ETA @ spec.k
     k_p0 = spec.phase(np.asarray(p0, dtype=float))
-
-    def kl(omega):
-        return k_low[0] + np.asarray(omega) @ k_low[1:]
+    kl = _PerGrid(lambda omega: k_low[0] + np.asarray(omega) @ k_low[1:])
+    ikl = _PerGrid(lambda omega: 1j * kl(omega)[..., None])
 
     def fn(r0, omega, o_up, iota_up):
         phase = k_p0 + np.asarray(r0, dtype=float) * kl(omega)
@@ -146,7 +164,7 @@ def _cone_fn_pair(spec: PlaneWaveSpec, p0, node_values):
         return node_values(o_up, iota_up, e)
 
     def fn_dr0(r0, omega, o_up, iota_up, values):
-        return 1j * kl(omega)[..., None] * values
+        return ikl(omega) * values
 
     return fn, fn_dr0
 
@@ -165,8 +183,11 @@ def plane_wave_cone_fn(spec: PlaneWaveSpec, p0, columns=None):
     if not 1 <= columns <= spec.n + 1:
         raise ValueError(f"columns must be between 1 and {spec.n + 1}, got {columns}")
 
+    powers = _PerGrid(lambda o_up: _column_powers(o_up, None, spec.alpha, spec.n, 1))
+
     def node_values(o_up, iota_up, e):
-        comps = _column_powers(o_up, iota_up, spec.alpha, spec.n, columns)
+        comps = (powers(o_up) if columns == 1     # (o.alpha)^n reads no iota
+                 else _column_powers(o_up, iota_up, spec.alpha, spec.n, columns))
         return comps * (spec.amplitude * e)[..., None]
 
     return _cone_fn_pair(spec, p0, node_values)
@@ -182,11 +203,12 @@ def plane_wave_dirac_cone_fn(spec: PlaneWaveSpec, p0, psi_amplitude=1.0):
     if spec.n != 1:
         raise ValueError("the Dirac pairing needs a valence-1 spec")
     psi_const = psi_amplitude * np.conj(raise_comps(spec.alpha))
+    factors = _PerGrid(lambda o_up: np.stack([
+        spec.amplitude * (np.asarray(o_up) @ spec.alpha),
+        lower_comps(np.conj(np.asarray(o_up))) @ psi_const], axis=-1))
 
     def node_values(o_up, iota_up, e):
-        zeta0 = spec.amplitude * (np.asarray(o_up) @ spec.alpha) * e
-        xi1 = (lower_comps(np.conj(np.asarray(o_up))) @ psi_const) * e
-        return np.stack([zeta0, xi1], axis=-1)
+        return factors(o_up) * e[..., None]
 
     return _cone_fn_pair(spec, p0, node_values)
 

@@ -22,7 +22,7 @@ from .cone import SphereGrid, build_section
 from .errors import GeometryError
 from .frames import transversal_iota
 from .nulldata import ConeData
-from .spinor import DiracSpinorValue, SymSpinorValue, lower_comps
+from .spinor import DiracSpinorValue, SymSpinorValue
 
 __all__ = ["QuadratureSpec", "ReconstructionResult", "reconstruct_dirac",
            "reconstruct_spin_n", "reconstruct_curved_singular",
@@ -84,12 +84,12 @@ def _ones(size: int) -> np.ndarray:
 
 def _component_sum(scal, iota_up, n: int):
     """phi_0 .. phi_n in the standard basis at q of sum_x scal[x] iota_A(x)
-    ... iota_F(x): phi_j = sum_x scal[x] a^(n-j) b^j with (a, b) = iota_A,
-    the powers built by repeated products, those of b from a contiguous
-    copy of b.  Each phi_j is a dot product, phi_0 one with a cached ones
-    vector, so all of them sum in the one BLAS order."""
-    a, b = lower_comps(iota_up).T
-    left, right = [scal], [_ones(len(b)), np.ascontiguousarray(b)]
+    ... iota_F(x): phi_j = sum_x scal[x] a^(n-j) b^j with (a, b) = iota_A
+    = (-iota^1, iota^0), the powers built by repeated products from
+    contiguous a and b.  Each phi_j is a dot product, phi_0 one with a
+    cached ones vector, so all of them sum in the one BLAS order."""
+    a, b = -iota_up[:, 1], np.ascontiguousarray(iota_up[:, 0])
+    left, right = [scal], [_ones(len(b)), b]
     for _ in range(n):
         left.append(left[-1] * a)
     for _ in range(n - 1):
@@ -108,17 +108,18 @@ def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
     """Components at q, node count, {}: phi_0 .. phi_n for spin data,
     phi_A (lower) then psi^{A'} (upper) for the Dirac pair.  Per data
     column the integrand scalar on sigma(q) is
-    (d/dr0 - (n+1) rho) phi mu_sigma / (2 pi r)."""
+    (d/dr0 - (n+1) rho) phi mu_sigma / (2 pi r), rho = -1/r0."""
     section = build_section(p0, q, spec.grid())
     vals, dvals = data.evaluate_on(section)
     coeff = _rho_coefficient(n, spec)
     w = section.mu_sigma / (2.0 * math.pi * section.r)
-    scal = (dvals - coeff * section.rho[:, None] * vals) * w[:, None]
+    scal = (dvals - (coeff * (-1.0 / section.r0))[:, None] * vals) * w[:, None]
     if data.kind == "dirac":
         comps = np.concatenate([_component_sum(-scal[:, 0], section.iota, 1),
                                 scal[:, 1] @ np.conj(section.iota)])
     else:
-        comps = _component_sum(scal[:, 0] * (-1.0) ** n, section.iota, n)
+        phi0 = scal[:, 0] * -1.0 if n % 2 else np.ascontiguousarray(scal[:, 0])
+        comps = _component_sum(phi0, section.iota, n)
     return comps, section.n_nodes, {}
 
 
@@ -128,9 +129,9 @@ def _evaluate(quadrature, data: ConeData, q, spec: QuadratureSpec):
     largest component difference against a half-resolution run, None when
     no coarser evaluation exists (spec at the floor, or grid-bound data)."""
     comps, n_nodes, extras = quadrature(spec)
-    estimate = None
-    if spec.halved() != spec and data.is_analytic:
-        coarse, _, _ = quadrature(spec.halved())
+    estimate, half = None, spec.halved()
+    if half != spec and data.is_analytic:
+        coarse, _, _ = quadrature(half)
         estimate = float(np.max(np.abs(comps - coarse)))
     diagnostics = {"n_nodes": int(n_nodes), "error_estimate": estimate, **extras}
     value = (DiracSpinorValue(comps[:2], comps[2:]) if data.kind == "dirac"

@@ -118,11 +118,6 @@ def lower_matrix(m: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,ik,jl->...kl", np.asarray(m, dtype=complex), EPS, EPS)
 
 
-def minkowski(u, v) -> complex:
-    """eta_{ab} u^a v^b."""
-    return np.einsum("...a,ab,...b->...", np.asarray(u), ETA, np.asarray(v))
-
-
 def symplectic_pairing(phi, psi, zeta, xi):
     """(u, v) = phi_A zeta^A + psi^{A'} xi_{A'} for u = (phi, psi), v = (zeta, xi).
 

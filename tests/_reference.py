@@ -10,8 +10,9 @@ the null-norm drift and the eikonal identity audit geodesics and the
 world function, the classical RK4 integrator the Chebyshev-Picard
 kernel replaced integrates the tensor forms of the propagator and the
 frame those are checked against, two-level Richardson differences
-audit exact and spline derivatives, and Lagrange stencil weights built
-ring by ring audit the closed-form theta-derivative matrix.
+audit exact and spline derivatives, the spline formula written out
+term by term audits the grid-data lookup, and Lagrange stencil weights
+built ring by ring audit the closed-form theta-derivative matrix.
 """
 
 import itertools
@@ -20,12 +21,17 @@ import math
 import numpy as np
 
 from conerec import cone, transport
-from conerec.spinor import ETA, SymSpinorValue, lower_comps, minkowski, to_matrix
+from conerec.spinor import ETA, SymSpinorValue, lower_comps, to_matrix
 
 # Largest valence of the dense (2,)*n tensor helpers.
 MAX_VALENCE = 6
 
 _ETA_SIGN = np.diag(ETA)
+
+
+def minkowski(u, v):
+    """eta_{ab} u^a v^b over a trailing component axis."""
+    return np.einsum("...a,ab,...b->...", np.asarray(u), ETA, np.asarray(v))
 
 
 def _sym_tensor_check(t: np.ndarray, n: int):
@@ -241,6 +247,22 @@ def richardson_dr0(values_at, r0, h):
         return (values_at(r0 + step) - values_at(r0 - step)) / (2.0 * step[..., None])
 
     return richardson(central, h)
+
+
+def spline_eval(data, r0):
+    """(values, d/dr0) of grid data at per-node radii r0 by per-node fancy
+    indexing, the cubic piece written out term by term, with dx (m1 - m0)
+    formed apart in the value and in the derivative."""
+    x = data.r0_nodes
+    idx = np.clip(np.searchsorted(x, r0) - 1, 0, x.size - 2)
+    h = (x[idx + 1] - x[idx])[:, None]
+    dx = (r0 - x[idx])[:, None]
+    nodes = np.arange(r0.size)
+    y0, y1 = data.values[idx, nodes], data.values[idx + 1, nodes]
+    m0, m1 = data._moments[idx, nodes], data._moments[idx + 1, nodes]
+    slope = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0
+    return (y0 + dx * (slope + dx * (0.5 * m0 + dx * (m1 - m0) / (6.0 * h))),
+            slope + dx * (m0 + dx * (m1 - m0) / (2.0 * h)))
 
 
 def _lagrange_deriv_weights(nodes, x0):

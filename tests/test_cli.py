@@ -1208,8 +1208,10 @@ def test_repeated_runs_identical(tmp_path, command, cfg, suffix):
     ("verify", {"cases": 10, "suites": ["algebra"]}),
     ("curved-transport", _TRANSPORT),
 ])
-def test_meta_holds_deterministic_provenance(tmp_path, command, cfg):
+def test_meta_holds_deterministic_provenance(tmp_path, monkeypatch, command, cfg):
     from conerec import __version__, _backend
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "1")
     cfg_path = _write(tmp_path, "c.json", cfg)
     metas = []
     for tag in ("a", "b"):
@@ -1220,7 +1222,31 @@ def test_meta_holds_deterministic_provenance(tmp_path, command, cfg):
         assert meta.pop("generated_at")
         metas.append(meta)
     assert metas[0] == metas[1] == {"version": __version__, "backend": _backend.BACKEND,
-                                    "numpy": np.__version__, "seed": 5}
+                                    "numpy": np.__version__, "seed": 5, "threads": 1}
+
+
+@pytest.mark.parametrize("env, flag, want", [
+    ({}, ["--threads", "3"], 3),
+    (dict.fromkeys(cli._THREAD_VARS, "2"), ["--threads", "3"], 3),
+    (dict.fromkeys(cli._THREAD_VARS, "2"), [], 2),
+    ({**dict.fromkeys(cli._THREAD_VARS, "2"), "MKL_NUM_THREADS": "4"}, [], None),
+    (dict.fromkeys(cli._THREAD_VARS[1:], "2"), [], None),
+    (dict.fromkeys(cli._THREAD_VARS, "two"), [], None),
+    (dict.fromkeys(cli._THREAD_VARS, "0"), [], None),
+    ({}, [], None),
+])
+def test_meta_threads_is_the_pin_of_the_run(tmp_path, monkeypatch, env, flag, want):
+    # --threads wins; else the five variables' common value; else null
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "")      # restored after the test, as --threads sets them
+        monkeypatch.delenv(var)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cfg_path = _write(tmp_path, "c.json", {"cases": 10, "suites": ["algebra"]})
+    out = tmp_path / "v.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(out), *flag]) == 0
+    assert json.loads(out.read_text())["meta"]["threads"] == want
 
 
 def test_cli_imports_no_numpy():

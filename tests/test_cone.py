@@ -5,10 +5,10 @@ import pytest
 
 from conerec import cone
 from conerec.frames import NPFrame, transversal_iota
-from conerec.spinor import from_matrix, lower_comps, minkowski, to_matrix
+from conerec.spinor import from_matrix, lower_comps, to_matrix
 
 import _reference
-from _reference import area_element, check_np_frame
+from _reference import area_element, check_np_frame, minkowski
 
 
 def test_grid_basics():
@@ -340,3 +340,13 @@ def test_tangential_derivatives_spectral():
     assert errs[0] < 1e-7
     assert errs[1] < 1e-9
     assert errs[0] / errs[1] > 50.0   # ~2^8 per doubling, allow slack
+
+
+def test_grid_keeps_the_conjugate_basis_and_sections_derive_rho():
+    a, b = cone.SphereGrid(8, 16), cone.SphereGrid(8, 16)
+    assert a.obar is b.obar and not a.obar.flags.writeable
+    assert np.array_equal(a.obar, np.conj(a.directions()[1]))
+    sec = cone.build_section(_VERTEX, _FRAME_QS[0], a)
+    assert "rho" not in vars(sec)
+    assert np.array_equal(sec.rho, (-1.0 / sec.r0).astype(complex))
+    assert vars(sec)["rho"] is sec.rho

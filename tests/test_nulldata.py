@@ -16,7 +16,7 @@ from conerec.errors import ConfigError
 from conerec.nulldata import ConeData, WeightedScalarField, eth_prime
 from conerec.spinor import ETA, lower_comps, raise_comps
 
-from _reference import richardson_dr0
+from _reference import richardson_dr0, spline_eval
 
 rng = np.random.default_rng(20260816)
 
@@ -520,21 +520,6 @@ def test_finite_blob_whose_sum_overflows_loads(tmp_path):
     assert np.all(np.isfinite(back._moments))
 
 
-def _spline_reference(data, r0):
-    """(values, d/dr0) of grid data by per-node fancy indexing, with the
-    arithmetic of ConeData._spline_eval."""
-    x = data.r0_nodes
-    idx = np.clip(np.searchsorted(x, r0) - 1, 0, x.size - 2)
-    h = (x[idx + 1] - x[idx])[:, None]
-    dx = (r0 - x[idx])[:, None]
-    nodes = np.arange(r0.size)
-    y0, y1 = data.values[idx, nodes], data.values[idx + 1, nodes]
-    m0, m1 = data._moments[idx, nodes], data._moments[idx + 1, nodes]
-    slope = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0
-    return (y0 + dx * (slope + dx * (0.5 * m0 + dx * (m1 - m0) / (6.0 * h))),
-            slope + dx * (m0 + dx * (m1 - m0) / (2.0 * h)))
-
-
 @pytest.mark.parametrize("kind", ["spin", "dirac"])
 def test_mapped_file_evaluates_like_copied_values(tmp_path, kind):
     grid = SphereGrid(12, 24)
@@ -555,7 +540,7 @@ def test_mapped_file_evaluates_like_copied_values(tmp_path, kind):
     for q in ([1.0, 0.0, 0.0, 0.0], [1.5, 0.4, -0.3, 0.2], [2.0, 0.1, 0.2, 0.9]):
         sec = build_section(P0, np.array(q), grid)
         got = mapped.evaluate_on(sec)
-        for want in (copied.evaluate_on(sec), _spline_reference(copied, sec.r0)):
+        for want in (copied.evaluate_on(sec), spline_eval(copied, sec.r0)):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -660,3 +645,32 @@ def test_load_rejects_foreign_descriptor(tmp_path):
         fh.write('{"format": "something-else"}\n')
     with pytest.raises(ValueError):
         nd.load_cone_data(p)
+
+
+@pytest.mark.parametrize("kind", ["spin", "dirac"])
+def test_spline_eval_equals_the_reference_formula_bit_for_bit(tmp_path, kind):
+    # _spline_eval forms dx (m1 - m0) once for the value and the derivative;
+    # both must keep every bit of the formula that writes it out twice,
+    # at radii between nodes, on nodes and at both ends.  Few nodes and a
+    # short wave make the cubic terms large enough that a reordered
+    # product shows in the last bits.
+    grid = SphereGrid(16, 32)
+    th, ph, _, ch = grid.angles()
+    o_up, iota_up = spin_basis_field(th, ph, ch)
+    om = unit_directions(th, ph)
+    spec = orc.PlaneWaveSpec(1 if kind == "dirac" else 3, [2.0 + 1.0j, -1.5 + 0.5j])
+    fn = (orc.plane_wave_dirac_cone_fn(spec, P0, 0.4 - 0.3j) if kind == "dirac"
+          else orc.plane_wave_cone_fn(spec, P0, columns=1))[0]
+    r0_nodes = np.linspace(0.25, 1.75, 6)
+    vals = np.stack([fn(np.full(th.size, r), om, o_up, iota_up) for r in r0_nodes])
+    path = os.path.join(tmp_path, "wave")
+    nd.save_cone_data(path, ConeData(spec.n, kind=kind, grid=grid, r0_nodes=r0_nodes,
+                                     values=vals))
+    data = nd.load_cone_data(path + ".json")
+    local = np.random.default_rng(29)
+    for r0 in (local.uniform(0.25, 1.75, th.size), local.choice(r0_nodes, th.size),
+               np.where(np.arange(th.size) % 2, 0.25, 1.75)):
+        got, want = data._spline_eval(r0), spline_eval(data, r0)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))

@@ -5,7 +5,7 @@ import pytest
 
 from conerec import cone, oracles, spinor
 
-from _reference import sym_components
+from _reference import minkowski, sym_components
 
 
 RNG = np.random.default_rng(20260816)
@@ -22,7 +22,7 @@ def test_wave_vector_real_null_future():
         spec = random_spec(2)
         k = spec.k
         assert k.dtype == np.float64
-        assert abs(spinor.minkowski(k, k)) < 1e-12 * np.dot(k, k)
+        assert abs(minkowski(k, k)) < 1e-12 * np.dot(k, k)
         assert k[0] > 0
 
 
@@ -217,3 +217,124 @@ def test_derivative_under_integral_orders():
     for key in ("section", "solid"):
         assert r2[key] < 1e-3
         assert r1[key] / r2[key] > 3.8
+
+
+# -- direction factors kept per grid -------------------------------------------
+
+_GRIDS = (cone.SphereGrid(16, 32), cone.SphereGrid(8, 16))
+_P0_MEMO = np.array([0.05, -0.1, 0.02, 0.1])
+
+
+def _pair(kind):
+    if kind == "dirac":
+        spec = random_spec(1, np.random.default_rng(7))
+        return oracles.plane_wave_dirac_cone_fn(spec, _P0_MEMO, 0.3 + 0.8j)
+    spec = random_spec(kind, np.random.default_rng(kind))
+    return oracles.plane_wave_cone_fn(spec, _P0_MEMO, 1)
+
+
+def _memos(*fns):
+    """The _PerGrid memos a callback pair closes over, directly or through
+    the functions it calls."""
+    found, todo, seen = [], list(fns), set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, oracles._PerGrid):
+            found.append(obj)
+            todo.append(obj.f)
+        for cell in getattr(obj, "__closure__", None) or ():
+            todo.append(cell.cell_contents)
+    return found
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _section_args(grid, r0):
+    th, ph, _, ch = grid.angles()
+    omega, o_up = grid.directions()
+    return np.full(th.size, r0), omega, o_up, cone.spin_basis_field(th, ph, ch)[1]
+
+
+@pytest.mark.parametrize("kind", [1, 2, 16, "dirac"])
+def test_direction_memo_changes_no_bit(kind):
+    # the grid's read-only tables are served from the memo, fine and half
+    # grid in turn; writable copies of them are computed afresh
+    fn, fn_dr0 = _pair(kind)
+    for r0 in (0.6, 0.6, 0.9, 1.3):
+        for grid in _GRIDS:
+            args = _section_args(grid, r0)
+            copies = (args[0], args[1].copy(), args[2].copy(), args[3])
+            vals, fresh = fn(*args), fn(*copies)
+            assert np.array_equal(_bits(vals), _bits(fresh))
+            assert np.array_equal(_bits(fn_dr0(*args, vals)), _bits(fn_dr0(*copies, fresh)))
+    memos = _memos(fn, fn_dr0)
+    assert len(memos) == 3 and all(len(m.entries) == 2 for m in memos)
+
+
+@pytest.mark.parametrize("kind", [2, "dirac"])
+def test_direction_memo_never_serves_an_array_that_can_change(kind):
+    fn, fn_dr0 = _pair(kind)
+    r0, omega, o_up, iota_up = _section_args(_GRIDS[0], 0.8)
+    omega, o_up = omega.copy(), o_up.copy()
+    before = fn(r0, omega, o_up, iota_up)
+    omega[:] = -omega[::-1]
+    o_up *= 1j
+    after = fn(r0, omega, o_up, iota_up)
+    fresh = _pair(kind)[0](r0, omega.copy(), o_up.copy(), iota_up)
+    assert np.array_equal(_bits(after), _bits(fresh))
+    assert not np.allclose(after, before)
+    # a read-only view reads a buffer that its base may still change
+    view = omega.view()
+    view.flags.writeable = False
+    first = fn_dr0(r0, view, o_up, iota_up, after)
+    omega *= 0.5
+    assert not np.allclose(fn_dr0(r0, view, o_up, iota_up, after), first)
+    assert all(not m.entries for m in _memos(fn, fn_dr0))
+
+
+@pytest.mark.parametrize("kind", [2, "dirac"])
+def test_converge_over_five_levels_keeps_two_grids(kind):
+    from conerec.nulldata import ConeData
+    from conerec.reconstruct import QuadratureSpec, convergence_study
+    fn, fn_dr0 = _pair(kind)
+    data = (ConeData(1, kind="dirac", fn=fn, fn_dr0=fn_dr0) if kind == "dirac"
+            else ConeData(kind, fn=fn, fn_dr0=fn_dr0))
+    q = _P0_MEMO + np.array([1.4, 0.2, -0.1, 0.3])
+    specs = [QuadratureSpec(nt, 2 * nt) for nt in (8, 12, 16, 24, 32)]
+    rows = convergence_study(_P0_MEMO, data, q, np.zeros(4 if kind == "dirac" else 3),
+                             specs, kind="dirac" if kind == "dirac" else "spin",
+                             n=1 if kind == "dirac" else kind)
+    assert len(rows) == 5
+    memos = _memos(fn, fn_dr0)
+    assert memos and all(len(m.entries) == 2 for m in memos)
+    # what is left is the last level's grid and its half level's
+    last = {id(a) for g in (cone.SphereGrid(32, 64), cone.SphereGrid(16, 32))
+            for a in g.directions()}
+    assert {id(key) for m in memos for key, _ in m.entries} <= last
+
+
+def test_constraint_columns_read_iota_past_the_memo():
+    # all n+1 columns contract iota, which changes with the section: the
+    # memo keeps only eta(k, l), never a column
+    from conerec.nulldata import ConeData, constraint_residual
+    spec = random_spec(3, np.random.default_rng(3))
+    fn, fn_dr0 = oracles.plane_wave_cone_fn(spec, _P0_MEMO)
+    r0, omega, o_up, iota_up = _section_args(_GRIDS[0], 0.8)
+    turned = fn(r0, omega, o_up, 2.0 * iota_up)
+    plain = fn(r0, omega, o_up, iota_up)
+    assert np.array_equal(turned[:, 0], plain[:, 0])
+    for j in range(1, 4):
+        assert np.allclose(turned[:, j], 2.0 ** j * plain[:, j], rtol=1e-14, atol=0)
+
+    def copies(f):
+        return lambda r0, om, o, io, *rest: f(r0, om.copy(), o.copy(), io, *rest)
+
+    tables = [constraint_residual(ConeData(3, fn=f, fn_dr0=d), _P0_MEMO, [0.7, 1.1], g)
+              for f, d in ((fn, fn_dr0), (copies(fn), copies(fn_dr0))) for g in _GRIDS]
+    assert tables[:2] == tables[2:]
+    assert all(len(m.entries) <= 2 for m in _memos(fn, fn_dr0))
