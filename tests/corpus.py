@@ -1,7 +1,7 @@
 """Reference corpus: committed configs and the outputs they must reproduce.
 
-    python tests/corpus.py --diff     largest deviation per corpus file
-    python tests/corpus.py --write    regenerate the committed outputs
+    python tests/corpus.py --diff             largest deviation per corpus file
+    python tests/corpus.py --write NAME...    regenerate the named outputs
 
 tests/corpus/<name>.cfg.json holds {"command", "config"} and, for file
 data, "data_file": the plane-wave family that save_cone_data samples and
@@ -14,7 +14,8 @@ scale, the largest magnitude of its field components (all its floats
 when it has none), which leaves room for another BLAS.
 
 Regenerating the corpus changes what the tests check: say which files
-moved, and by how much (--diff before --write), with the change.
+moved, and by how much (--diff before --write), with the change.  --write
+takes the names to write, so adding one entry rewrites no other output.
 """
 
 import argparse
@@ -126,9 +127,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--diff", action="store_true", help="print the largest deviation per file")
-    mode.add_argument("--write", action="store_true", help="regenerate the committed outputs")
+    mode.add_argument("--write", nargs="+", metavar="NAME",
+                      help="regenerate the committed outputs of the named configs")
     args = parser.parse_args(argv)
-    for name in names():
+    unknown = sorted(set(args.write or ()) - set(names()))
+    if unknown:
+        parser.error(f"no corpus config named {', '.join(unknown)}")
+    for name in args.write or names():
         with tempfile.TemporaryDirectory() as tmp:
             if args.write:
                 doc = run(name, tmp)
