@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinor import SQRT2, from_matrix, lower_comps
+from .spinor import from_matrix, lower_comps
 
 
 @dataclass
@@ -48,22 +48,3 @@ def frame_from_spin_basis(o, iota) -> NPFrame:
     m = from_matrix(np.outer(o, iota.conj()))
     return NPFrame(l, n, m, o, iota)
 
-
-def transversal_iota(o, n_vec):
-    """iota^A = n^{AA'} obar_{A'} for a null n with g(l, n) = 1.
-
-    Closed form of the companion spinor: automatically satisfies
-    o_A iota^A = 1 and iota iotabar = n when n is null and normalized
-    against l = o obar.  o is (..., 2) and n_vec (..., 4), one spinor
-    per row.  Written out on the components: n^{AA'} = (n^0 + n^1, n^2 -
-    i n^3; n^2 + i n^3, n^0 - n^1) / sqrt2 and obar_{A'} = (-obar^1,
-    obar^0).
-    """
-    n = np.asarray(n_vec)
-    ob = np.conj(np.asarray(o, dtype=complex))
-    ob0, ob1 = ob[..., 0], ob[..., 1]
-    n0, n1, n2, n3 = n[..., 0], n[..., 1], n[..., 2], n[..., 3]
-    cross = 1j * n3
-    iota0 = (n2 - cross) * ob0 - (n0 + n1) * ob1
-    iota1 = (n0 - n1) * ob0 - (n2 + cross) * ob1
-    return np.stack([iota0, iota1], axis=-1) / SQRT2

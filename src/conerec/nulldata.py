@@ -77,10 +77,12 @@ class ConeData:
     below `r0_min` (grid: outside the node range) is an error.
 
     Grid values are stored in the canonical frame of the on-axis
-    sections.  phi_0, zeta_0 and xi^{1'} contract only with o, so they
-    read off unchanged in any section-adapted frame; the higher phi_j
-    involve iota and are meaningful on the on-axis family, which is where
-    the constraint checker samples them.
+    sections and returned whatever frame evaluate is handed.  phi_0,
+    zeta_0 and xi^{1'} contract only with o, so every flat section, all
+    sharing the grid's o, reads them alike; a chart's frame o/c scales
+    phi_0 by c^-n for analytic data only.  The higher phi_j involve iota
+    and are meaningful on the on-axis family, which is where the
+    constraint checker samples them.
     """
 
     def __init__(self, valence, kind="spin", fn=None, fn_dr0=None,

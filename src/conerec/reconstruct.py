@@ -8,19 +8,24 @@ zeta_0 and xi^{1'} data columns; spin n/2 uses phi_0 with the (n+1) rho
 coefficient.  All spinor accumulation happens in the fixed global frame
 (parallel transport is trivial here), and the result is expressed in the
 standard spin basis at q.
+
+One integrand serves the flat and the curved evaluators: on a
+conformally flat chart the section is the flat one, and the data radius
+r0*, the iota scale c, rho, the frame shift of d/dr0 and the weight each
+become the flat value times a closed-form per-node factor (_chart_factors).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cone import SphereGrid, build_section
 from .errors import GeometryError
-from .frames import transversal_iota
 from .nulldata import ConeData
 from .spinor import DiracSpinorValue, SymSpinorValue
 
@@ -104,23 +109,34 @@ def _check_spin_args(data: ConeData, n: int):
         raise ValueError("spin reconstruction expects phi_0 data")
 
 
-def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec):
-    """Components at q, node count, {}: phi_0 .. phi_n for spin data,
-    phi_A (lower) then psi^{A'} (upper) for the Dirac pair.  Per data
-    column the integrand scalar on sigma(q) is
-    (d/dr0 - (n+1) rho) phi mu_sigma / (2 pi r), rho = -1/r0."""
+def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec, chart=None):
+    """Components at q, node count, diagnostics: phi_0 .. phi_n for spin
+    data, phi_A (lower) then psi^{A'} (upper) for the Dirac pair.  Per data
+    column the integrand scalar on the flat section sigma(q) is
+    (d/dr0 - (n+1) rho) phi mu_sigma / (2 pi r), rho = -1/r0.  A chart
+    enters only as the per-node factors of _chart_factors; without one
+    there are none."""
     section = build_section(p0, q, spec.grid())
-    vals, dvals = data.evaluate_on(section)
-    coeff = _rho_coefficient(n, spec)
+    rho = -1.0 / section.r0
     w = section.mu_sigma / (2.0 * math.pi * section.r)
-    scal = (dvals - (coeff * (-1.0 / section.r0))[:, None] * vals) * w[:, None]
+    if chart is None:
+        vals, dvals = data.evaluate_on(section)
+        extras = {}
+    else:
+        f = _chart_factors(chart, p0, q, section)
+        c = f.iota_scale[:, None]
+        vals, dvals = data.evaluate(f.r0, section.omega, section.o / c, c * section.iota)
+        dvals = dvals - (0.5 * n * f.dr0_ln_omega)[:, None] * vals
+        rho, w, extras = f.rho, w * f.weight * f.iota_scale ** n, f.diagnostics
+    coeff = _rho_coefficient(n, spec)
+    scal = (dvals - (coeff * rho)[:, None] * vals) * w[:, None]
     if data.kind == "dirac":
         comps = np.concatenate([_component_sum(-scal[:, 0], section.iota, 1),
                                 scal[:, 1] @ np.conj(section.iota)])
     else:
         phi0 = scal[:, 0] * -1.0 if n % 2 else np.ascontiguousarray(scal[:, 0])
         comps = _component_sum(phi0, section.iota, n)
-    return comps, section.n_nodes, {}
+    return comps, section.n_nodes, extras
 
 
 def _evaluate(quadrature, data: ConeData, q, spec: QuadratureSpec):
@@ -209,23 +225,23 @@ def convergence_study(p0, data: ConeData, q, oracle, specs,
 
 # -- curved charts -----------------------------------------------------------
 
-def _curved_components(chart, p0, data: ConeData, n: int, q,
-                       spec: QuadratureSpec):
-    """Singular-integral phi_0 .. phi_n on a conformally flat chart.
+_ChartFactors = namedtuple("_ChartFactors",
+                           "r0 iota_scale rho dr0_ln_omega weight diagnostics")
 
-    Null geodesics of omega^2 eta are straight coordinate rays, so the
-    section geometry is the flat one with relabeled affine parameters:
-    r0 integrates omega^2 along the generator (normalized to l^0 = 1 at
-    the vertex), the backward radius r and the transport coefficient k
-    carry the chord average of omega^2 from q, and the area element
-    picks up omega^2 at the section.  The adapted spin frame rescales
-    the canonical one so l = o obar holds in orthonormal components;
-    its r0-dependence adds -(n/2) dln(omega)/dr0 phi_0 to the radial
-    derivative of the phi_0 scalar.  Both chord averages of omega^2, along
-    the generator from p0 and from q, are transport's _chord_mean.
+
+def _chart_factors(chart, p0, q, section) -> _ChartFactors:
+    """Per-node factors that carry the flat integrand on section onto a
+    conformally flat chart, c = sqrt(om_p)/om0 and g = om0^2/om_p^2.
+
+    Null geodesics of omega^2 eta are the flat rays with relabeled affine
+    parameters: r0* = r0 I(p0 -> p)/om0^2, and the frame with l = o obar
+    in orthonormal components is (o/c, c iota).  rho = -g (dln(omega)/dl
+    + 1/r0), and d ln(omega)/dr0* = g dln(omega)/dl.  The curved weight
+    k mu/r (k = I(q -> p)/(2 pi om_p om_q), mu = om_p^2 mu_sigma, r =
+    r_flat I(q -> p) g) is the flat one times om_p^3/(om_q om0^2): the
+    chord mean from q cancels, and is read for the diagnostics alone.
     """
     from .transport import _chord_mean   # here, so flat-only runs never load transport
-    section = build_section(p0, q, spec.grid())
     inside = chart.contains(section.p)
     if not np.all(inside):
         bad = np.flatnonzero(~inside)
@@ -234,64 +250,40 @@ def _curved_components(chart, p0, data: ConeData, n: int, q,
             f"domain before the section; first failing direction "
             f"omega = {section.omega[bad[0]]}")
     ell = section.r0
-    w_ang = section.mu_sigma / ell ** 2
-    om0 = chart.omega(np.asarray(p0, dtype=float))
-    omq = chart.omega(np.asarray(q, dtype=float))
-    om_p = chart.omega(section.p)
-
-    # curved affine label of the section along each generator: ell times
-    # the chord average of omega^2 from p0, over omega(p0)^2
-    r0_star = ell * _chord_mean(chart, p0, section.p) / om0 ** 2
-
-    # chord average of omega^2 from q: van Vleck square root numerator
+    om0, omq, om_p = chart.omega(p0), chart.omega(q), chart.omega(section.p)
+    g = om0 ** 2 / om_p ** 2
+    dln_om_dl = np.einsum("ni,ni->n", chart.grad_ln_omega(section.p), section.l)
     ibar = _chord_mean(chart, q, section.p)
     k = ibar / (2.0 * math.pi * om_p * omq)
-
-    r = section.r * ibar * om0 ** 2 / om_p ** 2
-    grads = chart.grad_ln_omega(section.p)
-    dln_om_dl = np.einsum("ni,ni->n", grads, section.l)
-    rho = -(om0 ** 2 / om_p ** 2) * (dln_om_dl + 1.0 / ell)
-    mu = om_p ** 2 * ell ** 2 * w_ang
-
-    # adapted frame in orthonormal components: l = o obar along the generator
-    o_s = (om0 / np.sqrt(om_p))[:, None] * section.o
-    n_frame = (q[None, :] - section.p) * (ibar / (om_p * r))[:, None]
-    iota_s = transversal_iota(o_s, n_frame)
-
-    vals, dvals = data.evaluate(r0_star, section.omega, o_s, iota_s)
-    vals, dvals = vals[:, 0], dvals[:, 0]
-    # d/dr0 of the phi_0 scalar carries the frame rescaling
-    dr0_ln_om = (om0 ** 2 / om_p ** 2) * dln_om_dl
-    dvals = dvals - 0.5 * n * dr0_ln_om * vals
-
-    coeff = _rho_coefficient(n, spec)
-    scal = (dvals - coeff * rho * vals) * (-1.0) ** n * k * mu / r
-    extras = {
-        "k_deviation": float(np.max(np.abs(k - 1.0 / (2.0 * math.pi)))),
-        "area_measure_factor": float(np.median(mu / (k * r ** 2 * w_ang))),
-    }
-    return _component_sum(scal, iota_s, n), section.n_nodes, extras
+    r = section.r * ibar * g
+    return _ChartFactors(
+        r0=ell * _chord_mean(chart, p0, section.p) / om0 ** 2,
+        iota_scale=np.sqrt(om_p) / om0, rho=-g * (dln_om_dl + 1.0 / ell),
+        dr0_ln_omega=g * dln_om_dl, weight=om_p ** 3 / (omq * om0 ** 2),
+        diagnostics={
+            "k_deviation": float(np.max(np.abs(k - 1.0 / (2.0 * math.pi)))),
+            "area_measure_factor": float(np.median(om_p ** 2 * ell ** 2 / (k * r ** 2)))})
 
 
 def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
                                 spec: QuadratureSpec) -> ReconstructionResult:
     """Singular part of the curved-chart value of the spin-n/2 field.
 
-    Same quadrature as reconstruct_spin_n with r0, r, rho, k, the area
-    element, and the section frame supplied by the chart geometry; the
-    smooth tail of the curved representation is not included, so away
-    from the flat chart the result is the two singular integrals only.
-    On the flat chart it coincides with reconstruct_spin_n.
-
-    The diagnostics report the largest deviation of k from its flat
-    value 1/(2 pi) and the empirical conversion factor between the
-    section measure mu_sigma and k r^2 dOmega (pi/2 for an on-axis flat
-    configuration).
+    reconstruct_spin_n's integrand with the chart's per-node factors,
+    c = sqrt(om_p)/om0 and g = om0^2/om_p^2: the data are read at
+    r0* = r0 I(p0 -> p)/om0^2 in the frame (o/c, c iota); rho is
+    -g (dln(omega)/dl + 1/r0); d/dr0 gains -(n/2) g dln(omega)/dl phi_0;
+    the weight mu_sigma/(2 pi r) gains om_p^3/(om_q om0^2) c^n.  The
+    smooth tail is not included, so away from the flat chart the result
+    is the two singular integrals only; on the flat chart every factor
+    is 1 or its flat value.  The diagnostics report the largest deviation
+    of k from 1/(2 pi) and the factor between the section measure and
+    k r^2 dOmega (pi/2 for an on-axis flat configuration).
     """
     _check_spin_args(data, n)
     p0 = np.asarray(p0, dtype=float)
     q = np.asarray(q, dtype=float)
     chart.require_inside(p0, "cone vertex")
     chart.require_inside(q, "evaluation point")
-    return _evaluate(lambda sp: _curved_components(chart, p0, data, n, q, sp),
+    return _evaluate(lambda sp: _flat_components(p0, data, n, q, sp, chart),
                      data, q, spec)

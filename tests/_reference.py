@@ -1,7 +1,9 @@
 """Reference implementations the tests check the package against.
 
 No command runs these.  Dense symmetric-spinor tensors cross-check the
-component scalars, the NP frame check audits section frames, the spin
+component scalars, the NP frame check audits section frames, the
+companion iota = n^{AA'} obar_{A'} built from each node's own null leg
+audits the section frame and a chart's iota scale, the spin
 basis factored out of a tetrad (unique up to a sign fixed by a
 tie-break) audits the bases frames carry, the area
 element from the embedding's numerical Jacobian audits the exact section
@@ -21,7 +23,7 @@ import math
 import numpy as np
 
 from conerec import cone, transport
-from conerec.spinor import ETA, SymSpinorValue, lower_comps, to_matrix
+from conerec.spinor import ETA, SQRT2, SymSpinorValue, lower_comps, to_matrix
 
 # Largest valence of the dense (2,)*n tensor helpers.
 MAX_VALENCE = 6
@@ -118,6 +120,26 @@ def check_np_frame(frame, tol: float = 1e-12):
     s = lower_comps(frame.o) @ frame.iota
     if abs(s - 1.0) > tol:
         raise ValueError(f"o_A iota^A = {s}, expected 1")
+
+
+def transversal_iota(o, n_vec):
+    """iota^A = n^{AA'} obar_{A'} for a null n with g(l, n) = 1.
+
+    Closed form of the companion spinor: automatically satisfies
+    o_A iota^A = 1 and iota iotabar = n when n is null and normalized
+    against l = o obar.  o is (..., 2) and n_vec (..., 4), one spinor
+    per row.  Written out on the components: n^{AA'} = (n^0 + n^1, n^2 -
+    i n^3; n^2 + i n^3, n^0 - n^1) / sqrt2 and obar_{A'} = (-obar^1,
+    obar^0).
+    """
+    n = np.asarray(n_vec)
+    ob = np.conj(np.asarray(o, dtype=complex))
+    ob0, ob1 = ob[..., 0], ob[..., 1]
+    n0, n1, n2, n3 = n[..., 0], n[..., 1], n[..., 2], n[..., 3]
+    cross = 1j * n3
+    iota0 = (n2 - cross) * ob0 - (n0 + n1) * ob1
+    iota1 = (n0 - n1) * ob0 - (n2 + cross) * ob1
+    return np.stack([iota0, iota1], axis=-1) / SQRT2
 
 
 def _rank1_factor(mat):

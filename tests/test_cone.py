@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conerec import cone
-from conerec.frames import NPFrame, transversal_iota
+from conerec.frames import NPFrame
 from conerec.spinor import from_matrix, lower_comps, to_matrix
 
 import _reference
-from _reference import area_element, check_np_frame, minkowski
+from _reference import area_element, check_np_frame, minkowski, transversal_iota
 
 
 def test_grid_basics():

