@@ -3,17 +3,18 @@
 shoot_endpoint solves dy/ds = rhs(y) over [0, s_end] by Picard iteration
 y <- y(a) + Q f(y) on the Chebyshev-Lobatto nodes of each segment [a, b]
 (Clenshaw & Norton, Comput. J. 6, 1963; Bai & Junkins, J. Astronaut.
-Sci. 58, 2011), one right-hand-side call over all nodes and rows an
-iteration, every segment on NODES + 1 nodes.  The state iterates packed,
-one (nodes, rows, columns) array per dtype (_Packing), so an iteration
-is one integral product and one update reduction per dtype.  A segment
-is accepted once the iteration has converged and the tail of its
-Chebyshev coefficients is at roundoff (Aurentz & Trefethen, ACM TOMS 43,
-2017); one that is not, or whose updates stop contracting, is halved.
-Rows shot together each stop iterating once converged, so a row stops at
-the iterate it would stop at shot alone on the same segments.  interpolate
-evaluates a shoot's samples between the nodes by barycentric
-interpolation within their segment.
+Sci. 58, 2011), every segment on NODES + 1 nodes.  The state is one
+float array (nodes, rows, width), the position in its first four
+columns; rhs reads its columns as views and returns the slopes in the
+same shape, so an iteration is one right-hand-side call, one integral
+product and one update reduction.  A segment is accepted once the
+iteration has converged and the tail of its Chebyshev coefficients is
+at roundoff (Aurentz & Trefethen, ACM TOMS 43, 2017); one that is not,
+or whose updates stop contracting, is halved.  Rows shot together each
+stop iterating once converged, so a row stops at the iterate it would
+stop at shot alone on the same segments.  interpolate evaluates a
+shoot's samples between the nodes by barycentric interpolation within
+their segment.
 
 transport's geodesic_shoot (one point or (B, 4) rows, the Jacobi
 propagator) and transport_spin_frame both integrate through
@@ -22,7 +23,6 @@ kernel through that module attribute, and BACKEND names it in run reports.
 """
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -76,65 +76,13 @@ def _finite(a, by=None):
     return np.where(np.isfinite(a if by is None else by), a, 0.0)
 
 
-class _Packing(NamedTuple):
-    """Where the entries of a state lie in its packed arrays: one
-    (..., rows, columns) array per dtype, the real entries in group 0 and
-    the complex ones, if any, in group 1; a single point is one row."""
-
-    rows: bool                 # the position is (B, 4) rows, not one point
-    spans: list                # per entry: (group, first column, end column, shape)
-    groups: list               # per group: its entries, in column order
-    cuts: list                 # per group: its entries' first columns and widths
-
-    @classmethod
-    def of(cls, y):
-        rows = np.ndim(y[0]) == 2
-        spans, groups, ends = [], [[], []], [0, 0]
-        for i, e in enumerate(y):
-            g = int(np.iscomplexobj(e))
-            shape = np.shape(e)[rows:]
-            spans.append((g, ends[g], ends[g] + math.prod(shape), shape))
-            groups[g].append(i)
-            ends[g] = spans[-1][2]
-        groups = [i for i in groups if i]
-        cuts = [([spans[j][1] for j in i], [spans[j][2] - spans[j][1] for j in i])
-                for i in groups]
-        return cls(rows, spans, groups, cuts)
-
-    def pack(self, entries, lead, width):
-        """entries with the leading axes lead, one array per group."""
-        parts = [np.asarray(e).reshape(lead + (width, -1)) for e in entries]
-        return [parts[i[0]] if len(i) == 1 else np.concatenate([parts[j] for j in i], axis=-1)
-                for i in self.groups]
-
-    def unpack(self, packed):
-        """The entries of (n, rows, columns) group arrays; rows are copied
-        out contiguous, a single point's entries are views."""
-        n, width = packed[0].shape[:2]
-        if self.rows:
-            return [np.ascontiguousarray(packed[g][:, :, lo:hi]).reshape((n, width) + shape)
-                    for g, lo, hi, shape in self.spans]
-        return [packed[g][:, 0, lo:hi].reshape((n,) + shape) for g, lo, hi, shape in self.spans]
-
-    def position(self, packed):
-        """The position columns of (n, rows, columns) group arrays."""
-        _, lo, hi, _ = self.spans[0]
-        return packed[0][:, :, lo:hi]
-
-    def scale(self, start):
-        """Per group, each column's scale: max(1, |y(a)|) over the
-        finite values of its entry within its row."""
-        return [np.repeat(np.maximum(1.0, np.maximum.reduceat(np.abs(_finite(e)), lo, axis=1)),
-                          widths, axis=1) for e, (lo, widths) in zip(start, self.cuts)]
-
-
 class Shoot(NamedTuple):
-    """shoot_endpoint's samples: s (M,) and one (M, ...) array per entry
-    of the start state, segment k at samples k NODES .. (k + 1) NODES;
-    the Picard iterations of all segments and the largest last update."""
+    """shoot_endpoint's samples: s (M,) and the packed state y (M, rows,
+    width), segment k at samples k NODES .. (k + 1) NODES; the Picard
+    iterations of all segments and the largest last update."""
 
     s: np.ndarray
-    y: list
+    y: np.ndarray
     iterations: int
     update: float
 
@@ -143,42 +91,39 @@ class Shoot(NamedTuple):
         return (len(self.s) - 1) // NODES
 
 
-def _update(new, old, scale):
-    """Each row's largest change from old to new, relative to its scale."""
-    rows = [(np.abs(u - e).max(axis=0) / c).max(axis=1) for u, e, c in zip(new, old, scale)]
-    return rows[0] if len(rows) == 1 else np.maximum(*rows)
+def _update(change, scale):
+    """Each row's largest change (nodes, rows, width), relative to its scale."""
+    return (np.abs(change).max(axis=0) / scale).max(axis=1)
 
 
-def _picard(rhs, packing, ya, a, b, guess):
-    """Picard iterates on [a, b] from the packed start state ya (one
-    (rows, columns) array per group) and the packed node values guess (or
-    ya at every node).  The state iterates as one array per group: one
-    integral product and one update reduction an iteration.  Each row
-    iterates on its own: it stops, its values kept, once it has converged
-    and resolved, at the iterate it would stop at shot alone, and it
-    leaves the arrays the right-hand side sees.  Returns (values,
+def _picard(rhs, ya, scale, a, b, guess):
+    """Picard iterates on [a, b] from the start state ya (rows, width) and
+    the node values guess (NODES + 1, rows, width), or ya at every node.
+    The state iterates as one array: one rhs call, one integral product
+    and one update reduction an iteration, against scale (rows, width).
+    Each row iterates on its own: it stops, its values kept, once it has
+    converged and resolved, at the iterate it would stop at shot alone,
+    and it leaves the array the right-hand side sees.  Returns (values,
     iterations, last update, None) once every row has, else (None,
     iterations, last update, the name of the check that failed)."""
     table = _table()
     n1 = NODES + 1
     integral = (0.5 * (b - a)) * table.integral
-    count = len(ya[0])
-    cur = guess or [np.broadcast_to(e, (n1,) + e.shape) for e in ya]
-    scale = packing.scale(ya)
+    count = len(ya)
+    cur = np.broadcast_to(ya, (n1,) + ya.shape) if guess is None else guess
     live, limit, worst, out = np.arange(count), np.full(count, np.inf), 0.0, None
     for it in range(1, _MAX_ITER + 1):
-        slopes = packing.pack(rhs(packing.unpack(cur)), (n1,), len(live))
-        new = [e + (integral @ d.reshape(n1, -1)).reshape(d.shape) for e, d in zip(ya, slopes)]
-        update = _update(new, cur, scale)
+        slopes = rhs(cur)
+        new = ya + (integral @ slopes.reshape(n1, -1)).reshape(slopes.shape)
+        update = _update(new - cur, scale)
         top = update.max()
         if not top < np.inf:
-            if not np.isfinite(packing.position(new)).all():
+            if not np.isfinite(new[..., :4]).all():
                 return None, it, np.inf, "non-finite"
             if np.isnan(top):
                 # only the values that were finite count: NaN, so not converged,
                 # while a value turns non-finite, as it may reach the position next
-                update = _update([_finite(u - e, e) for u, e in zip(new, cur)],
-                                 [0.0] * len(new), scale)
+                update = _update(_finite(new - cur, cur), scale)
                 top = update.max()
         going = None
         if np.fmin.reduce(update) <= _TOL:
@@ -186,17 +131,16 @@ def _picard(rhs, packing, ya, a, b, guess):
             ends = new
             if not done.all():
                 going = ~done
-                ends = [u[:, done] for u in new]
-            tail = max((_finite(np.abs(table.coef[-2:] @ u.reshape(n1, -1)))
-                        .reshape(2, len(u[0]), -1) / c[done]).max() for u, c in zip(ends, scale))
+                ends = new[:, done]
+            tail = (_finite(np.abs(table.coef[-2:] @ ends.reshape(n1, -1)))
+                    .reshape(2, len(ends[0]), -1) / scale[done]).max()
             if tail > _TAIL:
                 return None, it, float(top), f"Chebyshev tail {tail:.1e} above {_TAIL:.0e}"
             worst = max(worst, float(update[done].max()))
             if going is None:
                 if out is None:
                     return new, it, worst, None
-                for o, u in zip(out, new):
-                    o[:, live] = u
+                out[:, live] = new
                 return out, it, worst, None
             update, limit = update[going], limit[going]
         # from the third iteration on, every row still iterating must shrink
@@ -205,13 +149,9 @@ def _picard(rhs, packing, ya, a, b, guess):
             break
         if going is not None:
             if out is None:
-                out = [np.empty((n1, count, u.shape[2]), u.dtype) for u in new]
-            for o, e in zip(out, ends):
-                o[:, live[done]] = e
-            live = live[going]
-            new = [u[:, going] for u in new]
-            ya = [e[going] for e in ya]
-            scale = [c[going] for c in scale]
+                out = np.empty((n1,) + ya.shape)
+            out[:, live[done]] = ends
+            live, new, ya, scale = live[going], new[:, going], ya[going], scale[going]
         limit = _RATIO * update
         cur = new
     update = float(top)
@@ -221,20 +161,23 @@ def _picard(rhs, packing, ya, a, b, guess):
 def shoot_endpoint(rhs, contains, y, s_end, nodes, guess=None):
     """Chebyshev-Picard samples of dy/ds = rhs(y) over [0, s_end].
 
-    y is a list of arrays whose first entry is the position, one point
-    (4,) or (B, 4) rows; rhs takes and returns such a list with a leading
-    node axis (over the rows still iterating), and contains(position) says
-    which of its points are in the chart box.  The kernel packs the state
-    into one array per dtype (real, and complex if an entry is) and hands
-    rhs each entry unpacked.  Each segment carries NODES + 1
+    y is the start state as a list of float entries, each (rows, columns),
+    the first the position (rows, 4).  The kernel joins them once into
+    one (rows, width) array and iterates that: rhs takes the state at
+    the nodes, one float array (NODES + 1, rows still iterating, width)
+    whose columns are the entries in order, and returns the slopes in the
+    same shape; contains(position) says which points of a (..., 4) array
+    are in the chart box.  Each segment carries NODES + 1
     Chebyshev-Lobatto samples, its ends shared with its neighbours; it
     starts as the whole interval, or as guess's segments with guess's
-    samples (a Shoot of the same rows) as the first iterate, and a segment
-    that does not converge, resolve or stay finite is halved.  Past
-    _MAX_SEGMENTS segments the failing check raises GeometryError, as does
-    the first sample of an accepted segment outside the box, naming it.
-    Non-finite values off the position pass to the caller.  Returns a
-    Shoot.
+    samples (a Shoot of the same rows and width) as the first iterate,
+    and a segment that does not converge, resolve or keep its position
+    finite is halved.  Convergence and the tail are measured against
+    each entry's scale, max(1, |y(a)|) over the entry's finite columns
+    in its row.  Past _MAX_SEGMENTS segments the failing check raises
+    GeometryError, as does the first sample of an accepted segment
+    outside the box, naming it.  Non-finite values off the position pass
+    to the caller.  Returns a Shoot.
 
     nodes must be NODES, the one node count the kernel has tables for.
     It is an argument because the benchmark's tracer wraps
@@ -245,28 +188,28 @@ def shoot_endpoint(rhs, contains, y, s_end, nodes, guess=None):
     if nodes != NODES:
         raise ValueError(f"the kernel shoots segments of {NODES} Chebyshev nodes, got {nodes}")
     tau = _table().tau
-    packing = _Packing.of(y)
-    start = packing.pack(y, (), len(y[0]) if packing.rows else 1)
+    widths = [e.shape[1] for e in y]
+    firsts = np.cumsum([0] + widths[:-1])
     if guess is None:
         pending = [(s_end, None)]
     else:
-        edges = guess.s[NODES::NODES]
-        first = packing.pack(guess.y, (len(guess.s),), len(start[0]))
-        pending = [(b, [e[k * NODES:(k + 1) * NODES + 1] for e in first])
-                   for k, b in enumerate(edges)][::-1]
+        pending = [(b, guess.y[k * NODES:(k + 1) * NODES + 1])
+                   for k, b in enumerate(guess.s[NODES::NODES])][::-1]
         pending[0] = (s_end, pending[0][1])
-    s, samples, a = [np.zeros(1)], [[e[None]] for e in start], 0.0
+    s, samples, a = [np.zeros(1)], [np.concatenate(y, axis=1)[None]], 0.0
     iterations, worst = 0, 0.0
     with np.errstate(all="ignore"):
         while pending:
             b, first = pending.pop()
-            ya = [e[-1][-1] for e in samples]
-            ys, it, update, failed = _picard(rhs, packing, ya, a, b, first)
+            ya = samples[-1][-1]
+            scale = np.repeat(np.maximum(1.0, np.maximum.reduceat(np.abs(_finite(ya)), firsts,
+                                                                  axis=1)), widths, axis=1)
+            ys, it, update, failed = _picard(rhs, ya, scale, a, b, first)
             iterations += it
             if failed:
                 if len(s) + len(pending) + 1 > _MAX_SEGMENTS:
                     if failed == "non-finite":
-                        x = packing.unpack([e[None] for e in ya])[0][0]
+                        x = ya[:, :4] if len(ya) > 1 else ya[0, :4]
                         raise GeometryError(f"geodesic reached a non-finite state past "
                                             f"s = {a:.6g}, x = {x}; the chart's metric "
                                             "or connection is not finite along it")
@@ -277,7 +220,7 @@ def shoot_endpoint(rhs, contains, y, s_end, nodes, guess=None):
                 continue
             s_seg = a + (0.5 * (b - a)) * (tau + 1.0)
             s_seg[-1] = b
-            position = np.ascontiguousarray(packing.position(ys))
+            position = np.ascontiguousarray(ys[..., :4])
             inside = np.reshape(contains(position), (NODES + 1, -1))
             if not np.all(inside):
                 j = int(np.argmin(np.all(inside, axis=1)))
@@ -285,12 +228,10 @@ def shoot_endpoint(rhs, contains, y, s_end, nodes, guess=None):
                 raise GeometryError(f"geodesic left the chart domain at "
                                     f"s = {s_seg[j]:.6g}, x = {x}")
             s.append(s_seg[1:])
-            for out, e in zip(samples, ys):
-                out.append(e[1:])
+            samples.append(ys[1:])
             worst = max(worst, update)
             a = b
-    return Shoot(np.concatenate(s), packing.unpack([np.concatenate(e) for e in samples]),
-                 iterations, worst)
+    return Shoot(np.concatenate(s), np.concatenate(samples), iterations, worst)
 
 
 def interpolate(s, values, at):

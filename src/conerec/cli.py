@@ -471,7 +471,9 @@ def cmd_curved_transport(v, out, seed):
                                                     steps=frame["steps"])
                 dots = np.sum(pf.o[:-1].conj() * pf.o[1:], axis=1).real
                 rec["frame"] = {"product_drift": pf.product_drift(),
-                                "min_continuity": float(dots.min())}
+                                "min_continuity": float(dots.min()),
+                                "segments": pf.path.work["segments"],
+                                "picard_iterations": pf.path.work["picard_iterations"]}
         except GeometryError as exc:
             raise GeometryError(f"rays[{i}]: {exc}") from None
         records.append(rec)

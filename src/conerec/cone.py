@@ -213,8 +213,8 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     dq = q - p0
     t, x = dq[0], dq[1:]
     gamma0 = float(t * t - x[0] * x[0] - x[1] * x[1] - x[2] * x[2])
-    scale = max(1.0, float(np.max(np.abs(dq))))
-    if dq[0] <= 0 or gamma0 < 1e-8 * scale ** 2:
+    # relative to t^2, so a q near the vertex deep inside the cone is kept
+    if dq[0] <= 0 or gamma0 < 1e-8 * dq[0] ** 2:
         raise GeometryError("q must lie strictly inside the future cone of p0 "
                          f"(interval {gamma0:.3e}, dt {dq[0]:.3e})")
     theta, phi, quad_w, chart = grid.angles()

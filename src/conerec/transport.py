@@ -198,10 +198,10 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0, jacobi: bool = 
     """Integrate the geodesic from (p, v) to affine parameter s_end.
 
     p and v are one point (4,) or (B, 4) rows shot together, whose path
-    samples x and v are then (M, B, 4).  kernels.shoot_endpoint solves it,
-    from guess's samples (a shoot of the same rows) when given.  Raises
-    GeometryError for a path that leaves the chart box, reporting the exit
-    point, or that it cannot resolve.
+    samples x and v are then (M, B, 4).  kernels.shoot_endpoint solves it
+    on the packed state (_shoot), from guess's samples (a shoot of the
+    same rows) when given.  Raises GeometryError for a path that leaves
+    the chart box, reporting the exit point, or that it cannot resolve.
     work holds the shoot's nodes, segments, Picard iterations and last
     Picard update.  jacobi=True (one point) makes it the Jacobi
     propagator: the shoot also carries the geodesic-deviation equations
@@ -209,28 +209,50 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0, jacobi: bool = 
     (X, U) = 1: its complex step (Squire & Trapp, SIAM Rev. 40, 1998), one
     call on (x, u) and x + ih X, u + ih U.
     """
-    shape = (-1, 4) if np.ndim(p) == 2 and not jacobi else (4,)
-    p = np.asarray(p, dtype=float).reshape(shape)
-    v = np.asarray(v, dtype=float).reshape(shape)
+    rows = np.ndim(p) == 2 and not jacobi
+    p = np.asarray(p, dtype=float).reshape(-1 if rows else 1, 4)
+    v = np.asarray(v, dtype=float).reshape(-1 if rows else 1, 4)
     chart.require_inside(p, "geodesic start")
+    shot = _shoot(chart, p, v, s_end, jacobi, guess)
+    y = shot.y if rows else shot.y[:, 0]
+    return GeodesicPath(shot.s, y[..., :4], y[..., 4:8], chart,
+                        y[:, 8:].reshape(-1, 8, 8) if jacobi else None, work=_work(shot))
+
+
+def _shoot(chart: CurvedChart, p, v, s_end: float, jacobi: bool = False,
+           guess: Optional[kernels.Shoot] = None) -> kernels.Shoot:
+    """kernels.shoot_endpoint on the geodesic equations from (B, 4) rows p
+    and v.  The packed state holds x and u in columns 0-7 and, with
+    jacobi, the propagator's 64 entries d(x, u) / d(x0, u0) row-major
+    after them: X stacked over U, a column per perturbation."""
 
     def rhs(y):
-        x, u = y[0], y[1]
+        x, u = y[..., :4], y[..., 4:8]
         if not jacobi:
-            return u, _acceleration(chart, x, u)
-        J = y[2]                                  # X stacked over U, a column per perturbation
+            # contiguous copies: numpy's loops over 4-wide column views of
+            # the state cost more than the copies
+            u = np.ascontiguousarray(u)
+            return np.concatenate([u, _acceleration(chart, np.ascontiguousarray(x), u)], axis=-1)
+        lead = y.shape[:-1]
+        J = y[..., 8:].reshape(lead + (8, 8))
         # row 0 is undisturbed, so a non-finite J cannot reach the geodesic
-        cols = np.concatenate([np.zeros(x.shape[:-1] + (1, 8)), np.swapaxes(J, -1, -2)], axis=-2)
-        z = np.concatenate([x, u], axis=-1)[..., None, :] + 1j * _STEP * cols
+        cols = np.concatenate([np.zeros(lead + (1, 8)), np.swapaxes(J, -1, -2)], axis=-2)
+        z = y[..., None, :8] + 1j * _STEP * cols
         a = _acceleration(chart, z[..., :4], z[..., 4:])
-        return u, a[..., 0, :].real, np.concatenate(
-            [J[..., 4:, :], np.swapaxes(a[..., 1:, :].imag, -1, -2) / _STEP], axis=-2)
+        # (X, U)' = (U, the acceleration's derivative): J's rows 4-7 are its
+        # entries 32-63, the state's columns 40-71
+        da = np.swapaxes(a[..., 1:, :].imag, -1, -2) / _STEP
+        return np.concatenate([u, a[..., 0, :].real, y[..., 40:], da.reshape(lead + (32,))],
+                              axis=-1)
 
-    y = [p, v, np.eye(8)] if jacobi else [p, v]
-    shot = kernels.shoot_endpoint(rhs, chart.contains, y, s_end, kernels.NODES, guess=guess)
-    return GeodesicPath(shot.s, shot.y[0], shot.y[1], chart, *shot.y[2:], work={
-        "nodes": kernels.NODES, "segments": shot.segments,
-        "picard_iterations": shot.iterations, "picard_update": shot.update})
+    y = [p, v, np.eye(8).reshape(1, 64)] if jacobi else [p, v]
+    return kernels.shoot_endpoint(rhs, chart.contains, y, s_end, kernels.NODES, guess=guess)
+
+
+def _work(shot: kernels.Shoot) -> dict:
+    """A shoot's resolution: nodes, segments, Picard iterations and last update."""
+    return {"nodes": kernels.NODES, "segments": shot.segments,
+            "picard_iterations": shot.iterations, "picard_update": shot.update}
 
 
 def _connect(chart: CurvedChart, p, q, max_iter: int = 60, v=None, chord=None,
@@ -246,13 +268,13 @@ def _connect(chart: CurvedChart, p, q, max_iter: int = 60, v=None, chord=None,
     it stops once its residual is within 1e-13 of the point scale, and
     growth of its residual halves its step.  A stuck pair raises.
     Each shoot after the first starts its Picard iteration from the
-    previous one's samples.  near, the Jacobi propagator J(s) of a [0, 1]
-    geodesic close to every pair, moves those samples to first order: the
-    first shoot starts from near's samples plus J(s) (p - near.x[0],
-    v - near.v[0]) on near's segments, and each later one from the
-    previous samples plus J(s)[:, 4:] times its velocity step, where its
-    segments are still near's.  Returns v and the batch's work counts:
-    the last shoot's resolution, Picard iterations summed.
+    previous one's packed samples.  near, the Jacobi propagator J(s) of a
+    [0, 1] geodesic close to every pair, moves those samples to first
+    order: the first shoot starts from near's samples plus J(s)
+    (p - near.x[0], v - near.v[0]) on near's segments, and each later one
+    from the previous samples plus J(s)[:, 4:] times its velocity step,
+    where its segments are still near's.  Returns v and the batch's work
+    counts: the last shoot's resolution, Picard iterations summed.
     """
     chart.require_inside(p, "connection start")
     chart.require_inside(q, "connection target")
@@ -265,35 +287,33 @@ def _connect(chart: CurvedChart, p, q, max_iter: int = 60, v=None, chord=None,
     if near is not None:
         jacobi = near.jacobi.reshape(-1, 8)
 
-        def moved(x, u, delta):
-            """x and u (M, B, 4) at near's samples moved by J(s) delta, as a
-            guess; delta is (B, 8) over (p, v) or (B, 4) over v alone."""
+        def moved(y, delta):
+            """Packed samples y (M, B, 8) on near's segments moved by J(s)
+            delta, as a guess; delta is (B, 8) over (p, v) or (B, 4) over v."""
             shift = (jacobi[:, 8 - delta.shape[1]:] @ delta.T).reshape(len(near.s), 8, -1)
-            shift = shift.transpose(0, 2, 1)
-            return kernels.Shoot(near.s, [x + shift[..., :4], u + shift[..., 4:]], 0, 0.0)
+            return kernels.Shoot(near.s, y + shift.transpose(0, 2, 1), 0, 0.0)
 
-        guess = moved(near.x[:, None], near.v[:, None],
+        guess = moved(np.concatenate([near.x, near.v], axis=1)[:, None],
                       np.concatenate([p - near.x[0], v - near.v[0]], axis=1))
     for it in range(1, max_iter + 1):
-        path = geodesic_shoot(chart, p[live], v[live], 1.0, guess=guess)
-        iterations += path.work["picard_iterations"]
-        res = path.x[-1] - q[live]
+        shot = _shoot(chart, p[live], v[live], 1.0, guess=guess)
+        iterations += shot.iterations
+        res = shot.y[-1, :, :4] - q[live]
         rn = np.max(np.abs(res), axis=1)
         res[rn > 0.9 * prev[live]] *= 0.5
         prev[live] = rn
         going = ~(rn <= 1e-13 * scale[live])
         live, res = live[going], res[going]
         if not live.size:
-            return v, {"connect_iterations": it, "shoots": it, **path.work,
+            return v, {"connect_iterations": it, "shoots": it, **_work(shot),
                        "picard_iterations": iterations,
                        "worst_connect_residual": float(np.max(prev))}
         step = res if chord is None else res @ chord.T
         v[live] -= step
-        x, u = path.x[:, going], path.v[:, going]
-        if near is not None and np.array_equal(path.s, near.s):
-            guess = moved(x, u, -step)
+        if near is not None and np.array_equal(shot.s, near.s):
+            guess = moved(shot.y[:, going], -step)
         else:
-            guess = kernels.Shoot(path.s, [x, u], 0, 0.0)
+            guess = kernels.Shoot(shot.s, shot.y[:, going], 0, 0.0)
     i = live[0]
     raise GeometryError(f"geodesic connection {p[i]} -> {q[i]} (pair {i}) did not "
                         f"converge (residual {prev[i]:.2e})")
@@ -538,10 +558,11 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
     dU/ds = -(w.U) xdot for l and m, so l rescales and m null-rotates
     about l (Penrose & Rindler vol. 1, sec. 5.6).  One Chebyshev-Picard
     shoot carries dx/ds = r^2 v and dE/ds = r^2 eps grad f . (omega_p m_p),
-    r = omega_p / omega, and its steps + 1 uniform samples are interpolated
-    within their segments; with mu = -c E r / omega_p^2, l = r^2 l_p,
-    m = r (m_p + mu l_p), n = n_p + 2 Re(conj(mu) m_p) + |mu|^2 l_p, and the
-    spin basis of (omega l, omega n, omega m) is sqrt(r) o_p and
+    r = omega_p / omega, E as two real columns, and its steps + 1 uniform
+    samples are interpolated within their segments, all columns in one
+    call; the path's work holds the shoot's resolution.  With
+    mu = -c E r / omega_p^2, l = r^2 l_p, m = r (m_p + mu l_p),
+    n = n_p + 2 Re(conj(mu) m_p) + |mu|^2 l_p, and the spin basis of (omega l, omega n, omega m) is sqrt(r) o_p and
     (iota_p + conj(mu) o_p) / sqrt(r), with (o_p, iota_p) = sqrt(omega_p)
     (frame.o, frame.iota), the frame's own basis in orthonormal components
     (its sign is the frame's; ValueError unless o_p conj(o_p) is omega_p l_p).
@@ -563,20 +584,23 @@ def transport_spin_frame(chart: CurvedChart, p, v, frame: NPFrame,
     if not dev <= 1e-10 * max(1.0, om_p * np.max(np.abs(l_p))):
         raise ValueError(f"the frame's o does not give back its l: o obar misses it by {dev:.2e}")
     m_eps = (chart.eps * om_p) * m_p
+    # E's real and imaginary parts are the state's columns 4 and 5
+    m_cols = np.stack([m_eps.real, m_eps.imag], axis=1)
 
     def rhs(y):
-        fx, grad = chart.jet(y[0], 1)
-        r2 = (om_p / (1.0 + chart.eps * fx)) ** 2
-        return r2[..., None] * v, r2 * (grad @ m_eps)
+        fx, grad = chart.jet(y[..., :4], 1)
+        r2 = ((om_p / (1.0 + chart.eps * fx)) ** 2)[..., None]
+        return np.concatenate([r2 * v, r2 * (grad @ m_cols)], axis=-1)
 
-    shot = kernels.shoot_endpoint(rhs, chart.contains, [p, 0j], s_end, kernels.NODES)
+    shot = kernels.shoot_endpoint(rhs, chart.contains, [p[None], np.zeros((1, 2))], s_end,
+                                  kernels.NODES)
     s = np.linspace(0.0, s_end, steps + 1)
-    xs = kernels.interpolate(shot.s, shot.y[0], s)
-    es = kernels.interpolate(shot.s, shot.y[1], s)
+    ys = kernels.interpolate(shot.s, shot.y[:, 0], s)
+    xs, es = ys[:, :4], ys[:, 4] + 1j * ys[:, 5]
     r = om_p / chart.omega(xs)[:, None]
     mu = (-c / om_p ** 2) * r * es[:, None]
     ls = r ** 2 * l_p
     ns = n_p + 2.0 * (mu.conj() * m_p).real + abs(mu) ** 2 * l_p
-    path = GeodesicPath(s, xs, c * ls, chart)
+    path = GeodesicPath(s, xs, c * ls, chart, work=_work(shot))
     return ParallelFrames(path, ls, ns, r * (m_p + mu * l_p),
                           np.sqrt(r) * o_p, (iota_p + mu.conj() * o_p) / np.sqrt(r))

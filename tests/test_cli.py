@@ -1682,7 +1682,8 @@ def test_curved_transport_shoots_through_the_traced_kernel(tmp_path, monkeypatch
     out = tmp_path / "ct.json"
     cfg = _transport_config(van_vleck=True, frame={"steps": 100})
     assert _run("curved-transport", _write(tmp_path, "c.json", cfg), out) == 0
-    diag = json.loads(out.read_text())["records"][0]["diagnostics"]
+    rec = json.loads(out.read_text())["records"][0]
+    diag = rec["diagnostics"]
     stages = (diag["null_connect"], diag["van_vleck"])
     # one more shoot: the frame; the last positional argument is the node
     # count a segment, so the tracer's steps count Chebyshev nodes
@@ -1690,4 +1691,10 @@ def test_curved_transport_shoots_through_the_traced_kernel(tmp_path, monkeypatch
     assert all(type(last) is int and last == 16 for last, _ in calls)
     assert sum(shot.iterations for _, shot in calls[:-1]) == sum(
         w["picard_iterations"] for w in stages)
+    # the frame block reports the frame shoot's work, so every shoot of a
+    # ray is counted in its record
+    frame_shot = calls[-1][1]
+    assert (rec["frame"]["segments"], rec["frame"]["picard_iterations"]) == (
+        frame_shot.segments, frame_shot.iterations)
+    assert frame_shot.segments >= 1 and frame_shot.iterations >= 2
     assert per_world_function and min(per_world_function) >= 1

@@ -170,6 +170,13 @@ def test_section_rejects_bad_q():
         cone.build_section(np.zeros(4), np.array([0.5, 1.0, 0, 0]), g)   # spacelike
     with pytest.raises(ValueError):
         cone.build_section(np.zeros(4), np.array([-1.0, 0, 0, 0]), g)    # past
+    # the interior bound is relative to t^2: a chord 1e-10 off the cone is
+    # refused at any scale, one deep inside is kept near the vertex
+    for t in (1e-6, 1.0, 1e3):
+        with pytest.raises(ValueError, match="strictly inside the future cone"):
+            cone.build_section(np.zeros(4), t * np.array([1.0, 1.0 - 1e-10, 0, 0]), g)
+        sec = cone.build_section(np.zeros(4), t * np.array([1.0, 0.3, 0.2, -0.1]), g)
+        assert np.all(sec.r0 > 0.0)
 
 
 def test_area_on_axis():

@@ -67,6 +67,22 @@ def test_spin_n_plane_wave(n):
     assert res.value.valence == n
 
 
+# q = p0 + t (1, 0.3, 0.2, -0.1) has interval 0.86 t^2: deep inside the
+# cone however close to the vertex, so build_section's bound, relative to
+# t^2, keeps it
+@pytest.mark.parametrize("t", [1e-4, 1e-6])
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_plane_wave_near_the_vertex(n, t):
+    pw = orc.PlaneWaveSpec(n, np.array([1.0, 0.3 + 0.4j]))
+    fn, fn_dr0 = orc.plane_wave_cone_fn(pw, P0)
+    q = P0 + t * np.array([1.0, 0.3, 0.2, -0.1])
+    res = reconstruct_spin_n(P0, ConeData(n, fn=fn, fn_dr0=fn_dr0), n, q, QuadratureSpec(24, 48))
+    exact = orc.plane_wave_field(pw, q)
+    rel = np.max(np.abs(res.value.components - exact.components)) \
+        / np.max(np.abs(exact.components))
+    assert rel < 1e-13
+
+
 def test_spin_one_matches_dirac_unprimed():
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     pw = orc.PlaneWaveSpec(1, a)

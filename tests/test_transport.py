@@ -134,43 +134,54 @@ def _anywhere(x):
 
 
 def test_picard_kernel_meets_the_exponential():
-    # y' = lambda y on a real and a complex entry: one segment over s 8
-    # does not contract (|lambda| s ~ 16), so it is halved until each does,
-    # and every sample and every interpolated value is exp(lambda s)
+    # y' = lambda y on a real and a complex entry, the complex one as two
+    # real columns: one segment over s 8 does not contract (|lambda| s ~
+    # 16), so it is halved until each does, and every sample and every
+    # interpolated value is exp(lambda s)
     lam = -0.3 + 2.0j
-    shot = _backend.shoot_endpoint(lambda y: [-0.7 * y[0], lam * y[1]], _anywhere,
-                                   [np.ones(4), np.array(1.0 + 0j)], 8.0, 16)
+
+    def rhs(y):
+        z = lam * (y[..., 4] + 1j * y[..., 5])
+        return np.concatenate([-0.7 * y[..., :4], np.stack([z.real, z.imag], axis=-1)],
+                              axis=-1)
+
+    shot = _backend.shoot_endpoint(rhs, _anywhere, [np.ones((1, 4)), np.array([[1.0, 0.0]])],
+                                   8.0, 16)
     assert shot.segments > 1 and len(shot.s) == 16 * shot.segments + 1
+    assert shot.y.shape == (len(shot.s), 1, 6)
     assert shot.s[0] == 0.0 and shot.s[-1] == 8.0 and np.all(np.diff(shot.s[::16]) > 0)
     assert shot.iterations >= 2 * shot.segments and shot.update <= 1e-15
-    assert np.max(np.abs(shot.y[0] - np.exp(-0.7 * shot.s)[:, None])) < 1e-15
-    assert np.max(np.abs(shot.y[1] - np.exp(lam * shot.s))) < 1e-15
+    assert np.max(np.abs(shot.y[:, 0, :4] - np.exp(-0.7 * shot.s)[:, None])) < 1e-15
+    wave = shot.y[:, 0, 4:]
+    assert np.max(np.abs(wave[:, 0] + 1j * wave[:, 1] - np.exp(lam * shot.s))) < 1e-15
     at = np.linspace(0.0, 8.0, 101)
-    between = _backend.interpolate(shot.s, shot.y[1], at)
-    assert np.max(np.abs(between - np.exp(lam * at))) < 1e-15
+    between = _backend.interpolate(shot.s, wave, at)
+    assert np.max(np.abs(between[:, 0] + 1j * between[:, 1] - np.exp(lam * at))) < 1e-15
     # a hit returns the sample itself, also along a decreasing parameter
-    assert _backend.interpolate(shot.s, shot.y[1], shot.s[[0, 7, -1]]).tolist() == \
-        shot.y[1][[0, 7, -1]].tolist()
-    back = _backend.interpolate(-shot.s, shot.y[1], -at)
+    assert _backend.interpolate(shot.s, wave, shot.s[[0, 7, -1]]).tolist() == \
+        wave[[0, 7, -1]].tolist()
+    back = _backend.interpolate(-shot.s, wave, -at)
     assert np.max(np.abs(back - between)) == 0.0
 
 
 @pytest.mark.parametrize("rhs, check", [
     # stiff: the updates contract only on segments far shorter than 1 / 256
-    (lambda y: [-1e6 * y[0], 0.0 * y[1]], "Picard update .* not contracting"),
+    (lambda y: np.concatenate([-1e6 * y[..., :4], 0.0 * y[..., 4:]], axis=-1),
+     "Picard update .* not contracting"),
     # a staircase in s: no polynomial resolves its 1000 jumps
-    (lambda y: [np.ones_like(y[0]) * _FIRST_AXIS, np.floor(1000.0 * y[0][..., 0])],
+    (lambda y: np.concatenate([np.ones_like(y[..., :4]) * _FIRST_AXIS,
+                               np.floor(1000.0 * y[..., :1])], axis=-1),
      "Chebyshev tail .* above 1e-14"),
 ], ids=["stiff", "staircase"])
 def test_picard_kernel_cap_names_the_failing_check(rhs, check):
     with pytest.raises(GeometryError, match=r"geodesic not resolved on s in \[.*\] after "
                                             r"256 segments of 16 Chebyshev nodes: " + check):
-        _backend.shoot_endpoint(rhs, _anywhere, [np.ones(4), np.array(0.0)], 1.0, 16)
+        _backend.shoot_endpoint(rhs, _anywhere, [np.ones((1, 4)), np.zeros((1, 1))], 1.0, 16)
 
 
 def test_picard_kernel_shoots_its_one_node_count():
     with pytest.raises(ValueError, match="segments of 16 Chebyshev nodes, got 30"):
-        _backend.shoot_endpoint(lambda y: y, _anywhere, [np.ones(4)], 1.0, 30)
+        _backend.shoot_endpoint(lambda y: y, _anywhere, [np.ones((1, 4))], 1.0, 30)
 
 
 def test_flat_shoot_is_straight():
@@ -329,6 +340,45 @@ def test_batched_connect_freezes_converged_pairs(monkeypatch):
     both = tr.world_function(chart, ps, qs)[0]
     assert rows[0] == 2 and rows[-1] == 1 and len(rows) > 4
     assert np.max(np.abs(both - alone)) < 1e-13
+
+
+def test_kernel_hands_rhs_one_packed_array_an_iteration(monkeypatch):
+    # every shoot (connect rows, the Jacobi propagator, the frame chord)
+    # calls rhs once a Picard iteration, with one float array (NODES + 1,
+    # live rows, width) of the joined start entries, and takes back slopes
+    # of the same shape; rows that converge leave the array
+    chart = tr.make_chart("conformal", **STRONG_BUMP)
+    shoot, shots = tr.kernels.shoot_endpoint, []
+
+    def checking(rhs, contains, y, s_end, nodes, **kwargs):
+        calls = []
+
+        def recording(state):
+            slopes = rhs(state)
+            calls.append((type(state), state.dtype, state.shape, type(slopes), slopes.shape))
+            return slopes
+
+        shot = shoot(recording, contains, y, s_end, nodes, **kwargs)
+        shots.append((len(y[0]), sum(e.shape[1] for e in y), calls, shot))
+        return shot
+
+    monkeypatch.setattr(tr.kernels, "shoot_endpoint", checking)
+    tr.world_function(chart, FAST_SLOW_P, FAST_SLOW_Q)
+    _ray_propagator(chart)
+    fr = _chart_frame(chart, P, _flat_frame())
+    tr.transport_spin_frame(chart, P, fr.l, fr, s_end=1.5, steps=20)
+    assert {width for _, width, _, _ in shots} == {8, 72, 6}
+    live = set()
+    for rows, width, calls, shot in shots:
+        assert len(calls) == shot.iterations
+        assert shot.y.shape == (len(shot.s), rows, width)
+        for state_type, dtype, shape, slopes_type, slopes_shape in calls:
+            assert state_type is slopes_type is np.ndarray and dtype == np.float64
+            assert shape == slopes_shape
+            assert shape[0] == tr.kernels.NODES + 1 and shape[2] == width
+            assert 1 <= shape[1] <= rows
+            live.add(shape[1] < rows)
+    assert live == {False, True}
 
 
 def test_connect_failure_names_the_pair():
@@ -766,7 +816,7 @@ def test_van_vleck_batch_starts_from_the_jacobi_shifted_propagator(profile, monk
     assert seeded["picard_iterations"] < plain["picard_iterations"]
     assert np.array_equal(first.s, prop.s)
     rows = tr.geodesic_shoot(chart, starts, v, 1.0)
-    for got, converged in zip(first.y, (rows.x, rows.v)):
+    for got, converged in ((first.y[..., :4], rows.x), (first.y[..., 4:], rows.v)):
         at = tr.kernels.interpolate(rows.s, converged, first.s)
         assert np.max(np.abs(got - at)) <= 10.0 * h ** 2
 
