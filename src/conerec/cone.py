@@ -217,6 +217,12 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     if dq[0] <= 0 or gamma0 < 1e-8 * dq[0] ** 2:
         raise GeometryError("q must lie strictly inside the future cone of p0 "
                          f"(interval {gamma0:.3e}, dt {dq[0]:.3e})")
+    # t^2 underflows first: below the smallest normal float the interval
+    # has lost its digits, and at 0 the radii vanish
+    tiny = np.finfo(float).tiny
+    if gamma0 < tiny:
+        raise GeometryError(f"interval {gamma0:.3e} of q - p0 is below the smallest "
+                            f"normal float {tiny:.3e}; q is too close to the vertex")
     theta, phi, quad_w, chart = grid.angles()
     omega, o = grid.directions()
     r = t - omega @ x

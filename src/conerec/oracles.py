@@ -1,13 +1,12 @@
-"""Exact solutions and identity checks used as anchors by the test suite.
+"""Exact solutions and the cone-integral identity check the CLI runs.
 
 Plane waves phi_{A..F} = amp alpha_A .. alpha_F exp(i k.x), with the wave
 vector built from the principal spinor as k^{AA'} = alpha^A albar^{A'},
 solve the massless field equation grad^{AA'} phi_{AB..F} = 0 of every
 valence exactly, and pair with a primed wave into an exact massless Dirac
-solution.  The remaining entry points check differential identities
-(second-derivative contraction, symmetry of the Dirac operator under the
-symplectic pairing, differentiation of cone-section integrals in the
-apex) by finite differences against their closed forms.
+solution.  derivative_under_integral_check checks the differentiation of
+cone-section integrals in the apex by finite differences against its
+closed form.
 """
 
 from dataclasses import dataclass, field
@@ -15,15 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cone, spinor
-from .spinor import (ETA, SIG_UP, DiracSpinorValue, SymSpinorValue,
-                     central_partials, clifford_batch, dirac_assemble,
-                     lower_comps, lower_matrix, raise_comps, symplectic_pairing)
+from .spinor import (ETA, DiracSpinorValue, SymSpinorValue, central_partials,
+                     clifford_batch, dirac_assemble, lower_comps, raise_comps)
 
 __all__ = [
-    "PlaneWaveSpec", "plane_wave_field", "plane_wave_tensor",
-    "plane_wave_dirac", "plane_wave_components", "plane_wave_cone_fn",
-    "plane_wave_dirac_cone_fn", "weyl_residual_fd", "sl_identity_check",
-    "c2_bump", "box_bump", "bump_dirac_grids", "dirac_symmetry_check",
+    "PlaneWaveSpec", "plane_wave_field", "plane_wave_dirac",
+    "plane_wave_cone_fn", "plane_wave_dirac_cone_fn",
     "derivative_under_integral_check",
 ]
 
@@ -70,15 +66,6 @@ def plane_wave_field(spec: PlaneWaveSpec, x) -> SymSpinorValue:
     return SymSpinorValue(spec.n, comps)
 
 
-def plane_wave_tensor(spec: PlaneWaveSpec, x) -> np.ndarray:
-    """Lower-index symmetric tensor phi_{A..F}(x); shape (2,)*n."""
-    ph = spec.amplitude * np.exp(1j * spec.phase(x))
-    out = np.asarray(ph, dtype=complex)
-    for _ in range(spec.n):
-        out = np.multiply.outer(out, spec.alpha)
-    return out
-
-
 def plane_wave_dirac(spec: PlaneWaveSpec, x, psi_amplitude=1.0) -> DiracSpinorValue:
     """Exact massless Dirac solution (phi_A, psi^{A'}) sharing one wave vector.
 
@@ -91,19 +78,6 @@ def plane_wave_dirac(spec: PlaneWaveSpec, x, psi_amplitude=1.0) -> DiracSpinorVa
     phi = spec.amplitude * spec.alpha * ph
     psi = psi_amplitude * np.conj(raise_comps(spec.alpha)) * ph
     return DiracSpinorValue(phi, psi)
-
-
-def plane_wave_components(spec: PlaneWaveSpec, x, o_up, iota_up) -> np.ndarray:
-    """phi_0..phi_n at x contracted with a given spin basis, batched.
-
-    x: (..., 4); o_up, iota_up: (..., 2) upper-index basis spinors.
-    Returns (..., n+1).
-    """
-    co = np.einsum("a,...a->...", spec.alpha, np.asarray(o_up))
-    ci = np.einsum("a,...a->...", spec.alpha, np.asarray(iota_up))
-    ph = spec.amplitude * np.exp(1j * spec.phase(x))
-    j = np.arange(spec.n + 1)
-    return (co[..., None] ** (spec.n - j) * ci[..., None] ** j) * ph[..., None]
 
 
 def _column_powers(o_up, iota_up, alpha, n, columns):
@@ -211,120 +185,6 @@ def plane_wave_dirac_cone_fn(spec: PlaneWaveSpec, p0, psi_amplitude=1.0):
         return factors(o_up) * e[..., None]
 
     return _cone_fn_pair(spec, p0, node_values)
-
-
-def weyl_residual_fd(field_fn, n: int, x, h: float) -> float:
-    """Max |grad^{AA'} phi_{AB..F}| by central differences at x.
-
-    field_fn(x) must return the lower-index (2,)*n tensor.  O(h^2).
-    """
-    d1 = central_partials(field_fn, np.asarray(x, dtype=float), h)
-    res = np.einsum("aij,ai...->j...", SIG_UP, d1)
-    return float(np.max(np.abs(res)))
-
-
-def sl_identity_check(field_fn, n: int, point, h: float) -> float:
-    """Residual of the flat second-derivative contraction identity.
-
-    For any smooth lower-index valence-n field, grad_{BA'} grad^{AA'}
-    phi_{A C..} equals half the wave operator acting on phi_{B C..} when
-    the curvature vanishes.  The two sides are discretized independently
-    (nested first differences against a direct second-difference wave
-    operator) so the residual honestly measures the O(h^2) truncation,
-    not just the epsilon algebra.
-    """
-    if n < 1:
-        raise ValueError("need at least one spinor index")
-    point = np.asarray(point, dtype=float)
-    rest = "".join(chr(ord("c") + i) for i in range(n - 1))
-
-    def contracted_grad(y):
-        # chi^{A'}_{C..} = grad^{AA'} phi_{A C..} by central differences
-        d1 = central_partials(field_fn, y, h)
-        return np.einsum(f"ajp,aj{rest}->p{rest}", SIG_UP, d1)
-
-    sig_low = lower_matrix(SIG_UP)
-    dchi = central_partials(contracted_grad, point, h)
-    lhs = np.einsum(f"bip,bp{rest}->i{rest}", sig_low, dchi)
-
-    f0 = field_fn(point)
-    box = np.zeros((2,) * n, dtype=complex)
-    for a in range(4):
-        e = np.zeros(4)
-        e[a] = h
-        box += ETA[a, a] * (field_fn(point + e) - 2.0 * f0 + field_fn(point - e)) / h ** 2
-    rhs = 0.5 * box
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def c2_bump(y):
-    """(1 - y^2)^3 inside |y| < 1, zero outside; twice differentiable."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    m = np.abs(y) < 1.0
-    out[m] = (1.0 - y[m] ** 2) ** 3
-    return out
-
-
-def box_bump(x, center, half):
-    """Product of c2_bump over the four axes; support is the open box."""
-    x = np.asarray(x, dtype=float)
-    center = np.asarray(center, dtype=float)
-    half = np.asarray(half, dtype=float)
-    y = (x - center) / half
-    out = np.ones(x.shape[:-1])
-    for a in range(4):
-        out = out * c2_bump(y[..., a])
-    return out
-
-
-def bump_dirac_grids(spec: PlaneWaveSpec, center, half, n_pts: int,
-                     psi_amplitude=1.0):
-    """Bump-modulated Dirac plane wave sampled on a uniform 4D grid.
-
-    The box [center - half, center + half] carries the support; the grid
-    spans 1.3 times that so the outer layers are exactly zero.
-    Returns (phi, psi, h) with phi, psi of shape (N, N, N, N, 2).
-    """
-    center = np.asarray(center, dtype=float)
-    half = np.asarray(half, dtype=float) * np.ones(4)
-    axes = [np.linspace(center[a] - 1.3 * half[a], center[a] + 1.3 * half[a], n_pts)
-            for a in range(4)]
-    h = axes[0][1] - axes[0][0]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    cut = box_bump(mesh, center, half)
-    ph = np.exp(1j * spec.phase(mesh)) * cut
-    phi = spec.amplitude * ph[..., None] * spec.alpha
-    psi = psi_amplitude * ph[..., None] * np.conj(raise_comps(spec.alpha))
-    return phi, psi, float(h)
-
-
-def dirac_symmetry_check(phi1, psi1, phi2, psi2, h: float) -> float:
-    """|sum (D u1, u2) - sum (u1, D u2)| h^4 over a 4D grid.
-
-    The symplectic pairing makes the Dirac operator symmetric up to a
-    divergence, so the defect of two compactly supported fields converges
-    to zero at O(h^2).  Raises if either support touches the outer two
-    grid layers (the divergence theorem needs room to close).
-    """
-    fields = [np.asarray(f, dtype=complex) for f in (phi1, psi1, phi2, psi2)]
-    for f in fields:
-        if f.ndim != 5 or f.shape[-1] != 2:
-            raise ValueError("grids must have shape (N0,N1,N2,N3,2)")
-        edge = np.zeros(f.shape[:4], dtype=bool)
-        for ax in range(4):
-            sl = [slice(None)] * 4
-            sl[ax] = [0, 1, -2, -1]
-            edge[tuple(sl)] = True
-        if np.any(f[edge] != 0):
-            raise ValueError("support touches the grid boundary")
-    phi1, psi1, phi2, psi2 = fields
-    dphi1, dpsi1, interior = spinor.dirac_apply_fd(phi1, psi1, h)
-    dphi2, dpsi2, _ = spinor.dirac_apply_fd(phi2, psi2, h)
-
-    lhs = np.sum(symplectic_pairing(dphi1, dpsi1, phi2, psi2)[interior])
-    rhs = np.sum(symplectic_pairing(phi1, psi1, dphi2, dpsi2)[interior])
-    return float(abs(lhs - rhs)) * h ** 4
 
 
 def _dirac_fd_q(f, q, h):

@@ -110,24 +110,22 @@ def _check_spin_args(data: ConeData, n: int):
 
 
 def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec, chart=None):
-    """Components at q, node count, diagnostics: phi_0 .. phi_n for spin
-    data, phi_A (lower) then psi^{A'} (upper) for the Dirac pair.  Per data
-    column the integrand scalar on the flat section sigma(q) is
-    (d/dr0 - (n+1) rho) phi mu_sigma / (2 pi r), rho = -1/r0.  A chart
-    enters only as the per-node factors of _chart_factors; without one
-    there are none."""
+    """Components at q and node count: phi_0 .. phi_n for spin data, phi_A
+    (lower) then psi^{A'} (upper) for the Dirac pair.  Per data column the
+    integrand scalar on the flat section sigma(q) is (d/dr0 - (n+1) rho)
+    phi mu_sigma / (2 pi r), rho = -1/r0.  A chart enters only as the
+    per-node factors of _chart_factors; without one there are none."""
     section = build_section(p0, q, spec.grid())
     rho = -1.0 / section.r0
     w = section.mu_sigma / (2.0 * math.pi * section.r)
     if chart is None:
         vals, dvals = data.evaluate_on(section)
-        extras = {}
     else:
         f = _chart_factors(chart, p0, q, section)
         c = f.iota_scale[:, None]
         vals, dvals = data.evaluate(f.r0, section.omega, section.o / c, c * section.iota)
         dvals = dvals - (0.5 * n * f.dr0_ln_omega)[:, None] * vals
-        rho, w, extras = f.rho, w * f.weight * f.iota_scale ** n, f.diagnostics
+        rho, w = f.rho, w * f.weight * f.iota_scale ** n
     coeff = _rho_coefficient(n, spec)
     scal = (dvals - (coeff * rho)[:, None] * vals) * w[:, None]
     if data.kind == "dirac":
@@ -136,20 +134,20 @@ def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec, chart=
     else:
         phi0 = scal[:, 0] * -1.0 if n % 2 else np.ascontiguousarray(scal[:, 0])
         comps = _component_sum(phi0, section.iota, n)
-    return comps, section.n_nodes, extras
+    return comps, section.n_nodes
 
 
 def _evaluate(quadrature, data: ConeData, q, spec: QuadratureSpec):
-    """quadrature(spec) -> (components, n_nodes, extras), wrapped at q with
-    its diagnostics in a ReconstructionResult.  The error estimate is the
+    """quadrature(spec) -> (components, n_nodes), wrapped at q with its
+    diagnostics in a ReconstructionResult.  The error estimate is the
     largest component difference against a half-resolution run, None when
     no coarser evaluation exists (spec at the floor, or grid-bound data)."""
-    comps, n_nodes, extras = quadrature(spec)
+    comps, n_nodes = quadrature(spec)
     estimate, half = None, spec.halved()
     if half != spec and data.is_analytic:
-        coarse, _, _ = quadrature(half)
+        coarse, _ = quadrature(half)
         estimate = float(np.max(np.abs(comps - coarse)))
-    diagnostics = {"n_nodes": int(n_nodes), "error_estimate": estimate, **extras}
+    diagnostics = {"n_nodes": int(n_nodes), "error_estimate": estimate}
     value = (DiracSpinorValue(comps[:2], comps[2:]) if data.kind == "dirac"
              else SymSpinorValue(comps.size - 1, comps))
     return ReconstructionResult(value=value, q=q, diagnostics=diagnostics)
@@ -225,8 +223,7 @@ def convergence_study(p0, data: ConeData, q, oracle, specs,
 
 # -- curved charts -----------------------------------------------------------
 
-_ChartFactors = namedtuple("_ChartFactors",
-                           "r0 iota_scale rho dr0_ln_omega weight diagnostics")
+_ChartFactors = namedtuple("_ChartFactors", "r0 iota_scale rho dr0_ln_omega weight")
 
 
 def _chart_factors(chart, p0, q, section) -> _ChartFactors:
@@ -239,9 +236,8 @@ def _chart_factors(chart, p0, q, section) -> _ChartFactors:
     + 1/r0), and d ln(omega)/dr0* = g dln(omega)/dl.  The curved weight
     k mu/r (k = I(q -> p)/(2 pi om_p om_q), mu = om_p^2 mu_sigma, r =
     r_flat I(q -> p) g) is the flat one times om_p^3/(om_q om0^2): the
-    chord mean from q cancels, and is read for the diagnostics alone.
+    chord mean from q cancels, so only the one from p0 is taken.
     """
-    from .transport import _chord_mean   # here, so flat-only runs never load transport
     inside = chart.contains(section.p)
     if not np.all(inside):
         bad = np.flatnonzero(~inside)
@@ -253,16 +249,10 @@ def _chart_factors(chart, p0, q, section) -> _ChartFactors:
     om0, omq, om_p = chart.omega(p0), chart.omega(q), chart.omega(section.p)
     g = om0 ** 2 / om_p ** 2
     dln_om_dl = np.einsum("ni,ni->n", chart.grad_ln_omega(section.p), section.l)
-    ibar = _chord_mean(chart, q, section.p)
-    k = ibar / (2.0 * math.pi * om_p * omq)
-    r = section.r * ibar * g
     return _ChartFactors(
-        r0=ell * _chord_mean(chart, p0, section.p) / om0 ** 2,
+        r0=ell * chart.chord_mean(p0, section.p) / om0 ** 2,
         iota_scale=np.sqrt(om_p) / om0, rho=-g * (dln_om_dl + 1.0 / ell),
-        dr0_ln_omega=g * dln_om_dl, weight=om_p ** 3 / (omq * om0 ** 2),
-        diagnostics={
-            "k_deviation": float(np.max(np.abs(k - 1.0 / (2.0 * math.pi)))),
-            "area_measure_factor": float(np.median(om_p ** 2 * ell ** 2 / (k * r ** 2)))})
+        dr0_ln_omega=g * dln_om_dl, weight=om_p ** 3 / (omq * om0 ** 2))
 
 
 def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
@@ -276,9 +266,7 @@ def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
     the weight mu_sigma/(2 pi r) gains om_p^3/(om_q om0^2) c^n.  The
     smooth tail is not included, so away from the flat chart the result
     is the two singular integrals only; on the flat chart every factor
-    is 1 or its flat value.  The diagnostics report the largest deviation
-    of k from 1/(2 pi) and the factor between the section measure and
-    k r^2 dOmega (pi/2 for an on-axis flat configuration).
+    is 1 or its flat value.
     """
     _check_spin_args(data, n)
     p0 = np.asarray(p0, dtype=float)

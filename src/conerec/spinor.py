@@ -158,36 +158,3 @@ def dirac_assemble(dphi: np.ndarray, dpsi: np.ndarray):
     new_phi = 1j * SQRT2 * np.einsum("aij,a...j->...i", sig_up_low, dpsi)
     new_psi = -1j * SQRT2 * np.einsum("aij,a...i->...j", SIG_UP, dphi)
     return new_phi, new_psi
-
-
-def dirac_apply_fd(phi: np.ndarray, psi: np.ndarray, h: float):
-    """Apply the massless Dirac operator on a 4D grid by central differences.
-
-    phi, psi: arrays of shape (N0, N1, N2, N3, 2) holding phi_A and
-    psi^{A'} on a uniform grid with spacing h along every axis.  Returns
-    (Dphi, Dpsi, interior) where Dphi/Dpsi are valid on the boolean
-    `interior` mask (one layer trimmed per face) and the scheme is O(h^2).
-    """
-    phi = np.asarray(phi, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    if phi.shape != psi.shape or phi.ndim != 5 or phi.shape[-1] != 2:
-        raise ValueError("phi, psi must both have shape (N0,N1,N2,N3,2)")
-
-    def central(f, axis):
-        out = np.zeros_like(f)
-        sl_p = [slice(None)] * 5
-        sl_m = [slice(None)] * 5
-        sl_c = [slice(None)] * 5
-        sl_p[axis] = slice(2, None)
-        sl_m[axis] = slice(0, -2)
-        sl_c[axis] = slice(1, -1)
-        out[tuple(sl_c)] = (f[tuple(sl_p)] - f[tuple(sl_m)]) / (2.0 * h)
-        return out
-
-    dphi = np.stack([central(phi, a) for a in range(4)])   # (4, ..., 2)
-    dpsi = np.stack([central(psi, a) for a in range(4)])
-    new_phi, new_psi = dirac_assemble(dphi, dpsi)
-
-    interior = np.zeros(phi.shape[:4], dtype=bool)
-    interior[1:-1, 1:-1, 1:-1, 1:-1] = True
-    return new_phi, new_psi, interior

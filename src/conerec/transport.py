@@ -58,7 +58,7 @@ _FIRST = _EYE_BOOL[0]
 _STEP = 1e-200
 # unit roundoff: a shoot's endpoint is rounded at this scale of the points
 _ULP = np.finfo(float).eps
-# Gauss-Legendre rule of _chord_mean, nodes mapped to [0, 1]
+# Gauss-Legendre rule of CurvedChart.chord_mean, nodes mapped to [0, 1]
 _CHORD_NODES, _CHORD_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CHORD_U = 0.5 * (_CHORD_NODES + 1.0)
 
@@ -70,7 +70,8 @@ class CurvedChart:
     jet(x, order) returns (f,) or, for order 1, (f, grad f) of the profile
     at (..., 4) points, |f| <= 1; the Jacobi propagator differentiates it by
     a complex step, so it must be complex-analytic in x (no abs or conj).
-    Every quantity below is closed form in eps and the jet, on (..., 4) arrays.
+    Every quantity below is closed form in eps and the jet, on (..., 4)
+    arrays, but the chord mean, a fixed quadrature of omega^2.
     """
 
     jet: Callable
@@ -109,6 +110,15 @@ class CurvedChart:
     def metric(self, x) -> np.ndarray:
         """g_{ab} = omega^2 eta_{ab}, [..., a, b]."""
         return (self.omega(x) ** 2)[..., None, None] * ETA
+
+    def chord_mean(self, a, b):
+        """I(a, b) = int_0^1 omega^2(a + u (b - a)) du, the chord average of
+        omega^2 from the point a to b, a point (a float) or (B, 4) rows (a
+        (B,) array); a 32-node Gauss-Legendre sum.  null_connect,
+        conformal_k and the curved evaluator all read it here."""
+        a = np.asarray(a, dtype=float).reshape(4)
+        chords = a + _CHORD_U[:, None] * (np.asarray(b, dtype=float) - a)[..., None, :]
+        return 0.5 * (self.omega(chords) ** 2 @ _CHORD_WEIGHTS)
 
 
 @dataclass
@@ -383,7 +393,7 @@ def null_connect(chart: CurvedChart, p, q) -> GeodesicPath:
         kind = "timelike" if gam > 0 else "spacelike"
         raise GeometryError(f"p and q are {kind}-separated "
                             f"(coordinate interval {gam:.3e}); no null geodesic")
-    v01 = d * (_chord_mean(chart, p, q) / chart.omega(p) ** 2)
+    v01 = d * (chart.chord_mean(p, q) / chart.omega(p) ** 2)
     if v01[0] == 0.0:
         raise GeometryError("degenerate null direction (vanishing chart-time "
                             "component)")
@@ -488,15 +498,6 @@ def van_vleck_k(chart: CurvedChart, q, p, h: float = 2e-2,
     return k, float(abs(k_half - k_h) / 3.0 + 1.5 * k * norms * r / h)
 
 
-def _chord_mean(chart: CurvedChart, a, b):
-    """I(a, b) = int_0^1 omega^2(a + u (b - a)) du, the chord average of
-    omega^2 from the point a to b, a point (a float) or (B, 4) rows (a
-    (B,) array); a 32-node Gauss-Legendre sum."""
-    a = np.asarray(a, dtype=float).reshape(4)
-    chords = a + _CHORD_U[:, None] * (np.asarray(b, dtype=float) - a)[..., None, :]
-    return 0.5 * (chart.omega(chords) ** 2 @ _CHORD_WEIGHTS)
-
-
 def conformal_k(chart: CurvedChart, q, p):
     """Closed form of k from q to p, a point (a float) or (B, 4) rows.
 
@@ -507,13 +508,13 @@ def conformal_k(chart: CurvedChart, q, p):
         sqrt(Delta) = I(q, p) / (omega_p omega_q),
 
     which transport_k and the mixed-Hessian determinant both reproduce;
-    it is symmetric and 1 on the flat chart.  I is _chord_mean's 32-node
+    it is symmetric and 1 on the flat chart.  I is chart.chord_mean's 32-node
     rule: at roundoff while the chord spans a few profile widths, but up
     to ~1e-2 off when it spans many (a narrow profile on a long chord).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float).reshape(4)
-    k = _chord_mean(chart, q, p) / (TWO_PI * chart.omega(p) * chart.omega(q))
+    k = chart.chord_mean(q, p) / (TWO_PI * chart.omega(p) * chart.omega(q))
     return float(k) if p.ndim == 1 else k
 
 

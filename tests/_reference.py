@@ -13,8 +13,12 @@ world function, the classical RK4 integrator the Chebyshev-Picard
 kernel replaced integrates the tensor forms of the propagator and the
 frame those are checked against, two-level Richardson differences
 audit exact and spline derivatives, the spline formula written out
-term by term audits the grid-data lookup, and Lagrange stencil weights
-built ring by ring audit the closed-form theta-derivative matrix.
+term by term audits the grid-data lookup, Lagrange stencil weights
+built ring by ring audit the closed-form theta-derivative matrix, and
+criterion 9's finite-difference identity checks (the field equation,
+the second-derivative contraction, and the Dirac operator's symmetry
+under the symplectic pairing on bump-modulated plane waves) audit the
+spinor conventions.
 """
 
 import itertools
@@ -23,7 +27,10 @@ import math
 import numpy as np
 
 from conerec import cone, transport
-from conerec.spinor import ETA, SQRT2, SymSpinorValue, lower_comps, to_matrix
+from conerec.oracles import PlaneWaveSpec
+from conerec.spinor import (ETA, SIG_UP, SQRT2, SymSpinorValue, central_partials,
+                            dirac_assemble, lower_comps, lower_matrix, raise_comps,
+                            symplectic_pairing, to_matrix)
 
 # Largest valence of the dense (2,)*n tensor helpers.
 MAX_VALENCE = 6
@@ -322,3 +329,182 @@ def theta_derivative_matrix(grid: cone.SphereGrid, stencil: int = 9) -> np.ndarr
         for off, wj in enumerate(w):
             D[i, col[lo + off]] += wj
     return D
+
+
+# -- criterion 9: differential identities by finite differences ----------
+
+def plane_wave_tensor(spec: PlaneWaveSpec, x) -> np.ndarray:
+    """Lower-index symmetric tensor phi_{A..F}(x); shape (2,)*n."""
+    ph = spec.amplitude * np.exp(1j * spec.phase(x))
+    out = np.asarray(ph, dtype=complex)
+    for _ in range(spec.n):
+        out = np.multiply.outer(out, spec.alpha)
+    return out
+
+
+def plane_wave_components(spec: PlaneWaveSpec, x, o_up, iota_up) -> np.ndarray:
+    """phi_0..phi_n at x contracted with a given spin basis, batched.
+
+    x: (..., 4); o_up, iota_up: (..., 2) upper-index basis spinors.
+    Returns (..., n+1).
+    """
+    co = np.einsum("a,...a->...", spec.alpha, np.asarray(o_up))
+    ci = np.einsum("a,...a->...", spec.alpha, np.asarray(iota_up))
+    ph = spec.amplitude * np.exp(1j * spec.phase(x))
+    j = np.arange(spec.n + 1)
+    return (co[..., None] ** (spec.n - j) * ci[..., None] ** j) * ph[..., None]
+
+
+
+def weyl_residual_fd(field_fn, n: int, x, h: float) -> float:
+    """Max |grad^{AA'} phi_{AB..F}| by central differences at x.
+
+    field_fn(x) must return the lower-index (2,)*n tensor.  O(h^2).
+    """
+    d1 = central_partials(field_fn, np.asarray(x, dtype=float), h)
+    res = np.einsum("aij,ai...->j...", SIG_UP, d1)
+    return float(np.max(np.abs(res)))
+
+
+
+def sl_identity_check(field_fn, n: int, point, h: float) -> float:
+    """Residual of the flat second-derivative contraction identity.
+
+    For any smooth lower-index valence-n field, grad_{BA'} grad^{AA'}
+    phi_{A C..} equals half the wave operator acting on phi_{B C..} when
+    the curvature vanishes.  The two sides are discretized independently
+    (nested first differences against a direct second-difference wave
+    operator) so the residual honestly measures the O(h^2) truncation,
+    not just the epsilon algebra.
+    """
+    if n < 1:
+        raise ValueError("need at least one spinor index")
+    point = np.asarray(point, dtype=float)
+    rest = "".join(chr(ord("c") + i) for i in range(n - 1))
+
+    def contracted_grad(y):
+        # chi^{A'}_{C..} = grad^{AA'} phi_{A C..} by central differences
+        d1 = central_partials(field_fn, y, h)
+        return np.einsum(f"ajp,aj{rest}->p{rest}", SIG_UP, d1)
+
+    sig_low = lower_matrix(SIG_UP)
+    dchi = central_partials(contracted_grad, point, h)
+    lhs = np.einsum(f"bip,bp{rest}->i{rest}", sig_low, dchi)
+
+    f0 = field_fn(point)
+    box = np.zeros((2,) * n, dtype=complex)
+    for a in range(4):
+        e = np.zeros(4)
+        e[a] = h
+        box += ETA[a, a] * (field_fn(point + e) - 2.0 * f0 + field_fn(point - e)) / h ** 2
+    rhs = 0.5 * box
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+
+def c2_bump(y):
+    """(1 - y^2)^3 inside |y| < 1, zero outside; twice differentiable."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    m = np.abs(y) < 1.0
+    out[m] = (1.0 - y[m] ** 2) ** 3
+    return out
+
+
+
+def box_bump(x, center, half):
+    """Product of c2_bump over the four axes; support is the open box."""
+    x = np.asarray(x, dtype=float)
+    center = np.asarray(center, dtype=float)
+    half = np.asarray(half, dtype=float)
+    y = (x - center) / half
+    out = np.ones(x.shape[:-1])
+    for a in range(4):
+        out = out * c2_bump(y[..., a])
+    return out
+
+
+
+def bump_dirac_grids(spec: PlaneWaveSpec, center, half, n_pts: int,
+                     psi_amplitude=1.0):
+    """Bump-modulated Dirac plane wave sampled on a uniform 4D grid.
+
+    The box [center - half, center + half] carries the support; the grid
+    spans 1.3 times that so the outer layers are exactly zero.
+    Returns (phi, psi, h) with phi, psi of shape (N, N, N, N, 2).
+    """
+    center = np.asarray(center, dtype=float)
+    half = np.asarray(half, dtype=float) * np.ones(4)
+    axes = [np.linspace(center[a] - 1.3 * half[a], center[a] + 1.3 * half[a], n_pts)
+            for a in range(4)]
+    h = axes[0][1] - axes[0][0]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    cut = box_bump(mesh, center, half)
+    ph = np.exp(1j * spec.phase(mesh)) * cut
+    phi = spec.amplitude * ph[..., None] * spec.alpha
+    psi = psi_amplitude * ph[..., None] * np.conj(raise_comps(spec.alpha))
+    return phi, psi, float(h)
+
+
+
+def dirac_symmetry_check(phi1, psi1, phi2, psi2, h: float) -> float:
+    """|sum (D u1, u2) - sum (u1, D u2)| h^4 over a 4D grid.
+
+    The symplectic pairing makes the Dirac operator symmetric up to a
+    divergence, so the defect of two compactly supported fields converges
+    to zero at O(h^2).  Raises if either support touches the outer two
+    grid layers (the divergence theorem needs room to close).
+    """
+    fields = [np.asarray(f, dtype=complex) for f in (phi1, psi1, phi2, psi2)]
+    for f in fields:
+        if f.ndim != 5 or f.shape[-1] != 2:
+            raise ValueError("grids must have shape (N0,N1,N2,N3,2)")
+        edge = np.zeros(f.shape[:4], dtype=bool)
+        for ax in range(4):
+            sl = [slice(None)] * 4
+            sl[ax] = [0, 1, -2, -1]
+            edge[tuple(sl)] = True
+        if np.any(f[edge] != 0):
+            raise ValueError("support touches the grid boundary")
+    phi1, psi1, phi2, psi2 = fields
+    dphi1, dpsi1, interior = dirac_apply_fd(phi1, psi1, h)
+    dphi2, dpsi2, _ = dirac_apply_fd(phi2, psi2, h)
+
+    lhs = np.sum(symplectic_pairing(dphi1, dpsi1, phi2, psi2)[interior])
+    rhs = np.sum(symplectic_pairing(phi1, psi1, dphi2, dpsi2)[interior])
+    return float(abs(lhs - rhs)) * h ** 4
+
+
+
+def dirac_apply_fd(phi: np.ndarray, psi: np.ndarray, h: float):
+    """Apply the massless Dirac operator on a 4D grid by central differences.
+
+    phi, psi: arrays of shape (N0, N1, N2, N3, 2) holding phi_A and
+    psi^{A'} on a uniform grid with spacing h along every axis.  Returns
+    (Dphi, Dpsi, interior) where Dphi/Dpsi are valid on the boolean
+    `interior` mask (one layer trimmed per face) and the scheme is O(h^2).
+    """
+    phi = np.asarray(phi, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    if phi.shape != psi.shape or phi.ndim != 5 or phi.shape[-1] != 2:
+        raise ValueError("phi, psi must both have shape (N0,N1,N2,N3,2)")
+
+    def central(f, axis):
+        out = np.zeros_like(f)
+        sl_p = [slice(None)] * 5
+        sl_m = [slice(None)] * 5
+        sl_c = [slice(None)] * 5
+        sl_p[axis] = slice(2, None)
+        sl_m[axis] = slice(0, -2)
+        sl_c[axis] = slice(1, -1)
+        out[tuple(sl_c)] = (f[tuple(sl_p)] - f[tuple(sl_m)]) / (2.0 * h)
+        return out
+
+    dphi = np.stack([central(phi, a) for a in range(4)])   # (4, ..., 2)
+    dpsi = np.stack([central(psi, a) for a in range(4)])
+    new_phi, new_psi = dirac_assemble(dphi, dpsi)
+
+    interior = np.zeros(phi.shape[:4], dtype=bool)
+    interior[1:-1, 1:-1, 1:-1, 1:-1] = True
+    return new_phi, new_psi, interior
+

@@ -3,6 +3,10 @@
     python tests/corpus.py --diff             largest deviation per corpus file
     python tests/corpus.py --write NAME...    regenerate the named outputs
 
+--diff goes through every file: one whose output differs in anything but
+its floats prints the path of the first mismatch, and the exit status
+is 1 if any file mismatches or deviates by more than TOL.
+
 tests/corpus/<name>.cfg.json holds {"command", "config"} and, for file
 data, "data_file": the plane-wave family that save_cone_data samples and
 writes before the run, so no blob is committed; the config's data.file
@@ -146,6 +150,7 @@ def main(argv=None):
     unknown = sorted(set(args.write or ()) - set(names()))
     if unknown:
         parser.error(f"no corpus config named {', '.join(unknown)}")
+    failed = False
     for name in args.write or names():
         with tempfile.TemporaryDirectory() as tmp:
             if args.write:
@@ -153,9 +158,17 @@ def main(argv=None):
                 (CORPUS / f"{name}.out.json").write_text(
                     json.dumps(doc, indent=1, sort_keys=True) + "\n")
                 print(f"{name}: written (exit {doc['exit']})")
-            else:
-                print(f"{name}: largest deviation {compare(name, tmp):.3e} of the field scale")
-    return 0
+                continue
+            try:
+                dev = compare(name, tmp)
+            except AssertionError as exc:
+                print(f"{name}: MISMATCH at {exc}")
+                failed = True
+                continue
+            print(f"{name}: largest deviation {dev:.3e} of the field scale"
+                  + (f", above TOL {TOL:.0e}" if dev > TOL else ""))
+            failed |= dev > TOL
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ from conerec.frames import NPFrame, frame_from_spin_basis
 from conerec.nulldata import ConeData
 from conerec.reconstruct import QuadratureSpec
 
+from _reference import bump_dirac_grids, dirac_symmetry_check, plane_wave_tensor, sl_identity_check
+
 RNG_SEED = 20260816
 P0 = np.zeros(4)
 ALPHA = np.array([2.6, 2.0 + 2.3j])
@@ -256,8 +258,8 @@ def test_criterion_09_identity_convergence_orders():
     for n in (1, 2):
         spec = oracles.PlaneWaveSpec(n, [0.8 + 0.2j, -0.5 + 0.9j],
                                      amplitude=1.1)
-        sol = lambda x: oracles.plane_wave_tensor(spec, x)
-        res = [oracles.sl_identity_check(sol, n, pt, h)
+        sol = lambda x: plane_wave_tensor(spec, x)
+        res = [sl_identity_check(sol, n, pt, h)
                for h in (4e-2, 2e-2, 1e-2)]
         orders[f"sl_spin_{n}"] = 0.5 * math.log2(res[0] / res[2])
 
@@ -265,10 +267,10 @@ def test_criterion_09_identity_convergence_orders():
     spec2 = oracles.PlaneWaveSpec(1, [0.4 + 0.5j, 1.0], amplitude=0.6)
     defects = []
     for n_pts in (10, 20, 40):
-        phi1, psi1, h = oracles.bump_dirac_grids(spec1, P0, 1.0, n_pts)
-        phi2, psi2, _ = oracles.bump_dirac_grids(spec2, P0, 1.0, n_pts,
-                                                 psi_amplitude=0.5 + 0.2j)
-        defects.append(oracles.dirac_symmetry_check(phi1, psi1, phi2, psi2, h))
+        phi1, psi1, h = bump_dirac_grids(spec1, P0, 1.0, n_pts)
+        phi2, psi2, _ = bump_dirac_grids(spec2, P0, 1.0, n_pts,
+                                         psi_amplitude=0.5 + 0.2j)
+        defects.append(dirac_symmetry_check(phi1, psi1, phi2, psi2, h))
         del phi1, psi1, phi2, psi2
     orders["dirac_symmetry"] = 0.5 * math.log2(defects[0] / defects[2])
     ok = min(orders.values()) >= 1.8

@@ -16,7 +16,7 @@ from conerec.errors import ConfigError
 from conerec.nulldata import ConeData, WeightedScalarField, eth_prime
 from conerec.spinor import ETA, lower_comps, raise_comps
 
-from _reference import richardson_dr0, spline_eval
+from _reference import plane_wave_components, richardson_dr0, spline_eval
 
 rng = np.random.default_rng(20260816)
 
@@ -74,7 +74,7 @@ def test_analytic_matches_ambient_plane_wave():
     data = ConeData(2, fn=fn, fn_dr0=fn_dr0)
     sec = build_section(P0, np.array([1.3, 0.2, -0.1, 0.3]), SphereGrid(12, 24))
     vals = data.evaluate_on(sec)[0]
-    expect = orc.plane_wave_components(spec, sec.p, sec.o, sec.iota)
+    expect = plane_wave_components(spec, sec.p, sec.o, sec.iota)
     assert np.max(np.abs(vals - expect)) < 1e-12
 
 
@@ -146,7 +146,7 @@ def test_one_call_pair_equals_the_separate_plane_wave_pair(n, all_columns):
     assert np.array_equal(dvals, fn_dr0(sec.r0, sec.omega, sec.o, sec.iota, alone))
     assert np.array_equal(dvals, 1j * _eta_k_l(spec, sec.omega)[:, None] * alone)
     # the ambient field at the section points, and i eta(k, l) times it
-    ref = orc.plane_wave_components(spec, sec.p, sec.o, sec.iota)[:, :columns]
+    ref = plane_wave_components(spec, sec.p, sec.o, sec.iota)[:, :columns]
     kl = sec.l @ (ETA @ spec.k)
     assert _relative(vals, ref) <= 1e-14
     assert _relative(dvals, 1j * kl[:, None] * ref) <= 1e-14

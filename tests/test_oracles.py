@@ -5,7 +5,9 @@ import pytest
 
 from conerec import cone, oracles, spinor
 
-from _reference import minkowski, sym_components
+from _reference import (bump_dirac_grids, c2_bump, dirac_apply_fd, dirac_symmetry_check,
+                        minkowski, plane_wave_components, plane_wave_tensor,
+                        sl_identity_check, sym_components, weyl_residual_fd)
 
 
 RNG = np.random.default_rng(20260816)
@@ -37,7 +39,7 @@ def test_components_at_origin_are_alpha_products():
 def test_field_matches_tensor_contractions():
     spec = random_spec(2)
     x = RNG.normal(size=4)
-    t = oracles.plane_wave_tensor(spec, x)
+    t = plane_wave_tensor(spec, x)
     o_up = np.array([1.0, 0.0], dtype=complex)
     i_up = np.array([0.0, 1.0], dtype=complex)
     via_tensor = sym_components(t, o_up, i_up)
@@ -48,11 +50,11 @@ def test_field_matches_tensor_contractions():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_plane_wave_solves_field_equation(n):
     spec = random_spec(n)
-    fld = lambda x: oracles.plane_wave_tensor(spec, x)
+    fld = lambda x: plane_wave_tensor(spec, x)
     for _ in range(3):
         x = RNG.normal(size=4)
-        scale = np.max(np.abs(oracles.plane_wave_tensor(spec, x)))
-        assert oracles.weyl_residual_fd(fld, n, x, 1e-3) < 1e-5 * max(scale, 1.0)
+        scale = np.max(np.abs(plane_wave_tensor(spec, x)))
+        assert weyl_residual_fd(fld, n, x, 1e-3) < 1e-5 * max(scale, 1.0)
 
 
 def test_dirac_plane_wave_grid_residual():
@@ -63,7 +65,7 @@ def test_dirac_plane_wave_grid_residual():
     ph = np.exp(1j * spec.phase(mesh))
     phi = spec.amplitude * ph[..., None] * spec.alpha
     psi = (1.3 - 0.2j) * ph[..., None] * np.conj(spinor.raise_comps(spec.alpha))
-    dphi, dpsi, mask = spinor.dirac_apply_fd(phi, psi, h)
+    dphi, dpsi, mask = dirac_apply_fd(phi, psi, h)
     assert np.max(np.abs(dphi[mask])) < 1e-4
     assert np.max(np.abs(dpsi[mask])) < 1e-4
 
@@ -74,9 +76,9 @@ def test_plane_wave_components_vs_single_point():
     th, ph, _, ch = g.angles()
     o_up, i_up = cone.spin_basis_field(th, ph, ch)
     x = RNG.normal(size=(th.size, 4))
-    batch = oracles.plane_wave_components(spec, x, o_up, i_up)
+    batch = plane_wave_components(spec, x, o_up, i_up)
     for i in (0, 37, 101):
-        t = oracles.plane_wave_tensor(spec, x[i])
+        t = plane_wave_tensor(spec, x[i])
         val = sym_components(t, o_up[i], i_up[i])
         assert np.allclose(batch[i], val.components, atol=1e-13)
 
@@ -93,7 +95,7 @@ def test_cone_fn_and_radial_derivative():
     # values agree with the ambient field at the cone points
     x = p0 + r0[:, None] * np.concatenate([np.ones((th.size, 1)), om], axis=1)
     assert np.allclose(fn(r0, om, o_up, i_up),
-                       oracles.plane_wave_components(spec, x, o_up, i_up))
+                       plane_wave_components(spec, x, o_up, i_up))
     # analytic generator derivative matches Richardson differences
     h = 1e-4
     fd = (fn(r0 + h, om, o_up, i_up) - fn(r0 - h, om, o_up, i_up)) / (2 * h)
@@ -129,29 +131,29 @@ def test_sl_identity_orders():
     alpha = np.array([0.8 + 0.2j, -0.5 + 0.9j])
     fld = lambda x: alpha * np.exp(1j * np.dot(c, x))
     pt = np.array([0.2, -0.1, 0.4, 0.3])
-    r1 = oracles.sl_identity_check(fld, 1, pt, 2e-2)
-    r2 = oracles.sl_identity_check(fld, 1, pt, 1e-2)
+    r1 = sl_identity_check(fld, 1, pt, 2e-2)
+    r2 = sl_identity_check(fld, 1, pt, 1e-2)
     assert r1 / r2 > 3.8
     # exact plane-wave solutions, spin 1/2 and spin 2
     for n in (1, 2):
         spec = random_spec(n)
-        sol = lambda x: oracles.plane_wave_tensor(spec, x)
-        r1 = oracles.sl_identity_check(sol, n, pt, 2e-2)
-        r2 = oracles.sl_identity_check(sol, n, pt, 1e-2)
+        sol = lambda x: plane_wave_tensor(spec, x)
+        r1 = sl_identity_check(sol, n, pt, 2e-2)
+        r2 = sl_identity_check(sol, n, pt, 1e-2)
         assert r1 / r2 > 3.8
     # constant field: both sides vanish identically
     const = lambda x: alpha
-    assert oracles.sl_identity_check(const, 1, pt, 1e-2) < 1e-14
+    assert sl_identity_check(const, 1, pt, 1e-2) < 1e-14
 
 
 def test_bump_is_c2():
     y = np.linspace(-1.5, 1.5, 7)
-    v = oracles.c2_bump(y)
+    v = c2_bump(y)
     assert np.all(v[np.abs(y) >= 1] == 0)
     assert np.all(v[np.abs(y) < 1] > 0)
     # second derivative continuous at the edge: approaches 0 from inside
     h = 1e-4
-    d2 = (oracles.c2_bump(1 - 2 * h) - 2 * oracles.c2_bump(1 - h)) / h ** 2
+    d2 = (c2_bump(1 - 2 * h) - 2 * c2_bump(1 - h)) / h ** 2
     assert abs(d2) < 1e-2
 
 
@@ -161,15 +163,15 @@ def test_dirac_symmetry_defect_orders():
     center = np.array([0.0, 0.0, 0.0, 0.0])
     defects = []
     for n_pts in (12, 24):
-        phi1, psi1, h = oracles.bump_dirac_grids(spec, center, 1.0, n_pts)
-        phi2, psi2, _ = oracles.bump_dirac_grids(spec2, center, 1.0, n_pts,
-                                                 psi_amplitude=0.5 + 0.2j)
-        defects.append(oracles.dirac_symmetry_check(phi1, psi1, phi2, psi2, h))
+        phi1, psi1, h = bump_dirac_grids(spec, center, 1.0, n_pts)
+        phi2, psi2, _ = bump_dirac_grids(spec2, center, 1.0, n_pts,
+                                         psi_amplitude=0.5 + 0.2j)
+        defects.append(dirac_symmetry_check(phi1, psi1, phi2, psi2, h))
     assert defects[0] / defects[1] > 3.0   # O(h^2); bump edges soften slightly
 
-    phi1, psi1, h = oracles.bump_dirac_grids(spec, center, 1.0, 12)
+    phi1, psi1, h = bump_dirac_grids(spec, center, 1.0, 12)
     zero = np.zeros_like(phi1)
-    assert oracles.dirac_symmetry_check(phi1, psi1, zero, zero, h) == 0.0
+    assert dirac_symmetry_check(phi1, psi1, zero, zero, h) == 0.0
 
 
 def test_dirac_symmetry_rejects_boundary_support():
@@ -177,7 +179,7 @@ def test_dirac_symmetry_rejects_boundary_support():
     psi = np.zeros_like(phi)
     phi[0, 4, 4, 4, 0] = 1.0
     with pytest.raises(ValueError):
-        oracles.dirac_symmetry_check(phi, psi, phi, psi, 0.1)
+        dirac_symmetry_check(phi, psi, phi, psi, 0.1)
 
 
 def test_derivative_under_integral_orders():

@@ -15,8 +15,6 @@ _MODULES = [importlib.import_module(f"conerec.{info.name}")
 
 # Definitions no code in the package calls, each kept for a caller outside it.
 _CALLED_FROM_OUTSIDE = (
-    # the documented module of exact solutions the acceptance criteria import
-    "oracles.",
     # the data format's writer, which the benchmark and the tests use
     "nulldata.save_cone_data",
     # the benchmark's tracer looks this method up by name

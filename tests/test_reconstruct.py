@@ -9,7 +9,7 @@ from conerec.nulldata import ConeData
 from conerec.reconstruct import (QuadratureSpec, convergence_study,
                                  reconstruct_dirac, reconstruct_spin_n)
 
-from _reference import richardson_dr0, sym_assemble, sym_components
+from _reference import richardson_dr0, sym_assemble, sym_components, weyl_residual_fd
 
 rng = np.random.default_rng(20260816)
 
@@ -247,7 +247,7 @@ def test_interior_weyl_residual_spin2():
         return sym_assemble(res.value, std_o, std_iota)
 
     scale = np.max(np.abs(field(q)))
-    res = orc.weyl_residual_fd(field, 2, q, 1e-2)
+    res = weyl_residual_fd(field, 2, q, 1e-2)
     assert np.max(np.abs(res)) < 1e-3 * scale
 
 
@@ -375,17 +375,21 @@ def test_curved_flat_chart_equals_flat_reconstruction():
     got = rec.reconstruct_curved_singular(make_chart("flat"), P0, data, 2, q,
                                           spec)
     assert np.max(np.abs(got.value.components - ref.value.components)) < 1e-12
-    assert got.diagnostics["k_deviation"] == 0.0
     assert got.value.valence == 2
 
 
 def test_curved_on_axis_area_factor_is_half_pi():
-    from conerec.transport import make_chart
-    data = _curved_setup()
-    got = rec.reconstruct_curved_singular(make_chart("flat"), P0, data, 2,
-                                          np.array([1.0, 0.0, 0.0, 0.0]),
-                                          QuadratureSpec(16, 32))
-    assert abs(got.diagnostics["area_measure_factor"] - np.pi / 2) < 1e-12
+    # the section measure om_p^2 r0^2 dOmega over k r^2 dOmega, with k =
+    # ibar / (2 pi om_p om_q) and the curved backward radius r = r_flat ibar
+    # om0^2 / om_p^2: pi/2 for an on-axis flat configuration, r0 = r/2
+    q = Q_POINTS[0]
+    chart, section, _ = _chart_section(None, q)
+    om0, omq, om_p = chart.omega(P0), chart.omega(q), chart.omega(section.p)
+    ibar = chart.chord_mean(q, section.p)
+    k = ibar / (2.0 * np.pi * om_p * omq)
+    r = section.r * ibar * om0 ** 2 / om_p ** 2
+    factor = om_p ** 2 * section.r0 ** 2 / (k * r ** 2)
+    assert np.max(np.abs(factor - np.pi / 2)) < 1e-12
 
 
 def test_curved_weak_field_linear_scaling():
@@ -396,18 +400,12 @@ def test_curved_weak_field_linear_scaling():
     flat_val = rec.reconstruct_curved_singular(make_chart("flat"), P0, data,
                                                2, q, spec).value.components
     diff = {}
-    kdev = {}
     for eps in (1e-3, 1e-4):
         chart = make_chart("conformal", eps=eps, width=2.0)
         got = rec.reconstruct_curved_singular(chart, P0, data, 2, q, spec)
         diff[eps] = np.max(np.abs(got.value.components - flat_val))
-        kdev[eps] = got.diagnostics["k_deviation"]
         assert diff[eps] > 0.0
-        assert kdev[eps] > 0.0
     assert 8.0 < diff[1e-3] / diff[1e-4] < 12.0
-    assert 8.0 < kdev[1e-3] / kdev[1e-4] < 12.0
-    # k deviation itself is O(eps)
-    assert kdev[1e-3] < 0.1 * 1e-3
 
 
 def test_curved_richardson_radial_path():
@@ -422,9 +420,9 @@ def test_curved_richardson_radial_path():
     assert np.max(np.abs(a.value.components - b.value.components)) < 1e-9
 
 
-def test_curved_evaluator_reads_file_data_only_on_its_grid():
+def _file_data_16x16():
+    """Valence-1 plane-wave grid data on the 16x16 grid, r0 0.2 .. 1.6."""
     from conerec.cone import spin_basis_field, unit_directions
-    from conerec.transport import make_chart
     pw = orc.PlaneWaveSpec(1, np.array([1.0, 0.3 + 0.4j]))
     fn, _ = orc.plane_wave_cone_fn(pw, P0)
     grid = QuadratureSpec(16, 16).grid()
@@ -432,14 +430,40 @@ def test_curved_evaluator_reads_file_data_only_on_its_grid():
     o_up, iota_up = spin_basis_field(th, ph, ch)
     om = unit_directions(th, ph)
     nodes = np.linspace(0.2, 1.6, 8)
-    data = ConeData(1, grid=grid, r0_nodes=nodes,
+    return ConeData(1, grid=grid, r0_nodes=nodes,
                     values=np.stack([fn(np.full(th.size, r), om, o_up, iota_up) for r in nodes]))
+
+
+def test_curved_evaluator_reads_file_data_only_on_its_grid():
+    from conerec.transport import make_chart
+    data = _file_data_16x16()
     chart = make_chart("conformal", eps=1e-2)
     q = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="section grid does not match the data grid"):
         rec.reconstruct_curved_singular(chart, P0, data, 1, q, QuadratureSpec(8, 32))
     assert rec.reconstruct_curved_singular(chart, P0, data, 1, q,
                                            QuadratureSpec(16, 16)).diagnostics["n_nodes"] == 256
+
+
+@pytest.mark.parametrize("kind, n, calls", [("analytic", 2, 2), ("file", 1, 1)])
+def test_curved_section_takes_one_chord_mean(kind, n, calls):
+    # the chord mean from p0, for the data radius r0*: one a section, and an
+    # analytic point takes two sections (its level and the error estimate's
+    # half level), a file point one
+    from conerec.transport import make_chart
+    chart = make_chart("conformal", eps=1e-2)
+    starts = []
+    chord_mean = chart.chord_mean
+
+    def counted(a, b):
+        starts.append(np.array(a))
+        return chord_mean(a, b)
+
+    chart.chord_mean = counted
+    data = _curved_setup() if kind == "analytic" else _file_data_16x16()
+    rec.reconstruct_curved_singular(chart, P0, data, n, Q_POINTS[0], QuadratureSpec(16, 16))
+    assert len(starts) == calls
+    assert all(np.array_equal(a, P0) for a in starts)
 
 
 def test_curved_domain_errors():
@@ -493,11 +517,10 @@ def test_chart_iota_scale_is_the_adapted_frame(chart_kw, q):
     # the frame adapted to the chart, iota = n^{AA'} obar_{A'} from o/c and
     # the curved transversal leg (q - p) ibar / (om_p r), r the curved
     # backward radius, is c times the flat section's iota
-    from conerec.transport import _chord_mean
     from _reference import transversal_iota
     chart, section, f = _chart_section(chart_kw, q)
     om0, om_p = chart.omega(P0), chart.omega(section.p)
-    ibar = _chord_mean(chart, q, section.p)
+    ibar = chart.chord_mean(q, section.p)
     r = section.r * ibar * om0 ** 2 / om_p ** 2
     n_frame = (q - section.p) * (ibar / (om_p * r))[:, None]
     ref = transversal_iota(section.o / f.iota_scale[:, None], n_frame)
@@ -509,12 +532,12 @@ def test_chart_iota_scale_is_the_adapted_frame(chart_kw, q):
 @pytest.mark.parametrize("chart_kw", FACTOR_CHARTS, ids=["gaussian", "sine"])
 def test_chart_weight_is_k_mu_over_r_from_the_chord_mean_from_q(chart_kw):
     # k mu / r with k = ibar / (2 pi om_p om_q), mu = om_p^2 mu_sigma and
-    # r = r_flat ibar om0^2 / om_p^2: ibar cancels against the flat weight
-    from conerec.transport import _chord_mean
+    # r = r_flat ibar om0^2 / om_p^2: ibar cancels against the flat weight,
+    # so the evaluator never takes it
     q = Q_POINTS[2]
     chart, section, f = _chart_section(chart_kw)
     om0, omq, om_p = chart.omega(P0), chart.omega(q), chart.omega(section.p)
-    ibar = _chord_mean(chart, q, section.p)
+    ibar = chart.chord_mean(q, section.p)
     k = ibar / (2.0 * np.pi * om_p * omq)
     ref = k * om_p ** 2 * section.mu_sigma / (section.r * ibar * om0 ** 2 / om_p ** 2)
     got = section.mu_sigma / (2.0 * np.pi * section.r) * f.weight
@@ -539,7 +562,6 @@ def test_flat_chart_factors_are_one_or_their_flat_values():
     assert np.array_equal(f.rho, -1.0 / section.r0)
     assert np.array_equal(f.dr0_ln_omega, np.zeros(section.n_nodes))
     assert np.array_equal(f.weight, np.ones(section.n_nodes))
-    assert f.diagnostics["k_deviation"] == 0.0
 
 
 def _canonical_o(o):
