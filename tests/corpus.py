@@ -12,10 +12,13 @@ data, "data_file": the plane-wave family that save_cone_data samples and
 writes before the run, so no blob is committed; the config's data.file
 names that file inside the run's directory.  <name>.out.json holds the
 exit code and the JSON output with meta dropped, the run's directory
-written as $TMP.  A run matches when every key, string, integer, bool
-and null is equal and every float lies within TOL of the output's field
-scale, the largest magnitude of its field components (all its floats
-when it has none), which leaves room for another BLAS.
+written as $TMP.  A CSV output (constraints, converge) is held as its
+rows, the generated_at line skipped: integer cells as integers, other
+numeric cells as floats, the rest as strings.  A run matches when every
+key, string, integer, bool and null is equal and every float lies
+within TOL of the output's field scale, the largest magnitude of its
+field components (all its floats when it has none; per column in a
+CSV), which leaves room for another BLAS.
 
 Regenerating the corpus changes what the tests check: say which files
 moved, and by how much (--diff before --write), with the change.  --write
@@ -31,6 +34,7 @@ as the tests import it, it leaves the environment alone.
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -92,10 +96,25 @@ def run(name, directory):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([entry["command"], "--config", str(cfg_path), "--out", str(out)])
     text = out.read_text() if out.exists() else "null"
+    if out.exists() and cli._COMMANDS[entry["command"]][1] == "csv":
+        return {"exit": code, "output": _csv_rows(text)}
     doc = json.loads(text.replace(json.dumps(str(directory))[1:-1], "$TMP"))
     if isinstance(doc, dict):
         doc.pop("meta", None)
     return {"exit": code, "output": doc}
+
+
+def _csv_rows(text):
+    """The rows of a CSV output, its generated_at line skipped."""
+    lines = [line for line in text.splitlines() if not line.startswith("# generated_at=")]
+    return [[_cell(c) for c in row] for row in csv.reader(lines)]
+
+
+def _cell(text):
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    return text
 
 
 def expected(name):
@@ -137,7 +156,13 @@ def deviation(got, want, scale, where="$"):
 def compare(name, directory):
     """Largest deviation of name's run from its committed output."""
     want = expected(name)
-    return deviation(run(name, directory), want, field_scale(want["output"]))
+    got, table = run(name, directory), want["output"]
+    if not isinstance(table, list):
+        return deviation(got, want, field_scale(table))
+    # CSV rows: compared whole for their shape, then each column at its scale
+    deviation(got, want, 1.0)
+    return max(deviation(list(g), list(w), field_scale(list(w)))
+               for g, w in zip(zip(*got["output"]), zip(*table)))
 
 
 def main(argv=None):
