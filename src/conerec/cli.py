@@ -574,7 +574,7 @@ def _suite_constraints(rng, cases):
     import numpy as np
     from . import nulldata as nd
     from . import oracles
-    from .cone import SphereGrid, build_section
+    from .cone import SectionCalculus, SphereGrid, build_section
     p0 = np.zeros(4)
     spec = oracles.PlaneWaveSpec(2, [1.0, 0.3 + 0.4j], amplitude=0.8 - 0.3j)
     fn, fn_dr0 = oracles.plane_wave_cone_fn(spec, p0)
@@ -584,7 +584,7 @@ def _suite_constraints(rng, cases):
            for nt in (16, 32)]
 
     sec = build_section(p0, np.array([1.0, 0, 0, 0]), SphereGrid(32, 64))
-    calc = nd._SectionCalculus(sec)
+    calc = SectionCalculus(sec)
     worst = 0.0
     for _ in range(10):
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -592,10 +592,9 @@ def _suite_constraints(rng, cases):
         vals = ((sec.o @ w) * (np.conj(sec.iota) @ z)
                 * np.exp(0.4 * sec.omega[:, 0])
                 * (1.0 + 0.3 * sec.omega[:, 1] - 0.2 * sec.omega[:, 2] ** 2))
-        out = nd.eth_prime(nd.WeightedScalarField(vals, (1, -1)), sec,
-                           calculus=calc)
+        out = calc.eth_prime(vals, (1, -1))
         scale = np.max(np.abs(vals)) * np.sum(sec.mu_sigma)
-        worst = max(worst, abs(np.sum(out.values * sec.mu_sigma)) / scale)
+        worst = max(worst, abs(np.sum(out * sec.mu_sigma)) / scale)
     return [("exact_restriction_residual", res[-1], 1e-6),
             ("residual_refinement_ratio", res[-1] / res[0], 0.05),
             ("eth_prime_loop_integral", worst, 1e-8)]

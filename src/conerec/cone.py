@@ -9,7 +9,9 @@ at theta = 0.  Two spinor charts cover the sphere:
     chart B: u = e^{-i ph} u_A,                    singular at th = 0,
 
 with o = 2^{1/4} u so that l = o obar exactly.  A (p,q)-weighted scalar
-transforms between charts by f_A = e^{i ph (p-q)} f_B.
+transforms between charts by f_A = e^{i ph (p-q)} f_B.  SectionCalculus
+differentiates such scalars on a section: the derivative along mbar,
+the section frame's spin coefficients and eth'.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError
-from .spinor import EPS, to_matrix
+from .spinor import EPS, from_matrix, lower_comps, to_matrix
 
 TWO_QUART = 2.0 ** 0.25
 # Largest n_theta and n_phi a config or a data file may set: the
@@ -211,21 +213,23 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     p0 = np.asarray(p0, dtype=float)
     q = np.asarray(q, dtype=float)
     dq = q - p0
-    t, x = dq[0], dq[1:]
-    gamma0 = float(t * t - x[0] * x[0] - x[1] * x[1] - x[2] * x[2])
-    # relative to t^2, so a q near the vertex deep inside the cone is kept
-    if dq[0] <= 0 or gamma0 < 1e-8 * dq[0] ** 2:
-        raise GeometryError("q must lie strictly inside the future cone of p0 "
-                         f"(interval {gamma0:.3e}, dt {dq[0]:.3e})")
+    # in Python floats an interval that overflows is NaN, with no warning
+    t, x1, x2, x3 = dq.tolist()
+    gamma0 = t * t - x1 * x1 - x2 * x2 - x3 * x3
+    # relative to t^2, so a q near the vertex deep inside the cone is kept;
+    # each guard is written to refuse a NaN interval
+    if t <= 0 or not gamma0 >= 1e-8 * (t * t):
+        raise GeometryError("q must lie strictly inside the future cone of p0 at a "
+                            f"finite interval (interval {gamma0:.3e}, dt {t:.3e})")
     # t^2 underflows first: below the smallest normal float the interval
     # has lost its digits, and at 0 the radii vanish
     tiny = np.finfo(float).tiny
-    if gamma0 < tiny:
+    if not gamma0 >= tiny:
         raise GeometryError(f"interval {gamma0:.3e} of q - p0 is below the smallest "
                             f"normal float {tiny:.3e}; q is too close to the vertex")
     theta, phi, quad_w, chart = grid.angles()
     omega, o = grid.directions()
-    r = t - omega @ x
+    r = t - omega @ dq[1:]
     if np.any(r <= 0):
         raise GeometryError("section extends behind the evaluation point")
     r0 = gamma0 / (2.0 * r)
@@ -341,3 +345,95 @@ class TangentialDerivatives:
         # D is real: one real product acts on real and imaginary parts alike
         out = self._dmat @ stacked.reshape(2 * self.grid.n_theta, -1).view(float)
         return out.view(complex).reshape(np.shape(f))
+
+
+class SectionCalculus:
+    """Tangential calculus of one section: the derivative along mbar, the
+    spin coefficients of the section frame, and eth'.
+
+    Values are per node in the node's own chart, (N,) or (N, k) with one
+    column per component, all of one weight (p, q): under the basis
+    rescaling o -> lam o, iota -> iota/lam they pick up lam^p lambar^q,
+    and a chart transition is the case lam = e^{-i phi}.  A node's
+    derivative is read from its own chart's field, which chart_transition
+    forms from the values of the other chart's nodes.
+    """
+
+    def __init__(self, section: ConeSection):
+        self.section = section
+        self.td = TangentialDerivatives(section.grid)
+        # mbar = a t_theta + b t_phi per node, m = o iotabar
+        t_th, t_ph, g11, g12, g22, det = section_tangents(section, self.td)
+        mbar = np.conj(from_matrix(np.einsum("ni,nj->nij", section.o,
+                                             section.iota.conj())))
+        b1 = minus_eta(t_th, mbar)
+        b2 = minus_eta(t_ph, mbar)
+        self.a = (g22 * b1 - g12 * b2) / det
+        self.b = (g11 * b2 - g12 * b1) / det
+        self._in_b = section.chart == 1
+
+    def _d_own(self, values, weight):
+        """(d/dtheta, d/dphi) of own-chart values, each node reading its own
+        chart's derivative.  Both charts' fields are one stacked field,
+        (A, B) on a new last axis: one d_theta and one d_phi call."""
+        values = np.asarray(values)
+        per_node = (slice(None),) + (None,) * (values.ndim - 1)
+        in_b = self._in_b[per_node]
+        # each node needs one transition, to the chart it is not in
+        pair = chart_transition(values, self.section.phi[per_node], weight,
+                                np.where(in_b, 0, 1))
+        pair = np.stack([np.where(in_b, pair, values), np.where(in_b, values, pair)], axis=-1)
+        d_th, d_ph = self.td.d_theta(pair), self.td.d_phi(pair)
+        return (np.where(in_b, d_th[..., 1], d_th[..., 0]),
+                np.where(in_b, d_ph[..., 1], d_ph[..., 0]))
+
+    def grad_mbar(self, values, weight):
+        """mbar^a d_a of own-chart values of the given weight."""
+        d_th, d_ph = self._d_own(values, weight)
+        return self.a * d_th + self.b * d_ph
+
+    @functools.cached_property
+    def coefficients(self):
+        """Spin coefficients of the section frame, per-node arrays by name.
+
+        rho = o^A grad_mbar o_A, alpha = iota^A grad_mbar o_A, beta =
+        iota^A grad_m o_A and sigma' = -iota^A grad_mbar iota_A, all
+        computed tangentially; the components of o_A and iota_A are
+        differentiated as weight (1,0) and (-1,0) scalars (the flat
+        ambient connection vanishes in these coordinates).  The canonical
+        frame does not depend on r0 along a generator, so its kappa =
+        o^A grad_l o_A, epsilon = iota^A grad_l o_A and tau' = -iota^A
+        grad_l iota_A vanish identically and are not returned.
+        """
+        o, iota = self.section.o, self.section.iota
+        a, b = self.a[:, None], self.b[:, None]
+        # both components of o_A, then of iota_A, in one derivative call each
+        d_th, d_ph = self._d_own(lower_comps(o), (1, 0))
+        d_o = a * d_th + b * d_ph
+        d_o_m = np.conj(a) * d_th + np.conj(b) * d_ph
+        d_th, d_ph = self._d_own(lower_comps(iota), (-1, 0))
+        d_i = a * d_th + b * d_ph
+        return {"rho": np.sum(o * d_o, axis=1), "alpha": np.sum(iota * d_o, axis=1),
+                "beta": np.sum(iota * d_o_m, axis=1),
+                "sigma_prime": -np.sum(iota * d_i, axis=1)}
+
+    def eth_prime(self, values, weight):
+        """Weight-lowering angular operator: the values of eth' f, of weight
+        (p-1, q+1), for own-chart values f of integer weight (p, q).
+
+        eth' f = grad_mbar f - p alpha f - q betabar f.  betabar =
+        conj(iota^A grad_m o_A) is the primed-frame connection coefficient
+        in the mbar direction, the choice fixed by requiring exact
+        covariance under constant frame rescalings and the vanishing of
+        the total section integral for weight (1,-1) arguments.
+        """
+        p, q = weight
+        if int(p) != p or int(q) != q:
+            raise ValueError("weights must be integers")
+        values = np.asarray(values, dtype=complex)
+        out = self.grad_mbar(values, weight)
+        if p != 0:
+            out = out - p * self.coefficients["alpha"] * values
+        if q != 0:
+            out = out - q * np.conj(self.coefficients["beta"]) * values
+        return out

@@ -9,7 +9,7 @@ tetrad through Hermitian outer products
 and is normalized to o_A iota^A = 1, which leaves its overall sign
 free.  An NPFrame carries both, so nothing here factors a tetrad back
 into its spin basis.  The spin coefficients of a cone section's frame
-are nulldata.section_spin_coefficients.
+are cone.SectionCalculus.coefficients.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
-"""Characteristic data on the cone and its tangential calculus.
+"""Characteristic data on the cone, its constraint relations and its file
+format.
 
 ConeData stores the free data of a characteristic problem: the scalar
 components phi_0 (optionally phi_0..phi_n for constraint checking), or
 the pair (zeta_0, xi^{1'}) for the 4-spinor problem, either as an
 analytic callback in (r0, omega) or sampled on a product grid of r0
-nodes x sphere directions.  On top of it sit the generator derivative
-d/dr0, the weight-lowering angular operator on sections, and the
-constraint-relation residuals.
+nodes x sphere directions, with the generator derivative d/dr0.  The
+constraint-relation residuals take eth' and the spin coefficients of
+each section from cone.SectionCalculus; save_cone_data and
+load_cone_data write and read the conedata-v1 format.
 
 Component values are spin weighted, so every stored or returned array is
 understood per node in the node's own chart (see cone.SphereGrid); the
@@ -21,42 +23,16 @@ import json
 import math
 import mmap
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import cone
 from .errors import ConfigError, CoverageError
-from .cone import ConeSection, SphereGrid, TangentialDerivatives
-from .spinor import from_matrix, lower_comps
+from .cone import ConeSection, SphereGrid
 from .tables import (_REQUIRED, _Key, _as_finite, _as_kind, _as_object, _check, _count,
                      _finite_json, _list_of, _literal, _number, _read)
 
-__all__ = [
-    "ConeData", "WeightedScalarField",
-    "eth_prime", "section_spin_coefficients",
-    "constraint_residual", "save_cone_data", "load_cone_data",
-]
-
-
-@dataclass
-class WeightedScalarField:
-    """Scalar samples on a section's direction nodes with weight (p, q).
-
-    Under the basis rescaling o -> lam o, iota -> iota/lam the values
-    pick up lam^p lambar^q; chart transitions are the special case
-    lam = e^{-i phi}.
-    """
-
-    values: np.ndarray
-    weight: tuple
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        p, q = self.weight
-        if int(p) != p or int(q) != q:
-            raise ValueError("weights must be integers")
-        self.weight = (int(p), int(q))
+__all__ = ["ConeData", "constraint_residual", "save_cone_data", "load_cone_data"]
 
 
 class ConeData:
@@ -143,12 +119,6 @@ class ConeData:
     def is_analytic(self):
         return self.fn is not None
 
-    @property
-    def ncomp(self):
-        if self.is_analytic:
-            return 2 if self.kind == "dirac" else None   # fn decides for spin
-        return self.values.shape[2]
-
     def _spline_eval(self, r0):
         # per-node Horner on the bracketing cubic piece, from its end values
         # y0, y1 and moments m0, m1; vectorized over nodes, one lookup for
@@ -178,8 +148,6 @@ class ConeData:
         omega must be the grid's own directions, else ValueError.
         """
         r0 = np.asarray(r0, dtype=float)
-        if r0.ndim == 0:
-            r0 = np.full(np.shape(omega)[0], float(r0))
         if self.is_analytic:
             if np.any(r0 <= self.r0_min):
                 raise CoverageError("evaluation point too close to the vertex")
@@ -230,115 +198,6 @@ def _moment_matrix(x):
 
 
 # ---------------------------------------------------------------------------
-# tangential operators
-
-
-def _chart_pair(values, phi, in_b, weight):
-    """Both chart representations (A, B) of per-node own-chart values,
-    stacked on a new last axis; phi and in_b broadcast against values.
-    Each node needs one transition, to the chart it is not in."""
-    other = cone.chart_transition(values, phi, weight, np.where(in_b, 0, 1))
-    return np.stack([np.where(in_b, other, values), np.where(in_b, values, other)], axis=-1)
-
-
-def _mbar_coefficients(section: ConeSection, td: TangentialDerivatives):
-    """(a, b) with mbar = a t_theta + b t_phi per node, m = o iotabar."""
-    t_th, t_ph, g11, g12, g22, det = cone.section_tangents(section, td)
-    mbar = np.conj(from_matrix(np.einsum("ni,nj->nij", section.o,
-                                         section.iota.conj())))
-    b1 = cone.minus_eta(t_th, mbar)
-    b2 = cone.minus_eta(t_ph, mbar)
-    a = (g22 * b1 - g12 * b2) / det
-    b = (g11 * b2 - g12 * b1) / det
-    return a, b
-
-
-class _SectionCalculus:
-    """Shared machinery: tangential derivative along mbar on a section."""
-
-    def __init__(self, section: ConeSection):
-        self.section = section
-        self.td = TangentialDerivatives(section.grid)
-        self.a, self.b = _mbar_coefficients(section, self.td)
-        self._in_b = section.chart == 1
-        self._phi = section.phi
-
-    def _d_own(self, values, weight):
-        """(d/dtheta, d/dphi) of own-chart values (N,) or (N, k) of one
-        weight, each node reading its own chart's derivative.  The chart
-        pair is one stacked field: one d_theta and one d_phi call."""
-        values = np.asarray(values)
-        per_node = (slice(None),) + (None,) * (values.ndim - 1)
-        in_b = self._in_b[per_node]
-        pair = _chart_pair(values, self._phi[per_node], in_b, weight)
-        d_th, d_ph = self.td.d_theta(pair), self.td.d_phi(pair)
-        return (np.where(in_b, d_th[..., 1], d_th[..., 0]),
-                np.where(in_b, d_ph[..., 1], d_ph[..., 0]))
-
-    def grad_mbar(self, values, weight):
-        """mbar^a d_a of per-node own-chart values of the given weight."""
-        d_th, d_ph = self._d_own(values, weight)
-        return self.a * d_th + self.b * d_ph
-
-
-def section_spin_coefficients(section: ConeSection,
-                              calculus: _SectionCalculus | None = None):
-    """Spin coefficients of the section frame needed by the cone calculus.
-
-    Returns a dict with per-node arrays: rho = o^A grad_mbar o_A is
-    computed tangentially, as are alpha = iota^A grad_mbar o_A,
-    beta = iota^A grad_m o_A and sigma' = -iota^A grad_mbar iota_A; the
-    components of o_A and iota_A are differentiated as weight (1,0) and
-    (-1,0) scalars (the flat ambient connection vanishes in these
-    coordinates).  The canonical frame does not depend on r0 along a
-    generator, so its kappa = o^A grad_l o_A, epsilon = iota^A grad_l o_A
-    and tau' = -iota^A grad_l iota_A vanish identically and are not
-    returned.
-    """
-    calc = calculus or _SectionCalculus(section)
-    a, b = calc.a[:, None], calc.b[:, None]
-    # both components of o_A, then of iota_A, in one derivative call each
-    d_th, d_ph = calc._d_own(lower_comps(section.o), (1, 0))
-    d_o = a * d_th + b * d_ph
-    d_o_m = np.conj(a) * d_th + np.conj(b) * d_ph
-    d_th, d_ph = calc._d_own(lower_comps(section.iota), (-1, 0))
-    d_i = a * d_th + b * d_ph
-    rho = np.sum(section.o * d_o, axis=1)
-    alpha = np.sum(section.iota * d_o, axis=1)
-    beta = np.sum(section.iota * d_o_m, axis=1)
-    sigma_p = -np.sum(section.iota * d_i, axis=1)
-    return {"rho": rho, "alpha": alpha, "beta": beta, "sigma_prime": sigma_p}
-
-
-def eth_prime(f: WeightedScalarField, section: ConeSection,
-              alpha=None, calculus: _SectionCalculus | None = None
-              ) -> WeightedScalarField:
-    """Weight-lowering angular operator on a section.
-
-    eth' f = grad_mbar f - p alpha f - q betabar f for f of weight (p, q);
-    the result has weight (p-1, q+1).  betabar = conj(iota^A grad_m o_A)
-    is the primed-frame connection coefficient in the mbar direction, the
-    choice fixed by requiring exact covariance under constant frame
-    rescalings and the vanishing of the total section integral for weight
-    (1,-1) arguments.  beta, and alpha unless given, are computed from
-    the section's own frame field.
-    """
-    calc = calculus or _SectionCalculus(section)
-    p, q = f.weight
-    if (alpha is None and p != 0) or q != 0:
-        coef = section_spin_coefficients(section, calc)
-        alpha = coef["alpha"] if alpha is None else alpha
-        beta = coef["beta"]
-    vals = f.values
-    out = calc.grad_mbar(vals, f.weight)
-    if p != 0:
-        out = out - p * alpha * vals
-    if q != 0:
-        out = out - q * np.conj(beta) * vals
-    return WeightedScalarField(out, (p - 1, q + 1))
-
-
-# ---------------------------------------------------------------------------
 # constraint residuals
 
 
@@ -354,7 +213,7 @@ def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid):
     holds for j = 1..n, with p. phi_j = d phi_j/dr0 - (p eps + q epsbar)
     phi_j for the weight (p, q) = (n-2j, 0) of phi_j.  The section frame
     does not depend on r0 along a generator, so its kappa, epsilon and
-    tau' vanish (see section_spin_coefficients); what is evaluated is
+    tau' vanish (see cone.SectionCalculus.coefficients); what is evaluated is
 
       d phi_j/dr0 - eth' phi_{j-1} = (j-1) sigma' phi_{j-2} + (n-j+1) rho phi_j
 
@@ -372,12 +231,10 @@ def constraint_residual(data: ConeData, p0, s_values, grid: SphereGrid):
         vals, dvals = data.evaluate_on(section)
         if vals.shape[1] != n + 1:
             raise ValueError("constraint check needs all components phi_0..phi_n")
-        calc = _SectionCalculus(section)
-        coef = section_spin_coefficients(section, calc)
+        calc = cone.SectionCalculus(section)
+        coef = calc.coefficients
         for j in range(1, n + 1):
-            eth_val = eth_prime(
-                WeightedScalarField(vals[:, j - 1], (n - 2 * (j - 1), 0)),
-                section, alpha=coef["alpha"], calculus=calc).values
+            eth_val = calc.eth_prime(vals[:, j - 1], (n - 2 * (j - 1), 0))
             rhs = (n - j + 1) * coef["rho"] * vals[:, j]
             if j >= 2:
                 rhs = rhs + (j - 1) * coef["sigma_prime"] * vals[:, j - 2]
@@ -430,7 +287,7 @@ def save_cone_data(path: str, data: ConeData):
         "format": "conedata-v1",
         "valence": data.valence,
         "kind": data.kind,
-        "n_components": data.ncomp,
+        "n_components": data.values.shape[2],
         "n_theta": g.n_theta,
         "n_phi": g.n_phi,
         **_V1_GRID,

@@ -15,7 +15,7 @@ import numpy as np
 
 from conerec import cli, cone, nulldata, oracles, transport
 from conerec import reconstruct as rc
-from conerec.cone import SphereGrid, build_section
+from conerec.cone import SectionCalculus, SphereGrid, build_section
 from conerec.frames import NPFrame, frame_from_spin_basis
 from conerec.nulldata import ConeData
 from conerec.reconstruct import QuadratureSpec
@@ -131,7 +131,7 @@ def test_criterion_05_constraint_residuals():
 
     rng = np.random.default_rng(RNG_SEED)
     sec = build_section(P0, np.array([1.0, 0, 0, 0]), SphereGrid(32, 64))
-    calc = nulldata._SectionCalculus(sec)
+    calc = SectionCalculus(sec)
     worst = 0.0
     for _ in range(10):
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -139,9 +139,8 @@ def test_criterion_05_constraint_residuals():
         vals = ((sec.o @ w) * (np.conj(sec.iota) @ z)
                 * np.exp(0.4 * sec.omega[:, 0])
                 * (1.0 + 0.3 * sec.omega[:, 1] - 0.2 * sec.omega[:, 2] ** 2))
-        out = nulldata.eth_prime(nulldata.WeightedScalarField(vals, (1, -1)),
-                                 sec, calculus=calc)
-        loop = abs(np.sum(out.values * sec.mu_sigma))
+        out = calc.eth_prime(vals, (1, -1))
+        loop = abs(np.sum(out * sec.mu_sigma))
         worst = max(worst, loop / (np.max(np.abs(vals)) * np.sum(sec.mu_sigma)))
     _line(5, order_ok and worst <= 1e-8,
           f"exact-restriction residual falls {res[0] / res[1]:.0f}x per "

@@ -564,6 +564,12 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, cfg, ke
     ("verify", {"suites": 5}, "suites"),
     ("verify", {"suites": "algebra"}, "suites must"),
     ("verify", {"suites": ["algebra"], "thresholds": [1]}, "thresholds"),
+    ("reconstruct", _rec_config(kind="dirac", data=_DIRAC_DATA, chart=_CHART),
+     "kind must be 'spin' with a chart"),
+    ("reconstruct", _rec_config(kind="dirac", valence=2, data=_DIRAC_DATA),
+     "the Dirac family is valence 1"),
+    ("reconstruct", _rec_config(chart={"name": "conformal", "width": 1e-200}),
+     "width 1e-200"),
 ], ids=["reconstruct-kind", "converge-kind", "reconstruct-valence-above-cap",
         "reconstruct-curved-valence-above-cap", "converge-valence-above-cap",
         "constraints-valence-fraction", "verify-cases-zero",
@@ -579,11 +585,36 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, cfg, ke
         "seed-negative", "out-list", "frame-list", "rays-object",
         "rays-entry-number", "direction-string", "van_vleck-string",
         "levels-number", "levels-flat-pair", "levels-short-pair", "levels-empty",
-        "s_values-string", "suites-number", "suites-string", "thresholds-list"])
+        "s_values-string", "suites-number", "suites-string", "thresholds-list",
+        "dirac-with-chart", "dirac-family-valence-2", "width-square-underflows"])
 def test_bad_config_value_names_key(tmp_path, capsys, command, cfg, key):
     assert _run(command, _write(tmp_path, "c.json", cfg),
                 tmp_path / "out") == 2
     assert key in capsys.readouterr().err
+
+
+def test_converge_on_file_data_exits_2_naming_the_oracle(tmp_path, capsys):
+    cfg = {**_CONVERGE, "data": {"file": _grid_data_file(tmp_path, 0.3, 0.8)}}
+    assert _run("converge", _write(tmp_path, "c.json", cfg), tmp_path / "out") == 2
+    assert "converge needs a named data family as oracle" in capsys.readouterr().err
+
+
+def test_three_r0_nodes_with_a_matching_blob_exit_2(tmp_path, capsys):
+    # descriptor and blob agree on three nodes; the spline needs four
+    path = _edited_data_file(tmp_path, r0_nodes=[0.3, 0.5, 0.8])
+    blob = tmp_path / "conedata.bin"
+    blob.write_bytes(blob.read_bytes()[:3 * 12 * 24 * 16])
+    cfg = _rec_config(q=[[1, 0, 0, 0]], data={"file": path},
+                      quadrature={"n_theta": 12, "n_phi": 24})
+    assert _run("reconstruct", _write(tmp_path, "c.json", cfg), tmp_path / "o.json") == 2
+    assert "need at least 4 increasing r0 nodes" in capsys.readouterr().err
+
+
+def test_out_in_a_missing_directory_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "missing" / "rec.json"
+    cfg_path = _write(tmp_path, "c.json", _rec_config(out=str(out)))
+    assert cli.main(["reconstruct", "--config", cfg_path]) == 2
+    assert str(out) in capsys.readouterr().err
 
 
 _CONFORMAL = {"name": "conformal", "eps": 1e-2}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conerec import cone
+from conerec.errors import GeometryError
 from conerec.frames import NPFrame
 from conerec.spinor import from_matrix, lower_comps, to_matrix
 
@@ -177,6 +178,14 @@ def test_section_rejects_bad_q():
             cone.build_section(np.zeros(4), t * np.array([1.0, 1.0 - 1e-10, 0, 0]), g)
         sec = cone.build_section(np.zeros(4), t * np.array([1.0, 0.3, 0.2, -0.1]), g)
         assert np.all(sec.r0 > 0.0)
+
+
+def test_section_refuses_an_overflowing_interval():
+    # t^2 overflows: the interval is inf - inf = NaN, which fails both
+    # guards' comparisons, so the section is refused without a warning
+    q = 1e160 * np.array([1.0, 0.3, 0.2, -0.1])
+    with pytest.raises(GeometryError, match="interval nan"):
+        cone.build_section(np.zeros(4), q, cone.SphereGrid(8, 16))
 
 
 def test_area_on_axis():

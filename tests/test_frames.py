@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conerec import cone, frames, nulldata
+from conerec import cone, frames
 from conerec.spinor import SIG_UP, from_matrix, lower_comps, lower_matrix, to_matrix
 
 from _reference import spin_basis_from_tetrad, transversal_iota
@@ -102,7 +102,7 @@ AXIS_GRIDS = ((16, 1e-7), (32, 1e-9))
 
 def _axis_coefficients(n_theta):
     sec = cone.build_section(np.zeros(4), Q_AXIS, cone.SphereGrid(n_theta, 2 * n_theta))
-    return sec, nulldata.section_spin_coefficients(sec)
+    return sec, cone.SectionCalculus(sec).coefficients
 
 
 def test_flat_cone_rho():
@@ -118,7 +118,7 @@ def test_flat_cone_vanishing_coefficients():
         _, coef = _axis_coefficients(n_theta)
         assert np.max(np.abs(coef["sigma_prime"])) < tol
     # kappa, epsilon and tau' differentiate the frame along l, and
-    # section_spin_coefficients leaves them out as zero: the frame of a
+    # SectionCalculus.coefficients leaves them out as zero: the frame of a
     # generator is the same on every on-axis section
     grid = cone.SphereGrid(16, 32)
     first, *later = [cone.build_section(np.zeros(4), np.array([s, 0.0, 0.0, 0.0]), grid)
@@ -143,7 +143,7 @@ def test_real_rho_on_spacelike_orthogonal_section():
     # real and -1/r0, with r0 varying over the nodes
     sec = cone.build_section(np.zeros(4), np.array([2.0, 0.4, -0.2, 0.5]),
                              cone.SphereGrid(32, 64))
-    rho = nulldata.section_spin_coefficients(sec)["rho"]
+    rho = cone.SectionCalculus(sec).coefficients["rho"]
     assert np.max(np.abs(rho.imag)) < 1e-8
     assert np.max(np.abs(rho + 1.0 / sec.r0)) < 1e-7
 

@@ -11,9 +11,10 @@ import pytest
 
 from conerec import nulldata as nd
 from conerec import oracles as orc
-from conerec.cone import SphereGrid, build_section, spin_basis_field, unit_directions
+from conerec.cone import (SectionCalculus, SphereGrid, build_section, spin_basis_field,
+                          unit_directions)
 from conerec.errors import ConfigError
-from conerec.nulldata import ConeData, WeightedScalarField, eth_prime
+from conerec.nulldata import ConeData
 from conerec.spinor import ETA, lower_comps, raise_comps
 
 from _reference import plane_wave_components, richardson_dr0, spline_eval
@@ -318,10 +319,8 @@ def test_eth_prime_of_o_components(q_point):
         sec = build_section(P0, q_point, SphereGrid(n_theta, 2 * n_theta))
         worst = 0.0
         for comp in range(2):
-            out = eth_prime(WeightedScalarField(sec.o[:, comp], (1, 0)), sec)
-            assert out.weight == (0, 1)
-            worst = max(worst, np.max(np.abs(out.values
-                                             + sec.rho * sec.iota[:, comp])))
+            out = SectionCalculus(sec).eth_prime(sec.o[:, comp], (1, 0))
+            worst = max(worst, np.max(np.abs(out + sec.rho * sec.iota[:, comp])))
         errs.append(worst)
     assert errs[0] < 2e-5 and errs[1] < 1e-7
     assert errs[0] / errs[1] > 100.0
@@ -329,8 +328,8 @@ def test_eth_prime_of_o_components(q_point):
 
 def test_eth_prime_constant_scalar_is_zero():
     sec = build_section(P0, np.array([1.0, 0.0, 0.0, 0.0]), SphereGrid(16, 32))
-    out = eth_prime(WeightedScalarField(np.full(sec.n_nodes, 2.3 + 0.7j), (0, 0)), sec)
-    assert np.max(np.abs(out.values)) < 1e-12
+    out = SectionCalculus(sec).eth_prime(np.full(sec.n_nodes, 2.3 + 0.7j), (0, 0))
+    assert np.max(np.abs(out)) < 1e-12
 
 
 def _random_weight_1m1_field(sec, rng):
@@ -349,12 +348,12 @@ def test_eth_prime_total_integral_vanishes():
     for q_point in (np.array([1.0, 0.0, 0.0, 0.0]),
                     np.array([2.0, 0.4, -0.3, 0.5])):
         sec = build_section(P0, q_point, SphereGrid(32, 64))
-        calc = nd._SectionCalculus(sec)
+        calc = SectionCalculus(sec)
         for _ in range(10):
-            f = WeightedScalarField(_random_weight_1m1_field(sec, gen), (1, -1))
-            out = eth_prime(f, sec, calculus=calc)
-            scale = np.max(np.abs(f.values)) * np.sum(sec.mu_sigma)
-            assert abs(np.sum(out.values * sec.mu_sigma)) < 1e-8 * scale
+            f = _random_weight_1m1_field(sec, gen)
+            out = calc.eth_prime(f, (1, -1))
+            scale = np.max(np.abs(f)) * np.sum(sec.mu_sigma)
+            assert abs(np.sum(out * sec.mu_sigma)) < 1e-8 * scale
 
 
 def test_eth_prime_weight_covariance():
@@ -371,16 +370,17 @@ def test_eth_prime_weight_covariance():
     p, q = 1, -1
     fac = lam ** p * np.conj(lam) ** q
     assert np.max(np.abs(f2 - fac * f1)) < 1e-12 * np.max(np.abs(f1))
-    out1 = eth_prime(WeightedScalarField(f1, (p, q)), sec)
-    out2 = eth_prime(WeightedScalarField(f2, (p, q)), sec2)
+    out1 = SectionCalculus(sec).eth_prime(f1, (p, q))
+    out2 = SectionCalculus(sec2).eth_prime(f2, (p, q))
     out_fac = lam ** (p - 1) * np.conj(lam) ** (q + 1)
-    err = np.max(np.abs(out2.values - out_fac * out1.values))
-    assert err < 1e-12 * max(np.max(np.abs(out1.values)), 1.0)
+    err = np.max(np.abs(out2 - out_fac * out1))
+    assert err < 1e-12 * max(np.max(np.abs(out1)), 1.0)
 
 
-def test_weighted_scalar_field_integer_weights():
-    with pytest.raises(ValueError):
-        WeightedScalarField(np.zeros(4), (0.5, 0))
+def test_eth_prime_integer_weights():
+    sec = build_section(P0, np.array([1.0, 0.0, 0.0, 0.0]), SphereGrid(4, 8))
+    with pytest.raises(ValueError, match="weights must be integers"):
+        SectionCalculus(sec).eth_prime(np.zeros(sec.n_nodes), (0.5, 0))
 
 
 def test_angular_resolution_guard():

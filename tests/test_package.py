@@ -60,3 +60,28 @@ def test_every_definition_is_called_from_the_package():
                                                and node.lineno <= line <= node.end_lineno)
                           for ref, at, line in references)]
     assert not unused, f"defined but never referenced outside its definition: {unused}"
+
+
+def _settable_options(tree):
+    """Defaulted parameters of every function, plus defaulted fields of every
+    dataclass that its __init__ takes (a field(init=False) is not set)."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for item in node.body:
+                if not (isinstance(item, ast.AnnAssign) and item.value is not None):
+                    continue
+                value = item.value
+                count += not (isinstance(value, ast.Call) and ast.unparse(value.func) == "field"
+                              and any(k.arg == "init" and ast.unparse(k.value) == "False"
+                                      for k in value.keywords))
+    return count
+
+
+def test_settable_options_do_not_grow():
+    # every default is a knob a caller can turn; the package keeps at most this many
+    paths = sorted(Path(conerec.__file__).parent.glob("*.py"))
+    assert sum(_settable_options(ast.parse(p.read_text())) for p in paths) <= 56
