@@ -217,8 +217,9 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     t, x1, x2, x3 = dq.tolist()
     gamma0 = t * t - x1 * x1 - x2 * x2 - x3 * x3
     # relative to t^2, so a q near the vertex deep inside the cone is kept;
-    # each guard is written to refuse a NaN interval
-    if t <= 0 or not gamma0 >= 1e-8 * (t * t):
+    # each guard is written to refuse a NaN interval, and this one an
+    # infinite one too
+    if t <= 0 or not 1e-8 * (t * t) <= gamma0 < math.inf:
         raise GeometryError("q must lie strictly inside the future cone of p0 at a "
                             f"finite interval (interval {gamma0:.3e}, dt {t:.3e})")
     # t^2 underflows first: below the smallest normal float the interval

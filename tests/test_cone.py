@@ -186,6 +186,10 @@ def test_section_refuses_an_overflowing_interval():
     q = 1e160 * np.array([1.0, 0.3, 0.2, -0.1])
     with pytest.raises(GeometryError, match="interval nan"):
         cone.build_section(np.zeros(4), q, cone.SphereGrid(8, 16))
+    # an infinite time separation gives an infinite interval, refused alike
+    with pytest.raises(GeometryError, match="interval inf"):
+        cone.build_section(np.zeros(4), np.array([np.inf, 0.3, 0.2, -0.1]),
+                           cone.SphereGrid(8, 16))
 
 
 def test_area_on_axis():
