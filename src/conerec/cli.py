@@ -147,8 +147,7 @@ def _late(module, name):
 
 
 _as_point = _vector(4)
-_QUADRATURE = {"n_theta": _Key(_as_grid, 24), "n_phi": _Key(_as_grid, 48),
-               "rho_variant": _Key(_as_given)}
+_QUADRATURE = {"n_theta": _Key(_as_grid, 24), "n_phi": _Key(_as_grid, 48)}
 _CHART = {"name": _Key(_as_given, "flat"), "eps": _Key(_as_finite),
           "profile": _Key(_as_given), "width": _Key(_as_length),
           "center": _Key(_as_point), "halfwidth": _Key(_as_coordinate)}
@@ -177,7 +176,7 @@ _POINT = _Key(_as_point, _REQUIRED)
 _KIND = _Key(_as_kind, "spin")
 _VALENCE = _Key(_as_valence, 1)
 _DATA_KEY = _Key(_as_data, _REQUIRED)
-_QUADRATURE_KEY = _Key(_block(_QUADRATURE, _late(".reconstruct", "QuadratureSpec")), {})
+_QUADRATURE_KEY = _Key(_block(_QUADRATURE, _late(".cone", "SphereGrid")), {})
 _CHART_KEY = _Key(_block(_CHART, _late(".transport", "make_chart")))
 _LEVELS = _Key(_list_of(_as_level, non_empty=True))
 _TOLERANCE = _Key(_as_finite)
@@ -300,27 +299,27 @@ def cmd_reconstruct(v, out, seed):
     from .reconstruct import (components, reconstruct_curved_singular,
                               reconstruct_dirac, reconstruct_spin_n,
                               relative_error)
-    p0, kind, valence, spec = v["p0"], v["kind"], v["valence"], v["quadrature"]
+    p0, kind, valence, grid = v["p0"], v["kind"], v["valence"], v["quadrature"]
     chart, tol = v.get("chart"), v.get("tolerance")
     if chart is not None and kind != "spin":
         raise ConfigError("kind must be 'spin' with a chart: the curved evaluator reads "
                           "spin data only")
     data, oracle = _cone_data(v["data"], p0, valence, kind)
-    grid = data.grid
-    if grid is not None and (grid.n_theta, grid.n_phi) != (spec.n_theta, spec.n_phi):
-        raise ConfigError(f"quadrature {spec.n_theta}x{spec.n_phi} (n_theta x n_phi) does not "
-                          f"match the data file's grid {grid.n_theta}x{grid.n_phi}: file data "
+    own = data.grid
+    if own is not None and (own.n_theta, own.n_phi) != (grid.n_theta, grid.n_phi):
+        raise ConfigError(f"quadrature {grid.n_theta}x{grid.n_phi} (n_theta x n_phi) does not "
+                          f"match the data file's grid {own.n_theta}x{own.n_phi}: file data "
                           "is read on its own grid")
     records, failures = [], 0
     for i, q in enumerate(v["q"]):
         try:
             if kind == "dirac":
-                res = reconstruct_dirac(p0, data, q, spec)
+                res = reconstruct_dirac(p0, data, q, grid)
             elif chart is not None:
                 res = reconstruct_curved_singular(chart, p0, data, valence,
-                                                  q, spec)
+                                                  q, grid)
             else:
-                res = reconstruct_spin_n(p0, data, valence, q, spec)
+                res = reconstruct_spin_n(p0, data, valence, q, grid)
         except (GeometryError, CoverageError) as exc:
             raise type(exc)(f"q[{i}]: {exc}") from None
         rec = {"q": q.tolist()}
@@ -351,14 +350,18 @@ _CONSTRAINTS = {**_MAIN, "p0": _POINT, "valence": _VALENCE._replace(default=_REQ
                 "levels": _LEVELS._replace(default=[[12, 24], [24, 48], [48, 96]])}
 
 
-def cmd_constraints(v, out, seed):
+def _level_grids(levels):
+    """The sphere grid of each [n_theta, n_phi] entry of levels."""
     from .cone import SphereGrid
+    return [_built(SphereGrid, {"n_theta": nt, "n_phi": nph}, "levels", f"[{i}]")
+            for i, (nt, nph) in enumerate(levels)]
+
+
+def cmd_constraints(v, out, seed):
     from .nulldata import constraint_residual
     p0, s_values, tol = v["p0"], v["s_values"], v.get("tolerance")
     data, _ = _cone_data(v["data"], p0, v["valence"], "spin", columns=v["valence"] + 1)
-    grids = ([_built(SphereGrid, {"n_theta": nt, "n_phi": nph}, "levels", f"[{i}]")
-              for i, (nt, nph) in enumerate(v["levels"])] if data.is_analytic
-             else [data.grid])
+    grids = _level_grids(v["levels"]) if data.is_analytic else [data.grid]
     tables = [constraint_residual(data, p0, s_values, g) for g in grids]
     js = sorted(tables[0])
     header = (["n_theta", "n_phi"] + [f"res_j{j}" for j in js]
@@ -374,26 +377,20 @@ def cmd_constraints(v, out, seed):
     return EXIT_CHECK if _exceeds(worst, tol) or not finite else EXIT_OK
 
 
-# converge takes n_theta and n_phi from each level, so its quadrature
-# block holds only the rest of a QuadratureSpec
-_CONVERGE_QUADRATURE = {"rho_variant": _QUADRATURE["rho_variant"]}
 _CONVERGE = {**_MAIN, "p0": _POINT, "q": _POINT, "kind": _KIND, "valence": _VALENCE,
-             "data": _DATA_KEY, "quadrature": _Key(_block(_CONVERGE_QUADRATURE), {}),
+             "data": _DATA_KEY,
              "levels": _LEVELS._replace(default=[[16, 32], [32, 64], [64, 128]]),
              "tolerance": _TOLERANCE}
 
 
 def cmd_converge(v, out, seed):
-    from .reconstruct import QuadratureSpec, convergence_study
+    from .reconstruct import convergence_study
     p0, q, tol = v["p0"], v["q"], v.get("tolerance")
-    specs = [_built(QuadratureSpec, {**v["quadrature"], "n_theta": nt, "n_phi": nph},
-                    "quadrature", f" at levels[{i}]")
-             for i, (nt, nph) in enumerate(v["levels"])]
+    grids = _level_grids(v["levels"])
     data, oracle = _cone_data(v["data"], p0, v["valence"], v["kind"])
     if oracle is None:
         raise ConfigError("converge needs a named data family as oracle")
-    rows = convergence_study(p0, data, q, oracle(q), specs, kind=v["kind"],
-                             n=v["valence"])
+    rows = convergence_study(p0, data, q, oracle(q), grids)
     errors = [r["error"] for r in rows]
     orders = _order_column(errors, _ORDER_FLOOR)
     table = [[r["n_theta"], r["n_phi"], repr(r["error"]), o]

@@ -212,9 +212,10 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     """
     p0 = np.asarray(p0, dtype=float)
     q = np.asarray(q, dtype=float)
-    dq = q - p0
-    # in Python floats an interval that overflows is NaN, with no warning
-    t, x1, x2, x3 = dq.tolist()
+    # the guards read the chord in Python floats, which overflow to inf or
+    # NaN without a warning; numpy forms it only for a q they pass
+    (q0, q1, q2, q3), (a0, a1, a2, a3) = q.tolist(), p0.tolist()
+    t, x1, x2, x3 = q0 - a0, q1 - a1, q2 - a2, q3 - a3
     gamma0 = t * t - x1 * x1 - x2 * x2 - x3 * x3
     # relative to t^2, so a q near the vertex deep inside the cone is kept;
     # each guard is written to refuse a NaN interval, and this one an
@@ -228,6 +229,7 @@ def build_section(p0, q, grid: SphereGrid) -> ConeSection:
     if not gamma0 >= tiny:
         raise GeometryError(f"interval {gamma0:.3e} of q - p0 is below the smallest "
                             f"normal float {tiny:.3e}; q is too close to the vertex")
+    dq = q - p0
     theta, phi, quad_w, chart = grid.angles()
     omega, o = grid.directions()
     r = t - omega @ dq[1:]

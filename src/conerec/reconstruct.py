@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,54 +29,22 @@ from .errors import GeometryError
 from .nulldata import ConeData
 from .spinor import DiracSpinorValue, SymSpinorValue
 
-__all__ = ["QuadratureSpec", "ReconstructionResult", "reconstruct_dirac",
-           "reconstruct_spin_n", "reconstruct_curved_singular",
-           "convergence_study", "components", "relative_error"]
+__all__ = ["ReconstructionResult", "reconstruct_dirac", "reconstruct_spin_n",
+           "reconstruct_curved_singular", "convergence_study", "components",
+           "relative_error"]
 
 # Largest valence the evaluators accept: on the default 24x48 grid the
 # plane-wave error stays below 1e-13 up to 16 for |x - p0|/t <= 0.4 and
 # grows with n past it (sweep recorded in CHANGES.md).
 MAX_VALENCE = 16
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Resolution and method switch for one reconstruction.
-
-    The radial derivative is always the data's own (its exact callback,
-    or the spline derivative of grid data).  rho_variant selects the rho-coefficient in
-    the integrand: "penrose" uses (n+1) rho, the "reduced" variant drops
-    one rho (n=1: single rho), kept selectable for the normalization
-    audit.
-    """
-
-    n_theta: int
-    n_phi: int
-    rho_variant: str = "penrose"
-
-    def __post_init__(self):
-        if self.n_theta < 4 or self.n_phi % 2 or self.n_phi < 8:
-            raise ValueError("need n_theta >= 4 and even n_phi >= 8")
-        if self.rho_variant not in ("penrose", "reduced"):
-            raise ValueError(f"unknown rho_variant {self.rho_variant!r}")
-
-    def grid(self) -> SphereGrid:
-        return SphereGrid(self.n_theta, self.n_phi)
-
-    def halved(self) -> "QuadratureSpec":
-        return replace(self, n_theta=max(self.n_theta // 2, 4),
-                       n_phi=max(2 * (self.n_phi // 4), 8))
+QuadratureSpec = SphereGrid  # the old name: the benchmark's flat per-point rows import it
 
 
 @dataclass
 class ReconstructionResult:
     value: object                      # DiracSpinorValue or SymSpinorValue
-    q: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-
-def _rho_coefficient(n: int, spec: QuadratureSpec) -> float:
-    return float(n + 1 if spec.rho_variant == "penrose" else n)
+    diagnostics: dict
 
 
 @functools.lru_cache(maxsize=4)
@@ -109,13 +77,13 @@ def _check_spin_args(data: ConeData, n: int):
         raise ValueError("spin reconstruction expects phi_0 data")
 
 
-def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec, chart=None):
+def _flat_components(p0, data: ConeData, n: int, q, grid: SphereGrid, chart):
     """Components at q and node count: phi_0 .. phi_n for spin data, phi_A
     (lower) then psi^{A'} (upper) for the Dirac pair.  Per data column the
     integrand scalar on the flat section sigma(q) is (d/dr0 - (n+1) rho)
     phi mu_sigma / (2 pi r), rho = -1/r0.  A chart enters only as the
-    per-node factors of _chart_factors; without one there are none."""
-    section = build_section(p0, q, spec.grid())
+    per-node factors of _chart_factors; with chart None there are none."""
+    section = build_section(p0, q, grid)
     rho = -1.0 / section.r0
     w = section.mu_sigma / (2.0 * math.pi * section.r)
     if chart is None:
@@ -126,8 +94,7 @@ def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec, chart=
         vals, dvals = data.evaluate(f.r0, section.omega, section.o / c, c * section.iota)
         dvals = dvals - (0.5 * n * f.dr0_ln_omega)[:, None] * vals
         rho, w = f.rho, w * f.weight * f.iota_scale ** n
-    coeff = _rho_coefficient(n, spec)
-    scal = (dvals - (coeff * rho)[:, None] * vals) * w[:, None]
+    scal = (dvals - ((n + 1) * rho)[:, None] * vals) * w[:, None]
     if data.kind == "dirac":
         comps = np.concatenate([_component_sum(-scal[:, 0], section.iota, 1),
                                 scal[:, 1] @ np.conj(section.iota)])
@@ -137,41 +104,46 @@ def _flat_components(p0, data: ConeData, n: int, q, spec: QuadratureSpec, chart=
     return comps, section.n_nodes
 
 
-def _evaluate(quadrature, data: ConeData, q, spec: QuadratureSpec):
-    """quadrature(spec) -> (components, n_nodes), wrapped at q with its
-    diagnostics in a ReconstructionResult.  The error estimate is the
-    largest component difference against a half-resolution run, None when
-    no coarser evaluation exists (spec at the floor, or grid-bound data)."""
-    comps, n_nodes = quadrature(spec)
-    estimate, half = None, spec.halved()
-    if half != spec and data.is_analytic:
-        coarse, _ = quadrature(half)
-        estimate = float(np.max(np.abs(comps - coarse)))
+def _half(grid: SphereGrid) -> SphereGrid:
+    """The error estimate's grid: half the rings and meridians, at least 4x8."""
+    return SphereGrid(max(grid.n_theta // 2, 4), max(2 * (grid.n_phi // 4), 8))
+
+
+def _evaluate(p0, data: ConeData, n: int, q, grid: SphereGrid, chart):
+    """_flat_components on grid, with its diagnostics, in a
+    ReconstructionResult.  The error estimate is the largest component
+    difference against the half grid, None when no coarser evaluation
+    exists (grid at the floor, or grid-bound data)."""
+    comps, n_nodes = _flat_components(p0, data, n, q, grid, chart)
+    estimate = None
+    if data.is_analytic:
+        half = _half(grid)
+        if (half.n_theta, half.n_phi) != (grid.n_theta, grid.n_phi):
+            coarse, _ = _flat_components(p0, data, n, q, half, chart)
+            estimate = float(np.max(np.abs(comps - coarse)))
     diagnostics = {"n_nodes": int(n_nodes), "error_estimate": estimate}
     value = (DiracSpinorValue(comps[:2], comps[2:]) if data.kind == "dirac"
              else SymSpinorValue(comps.size - 1, comps))
-    return ReconstructionResult(value=value, q=q, diagnostics=diagnostics)
+    return ReconstructionResult(value=value, diagnostics=diagnostics)
 
 
 def reconstruct_spin_n(p0, data: ConeData, n: int, q,
-                       spec: QuadratureSpec) -> ReconstructionResult:
+                       grid: SphereGrid) -> ReconstructionResult:
     """Value of the valence-n field at q from phi_0 on the cone of p0.
 
-    Quadrature of (-1)^n (d phi_0/dr0 - (n+1) rho phi_0) iota_A..iota_F
-    mu_sigma / (2 pi r) over sigma(q), summed node by node straight into
-    the n+1 scalars phi_j of the standard spin basis at q (O(N n) work;
-    no rank-n tensor is formed).  The error estimate in the diagnostics
-    is the difference against a half-resolution evaluation.  n runs from
-    1 to MAX_VALENCE.
+    Quadrature on grid of (-1)^n (d phi_0/dr0 - (n+1) rho phi_0)
+    iota_A..iota_F mu_sigma / (2 pi r) over sigma(q), summed node by node
+    straight into the n+1 scalars phi_j of the standard spin basis at q
+    (O(N n) work; no rank-n tensor is formed).  The error estimate in the
+    diagnostics is the difference against the half grid.  n runs from 1
+    to MAX_VALENCE.
     """
     _check_spin_args(data, n)
-    q = np.asarray(q, dtype=float)
-    return _evaluate(lambda sp: _flat_components(p0, data, n, q, sp),
-                     data, q, spec)
+    return _evaluate(p0, data, n, np.asarray(q, dtype=float), grid, None)
 
 
 def reconstruct_dirac(p0, data: ConeData, q,
-                      spec: QuadratureSpec) -> ReconstructionResult:
+                      grid: SphereGrid) -> ReconstructionResult:
     """4-spinor value at q from the (zeta_0, xi^{1'}) data pair.
 
     The unprimed half integrates the zeta_0 column against -iota_A (the
@@ -180,9 +152,7 @@ def reconstruct_dirac(p0, data: ConeData, q,
     """
     if data.kind != "dirac":
         raise ValueError("dirac reconstruction expects (zeta_0, xi^{1'}) data")
-    q = np.asarray(q, dtype=float)
-    return _evaluate(lambda sp: _flat_components(p0, data, 1, q, sp),
-                     data, q, spec)
+    return _evaluate(p0, data, 1, np.asarray(q, dtype=float), grid, None)
 
 
 def components(value) -> np.ndarray:
@@ -201,9 +171,8 @@ def relative_error(got, ref) -> float:
     return float(np.max(np.abs(got - ref))) / scale
 
 
-def convergence_study(p0, data: ConeData, q, oracle, specs,
-                      kind: str = "spin", n: int = 1):
-    """Error vs oracle for each quadrature spec.
+def convergence_study(p0, data: ConeData, q, oracle, grids):
+    """Error vs oracle on each sphere grid, for the kind and valence of data.
 
     oracle: a DiracSpinorValue, a SymSpinorValue or a flat component
     array (see components).  Returns a list of rows {n_theta, n_phi,
@@ -211,12 +180,12 @@ def convergence_study(p0, data: ConeData, q, oracle, specs,
     """
     ref = components(oracle)
     rows = []
-    for spec in specs:
-        if kind == "dirac":
-            res = reconstruct_dirac(p0, data, q, spec)
+    for grid in grids:
+        if data.kind == "dirac":
+            res = reconstruct_dirac(p0, data, q, grid)
         else:
-            res = reconstruct_spin_n(p0, data, n, q, spec)
-        rows.append({"n_theta": spec.n_theta, "n_phi": spec.n_phi,
+            res = reconstruct_spin_n(p0, data, data.valence, q, grid)
+        rows.append({"n_theta": grid.n_theta, "n_phi": grid.n_phi,
                      "error": relative_error(components(res.value), ref)})
     return rows
 
@@ -256,7 +225,7 @@ def _chart_factors(chart, p0, q, section) -> _ChartFactors:
 
 
 def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
-                                spec: QuadratureSpec) -> ReconstructionResult:
+                                grid: SphereGrid) -> ReconstructionResult:
     """Singular part of the curved-chart value of the spin-n/2 field.
 
     reconstruct_spin_n's integrand with the chart's per-node factors,
@@ -273,5 +242,4 @@ def reconstruct_curved_singular(chart, p0, data: ConeData, n: int, q,
     q = np.asarray(q, dtype=float)
     chart.require_inside(p0, "cone vertex")
     chart.require_inside(q, "evaluation point")
-    return _evaluate(lambda sp: _flat_components(p0, data, n, q, sp, chart),
-                     data, q, spec)
+    return _evaluate(p0, data, n, q, grid, chart)

@@ -203,17 +203,16 @@ def _acceleration(chart: CurvedChart, x, u) -> np.ndarray:
             + ((u * u) @ _ETA_SIGN)[..., None] * _ETA_SIGN * w)
 
 
-def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0, jacobi: bool = False,
-                   guess: Optional[kernels.Shoot] = None) -> GeodesicPath:
+def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0,
+                   jacobi: bool = False) -> GeodesicPath:
     """Integrate the geodesic from (p, v) to affine parameter s_end.
 
     p and v are one point (4,) or (B, 4) rows shot together, whose path
     samples x and v are then (M, B, 4).  kernels.shoot_endpoint solves it
-    on the packed state (_shoot), from guess's samples (a shoot of the
-    same rows) when given.  Raises GeometryError for a path that leaves
-    the chart box, reporting the exit point, or that it cannot resolve.
-    work holds the shoot's nodes, segments, Picard iterations and last
-    Picard update.  jacobi=True (one point) makes it the Jacobi
+    on the packed state (_shoot).  Raises GeometryError for a path that
+    leaves the chart box, reporting the exit point, or that it cannot
+    resolve.  work holds the shoot's nodes, segments, Picard iterations
+    and last Picard update.  jacobi=True (one point) makes it the Jacobi
     propagator: the shoot also carries the geodesic-deviation equations
     X' = U, U' = the derivative of _acceleration along (X, U), from
     (X, U) = 1: its complex step (Squire & Trapp, SIAM Rev. 40, 1998), one
@@ -223,7 +222,7 @@ def geodesic_shoot(chart: CurvedChart, p, v, s_end: float = 1.0, jacobi: bool = 
     p = np.asarray(p, dtype=float).reshape(-1 if rows else 1, 4)
     v = np.asarray(v, dtype=float).reshape(-1 if rows else 1, 4)
     chart.require_inside(p, "geodesic start")
-    shot = _shoot(chart, p, v, s_end, jacobi, guess)
+    shot = _shoot(chart, p, v, s_end, jacobi)
     y = shot.y if rows else shot.y[:, 0]
     return GeodesicPath(shot.s, y[..., :4], y[..., 4:8], chart,
                         y[:, 8:].reshape(-1, 8, 8) if jacobi else None, work=_work(shot))

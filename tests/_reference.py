@@ -12,8 +12,9 @@ the null-norm drift and the eikonal identity audit geodesics and the
 world function, the classical RK4 integrator the Chebyshev-Picard
 kernel replaced integrates the tensor forms of the propagator and the
 frame those are checked against, two-level Richardson differences
-audit exact and spline derivatives, the spline formula written out
-term by term audits the grid-data lookup, Lagrange stencil weights
+audit exact and spline derivatives, data whose derivative carries one
+rho phi more are criterion 4's single-rho control, the spline formula
+written out term by term audits the grid-data lookup, Lagrange stencil weights
 built ring by ring audit the closed-form theta-derivative matrix, and
 criterion 9's finite-difference identity checks (the field equation,
 the second-derivative contraction, and the Dirac operator's symmetry
@@ -27,6 +28,7 @@ import math
 import numpy as np
 
 from conerec import cone, transport
+from conerec.nulldata import ConeData
 from conerec.oracles import PlaneWaveSpec
 from conerec.spinor import (ETA, SIG_UP, SQRT2, SymSpinorValue, central_partials,
                             dirac_assemble, lower_comps, lower_matrix, raise_comps,
@@ -276,6 +278,17 @@ def richardson_dr0(values_at, r0, h):
         return (values_at(r0 + step) - values_at(r0 - step)) / (2.0 * step[..., None])
 
     return richardson(central, h)
+
+
+def single_rho(data):
+    """Analytic data whose d/dr0 carries rho phi = -phi/r0 more, so the
+    evaluators' (d/dr0 - (n+1) rho) integrand becomes d/dr0 - n rho: the
+    Penrose formula with one rho fewer (a single rho at n = 1), the
+    normalization audit's negative control."""
+    def fn_dr0(r0, omega, o_up, iota_up, values):
+        return data.fn_dr0(r0, omega, o_up, iota_up, values) - values / r0[:, None]
+
+    return ConeData(data.valence, kind=data.kind, fn=data.fn, fn_dr0=fn_dr0)
 
 
 def spline_eval(data, r0):

@@ -9,16 +9,18 @@ is 1 if any file mismatches or deviates by more than TOL.
 
 tests/corpus/<name>.cfg.json holds {"command", "config"} and, for file
 data, "data_file": the plane-wave family that save_cone_data samples and
-writes before the run, so no blob is committed; the config's data.file
-names that file inside the run's directory.  <name>.out.json holds the
-exit code and the JSON output with meta dropped, the run's directory
-written as $TMP.  A CSV output (constraints, converge) is held as its
-rows, the generated_at line skipped: integer cells as integers, other
-numeric cells as floats, the rest as strings.  A run matches when every
-key, string, integer, bool and null is equal and every float lies
-within TOL of the output's field scale, the largest magnitude of its
-field components (all its floats when it has none; per column in a
-CSV), which leaves room for another BLAS.
+writes before the run, so no blob is committed, with "columns" spin
+components (phi_0 only when absent; all n + 1 for a constraints run);
+the config's data.file names that file inside the run's directory.
+<name>.out.json holds the exit code and the JSON output with meta
+dropped, the run's directory written as $TMP.  A CSV output
+(constraints, converge) is held as its rows, the generated_at line
+skipped: integer cells as integers, other numeric cells as floats, the
+rest as strings.  A run matches when every key, string, integer, bool
+and null is equal and every float lies within TOL of the output's
+field scale, the largest magnitude of its field components (all its
+floats when it has none; per column in a CSV), which leaves room for
+another BLAS.
 
 Regenerating the corpus changes what the tests check: say which files
 moved, and by how much (--diff before --write), with the change.  --write
@@ -71,7 +73,7 @@ def _write_data_file(directory, block):
     p0 = np.asarray(block["p0"], dtype=float)
     dirac = block["family"] == "plane-wave-dirac"
     fn = (oracles.plane_wave_dirac_cone_fn(spec, p0, complex(*block["psi_amplitude"]))
-          if dirac else oracles.plane_wave_cone_fn(spec, p0, 1))[0]
+          if dirac else oracles.plane_wave_cone_fn(spec, p0, block.get("columns", 1)))[0]
     grid = cone.SphereGrid(*block["grid"])
     theta, phi, _, chart = grid.angles()
     omega = cone.unit_directions(theta, phi)

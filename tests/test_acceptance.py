@@ -18,9 +18,9 @@ from conerec import reconstruct as rc
 from conerec.cone import SectionCalculus, SphereGrid, build_section
 from conerec.frames import NPFrame, frame_from_spin_basis
 from conerec.nulldata import ConeData
-from conerec.reconstruct import QuadratureSpec
 
-from _reference import bump_dirac_grids, dirac_symmetry_check, plane_wave_tensor, sl_identity_check
+from _reference import (bump_dirac_grids, dirac_symmetry_check, plane_wave_tensor,
+                        single_rho, sl_identity_check)
 
 RNG_SEED = 20260816
 P0 = np.zeros(4)
@@ -49,8 +49,7 @@ def _flat_errors(n, q, levels=((16, 32), (32, 64), (64, 128))):
     scale = float(np.max(np.abs(ref)))
     errs = []
     for nt, nph in levels:
-        got = rc.reconstruct_spin_n(P0, data, n, q,
-                                    QuadratureSpec(nt, nph)).value.components
+        got = rc.reconstruct_spin_n(P0, data, n, q, SphereGrid(nt, nph)).value.components
         errs.append(float(np.max(np.abs(got - ref))) / scale)
     return errs
 
@@ -92,7 +91,7 @@ def test_criterion_03_higher_spins_and_dirac_match():
     fn, fn_dr0 = oracles.plane_wave_dirac_cone_fn(spec, P0,
                                                   psi_amplitude=0.5 - 0.1j)
     dirac_data = ConeData(1, kind="dirac", fn=fn, fn_dr0=fn_dr0)
-    qs = QuadratureSpec(32, 64)
+    qs = SphereGrid(32, 64)
     agree = max(
         float(np.max(np.abs(
             rc.reconstruct_dirac(P0, dirac_data, q, qs).value.phi
@@ -109,10 +108,10 @@ def test_criterion_04_normalization_audit():
     ref = oracles.plane_wave_field(spec, q).components
     scale = float(np.max(np.abs(ref)))
     errors = {}
-    for variant in ("penrose", "reduced"):
-        got = rc.reconstruct_spin_n(
-            P0, data, 1, q,
-            QuadratureSpec(32, 64, rho_variant=variant)).value.components
+    # the single-rho control: data whose d/dr0 carries one rho phi more
+    for variant, variant_data in (("penrose", data), ("reduced", single_rho(data))):
+        got = rc.reconstruct_spin_n(P0, variant_data, 1, q,
+                                    SphereGrid(32, 64)).value.components
         errors[variant] = float(np.max(np.abs(got - ref))) / scale
     ok = errors["penrose"] <= 1e-6 and errors["reduced"] > 1e-3
     _line(4, ok,
@@ -238,7 +237,7 @@ def test_criterion_07_curved_transport():
 def test_criterion_08_curved_singular_flat_equality():
     spec, data = _spin_data(2)
     chart = transport.make_chart("flat")
-    qs = QuadratureSpec(24, 48)
+    qs = SphereGrid(24, 48)
     worst = 0.0
     for q in Q_POINTS:
         flat = rc.reconstruct_spin_n(P0, data, 2, q, qs).value.components

@@ -420,7 +420,8 @@ def test_kind_the_data_family_does_not_give_is_named(tmp_path, capsys, command):
     # the evaluator's own check said "spin reconstruction expects phi_0 data"
     cfg = _rec_config(data=_DIRAC_DATA)
     if command == "converge":
-        cfg.update(q=cfg["q"][0], quadrature={}, levels=[[8, 16]])
+        cfg.pop("quadrature")
+        cfg.update(q=cfg["q"][0], levels=[[8, 16]])
     assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "o") == 2
     assert "kind 'spin' does not read the plane-wave-dirac family" in capsys.readouterr().err
 
@@ -465,7 +466,7 @@ _DIRAC_DATA = {"family": "plane-wave-dirac", "alpha": ALPHA}
     ("constraints", {**_CONSTRAINTS, "tolerence": 1e-30}, "tolerence"),
     ("converge", {**_CONVERGE, "level": [[8, 16]]}, "level"),
     ("converge", {**_CONVERGE, "quadrature": {"n_theta": 1000, "n_phi": 3}},
-     "['n_phi', 'n_theta']"),
+     "['quadrature']"),
     ("curved-transport", {**_TRANSPORT, "k_step": 3}, "k_step"),
     ("verify", {"suites": ["algebra"], "cases": 10, "case": 5}, "case"),
     ("reconstruct", _rec_config(data={"family": "plane-wave", "alpha": ALPHA,
@@ -651,7 +652,8 @@ def test_chart_halfwidth_overflow_exits_2_naming_it(tmp_path, capsys, halfwidth)
 
 # The grid has no single-chart cap mode: quadrature.chart_mode and
 # quadrature.cap are unknown keys whatever their values, and the error
-# names each of them.
+# names each of them.  converge reads no quadrature block, so there the
+# error names the block.
 @pytest.mark.parametrize("command, quadrature", [
     ("reconstruct", {"chart_mode": "single+cap", "cap": 4.0}),
     ("reconstruct", {"chart_mode": "single+cap", "cap": -0.1}),
@@ -671,8 +673,11 @@ def test_unusable_cap_exits_2_naming_it(tmp_path, capsys, command, quadrature):
     code = _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out")
     assert code == 2
     err = capsys.readouterr().err
-    assert "unknown quadrature keys" in err
-    assert all(repr(key) in err for key in quadrature if key in ("chart_mode", "cap"))
+    if command == "converge":
+        assert "unknown converge keys ['quadrature']" in err
+    else:
+        assert "unknown quadrature keys" in err
+        assert all(repr(key) in err for key in quadrature if key in ("chart_mode", "cap"))
 
 
 @pytest.mark.parametrize("s_values, key", [([0.8, 0], "s_values[1]"),
@@ -706,8 +711,7 @@ def test_constraints_reads_every_column_and_the_evaluators_phi_0(tmp_path, monke
     configs = {
         "constraints": {**_CONSTRAINTS, "valence": valence},
         "reconstruct": evaluator,
-        "converge": {**evaluator, "q": [1.5, 0.4, 0.3, 0.2], "quadrature": {},
-                     "levels": [[8, 16]]},
+        "converge": {**_CONVERGE, "valence": valence},
     }
     for command, cfg in configs.items():
         assert _run(command, _write(tmp_path, "c.json", cfg), tmp_path / "out") == 0
@@ -1362,7 +1366,7 @@ def test_console_entry_point(tmp_path, capsys):
 
 # -- property: every leaf of a full config, mutated, ends in a documented exit
 
-_QUADRATURE_FULL = {"n_theta": 8, "n_phi": 16, "rho_variant": "penrose"}
+_QUADRATURE_FULL = {"n_theta": 8, "n_phi": 16}
 _CHART_FULL = {"name": "conformal", "eps": 1e-3, "profile": "gaussian", "width": 2.0,
                "center": [0, 0, 0, 0], "halfwidth": 10.0}
 
@@ -1384,7 +1388,7 @@ def _full_configs(data_file):
                      "kind": "dirac", "valence": 1,
                      "data": {"family": "plane-wave-dirac", "alpha": ALPHA,
                               "amplitude": [0.9, 0.2], "psi_amplitude": [0.5, -0.1]},
-                     "quadrature": {"rho_variant": "penrose"}, "levels": [[8, 16]],
+                     "levels": [[8, 16]],
                      "tolerance": 1e-2},
         "verify": {**main, "suites": ["algebra"], "cases": 20,
                    "thresholds": {"algebra.clifford_relation": 1e-12}},
@@ -1396,15 +1400,14 @@ def _full_configs(data_file):
     }
 
 
-_EVERY_TABLE = [*cli._TABLES.values(), cli._QUADRATURE, cli._CONVERGE_QUADRATURE,
-                cli._CHART, cli._FRAME, cli._RAY, *cli._DATA.values()]
+_EVERY_TABLE = [*cli._TABLES.values(), cli._QUADRATURE, cli._CHART, cli._FRAME, cli._RAY,
+                *cli._DATA.values()]
 
 
 def _tables(command, cfg):
     """(path, table) of each block of cfg that a config table reads."""
     yield (), cli._TABLES[command]
-    quadrature = cli._CONVERGE_QUADRATURE if command == "converge" else cli._QUADRATURE
-    for key, table in (("quadrature", quadrature), ("chart", cli._CHART),
+    for key, table in (("quadrature", cli._QUADRATURE), ("chart", cli._CHART),
                        ("frame", cli._FRAME)):
         if key in cfg:
             yield (key,), table

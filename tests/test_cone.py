@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,12 @@ def test_section_refuses_an_overflowing_interval():
     with pytest.raises(GeometryError, match="interval inf"):
         cone.build_section(np.zeros(4), np.array([np.inf, 0.3, 0.2, -0.1]),
                            cone.SphereGrid(8, 16))
+    # a chord q - p0 that overflows is refused with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="interval inf"):
+            cone.build_section(np.array([-1e308, 0.0, 0.0, 0.0]),
+                               np.array([1e308, 0.0, 0.0, 0.0]), cone.SphereGrid(8, 16))
 
 
 def test_area_on_axis():

@@ -302,15 +302,14 @@ def test_direction_memo_never_serves_an_array_that_can_change(kind):
 @pytest.mark.parametrize("kind", [2, "dirac"])
 def test_converge_over_five_levels_keeps_two_grids(kind):
     from conerec.nulldata import ConeData
-    from conerec.reconstruct import QuadratureSpec, convergence_study
+    from conerec.reconstruct import convergence_study
     fn, fn_dr0 = _pair(kind)
     data = (ConeData(1, kind="dirac", fn=fn, fn_dr0=fn_dr0) if kind == "dirac"
             else ConeData(kind, fn=fn, fn_dr0=fn_dr0))
     q = _P0_MEMO + np.array([1.4, 0.2, -0.1, 0.3])
-    specs = [QuadratureSpec(nt, 2 * nt) for nt in (8, 12, 16, 24, 32)]
+    grids = [cone.SphereGrid(nt, 2 * nt) for nt in (8, 12, 16, 24, 32)]
     rows = convergence_study(_P0_MEMO, data, q, np.zeros(4 if kind == "dirac" else 3),
-                             specs, kind="dirac" if kind == "dirac" else "spin",
-                             n=1 if kind == "dirac" else kind)
+                             grids)
     assert len(rows) == 5
     memos = _memos(fn, fn_dr0)
     assert memos and all(len(m.entries) == 2 for m in memos)

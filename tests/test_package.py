@@ -1,5 +1,5 @@
-"""Package surface: every name a module exports resolves, and the package
-keeps only what its own code calls."""
+"""Package surface: every name a module exports or the benchmark imports
+resolves, and the package keeps only what its own code calls."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ import pytest
 
 import conerec
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _MODULES = [importlib.import_module(f"conerec.{info.name}")
             for info in pkgutil.iter_modules(conerec.__path__)]
 
@@ -27,6 +28,35 @@ _CALLED_FROM_OUTSIDE = (
 def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+
+def _benchmark_imports():
+    """(file, module, name) of every name a perfbench/*.py file imports from
+    conerec, read from the files' text so nothing there runs; name is None
+    for a plain import of the module."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "conerec":
+                yield from ((path.name, node.module, a.name) for a in node.names)
+            elif isinstance(node, ast.Import):
+                yield from ((path.name, a.name, None) for a in node.names
+                            if a.name.split(".")[0] == "conerec")
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # the benchmark binds these names; dropping one breaks its runs, not a test
+    imports = list(_benchmark_imports())
+    assert imports, "perfbench imports nothing from conerec"
+    missing = []
+    for path, module, name in imports:
+        owner = importlib.import_module(module)
+        if name is not None and not hasattr(owner, name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ModuleNotFoundError:
+                missing.append(f"{path}: {module}.{name}")
+    assert not missing
 
 
 def _definitions_and_references():
@@ -84,4 +114,4 @@ def _settable_options(tree):
 def test_settable_options_do_not_grow():
     # every default is a knob a caller can turn; the package keeps at most this many
     paths = sorted(Path(conerec.__file__).parent.glob("*.py"))
-    assert sum(_settable_options(ast.parse(p.read_text())) for p in paths) <= 56
+    assert sum(_settable_options(ast.parse(p.read_text())) for p in paths) <= 50

@@ -5,11 +5,12 @@ import pytest
 
 import conerec.reconstruct as rec
 from conerec import oracles as orc
+from conerec.cone import SphereGrid
 from conerec.nulldata import ConeData
-from conerec.reconstruct import (QuadratureSpec, convergence_study,
-                                 reconstruct_dirac, reconstruct_spin_n)
+from conerec.reconstruct import convergence_study, reconstruct_dirac, reconstruct_spin_n
 
-from _reference import richardson_dr0, sym_assemble, sym_components, weyl_residual_fd
+from _reference import (richardson_dr0, single_rho, sym_assemble, sym_components,
+                        weyl_residual_fd)
 
 rng = np.random.default_rng(20260816)
 
@@ -17,7 +18,7 @@ P0 = np.zeros(4)
 Q_POINTS = [np.array([1.0, 0.0, 0.0, 0.0]),
             np.array([2.0, 0.0, 0.0, 1.0]),
             np.array([1.5, 0.4, 0.3, 0.2])]
-REF_SPEC = QuadratureSpec(64, 128)
+REF_GRID = SphereGrid(64, 128)
 
 
 def _dirac_setup(psi_amp=None):
@@ -50,7 +51,7 @@ def _dirac_rel_err(result, exact):
 @pytest.mark.parametrize("q", Q_POINTS)
 def test_dirac_plane_wave(q):
     pw, b, data = _dirac_setup()
-    res = reconstruct_dirac(P0, data, q, REF_SPEC)
+    res = reconstruct_dirac(P0, data, q, REF_GRID)
     exact = orc.plane_wave_dirac(pw, q, psi_amplitude=b)
     assert _dirac_rel_err(res, exact) < 1e-6
 
@@ -59,7 +60,7 @@ def test_dirac_plane_wave(q):
 def test_spin_n_plane_wave(n):
     pw, data = _spin_setup(n)
     q = Q_POINTS[2]
-    res = reconstruct_spin_n(P0, data, n, q, QuadratureSpec(48, 96))
+    res = reconstruct_spin_n(P0, data, n, q, SphereGrid(48, 96))
     exact = orc.plane_wave_field(pw, q)
     rel = np.max(np.abs(res.value.components - exact.components)) \
         / np.max(np.abs(exact.components))
@@ -76,7 +77,7 @@ def test_plane_wave_near_the_vertex(n, t):
     pw = orc.PlaneWaveSpec(n, np.array([1.0, 0.3 + 0.4j]))
     fn, fn_dr0 = orc.plane_wave_cone_fn(pw, P0)
     q = P0 + t * np.array([1.0, 0.3, 0.2, -0.1])
-    res = reconstruct_spin_n(P0, ConeData(n, fn=fn, fn_dr0=fn_dr0), n, q, QuadratureSpec(24, 48))
+    res = reconstruct_spin_n(P0, ConeData(n, fn=fn, fn_dr0=fn_dr0), n, q, SphereGrid(24, 48))
     exact = orc.plane_wave_field(pw, q)
     rel = np.max(np.abs(res.value.components - exact.components)) \
         / np.max(np.abs(exact.components))
@@ -90,10 +91,10 @@ def test_spin_one_matches_dirac_unprimed():
     fns, fns_d = orc.plane_wave_cone_fn(pw, P0)
     ddir = ConeData(1, kind="dirac", fn=fnd, fn_dr0=fnd_d)
     dspin = ConeData(1, fn=fns, fn_dr0=fns_d)
-    spec = QuadratureSpec(24, 48)
+    grid = SphereGrid(24, 48)
     q = Q_POINTS[1]
-    r_spin = reconstruct_spin_n(P0, dspin, 1, q, spec)
-    r_dirac = reconstruct_dirac(P0, ddir, q, spec)
+    r_spin = reconstruct_spin_n(P0, dspin, 1, q, grid)
+    r_dirac = reconstruct_dirac(P0, ddir, q, grid)
     # standard-frame scalars of the lower unprimed half
     std_o = np.array([1.0, 0.0])
     std_iota = np.array([0.0, 1.0])
@@ -113,7 +114,7 @@ def _differenced(data, h=1e-3):
 def test_richardson_radial_path():
     pw, b, data = _dirac_setup()
     q = Q_POINTS[2]
-    res = reconstruct_dirac(P0, _differenced(data), q, QuadratureSpec(32, 64))
+    res = reconstruct_dirac(P0, _differenced(data), q, SphereGrid(32, 64))
     exact = orc.plane_wave_dirac(pw, q, psi_amplitude=b)
     assert _dirac_rel_err(res, exact) < 1e-9
 
@@ -122,7 +123,7 @@ def test_grid_data_reconstruction():
     from conerec.cone import spin_basis_field, unit_directions
     pw, data_exact = _spin_setup(2)
     fn, _ = orc.plane_wave_cone_fn(pw, P0)
-    grid = QuadratureSpec(32, 64).grid()
+    grid = SphereGrid(32, 64)
     th, ph, w, ch = grid.angles()
     o_up, iota_up = spin_basis_field(th, ph, ch)
     om = unit_directions(th, ph)
@@ -131,7 +132,7 @@ def test_grid_data_reconstruction():
                      for r in nodes])
     data = ConeData(2, grid=grid, r0_nodes=nodes, values=vals)
     q = Q_POINTS[2]
-    res = reconstruct_spin_n(P0, data, 2, q, QuadratureSpec(32, 64))
+    res = reconstruct_spin_n(P0, data, 2, q, grid)
     exact = orc.plane_wave_field(pw, q)
     rel = np.max(np.abs(res.value.components - exact.components)) \
         / np.max(np.abs(exact.components))
@@ -148,9 +149,9 @@ def test_zero_data_zero_value():
     zero_dirac = ConeData(1, kind="dirac",
                           fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex),
                           fn_dr0=lambda r0, om, o, i, v: np.zeros((r0.size, 2), complex))
-    spec = QuadratureSpec(8, 16)
-    r1 = reconstruct_spin_n(P0, zero_spin, 2, Q_POINTS[0], spec)
-    r2 = reconstruct_dirac(P0, zero_dirac, Q_POINTS[0], spec)
+    grid = SphereGrid(8, 16)
+    r1 = reconstruct_spin_n(P0, zero_spin, 2, Q_POINTS[0], grid)
+    r2 = reconstruct_dirac(P0, zero_dirac, Q_POINTS[0], grid)
     assert np.all(r1.value.components == 0)
     assert np.all(r2.value.phi == 0) and np.all(r2.value.psi == 0)
 
@@ -166,7 +167,7 @@ def test_locality_of_radial_support():
         return (prof * (1.0 + om[:, 1])).astype(complex)[:, None]
 
     data = ConeData(1, fn=f, fn_dr0=f_dr0)
-    res = reconstruct_spin_n(P0, data, 1, Q_POINTS[0], QuadratureSpec(16, 32))
+    res = reconstruct_spin_n(P0, data, 1, Q_POINTS[0], SphereGrid(16, 32))
     assert np.all(res.value.components == 0)   # section sits at r0 = 1/2
 
 
@@ -176,8 +177,8 @@ def test_gauge_invariance_frame_phase(monkeypatch):
     # the iota accumulation carry cancelling weights
     pw, b, data = _dirac_setup()
     q = Q_POINTS[2]
-    spec = QuadratureSpec(24, 48)
-    base = reconstruct_dirac(P0, data, q, spec)
+    grid = SphereGrid(24, 48)
+    base = reconstruct_dirac(P0, data, q, grid)
 
     lam = np.exp(0.73j)
     true_build = rec.build_section
@@ -189,7 +190,7 @@ def test_gauge_invariance_frame_phase(monkeypatch):
         return sec
 
     monkeypatch.setattr(rec, "build_section", rescaled)
-    out = reconstruct_dirac(P0, data, q, spec)
+    out = reconstruct_dirac(P0, data, q, grid)
     assert np.max(np.abs(out.value.phi - base.value.phi)) < 1e-10
     assert np.max(np.abs(out.value.psi - base.value.psi)) < 1e-10
 
@@ -207,11 +208,11 @@ def test_linearity():
                 + b * f2d(r0, om, o, i, f2(r0, om, o, i)))
 
     mix = ConeData(2, fn=lambda *s: a * f1(*s) + b * f2(*s), fn_dr0=mix_dr0)
-    spec = QuadratureSpec(16, 32)
+    grid = SphereGrid(16, 32)
     q = Q_POINTS[1]
-    rm = reconstruct_spin_n(P0, mix, 2, q, spec)
-    r1 = reconstruct_spin_n(P0, d1, 2, q, spec)
-    r2 = reconstruct_spin_n(P0, d2, 2, q, spec)
+    rm = reconstruct_spin_n(P0, mix, 2, q, grid)
+    r1 = reconstruct_spin_n(P0, d1, 2, q, grid)
+    r2 = reconstruct_spin_n(P0, d2, 2, q, grid)
     combo = a * r1.value.components + b * r2.value.components
     scale = np.max(np.abs(combo))
     assert np.max(np.abs(rm.value.components - combo)) < 1e-12 * scale
@@ -220,10 +221,10 @@ def test_linearity():
 def test_interior_dirac_residual_orders():
     pw, b, data = _dirac_setup()
     q = Q_POINTS[2]
-    spec = QuadratureSpec(16, 32)
+    grid = SphereGrid(16, 32)
 
     def field(x):
-        res = reconstruct_dirac(P0, data, x, spec)
+        res = reconstruct_dirac(P0, data, x, grid)
         return res.value.phi, res.value.psi
 
     scale = np.max(np.abs(np.concatenate(field(q))))
@@ -238,12 +239,12 @@ def test_interior_dirac_residual_orders():
 def test_interior_weyl_residual_spin2():
     pw, data = _spin_setup(2)
     q = Q_POINTS[2]
-    spec = QuadratureSpec(16, 32)
+    grid = SphereGrid(16, 32)
     std_o = np.array([1.0, 0.0], dtype=complex)
     std_iota = np.array([0.0, 1.0], dtype=complex)
 
     def field(x):
-        res = reconstruct_spin_n(P0, data, 2, x, spec)
+        res = reconstruct_spin_n(P0, data, 2, x, grid)
         return sym_assemble(res.value, std_o, std_iota)
 
     scale = np.max(np.abs(field(q)))
@@ -259,9 +260,8 @@ def test_rho_variant_audit():
     pw, b, data = _dirac_setup()
     q = Q_POINTS[0]
     exact = orc.plane_wave_dirac(pw, q, psi_amplitude=b)
-    good = reconstruct_dirac(P0, data, q, QuadratureSpec(32, 64))
-    bad = reconstruct_dirac(P0, data, q,
-                            QuadratureSpec(32, 64, rho_variant="reduced"))
+    good = reconstruct_dirac(P0, data, q, SphereGrid(32, 64))
+    bad = reconstruct_dirac(P0, single_rho(data), q, SphereGrid(32, 64))
     assert _dirac_rel_err(good, exact) < 1e-10
     assert _dirac_rel_err(bad, exact) > 1e-3
 
@@ -270,8 +270,8 @@ def test_convergence_study_plane_wave():
     pw, b, data = _dirac_setup()
     q = Q_POINTS[1]
     exact = orc.plane_wave_dirac(pw, q, psi_amplitude=b)
-    specs = [QuadratureSpec(nt, 2 * nt) for nt in (4, 8, 16, 32, 64)]
-    rows = convergence_study(P0, data, q, exact, specs, kind="dirac")
+    grids = [SphereGrid(nt, 2 * nt) for nt in (4, 8, 16, 32, 64)]
+    rows = convergence_study(P0, data, q, exact, grids)
     errs = [r["error"] for r in rows]
     # ratio >= 4 per doubling until below 1e-10
     for a, b_ in zip(errs, errs[1:]):
@@ -291,14 +291,13 @@ def test_convergence_study_accepts_every_oracle_form():
     pw, b, data = _dirac_setup()
     q = Q_POINTS[2]
     exact = orc.plane_wave_dirac(pw, q, psi_amplitude=b)
-    specs = [QuadratureSpec(8, 16), QuadratureSpec(16, 32)]
-    errors = [[r["error"] for r in convergence_study(P0, data, q, oracle, specs,
-                                                     kind="dirac")]
+    grids = [SphereGrid(8, 16), SphereGrid(16, 32)]
+    errors = [[r["error"] for r in convergence_study(P0, data, q, oracle, grids)]
               for oracle in (exact, np.concatenate([exact.phi, exact.psi]))]
     assert errors[0] == errors[1]
     pw2, data2 = _spin_setup(2)
     field = orc.plane_wave_field(pw2, q)
-    errors = [[r["error"] for r in convergence_study(P0, data2, q, oracle, specs, n=2)]
+    errors = [[r["error"] for r in convergence_study(P0, data2, q, oracle, grids)]
               for oracle in (field, field.components)]
     assert errors[0] == errors[1]
 
@@ -310,8 +309,7 @@ def test_convergence_study_zero_data():
     from conerec.spinor import DiracSpinorValue
     oracle = DiracSpinorValue(phi=np.zeros(2, complex), psi=np.zeros(2, complex))
     rows = convergence_study(P0, zero, Q_POINTS[0], oracle,
-                             [QuadratureSpec(8, 16), QuadratureSpec(16, 32)],
-                             kind="dirac")
+                             [SphereGrid(8, 16), SphereGrid(16, 32)])
     assert all(r["error"] == 0.0 for r in rows)
 
 
@@ -320,12 +318,12 @@ def test_convergence_study_zero_data():
 
 
 def test_quadrature_spec_validation():
+    # a quadrature is its sphere grid; the old name stays bound to it
+    assert rec.QuadratureSpec is SphereGrid
     with pytest.raises(ValueError):
-        QuadratureSpec(2, 16)
+        SphereGrid(2, 16)
     with pytest.raises(ValueError):
-        QuadratureSpec(8, 7)
-    with pytest.raises(ValueError):
-        QuadratureSpec(8, 16, rho_variant="other")
+        SphereGrid(8, 7)
 
 
 def test_kind_mismatch_rejected():
@@ -335,22 +333,22 @@ def test_kind_mismatch_rejected():
                           fn=lambda r0, om, o, i: np.zeros((r0.size, 2), complex),
                           fn_dr0=lambda r0, om, o, i, v: np.zeros((r0.size, 2), complex))
     with pytest.raises(ValueError):
-        reconstruct_dirac(P0, zero_spin, Q_POINTS[0], QuadratureSpec(8, 16))
+        reconstruct_dirac(P0, zero_spin, Q_POINTS[0], SphereGrid(8, 16))
     with pytest.raises(ValueError):
-        reconstruct_spin_n(P0, zero_dirac, 1, Q_POINTS[0], QuadratureSpec(8, 16))
+        reconstruct_spin_n(P0, zero_dirac, 1, Q_POINTS[0], SphereGrid(8, 16))
 
 
 def test_domain_errors_propagate():
     pw, b, data = _dirac_setup()
     with pytest.raises(ValueError):
-        reconstruct_dirac(P0, data, np.array([-1.0, 0, 0, 0]), QuadratureSpec(8, 16))
+        reconstruct_dirac(P0, data, np.array([-1.0, 0, 0, 0]), SphereGrid(8, 16))
     with pytest.raises(ValueError):
-        reconstruct_dirac(P0, data, np.array([0.5, 0.6, 0, 0]), QuadratureSpec(8, 16))
+        reconstruct_dirac(P0, data, np.array([0.5, 0.6, 0, 0]), SphereGrid(8, 16))
 
 
 def test_diagnostics_fields():
     pw, b, data = _dirac_setup()
-    res = reconstruct_dirac(P0, data, Q_POINTS[0], QuadratureSpec(16, 32))
+    res = reconstruct_dirac(P0, data, Q_POINTS[0], SphereGrid(16, 32))
     d = res.diagnostics
     assert set(d) == {"n_nodes", "error_estimate"}
     assert d["n_nodes"] == 16 * 32
@@ -369,11 +367,11 @@ def _curved_setup():
 def test_curved_flat_chart_equals_flat_reconstruction():
     from conerec.transport import make_chart
     data = _curved_setup()
-    spec = QuadratureSpec(24, 48)
+    grid = SphereGrid(24, 48)
     q = np.array([1.5, 0.4, 0.3, 0.2])
-    ref = reconstruct_spin_n(P0, data, 2, q, spec)
+    ref = reconstruct_spin_n(P0, data, 2, q, grid)
     got = rec.reconstruct_curved_singular(make_chart("flat"), P0, data, 2, q,
-                                          spec)
+                                          grid)
     assert np.max(np.abs(got.value.components - ref.value.components)) < 1e-12
     assert got.value.valence == 2
 
@@ -395,14 +393,14 @@ def test_curved_on_axis_area_factor_is_half_pi():
 def test_curved_weak_field_linear_scaling():
     from conerec.transport import make_chart
     data = _curved_setup()
-    spec = QuadratureSpec(24, 48)
+    grid = SphereGrid(24, 48)
     q = np.array([1.5, 0.4, 0.3, 0.2])
     flat_val = rec.reconstruct_curved_singular(make_chart("flat"), P0, data,
-                                               2, q, spec).value.components
+                                               2, q, grid).value.components
     diff = {}
     for eps in (1e-3, 1e-4):
         chart = make_chart("conformal", eps=eps, width=2.0)
-        got = rec.reconstruct_curved_singular(chart, P0, data, 2, q, spec)
+        got = rec.reconstruct_curved_singular(chart, P0, data, 2, q, grid)
         diff[eps] = np.max(np.abs(got.value.components - flat_val))
         assert diff[eps] > 0.0
     assert 8.0 < diff[1e-3] / diff[1e-4] < 12.0
@@ -414,9 +412,9 @@ def test_curved_richardson_radial_path():
     chart = make_chart("conformal", eps=1e-3)
     q = np.array([1.5, 0.4, 0.3, 0.2])
     a = rec.reconstruct_curved_singular(chart, P0, data, 2, q,
-                                        QuadratureSpec(16, 32))
+                                        SphereGrid(16, 32))
     b = rec.reconstruct_curved_singular(chart, P0, _differenced(data), 2, q,
-                                        QuadratureSpec(16, 32))
+                                        SphereGrid(16, 32))
     assert np.max(np.abs(a.value.components - b.value.components)) < 1e-9
 
 
@@ -425,7 +423,7 @@ def _file_data_16x16():
     from conerec.cone import spin_basis_field, unit_directions
     pw = orc.PlaneWaveSpec(1, np.array([1.0, 0.3 + 0.4j]))
     fn, _ = orc.plane_wave_cone_fn(pw, P0)
-    grid = QuadratureSpec(16, 16).grid()
+    grid = SphereGrid(16, 16)
     th, ph, _, ch = grid.angles()
     o_up, iota_up = spin_basis_field(th, ph, ch)
     om = unit_directions(th, ph)
@@ -440,9 +438,9 @@ def test_curved_evaluator_reads_file_data_only_on_its_grid():
     chart = make_chart("conformal", eps=1e-2)
     q = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="section grid does not match the data grid"):
-        rec.reconstruct_curved_singular(chart, P0, data, 1, q, QuadratureSpec(8, 32))
+        rec.reconstruct_curved_singular(chart, P0, data, 1, q, SphereGrid(8, 32))
     assert rec.reconstruct_curved_singular(chart, P0, data, 1, q,
-                                           QuadratureSpec(16, 16)).diagnostics["n_nodes"] == 256
+                                           SphereGrid(16, 16)).diagnostics["n_nodes"] == 256
 
 
 @pytest.mark.parametrize("kind, n, calls", [("analytic", 2, 2), ("file", 1, 1)])
@@ -461,7 +459,7 @@ def test_curved_section_takes_one_chord_mean(kind, n, calls):
 
     chart.chord_mean = counted
     data = _curved_setup() if kind == "analytic" else _file_data_16x16()
-    rec.reconstruct_curved_singular(chart, P0, data, n, Q_POINTS[0], QuadratureSpec(16, 16))
+    rec.reconstruct_curved_singular(chart, P0, data, n, Q_POINTS[0], SphereGrid(16, 16))
     assert len(starts) == calls
     assert all(np.array_equal(a, P0) for a in starts)
 
@@ -470,32 +468,32 @@ def test_curved_domain_errors():
     from conerec.errors import GeometryError
     from conerec.transport import make_chart
     data = _curved_setup()
-    spec = QuadratureSpec(16, 32)
+    grid = SphereGrid(16, 32)
     small = make_chart("conformal", eps=1e-3, halfwidth=1.0)
     with pytest.raises(GeometryError, match="outside the chart domain"):
         rec.reconstruct_curved_singular(small, P0, data, 2,
-                                        np.array([1.8, 0.0, 0.0, 0.0]), spec)
+                                        np.array([1.8, 0.0, 0.0, 0.0]), grid)
     # vertex near a face: some generators meet the section outside the box
     p0_off = np.array([0.0, 0.8, 0.0, 0.0])
     q_off = p0_off + np.array([0.9, 0.0, 0.0, 0.0])
     with pytest.raises(GeometryError, match="leave the chart domain"):
-        rec.reconstruct_curved_singular(small, p0_off, data, 2, q_off, spec)
+        rec.reconstruct_curved_singular(small, p0_off, data, 2, q_off, grid)
 
 
 def test_curved_kind_and_valence_guards():
     from conerec.transport import make_chart
     chart = make_chart("flat")
-    spec = QuadratureSpec(16, 32)
+    grid = SphereGrid(16, 32)
     pw = orc.PlaneWaveSpec(1, np.array([1.0, 0.3 + 0.4j]))
     fn, fn_dr0 = orc.plane_wave_dirac_cone_fn(pw, P0)
     ddata = ConeData(1, kind="dirac", fn=fn, fn_dr0=fn_dr0)
     with pytest.raises(ValueError, match="phi_0"):
         rec.reconstruct_curved_singular(chart, P0, ddata, 1,
-                                        np.array([1.0, 0, 0, 0]), spec)
+                                        np.array([1.0, 0, 0, 0]), grid)
     sdata = _curved_setup()
     with pytest.raises(ValueError, match="valence"):
         rec.reconstruct_curved_singular(chart, P0, sdata, 0,
-                                        np.array([1.0, 0, 0, 0]), spec)
+                                        np.array([1.0, 0, 0, 0]), grid)
 
 
 # -- a chart's per-node factors on the flat section ---------------------------
@@ -580,10 +578,9 @@ def test_chart_file_data_reads_the_canonical_frame(eps):
     # the curved-space oracle)
     from conerec.cone import spin_basis_field
     from conerec.transport import make_chart
-    n, q, spec = 2, Q_POINTS[2], QuadratureSpec(16, 32)
+    n, q, grid = 2, Q_POINTS[2], SphereGrid(16, 32)
     pw = orc.PlaneWaveSpec(n, np.array([0.6 + 0.3j, -0.2 + 0.7j]), 0.8 + 0.1j)
     fn, fn_dr0 = orc.plane_wave_cone_fn(pw, P0)
-    grid = spec.grid()
     th, ph, _, ch = grid.angles()
     omega = grid.directions()[0]
     o_up, iota_up = spin_basis_field(th, ph, ch)
@@ -595,7 +592,7 @@ def test_chart_file_data_reads_the_canonical_frame(eps):
                          fn_dr0=lambda r0, om, o, i, v: fn_dr0(r0, om, _canonical_o(o), i, v))
 
     def field(chart, data):
-        return rec.reconstruct_curved_singular(chart, P0, data, n, q, spec).value.components
+        return rec.reconstruct_curved_singular(chart, P0, data, n, q, grid).value.components
 
     flat = make_chart("flat")
     assert rec.relative_error(field(flat, analytic), field(flat, file_data)) < 1e-7
@@ -613,12 +610,12 @@ def test_valence_above_cap_rejected_before_evaluation(n):
         raise AssertionError("data evaluated before the valence check")
 
     data = ConeData(n, fn=never, fn_dr0=never)
-    spec = QuadratureSpec(8, 16)
+    grid = SphereGrid(8, 16)
     with pytest.raises(ValueError, match="valence"):
-        reconstruct_spin_n(P0, data, n, Q_POINTS[0], spec)
+        reconstruct_spin_n(P0, data, n, Q_POINTS[0], grid)
     with pytest.raises(ValueError, match="valence"):
         rec.reconstruct_curved_singular(make_chart("flat"), P0, data, n,
-                                        Q_POINTS[0], spec)
+                                        Q_POINTS[0], grid)
 
 
 # -- one component sum for every valence ---------------------------------------
@@ -634,7 +631,7 @@ def _unit_wave(n):
 @pytest.mark.parametrize("q", [Q_POINTS[0], Q_POINTS[2]], ids=["axis", "off-axis"])
 def test_high_valence_plane_wave(n, q):
     pw, data = _unit_wave(n)
-    res = reconstruct_spin_n(P0, data, n, q, QuadratureSpec(24, 48))
+    res = reconstruct_spin_n(P0, data, n, q, SphereGrid(24, 48))
     exact = orc.plane_wave_field(pw, q)
     assert rec.relative_error(res.value.components, exact.components) < 1e-12
     assert res.value.valence == n
@@ -643,10 +640,10 @@ def test_high_valence_plane_wave(n, q):
 def test_curved_flat_chart_equals_flat_reconstruction_high_valence():
     from conerec.transport import make_chart
     _, data = _unit_wave(8)
-    spec = QuadratureSpec(24, 48)
-    ref = reconstruct_spin_n(P0, data, 8, Q_POINTS[2], spec)
+    grid = SphereGrid(24, 48)
+    ref = reconstruct_spin_n(P0, data, 8, Q_POINTS[2], grid)
     got = rec.reconstruct_curved_singular(make_chart("flat"), P0, data, 8,
-                                          Q_POINTS[2], spec)
+                                          Q_POINTS[2], grid)
     assert rec.relative_error(got.value.components,
                               ref.value.components) < 1e-13
 
@@ -669,15 +666,15 @@ def test_component_sum_matches_dense_tensor(monkeypatch, evaluator, n):
     from conerec.transport import make_chart
     if evaluator == "dirac":
         _, _, data = _dirac_setup()
-        run = lambda: reconstruct_dirac(P0, data, Q_POINTS[2], REF_SPEC)
+        run = lambda: reconstruct_dirac(P0, data, Q_POINTS[2], REF_GRID)
     elif evaluator == "flat":
         _, data = _spin_setup(n)
-        run = lambda: reconstruct_spin_n(P0, data, n, Q_POINTS[2], REF_SPEC)
+        run = lambda: reconstruct_spin_n(P0, data, n, Q_POINTS[2], REF_GRID)
     else:
         _, data = _spin_setup(n)
         chart = make_chart("conformal", eps=1e-2)
         run = lambda: rec.reconstruct_curved_singular(
-            chart, P0, data, n, Q_POINTS[2], QuadratureSpec(32, 64))
+            chart, P0, data, n, Q_POINTS[2], SphereGrid(32, 64))
     got = run()
     monkeypatch.setattr(rec, "_component_sum", _dense_component_sum)
     ref = run()
